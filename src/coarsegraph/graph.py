@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import GraphToolError, ParseError, UnknownVertexError
 
@@ -107,6 +108,36 @@ class Graph:
         if v not in self.vertices:
             raise UnknownVertexError(repr(v))
 
+    @cached_property
+    def index(self) -> "GraphIndex":
+        """The integer view of this graph, built on first use and then kept."""
+        order = self.sorted_vertices()
+        pos = {v: i for i, v in enumerate(order)}
+        return GraphIndex(order, pos, [[pos[w] for w in self._adj[v]] for v in order])
+
+
+class GraphIndex(NamedTuple):
+    """A graph as integers: vertex ``i`` is ``order[i]`` in sorted order,
+    ``pos`` maps each vertex back to its id, ``nbrs[i]`` lists the neighbour ids."""
+
+    order: list
+    pos: dict
+    nbrs: list
+
+    def distance_row(self, sources: Iterable[int]) -> list[int]:
+        """BFS distances from a set of vertex ids, indexed by id; -1 where unreachable."""
+        row = [-1] * len(self.order)
+        queue = list(sources)
+        for s in queue:
+            row[s] = 0
+        for x in queue:  # the list grows while it is read, as a FIFO queue
+            d = row[x] + 1
+            for w in self.nbrs[x]:
+                if row[w] < 0:
+                    row[w] = d
+                    queue.append(w)
+        return row
+
 
 # ---------------------------------------------------------------------------
 # metric / connectivity primitives
@@ -164,11 +195,6 @@ def set_distance(g: Graph, xs: Iterable[Vertex], ys: Iterable[Vertex]) -> int | 
     return min(hits) if hits else math.inf
 
 
-def eccentricity_table(g: Graph) -> dict:
-    """All-pairs distances: vertex -> {vertex -> distance}, reachable pairs only."""
-    return {v: distances_from(g, [v]) for v in g.sorted_vertices()}
-
-
 def components(g: Graph) -> list[frozenset]:
     """Connected components, sorted by canonical key of their smallest vertex."""
     seen: set = set()
@@ -201,10 +227,6 @@ def induced_subgraph(g: Graph, keep: Iterable[Vertex]) -> Graph:
         g.require_vertex(v)
     edges = [(u, v) for (u, v) in g.edges if u in kset and v in kset]
     return Graph.build(edges, vertices=kset)
-
-
-def remove_vertices(g: Graph, drop: Iterable[Vertex]) -> Graph:
-    return induced_subgraph(g, g.vertices - set(drop))
 
 
 def union(a: Graph, b: Graph) -> Graph:

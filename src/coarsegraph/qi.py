@@ -4,8 +4,9 @@ A map φ: V(G) → V(H) is a (γ, c)-quasi-isometry when
 (i)  (1/γ)·d_G(u,v) − c ≤ d_H(φu, φv) ≤ γ·d_G(u,v) + c for all u, v, and
 (ii) every vertex of H lies within distance c of the image of φ.
 
-Constants are exact ``fractions.Fraction`` values so the boundary cases are
-decided without rounding.
+Constants are exact ``fractions.Fraction`` values at the API boundary, so
+the boundary cases are decided without rounding.  Inside, one scan over all
+pairs compares integers: with γ = p/q, every requirement on c is scaled by p·q.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import CompositionError, GraphToolError, StructuralError, UnknownVertexError
-from .graph import Graph, Vertex, distances_from, is_connected, sort_vertices
+from .graph import Graph
 
 
 class ConnectivityError(GraphToolError, ValueError):
@@ -50,44 +51,64 @@ def _check_map(source: Graph, target: Graph, phi: Mapping) -> None:
             raise UnknownVertexError(repr(phi[v]))
 
 
-def _pair_tables(g: Graph) -> dict:
-    return {v: distances_from(g, [v]) for v in g.vertices}
+class _Scan(NamedTuple):
+    c: Fraction | None          # tightest c at the scanned γ; None when no c works
+    worst: tuple | None         # first entry of largest requirement
+    violation: tuple | None     # first entry whose requirement exceeds the given c, if any
 
 
-def _slacks(source: Graph, target: Graph, phi: Mapping, per_component: bool):
-    """Yield the data qi checks need: per-pair (d_G, d_H) and per-target-vertex
-    distance to the image.  Raises ConnectivityError when infinities appear and
-    per_component is off; in per-component mode infinite-d_G pairs are skipped
-    and every target vertex must still reach the image."""
+def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fraction | None,
+          per_component: bool) -> _Scan:
+    """One pass over the pairs u < v of source vertices, then the target
+    vertices, both in sorted order.  A pair requires c ≥ max(d_H − γ·d_G,
+    d_G/γ − d_H), a target vertex c ≥ its distance to the image; with γ = p/q
+    both are integers once scaled by p·q.  It holds one source BFS row at a
+    time and one target row per image vertex.  An infinite distance raises
+    ConnectivityError unless per_component is on; then a pair across source
+    components requires −inf, and any other infinite distance +inf.
+    """
     _check_map(source, target, phi)
-    src_tables = _pair_tables(source)
-    image = sorted({phi[v] for v in source.vertices}, key=str)
-    image_dist = distances_from(target, image) if image else {}
-    tgt_tables: dict = {}
-    verts = source.sorted_vertices()
-    pairs = []
-    for i, u in enumerate(verts):
-        du = src_tables[u]
-        hu = phi[u]
-        if hu not in tgt_tables:
-            tgt_tables[hu] = distances_from(target, [hu])
-        for v in verts[i + 1:]:
-            dg = du.get(v, math.inf)
-            dh = tgt_tables[hu].get(phi[v], math.inf)
-            if dg == math.inf:
-                if per_component:
-                    continue
-                raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
-            if dh == math.inf and not per_component:
-                raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
-            pairs.append((u, v, dg, dh))
-    density = []
-    for w in target.sorted_vertices():
-        dist = image_dist.get(w, math.inf)
-        if dist == math.inf and not per_component:
-            raise ConnectivityError(f"target vertex {w!r} cannot reach the image")
-        density.append((w, dist))
-    return pairs, density
+    p, q = gamma.numerator, gamma.denominator
+    pq, pp, qq = p * q, p * p, q * q
+    # An integer requirement exceeds p·q·c exactly when it exceeds its floor.
+    limit = math.inf if c is None else pq * c.numerator // c.denominator
+    best = worst = violation = None
+
+    def take(reqs: list, witness) -> None:
+        nonlocal best, worst, violation
+        if not reqs:
+            return
+        top = max(reqs)
+        if best is None or top > best:
+            best, worst = top, witness(reqs.index(top))
+        if violation is None and top > limit:
+            violation = witness(next(j for j, r in enumerate(reqs) if r > limit))
+
+    src, tgt = source.index, target.index
+    order = src.order
+    img = [tgt.pos[phi[v]] for v in order]
+    rows: dict = {}
+    for i, u in enumerate(order):
+        hrow = rows.get(img[i])
+        if hrow is None:
+            hrow = rows[img[i]] = tgt.distance_row([img[i]])
+        gs, hs, vs = src.distance_row([i])[i + 1:], [hrow[k] for k in img[i + 1:]], order[i + 1:]
+        take([max(pq * h - pp * g, qq * g - pq * h) if g >= 0 <= h else _unbounded(u, v, g, per_component)
+              for g, h, v in zip(gs, hs, vs)], lambda j: (u, vs[j]))
+    row = tgt.distance_row(set(img))
+    if -1 in row and not per_component:
+        raise ConnectivityError(f"target vertex {tgt.order[row.index(-1)]!r} cannot reach the image")
+    take([pq * d if d >= 0 else math.inf for d in row], lambda j: (tgt.order[j],))
+    return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq), worst, violation)
+
+
+def _unbounded(u, v, g: int, per_component: bool) -> float:
+    """The requirement of a pair with an infinite distance."""
+    if per_component:
+        return -math.inf if g < 0 else math.inf
+    if g < 0:
+        raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
+    raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
 
 
 def qi_verify(cert: QuasiIsometryCertificate, per_component: bool = False) -> tuple[bool, tuple | None]:
@@ -96,21 +117,8 @@ def qi_verify(cert: QuasiIsometryCertificate, per_component: bool = False) -> tu
     Returns (ok, witness): the witness is the first violating vertex pair or a
     lone target vertex violating density, None when valid.
     """
-    gamma, c = cert.gamma, cert.c
-    pairs, density = _slacks(cert.source, cert.target, cert.phi, per_component)
-    for (u, v, dg, dh) in pairs:
-        if dh == math.inf:
-            # Only reachable in per-component mode: a finite source distance
-            # must never map to an infinite target distance.
-            return False, (u, v)
-        if Fraction(dh) > gamma * dg + c:
-            return False, (u, v)
-        if Fraction(dh) < Fraction(dg) / gamma - c:
-            return False, (u, v)
-    for (w, dist) in density:
-        if dist == math.inf or Fraction(dist) > c:
-            return False, (w,)
-    return True, None
+    violation = _scan(cert.source, cert.target, cert.phi, cert.gamma, cert.c, per_component).violation
+    return violation is None, violation
 
 
 def make_certificate(
@@ -121,34 +129,13 @@ def make_certificate(
     c,
     per_component: bool = False,
 ) -> QuasiIsometryCertificate:
+    """Check (gamma, c) for φ.  The witness is the first violation when invalid,
+    else the pair (or density vertex) with the least margin before violation."""
     cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(gamma), Fraction(c), False, None)
-    ok, witness = qi_verify(cert, per_component=per_component)
-    if ok:
-        witness = _worst_slack_witness(cert, per_component)
-    return replace(cert, valid=ok, worst_witness=witness)
-
-
-def _worst_slack_witness(cert: QuasiIsometryCertificate, per_component: bool = False) -> tuple | None:
-    """The pair (or density vertex) with the least margin before violation."""
-    gamma, c = cert.gamma, cert.c
-    pairs, density = _slacks(cert.source, cert.target, cert.phi, per_component)
-    worst = None
-    worst_margin = None
-    for (u, v, dg, dh) in pairs:
-        if dh == math.inf:
-            continue
-        margin = min(gamma * dg + c - dh, Fraction(dh) - Fraction(dg) / gamma + c)
-        if worst_margin is None or margin < worst_margin:
-            worst_margin = margin
-            worst = (u, v)
-    for (w, dist) in density:
-        if dist == math.inf:
-            continue
-        margin = c - dist
-        if worst_margin is None or margin < worst_margin:
-            worst_margin = margin
-            worst = (w,)
-    return worst
+    scan = _scan(source, target, cert.phi, cert.gamma, cert.c, per_component)
+    if scan.violation is not None:
+        return replace(cert, worst_witness=scan.violation)
+    return replace(cert, valid=True, worst_witness=scan.worst)
 
 
 def tightest_constants(
@@ -174,17 +161,8 @@ def tightest_constants(
         gamma = Fraction(fixed_gamma)
         if gamma < 1:
             raise StructuralError("gamma must be ≥ 1")
-    pairs, density = _slacks(source, target, phi, per_component)
-    c = Fraction(0)
-    for (u, v, dg, dh) in pairs:
-        if dh == math.inf:
-            return None
-        c = max(c, Fraction(dh) - gamma * dg, Fraction(dg) / gamma - Fraction(dh))
-    for (w, dist) in density:
-        if dist == math.inf:
-            return None
-        c = max(c, Fraction(dist))
-    return gamma, c
+    c = _scan(source, target, phi, gamma, None, per_component).c
+    return None if c is None else (gamma, c)
 
 
 def qi_compose(f: QuasiIsometryCertificate, g: QuasiIsometryCertificate) -> QuasiIsometryCertificate:

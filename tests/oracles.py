@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
 
 def adjacency(edges, vertices=()):
@@ -251,3 +252,45 @@ def has_subdivision(adj):
             if routable(set(sub), needed):
                 return True
     return False
+
+
+def qi_oracle(src_adj, tgt_adj, phi, gamma, c, per_component):
+    """Quasi-isometry constants of phi straight from the definition.
+
+    All-pairs BFS on both graphs, every requirement an exact Fraction: a pair
+    u < v needs c ≥ max(d_H − γ·d_G, d_G/γ − d_H), a target vertex needs c ≥
+    its distance to the image, both in sorted order, pairs first.  Returns
+    {"error": ...} naming the first infinite distance when per_component is
+    off, else {"c", "worst", "violation"}: the tightest c (None when some
+    requirement is infinite), the first entry of largest requirement, and the
+    first entry violating the given c.  Vertices must be mutually comparable.
+    """
+    gamma, c = Fraction(gamma), Fraction(c)
+    src_dist = {u: bfs_distances(src_adj, u) for u in src_adj}
+    tgt_dist = {w: bfs_distances(tgt_adj, w) for w in tgt_adj}
+    entries = []  # (witness, requirement or None when infinite)
+    verts = sorted(src_adj)
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            if v not in src_dist[u]:
+                if per_component:
+                    continue
+                return {"error": ("source", u, v)}
+            if phi[v] not in tgt_dist[phi[u]]:
+                if not per_component:
+                    return {"error": ("target", u, v)}
+                entries.append(((u, v), None))
+                continue
+            dg, dh = src_dist[u][v], tgt_dist[phi[u]][phi[v]]
+            entries.append(((u, v), max(dh - gamma * dg, dg / gamma - dh)))
+    for w in sorted(tgt_adj):
+        reach = [tgt_dist[w][x] for x in set(phi.values()) if x in tgt_dist[w]]
+        if not reach and not per_component:
+            return {"error": ("density", w)}
+        entries.append(((w,), Fraction(min(reach)) if reach else None))
+    violation = next((wit for wit, r in entries if r is None or r > c), None)
+    if any(r is None for _, r in entries):
+        return {"c": None, "worst": None, "violation": violation}
+    top = max((r for _, r in entries), default=None)
+    worst = next((wit for wit, r in entries if r == top), None)
+    return {"c": max(Fraction(0), top if top is not None else 0), "worst": worst, "violation": violation}

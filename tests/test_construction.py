@@ -28,11 +28,15 @@ from coarsegraph.construction import (
     validate_bundle,
     verify_output,
 )
+from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
-from coarsegraph.graph import Graph, is_connected
-from coarsegraph.treedecomp import TreeDecomposition
+from coarsegraph.graph import Graph, is_connected, sort_vertices, union
+from coarsegraph.treedecomp import TreeDecomposition, heuristic_td
 
+from dataclasses import replace
 from fractions import Fraction
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +294,68 @@ def test_tw_attachment_is_a_tree_center():
         tw_torso_attachment(sub, frozenset({0, 6}))
     with pytest.raises(ContractViolationError):
         tw_torso_attachment(sub, frozenset())
+
+
+def grid_and_hexagon_bundle() -> InstanceBundle:
+    """A 4×4 grid beside a disjoint 6-cycle, in one part."""
+    host = union(grid_graph(4, 4), cycle_graph(6))
+    return InstanceBundle(host, single_node_td(host.vertices), k=2)
+
+
+def test_disconnected_host_is_certified_per_component():
+    b = grid_and_hexagon_bundle()
+    out = build_H(b)
+    assert not is_connected(out.H)
+    rep = verify_output(b, out)
+    assert rep.qi_checked and rep.qi_valid
+    assert rep.c == 0
+    assert rep.passed
+
+
+def test_disconnected_host_fails_when_phi_tears_a_component():
+    """Hexagon vertex 0 sent into the grid's component of H: its hexagon
+    edges now join two components of H, and no c works."""
+    b = grid_and_hexagon_bundle()
+    out = build_H(b)
+    torn = replace(out, phi={**out.phi, 0: out.phi["0,0"]})
+    rep = verify_output(b, torn)
+    assert rep.qi_checked and rep.qi_valid is False and rep.c is None
+    assert not rep.passed
+    assert "no finite c makes phi a γ=1 quasi-isometry on each component" in rep.failures
+
+
+def hub_cut_failures_by_oracle(out) -> list:
+    """Hubs of degree ≥ 2 whose removal does not add a component of H."""
+    adj = oracles.adjacency(out.H.edges, out.H.vertices)
+    base = len(oracles.components_without(adj, ()))
+    hubs = [x for x in sort_vertices(out.provenance)
+            if out.provenance[x].get("kind") == "adhesion-set" and len(adj[x]) >= 2]
+    return [x for x in hubs if len(oracles.components_without(adj, {x})) <= base]
+
+
+def test_cut_vertex_failures_match_the_oracle_on_the_corpus():
+    for inst in corpus(DEFAULT_SEED):
+        out = build_H(inst.bundle)
+        rep = verify_output(inst.bundle, out)
+        assert list(rep.cut_vertex_failures) == hub_cut_failures_by_oracle(out), inst.name
+
+
+@pytest.mark.parametrize("host", [
+    complete_graph(3), complete_graph(4), cycle_graph(5), path_graph(4), grid_graph(3, 3),
+    union(complete_graph(3), path_graph(3)),
+], ids=["K3", "K4", "C5", "P4", "grid3", "K3+P3"])
+def test_cut_vertex_failures_match_the_oracle_on_heuristic_decompositions(host):
+    b = InstanceBundle(host, heuristic_td(host), k=2)
+    out = build_H(b)
+    assert list(verify_output(b, out).cut_vertex_failures) == hub_cut_failures_by_oracle(out)
+
+
+def test_triangle_hub_that_does_not_separate_is_reported():
+    host = complete_graph(3)
+    b = InstanceBundle(host, heuristic_td(host), k=2)
+    data = report_to_dict(verify_output(b, build_H(b)))
+    assert data["cut_vertex_failures"] == ["(xS|1|2)"]
+    assert not data["passed"]
 
 
 # ---------------------------------------------------------------------------

@@ -139,3 +139,54 @@ def test_tightest_constant_is_minimal(n_src, n_tgt, seed):
     assert make_certificate(src, tgt, phi, gamma, c).valid
     if c > 0:
         assert not make_certificate(src, tgt, phi, gamma, c - Fraction(1, 2)).valid
+
+
+def _connectivity_message(error) -> str:
+    kind, *vs = error
+    if kind == "source":
+        return f"{vs[0]!r} and {vs[1]!r} are in different components of the source"
+    if kind == "target":
+        return f"images of {vs[0]!r} and {vs[1]!r} are in different components of the target"
+    return f"target vertex {vs[0]!r} cannot reach the image"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.integers(1, 6),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(0, 10_000),
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 2)]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_qi_matches_the_all_pairs_oracle(n_src, n_tgt, p, seed, gamma, c, per_component, isolated):
+    """tightest_constants, the certificate's witness and qi_verify agree with
+    all-pairs BFS and Fraction arithmetic, on disconnected graphs too."""
+    rng = random.Random(seed)
+    src_vs, src_es = oracles.random_graph(rng, n_src, p)
+    tgt_vs, tgt_es = oracles.random_graph(rng, n_tgt, p)
+    if isolated:
+        src_vs.append(n_src)
+    phi = {v: rng.choice(tgt_vs) for v in src_vs}
+    src = Graph.build(src_es, vertices=src_vs)
+    tgt = Graph.build(tgt_es, vertices=tgt_vs)
+    expected = oracles.qi_oracle(oracles.adjacency(src_es, src_vs), oracles.adjacency(tgt_es, tgt_vs),
+                                 phi, gamma, c, per_component)
+    if "error" in expected:
+        for call in (
+            lambda: tightest_constants(src, tgt, phi, fixed_gamma=gamma),
+            lambda: make_certificate(src, tgt, phi, gamma, c),
+        ):
+            with pytest.raises(ConnectivityError) as exc:
+                call()
+            assert str(exc.value) == _connectivity_message(expected["error"])
+        return
+    tight = tightest_constants(src, tgt, phi, fixed_gamma=gamma, per_component=per_component)
+    assert tight == (None if expected["c"] is None else (gamma, expected["c"]))
+    cert = make_certificate(src, tgt, phi, gamma, c, per_component=per_component)
+    violation = expected["violation"]
+    assert cert.valid == (violation is None)
+    assert cert.worst_witness == (expected["worst"] if violation is None else violation)
+    assert qi_verify(cert, per_component=per_component) == (violation is None, violation)
