@@ -153,7 +153,8 @@ def tightest_constants(
     quasi-isometry for c large enough, so the γ-minimisation always returns
     γ = 1; the candidate-ratio scan a continuous setting would need collapses.
     Returns None only in per-component mode, when some finite source distance
-    maps to an infinite target distance (no c can fix that).
+    maps to an infinite target distance or a target vertex cannot reach the
+    image (no c can fix either).
     """
     if fixed_gamma is None:
         gamma = Fraction(1)
