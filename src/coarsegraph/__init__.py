@@ -69,6 +69,7 @@ from .qi import (
     make_certificate,
     qi_compose,
     qi_verify,
+    tightest_certificate,
     tightest_constants,
 )
 from .separations import (

@@ -22,7 +22,7 @@ from .construction import (
     report_to_dict,
     verify_output,
 )
-from .errors import GraphToolError
+from .errors import GraphToolError, ParseError
 from .generators import CAYLEY_PRESETS, FAMILIES, GeneratorSpec, generate
 from .graph import (
     Graph,
@@ -54,7 +54,10 @@ def _read_graph(path: str) -> Graph:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -156,24 +159,15 @@ def cmd_qi_check(args) -> int:
     target = _read_graph(args.target)
     phi = _parse_phi(_read_json(args.map))
     if args.gamma is None and args.c is None:
-        tight = qi.tightest_constants(source, target, phi, per_component=args.per_component)
-        if tight is None:
+        cert = qi.tightest_certificate(source, target, phi, per_component=args.per_component)
+        if cert is None:
             _emit_json({"ok": False, "message": "no finite constants exist for this map"}, args.out)
             return 1
-        gamma, c = tight
-        cert = qi.make_certificate(source, target, phi, gamma, c, per_component=args.per_component)
-        _emit_json(qi.certificate_to_dict(cert), args.out)
-        return 0 if cert.valid else 1
-    if args.gamma is None or args.c is None:
+    elif args.gamma is None or args.c is None:
         raise GraphToolError("provide both --gamma and --c, or neither for the tightest constants")
-    cert = qi.make_certificate(
-        source,
-        target,
-        phi,
-        qi.parse_fraction(args.gamma),
-        qi.parse_fraction(args.c),
-        per_component=args.per_component,
-    )
+    else:
+        cert = qi.make_certificate(source, target, phi, qi.parse_fraction(args.gamma), qi.parse_fraction(args.c),
+                                   per_component=args.per_component)
     _emit_json(qi.certificate_to_dict(cert), args.out)
     return 0 if cert.valid else 1
 

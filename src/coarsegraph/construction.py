@@ -29,6 +29,7 @@ from .errors import (
     ContractViolationError,
     EmptySetError,
     MarkerError,
+    ParseError,
     PlanarityContradictionError,
     StructuralError,
 )
@@ -40,6 +41,7 @@ from .graph import (
     is_connected,
     parse_vertex_token,
     sort_vertices,
+    vertex_from_json,
     vertex_key,
     vertex_token,
 )
@@ -101,21 +103,25 @@ def validate_bundle(bundle: InstanceBundle) -> None:
 
 
 def treewidth_at_most(g: Graph, k: int, cap: int = DEFAULT_TREEWIDTH_CAP) -> bool:
-    """Decide tw(g) ≤ k: exactly below the cap, by reduction rules above it.
+    """Decide tw(g) ≤ k by the cheapest exact route.
 
-    Above the cap only k ≤ 2 is decidable exactly (forest test, series-parallel
-    reduction); for larger k a heuristic width ≤ k certifies the upper bound
-    and anything else raises rather than guessing.
+    At every size, k < 0 holds only for the empty graph, k = 0 for an edgeless
+    one, k = 1 for a forest, and k = 2 exactly when the series-parallel
+    reduction rules empty the graph; all three tests are linear.  For k ≥ 3 the
+    exact subset DP decides at or below the cap; above it a heuristic width
+    ≤ k certifies the upper bound and anything else raises rather than guessing.
     """
-    n = len(g.vertices)
-    if n <= cap:
-        return exact_treewidth(g, cap) <= k
-    if k <= 0:
+    if k < 0:
+        return not g.vertices
+    if k == 0:
         return not g.edges
     if k == 1:
         return len(g.edges) == len(g.vertices) - len(components(g))
     if k == 2:
         return _reducible_to_empty_by_sp_rules(g)
+    n = len(g.vertices)
+    if n <= cap:
+        return exact_treewidth(g, cap) <= k
     if width(heuristic_td(g)) <= k:
         return True
     raise ContractViolationError(
@@ -124,50 +130,22 @@ def treewidth_at_most(g: Graph, k: int, cap: int = DEFAULT_TREEWIDTH_CAP) -> boo
 
 
 def _reducible_to_empty_by_sp_rules(g: Graph) -> bool:
-    # tw ≤ 2 iff the graph reduces to nothing under: drop degree-≤1 vertices,
-    # bypass degree-2 vertices (adding the shortcut edge).
+    # tw ≤ 2 iff the graph reduces to nothing under: drop a vertex of degree
+    # ≤ 1, bypass one of degree 2 (adding the shortcut edge).  Neither rule
+    # lowers a treewidth of 3 or more, so any order decides.  A vertex is
+    # queued whenever its degree may have fallen, so an empty queue leaves
+    # only vertices of degree ≥ 3.
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
     queue = set(adj)
     while queue:
         v = queue.pop()
-        if v not in adj:
+        if v not in adj or len(adj[v]) > 2:
             continue
-        deg = len(adj[v])
-        if deg > 2:
-            continue
-        if deg == 2:
-            a, b = sorted(adj[v], key=vertex_key)
-            adj[a].discard(v)
-            adj[b].discard(v)
-            if b not in adj[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-            queue.update((a, b))
-        else:
-            for w in adj[v]:
-                adj[w].discard(v)
-                queue.add(w)
-        del adj[v]
-    # Removing low-degree vertices can unlock others; loop until stable.
-    while True:
-        low = [v for v in adj if len(adj[v]) <= 2]
-        if not low:
-            break
-        for v in sorted(low, key=vertex_key):
-            if v not in adj:
-                continue
-            ns = sorted(adj[v], key=vertex_key)
-            if len(ns) == 2:
-                a, b = ns
-                adj[a].discard(v)
-                adj[b].discard(v)
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-            else:
-                for w in ns:
-                    adj[w].discard(v)
-            del adj[v]
+        nbrs = adj.pop(v)
+        for w in nbrs:
+            adj[w].discard(v)
+            adj[w] |= nbrs - {w}
+        queue |= nbrs
     return not adj
 
 
@@ -177,15 +155,17 @@ def classify_torsos(
     k: int,
     finite_threshold: int = DEFAULT_FINITE_THRESHOLD,
     tw_cap: int = DEFAULT_TREEWIDTH_CAP,
+    torsos: dict | None = None,
 ) -> dict:
-    """Label each part finite / bounded-treewidth / planar, in that precedence."""
+    """Label each part finite / bounded-treewidth / planar, in that precedence.
+    ``torsos`` (tree node -> Torso) reuses torsos already built."""
     out: dict = {}
     for t in td.tree.sorted_vertices():
         part = td.parts[t]
         if len(part) <= finite_threshold:
             out[t] = FINITE
             continue
-        tg = torso(host, td, t).graph
+        tg = (torsos[t] if torsos else torso(host, td, t)).graph
         if treewidth_at_most(tg, k, cap=tw_cap):
             out[t] = BOUNDED_TW
             continue
@@ -200,7 +180,8 @@ def classify_torsos(
 
 def check_classification(host: Graph, td: TreeDecomposition, k: int, classification: dict,
                          finite_threshold: int = DEFAULT_FINITE_THRESHOLD,
-                         tw_cap: int = DEFAULT_TREEWIDTH_CAP) -> None:
+                         tw_cap: int = DEFAULT_TREEWIDTH_CAP,
+                         torsos: dict | None = None) -> None:
     """A supplied classification must still be *consistent* with the torsos."""
     if set(classification) != set(td.tree.vertices):
         raise StructuralError("classification must label exactly the tree nodes")
@@ -209,9 +190,10 @@ def check_classification(host: Graph, td: TreeDecomposition, k: int, classificat
             raise StructuralError(f"unknown torso class {kind!r} at {t!r}")
         if kind == FINITE and len(td.parts[t]) > finite_threshold:
             raise ClassificationError(f"part at {t!r} has {len(td.parts[t])} vertices, above the threshold {finite_threshold}")
-        if kind == BOUNDED_TW and not treewidth_at_most(torso(host, td, t).graph, k, cap=tw_cap):
+        tg = None if kind == FINITE else (torsos[t] if torsos else torso(host, td, t)).graph
+        if kind == BOUNDED_TW and not treewidth_at_most(tg, k, cap=tw_cap):
             raise ClassificationError(f"torso at {t!r} does not have treewidth ≤ {k}")
-        if kind == PLANAR and not planarity.is_planar(torso(host, td, t).graph, witness_cap=0).planar:
+        if kind == PLANAR and not planarity.is_planar(tg, witness_cap=0).planar:
             raise ClassificationError(f"torso at {t!r} is not planar")
 
 
@@ -361,14 +343,14 @@ def _xs_name(S: frozenset) -> tuple:
 def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     validate_bundle(bundle)
     host, td = bundle.host, bundle.td
+    torsos = {t: torso(host, td, t) for t in td.tree.vertices}
     classification = bundle.classification
     if classification is None:
-        classification = classify_torsos(host, td, bundle.k, bundle.finite_threshold)
+        classification = classify_torsos(host, td, bundle.k, bundle.finite_threshold, torsos=torsos)
     else:
-        check_classification(host, td, bundle.k, classification, bundle.finite_threshold)
+        check_classification(host, td, bundle.k, classification, bundle.finite_threshold, torsos=torsos)
 
     warnings: list = []
-    torsos = {t: torso(host, td, t) for t in td.tree.vertices}
     all_adh = adhesion_sets(td)
     distinct_adh = sorted(
         {s for s in all_adh.values() if s},
@@ -626,20 +608,36 @@ def bundle_to_dict(bundle: InstanceBundle) -> dict:
 
 
 def bundle_from_dict(data: dict, host: Graph) -> InstanceBundle:
+    if not isinstance(data, dict) or "td" not in data or "k" not in data:
+        raise StructuralError("bundle JSON must be an object with keys 'td' and 'k'")
     classification = None
     if "classification" in data:
-        classification = {parse_vertex_token(t): kind for t, kind in data["classification"].items()}
-    markers = frozenset(parse_vertex_token(t) for t in data.get("markers", []))
-    sub_tds = {parse_vertex_token(t): td_from_dict(d) for t, d in data.get("sub_tds", {}).items()}
+        classification = {parse_vertex_token(t): kind for t, kind in _json_field(data, "classification", dict).items()}
+    markers = frozenset(vertex_from_json(t) for t in _json_field(data, "markers", list))
+    sub_tds = {parse_vertex_token(t): td_from_dict(d) for t, d in _json_field(data, "sub_tds", dict).items()}
     return InstanceBundle(
         host=host,
         td=td_from_dict(data["td"]),
-        k=int(data["k"]),
+        k=_json_int(data["k"], "k"),
         classification=classification,
         infinite_markers=markers,
         sub_tds=sub_tds,
-        finite_threshold=int(data.get("finite_threshold", DEFAULT_FINITE_THRESHOLD)),
+        finite_threshold=_json_int(data.get("finite_threshold", DEFAULT_FINITE_THRESHOLD), "finite_threshold"),
     )
+
+
+def _json_field(data: dict, key: str, kind: type):
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise StructuralError(f"bundle key {key!r} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _json_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"bundle key {key!r} must be an integer, not {value!r}") from None
 
 
 def _provenance_record_to_dict(rec: dict) -> dict:

@@ -26,10 +26,10 @@ from itertools import combinations, permutations
 from .errors import CapacityError, StructuralError
 from .graph import (
     Graph,
-    Vertex,
     canonical_edge,
     components,
     distances_from,
+    grow_mask,
     induced_subgraph,
     is_path,
     set_distance,
@@ -172,30 +172,12 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
 
 
 def _connected_subsets(host: Graph) -> list[frozenset]:
-    verts = host.sorted_vertices()
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    adj = [0] * n
-    for (u, v) in host.edges:
-        adj[idx[u]] |= 1 << idx[v]
-        adj[idx[v]] |= 1 << idx[u]
-    out = []
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        comp = low
-        frontier = low
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj[b.bit_length() - 1]
-                f ^= b
-            nxt &= mask & ~comp
-            comp |= nxt
-            frontier = nxt
-        if comp == mask:
-            out.append(frozenset(verts[i] for i in range(n) if (mask >> i) & 1))
+    verts, masks = host.index.order, host.index.masks()
+    out = [
+        frozenset(verts[i] for i in range(len(verts)) if (mask >> i) & 1)
+        for mask in range(1, 1 << len(verts))
+        if grow_mask(masks, mask & -mask, mask)[0] == mask
+    ]
     out.sort(key=lambda s: (len(s), tuple(sorted(map(vertex_key, s)))))
     return out
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import GraphToolError, ParseError, UnknownVertexError
 
@@ -58,6 +57,7 @@ class Graph:
     vertices: frozenset
     edges: frozenset
     _adj: dict = field(init=False, repr=False, compare=False, default=None)
+    _index: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         adj: dict = {v: set() for v in self.vertices}
@@ -65,6 +65,8 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
+        # Not functools.cached_property: writing through __dict__ slows every later attribute read.
+        object.__setattr__(self, "_index", None)
 
     @classmethod
     def build(cls, edges: Iterable[tuple[Vertex, Vertex]] = (), vertices: Iterable[Vertex] = ()) -> "Graph":
@@ -108,12 +110,14 @@ class Graph:
         if v not in self.vertices:
             raise UnknownVertexError(repr(v))
 
-    @cached_property
+    @property
     def index(self) -> "GraphIndex":
         """The integer view of this graph, built on first use and then kept."""
-        order = self.sorted_vertices()
-        pos = {v: i for i, v in enumerate(order)}
-        return GraphIndex(order, pos, [[pos[w] for w in self._adj[v]] for v in order])
+        if self._index is None:
+            order = self.sorted_vertices()
+            pos = {v: i for i, v in enumerate(order)}
+            object.__setattr__(self, "_index", GraphIndex(order, pos, [[pos[w] for w in self._adj[v]] for v in order]))
+        return self._index
 
 
 class GraphIndex(NamedTuple):
@@ -137,6 +141,27 @@ class GraphIndex(NamedTuple):
                     row[w] = d
                     queue.append(w)
         return row
+
+    def masks(self) -> list[int]:
+        """The neighbour ids of each vertex as a bitmask (bit j for id j)."""
+        return [sum(1 << j for j in js) for js in self.nbrs]
+
+
+def grow_mask(masks: list[int], seed: int, within: int) -> tuple[int, int]:
+    """Bitmasks of ids: the component of ``seed`` in the subgraph induced on
+    ``within``, and the union of its vertices' ``masks`` (``GraphIndex.masks``)."""
+    comp = frontier = seed
+    reach = 0
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= masks[low.bit_length() - 1]
+        reach |= grow
+        frontier = grow & within & ~comp
+        comp |= frontier
+    return comp, reach
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +353,18 @@ def parse_vertex_token(tok: str) -> Vertex:
     except ValueError:
         return tok
     return n if str(n) == tok else tok
+
+
+def vertex_from_json(v, token: bool = True) -> Vertex:
+    """A vertex as JSON holds it: a string, read as a vertex token when
+    ``token``; a list, read as a tuple of plain vertices; or an int."""
+    if isinstance(v, list):
+        return tuple(vertex_from_json(x, token=False) for x in v)
+    if isinstance(v, str) and token:
+        return parse_vertex_token(v)
+    if isinstance(v, (int, str, tuple)) and not isinstance(v, bool):
+        return v
+    raise ParseError(f"{v!r} is not a vertex")
 
 
 def vertex_token(v: Vertex) -> str:

@@ -9,13 +9,12 @@ independently of the decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import networkx as nx
 
 from .errors import StructuralError
-from .graph import Graph, Vertex, sort_vertices
-from .separations import fully_attached_components  # re-exported for the planar-side checks
+from .graph import Graph, sort_vertices
 
 WITNESS_CAP = 12
 

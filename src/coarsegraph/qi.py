@@ -138,6 +138,21 @@ def make_certificate(
     return replace(cert, valid=True, worst_witness=scan.worst)
 
 
+def tightest_certificate(
+    source: Graph,
+    target: Graph,
+    phi: Mapping,
+    gamma=1,
+    per_component: bool = False,
+) -> QuasiIsometryCertificate | None:
+    """The valid certificate at the tightest c for ``gamma``: what
+    ``make_certificate`` returns at that c, from one scan instead of two.
+    None when no finite c works (per-component mode only)."""
+    cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(gamma), 0, True, None)
+    scan = _scan(source, target, cert.phi, cert.gamma, None, per_component)
+    return None if scan.c is None else replace(cert, c=scan.c, worst_witness=scan.worst)
+
+
 def tightest_constants(
     source: Graph,
     target: Graph,
@@ -156,14 +171,8 @@ def tightest_constants(
     maps to an infinite target distance or a target vertex cannot reach the
     image (no c can fix either).
     """
-    if fixed_gamma is None:
-        gamma = Fraction(1)
-    else:
-        gamma = Fraction(fixed_gamma)
-        if gamma < 1:
-            raise StructuralError("gamma must be ≥ 1")
-    c = _scan(source, target, phi, gamma, None, per_component).c
-    return None if c is None else (gamma, c)
+    cert = tightest_certificate(source, target, phi, 1 if fixed_gamma is None else fixed_gamma, per_component)
+    return None if cert is None else (cert.gamma, cert.c)
 
 
 def qi_compose(f: QuasiIsometryCertificate, g: QuasiIsometryCertificate) -> QuasiIsometryCertificate:
@@ -177,12 +186,9 @@ def qi_compose(f: QuasiIsometryCertificate, g: QuasiIsometryCertificate) -> Quas
     if not (f.valid and g.valid):
         raise CompositionError("can only compose valid certificates")
     phi = {v: g.phi[f.phi[v]] for v in f.source.vertices}
-    gamma = f.gamma * g.gamma
     c = g.gamma * f.c + 2 * g.c
-    tight = tightest_constants(f.source, g.target, phi, fixed_gamma=gamma)
-    if tight is not None and tight[1] < c:
-        c = tight[1]
-    return make_certificate(f.source, g.target, phi, gamma, c)
+    tight = tightest_certificate(f.source, g.target, phi, f.gamma * g.gamma)
+    return tight if tight.c <= c else make_certificate(f.source, g.target, phi, tight.gamma, c)
 
 
 # ---------------------------------------------------------------------------

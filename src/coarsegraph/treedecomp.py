@@ -11,9 +11,8 @@ part is its induced subgraph plus clique edges on each incident adhesion set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 from .errors import CapacityError, EmptySetError, StructuralError
 from .graph import (
@@ -23,9 +22,10 @@ from .graph import (
     canonical_edge,
     components,
     distances_from,
+    grow_mask,
     induced_subgraph,
-    parse_vertex_token,
     sort_vertices,
+    vertex_from_json,
     vertex_key,
     vertex_token,
 )
@@ -148,66 +148,49 @@ def edge_separation(host: Graph, td: TreeDecomposition, edge: tuple) -> Separati
 
 
 def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
-    """Exact treewidth by dynamic programming over vertex subsets.
-
-    Uses the elimination-order formulation: tw(G) = min over orders of the
-    maximum back-degree, computed as a subset DP.  Exponential in |V|, hence
-    the cap.
+    """Exact treewidth by a forward dynamic programme over vertex subsets
+    (Bodlaender, Fomin, Koster, Kratsch and Thilikos, "On exact algorithms
+    for treewidth").  With Q(S, v) the vertices outside S ∪ {v} reached from v
+    through S, f(S ∪ {v}) = min over v of max(f(S), |Q(S, v)|) and tw = f(V).
+    Each S is expanded once: the components of G[S] give |Q(S, v)| for every
+    v.  Only sets with f(S) below the min-degree width are kept.  Exponential
+    in |V|, hence the cap; ``construction.treewidth_at_most`` decides k ≤ 2
+    by linear tests and calls this only for k ≥ 3.
     """
     n = len(g.vertices)
     if n > cap:
         raise CapacityError(f"graph has {n} vertices, exact treewidth cap is {cap}")
     if n == 0:
         return -1
-    verts = g.sorted_vertices()
-    idx = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    for (u, v) in g.edges:
-        adj[idx[u]] |= 1 << idx[v]
-        adj[idx[v]] |= 1 << idx[u]
-
+    adj = g.index.masks()
+    bound = width(heuristic_td(g))
     full = (1 << n) - 1
-
-    def q(s: int, v: int) -> int:
-        # Neighbours of the component of v in G[s | {v}], outside s and v.
-        comp = 1 << v
-        frontier = 1 << v
-        inside = s | (1 << v)
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                i = low.bit_length() - 1
-                f ^= low
-                nxt |= adj[i]
-            nxt &= inside & ~comp
-            comp |= nxt
-            frontier = nxt
-        reach = 0
-        c = comp
-        while c:
-            low = c & -c
-            i = low.bit_length() - 1
-            c ^= low
-            reach |= adj[i]
-        return bin(reach & ~inside).count("1")
-
-    f = [0] * (1 << n)
-    f[0] = -1
-    for s in range(1, 1 << n):
-        best = n
-        t = s
-        while t:
-            low = t & -t
-            v = low.bit_length() - 1
-            t ^= low
-            rest = s ^ low
-            val = max(f[rest], q(rest, v))
-            if val < best:
-                best = val
-        f[s] = best
-    return f[full]
+    layer = {0: -1}  # f on the kept sets of one size
+    for _ in range(n):
+        nxt: dict = {}
+        for s, fs in layer.items():
+            # reach[v] ∖ {v} = Q(S, v): v's neighbours outside S, plus the
+            # outside neighbourhood of every component of G[S] next to v.
+            reach = [a & ~s for a in adj]
+            rest = s
+            while rest:
+                comp, nbhd = grow_mask(adj, rest & -rest, rest)
+                rest &= ~comp
+                nbhd &= ~s
+                w = nbhd
+                while w:
+                    low = w & -w
+                    w ^= low
+                    reach[low.bit_length() - 1] |= nbhd
+            out = full & ~s
+            while out:
+                low = out & -out
+                out ^= low
+                val = max(fs, (reach[low.bit_length() - 1] & ~low).bit_count())
+                if val < nxt.get(s | low, bound):
+                    nxt[s | low] = val
+        layer = nxt
+    return layer.get(full, bound)
 
 
 def heuristic_td(g: Graph) -> TreeDecomposition:
@@ -340,24 +323,24 @@ def tree_center(tree: Graph) -> TreeCenter:
 
 def td_to_dict(td: TreeDecomposition) -> dict:
     return {
-        "tree_edges": [[a, b] for (a, b) in td.tree.sorted_edges()],
+        "tree_edges": [[vertex_token(a), vertex_token(b)] for (a, b) in td.tree.sorted_edges()],
         "parts": {vertex_token(t): sort_vertices(p) for t, p in sorted(td.parts.items(), key=lambda kv: vertex_key(kv[0]))},
     }
 
 
 def td_from_dict(data: dict) -> TreeDecomposition:
-    if not isinstance(data, dict) or "tree_edges" not in data or "parts" not in data:
-        raise StructuralError("tree-decomposition JSON must have keys 'tree_edges' and 'parts'")
+    if not (isinstance(data, dict) and isinstance(data.get("parts"), dict)
+            and isinstance(data.get("tree_edges"), (list, tuple))):
+        raise StructuralError("tree-decomposition JSON must have an object 'parts' and a list 'tree_edges'")
     parts = {}
     for key, vs in data["parts"].items():
-        node = parse_vertex_token(key) if isinstance(key, str) else key
         if not isinstance(vs, list):
             raise StructuralError(f"part {key!r} must be a list of vertices")
-        parts[node] = frozenset(tuple(v) if isinstance(v, list) else v for v in vs)
+        parts[vertex_from_json(key)] = frozenset(vertex_from_json(v, token=False) for v in vs)
     edges = []
     for e in data["tree_edges"]:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise StructuralError(f"tree edge {e!r} must be a pair")
-        edges.append(tuple(e))
+        edges.append(tuple(vertex_from_json(x) for x in e))
     tree = Graph.build(edges, vertices=parts.keys())
     return TreeDecomposition(tree, parts)

@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
+import random
 import subprocess
 import sys
 
+import pytest
+
+import coarsegraph
 from coarsegraph.cli import main
+from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import cycle_graph, path_graph
 from coarsegraph.graph import format_edge_list, parse_edge_list
 from coarsegraph.treedecomp import td_to_dict, TreeDecomposition
 from coarsegraph.graph import Graph
+from coarsegraph.qi import certificate_to_dict, make_certificate, tightest_constants
+
+import oracles
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -183,6 +192,47 @@ def test_planarize_from_bundle_json(tmp_path, capsys):
     assert main(["planarize", "--graph", gpath, "--bundle", bpath, "--td", tdpath]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"k": 2, "td": ',                                              # malformed JSON
+    '{"k": "x", "td": {"tree_edges": [], "parts": {"a": []}}}',     # k is not an integer
+    '{"k": 2}',                                                     # no "td"
+    '{"k": 2, "td": {"tree_edges": [], "parts": [[0, 1]]}}',        # "parts" is a list
+    '{"k": 2, "td": {"tree_edges": [], "parts": {"a": [[0, [1]], {"x": 1}]}}}',  # unhashable member
+    '{"k": 2, "td": {"tree_edges": [], "parts": {"a": [0, 1, 2, 3, 4, 5]}}, "markers": {"0": 1}}',
+    '[1, 2]',
+])
+def test_malformed_bundle_exits_two(tmp_path, capsys, text):
+    gpath, _ = two_k4_files(tmp_path)
+    bpath = write(tmp_path, "bundle.json", text)
+    assert main(["planarize", "--graph", gpath, "--bundle", bpath]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_qi_check_without_constants_matches_the_two_scan_path(tmp_path, capsys):
+    rng = random.Random(50)
+    for i in range(30):
+        per_component = i % 3 == 0
+        src_vs, src_es = oracles.random_graph(rng, rng.randint(1, 7), 0.4)
+        tgt_vs, tgt_es = oracles.random_graph(rng, rng.randint(1, 5), 0.5)
+        src, tgt = Graph.build(src_es, vertices=src_vs), Graph.build(tgt_es, vertices=tgt_vs)
+        phi = {v: rng.choice(tgt_vs) for v in src_vs}
+        args = ["qi-check", "--source", write(tmp_path, "s.txt", format_edge_list(src)),
+                "--target", write(tmp_path, "t.txt", format_edge_list(tgt)),
+                "--map", write_json(tmp_path, "phi.json", {str(k): str(v) for k, v in phi.items()})]
+        try:
+            tight = tightest_constants(src, tgt, phi, per_component=per_component)
+        except GraphToolError:
+            assert main(args) == 2
+            continue
+        code = main(args + ["--per-component"] * per_component)
+        data = json.loads(capsys.readouterr().out)
+        if tight is None:
+            assert (code, data["ok"]) == (1, False)
+            continue
+        cert = make_certificate(src, tgt, phi, *tight, per_component=per_component)
+        assert (code, data) == (0 if cert.valid else 1, json.loads(json.dumps(certificate_to_dict(cert))))
+
+
 def test_bad_input_exits_two(tmp_path, capsys):
     gpath = write(tmp_path, "broken.txt", "a b\nx y z\n")
     assert main(["treewidth", "--graph", gpath]) == 2
@@ -196,6 +246,7 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "coarsegraph.cli", "gen", "--family", "complete", "--n", "4"],
         capture_output=True,
         text=True,
+        cwd=os.path.dirname(os.path.dirname(coarsegraph.__file__)),  # finds the package without PYTHONPATH
     )
     assert out.returncode == 0
     assert len(parse_edge_list(out.stdout).edges) == 6

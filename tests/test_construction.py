@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsegraph.construction import (
     BOUNDED_TW,
@@ -31,12 +34,13 @@ from coarsegraph.construction import (
 from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph, is_connected, sort_vertices, union
-from coarsegraph.treedecomp import TreeDecomposition, heuristic_td
+from coarsegraph.treedecomp import TreeDecomposition, exact_treewidth, heuristic_td
 
 from dataclasses import replace
 from fractions import Fraction
 
 import oracles
+from coarsegraph import construction
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +154,49 @@ def test_treewidth_certificates_beyond_the_exact_cap():
         # Heuristic elimination cannot certify 4x10 grids at width 3, and
         # refuting is beyond the exact solver's size cap.
         treewidth_at_most(grid_graph(4, 10), 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 7), st.sampled_from([0.2, 0.4, 0.6, 0.8]), st.integers(0, 10_000))
+def test_treewidth_at_most_matches_the_elimination_oracle(n, p, seed):
+    vs, es = oracles.random_graph(random.Random(seed), n, p)
+    tw = oracles.treewidth_elimination(oracles.adjacency(es, vs))
+    g = Graph.build(es, vertices=vs)
+    for k in range(4):
+        assert treewidth_at_most(g, k) == (tw <= k), (k, tw, es)
+
+
+def test_linear_route_agrees_with_exact_treewidth_on_larger_graphs():
+    rng = random.Random(47)
+    for _ in range(60):
+        vs, es = oracles.random_graph(rng, rng.randint(8, 12), rng.choice([0.15, 0.25, 0.35]))
+        g = Graph.build(es, vertices=vs)
+        tw = exact_treewidth(g)
+        for k in range(3):
+            assert treewidth_at_most(g, k) == (tw <= k), (k, tw, es)
+
+
+def test_k_up_to_two_never_calls_the_exact_solver(monkeypatch):
+    calls = []
+    real = construction.exact_treewidth
+    monkeypatch.setattr(construction, "exact_treewidth", lambda g, cap: calls.append(g) or real(g, cap))
+    for g in (complete_graph(4), cycle_graph(9), grid_graph(3, 4), path_graph(12), Graph.build((), range(5))):
+        for k in range(3):
+            treewidth_at_most(g, k)
+    assert calls == []
+    assert treewidth_at_most(grid_graph(3, 4), 3)
+    assert len(calls) == 1
+
+
+def test_build_h_makes_each_outer_torso_once(monkeypatch):
+    calls = []
+    real = construction.torso
+    monkeypatch.setattr(construction, "torso", lambda host, td, t: calls.append((td, t)) or real(host, td, t))
+    for inst in corpus(DEFAULT_SEED):
+        calls.clear()
+        build_H(inst.bundle)
+        outer = [t for td, t in calls if td is inst.bundle.td]
+        assert sorted(outer, key=repr) == sorted(inst.bundle.td.parts, key=repr), inst.name
 
 
 # ---------------------------------------------------------------------------

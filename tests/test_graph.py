@@ -163,3 +163,12 @@ def test_to_dot_mentions_every_vertex():
     assert dot.startswith("graph G {")
     assert '"1" -- "2";' in dot
     assert '"iso";' in dot
+
+
+def test_index_is_built_once_and_adds_no_attribute():
+    g, fresh = grid_graph(3, 4), grid_graph(3, 4)
+    index = g.index
+    assert g.index is index and index.order == g.sorted_vertices()
+    assert [set(index.order[j] for j in js) for js in index.nbrs] == [g.neighbors(v) for v in index.order]
+    # A late attribute would make every attribute read on g slower.
+    assert list(vars(g)) == list(vars(fresh))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from coarsegraph.qi import (
     parse_fraction,
     qi_compose,
     qi_verify,
+    tightest_certificate,
     tightest_constants,
 )
 
@@ -190,3 +192,49 @@ def test_qi_matches_the_all_pairs_oracle(n_src, n_tgt, p, seed, gamma, c, per_co
     assert cert.valid == (violation is None)
     assert cert.worst_witness == (expected["worst"] if violation is None else violation)
     assert qi_verify(cert, per_component=per_component) == (violation is None, violation)
+
+
+def _two_scan_tightest(src, tgt, phi, gamma, per_component=False):
+    """The tightest certificate the way it was made before one scan sufficed."""
+    tight = tightest_constants(src, tgt, phi, fixed_gamma=gamma, per_component=per_component)
+    return None if tight is None else make_certificate(src, tgt, phi, *tight, per_component=per_component)
+
+
+def _two_scan_compose(f, g):
+    phi = {v: g.phi[f.phi[v]] for v in f.source.vertices}
+    gamma, c = f.gamma * g.gamma, g.gamma * f.c + 2 * g.c
+    tight = tightest_constants(f.source, g.target, phi, fixed_gamma=gamma)
+    return make_certificate(f.source, g.target, phi, gamma, min(c, tight[1]))
+
+
+def _random_map(rng, n_src, n_tgt, p):
+    src_vs, src_es = oracles.random_connected_graph(rng, n_src, p)
+    tgt_vs, tgt_es = oracles.random_connected_graph(rng, n_tgt, p)
+    phi = {v: rng.choice(tgt_vs) for v in src_vs}
+    return Graph.build(src_es, vertices=src_vs), Graph.build(tgt_es, vertices=tgt_vs), phi
+
+
+@pytest.mark.parametrize("gamma", [Fraction(1), Fraction(2), Fraction(3, 2)])
+def test_one_scan_certificates_match_the_two_scan_path(gamma):
+    rng = random.Random(49)
+    for _ in range(40):
+        a, b, f_phi = _random_map(rng, rng.randint(1, 8), rng.randint(1, 6), 0.4)
+        cert = tightest_certificate(a, b, f_phi, gamma)
+        assert cert == _two_scan_tightest(a, b, f_phi, gamma)
+        assert certificate_to_dict(cert) == certificate_to_dict(_two_scan_tightest(a, b, f_phi, gamma))
+        c_vs, c_es = oracles.random_connected_graph(rng, rng.randint(1, 5), 0.4)
+        c = Graph.build(c_es, vertices=c_vs)
+        g = tightest_certificate(b, c, {v: rng.choice(c_vs) for v in b.vertices}, rng.choice([1, 2]))
+        # A larger valid c, and a c = 0 claimed valid without a check.
+        for f in (cert, make_certificate(a, b, f_phi, gamma, cert.c + 3), replace(cert, c=Fraction(0))):
+            gf = qi_compose(f, g)
+            assert gf == _two_scan_compose(f, g)
+            assert certificate_to_dict(gf) == certificate_to_dict(_two_scan_compose(f, g))
+
+
+def test_tightest_certificate_is_none_exactly_when_no_constant_exists():
+    src = Graph.build([(0, 1)], vertices=[0, 1, 2])
+    tgt = Graph.build([], vertices=["a", "b"])
+    assert tightest_certificate(src, tgt, {0: "a", 1: "b", 2: "a"}, per_component=True) is None
+    cert = tightest_certificate(src, tgt, {0: "a", 1: "a", 2: "b"}, per_component=True)
+    assert cert == _two_scan_tightest(src, tgt, {0: "a", 1: "a", 2: "b"}, 1, per_component=True)

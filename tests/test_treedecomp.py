@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from coarsegraph.errors import CapacityError, EmptySetError, StructuralError
+from coarsegraph.errors import CapacityError, EmptySetError, GraphToolError, StructuralError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
-from coarsegraph.graph import Graph, is_connected
+from coarsegraph.graph import Graph, is_connected, parse_vertex_token, vertex_token
 from coarsegraph.separations import is_separation
 from coarsegraph.treedecomp import (
     TreeDecomposition,
@@ -123,6 +127,39 @@ def test_exact_treewidth_matches_elimination_oracle():
         assert exact_treewidth(g) == oracles.treewidth_elimination(oracles.adjacency(es, vs))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 10_000))
+def test_exact_treewidth_property_against_the_oracle(n, p, seed):
+    vs, es = oracles.random_graph(random.Random(seed), n, p)
+    assert exact_treewidth(Graph.build(es, vertices=vs)) == oracles.treewidth_elimination(oracles.adjacency(es, vs))
+
+
+def test_exact_treewidth_below_the_min_degree_width():
+    # Min-degree elimination gives width 4 here; the DP must find width 3.
+    es = [(0, 1), (0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 6), (3, 4), (3, 5), (3, 6)]
+    g = Graph.build(es)
+    assert width(heuristic_td(g)) == 4
+    assert exact_treewidth(g) == 3 == oracles.treewidth_elimination(oracles.adjacency(es))
+
+
+def partial_k_tree(rng: random.Random, n: int, k: int) -> Graph:
+    """A random k-tree minus some edges outside its first (k+1)-clique: treewidth exactly k."""
+    cliques = [tuple(range(k + 1))]
+    edges = list(itertools.combinations(range(k + 1), 2))
+    for v in range(k + 1, n):
+        c = list(rng.choice(cliques))
+        c.pop(rng.randrange(k + 1))
+        edges += [(v, w) for w in c if rng.random() < 0.7]
+        cliques.append(tuple(c) + (v,))
+    return Graph.build(edges, vertices=range(n))
+
+
+def test_exact_treewidth_of_partial_k_trees_up_to_the_cap():
+    rng = random.Random(48)
+    for n, k in ((12, 4), (12, 2), (13, 3), (14, 5), (14, 1)):
+        assert exact_treewidth(partial_k_tree(rng, n, k)) == k
+
+
 def test_exact_treewidth_cap():
     with pytest.raises(CapacityError):
         exact_treewidth(path_graph(20))
@@ -216,3 +253,51 @@ def test_td_dict_round_trip():
     again = td_from_dict(td_to_dict(td))
     assert again.parts == td.parts
     assert again.tree == td.tree
+
+
+_plain_str = st.text("abxyz", min_size=1, max_size=3)
+_tree_node = st.one_of(
+    st.integers(-5, 50),
+    _plain_str,
+    st.tuples(st.sampled_from(["xS", "tw"]), st.integers(0, 9)),
+    st.tuples(st.integers(0, 9), _plain_str, st.tuples(st.integers(0, 3))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_tree_node, min_size=1, max_size=8, unique=True), st.integers(0, 10_000))
+def test_td_json_round_trip_for_int_str_and_tuple_nodes(nodes, seed):
+    # Nodes whose vertex token reads back as the same value; "1" reads back as 1.
+    assume(all(parse_vertex_token(vertex_token(t)) == t for t in nodes))
+    rng = random.Random(seed)
+    edges = [(nodes[i], nodes[rng.randrange(i)]) for i in range(1, len(nodes))]
+    parts = {t: frozenset(rng.sample(range(6), rng.randint(0, 3))) for t in nodes}
+    td = TreeDecomposition(Graph.build(edges, vertices=nodes), parts)
+    again = td_from_dict(json.loads(json.dumps(td_to_dict(td))))
+    assert again.tree == td.tree and again.parts == td.parts
+
+
+def test_td_json_writes_tree_nodes_as_tokens_everywhere():
+    td = TreeDecomposition(Graph.build([(("t", 1), ("t", 2))]), {("t", 1): frozenset({0}), ("t", 2): frozenset()})
+    data = json.loads(json.dumps(td_to_dict(td)))
+    assert data == {"tree_edges": [["(t|1)", "(t|2)"]], "parts": {"(t|1)": [0], "(t|2)": []}}
+
+
+def test_td_with_int_like_string_nodes_reads_back_as_a_tree():
+    td = TreeDecomposition(Graph.build([("1", "2")]), {"1": frozenset({0}), "2": frozenset({0, 1})})
+    again = td_from_dict(json.loads(json.dumps(td_to_dict(td))))
+    assert again.tree == Graph.build([(1, 2)]) and again.parts == {1: frozenset({0}), 2: frozenset({0, 1})}
+
+
+@pytest.mark.parametrize("data", [
+    [],
+    {"tree_edges": [], "parts": []},
+    {"tree_edges": {}, "parts": {"0": []}},
+    {"tree_edges": [[0, 1, 2]], "parts": {"0": [], "1": []}},
+    {"tree_edges": [], "parts": {"0": "abc"}},
+    {"tree_edges": [], "parts": {"0": [{"a": 1}]}},
+    {"tree_edges": [[0, None]], "parts": {"0": []}},
+])
+def test_malformed_td_json_raises_typed_errors(data):
+    with pytest.raises(GraphToolError):
+        td_from_dict(data)
