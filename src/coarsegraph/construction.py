@@ -634,10 +634,13 @@ def _json_field(data: dict, key: str, kind: type):
 
 
 def _json_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"bundle key {key!r} must be an integer, not {value!r}") from None
+    # true is not 1, and 2.5, Infinity and NaN are not integers.
+    if not isinstance(value, bool) and not (isinstance(value, float) and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(f"bundle key {key!r} must be an integer, not {value!r}")
 
 
 def _provenance_record_to_dict(rec: dict) -> dict:

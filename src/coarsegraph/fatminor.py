@@ -23,19 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import CapacityError, StructuralError
+from .errors import CapacityError, ParseError, StructuralError
 from .graph import (
     Graph,
     canonical_edge,
     components,
     distances_from,
     grow_mask,
-    induced_subgraph,
+    induces_connected,
     is_path,
+    parse_vertex_token,
     set_distance,
     shortest_path,
     sort_vertices,
+    vertex_from_json,
     vertex_key,
+    vertex_token,
 )
 from . import planarity
 
@@ -74,7 +77,7 @@ def check_model_structure(m: FatMinorModel) -> None:
         if b & taken:
             raise StructuralError(f"branch set of {v!r} overlaps another branch set")
         taken |= b
-        if len(components(induced_subgraph(m.host, b))) != 1:
+        if not induces_connected(m.host, b):
             raise StructuralError(f"branch set of {v!r} is not connected")
     expected_edges = set(m.pattern.edges)
     given_edges = {canonical_edge(*e) for e in m.edge_paths}
@@ -172,7 +175,7 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
 
 
 def _connected_subsets(host: Graph) -> list[frozenset]:
-    verts, masks = host.index.order, host.index.masks()
+    verts, masks = host.index.order, host.index.masks
     out = [
         frozenset(verts[i] for i in range(len(verts)) if (mask >> i) & 1)
         for mask in range(1, 1 << len(verts))
@@ -254,7 +257,6 @@ def _route_edges_free(host: Graph, pattern: Graph, branch: dict, budget: _Budget
     for e in sorted({canonical_edge(*x) for x in pattern.edges}, key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))):
         u, v = e
         allowed = (host.vertices - union_b) | branch[u] | branch[v]
-        sub = induced_subgraph(host, allowed)
         # Breadth-first from B_u, staying outside branch sets in the interior.
         prev: dict = {a: None for a in branch[u]}
         queue = sort_vertices(branch[u])
@@ -263,8 +265,8 @@ def _route_edges_free(host: Graph, pattern: Graph, branch: dict, budget: _Budget
             nxt = []
             for x in queue:
                 budget.spend()
-                for w in sort_vertices(sub.neighbors(x)):
-                    if w in prev:
+                for w in sort_vertices(host.neighbors(x)):
+                    if w in prev or w not in allowed:
                         continue
                     if x in branch[u] and w in branch[u]:
                         continue
@@ -471,8 +473,6 @@ def asymptotic_probe(pattern: Graph, host: Graph, k_list, budget: int = DEFAULT_
 
 
 def model_to_dict(m: FatMinorModel) -> dict:
-    from .graph import vertex_token
-
     return {
         "branch_sets": {
             vertex_token(v): [vertex_token(x) for x in sort_vertices(m.branch_sets[v])]
@@ -485,17 +485,19 @@ def model_to_dict(m: FatMinorModel) -> dict:
     }
 
 
-def model_from_dict(pattern: Graph, host: Graph, data: dict) -> FatMinorModel:
-    from .graph import parse_vertex_token
+def _json_vertex_lists(data: dict, key: str) -> dict:
+    """``data[key]``, an object of vertex lists, with each member read by ``vertex_from_json``."""
+    if not isinstance(data[key], dict) or not all(isinstance(vs, list) for vs in data[key].values()):
+        raise ParseError(f"model key {key!r} must be a JSON object of vertex lists")
+    return {k: [vertex_from_json(x) for x in vs] for k, vs in data[key].items()}
 
+
+def model_from_dict(pattern: Graph, host: Graph, data: dict) -> FatMinorModel:
     if not isinstance(data, dict) or "branch_sets" not in data or "edge_paths" not in data:
         raise StructuralError("model JSON must have keys 'branch_sets' and 'edge_paths'")
-    branch = {
-        parse_vertex_token(k): frozenset(parse_vertex_token(x) if isinstance(x, str) else x for x in vs)
-        for k, vs in data["branch_sets"].items()
-    }
+    branch = {vertex_from_json(k): frozenset(vs) for k, vs in _json_vertex_lists(data, "branch_sets").items()}
     paths: dict = {}
-    for key, vs in data["edge_paths"].items():
+    for key, vs in _json_vertex_lists(data, "edge_paths").items():
         ends = None
         for cut in range(1, len(key)):
             if key[cut] != "-":
@@ -506,7 +508,7 @@ def model_from_dict(pattern: Graph, host: Graph, data: dict) -> FatMinorModel:
                 break
         if ends is None:
             raise StructuralError(f"edge key {key!r} does not name two pattern vertices")
-        paths[canonical_edge(*ends)] = tuple(parse_vertex_token(x) if isinstance(x, str) else x for x in vs)
+        paths[canonical_edge(*ends)] = tuple(vs)
     model = FatMinorModel(pattern, host, branch, paths)
     check_model_structure(model)
     return model

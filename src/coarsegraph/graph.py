@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .errors import GraphToolError, ParseError, UnknownVertexError
 
@@ -120,13 +120,15 @@ class Graph:
         return self._index
 
 
-class GraphIndex(NamedTuple):
+class GraphIndex:
     """A graph as integers: vertex ``i`` is ``order[i]`` in sorted order,
     ``pos`` maps each vertex back to its id, ``nbrs[i]`` lists the neighbour ids."""
 
-    order: list
-    pos: dict
-    nbrs: list
+    __slots__ = ("order", "pos", "nbrs", "_masks")
+
+    def __init__(self, order: list, pos: dict, nbrs: list):
+        self.order, self.pos, self.nbrs = order, pos, nbrs
+        self._masks = None
 
     def distance_row(self, sources: Iterable[int]) -> list[int]:
         """BFS distances from a set of vertex ids, indexed by id; -1 where unreachable."""
@@ -142,9 +144,20 @@ class GraphIndex(NamedTuple):
                     queue.append(w)
         return row
 
+    @property
     def masks(self) -> list[int]:
-        """The neighbour ids of each vertex as a bitmask (bit j for id j)."""
-        return [sum(1 << j for j in js) for js in self.nbrs]
+        """The neighbour ids of each vertex as a bitmask (bit j for id j), built on first use."""
+        if self._masks is None:
+            self._masks = [sum(1 << j for j in js) for js in self.nbrs]
+        return self._masks
+
+    def bits(self, vs: Iterable[Vertex]) -> int:
+        """The bitmask of a set of vertices of the graph."""
+        return sum(1 << self.pos[v] for v in frozenset(vs))
+
+    def labels(self, mask: int) -> frozenset:
+        """The vertices whose ids are set in ``mask``."""
+        return frozenset(self.order[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def grow_mask(masks: list[int], seed: int, within: int) -> tuple[int, int]:
@@ -162,6 +175,26 @@ def grow_mask(masks: list[int], seed: int, within: int) -> tuple[int, int]:
         frontier = grow & within & ~comp
         comp |= frontier
     return comp, reach
+
+
+def components_minus(g: Graph, s: Iterable[Vertex]) -> list[tuple[int, int]]:
+    """The components C of G − S, each with N(C), as bitmasks of ``g.index`` ids,
+    ordered by their smallest vertex like :func:`components`."""
+    index = g.index
+    rest = ((1 << len(index.order)) - 1) & ~index.bits(s)
+    out = []
+    while rest:
+        comp, reach = grow_mask(index.masks, rest & -rest, rest)
+        rest &= ~comp
+        out.append((comp, reach & ~comp))
+    return out
+
+
+def induces_connected(g: Graph, xs: Iterable[Vertex]) -> bool:
+    """True iff X is a non-empty set of vertices of G and G[X] is connected."""
+    index = g.index
+    x = index.bits(xs)
+    return x != 0 and grow_mask(index.masks, x & -x, x)[0] == x
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +222,9 @@ def distances_from(g: Graph, sources: Iterable[Vertex]) -> dict:
 
 def distance(g: Graph, u: Vertex, v: Vertex) -> int | float:
     """d_G(u, v); ``math.inf`` when u and v lie in different components."""
-    g.require_vertex(u)
+    dist = distances_from(g, [u])
     g.require_vertex(v)
-    if u == v:
-        return 0
-    seen = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in g.neighbors(x):
-            if w == v:
-                return seen[x] + 1
-            if w not in seen:
-                seen[w] = seen[x] + 1
-                queue.append(w)
-    return math.inf
+    return dist.get(v, math.inf)
 
 
 def set_distance(g: Graph, xs: Iterable[Vertex], ys: Iterable[Vertex]) -> int | float:
@@ -235,15 +256,6 @@ def components(g: Graph) -> list[frozenset]:
 
 def is_connected(g: Graph) -> bool:
     return len(components(g)) <= 1
-
-
-def neighborhood(g: Graph, xs: Iterable[Vertex]) -> frozenset:
-    """N(X): vertices outside X with a neighbour in X."""
-    xset = set(xs)
-    out: set = set()
-    for x in xset:
-        out |= g.neighbors(x)
-    return frozenset(out - xset)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[Vertex]) -> Graph:
@@ -399,18 +411,15 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = []
-    covered: set = set()
-    for (u, v) in g.sorted_edges():
-        tu, tv = vertex_token(u), vertex_token(v)
-        for t in (tu, tv):
-            if any(ch.isspace() for ch in t) or "#" in t or not t:
-                raise GraphToolError(f"vertex {t!r} cannot be serialised to the edge-list format")
-        lines.append(f"{tu} {tv}")
-        covered.add(u)
-        covered.add(v)
-    for v in sort_vertices(g.vertices - covered):
-        lines.append(vertex_token(v))
+    token = {v: vertex_token(v) for v in g.sorted_vertices()}
+    for v, t in token.items():
+        if any(ch.isspace() for ch in t) or "#" in t or not t:
+            raise GraphToolError(f"vertex {t!r} cannot be serialised to the edge-list format")
+        if parse_vertex_token(t) != v:
+            raise GraphToolError(f"vertex {v!r} would read back from the edge-list format as {parse_vertex_token(t)!r}")
+    lines = [f"{token[u]} {token[v]}" for (u, v) in g.sorted_edges()]
+    covered = {x for e in g.edges for x in e}
+    lines += [token[v] for v in sort_vertices(g.vertices - covered)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

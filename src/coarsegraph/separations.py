@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import StructuralError
-from .graph import Graph, Vertex, components, induced_subgraph, neighborhood, sort_vertices, vertex_key
+from .graph import Graph, Vertex, components_minus, sort_vertices, vertex_key
 
 
 def _side_key(side: frozenset):
@@ -43,10 +43,6 @@ class Separation:
     def order(self) -> int:
         return len(self.separator)
 
-    def flip(self) -> "Separation":
-        # Canonical order makes flip a no-op; kept for call-site clarity.
-        return Separation.of(self.side_b, self.side_a)
-
 
 def is_separation(g: Graph, sep: Separation) -> bool:
     """Checks the defining conditions: sides cover V(G), no edge crosses strictly."""
@@ -61,17 +57,19 @@ def is_separation(g: Graph, sep: Separation) -> bool:
     return True
 
 
+def _split(g: Graph, s: frozenset) -> list[tuple[int, bool]]:
+    """The components of G − S as ``g.index`` bitmasks in canonical order, each
+    with whether it is fully attached (N(C) = S)."""
+    smask = g.index.bits(s)
+    return [(comp, nbhd == smask) for comp, nbhd in components_minus(g, s)]
+
+
 def fully_attached_components(g: Graph, s: Iterable[Vertex]) -> list[frozenset]:
     """Components C of G − S with N(C) exactly S, in canonical order."""
     sset = frozenset(s)
     for v in sset:
         g.require_vertex(v)
-    rest = induced_subgraph(g, g.vertices - sset)
-    out = []
-    for comp in components(rest):
-        if neighborhood(g, comp) == sset:
-            out.append(comp)
-    return out
+    return [g.index.labels(comp) for comp, full in _split(g, sset) if full]
 
 
 def is_tight(g: Graph, sep: Separation) -> bool:
@@ -79,17 +77,9 @@ def is_tight(g: Graph, sep: Separation) -> bool:
     whole separator."""
     if not is_separation(g, sep):
         raise StructuralError("not a separation of the given graph")
-    s = sep.separator
-    rest = induced_subgraph(g, g.vertices - s)
-    found_a = found_b = False
-    for comp in components(rest):
-        if neighborhood(g, comp) != s:
-            continue
-        if comp <= sep.side_a:
-            found_a = True
-        elif comp <= sep.side_b:
-            found_b = True
-    return found_a and found_b
+    a = g.index.bits(sep.side_a)
+    # A component of G − S lies wholly on one strict side; True marks side A.
+    return {comp & a == comp for comp, full in _split(g, sep.separator) if full} == {True, False}
 
 
 def separation_from_separator(g: Graph, s: Iterable[Vertex], a_components: Iterable[frozenset]) -> Separation:
@@ -118,19 +108,15 @@ def enumerate_tight(g: Graph, k: int) -> list[Separation]:
     out: list[Separation] = []
     for combo in combinations(verts, k):
         s = frozenset(combo)
-        rest = induced_subgraph(g, g.vertices - s)
-        comps = components(rest)
-        full = [c for c in comps if neighborhood(g, c) == s]
-        if len(full) < 2:
+        split = _split(g, s)
+        nf = sum(full for _, full in split)
+        if nf < 2:
             continue
-        other = [c for c in comps if neighborhood(g, c) != s]
-        # Assign each component to side A (bit 1) or side B (bit 0).
-        all_comps = full + other
+        # Fully attached components first; each goes to side A (bit 1) or side B (bit 0).
+        all_comps = [g.index.labels(comp) for comp, _ in sorted(split, key=lambda cf: not cf[1])]
         n = len(all_comps)
-        nf = len(full)
         for mask in range(2 ** n):
-            full_bits = [(mask >> i) & 1 for i in range(nf)]
-            if not (0 in full_bits and 1 in full_bits):
+            if mask & ((1 << nf) - 1) in (0, (1 << nf) - 1):
                 continue
             a_comps = [all_comps[i] for i in range(n) if (mask >> i) & 1]
             sep = separation_from_separator(g, s, a_comps)

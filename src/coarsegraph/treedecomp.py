@@ -12,18 +12,18 @@ part is its induced subgraph plus clique edges on each incident adhesion set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .errors import CapacityError, EmptySetError, StructuralError
 from .graph import (
     Graph,
     Vertex,
-    add_edges,
     canonical_edge,
     components,
-    distances_from,
     grow_mask,
     induced_subgraph,
+    induces_connected,
     sort_vertices,
     vertex_from_json,
     vertex_key,
@@ -81,9 +81,7 @@ def validate(host: Graph, td: TreeDecomposition) -> TDReport:
         if not any(u in p and v in p for p in td.parts.values()):
             return TDReport(False, "T2", (u, v), f"edge {vertex_token(u)}-{vertex_token(v)} lies in no part")
     for v in host.sorted_vertices():
-        nodes = td.nodes_containing(v)
-        sub = induced_subgraph(td.tree, nodes)
-        if len(components(sub)) != 1:
+        if not induces_connected(td.tree, td.nodes_containing(v)):
             return TDReport(False, "T3", v, f"nodes containing {vertex_token(v)} are not connected in the tree")
     return TDReport(True, message="valid tree-decomposition")
 
@@ -114,29 +112,23 @@ class Torso:
 def torso(host: Graph, td: TreeDecomposition, t) -> Torso:
     """Induced subgraph on V_t plus clique edges on each adhesion set at t."""
     part = td.part(t)
-    g = induced_subgraph(host, part)
-    extra = []
+    for v in part:
+        host.require_vertex(v)
+    edges = [(u, v) for (u, v) in host.edges if u in part and v in part]
     for t2 in td.tree.neighbors(t):
-        adh = sort_vertices(part & td.parts[t2])
-        for i in range(len(adh)):
-            for j in range(i + 1, len(adh)):
-                if not g.adjacent(adh[i], adh[j]):
-                    extra.append((adh[i], adh[j]))
-    return Torso(part, add_edges(g, extra))
+        edges.extend(combinations(sort_vertices(part & td.parts[t2]), 2))
+    return Torso(part, Graph.build(edges, vertices=part))
 
 
 def edge_separation(host: Graph, td: TreeDecomposition, edge: tuple) -> Separation:
     """The separation of the host induced by removing a tree edge."""
     t1, t2 = edge
-    e = canonical_edge(t1, t2)
-    if e not in td.tree.edges:
+    if canonical_edge(t1, t2) not in td.tree.edges:
         raise StructuralError(f"{edge!r} is not a tree edge")
-    cut = Graph.build(
-        [f for f in td.tree.edges if f != e],
-        vertices=td.tree.vertices,
-    )
-    side1 = distances_from(cut, [t1]).keys()
-    side2 = td.tree.vertices - set(side1)
+    # The side of t1 is its component in T − t2.
+    index = td.tree.index
+    side1 = index.labels(grow_mask(index.masks, 1 << index.pos[t1], ~(1 << index.pos[t2]))[0])
+    side2 = td.tree.vertices - side1
     a = frozenset().union(*(td.parts[t] for t in side1))
     b = frozenset().union(*(td.parts[t] for t in side2))
     return Separation.of(a, b)
@@ -162,7 +154,7 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
         raise CapacityError(f"graph has {n} vertices, exact treewidth cap is {cap}")
     if n == 0:
         return -1
-    adj = g.index.masks()
+    adj = g.index.masks
     bound = width(heuristic_td(g))
     full = (1 << n) - 1
     layer = {0: -1}  # f on the kept sets of one size

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import random
@@ -9,9 +10,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import coarsegraph
 from coarsegraph.cli import main
+from coarsegraph.construction import build_H, bundle_to_dict
+from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import cycle_graph, path_graph
 from coarsegraph.graph import format_edge_list, parse_edge_list
@@ -200,6 +204,9 @@ def test_planarize_from_bundle_json(tmp_path, capsys):
     '{"k": 2, "td": {"tree_edges": [], "parts": {"a": [[0, [1]], {"x": 1}]}}}',  # unhashable member
     '{"k": 2, "td": {"tree_edges": [], "parts": {"a": [0, 1, 2, 3, 4, 5]}}, "markers": {"0": 1}}',
     '[1, 2]',
+    '{"k": true, "td": {"tree_edges": [], "parts": {"a": [0, 1, 2, 3, 4, 5]}}}',      # true is not 1
+    '{"k": 2.5, "td": {"tree_edges": [], "parts": {"a": [0, 1, 2, 3, 4, 5]}}}',
+    '{"k": Infinity, "td": {"tree_edges": [], "parts": {"a": [0, 1, 2, 3, 4, 5]}}}',  # json reads it as inf
 ])
 def test_malformed_bundle_exits_two(tmp_path, capsys, text):
     gpath, _ = two_k4_files(tmp_path)
@@ -250,3 +257,57 @@ def test_console_entry_point(tmp_path):
     )
     assert out.returncode == 0
     assert len(parse_edge_list(out.stdout).edges) == 6
+
+
+def _json_paths(node, path=()):
+    """Every position in a decoded JSON value, as a tuple of keys and indices."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+_DROP = object()
+_OTHER_JSON_VALUES = (None, True, 0, 2.5, float("inf"), "x", [], {}, [0, [1]], {"a": 0})
+
+
+def _fuzz_bundle():
+    inst = next(i for i in corpus(DEFAULT_SEED) if i.name == "pocket-3x4-marked")
+    data = bundle_to_dict(inst.bundle)
+    data["classification"] = {str(t): kind for t, kind in build_H(inst.bundle).classification.items()}
+    return format_edge_list(inst.bundle.host), data
+
+
+FUZZ_HOST, FUZZ_BUNDLE = _fuzz_bundle()
+FUZZ_PATHS = list(_json_paths(FUZZ_BUNDLE))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from((_DROP,) + _OTHER_JSON_VALUES))
+def test_mutated_bundle_never_exits_one(tmp_path, path, value):
+    """Drop one key or element of a valid bundle, or swap one value for a value
+    of another JSON type: planarize either succeeds or exits 2, never 1."""
+    data = copy.deepcopy(FUZZ_BUNDLE)
+    if not path:
+        assume(value is not _DROP)
+        data = value
+    else:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            assume(_json_type(value) != _json_type(parent[path[-1]]))
+            parent[path[-1]] = value
+    gpath = write(tmp_path, "host.txt", FUZZ_HOST)
+    bpath = write_json(tmp_path, "bundle.json", data)
+    assert main(["planarize", "--graph", gpath, "--bundle", bpath]) in (0, 2)

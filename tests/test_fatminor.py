@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from coarsegraph.errors import CapacityError, StructuralError
+from coarsegraph.errors import CapacityError, GraphToolError, StructuralError
 from coarsegraph.fatminor import (
     FatMinorModel,
     asymptotic_probe,
@@ -167,6 +167,27 @@ def test_model_round_trip():
     assert verify_fat_model(rebuilt, 1).ok
     with pytest.raises(StructuralError):
         model_from_dict(cycle_graph(4), cycle_graph(8), {"branch_sets": {}})
+
+
+@pytest.mark.parametrize("branch_sets, edge_paths", [
+    ([[0], [2]], {"0-1": [0, 1, 2]}),            # branch_sets is a list
+    ({"0": [[0]], "1": [2]}, {"0-1": [0, 1, 2]}),  # a list member, read as the tuple (0,)
+    ({"0": [0], "1": [2]}, 7),                   # edge_paths is an int
+    ({"0": 0, "1": [2]}, {"0-1": [0, 1, 2]}),     # a branch set is an int
+    ({"0": [0], "1": [None]}, {"0-1": [0, 1, 2]}),
+    ({"0": [0], "1": [2]}, {"0-1": [0, {"x": 1}, 2]}),
+])
+def test_malformed_model_json_raises_typed_errors(branch_sets, edge_paths):
+    data = {"branch_sets": branch_sets, "edge_paths": edge_paths}
+    with pytest.raises(GraphToolError):
+        model_from_dict(path_graph(2), path_graph(3), data)
+
+
+def test_model_members_read_as_vertex_tokens():
+    data = {"branch_sets": {"0": ["0"], "1": [2]}, "edge_paths": {"0-1": ["0", 1, "2"]}}
+    model = model_from_dict(path_graph(2), path_graph(3), data)
+    assert model.branch_sets == {0: frozenset({0}), 1: frozenset({2})}
+    assert model.edge_paths == {(0, 1): (0, 1, 2)}
 
 
 def test_zero_fat_search_contains_ordinary_minors():

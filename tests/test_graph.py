@@ -144,17 +144,29 @@ def test_tuple_token_format():
     assert vertex_token(("xS", "a", 2)) == "(xS|a|2)"
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda e: e[0] != e[1]),
-        max_size=25,
-    ),
-    st.lists(st.integers(10, 15), max_size=4),
-)
+_TOKEN_ATOMS = st.integers(-3, 12) | st.text(alphabet="ab7-(|)", min_size=1, max_size=4)
+_VERTICES = _TOKEN_ATOMS | st.lists(_TOKEN_ATOMS | st.lists(_TOKEN_ATOMS, max_size=2).map(tuple), max_size=3).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_VERTICES, _VERTICES).filter(lambda e: e[0] != e[1]), max_size=25),
+       st.lists(_VERTICES, max_size=4))
 def test_edge_list_round_trip_property(edges, isolated):
+    """Int, string and tuple vertices either round-trip, or the writer refuses
+    the graph because some vertex's token would read back as another vertex
+    (the string "7" as the int 7, the string "(1|2)" as a tuple)."""
     g = Graph.build(edges, vertices=isolated)
-    assert parse_edge_list(format_edge_list(g)) == g
+    if any(parse_vertex_token(vertex_token(v)) != v for v in g.vertices):
+        with pytest.raises(GraphToolError, match="would read back"):
+            format_edge_list(g)
+    else:
+        assert parse_edge_list(format_edge_list(g)) == g
+
+
+@pytest.mark.parametrize("vertex", ["(1|2)", "7", ("7",), ()])
+def test_edge_list_refuses_vertices_that_read_back_as_others(vertex):
+    with pytest.raises(GraphToolError, match="would read back"):
+        format_edge_list(Graph.build([(vertex, "a")]))
 
 
 def test_to_dot_mentions_every_vertex():
@@ -170,5 +182,6 @@ def test_index_is_built_once_and_adds_no_attribute():
     index = g.index
     assert g.index is index and index.order == g.sorted_vertices()
     assert [set(index.order[j] for j in js) for js in index.nbrs] == [g.neighbors(v) for v in index.order]
+    assert index.masks is index.masks  # built once per graph
     # A late attribute would make every attribute read on g slower.
     assert list(vars(g)) == list(vars(fresh))

@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsegraph.errors import StructuralError
 from coarsegraph.generators import cycle_graph, path_graph
 from coarsegraph.graph import Graph
+from coarsegraph.treedecomp import TreeDecomposition, edge_separation
 from coarsegraph.separations import (
     Separation,
     enumerate_tight,
@@ -33,7 +35,6 @@ def test_canonical_form_is_order_independent():
     assert s1 == s2
     assert s1.separator == frozenset({3})
     assert s1.order == 1
-    assert s1.flip() == s1
 
 
 def test_is_separation_detects_crossing_edges():
@@ -105,3 +106,38 @@ def test_dict_round_trip():
     assert separation_from_dict(separation_to_dict(sep)) == sep
     with pytest.raises(StructuralError):
         separation_from_dict({"A": [1]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_components_of_g_minus_s_agree_with_the_oracle(data):
+    """fully_attached_components, is_tight and edge_separation against plain
+    BFS on random graphs: disconnected ones, isolated vertices and S = ∅ included."""
+    n = data.draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    s = frozenset(data.draw(st.sets(st.sampled_from(range(n))))) if n else frozenset()
+    g = Graph.build(edges, vertices=range(n))
+    adj = oracles.adjacency(edges, range(n))  # keyed in vertex order, so components come in canonical order
+    comps = oracles.components_without(adj, s)
+    full = [c for c in comps if {w for v in c for w in adj[v]} - c == s]
+    assert fully_attached_components(g, s) == full
+    masks = g.index.masks
+
+    sides = data.draw(st.lists(st.booleans(), min_size=len(comps), max_size=len(comps)))
+    a = set(s).union(*(c for c, side in zip(comps, sides) if side))
+    b = set(s).union(*(c for c, side in zip(comps, sides) if not side))
+    assert is_tight(g, Separation.of(a, b)) == oracles._is_tight_pair(adj, a, b)
+    assert g.index.masks is masks  # built once per graph
+
+    # A random tree on m nodes (node i hangs off an earlier node) with random parts.
+    m = data.draw(st.integers(1, 6))
+    tree_edges = [(i, data.draw(st.integers(0, i - 1))) for i in range(1, m)]
+    parts = {t: frozenset(data.draw(st.sets(st.sampled_from(range(n))))) if n else frozenset() for t in range(m)}
+    td = TreeDecomposition(Graph.build(tree_edges, vertices=range(m)), parts)
+    tree_adj = oracles.adjacency(tree_edges, range(m))
+    for (t1, t2) in tree_edges + [(y, x) for (x, y) in tree_edges]:
+        side1 = set(oracles.bfs_distances({t: ns - {t2} for t, ns in tree_adj.items() if t != t2}, t1))
+        a = frozenset().union(*(parts[t] for t in side1))
+        b = frozenset().union(*(parts[t] for t in range(m) if t not in side1))
+        assert edge_separation(g, td, (t1, t2)) == Separation.of(a, b)
