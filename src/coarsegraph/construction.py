@@ -17,7 +17,6 @@ and a warning recorded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -36,10 +35,10 @@ from .errors import (
 from .graph import (
     Graph,
     components,
-    distances_from,
     induced_subgraph,
     is_connected,
     parse_vertex_token,
+    set_key,
     sort_vertices,
     vertex_from_json,
     vertex_key,
@@ -247,7 +246,7 @@ def refine_planar_torso(
     """Contract the sub-decomposition down to size-3 outer separators, then
     prune, per part and per remaining outer adhesion set S, every fully
     attached component except the designated "infinite" one."""
-    outer = sorted({frozenset(s) for s in outer_sets if s}, key=lambda s: tuple(sorted(map(vertex_key, s))))
+    outer = sorted({frozenset(s) for s in outer_sets if s}, key=set_key)
     size3 = {s for s in outer if len(s) == 3}
     keep = [e for e, a in adhesion_sets(sub_td).items() if a in size3]
     contracted, _ = contract_td_edges(sub_td, keep)
@@ -282,7 +281,7 @@ def refine_planar_torso(
                     raise MarkerError(f"{len(marked)} components at {sorted(map(str, S))} meet the infinite markers")
                 keep_comp = marked[0]
             else:
-                keep_comp = max(cands, key=lambda c: (len(c), tuple(sorted(map(vertex_key, c)))))
+                keep_comp = max(cands, key=lambda c: (len(c), set_key(c)))
                 warnings.append(
                     f"no infinite markers: keeping the largest component at {sorted(map(str, S))} in part {s!r}"
                 )
@@ -354,7 +353,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     all_adh = adhesion_sets(td)
     distinct_adh = sorted(
         {s for s in all_adh.values() if s},
-        key=lambda s: tuple(sorted(map(vertex_key, s))),
+        key=set_key,
     )
     if any(not s for s in all_adh.values()):
         warnings.append("empty adhesion set: the corresponding tree edge contributes no gluing vertex")
@@ -494,19 +493,17 @@ def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
     for t in sub_tds:
         tg = torsos[t].graph
         sub = sub_tds[t]
+        index = tg.index
         for s in sub.tree.vertices:
-            part = sub.parts[s]
-            diam = 0
-            for u in part:
-                dist = distances_from(tg, [u])
-                for v in part:
-                    d = dist.get(v, math.inf)
-                    if d == math.inf:
-                        raise StructuralError(
-                            f"part of the sub-decomposition at {t!r} is not connected within its torso"
-                        )
-                    diam = max(diam, d)
-            b3 = max(b3, diam)
+            ids = [index.pos[v] for v in sub.parts[s]]
+            for i in ids:
+                row = index.distance_row([i])
+                ds = [row[j] for j in ids]
+                if min(ds) < 0:
+                    raise StructuralError(
+                        f"part of the sub-decomposition at {t!r} is not connected within its torso"
+                    )
+                b3 = max(b3, max(ds))
         for v in td.parts[t]:
             b4 = max(b4, sum(1 for s in sub.parts if v in sub.parts[s]))
     b5 = 1 + max((refinements[t].max_deleted for t in refinements), default=0) if refinements else 0

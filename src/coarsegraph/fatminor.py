@@ -28,12 +28,12 @@ from .graph import (
     Graph,
     canonical_edge,
     components,
-    distances_from,
     grow_mask,
     induces_connected,
     is_path,
     parse_vertex_token,
-    set_distance,
+    row_distance,
+    set_key,
     shortest_path,
     sort_vertices,
     vertex_from_json,
@@ -109,20 +109,26 @@ def verify_fat_model(m: FatMinorModel, K: int) -> FatVerifyReport:
             return FatVerifyReport(False, 1, f"path for {u!r}-{v!r} meets branch sets beyond its endpoints")
 
     if K > 0:
+        index, pverts = m.host.index, m.pattern.sorted_vertices()
+        b_ids = {w: [index.pos[x] for x in b] for w, b in m.branch_sets.items()}
+        p_ids = {e: [index.pos[x] for x in p] for e, p in path_of.items()}
+        p_rows: dict = {}  # one BFS row per path, read again by condition (4)
         for (u, v) in edges:
-            p = path_of[(u, v)]
-            for w in m.pattern.sorted_vertices():
+            p_rows[(u, v)] = row = index.distance_row(p_ids[(u, v)])
+            for w in pverts:
                 if w in (u, v):
                     continue
-                d = set_distance(m.host, p, m.branch_sets[w])
+                d = row_distance(row, b_ids[w])
                 if d < K:
                     return FatVerifyReport(False, 2, f"path for {u!r}-{v!r} is at distance {d} < {K} from B_{w!r}")
-        for u, v in combinations(m.pattern.sorted_vertices(), 2):
-            d = set_distance(m.host, m.branch_sets[u], m.branch_sets[v])
-            if d < K:
-                return FatVerifyReport(False, 3, f"B_{u!r} and B_{v!r} are at distance {d} < {K}")
+        for i, u in enumerate(pverts[:-1]):
+            row = index.distance_row(b_ids[u])
+            for v in pverts[i + 1:]:
+                d = row_distance(row, b_ids[v])
+                if d < K:
+                    return FatVerifyReport(False, 3, f"B_{u!r} and B_{v!r} are at distance {d} < {K}")
         for e1, e2 in combinations(edges, 2):
-            d = set_distance(m.host, path_of[e1], path_of[e2])
+            d = row_distance(p_rows[e1], p_ids[e2])
             if d < K:
                 return FatVerifyReport(False, 4, f"paths for {e1!r} and {e2!r} are at distance {d} < {K}")
     return FatVerifyReport(True)
@@ -181,15 +187,16 @@ def _connected_subsets(host: Graph) -> list[frozenset]:
         for mask in range(1, 1 << len(verts))
         if grow_mask(masks, mask & -mask, mask)[0] == mask
     ]
-    out.sort(key=lambda s: (len(s), tuple(sorted(map(vertex_key, s)))))
+    out.sort(key=lambda s: (len(s), set_key(s)))
     return out
 
 
 def _ball(host: Graph, around, radius: int) -> frozenset:
     if radius < 0:
         return frozenset()
-    dist = distances_from(host, around)
-    return frozenset(v for v, d in dist.items() if d <= radius)
+    index = host.index
+    row = index.distance_row(index.pos[v] for v in around)
+    return frozenset(v for v, d in zip(index.order, row) if 0 <= d <= radius)
 
 
 def _route_edges_exhaustive(
@@ -203,14 +210,8 @@ def _route_edges_exhaustive(
     union_b = frozenset().union(*branch.values()) if branch else frozenset()
     edges = sorted({canonical_edge(*e) for e in pattern.edges}, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
     # Vertices at distance < K from a foreign branch set are banned per edge.
-    banned: dict = {}
-    for e in edges:
-        bad: set = set()
-        for w in pattern.vertices:
-            if w in e:
-                continue
-            bad |= _ball(host, branch[w], K - 1)
-        banned[e] = frozenset(bad)
+    near = {w: _ball(host, branch[w], K - 1) for w in pattern.vertices}
+    banned = {e: frozenset().union(*(near[w] for w in pattern.vertices if w not in e)) for e in edges}
     paths: dict = {}
     blocked: list = []  # parallel list of K-neighbourhoods of routed paths
 
@@ -309,7 +310,7 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
                 continue
             if len(host.vertices) - len(used) - len(s) < remaining - 1:
                 continue
-            if K >= 1 and any(set_distance(host, s, branch[w]) < K for w in branch):
+            if K >= 1 and used and _ball(host, s, K - 1) & used:
                 continue
             branch[v] = s
             used.update(s)
@@ -334,23 +335,17 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
 
 
 def _farthest_point_seeds(host: Graph, count: int) -> list:
-    verts = host.sorted_vertices()
-    seeds = [verts[0]]
-    tables = [distances_from(host, [seeds[0]])]
+    index = host.index
+    seeds = [0]
+    # Distance from each vertex to its nearest seed; an unreached vertex counts as 0.
+    near = [max(d, 0) for d in index.distance_row(seeds)]
     while len(seeds) < count:
-        best = None
-        best_d = -1
-        for v in verts:
-            if v in seeds:
-                continue
-            d = min(t.get(v, 0) for t in tables)
-            if d > best_d:
-                best, best_d = v, d
+        best = max((i for i in range(len(near)) if i not in seeds), key=near.__getitem__, default=None)
         if best is None:
             break
         seeds.append(best)
-        tables.append(distances_from(host, [best]))
-    return seeds
+        near = [min(a, max(d, 0)) for a, d in zip(near, index.distance_row([best]))]
+    return [index.order[i] for i in seeds]
 
 
 def _search_heuristic(pattern: Graph, host: Graph, K: int, budget: _Budget) -> SearchOutcome:

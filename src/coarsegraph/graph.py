@@ -9,7 +9,6 @@ standing in for "no path".
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -37,6 +36,11 @@ def vertex_key(v: Vertex):
 
 def sort_vertices(vs: Iterable[Vertex]) -> list[Vertex]:
     return sorted(vs, key=vertex_key)
+
+
+def set_key(vs: Iterable[Vertex]) -> tuple:
+    """Total order key for vertex sets: the sorted tuple of their vertex keys."""
+    return tuple(sorted(map(vertex_key, vs)))
 
 
 def canonical_edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
@@ -116,13 +120,15 @@ class Graph:
         if self._index is None:
             order = self.sorted_vertices()
             pos = {v: i for i, v in enumerate(order)}
-            object.__setattr__(self, "_index", GraphIndex(order, pos, [[pos[w] for w in self._adj[v]] for v in order]))
+            object.__setattr__(self, "_index", GraphIndex(order, pos, [sorted(pos[w] for w in self._adj[v]) for v in order]))
         return self._index
 
 
 class GraphIndex:
     """A graph as integers: vertex ``i`` is ``order[i]`` in sorted order,
-    ``pos`` maps each vertex back to its id, ``nbrs[i]`` lists the neighbour ids."""
+    ``pos`` maps each vertex back to its id, ``nbrs[i]`` lists the neighbour ids
+    in increasing order.  Id order is vertex-key order, so a BFS over ``nbrs``
+    expands neighbours in key order; :func:`shortest_path` relies on that."""
 
     __slots__ = ("order", "pos", "nbrs", "_masks")
 
@@ -202,29 +208,30 @@ def induces_connected(g: Graph, xs: Iterable[Vertex]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _ids(g: Graph, vs: Iterable[Vertex]) -> list[int]:
+    """The ``g.index`` ids of some vertices; UnknownVertexError names the first unknown one."""
+    pos = g.index.pos
+    try:
+        return [pos[v] for v in vs]
+    except KeyError as e:
+        raise UnknownVertexError(repr(e.args[0])) from None
+
+
+def row_distance(row: list[int], ids: Iterable[int]) -> int | float:
+    """The least entry of a ``distance_row`` over some ids; ``math.inf`` if none is reached."""
+    return min((row[i] for i in ids if row[i] >= 0), default=math.inf)
+
+
 def distances_from(g: Graph, sources: Iterable[Vertex]) -> dict:
     """BFS distances from a set of sources (unreached vertices absent)."""
-    dist: dict = {}
-    queue: deque = deque()
-    for s in sources:
-        g.require_vertex(s)
-        if s not in dist:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    row = g.index.distance_row(_ids(g, sources))
+    return {v: d for v, d in zip(g.index.order, row) if d >= 0}
 
 
 def distance(g: Graph, u: Vertex, v: Vertex) -> int | float:
     """d_G(u, v); ``math.inf`` when u and v lie in different components."""
-    dist = distances_from(g, [u])
-    g.require_vertex(v)
-    return dist.get(v, math.inf)
+    row = g.index.distance_row(_ids(g, [u]))
+    return row_distance(row, _ids(g, [v]))
 
 
 def set_distance(g: Graph, xs: Iterable[Vertex], ys: Iterable[Vertex]) -> int | float:
@@ -236,26 +243,17 @@ def set_distance(g: Graph, xs: Iterable[Vertex], ys: Iterable[Vertex]) -> int | 
         return math.inf
     if xset & yset:
         return 0
-    dist = distances_from(g, xset)
-    hits = [dist[y] for y in yset if y in dist]
-    return min(hits) if hits else math.inf
+    row = g.index.distance_row(_ids(g, xset))
+    return row_distance(row, _ids(g, yset & g.vertices))
 
 
 def components(g: Graph) -> list[frozenset]:
     """Connected components, sorted by canonical key of their smallest vertex."""
-    seen: set = set()
-    comps: list[frozenset] = []
-    for v in g.sorted_vertices():
-        if v in seen:
-            continue
-        comp = frozenset(distances_from(g, [v]))
-        seen |= comp
-        comps.append(comp)
-    return comps
+    return [g.index.labels(comp) for comp, _ in components_minus(g, ())]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return len(components_minus(g, ())) <= 1
 
 
 def induced_subgraph(g: Graph, keep: Iterable[Vertex]) -> Graph:
@@ -308,22 +306,20 @@ def is_path(g: Graph, seq: Iterable[Vertex]) -> bool:
 
 def shortest_path(g: Graph, u: Vertex, v: Vertex) -> list[Vertex] | None:
     """One shortest u-v path (deterministic: BFS expands neighbours in key order)."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if u == v:
-        return [u]
-    prev = {u: None}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in sort_vertices(g.neighbors(x)):
-            if w not in prev:
+    index = g.index
+    s, t = _ids(g, [u, v])
+    prev = [-1] * len(index.order)
+    prev[s] = s
+    queue = [s]
+    for x in queue:  # the list grows while it is read, as a FIFO queue
+        if x == t:
+            path = [t]
+            while path[-1] != s:
+                path.append(prev[path[-1]])
+            return [index.order[i] for i in reversed(path)]
+        for w in index.nbrs[x]:
+            if prev[w] < 0:
                 prev[w] = x
-                if w == v:
-                    path = [v]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
                 queue.append(w)
     return None
 

@@ -13,11 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import StructuralError
-from .graph import Graph, Vertex, components_minus, sort_vertices, vertex_key
-
-
-def _side_key(side: frozenset):
-    return tuple(vertex_key(v) for v in sort_vertices(side))
+from .graph import Graph, Vertex, components_minus, set_key, sort_vertices, vertex_key
 
 
 @dataclass(frozen=True)
@@ -31,8 +27,13 @@ class Separation:
     def of(cls, side_a: Iterable[Vertex], side_b: Iterable[Vertex]) -> "Separation":
         a = frozenset(side_a)
         b = frozenset(side_b)
-        if _side_key(a) > _side_key(b):
-            a, b = b, a
+        if a != b:
+            # The sides' sorted keys agree below the key-minimal vertex x of
+            # a ^ b, so the side that has nothing keyed above x sorts first.
+            x = min(a ^ b, key=vertex_key)
+            kx = vertex_key(x)
+            if any(vertex_key(v) > kx for v in (b if x in a else a)) != (x in a):
+                a, b = b, a
         return cls(a, b)
 
     @property
@@ -124,7 +125,7 @@ def enumerate_tight(g: Graph, k: int) -> list[Separation]:
                 continue
             seen.add(sep)
             out.append(sep)
-    out.sort(key=lambda sp: (sp.order, _side_key(sp.separator), _side_key(sp.side_a), _side_key(sp.side_b)))
+    out.sort(key=lambda sp: (sp.order, set_key(sp.separator), set_key(sp.side_a), set_key(sp.side_b)))
     return out
 
 

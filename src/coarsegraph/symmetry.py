@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, StructuralError
-from .graph import Graph, Vertex, canonical_edge, sort_vertices, vertex_key
+from .graph import Graph, Vertex, canonical_edge, set_key, sort_vertices, vertex_key
 from .separations import Separation
 
 DEFAULT_AUTOMORPHISM_CAP = 12
@@ -120,9 +120,9 @@ def apply_to(auto: dict, obj):
 
 def _obj_key(obj):
     if isinstance(obj, Separation):
-        return (2, tuple(sorted(map(vertex_key, obj.side_a))), tuple(sorted(map(vertex_key, obj.side_b))))
+        return (2, set_key(obj.side_a), set_key(obj.side_b))
     if isinstance(obj, frozenset):
-        return (1, tuple(sorted(map(vertex_key, obj))))
+        return (1, set_key(obj))
     return (0, vertex_key(obj))
 
 

@@ -32,6 +32,24 @@ def bfs_distances(adj, source):
     return dist
 
 
+def bfs_path(adj, u, v):
+    """A shortest u-v path from a BFS that expands neighbours in sorted order; None if v is unreached."""
+    prev = {u: None}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        if x == v:
+            path = [v]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for w in sorted(adj[x]):
+            if w not in prev:
+                prev[w] = x
+                queue.append(w)
+    return None
+
+
 def components_without(adj, removed):
     removed = set(removed)
     seen = set(removed)

@@ -7,6 +7,7 @@ import pytest
 from coarsegraph.errors import CapacityError, GraphToolError, StructuralError
 from coarsegraph.fatminor import (
     FatMinorModel,
+    _farthest_point_seeds,
     asymptotic_probe,
     check_model_structure,
     model_from_dict,
@@ -47,6 +48,16 @@ def test_hand_model_verifies_up_to_the_branch_distance():
     assert report.failed_condition == 3
 
 
+def test_farthest_point_seeds_on_a_disconnected_host():
+    """A path, a star and an isolated vertex: a vertex no seed reaches counts
+    as distance 0, so the other parts come last, in sorted order."""
+    host = Graph.build([(i, i + 1) for i in range(6)] + [("c", ("c", j)) for j in range(3)], vertices=["iso"])
+    assert len(host) == 12
+    assert _farthest_point_seeds(host, 3) == [0, 6, 3]
+    assert _farthest_point_seeds(host, 8) == [0, 6, 3, 1, 2, 4, 5, "c"]
+    assert _farthest_point_seeds(host, 13) == [0, 6, 3, 1, 2, 4, 5, "c", "iso", ("c", 0), ("c", 1), ("c", 2)]
+
+
 def test_structure_errors():
     m = edge_in_path_model()
     with pytest.raises(StructuralError):
@@ -68,20 +79,35 @@ def test_structure_errors():
         verify_fat_model(m, -1)
 
 
+FAR = {
+    0: frozenset({"0,0"}),
+    1: frozenset({"0,3", "0,4", "0,5"}),
+    2: frozenset({"0,8"}),
+}
+STRAIGHT_PATHS = {
+    canonical_edge(0, 1): ("0,0", "0,1", "0,2", "0,3"),
+    canonical_edge(1, 2): ("0,5", "0,6", "0,7", "0,8"),
+}
+
+
+@pytest.mark.parametrize("K, condition, detail", [
+    (3, 4, "paths for (0, 1) and (1, 2) are at distance 2 < 3"),
+    (4, 3, "B_0 and B_1 are at distance 3 < 4"),
+    (6, 2, "path for 0-1 is at distance 5 < 6 from B_2"),
+])
+def test_first_failed_condition_and_its_distance(K, condition, detail):
+    """Conditions are checked in order (2), (3), (4); the report names the first
+    failure and the distance it measured."""
+    report = verify_fat_model(FatMinorModel(path_graph(3), grid_graph(3, 9), FAR, STRAIGHT_PATHS), K)
+    assert (report.ok, report.failed_condition, report.detail) == (False, condition, detail)
+
+
 def test_tampered_model_fails_the_right_condition():
     """A path straying next to a foreign branch set trips the path-distance
     condition rather than the structural check."""
     pattern = path_graph(3)
     host = grid_graph(3, 9)
-    far = {
-        0: frozenset({"0,0"}),
-        1: frozenset({"0,3", "0,4", "0,5"}),
-        2: frozenset({"0,8"}),
-    }
-    paths = {
-        canonical_edge(0, 1): ("0,0", "0,1", "0,2", "0,3"),
-        canonical_edge(1, 2): ("0,5", "0,6", "0,7", "0,8"),
-    }
+    far, paths = FAR, STRAIGHT_PATHS
     ok_model = FatMinorModel(pattern, host, far, paths)
     assert verify_fat_model(ok_model, 2).ok
     detour = dict(paths)

@@ -23,6 +23,7 @@ from coarsegraph.graph import (
     parse_edge_list,
     parse_vertex_token,
     relabel,
+    set_distance,
     shortest_path,
     to_dot,
     union,
@@ -84,6 +85,54 @@ def test_distances_match_oracle_on_random_graphs():
         adj = oracles.adjacency(es, vs)
         src = rng.choice(vs)
         assert distances_from(g, [src]) == oracles.bfs_distances(adj, src)
+
+
+_LABELS = st.integers(0, 9) | st.text(alphabet="ab", min_size=1, max_size=2) | st.tuples(st.integers(0, 3), st.sampled_from("xy"))
+_MISSING = ("missing", 0)  # a tuple _LABELS never draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_traversals_agree_with_the_oracle(data):
+    """Distances, set distances and components over int, string and tuple
+    vertices, with isolated vertices and disconnected parts."""
+    vs = data.draw(st.lists(_LABELS, min_size=1, max_size=10, unique=True))
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
+    es = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    g = Graph.build(es, vertices=vs)
+    adj = oracles.adjacency(es, vs)
+    rows = {v: oracles.bfs_distances(adj, v) for v in vs}
+    pick = st.sampled_from(vs)
+
+    sources = data.draw(st.lists(pick, min_size=1, max_size=3))
+    reached = {v for s in sources for v in rows[s]}
+    assert distances_from(g, sources) == {v: min(rows[s].get(v, math.inf) for s in sources) for v in reached}
+    u, v = data.draw(pick), data.draw(pick)
+    assert distance(g, u, v) == rows[u].get(v, math.inf)
+    xs, ys = data.draw(st.sets(pick)), data.draw(st.sets(pick))
+    assert set_distance(g, xs, ys) == min((rows[x].get(y, math.inf) for x in xs for y in ys), default=math.inf)
+    comps = oracles.components_without(adj, ())
+    assert components(g) == sorted(comps, key=lambda c: min(map(vertex_key, c)))
+    assert is_connected(g) == (len(comps) <= 1)
+
+    for call in (lambda: distances_from(g, [*sources, _MISSING]), lambda: distance(g, _MISSING, v),
+                 lambda: distance(g, u, _MISSING), lambda: set_distance(g, [_MISSING], ys | {u}),
+                 lambda: shortest_path(g, _MISSING, v), lambda: shortest_path(g, u, _MISSING)):
+        with pytest.raises(UnknownVertexError):
+            call()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]), max_size=15))))
+def test_shortest_path_matches_a_sorted_order_bfs(graph_data):
+    n, es = graph_data
+    vs = list(range(n))
+    g = Graph.build(es, vertices=vs)
+    adj = oracles.adjacency(es, vs)
+    for u in vs:
+        for v in vs:
+            assert shortest_path(g, u, v) == oracles.bfs_path(adj, u, v)
 
 
 def test_shortest_path_is_geodesic():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from coarsegraph.errors import StructuralError
 from coarsegraph.generators import cycle_graph, path_graph
-from coarsegraph.graph import Graph
+from coarsegraph.graph import Graph, sort_vertices, vertex_key
 from coarsegraph.treedecomp import TreeDecomposition, edge_separation
 from coarsegraph.separations import (
     Separation,
@@ -35,6 +35,21 @@ def test_canonical_form_is_order_independent():
     assert s1 == s2
     assert s1.separator == frozenset({3})
     assert s1.order == 1
+
+
+_LABELS = st.integers(0, 5) | st.sampled_from("ab") | st.tuples(st.integers(0, 2), st.sampled_from("ab"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sets(_LABELS, max_size=8), st.sets(_LABELS, max_size=8))
+def test_canonical_form_puts_the_smaller_sorted_side_first(a, b):
+    """Separation.of orients the sides like comparing their sorted key tuples."""
+    def sorted_keys(side):
+        return tuple(vertex_key(v) for v in sort_vertices(side))
+
+    sep = Separation.of(a, b)
+    first, second = sorted((frozenset(a), frozenset(b)), key=sorted_keys)
+    assert (sep.side_a, sep.side_b) == (first, second)
 
 
 def test_is_separation_detects_crossing_edges():
