@@ -100,8 +100,7 @@ def cmd_validate_td(args) -> int:
 def cmd_torso(args) -> int:
     g = _read_graph(args.graph)
     td = td_from_dict(_read_json(args.td))
-    t = torso(g, td, parse_vertex_token(args.node))
-    _emit(_graph_text(t.graph, args.dot), args.out)
+    _emit(_graph_text(torso(g, td, parse_vertex_token(args.node)), args.dot), args.out)
     return 0
 
 

@@ -101,14 +101,15 @@ def validate_bundle(bundle: InstanceBundle) -> None:
 # ---------------------------------------------------------------------------
 
 
-def treewidth_at_most(g: Graph, k: int, cap: int = DEFAULT_TREEWIDTH_CAP) -> bool:
+def treewidth_at_most(g: Graph, k: int) -> bool:
     """Decide tw(g) ≤ k by the cheapest exact route.
 
     At every size, k < 0 holds only for the empty graph, k = 0 for an edgeless
     one, k = 1 for a forest, and k = 2 exactly when the series-parallel
     reduction rules empty the graph; all three tests are linear.  For k ≥ 3 the
-    exact subset DP decides at or below the cap; above it a heuristic width
-    ≤ k certifies the upper bound and anything else raises rather than guessing.
+    exact subset DP decides at or below ``DEFAULT_TREEWIDTH_CAP`` vertices;
+    above it a heuristic width ≤ k certifies the upper bound and anything else
+    raises rather than guessing.
     """
     if k < 0:
         return not g.vertices
@@ -119,12 +120,12 @@ def treewidth_at_most(g: Graph, k: int, cap: int = DEFAULT_TREEWIDTH_CAP) -> boo
     if k == 2:
         return _reducible_to_empty_by_sp_rules(g)
     n = len(g.vertices)
-    if n <= cap:
-        return exact_treewidth(g, cap) <= k
+    if n <= DEFAULT_TREEWIDTH_CAP:
+        return exact_treewidth(g, DEFAULT_TREEWIDTH_CAP) <= k
     if width(heuristic_td(g)) <= k:
         return True
     raise ContractViolationError(
-        f"cannot decide treewidth ≤ {k} for a {n}-vertex graph above the exact cap {cap}"
+        f"cannot decide treewidth ≤ {k} for a {n}-vertex graph above the exact cap {DEFAULT_TREEWIDTH_CAP}"
     )
 
 
@@ -153,19 +154,18 @@ def classify_torsos(
     td: TreeDecomposition,
     k: int,
     finite_threshold: int = DEFAULT_FINITE_THRESHOLD,
-    tw_cap: int = DEFAULT_TREEWIDTH_CAP,
     torsos: dict | None = None,
 ) -> dict:
     """Label each part finite / bounded-treewidth / planar, in that precedence.
-    ``torsos`` (tree node -> Torso) reuses torsos already built."""
+    ``torsos`` (tree node -> torso graph) reuses torsos already built."""
     out: dict = {}
     for t in td.tree.sorted_vertices():
         part = td.parts[t]
         if len(part) <= finite_threshold:
             out[t] = FINITE
             continue
-        tg = (torsos[t] if torsos else torso(host, td, t)).graph
-        if treewidth_at_most(tg, k, cap=tw_cap):
+        tg = torsos[t] if torsos else torso(host, td, t)
+        if treewidth_at_most(tg, k):
             out[t] = BOUNDED_TW
             continue
         if planarity.is_planar(tg, witness_cap=0).planar:
@@ -179,7 +179,6 @@ def classify_torsos(
 
 def check_classification(host: Graph, td: TreeDecomposition, k: int, classification: dict,
                          finite_threshold: int = DEFAULT_FINITE_THRESHOLD,
-                         tw_cap: int = DEFAULT_TREEWIDTH_CAP,
                          torsos: dict | None = None) -> None:
     """A supplied classification must still be *consistent* with the torsos."""
     if set(classification) != set(td.tree.vertices):
@@ -189,8 +188,8 @@ def check_classification(host: Graph, td: TreeDecomposition, k: int, classificat
             raise StructuralError(f"unknown torso class {kind!r} at {t!r}")
         if kind == FINITE and len(td.parts[t]) > finite_threshold:
             raise ClassificationError(f"part at {t!r} has {len(td.parts[t])} vertices, above the threshold {finite_threshold}")
-        tg = None if kind == FINITE else (torsos[t] if torsos else torso(host, td, t)).graph
-        if kind == BOUNDED_TW and not treewidth_at_most(tg, k, cap=tw_cap):
+        tg = None if kind == FINITE else (torsos[t] if torsos else torso(host, td, t))
+        if kind == BOUNDED_TW and not treewidth_at_most(tg, k):
             raise ClassificationError(f"torso at {t!r} does not have treewidth ≤ {k}")
         if kind == PLANAR and not planarity.is_planar(tg, witness_cap=0).planar:
             raise ClassificationError(f"torso at {t!r} is not planar")
@@ -202,29 +201,32 @@ def check_classification(host: Graph, td: TreeDecomposition, k: int, classificat
 
 
 def _prepare_sub_td(torso_graph: Graph, provided: TreeDecomposition | None, adhesion_cap: int | None) -> TreeDecomposition:
-    """Validate a supplied sub-decomposition, or build one (min-degree, then
-    contract every edge whose separation is not tight or too wide)."""
-    if provided is not None:
-        rep = validate(torso_graph, provided)
-        if not rep.ok:
-            raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
-        for e in provided.tree.sorted_edges():
-            sep = edge_separation(torso_graph, provided, e)
-            if adhesion_cap is not None and sep.order > adhesion_cap:
-                raise ContractViolationError(f"sub-decomposition adhesion {sep.order} exceeds {adhesion_cap}")
-            if not is_tight(torso_graph, sep):
-                raise ContractViolationError(f"sub-decomposition edge {e!r} has a non-tight separation")
-        return provided
-    td = heuristic_td(torso_graph)
-    keep = []
-    for e in td.tree.sorted_edges():
-        sep = edge_separation(torso_graph, td, e)
+    """Return a supplied sub-decomposition once it is valid, of adhesion at most
+    ``adhesion_cap`` and tight on every edge; else the min-degree one, which
+    ``_contract_to_tight`` then trims."""
+    if provided is None:
+        return heuristic_td(torso_graph)
+    rep = validate(torso_graph, provided)
+    if not rep.ok:
+        raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
+    for e in provided.tree.sorted_edges():
+        sep = edge_separation(torso_graph, provided, e)
         if adhesion_cap is not None and sep.order > adhesion_cap:
-            continue
-        if is_tight(torso_graph, sep):
-            keep.append(e)
-    contracted, _ = contract_td_edges(td, keep)
-    return contracted
+            raise ContractViolationError(f"sub-decomposition adhesion {sep.order} exceeds {adhesion_cap}")
+        if not is_tight(torso_graph, sep):
+            raise ContractViolationError(f"sub-decomposition edge {e!r} has a non-tight separation")
+    return provided
+
+
+def _contract_to_tight(torso_graph: Graph, sub_td: TreeDecomposition, adhesions: set | None = None) -> TreeDecomposition:
+    """Contract every tree edge except the tight ones whose adhesion set is in
+    ``adhesions`` (any set if None).  Contracting other edges changes neither
+    the separation nor the adhesion set of an edge, so one pass decides all."""
+    keep = [
+        e for e, a in adhesion_sets(sub_td).items()
+        if (adhesions is None or a in adhesions) and is_tight(torso_graph, edge_separation(torso_graph, sub_td, e))
+    ]
+    return contract_td_edges(sub_td, keep)[0]
 
 
 @dataclass(frozen=True)
@@ -243,20 +245,19 @@ def refine_planar_torso(
     outer_sets: Iterable[frozenset],
     markers: frozenset = frozenset(),
 ) -> PlanarRefinement:
-    """Contract the sub-decomposition down to size-3 outer separators, then
-    prune, per part and per remaining outer adhesion set S, every fully
-    attached component except the designated "infinite" one."""
+    """Contract the sub-decomposition down to its tight edges whose adhesion
+    set is a size-3 outer set, then prune, per part and per outer adhesion set
+    S that is no kept edge's, every fully attached component except the
+    designated "infinite" one."""
     outer = sorted({frozenset(s) for s in outer_sets if s}, key=set_key)
-    size3 = {s for s in outer if len(s) == 3}
-    keep = [e for e, a in adhesion_sets(sub_td).items() if a in size3]
-    contracted, _ = contract_td_edges(sub_td, keep)
+    contracted = _contract_to_tight(torso_graph, sub_td, {s for s in outer if len(s) == 3})
     contracted_adh = set(adhesion_sets(contracted).values())
     kept: dict = {}
     deletions: list = []
     deleted_site: dict = {}
     warnings: list = []
     for s in contracted.tree.sorted_vertices():
-        g_cur = torso(torso_graph, contracted, s).graph
+        g_cur = torso(torso_graph, contracted, s)
         original_part = contracted.parts[s]
         for S in outer:
             if not S <= original_part:
@@ -380,8 +381,8 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     for t in td.tree.sorted_vertices():
         if classification[t] != BOUNDED_TW:
             continue
-        sub = _prepare_sub_td(torsos[t].graph, bundle.sub_tds.get(t), adhesion_cap=None)
-        sub_tds[t] = sub
+        sub = _prepare_sub_td(torsos[t], bundle.sub_tds.get(t), adhesion_cap=None)
+        sub = sub_tds[t] = _contract_to_tight(torsos[t], sub)
         for s in sub.tree.sorted_vertices():
             x = ("tw", t, s)
             vertices.append(x)
@@ -394,9 +395,9 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     for t in td.tree.sorted_vertices():
         if classification[t] != PLANAR:
             continue
-        sub = _prepare_sub_td(torsos[t].graph, bundle.sub_tds.get(t), adhesion_cap=3)
+        sub = _prepare_sub_td(torsos[t], bundle.sub_tds.get(t), adhesion_cap=3)
         outer = [S for S in distinct_adh if S <= td.parts[t]]
-        ref = refine_planar_torso(torsos[t].graph, sub, outer, bundle.infinite_markers)
+        ref = refine_planar_torso(torsos[t], sub, outer, bundle.infinite_markers)
         refinements[t] = ref
         warnings.extend(ref.warnings)
         for s in ref.contracted.tree.sorted_vertices():
@@ -491,7 +492,7 @@ def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
     b3 = 0
     b4 = 0
     for t in sub_tds:
-        tg = torsos[t].graph
+        tg = torsos[t]
         sub = sub_tds[t]
         index = tg.index
         for s in sub.tree.vertices:

@@ -14,7 +14,7 @@ paths at a shared branch set to be ≥ K apart, so single-vertex branch sets
 cannot carry two pattern edges.
 
 The searcher is exhaustive (hence sound for "not-found") on hosts up to
-``exhaustive_cap`` vertices, and a verified-witness heuristic beyond that;
+``EXHAUSTIVE_CAP`` vertices, and a verified-witness heuristic beyond that;
 negative answers from the heuristic regime are reported "inconclusive".
 """
 
@@ -43,9 +43,9 @@ from .graph import (
 from . import planarity
 
 DEFAULT_BUDGET = 200_000
-DEFAULT_PATTERN_CAP = 5
-DEFAULT_HOST_CAP = 400
-DEFAULT_EXHAUSTIVE_CAP = 10
+PATTERN_CAP = 5
+HOST_CAP = 400
+EXHAUSTIVE_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,8 @@ def _connected_subsets(host: Graph) -> list[frozenset]:
 def _ball(host: Graph, around, radius: int) -> frozenset:
     if radius < 0:
         return frozenset()
+    if radius == 0:
+        return frozenset(around)
     index = host.index
     row = index.distance_row(index.pos[v] for v in around)
     return frozenset(v for v, d in zip(index.order, row) if 0 <= d <= radius)
@@ -418,23 +420,20 @@ def search_fat_minor(
     host: Graph,
     K: int,
     budget: int = DEFAULT_BUDGET,
-    pattern_cap: int = DEFAULT_PATTERN_CAP,
-    host_cap: int = DEFAULT_HOST_CAP,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> SearchOutcome:
     if K < 0:
         raise StructuralError("K must be non-negative")
-    if len(pattern.vertices) > pattern_cap:
-        raise CapacityError(f"pattern has {len(pattern.vertices)} vertices, cap is {pattern_cap}")
-    if len(host.vertices) > host_cap:
-        raise CapacityError(f"host has {len(host.vertices)} vertices, cap is {host_cap}")
+    if len(pattern.vertices) > PATTERN_CAP:
+        raise CapacityError(f"pattern has {len(pattern.vertices)} vertices, cap is {PATTERN_CAP}")
+    if len(host.vertices) > HOST_CAP:
+        raise CapacityError(f"host has {len(host.vertices)} vertices, cap is {HOST_CAP}")
     if not pattern.vertices:
         return SearchOutcome("found", FatMinorModel(pattern, host, {}, {}), "empty pattern", 0)
     reason = _quick_reject(pattern, host, K)
     if reason is not None:
         return SearchOutcome("not-found", None, reason, 0)
     b = _Budget(budget)
-    if len(host.vertices) <= exhaustive_cap:
+    if len(host.vertices) <= EXHAUSTIVE_CAP:
         return _search_exhaustive(pattern, host, K, b)
     return _search_heuristic(pattern, host, K, b)
 

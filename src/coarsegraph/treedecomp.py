@@ -103,21 +103,16 @@ def width(td: TreeDecomposition) -> int:
     return max(len(p) for p in td.parts.values()) - 1
 
 
-@dataclass(frozen=True)
-class Torso:
-    base: frozenset
-    graph: Graph
-
-
-def torso(host: Graph, td: TreeDecomposition, t) -> Torso:
-    """Induced subgraph on V_t plus clique edges on each adhesion set at t."""
+def torso(host: Graph, td: TreeDecomposition, t) -> Graph:
+    """The torso of part t: the induced subgraph on V_t plus clique edges on
+    each adhesion set at t, as a graph on exactly V_t."""
     part = td.part(t)
     for v in part:
         host.require_vertex(v)
     edges = [(u, v) for (u, v) in host.edges if u in part and v in part]
     for t2 in td.tree.neighbors(t):
         edges.extend(combinations(sort_vertices(part & td.parts[t2]), 2))
-    return Torso(part, Graph.build(edges, vertices=part))
+    return Graph.build(edges, vertices=part)
 
 
 def edge_separation(host: Graph, td: TreeDecomposition, edge: tuple) -> Separation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -311,6 +312,52 @@ def test_marker_ambiguity_is_an_error():
         build_H(grid_pocket_bundle(markers={"1,0"}))
 
 
+def _two_sided_torso(y_attachments) -> Graph:
+    """x sees all of S = {s1, s2, s3}; y sees ``y_attachments``."""
+    return Graph.build([("x", v) for v in ("s1", "s2", "s3")] + [("y", v) for v in y_attachments])
+
+
+TWO_PART_SUB = TreeDecomposition(
+    Graph.build([(0, 1)]), {0: frozenset({"x", "s1", "s2", "s3"}), 1: frozenset({"y", "s1", "s2", "s3"})}
+)
+
+
+def test_refinement_keeps_only_tight_size_three_outer_edges():
+    S = frozenset({"s1", "s2", "s3"})
+    tight = refine_planar_torso(_two_sided_torso(S), TWO_PART_SUB, [S])
+    assert sorted(tight.contracted.tree.vertices) == [0, 1]
+    # Not an outer set: contracted though tight.
+    assert sorted(refine_planar_torso(_two_sided_torso(S), TWO_PART_SUB, []).contracted.tree.vertices) == [0]
+    # y misses s3, so the edge's separation is not tight: contracted though S is outer.
+    g = _two_sided_torso(["s1", "s2"])
+    loose = refine_planar_torso(g, TWO_PART_SUB, [S])
+    assert loose.contracted.parts == {0: g.vertices}
+    assert loose.kept == {0: g} and loose.deletions == ()
+
+
+def test_supplied_sub_decomposition_must_be_tight_on_every_edge():
+    # Adhesion {0, 6, 7}: the arcs 1..5 and 8..11 each miss one of its vertices.
+    sub = TreeDecomposition(Graph.build([("a", "b")]), {"a": frozenset(range(8)), "b": frozenset({0, 6, 7, 8, 9, 10, 11})})
+    b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=2, sub_tds={"t": sub})
+    with pytest.raises(ContractViolationError, match="non-tight"):
+        build_H(b)
+
+
+def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
+    """A one-part torso has no outer adhesion set, so no edge of its
+    sub-decomposition is a candidate to keep."""
+    calls = []
+    real = construction.edge_separation
+    monkeypatch.setattr(construction, "edge_separation", lambda g, td, e: calls.append(e) or real(g, td, e))
+    grid = grid_graph(9, 9)
+    b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
+                       infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
+    out = build_H(b)
+    assert calls == []
+    assert out.classification == {"t": PLANAR}
+    assert verify_output(b, out).passed
+
+
 def test_three_fully_attached_components_refute_planarity():
     """Three components all attached to the same size-3 separator form a
     K33 pattern, which a planar torso can never contain."""
@@ -417,6 +464,25 @@ def test_rebuild_is_byte_identical():
         s1 = json.dumps(output_to_dict(out1), sort_keys=True)
         s2 = json.dumps(output_to_dict(out2), sort_keys=True)
         assert s1 == s2
+
+
+# sha256 of the sorted-key JSON list of {name, output, report} over corpus(seed).
+# A change that moves a digest changes the corpus output and must say why.
+CORPUS_DIGESTS = {
+    DEFAULT_SEED: "3973b1641330290837de11d2060aca4e6e8e647e749db0428a948d8ba441ec82",
+    101: "e78325e0ea0c433380eb4f94202b3958e930ca6109bdb3493f57e25c0762ca3d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_DIGESTS))
+def test_corpus_output_matches_the_committed_digest(seed):
+    docs = []
+    for inst in corpus(seed):
+        out = build_H(inst.bundle)
+        docs.append({"name": inst.name, "output": output_to_dict(out),
+                     "report": report_to_dict(verify_output(inst.bundle, out))})
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGESTS[seed]
 
 
 def test_bundle_round_trip_rebuilds_the_same_quotient():

@@ -154,6 +154,11 @@ def test_cycle_in_cycle_exhaustive_fatness_frontier():
     found = search_fat_minor(c4, c8, 1)
     assert found.status == "found"
     assert verify_fat_model(found.model, 1).ok
+    assert found.nodes_used == 148_850
+    assert model_to_dict(found.model) == {
+        "branch_sets": {"0": ["0", "1"], "1": ["2", "3"], "2": ["4", "5"], "3": ["6", "7"]},
+        "edge_paths": {"0-1": ["1", "2"], "0-3": ["0", "7"], "1-2": ["3", "4"], "2-3": ["5", "6"]},
+    }
     assert search_fat_minor(c4, c8, 2).status == "not-found"
 
 
@@ -161,6 +166,7 @@ def test_probe_is_monotone():
     results = asymptotic_probe(cycle_graph(4), cycle_graph(8), [0, 1, 2])
     statuses = [results[k].status for k in (0, 1, 2)]
     assert statuses == ["found", "found", "not-found"]
+    assert [results[k].nodes_used for k in (0, 1, 2)] == [0, 148_850, 37_529]
     for k in (0, 1):
         assert verify_fat_model(results[k].model, k).ok
 

@@ -94,7 +94,7 @@ def test_torso_completes_adhesion_cliques():
         Graph.build([("t1", "t2")]),
         {"t1": frozenset({"s1", "s2", "s3", "v1"}), "t2": frozenset({"s1", "s2", "s3", "v2"})},
     )
-    t = torso(host, td, "t1").graph
+    t = torso(host, td, "t1")
     assert ("s1", "s3") in t.edges or ("s3", "s1") in t.edges
     assert len(t.vertices) == 4
 
