@@ -257,8 +257,10 @@ def refine_planar_torso(
     deleted_site: dict = {}
     warnings: list = []
     for s in contracted.tree.sorted_vertices():
-        g_cur = torso(torso_graph, contracted, s)
         original_part = contracted.parts[s]
+        # The torso of a lone part holding every vertex is the torso graph itself.
+        whole = len(contracted.parts) == 1 and original_part == torso_graph.vertices
+        g_cur = torso_graph if whole else torso(torso_graph, contracted, s)
         for S in outer:
             if not S <= original_part:
                 continue
@@ -395,8 +397,14 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     for t in td.tree.sorted_vertices():
         if classification[t] != PLANAR:
             continue
-        sub = _prepare_sub_td(torsos[t], bundle.sub_tds.get(t), adhesion_cap=3)
         outer = [S for S in distinct_adh if S <= td.parts[t]]
+        provided = bundle.sub_tds.get(t)
+        if provided is None and not any(len(S) == 3 for S in outer):
+            # No edge can be kept, so the min-degree decomposition would be
+            # contracted to its node 0 holding the whole torso.
+            sub = TreeDecomposition(Graph.build((), [0]), {0: torsos[t].vertices})
+        else:
+            sub = _prepare_sub_td(torsos[t], provided, adhesion_cap=3)
         ref = refine_planar_torso(torsos[t], sub, outer, bundle.infinite_markers)
         refinements[t] = ref
         warnings.extend(ref.warnings)

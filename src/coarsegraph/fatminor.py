@@ -16,16 +16,24 @@ cannot carry two pattern edges.
 The searcher is exhaustive (hence sound for "not-found") on hosts up to
 ``EXHAUSTIVE_CAP`` vertices, and a verified-witness heuristic beyond that;
 negative answers from the heuristic regime are reported "inconclusive".
+The exhaustive search works on ``GraphIndex`` id masks: branch sets, paths
+and the zones they rule out are ints, and the radius-(K − 1) ball of every
+vertex is read once per search, so a set's ball is an OR of vertex balls.
+Ids follow vertex-key order, so candidates are tried in key order and the
+labels come back only in the model that is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 from .errors import CapacityError, ParseError, StructuralError
 from .graph import (
     Graph,
+    GraphIndex,
     canonical_edge,
     components,
     grow_mask,
@@ -33,7 +41,6 @@ from .graph import (
     is_path,
     parse_vertex_token,
     row_distance,
-    set_key,
     shortest_path,
     sort_vertices,
     vertex_from_json,
@@ -180,40 +187,50 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
     return None
 
 
-def _connected_subsets(host: Graph) -> list[frozenset]:
-    verts, masks = host.index.order, host.index.masks
-    out = [
-        frozenset(verts[i] for i in range(len(verts)) if (mask >> i) & 1)
-        for mask in range(1, 1 << len(verts))
-        if grow_mask(masks, mask & -mask, mask)[0] == mask
-    ]
-    out.sort(key=lambda s: (len(s), set_key(s)))
+def _bit_ids(mask: int) -> list[int]:
+    """The ids set in ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _ball(host: Graph, around, radius: int) -> frozenset:
+def _connected_subsets(index: GraphIndex) -> list[int]:
+    """Every connected vertex set as an id mask, by size and then by ``set_key``
+    (ids follow key order, so that is the order of the sorted id lists)."""
+    masks = index.masks
+    out = [m for m in range(1, 1 << len(index.order)) if grow_mask(masks, m & -m, m)[0] == m]
+    out.sort(key=lambda m: (m.bit_count(), _bit_ids(m)))
+    return out
+
+
+def _vertex_balls(index: GraphIndex, radius: int) -> list[int]:
+    """Per vertex id, the mask of ids within ``radius`` of it; radius 0 reads no distance row."""
+    n = len(index.order)
     if radius < 0:
-        return frozenset()
+        return [0] * n
     if radius == 0:
-        return frozenset(around)
-    index = host.index
-    row = index.distance_row(index.pos[v] for v in around)
-    return frozenset(v for v, d in zip(index.order, row) if 0 <= d <= radius)
+        return [1 << i for i in range(n)]
+    return [sum(1 << j for j, d in enumerate(index.distance_row([i])) if 0 <= d <= radius) for i in range(n)]
 
 
 def _route_edges_exhaustive(
-    host: Graph,
-    pattern: Graph,
+    index: GraphIndex,
+    edges: list,
     branch: dict,
-    K: int,
+    union_b: int,
+    near: dict,
+    balls: list[int],
     budget: _Budget,
 ) -> dict | None:
-    """Assign paths to all pattern edges, backtracking across edges (K ≥ 1)."""
-    union_b = frozenset().union(*branch.values()) if branch else frozenset()
-    edges = sorted({canonical_edge(*e) for e in pattern.edges}, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
-    # Vertices at distance < K from a foreign branch set are banned per edge.
-    near = {w: _ball(host, branch[w], K - 1) for w in pattern.vertices}
-    banned = {e: frozenset().union(*(near[w] for w in pattern.vertices if w not in e)) for e in edges}
+    """Assign id paths to all pattern edges, backtracking across edges (K ≥ 1).
+
+    ``union_b`` is the union of the branch sets; ``near[w]`` and ``balls[i]``
+    are the radius-(K − 1) balls of branch set ``w`` and of vertex ``i``: what
+    lies at distance < K from them."""
+    nbrs = index.nbrs
     paths: dict = {}
     blocked: list = []  # parallel list of K-neighbourhoods of routed paths
 
@@ -223,29 +240,32 @@ def _route_edges_exhaustive(
         e = edges[ei]
         u, v = e
         b_u, b_v = branch[u], branch[v]
-        avoid = set(banned[e])
+        # Vertices at distance < K from a foreign branch set or a routed path.
+        avoid = 0
+        for w, zone in near.items():
+            if w != u and w != v:
+                avoid |= zone
         for zone in blocked:
             avoid |= zone
-        starts = [a for a in sort_vertices(b_u) if a not in avoid]
-        stack = [(a, (a,)) for a in reversed(starts)]
+        stack = [(a, (a,), 1 << a) for a in reversed(_bit_ids(b_u & ~avoid))]
         while stack:
             budget.spend()
-            x, p = stack.pop()
-            for w in sort_vertices(host.neighbors(x)):
-                if w in avoid or w in p:
+            x, p, on_p = stack.pop()
+            for w in nbrs[x]:
+                if (avoid | on_p) >> w & 1:
                     continue
-                if w in b_v:
+                if b_v >> w & 1:
                     cand = p + (w,)
                     paths[e] = cand
-                    blocked.append(_ball(host, cand, K - 1))
+                    blocked.append(reduce(or_, map(balls.__getitem__, cand)))
                     if attempt(ei + 1):
                         return True
                     blocked.pop()
                     del paths[e]
                     continue
-                if w in union_b:
+                if union_b >> w & 1:
                     continue
-                stack.append((w, p + (w,)))
+                stack.append((w, p + (w,), on_p | 1 << w))
         return False
 
     if attempt(0):
@@ -253,33 +273,29 @@ def _route_edges_exhaustive(
     return None
 
 
-def _route_edges_free(host: Graph, pattern: Graph, branch: dict, budget: _Budget) -> dict | None:
+def _route_edges_free(index: GraphIndex, edges: list, branch: dict, union_b: int, budget: _Budget) -> dict | None:
     """K = 0: paths are independent, one breadth-first search per edge."""
-    union_b = frozenset().union(*branch.values()) if branch else frozenset()
+    nbrs = index.nbrs
     paths: dict = {}
-    for e in sorted({canonical_edge(*x) for x in pattern.edges}, key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))):
-        u, v = e
-        allowed = (host.vertices - union_b) | branch[u] | branch[v]
+    for e in edges:
+        b_u, b_v = branch[e[0]], branch[e[1]]
         # Breadth-first from B_u, staying outside branch sets in the interior.
-        prev: dict = {a: None for a in branch[u]}
-        queue = sort_vertices(branch[u])
+        seen = b_u | (union_b & ~b_v)
+        prev: dict = {}
+        queue = _bit_ids(b_u)
         hit = None
         while queue and hit is None:
             nxt = []
             for x in queue:
                 budget.spend()
-                for w in sort_vertices(host.neighbors(x)):
-                    if w in prev or w not in allowed:
-                        continue
-                    if x in branch[u] and w in branch[u]:
-                        continue
-                    if w in branch[v]:
-                        prev[w] = x
-                        hit = w
-                        break
-                    if w in branch[u]:
+                for w in nbrs[x]:
+                    if seen >> w & 1:
                         continue
                     prev[w] = x
+                    if b_v >> w & 1:
+                        hit = w
+                        break
+                    seen |= 1 << w
                     nxt.append(w)
                 if hit is not None:
                     break
@@ -287,49 +303,58 @@ def _route_edges_free(host: Graph, pattern: Graph, branch: dict, budget: _Budget
         if hit is None:
             return None
         p = [hit]
-        while prev[p[-1]] is not None:
+        while p[-1] in prev:
             p.append(prev[p[-1]])
         paths[e] = tuple(reversed(p))
     return paths
 
 
 def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> SearchOutcome:
-    subsets = _connected_subsets(host)
+    index = host.index
+    n = len(index.order)
+    edges = pattern.sorted_edges()
+    balls = _vertex_balls(index, K - 1)
+    # (mask, size, ball of the set)
+    subsets = [(s, s.bit_count(), reduce(or_, map(balls.__getitem__, _bit_ids(s)))) for s in _connected_subsets(index)]
     pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), vertex_key(v)))
     branch: dict = {}
-    used: set = set()
+    near: dict = {}
 
-    def place(i: int) -> dict | None:
+    def place(i: int, used: int) -> dict | None:
         if i == len(pverts):
             if K == 0:
-                return _route_edges_free(host, pattern, branch, budget)
-            return _route_edges_exhaustive(host, pattern, branch, K, budget)
+                return _route_edges_free(index, edges, branch, used, budget)
+            return _route_edges_exhaustive(index, edges, branch, used, near, balls, budget)
         v = pverts[i]
         remaining = len(pverts) - i
-        for s in subsets:
+        free = n - used.bit_count()
+        for s, size, zone in subsets:
             budget.spend()
             if s & used:
                 continue
-            if len(host.vertices) - len(used) - len(s) < remaining - 1:
+            if free - size < remaining - 1:
                 continue
-            if K >= 1 and used and _ball(host, s, K - 1) & used:
+            if K >= 1 and used and zone & used:
                 continue
-            branch[v] = s
-            used.update(s)
-            got = place(i + 1)
+            branch[v], near[v] = s, zone
+            got = place(i + 1, used | s)
             if got is not None:
                 return got
-            used.difference_update(s)
-            del branch[v]
+            del branch[v], near[v]
         return None
 
     try:
-        paths = place(0)
+        paths = place(0, 0)
     except _BudgetExhausted:
         return SearchOutcome("inconclusive", None, "budget exhausted during exhaustive search", budget.used)
     if paths is None:
         return SearchOutcome("not-found", None, "search space exhausted", budget.used)
-    model = FatMinorModel(pattern, host, dict(branch), paths)
+    model = FatMinorModel(
+        pattern,
+        host,
+        {v: index.labels(s) for v, s in branch.items()},
+        {e: tuple(index.order[i] for i in p) for e, p in paths.items()},
+    )
     report = verify_fat_model(model, K)
     if not report.ok:
         raise StructuralError(f"search produced an invalid model: {report.detail}")

@@ -71,6 +71,40 @@ def components_without(adj, removed):
     return out
 
 
+def label_key(v):
+    """Order key for mixed labels: ints, then strings, then tuples, which
+    compare member by member under the same rule."""
+    if isinstance(v, int):
+        return (0, v)
+    if isinstance(v, str):
+        return (1, v)
+    return (2, tuple(label_key(x) for x in v))
+
+
+def connected_sets(adj):
+    """Every non-empty vertex set inducing a connected subgraph, by size and
+    then by the sorted tuple of its members' ``label_key``s."""
+    out = []
+    for size in range(1, len(adj) + 1):
+        for combo in itertools.combinations(adj, size):
+            members = set(combo)
+            reached = {combo[0]}
+            stack = [combo[0]]
+            while stack:
+                for w in adj[stack.pop()] & members - reached:
+                    reached.add(w)
+                    stack.append(w)
+            if reached == members:
+                out.append(frozenset(combo))
+    out.sort(key=lambda s: (len(s), sorted(map(label_key, s))))
+    return out
+
+
+def ball(adj, v, radius):
+    """The vertices at distance at most ``radius`` from ``v``."""
+    return frozenset(w for w, d in bfs_distances(adj, v).items() if d <= radius)
+
+
 def _is_tight_pair(adj, a, b):
     """Check the separation definition directly: cover, no crossing edge,
     and a component fully attached to the separator strictly on each side."""

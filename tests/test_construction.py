@@ -33,7 +33,7 @@ from coarsegraph.construction import (
     verify_output,
 )
 from coarsegraph.corpus import DEFAULT_SEED, corpus
-from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
+from coarsegraph.generators import cayley_ball, complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph, is_connected, sort_vertices, union
 from coarsegraph.treedecomp import TreeDecomposition, exact_treewidth, heuristic_td
 
@@ -358,6 +358,22 @@ def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
     assert verify_output(b, out).passed
 
 
+def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypatch):
+    """With no size-3 outer adhesion set no sub-decomposition edge is kept, so
+    the min-degree decomposition is not built and the torso is built once."""
+    calls = []
+    for name in ("heuristic_td", "torso"):
+        real = getattr(construction, name)
+        monkeypatch.setattr(construction, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    grid = grid_graph(9, 9)
+    b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
+                       infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
+    out = build_H(b)
+    assert calls == ["torso"]
+    assert sorted({x[2] for x in out.H.vertices if x[0] == "pl"}) == [0]
+    assert verify_output(b, out).passed
+
+
 def test_three_fully_attached_components_refute_planarity():
     """Three components all attached to the same size-3 separator form a
     K33 pattern, which a planar torso can never contain."""
@@ -501,3 +517,28 @@ def test_report_serialization():
     assert data["passed"] is True
     assert data["c"] == "1"
     assert data["bound"] == 4
+
+
+def planar_scale_bundles():
+    """One-part planar hosts with boundary markers, as the planar-scale benchmark builds them."""
+    for n in (7, 10, 13):
+        g = grid_graph(n, n)
+        yield f"grid-{n}", InstanceBundle(g, single_node_td(g.vertices), k=2,
+                                          infinite_markers=frozenset(v for v in g.vertices if g.degree(v) < 4))
+    for r in (4, 7):
+        ball = cayley_ball("integer-lattice-Z2", r)
+        yield f"z2-{r}", InstanceBundle(ball.graph, single_node_td(ball.graph.vertices), k=2,
+                                        infinite_markers=ball.markers)
+
+
+# sha256 of the sorted-key JSON list of {name, output, report} over planar_scale_bundles().
+PLANAR_SCALE_DIGEST = "619fad89a1ccc0615845fec2451aa888b4f68d164fecf5e6ab3ec222fbb32ff5"
+
+
+def test_planar_scale_output_matches_the_committed_digest():
+    docs = []
+    for name, b in planar_scale_bundles():
+        out = build_H(b)
+        docs.append({"name": name, "output": output_to_dict(out), "report": report_to_dict(verify_output(b, out))})
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANAR_SCALE_DIGEST

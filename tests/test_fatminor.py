@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsegraph.errors import CapacityError, GraphToolError, StructuralError
 from coarsegraph.fatminor import (
     FatMinorModel,
+    _connected_subsets,
     _farthest_point_seeds,
+    _vertex_balls,
     asymptotic_probe,
     check_model_structure,
     model_from_dict,
@@ -22,7 +26,7 @@ from coarsegraph.generators import (
     path_graph,
     tree_graph,
 )
-from coarsegraph.graph import Graph, canonical_edge
+from coarsegraph.graph import Graph, GraphIndex, canonical_edge
 
 import oracles
 
@@ -169,6 +173,81 @@ def test_probe_is_monotone():
     assert [results[k].nodes_used for k in (0, 1, 2)] == [0, 148_850, 37_529]
     for k in (0, 1):
         assert verify_fat_model(results[k].model, k).ok
+
+
+@pytest.mark.parametrize("pattern, host, K, status, reason, nodes_used, model", [
+    (cycle_graph(3), cycle_graph(10), 2, "not-found", "search space exhausted", 95_031, None),
+    (path_graph(3), cycle_graph(10), 2, "found", "witness verified", 55_269, {
+        "branch_sets": {"0": ["4"], "1": ["0", "1", "2"], "2": ["6"]},
+        "edge_paths": {"0-1": ["4", "3", "2"], "1-2": ["0", "9", "8", "7", "6"]},
+    }),
+    (path_graph(3), path_graph(10), 3, "found", "witness verified", 23_808, {
+        "branch_sets": {"0": ["0"], "1": ["3", "4", "5", "6"], "2": ["9"]},
+        "edge_paths": {"0-1": ["0", "1", "2", "3"], "1-2": ["6", "7", "8", "9"]},
+    }),
+    (cycle_graph(5), cycle_graph(10), 1, "inconclusive", "budget exhausted during exhaustive search", 200_001, None),
+    (complete_graph(4), grid_graph(3, 3), 0, "found", "witness verified", 26, {
+        "branch_sets": {"0": ["0,0"], "1": ["0,1"], "2": ["0,2"], "3": ["1,1"]},
+        "edge_paths": {
+            "0-1": ["0,0", "0,1"], "0-2": ["0,0", "1,0", "2,0", "2,1", "2,2", "1,2", "0,2"],
+            "0-3": ["0,0", "1,0", "1,1"], "1-2": ["0,1", "0,2"], "1-3": ["0,1", "1,1"], "2-3": ["0,2", "1,2", "1,1"],
+        },
+    }),
+])
+def test_exhaustive_search_outcomes_are_pinned(pattern, host, K, status, reason, nodes_used, model):
+    """Outcomes of the exhaustive search, down to the budget it spent: the
+    search order and its pruning decide them, so a rewrite that keeps both
+    keeps these."""
+    out = search_fat_minor(pattern, host, K)
+    assert (out.status, out.reason, out.nodes_used) == (status, reason, nodes_used)
+    assert (model_to_dict(out.model) if out.model else None) == model
+
+
+LABELS = st.one_of(
+    st.integers(-3, 12),
+    st.text(alphabet="ab1", min_size=1, max_size=2),
+    st.tuples(st.integers(0, 2), st.sampled_from(["x", "y"])),
+)
+
+
+@st.composite
+def labelled_hosts(draw):
+    labels = draw(st.lists(LABELS, min_size=1, max_size=8, unique=True))
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.build(edges, vertices=labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(host=labelled_hosts(), radius=st.integers(-1, 3))
+def test_subset_and_ball_masks_match_brute_force(host, radius):
+    """The search's id masks decode to the connected sets in (size, set_key)
+    order and to the BFS balls, on hosts with int, string and tuple labels."""
+    index = host.index
+    adj = oracles.adjacency(host.edges, host.vertices)
+    assert [index.labels(m) for m in _connected_subsets(index)] == oracles.connected_sets(adj)
+    balls = _vertex_balls(index, radius)
+    assert [index.labels(b) for b in balls] == [oracles.ball(adj, v, radius) for v in index.order]
+
+
+@pytest.mark.parametrize("pattern, host, K", [
+    (cycle_graph(4), cycle_graph(8), 1),
+    (cycle_graph(3), cycle_graph(10), 2),
+    (path_graph(3), cycle_graph(10), 2),
+])
+def test_exhaustive_search_reads_each_vertex_ball_once(monkeypatch, pattern, host, K):
+    """Beyond the re-check of a found model, a search reads no distance row at
+    K = 1 and at most one per host vertex at K = 2."""
+    calls = []
+    real = GraphIndex.distance_row
+    monkeypatch.setattr(GraphIndex, "distance_row", lambda self, sources: calls.append(1) or real(self, sources))
+    out = search_fat_minor(pattern, host, K)
+    searched = len(calls)
+    if out.model is not None:  # the re-check of a found model reads rows of its own
+        calls.clear()
+        verify_fat_model(out.model, K)
+        searched -= len(calls)
+    assert searched <= (0 if K == 1 else len(host))
 
 
 def test_heuristic_finds_fat_cycle_in_large_cycle():
