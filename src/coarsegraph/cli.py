@@ -140,11 +140,10 @@ def cmd_tight_seps(args) -> int:
 def cmd_orbits(args) -> int:
     g = _read_graph(args.graph)
     autos = symmetry.automorphisms(g, max_vertices=args.cap)
+    obs = symmetry.orbits(g.sorted_edges() if args.edges else g.sorted_vertices(), autos)
     if args.edges:
-        obs = symmetry.edge_orbits(g, max_vertices=args.cap)
         rendered = [[[vertex_token(u), vertex_token(v)] for (u, v) in orbit] for orbit in obs]
     else:
-        obs = symmetry.vertex_orbits(g, max_vertices=args.cap)
         rendered = [[vertex_token(v) for v in orbit] for orbit in obs]
     _emit_json(
         {"automorphisms": len(autos), "orbit_count": len(obs), "orbits": rendered},

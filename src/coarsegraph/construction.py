@@ -34,6 +34,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    bit_ids,
     components,
     induced_subgraph,
     is_connected,
@@ -135,18 +136,19 @@ def _reducible_to_empty_by_sp_rules(g: Graph) -> bool:
     # lowers a treewidth of 3 or more, so any order decides.  A vertex is
     # queued whenever its degree may have fallen, so an empty queue leaves
     # only vertices of degree ≥ 3.
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    queue = set(adj)
+    adj = list(g.index.masks)
+    alive = queue = (1 << len(adj)) - 1
     while queue:
-        v = queue.pop()
-        if v not in adj or len(adj[v]) > 2:
+        low = queue & -queue
+        queue ^= low
+        nbrs = adj[low.bit_length() - 1]
+        if not alive & low or nbrs.bit_count() > 2:
             continue
-        nbrs = adj.pop(v)
-        for w in nbrs:
-            adj[w].discard(v)
-            adj[w] |= nbrs - {w}
+        alive ^= low
+        for w in bit_ids(nbrs):
+            adj[w] = (adj[w] | nbrs) & ~(1 << w | low)
         queue |= nbrs
-    return not adj
+    return not alive
 
 
 def classify_torsos(

@@ -34,6 +34,7 @@ from .errors import CapacityError, ParseError, StructuralError
 from .graph import (
     Graph,
     GraphIndex,
+    bit_ids,
     canonical_edge,
     components,
     grow_mask,
@@ -187,22 +188,12 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
     return None
 
 
-def _bit_ids(mask: int) -> list[int]:
-    """The ids set in ``mask``, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _connected_subsets(index: GraphIndex) -> list[int]:
     """Every connected vertex set as an id mask, by size and then by ``set_key``
     (ids follow key order, so that is the order of the sorted id lists)."""
     masks = index.masks
     out = [m for m in range(1, 1 << len(index.order)) if grow_mask(masks, m & -m, m)[0] == m]
-    out.sort(key=lambda m: (m.bit_count(), _bit_ids(m)))
+    out.sort(key=lambda m: (m.bit_count(), bit_ids(m)))
     return out
 
 
@@ -247,7 +238,7 @@ def _route_edges_exhaustive(
                 avoid |= zone
         for zone in blocked:
             avoid |= zone
-        stack = [(a, (a,), 1 << a) for a in reversed(_bit_ids(b_u & ~avoid))]
+        stack = [(a, (a,), 1 << a) for a in reversed(bit_ids(b_u & ~avoid))]
         while stack:
             budget.spend()
             x, p, on_p = stack.pop()
@@ -282,7 +273,7 @@ def _route_edges_free(index: GraphIndex, edges: list, branch: dict, union_b: int
         # Breadth-first from B_u, staying outside branch sets in the interior.
         seen = b_u | (union_b & ~b_v)
         prev: dict = {}
-        queue = _bit_ids(b_u)
+        queue = bit_ids(b_u)
         hit = None
         while queue and hit is None:
             nxt = []
@@ -315,7 +306,7 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
     edges = pattern.sorted_edges()
     balls = _vertex_balls(index, K - 1)
     # (mask, size, ball of the set)
-    subsets = [(s, s.bit_count(), reduce(or_, map(balls.__getitem__, _bit_ids(s)))) for s in _connected_subsets(index)]
+    subsets = [(s, s.bit_count(), reduce(or_, map(balls.__getitem__, bit_ids(s)))) for s in _connected_subsets(index)]
     pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), vertex_key(v)))
     branch: dict = {}
     near: dict = {}

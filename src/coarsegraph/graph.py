@@ -60,15 +60,9 @@ class Graph:
 
     vertices: frozenset
     edges: frozenset
-    _adj: dict = field(init=False, repr=False, compare=False, default=None)
     _index: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        adj: dict = {v: set() for v in self.vertices}
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
         # Not functools.cached_property: writing through __dict__ slows every later attribute read.
         object.__setattr__(self, "_index", None)
 
@@ -92,17 +86,24 @@ class Graph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, v: Vertex) -> frozenset:
+    def _id(self, v: Vertex) -> int:
         try:
-            return self._adj[v]
+            return self.index.pos[v]
         except KeyError:
             raise UnknownVertexError(repr(v)) from None
 
+    def neighbors(self, v: Vertex) -> frozenset:
+        index = self.index
+        return frozenset(index.order[j] for j in index.nbrs[self._id(v)])
+
     def degree(self, v: Vertex) -> int:
-        return len(self.neighbors(v))
+        return len(self.index.nbrs[self._id(v)])
 
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
-        return v in self.neighbors(u)
+        """True iff uv is an edge; u must be a vertex, v need not be."""
+        mask = self.index.masks[self._id(u)]
+        j = self.index.pos.get(v)
+        return j is not None and mask >> j & 1 == 1
 
     def sorted_vertices(self) -> list[Vertex]:
         return sort_vertices(self.vertices)
@@ -120,7 +121,11 @@ class Graph:
         if self._index is None:
             order = self.sorted_vertices()
             pos = {v: i for i, v in enumerate(order)}
-            object.__setattr__(self, "_index", GraphIndex(order, pos, [sorted(pos[w] for w in self._adj[v]) for v in order]))
+            nbrs: list = [[] for _ in order]
+            for (u, v) in self.edges:
+                nbrs[pos[u]].append(pos[v])
+                nbrs[pos[v]].append(pos[u])
+            object.__setattr__(self, "_index", GraphIndex(order, pos, [sorted(js) for js in nbrs]))
         return self._index
 
 
@@ -164,6 +169,16 @@ class GraphIndex:
     def labels(self, mask: int) -> frozenset:
         """The vertices whose ids are set in ``mask``."""
         return frozenset(self.order[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def bit_ids(mask: int) -> list[int]:
+    """The ids set in ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def grow_mask(masks: list[int], seed: int, within: int) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from itertools import combinations
 import networkx as nx
 
 from .errors import StructuralError
-from .graph import Graph, sort_vertices
+from .graph import Graph, GraphIndex
 
 WITNESS_CAP = 12
 
@@ -72,13 +72,16 @@ def validate_subdivision(g: Graph, w: SubdivisionWitness) -> bool:
     return True
 
 
-def _route_paths(g: Graph, branch: list, needed: list) -> tuple | None:
-    """Backtracking: internally-disjoint paths joining the required branch pairs."""
-    branch_set = set(branch)
+def _route_paths(index: GraphIndex, branch: list, needed: list) -> tuple | None:
+    """Backtracking: internally-disjoint paths joining the required pairs of
+    branch ids, walked on ids and returned as vertex tuples."""
+    nbrs = index.nbrs
+    branch_set = sum(1 << v for v in branch)
     paths: list = []
-    used: set = set()
+    used = 0
 
     def extend(pi: int) -> bool:
+        nonlocal used
         if pi == len(needed):
             return True
         i, j = needed[pi]
@@ -86,43 +89,43 @@ def _route_paths(g: Graph, branch: list, needed: list) -> tuple | None:
 
         # DFS over simple paths from a to b avoiding used interiors and other
         # branch vertices.
-        stack: list = [(a, [a])]
+        stack: list = [(a, [a], 1 << a)]
         seen_states = 0
         while stack:
-            v, path = stack.pop()
-            for w in sort_vertices(g.neighbors(v)):
+            v, path, on_path = stack.pop()
+            for w in nbrs[v]:
                 if w == b:
-                    cand = path + [b]
-                    paths.append(tuple(cand))
-                    used.update(cand[1:-1])
+                    interior = on_path & ~(1 << a)
+                    paths.append(path + [b])
+                    used |= interior
                     if extend(pi + 1):
                         return True
-                    used.difference_update(cand[1:-1])
+                    used &= ~interior
                     paths.pop()
                     continue
-                if w in branch_set or w in used or w in path:
+                if (branch_set | used | on_path) >> w & 1:
                     continue
-                stack.append((w, path + [w]))
+                stack.append((w, path + [w], on_path | 1 << w))
                 seen_states += 1
                 if seen_states > 200000:
                     return False
         return False
 
     if extend(0):
-        return tuple(paths)
+        return tuple(tuple(index.order[v] for v in p) for p in paths)
     return None
 
 
 def find_subdivision(g: Graph) -> SubdivisionWitness | None:
     """Search for a K₅ or K₃,₃ subdivision (graphs up to WITNESS_CAP vertices)."""
-    verts = g.sorted_vertices()
-    deg4 = [v for v in verts if g.degree(v) >= 4]
+    index = g.index
+    deg4 = [v for v, js in enumerate(index.nbrs) if len(js) >= 4]
     for combo in combinations(deg4, 5):
         needed = list(combinations(range(5), 2))
-        paths = _route_paths(g, list(combo), needed)
+        paths = _route_paths(index, list(combo), needed)
         if paths is not None:
-            return SubdivisionWitness("K5", tuple(combo), paths)
-    deg3 = [v for v in verts if g.degree(v) >= 3]
+            return SubdivisionWitness("K5", tuple(index.order[v] for v in combo), paths)
+    deg3 = [v for v, js in enumerate(index.nbrs) if len(js) >= 3]
     needed33 = [(i, j) for i in range(3) for j in range(3, 6)]
     for combo in combinations(deg3, 6):
         for left in combinations(range(6), 3):
@@ -130,9 +133,9 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
                 continue
             right = [i for i in range(6) if i not in left]
             branch = [combo[i] for i in left] + [combo[i] for i in right]
-            paths = _route_paths(g, branch, needed33)
+            paths = _route_paths(index, branch, needed33)
             if paths is not None:
-                return SubdivisionWitness("K33", tuple(branch), paths)
+                return SubdivisionWitness("K33", tuple(index.order[v] for v in branch), paths)
     return None
 
 

@@ -1,9 +1,12 @@
 """Automorphism enumeration and orbit partitions for small graphs.
 
-Automorphisms are plain dicts (vertex -> vertex).  Enumeration is exact
-backtracking with iterated degree refinement, intended for graphs up to a
-configurable size cap; orbit computation groups arbitrary objects (vertices,
-vertex sets, separations, edges) under a supplied or derived action.
+Automorphisms are plain dicts (vertex -> vertex, in vertex-key order).
+Enumeration is exact backtracking over ``GraphIndex`` ids after colour
+refinement (McKay, "Practical Graph Isomorphism", 1981), intended for graphs
+up to a configurable size cap: a candidate image is checked with one mask
+compare against the images of the neighbours already placed.  Orbit
+computation groups arbitrary objects (vertices, vertex sets, separations,
+edges) under a supplied or derived action.
 """
 
 from __future__ import annotations
@@ -11,74 +14,54 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, StructuralError
-from .graph import Graph, Vertex, canonical_edge, set_key, sort_vertices, vertex_key
+from .graph import Graph, GraphIndex, canonical_edge, set_key, vertex_key
 from .separations import Separation
 
 DEFAULT_AUTOMORPHISM_CAP = 12
 
 
-def _refine_colors(g: Graph) -> dict:
-    """Iterated neighbour-colour refinement; a coarse invariant used for pruning."""
-    color = {v: g.degree(v) for v in g.vertices}
+def _refine_colors(index: GraphIndex) -> list[int]:
+    """Iterated neighbour-colour refinement of the ids; a coarse invariant used for pruning."""
+    color = [len(js) for js in index.nbrs]
     while True:
-        sig = {
-            v: (color[v], tuple(sorted(color[w] for w in g.neighbors(v))))
-            for v in g.vertices
-        }
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: palette[sig[v]] for v in g.vertices}
+        sig = [(c, tuple(sorted(color[j] for j in js))) for c, js in zip(color, index.nbrs)]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
         if new == color:
             return color
         color = new
 
 
 def automorphisms(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> list[dict]:
-    """All automorphisms of g, identity first, in a deterministic order."""
+    """All automorphisms of g, identity first, the rest by their images in vertex-key order."""
     n = len(g.vertices)
     if n > max_vertices:
         raise CapacityError(f"graph has {n} vertices, automorphism cap is {max_vertices}")
-    verts = g.sorted_vertices()
-    color = _refine_colors(g)
+    index = g.index
+    masks = index.masks
+    color = _refine_colors(index)
     # Most-constrained-first assignment order: rare colours early.
-    color_count: dict = {}
-    for v in verts:
-        color_count[color[v]] = color_count.get(color[v], 0) + 1
-    order = sorted(verts, key=lambda v: (color_count[color[v]], vertex_key(v)))
-    candidates = {
-        v: [w for w in verts if color[w] == color[v]]
-        for v in verts
-    }
+    order = sorted(range(n), key=lambda v: (color.count(color[v]), v))
+    found: list[tuple] = []
+    image = [0] * n
 
-    found: list[dict] = []
-    image: dict = {}
-    used: set = set()
-
-    def backtrack(i: int) -> None:
-        if i == len(order):
-            found.append(dict(image))
+    def backtrack(i: int, used: int) -> None:
+        if i == n:
+            found.append(tuple(image))
             return
         v = order[i]
-        nv = g.neighbors(v)
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u, iu in image.items():
-                if (u in nv) != g.adjacent(iu, w):
-                    ok = False
-                    break
-            if ok:
+        # w extends the map iff it is free, of v's colour, and adjacent to
+        # exactly the images of v's placed neighbours among the used ids.
+        need = sum(1 << image[u] for u in order[:i] if masks[v] >> u & 1)
+        for w in range(n):
+            if color[w] == color[v] and not used >> w & 1 and masks[w] & used == need:
                 image[v] = w
-                used.add(w)
-                backtrack(i + 1)
-                used.discard(w)
-                del image[v]
+                backtrack(i + 1, used | 1 << w)
 
-    backtrack(0)
-    ident = {v: v for v in verts}
-    found.sort(key=lambda a: tuple(vertex_key(a[v]) for v in verts))
-    found.remove(ident)
-    return [ident] + found
+    backtrack(0, 0)
+    # Ids follow vertex-key order, so the identity is the least tuple.
+    found.sort()
+    return [{index.order[v]: index.order[w] for v, w in enumerate(a)} for a in found]
 
 
 def is_identity(auto: dict) -> bool:
@@ -133,22 +116,11 @@ def orbits(objects: Iterable, autos: Sequence[dict], act: Callable = apply_to) -
     :func:`automorphisms`); each object's orbit representative is its minimal
     image, and objects sharing a representative share an orbit.
     """
-    objs = list(objects)
-    reps: dict = {}
-    groups: dict = {}
-    for o in objs:
-        images = [act(a, o) for a in autos]
-        rep = min(images, key=_obj_key)
-        rkey = _obj_key(rep)
-        reps.setdefault(rkey, rep)
-        groups.setdefault(rkey, [])
-        if all(_obj_key(o) != _obj_key(existing) for existing in groups[rkey]):
-            groups[rkey].append(o)
-    out = []
-    for rkey in sorted(groups):
-        orbit = sorted(groups[rkey], key=_obj_key)
-        out.append(orbit)
-    return out
+    groups: dict = {}  # representative's key -> {object key -> first object with that key}
+    for o in objects:
+        rkey = min(_obj_key(act(a, o)) for a in autos)
+        groups.setdefault(rkey, {}).setdefault(_obj_key(o), o)
+    return [[orbit[k] for k in sorted(orbit)] for _, orbit in sorted(groups.items())]
 
 
 def vertex_orbits(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> list[list]:

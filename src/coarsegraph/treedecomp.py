@@ -19,6 +19,7 @@ from .errors import CapacityError, EmptySetError, StructuralError
 from .graph import (
     Graph,
     Vertex,
+    bit_ids,
     canonical_edge,
     components,
     grow_mask,
@@ -186,26 +187,23 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     Tree nodes are the elimination indices 0..n-1; node i's part is the
     eliminated vertex plus its neighbours at elimination time.
     """
-    verts = g.sorted_vertices()
-    if not verts:
+    index = g.index
+    if not index.order:
         return TreeDecomposition(Graph.build(vertices=[0]), {0: frozenset()})
-    live = {v: set(g.neighbors(v)) for v in verts}
-    order: list[Vertex] = []
-    bags: list[frozenset] = []
+    live = dict(enumerate(index.masks))  # id -> mask of its live neighbours
+    pos = [0] * len(live)  # id -> elimination index
+    bags: list[int] = []
     while live:
-        v = min(live, key=lambda x: (len(live[x]), vertex_key(x)))
+        # Ids follow vertex-key order, so ties fall to the least vertex.
+        v = min(live, key=lambda x: (live[x].bit_count(), x))
         nbrs = live.pop(v)
-        order.append(v)
-        bags.append(frozenset({v} | nbrs))
-        for a in nbrs:
-            live[a].discard(v)
-            for b in nbrs:
-                if a != b:
-                    live[a].add(b)
-    pos = {v: i for i, v in enumerate(order)}
+        pos[v] = len(bags)
+        bags.append(nbrs | 1 << v)
+        for a in bit_ids(nbrs):
+            live[a] = (live[a] | nbrs) & ~(1 << a | 1 << v)
     edges = []
     for i, bag in enumerate(bags):
-        later = [pos[w] for w in bag if pos[w] > i]
+        later = [pos[w] for w in bit_ids(bag) if pos[w] > i]
         if later:
             edges.append((i, min(later)))
         elif i + 1 < len(bags):
@@ -213,7 +211,7 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
             edges.append((i, i + 1))
     return TreeDecomposition(
         Graph.build(edges, vertices=range(len(bags))),
-        {i: bags[i] for i in range(len(bags))},
+        {i: index.labels(bag) for i, bag in enumerate(bags)},
     )
 
 
@@ -288,19 +286,19 @@ def tree_center(tree: Graph) -> TreeCenter:
     setwise), which is what makes it usable as a canonical attachment point.
     """
     _check_is_tree(tree)
-    remaining = set(tree.vertices)
-    deg = {v: tree.degree(v) for v in remaining}
+    index = tree.index
+    remaining = set(range(len(index.order)))
+    deg = [len(js) for js in index.nbrs]
     while len(remaining) > 2:
         leaves = [v for v in remaining if deg[v] <= 1]
         for v in leaves:
             remaining.discard(v)
-            for w in tree.neighbors(v):
-                if w in remaining:
-                    deg[w] -= 1
-    rest = sort_vertices(remaining)
+            for w in index.nbrs[v]:
+                deg[w] -= 1
+    rest = [index.order[v] for v in sorted(remaining)]
     if len(rest) == 1:
         return TreeCenter("vertex", rest[0])
-    return TreeCenter("edge", canonical_edge(rest[0], rest[1]))
+    return TreeCenter("edge", (rest[0], rest[1]))
 
 
 # ---------------------------------------------------------------------------

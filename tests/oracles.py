@@ -100,6 +100,30 @@ def connected_sets(adj):
     return out
 
 
+def automorphisms(vertices, edges):
+    """Every permutation of the vertices that maps the edge set onto itself,
+    as dicts, ordered by the images of the vertices taken in ``label_key``
+    order (so the identity comes first)."""
+    vs = sorted(vertices, key=label_key)
+    es = {frozenset(e) for e in edges}
+    out = []
+    for perm in itertools.permutations(vs):
+        img = dict(zip(vs, perm))
+        if all(frozenset(img[x] for x in e) in es for e in es):
+            out.append(img)
+    out.sort(key=lambda a: [label_key(a[v]) for v in vs])
+    return out
+
+
+def orbit_partition(objects, autos, act, key):
+    """Objects grouped by their set of images under a group of maps; each
+    orbit sorted by ``key``, and the orbits by their least member."""
+    groups = {}
+    for o in objects:
+        groups.setdefault(frozenset(act(a, o) for a in autos), []).append(o)
+    return sorted((sorted(g, key=key) for g in groups.values()), key=lambda orbit: key(orbit[0]))
+
+
 def ball(adj, v, radius):
     """The vertices at distance at most ``radius`` from ``v``."""
     return frozenset(w for w, d in bfs_distances(adj, v).items() if d <= radius)

@@ -134,6 +134,25 @@ def test_orbits_command(tmp_path, capsys):
     assert data["orbit_count"] == 2
 
 
+def test_orbits_command_searches_automorphisms_once(tmp_path, capsys, monkeypatch):
+    """One search answers both the count and the orbits; the JSON is pinned
+    (measured at 2ec775d, which searched twice)."""
+    from coarsegraph import symmetry
+    calls = []
+    real = symmetry.automorphisms
+    monkeypatch.setattr(symmetry, "automorphisms", lambda g, max_vertices: calls.append(g) or real(g, max_vertices))
+    # A 4-cycle 1-a-(x|1)-2 with a pendant b at 1; the reflection swaps a and 2.
+    gpath = write(tmp_path, "g.txt", "1 a\na (x|1)\n(x|1) 2\n2 1\n1 b\n")
+    assert main(["orbits", "--graph", gpath]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "automorphisms": 2, "orbit_count": 4, "orbits": [["1"], ["2", "a"], ["b"], ["(x|1)"]]}
+    assert main(["orbits", "--graph", gpath, "--edges"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "automorphisms": 2, "orbit_count": 3,
+        "orbits": [[["1", "2"], ["1", "a"]], [["1", "b"]], [["2", "(x|1)"], ["a", "(x|1)"]]]}
+    assert len(calls) == 2
+
+
 def test_qi_check_modes(tmp_path, capsys):
     spath = write(tmp_path, "p9.txt", format_edge_list(path_graph(9)))
     tpath = write(tmp_path, "p5.txt", format_edge_list(path_graph(5)))

@@ -56,9 +56,15 @@ def test_build_dedupes_and_rejects_loops():
 
 
 def test_unknown_vertex_raises():
-    g = Graph.build([(1, 2)])
+    g = Graph.build([(1, 2)], vertices=["x"])
     with pytest.raises(UnknownVertexError):
         g.neighbors(9)
+    with pytest.raises(UnknownVertexError):
+        g.degree(9)
+    with pytest.raises(UnknownVertexError):
+        g.adjacent(9, 1)
+    assert not g.adjacent(1, 9) and not g.adjacent("x", 9) and not g.adjacent(1, "x")
+    assert g.adjacent(1, 2) and g.adjacent(2, 1)
 
 
 def test_distance_frozen_values():
@@ -230,7 +236,9 @@ def test_index_is_built_once_and_adds_no_attribute():
     g, fresh = grid_graph(3, 4), grid_graph(3, 4)
     index = g.index
     assert g.index is index and index.order == g.sorted_vertices()
-    assert [set(index.order[j] for j in js) for js in index.nbrs] == [g.neighbors(v) for v in index.order]
+    adj = oracles.adjacency(g.edges, g.vertices)
+    assert [set(index.order[j] for j in js) for js in index.nbrs] == [adj[v] for v in index.order]
+    assert all(js == sorted(js) for js in index.nbrs)
     assert index.masks is index.masks  # built once per graph
     # A late attribute would make every attribute read on g slower.
     assert list(vars(g)) == list(vars(fresh))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +74,33 @@ def test_petersen_witness_is_a_k33_subdivision():
     assert not verdict.planar
     assert verdict.witness is not None and verdict.witness.kind == "K33"
     assert validate_subdivision(g, verdict.witness)
+
+
+def subdivided_k33() -> Graph:
+    """K3,3 on {0, b, (c|1)} × {x, 2, (y|0)} with b-(y|0) subdivided and 0-x
+    replaced by two subdivided routes; the search's neighbour order picks one."""
+    left, right = [0, "b", ("c", 1)], ["x", 2, ("y", 0)]
+    edges = [(a, b) for a in left for b in right if (a, b) not in ((0, "x"), ("b", ("y", 0)))]
+    return Graph.build(edges + [(0, "s1"), ("s1", ("s", 2)), (("s", 2), "x"), (0, ("s", 3)), (("s", 3), "x"),
+                                ("b", 7), (7, ("y", 0))])
+
+
+@pytest.mark.parametrize("g, kind, branch, paths", [
+    (complete_graph(5), "K5", (0, 1, 2, 3, 4),
+     ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))),
+    (complete_bipartite_graph(3, 3), "K33", ("l0", "l1", "l2", "r0", "r1", "r2"),
+     (("l0", "r0"), ("l0", "r1"), ("l0", "r2"), ("l1", "r0"), ("l1", "r1"), ("l1", "r2"),
+      ("l2", "r0"), ("l2", "r1"), ("l2", "r2"))),
+    (petersen(), "K33", (0, 2, 8, 1, 3, 5),
+     ((0, 1), (0, 4, 3), (0, 5), (2, 1), (2, 3), (2, 7, 5), (8, 6, 1), (8, 3), (8, 5))),
+    (subdivided_k33(), "K33", (0, "b", ("c", 1), 2, "x", ("y", 0)),
+     ((0, 2), (0, ("s", 3), "x"), (0, ("y", 0)), ("b", 2), ("b", "x"), ("b", 7, ("y", 0)),
+      (("c", 1), 2), (("c", 1), "x"), (("c", 1), ("y", 0)))),
+])
+def test_witnesses_are_pinned(g, kind, branch, paths):
+    """The CLI prints these witnesses; they are the ones measured at 2ec775d."""
+    w = is_planar(g).witness
+    assert (w.kind, w.branch_vertices, w.paths) == (kind, branch, paths)
 
 
 def test_witness_cap_suppresses_search():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsegraph.errors import CapacityError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
@@ -104,3 +106,45 @@ def test_capacity_guard():
     with pytest.raises(CapacityError):
         automorphisms(cycle_graph(20))
     assert len(automorphisms(cycle_graph(20), max_vertices=20)) == 40
+
+
+LABELS = st.one_of(
+    st.integers(-3, 12),
+    st.text(alphabet="ab1", min_size=1, max_size=2),
+    st.tuples(st.integers(0, 2), st.sampled_from(["x", "y"])),
+)
+
+
+@st.composite
+def labelled_graphs(draw):
+    labels = draw(st.lists(LABELS, max_size=7, unique=True))
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.build(edges, vertices=labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_graphs())
+def test_automorphisms_and_orbits_match_brute_force(g):
+    """The search finds exactly the edge-preserving permutations, identity
+    first and the rest by their images in vertex-key order; vertex, edge and
+    vertex-pair orbits match the brute-force partitions and their order."""
+    autos = automorphisms(g)
+    expected = oracles.automorphisms(g.vertices, g.edges)
+    assert autos == expected
+    assert is_identity(autos[0])
+    sv = g.sorted_vertices()
+    assert vertex_orbits(g) == oracles.orbit_partition(sv, expected, lambda a, v: a[v], oracles.label_key)
+
+    def edge_key(e):
+        return sorted(map(oracles.label_key, e))
+
+    def act_on_set(a, s):
+        return frozenset(a[x] for x in s)
+
+    edges = [frozenset(e) for e in g.sorted_edges()]
+    assert [[frozenset(e) for e in orbit] for orbit in edge_orbits(g)] == \
+        oracles.orbit_partition(edges, expected, act_on_set, edge_key)
+    pairs = [frozenset(p) for p in itertools.combinations(sv, 2)]
+    # Fed in reverse, the pairs still come back in key order.
+    assert orbits(pairs[::-1], autos) == oracles.orbit_partition(pairs, expected, act_on_set, edge_key)

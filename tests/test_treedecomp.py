@@ -176,6 +176,30 @@ def test_heuristic_td_is_always_valid():
         assert validate(g, td).ok
 
 
+@pytest.mark.parametrize("edges, isolated, expected", [
+    # A triangle 0, a, (t|1); b joined to a and (t|1), and to 0 through 5; an isolated vertex.
+    ([(0, "a"), ("a", ("t", 1)), (("t", 1), 0), (0, 5), (5, "b"), ("b", ("t", 1)), ("a", "b")], ["iso"],
+     {"tree_edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "4"], ["4", "5"]],
+      "parts": {"0": ["iso"], "1": [0, 5, "b"], "2": [0, "a", "b", ("t", 1)], "3": ["a", "b", ("t", 1)],
+                "4": ["b", ("t", 1)], "5": [("t", 1)]}}),
+    # A 6-cycle of tuples with a hub on two antipodes and a pendant at the hub.
+    ([((i, "r"), ((i + 1) % 6, "r")) for i in range(6)] + [((0, "r"), "hub"), ((3, "r"), "hub"), ("hub", 9)], [],
+     {"tree_edges": [["0", "1"], ["1", "4"], ["2", "3"], ["3", "4"], ["4", "5"], ["5", "6"], ["6", "7"]],
+      "parts": {"0": [9, "hub"], "1": ["hub", (0, "r"), (3, "r")], "2": [(0, "r"), (1, "r"), (2, "r")],
+                "3": [(0, "r"), (2, "r"), (3, "r")], "4": [(0, "r"), (3, "r"), (5, "r")],
+                "5": [(3, "r"), (4, "r"), (5, "r")], "6": [(4, "r"), (5, "r")], "7": [(5, "r")]}}),
+    # K5 on 1, 2, u, v, (w) minus the edges 1-v and u-(w).
+    ([("u", 1), (1, 2), (2, "u"), (2, ("w",)), (("w",), "v"), ("v", 2), ("v", "u"), (("w",), 1)], [],
+     {"tree_edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "4"]],
+      "parts": {"0": [1, 2, "u", ("w",)], "1": [2, "u", "v", ("w",)], "2": ["u", "v", ("w",)],
+                "3": ["v", ("w",)], "4": [("w",)]}}),
+])
+def test_heuristic_td_is_pinned_on_mixed_labels(edges, isolated, expected):
+    """Min-degree elimination breaks ties by vertex key; the decompositions
+    are the ones measured at 2ec775d."""
+    assert td_to_dict(heuristic_td(Graph.build(edges, vertices=isolated))) == expected
+
+
 def test_heuristic_width_upper_bounds_exact():
     rng = random.Random(44)
     for _ in range(15):
