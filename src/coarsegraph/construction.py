@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-import networkx as nx
-
 from .errors import (
     ClassificationError,
     ContractViolationError,
@@ -36,6 +34,7 @@ from .graph import (
     Graph,
     bit_ids,
     components,
+    cut_vertices,
     induced_subgraph,
     is_connected,
     parse_vertex_token,
@@ -570,7 +569,7 @@ def verify_output(bundle: InstanceBundle, out: ConstructionOutput) -> Verificati
     # A hub of degree ≥ 2 separates its attachment sides exactly when it is a cut vertex of H.
     hubs = [x for x in sort_vertices(out.provenance)
             if out.provenance[x].get("kind") == "adhesion-set" and out.H.degree(x) >= 2]
-    cuts = set(nx.articulation_points(nx.Graph(list(out.H.edges)))) if hubs else set()
+    cuts = cut_vertices(out.H) if hubs else frozenset()
     cut_failures = [x for x in hubs if x not in cuts]
     if cut_failures:
         failures.append(f"{len(cut_failures)} adhesion hub(s) fail to separate their attachment sides")

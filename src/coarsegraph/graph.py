@@ -267,6 +267,43 @@ def components(g: Graph) -> list[frozenset]:
     return [g.index.labels(comp) for comp, _ in components_minus(g, ())]
 
 
+def cut_vertices(g: Graph) -> frozenset:
+    """The vertices whose removal leaves more components: Hopcroft–Tarjan
+    lowpoints from one iterative DFS over ``g.index``."""
+    nbrs = g.index.nbrs
+    disc = [-1] * len(nbrs)
+    low, nxt, cut = disc[:], [0] * len(nbrs), [False] * len(nbrs)
+    t = 0
+    for r in range(len(nbrs)):
+        if disc[r] >= 0:
+            continue
+        disc[r] = low[r] = t
+        t += 1
+        stack, root_children = [r], 0
+        while stack:
+            v = stack[-1]
+            if nxt[v] < len(nbrs[v]):
+                w = nbrs[v][nxt[v]]
+                nxt[v] += 1
+                if disc[w] < 0:
+                    disc[w] = low[w] = t
+                    t += 1
+                    stack.append(w)
+                else:  # a back edge, or the edge to v's parent, which keeps low[v] ≥ disc[parent]
+                    low[v] = min(low[v], disc[w])
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1]
+                low[u] = min(low[u], low[v])
+                if u == r:
+                    root_children += 1
+                elif low[v] >= disc[u]:
+                    cut[u] = True
+        cut[r] = root_children > 1
+    return frozenset(v for v, c in zip(g.index.order, cut) if c)
+
+
 def is_connected(g: Graph) -> bool:
     return len(components_minus(g, ())) <= 1
 

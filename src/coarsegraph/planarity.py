@@ -1,6 +1,7 @@
 """Planarity decision with subdivision witnesses on small graphs.
 
-The verdict itself comes from networkx's left-right planarity test; the
+The verdict comes from the package's own left-right planarity test
+(de Fraysseix–Rosenstiehl, in Brandes' formulation) on ``GraphIndex`` ids; the
 witness (a K₅ or K₃,₃ subdivision, which exists in every non-planar graph) is
 extracted by a self-contained backtracking search so it can be validated
 independently of the decision procedure.
@@ -11,19 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
 from .errors import StructuralError
 from .graph import Graph, GraphIndex
 
 WITNESS_CAP = 12
-
-
-def _to_nx(g: Graph) -> nx.Graph:
-    ng = nx.Graph()
-    ng.add_nodes_from(g.vertices)
-    ng.add_edges_from(g.edges)
-    return ng
 
 
 @dataclass(frozen=True)
@@ -139,9 +131,182 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
     return None
 
 
+def _lr_planar(index: GraphIndex) -> bool:
+    """The left-right planarity test (Brandes, "The Left-Right Planarity
+    Test", 2009), verdict only.
+
+    A DFS orients every edge and gives each oriented edge its lowpoints and
+    nesting depth.  A second DFS visits each vertex's outgoing edges by nesting
+    depth and keeps the return edges on a stack of conflict pairs: two
+    intervals of back edges that must lie on opposite sides of the tree.  The
+    graph is planar iff no pair ever needs an edge on both sides.  Both passes
+    run on edge ids with explicit stacks; a conflict pair is the list
+    ``[left low, left high, right low, right high]`` with -1 for "none", and an
+    interval is empty iff its low end is -1.  ``ref`` links each back edge of
+    an interval to the next one down.
+    """
+    nbrs = index.nbrs
+    n = len(nbrs)
+    if n > 2 and sum(map(len, nbrs)) > 2 * (3 * n - 6):
+        return False
+    # Edge ids: eids[v][i] is the id of the edge v–nbrs[v][i].  Each nbrs[w]
+    # lists w's lower neighbours first, in the order this loop meets them.
+    eids = [[0] * len(js) for js in nbrs]
+    lower = [0] * n
+    m = 0
+    for v, js in enumerate(nbrs):
+        for i, w in enumerate(js):
+            if w > v:
+                eids[v][i] = eids[w][lower[w]] = m
+                lower[w] += 1
+                m += 1
+
+    # Orientation: each edge is oriented away from where the DFS first meets it.
+    height = [-1] * n
+    parent = [-1] * n  # the tree edge into each vertex
+    dst = [-1] * m  # the head of each oriented edge; -1 while unoriented
+    lowpt, lowpt2, depth = [0] * m, [0] * m, [0] * m
+    out: list = [[] for _ in range(n)]  # the edges oriented away from each vertex
+    roots = []
+    nxt = [0] * n
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i < len(nbrs[v]):
+                nxt[v] = i + 1
+                ei = eids[v][i]
+                if dst[ei] >= 0:
+                    continue
+                w = dst[ei] = nbrs[v][i]
+                out[v].append(ei)
+                lowpt[ei] = lowpt2[ei] = height[v]
+                if height[w] < 0:  # a tree edge, finished when w is
+                    parent[w] = ei
+                    height[w] = height[v] + 1
+                    stack.append(w)
+                    continue
+                lowpt[ei] = height[w]  # a back edge
+            else:
+                stack.pop()
+                ei = parent[v]
+                if ei < 0:
+                    continue
+                v = stack[-1]
+            # ei leaves v and is finished: its nesting depth, then the lowpoints of v's parent edge.
+            depth[ei] = 2 * lowpt[ei] + (lowpt2[ei] < height[v])
+            e = parent[v]
+            if e >= 0:
+                if lowpt[ei] < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lowpt2[ei])
+                    lowpt[e] = lowpt[ei]
+                elif lowpt[ei] > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lowpt[ei])
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[ei])
+
+    # Testing.
+    for es in out:
+        es.sort(key=depth.__getitem__)
+    pairs: list = []  # the stack of conflict pairs
+    bottom = [0] * m  # the height of the pair stack when each edge is entered
+    ref = [-1] * m
+    nxt = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i < len(out[v]):
+                nxt[v] = i + 1
+                ei = out[v][i]
+                bottom[ei] = len(pairs)
+                if parent[dst[ei]] == ei:  # a tree edge, integrated when its head is finished
+                    stack.append(dst[ei])
+                    continue
+                pairs.append([-1, -1, ei, ei])
+            else:
+                stack.pop()
+                e = parent[v]
+                if e < 0:
+                    continue
+                u = stack[-1]
+                # Drop the back edges that end at u: whole pairs first, then the top pair's tops.
+                hu = height[u]
+                while pairs:
+                    p = pairs[-1]
+                    if p[0] < 0:
+                        lowest = lowpt[p[2]]
+                    elif p[2] < 0:
+                        lowest = lowpt[p[0]]
+                    else:
+                        lowest = min(lowpt[p[0]], lowpt[p[2]])
+                    if lowest != hu:
+                        break
+                    pairs.pop()
+                if pairs:
+                    p = pairs[-1]
+                    while p[1] >= 0 and dst[p[1]] == u:
+                        p[1] = ref[p[1]]
+                    if p[1] < 0:
+                        p[0] = -1
+                    while p[3] >= 0 and dst[p[3]] == u:
+                        p[3] = ref[p[3]]
+                    if p[3] < 0:
+                        p[2] = -1
+                ei, v = e, u
+            # Integrate the return edges of ei, unless it is v's first edge.
+            if lowpt[ei] >= height[v] or ei == out[v][0]:
+                continue
+            lo_e = lowpt[parent[v]]
+            lo_i = lowpt[ei]
+            left_low = left_high = right_low = right_high = -1
+            # The pairs above bottom[ei] are ei's own; merge them into the right interval.
+            while True:
+                q = pairs.pop()
+                if q[0] >= 0:
+                    q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if q[0] >= 0:
+                    return False
+                if lowpt[q[2]] > lo_e:  # else it sides with e's lowest return edge and leaves the stack
+                    if right_low < 0:
+                        right_high = q[3]
+                    else:
+                        ref[right_low] = q[3]
+                    right_low = q[2]
+                if len(pairs) == bottom[ei]:
+                    break
+            # The earlier siblings' pairs that conflict with ei go to the left interval.
+            while pairs:
+                q = pairs[-1]
+                if not (q[1] >= 0 and lowpt[q[1]] > lo_i or q[3] >= 0 and lowpt[q[3]] > lo_i):
+                    break
+                pairs.pop()
+                if q[3] >= 0 and lowpt[q[3]] > lo_i:
+                    q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
+                if q[3] >= 0 and lowpt[q[3]] > lo_i:
+                    return False
+                if right_low >= 0:
+                    ref[right_low] = q[3]
+                if q[2] >= 0:
+                    right_low = q[2]
+                if left_low < 0:
+                    left_high = q[1]
+                else:
+                    ref[left_low] = q[1]
+                left_low = q[0]
+            if left_low >= 0 or right_low >= 0:
+                pairs.append([left_low, left_high, right_low, right_high])
+    return True
+
+
 def is_planar(g: Graph, witness_cap: int = WITNESS_CAP) -> PlanarityVerdict:
-    planar, _ = nx.check_planarity(_to_nx(g), counterexample=False)
-    if planar:
+    if _lr_planar(g.index):
         return PlanarityVerdict(True, None)
     witness = None
     if len(g.vertices) <= witness_cap:

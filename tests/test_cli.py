@@ -278,6 +278,26 @@ def test_console_entry_point(tmp_path):
     assert len(parse_edge_list(out.stdout).edges) == 6
 
 
+def test_planarize_runs_without_networkx(tmp_path):
+    """The package has no runtime dependency: a fresh interpreter imports it
+    and planarizes a corpus instance without loading networkx."""
+    inst = corpus(DEFAULT_SEED)[0]
+    gpath = write(tmp_path, "host.txt", format_edge_list(inst.bundle.host))
+    bpath = write_json(tmp_path, "bundle.json", bundle_to_dict(inst.bundle))
+    script = ("import sys, coarsegraph\n"
+              "from coarsegraph.cli import main\n"
+              f"code = main(['planarize', '--graph', {gpath!r}, '--bundle', {bpath!r}])\n"
+              "print(code, 'networkx' in sys.modules, file=sys.stderr)\n")
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(coarsegraph.__file__)),
+    )
+    assert out.stderr.split() == ["0", "False"]
+    assert json.loads(out.stdout)["report"]["passed"] is True
+
+
 def _json_paths(node, path=()):
     """Every position in a decoded JSON value, as a tuple of keys and indices."""
     yield path

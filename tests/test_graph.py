@@ -14,6 +14,7 @@ from coarsegraph.graph import (
     Graph,
     canonical_edge,
     components,
+    cut_vertices,
     distance,
     distances_from,
     format_edge_list,
@@ -139,6 +140,20 @@ def test_shortest_path_matches_a_sorted_order_bfs(graph_data):
     for u in vs:
         for v in vs:
             assert shortest_path(g, u, v) == oracles.bfs_path(adj, u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cut_vertices_agree_with_the_oracle(data):
+    """A vertex is a cut vertex exactly when removing it adds a component; over
+    mixed labels, isolated vertices and several components."""
+    vs = data.draw(st.lists(_LABELS, min_size=1, max_size=12, unique=True))
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
+    es = data.draw(st.lists(st.sampled_from(pairs), max_size=16)) if pairs else []
+    g = Graph.build(es, vertices=vs)
+    adj = oracles.adjacency(es, vs)
+    base = len(oracles.components_without(adj, ()))
+    assert cut_vertices(g) == {v for v in vs if len(oracles.components_without(adj, {v})) > base}
 
 
 def test_shortest_path_is_geodesic():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,12 @@ from coarsegraph.generators import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    path_graph,
 )
 from coarsegraph.graph import Graph
 from coarsegraph.planarity import (
+    WITNESS_CAP,
+    PlanarityVerdict,
     SubdivisionWitness,
     find_subdivision,
     is_planar,
@@ -146,3 +150,85 @@ def test_verdict_matches_subdivision_search(n, seed):
     assert verdict.planar == (w is None)
     if w is not None:
         assert validate_subdivision(g, w)
+
+
+def _label(rng: random.Random, i: int):
+    """Vertex i under a random one of an int, a string and a tuple label."""
+    return rng.choice((i, f"v{i}", ("t", i % 3, str(i))))
+
+
+def _networkx_verdict(g: Graph) -> bool:
+    ng = nx.Graph()
+    ng.add_nodes_from(g.vertices)
+    ng.add_edges_from(g.edges)
+    return nx.check_planarity(ng)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.floats(0.5, 6.0), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_verdict_matches_networkx_on_random_graphs(n, mean_degree, parts, seed):
+    """G(n, p) with p = mean degree / (n − 1), split into up to three parts
+    with no edges between them: several components and isolated vertices,
+    under mixed int, string and tuple labels."""
+    rng = random.Random(seed)
+    vs = [_label(rng, i) for i in range(n)]
+    part = [rng.randrange(parts) for _ in vs]
+    p = mean_degree / max(n - 1, 1)
+    es = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n) if part[i] == part[j] and rng.random() < p]
+    g = Graph.build(es, vertices=vs)
+    assert is_planar(g, witness_cap=0).planar == _networkx_verdict(g)
+
+
+def stacked_triangulation(rng: random.Random, n: int) -> list:
+    """The edges of a random maximal planar graph on 0..n−1 (n ≥ 3): each new
+    vertex goes into a random face of the triangulation so far."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 60), st.integers(1, 6), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_verdict_matches_networkx_on_near_triangulations(n, deleted, chords, seed):
+    """A stacked triangulation minus some edges plus up to two random chords:
+    dense inputs on either side of planarity, under the 3n − 6 edge bound, so
+    the constraint merges and the trimming of back edges decide them."""
+    rng = random.Random(seed)
+    es = stacked_triangulation(rng, n)
+    rng.shuffle(es)
+    es = es[deleted:]
+    for _ in range(chords):
+        es.append(tuple(rng.sample(range(n), 2)))
+    vs = [_label(rng, i) for i in range(n)]
+    g = Graph.build([(vs[u], vs[v]) for u, v in es], vertices=vs)
+    assert is_planar(g, witness_cap=0).planar == _networkx_verdict(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.floats(0.2, 0.8), st.integers(0, 2**32 - 1))
+def test_verdict_matches_the_subdivision_oracle(n, p, seed):
+    rng = random.Random(seed)
+    vs, es = oracles.random_graph(rng, n, p)
+    g = Graph.build(es, vertices=vs)
+    assert is_planar(g, witness_cap=0).planar == (not oracles.has_subdivision(oracles.adjacency(es, vs)))
+
+
+def _hung_on_a_cycle(g: Graph, n: int) -> Graph:
+    """g joined by one edge to a cycle on n vertices labelled ("c", i)."""
+    ring = [(("c", i), ("c", (i + 1) % n)) for i in range(n)]
+    return Graph.build([*g.edges, *ring, (min(g.vertices), ("c", 0))])
+
+
+def test_large_and_deep_inputs_run_without_recursion():
+    """Both DFS passes are iterative: a 20,000-vertex path or cycle would
+    overflow Python's recursion limit in a recursive test."""
+    for g in (path_graph(20_000), cycle_graph(20_000), grid_graph(60, 60)):
+        assert is_planar(g) == PlanarityVerdict(True, None)
+    for core in (complete_graph(5), complete_bipartite_graph(3, 3)):
+        g = _hung_on_a_cycle(core, 2_000)
+        assert len(g.vertices) > WITNESS_CAP
+        assert is_planar(g) == PlanarityVerdict(False, None)
