@@ -30,6 +30,7 @@ from .graph import (
     parse_edge_list,
     parse_vertex_token,
     to_dot,
+    vertex_from_json,
     vertex_token,
 )
 from .separations import enumerate_tight, separation_to_dict
@@ -45,7 +46,10 @@ from .treedecomp import (
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _read_graph(path: str) -> Graph:
@@ -53,11 +57,10 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -77,8 +80,11 @@ def _graph_text(g: Graph, dot: bool) -> str:
 
 
 def _parse_phi(data) -> dict:
-    raw = data["phi"] if isinstance(data, dict) and isinstance(data.get("phi"), dict) else data
-    return {parse_vertex_token(k): parse_vertex_token(v) for k, v in raw.items()}
+    """A map file: ``{vertex token: image}``, bare or under a ``"phi"`` key."""
+    if not isinstance(data, dict):
+        raise ParseError("the map must be a JSON object")
+    raw = data["phi"] if isinstance(data.get("phi"), dict) else data
+    return {parse_vertex_token(k): vertex_from_json(v) for k, v in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphToolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GraphToolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

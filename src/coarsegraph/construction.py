@@ -150,6 +150,21 @@ def _reducible_to_empty_by_sp_rules(g: Graph) -> bool:
     return not alive
 
 
+def _first_fit(host: Graph, td: TreeDecomposition, t, kinds, k: int, finite_threshold: int,
+               torsos: dict | None):
+    """The first of ``kinds`` whose test the part at t passes, or None: at most
+    ``finite_threshold`` vertices, then a torso of treewidth ≤ k, then a planar
+    torso.  The torso is taken from ``torsos`` or built, at most once."""
+    if FINITE in kinds and len(td.parts[t]) <= finite_threshold:
+        return FINITE
+    tg = None if kinds == (FINITE,) else (torsos[t] if torsos else torso(host, td, t))
+    if BOUNDED_TW in kinds and treewidth_at_most(tg, k):
+        return BOUNDED_TW
+    if PLANAR in kinds and planarity.is_planar(tg, witness_cap=0).planar:
+        return PLANAR
+    return None
+
+
 def classify_torsos(
     host: Graph,
     td: TreeDecomposition,
@@ -161,20 +176,11 @@ def classify_torsos(
     ``torsos`` (tree node -> torso graph) reuses torsos already built."""
     out: dict = {}
     for t in td.tree.sorted_vertices():
-        part = td.parts[t]
-        if len(part) <= finite_threshold:
-            out[t] = FINITE
-            continue
-        tg = torsos[t] if torsos else torso(host, td, t)
-        if treewidth_at_most(tg, k):
-            out[t] = BOUNDED_TW
-            continue
-        if planarity.is_planar(tg, witness_cap=0).planar:
-            out[t] = PLANAR
-            continue
-        raise ClassificationError(
-            f"torso at {t!r} is neither small (≤ {finite_threshold}), nor of treewidth ≤ {k}, nor planar"
-        )
+        out[t] = _first_fit(host, td, t, TORSO_KINDS, k, finite_threshold, torsos)
+        if out[t] is None:
+            raise ClassificationError(
+                f"torso at {t!r} is neither small (≤ {finite_threshold}), nor of treewidth ≤ {k}, nor planar"
+            )
     return out
 
 
@@ -187,13 +193,12 @@ def check_classification(host: Graph, td: TreeDecomposition, k: int, classificat
     for t, kind in classification.items():
         if kind not in TORSO_KINDS:
             raise StructuralError(f"unknown torso class {kind!r} at {t!r}")
-        if kind == FINITE and len(td.parts[t]) > finite_threshold:
-            raise ClassificationError(f"part at {t!r} has {len(td.parts[t])} vertices, above the threshold {finite_threshold}")
-        tg = None if kind == FINITE else (torsos[t] if torsos else torso(host, td, t))
-        if kind == BOUNDED_TW and not treewidth_at_most(tg, k):
-            raise ClassificationError(f"torso at {t!r} does not have treewidth ≤ {k}")
-        if kind == PLANAR and not planarity.is_planar(tg, witness_cap=0).planar:
-            raise ClassificationError(f"torso at {t!r} is not planar")
+        if _first_fit(host, td, t, (kind,), k, finite_threshold, torsos) is None:
+            raise ClassificationError({
+                FINITE: f"part at {t!r} has {len(td.parts[t])} vertices, above the threshold {finite_threshold}",
+                BOUNDED_TW: f"torso at {t!r} does not have treewidth ≤ {k}",
+                PLANAR: f"torso at {t!r} is not planar",
+            }[kind])
 
 
 # ---------------------------------------------------------------------------

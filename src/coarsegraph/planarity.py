@@ -1,21 +1,29 @@
 """Planarity decision with subdivision witnesses on small graphs.
 
-The verdict comes from the package's own left-right planarity test
-(de Fraysseix–Rosenstiehl, in Brandes' formulation) on ``GraphIndex`` ids; the
-witness (a K₅ or K₃,₃ subdivision, which exists in every non-planar graph) is
-extracted by a self-contained backtracking search so it can be validated
-independently of the decision procedure.
+One algorithm gives both the verdict and the witness: the package's own
+left-right planarity test (de Fraysseix–Rosenstiehl, in Brandes' formulation)
+on ``GraphIndex`` ids.  On a non-planar graph, deleting every edge the test
+shows to be unneeded for non-planarity leaves a K₅ or K₃,₃ subdivision, which
+``validate_subdivision`` re-checks independently of the test.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import StructuralError
-from .graph import Graph, GraphIndex
+from .graph import Graph
 
 WITNESS_CAP = 12
+
+# Each kind's number of branch vertices, and the pairs of branch positions
+# that its paths join, in the order a witness lists the paths.
+_SHAPES = {
+    "K5": (5, list(combinations(range(5), 2))),
+    "K33": (6, [(i, j) for i in range(3) for j in range(3, 6)]),
+}
 
 
 @dataclass(frozen=True)
@@ -34,19 +42,8 @@ class PlanarityVerdict:
 def validate_subdivision(g: Graph, w: SubdivisionWitness) -> bool:
     """Check a claimed subdivision: right path ends, internal disjointness."""
     branch = list(w.branch_vertices)
-    if len(set(branch)) != len(branch):
-        return False
-    if w.kind == "K5":
-        if len(branch) != 5:
-            return False
-        needed = list(combinations(range(5), 2))
-    elif w.kind == "K33":
-        if len(branch) != 6:
-            return False
-        needed = [(i, j) for i in range(3) for j in range(3, 6)]
-    else:
-        return False
-    if len(w.paths) != len(needed):
+    size, needed = _SHAPES.get(w.kind, (0, []))
+    if len(set(branch)) != len(branch) or len(branch) != size or len(w.paths) != len(needed):
         return False
     used_internal: set = set()
     for (i, j), path in zip(needed, w.paths):
@@ -64,74 +61,69 @@ def validate_subdivision(g: Graph, w: SubdivisionWitness) -> bool:
     return True
 
 
-def _route_paths(index: GraphIndex, branch: list, needed: list) -> tuple | None:
-    """Backtracking: internally-disjoint paths joining the required pairs of
-    branch ids, walked on ids and returned as vertex tuples."""
-    nbrs = index.nbrs
-    branch_set = sum(1 << v for v in branch)
-    paths: list = []
-    used = 0
-
-    def extend(pi: int) -> bool:
-        nonlocal used
-        if pi == len(needed):
-            return True
-        i, j = needed[pi]
-        a, b = branch[i], branch[j]
-
-        # DFS over simple paths from a to b avoiding used interiors and other
-        # branch vertices.
-        stack: list = [(a, [a], 1 << a)]
-        seen_states = 0
-        while stack:
-            v, path, on_path = stack.pop()
-            for w in nbrs[v]:
-                if w == b:
-                    interior = on_path & ~(1 << a)
-                    paths.append(path + [b])
-                    used |= interior
-                    if extend(pi + 1):
-                        return True
-                    used &= ~interior
-                    paths.pop()
-                    continue
-                if (branch_set | used | on_path) >> w & 1:
-                    continue
-                stack.append((w, path + [w], on_path | 1 << w))
-                seen_states += 1
-                if seen_states > 200000:
-                    return False
-        return False
-
-    if extend(0):
-        return tuple(tuple(index.order[v] for v in p) for p in paths)
-    return None
+def _strip(nbrs: list, todo: list) -> None:
+    """Delete vertices of degree 1 until none is left, starting from ``todo``."""
+    while todo:
+        v = todo.pop()
+        if len(nbrs[v]) == 1:
+            w = nbrs[v].pop()
+            nbrs[w].remove(v)
+            todo.append(w)
 
 
 def find_subdivision(g: Graph) -> SubdivisionWitness | None:
-    """Search for a K₅ or K₃,₃ subdivision (graphs up to WITNESS_CAP vertices)."""
+    """A K₅ or K₃,₃ subdivision of g, or None iff g is planar.
+
+    ``_lr_planar`` is the only oracle.  On a copy of the id adjacency, each
+    edge is tried once, by descending endpoint-degree sum (ties by id), and
+    deleted if the graph stays non-planar without it; degree-1 vertices are
+    stripped after each deletion.  So a Kuratowski subdivision S stays.  Once
+    the vertices of degree > 2 are five of degree 4 (six of degree 3), S is a
+    K₅ (K₃,₃) subdivision on them that uses all their edges and both edges of
+    its degree-2 vertices: a whole component, beside disjoint cycles.  Were
+    every edge tried, each one left would be needed, leaving S alone: the
+    stop always comes.
+    """
     index = g.index
-    deg4 = [v for v, js in enumerate(index.nbrs) if len(js) >= 4]
-    for combo in combinations(deg4, 5):
-        needed = list(combinations(range(5), 2))
-        paths = _route_paths(index, list(combo), needed)
-        if paths is not None:
-            return SubdivisionWitness("K5", tuple(index.order[v] for v in combo), paths)
-    deg3 = [v for v, js in enumerate(index.nbrs) if len(js) >= 3]
-    needed33 = [(i, j) for i in range(3) for j in range(3, 6)]
-    for combo in combinations(deg3, 6):
-        for left in combinations(range(6), 3):
-            if 0 not in left:  # fix the smallest vertex on the left side
-                continue
-            right = [i for i in range(6) if i not in left]
-            branch = [combo[i] for i in left] + [combo[i] for i in right]
-            paths = _route_paths(index, branch, needed33)
-            if paths is not None:
-                return SubdivisionWitness("K33", tuple(index.order[v] for v in branch), paths)
-    return None
+    nbrs = [list(js) for js in index.nbrs]
+    if _lr_planar(nbrs):
+        return None
+    _strip(nbrs, list(range(len(nbrs))))
+    edges = sorted((-len(nbrs[u]) - len(nbrs[v]), u, v) for u, js in enumerate(nbrs) for v in js if u < v)
+    for _, u, v in edges:
+        big = [len(js) for js in nbrs if len(js) > 2]
+        if big == [4] * 5 or big == [3] * 6:
+            break
+        if v not in nbrs[u]:  # stripped with a pendant path
+            continue
+        nbrs[u].remove(v)
+        nbrs[v].remove(u)
+        if _lr_planar(nbrs):
+            insort(nbrs[u], v)
+            insort(nbrs[v], u)
+        else:
+            _strip(nbrs, [u, v])
+    branch = [v for v, js in enumerate(nbrs) if len(js) > 2]
+    ends = {}  # (branch id, branch id) -> the path between them along degree-2 ids
+    for b in branch:
+        for w in nbrs[b]:
+            path = [b]
+            while len(nbrs[w]) == 2:
+                path.append(w)
+                x, y = nbrs[w]
+                w = y if x == path[-2] else x
+            ends[b, w] = path + [w]
+    if len(branch) == 5:
+        kind = "K5"
+    else:  # the least branch id and its two non-neighbours on the left
+        right = sorted(w for (b, w) in ends if b == branch[0])
+        kind, branch = "K33", [b for b in branch if b not in right] + right
+    label = index.order
+    return SubdivisionWitness(kind, tuple(label[v] for v in branch),
+                              tuple(tuple(label[v] for v in ends[branch[i], branch[j]]) for i, j in _SHAPES[kind][1]))
 
 
-def _lr_planar(index: GraphIndex) -> bool:
+def _lr_planar(nbrs: list) -> bool:
     """The left-right planarity test (Brandes, "The Left-Right Planarity
     Test", 2009), verdict only.
 
@@ -143,9 +135,9 @@ def _lr_planar(index: GraphIndex) -> bool:
     run on edge ids with explicit stacks; a conflict pair is the list
     ``[left low, left high, right low, right high]`` with -1 for "none", and an
     interval is empty iff its low end is -1.  ``ref`` links each back edge of
-    an interval to the next one down.
+    an interval to the next one down.  ``nbrs[v]`` lists the neighbour ids of
+    v in increasing order.
     """
-    nbrs = index.nbrs
     n = len(nbrs)
     if n > 2 and sum(map(len, nbrs)) > 2 * (3 * n - 6):
         return False
@@ -306,13 +298,11 @@ def _lr_planar(index: GraphIndex) -> bool:
 
 
 def is_planar(g: Graph, witness_cap: int = WITNESS_CAP) -> PlanarityVerdict:
-    if _lr_planar(g.index):
-        return PlanarityVerdict(True, None)
-    witness = None
-    if len(g.vertices) <= witness_cap:
-        witness = find_subdivision(g)
-        if witness is None:
-            raise StructuralError("non-planar graph without a Kuratowski subdivision; decision and witness search disagree")
-        if not validate_subdivision(g, witness):
-            raise StructuralError("extracted subdivision failed validation")
-    return PlanarityVerdict(False, witness)
+    """The verdict, with a validated witness when g is non-planar and has at
+    most ``witness_cap`` vertices; ``find_subdivision`` decides those graphs."""
+    if len(g.vertices) > witness_cap:
+        return PlanarityVerdict(_lr_planar(g.index.nbrs), None)
+    witness = find_subdivision(g)
+    if witness is not None and not validate_subdivision(g, witness):
+        raise StructuralError("extracted subdivision failed validation")
+    return PlanarityVerdict(witness is None, witness)

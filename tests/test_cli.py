@@ -265,6 +265,30 @@ def test_bad_input_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err
     assert main(["treewidth", "--graph", str(tmp_path / "missing.txt")]) == 2
+    # A file that is not UTF-8 text, and a directory, are bad input too.
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"0 \xe9\n")
+    for path in (latin1, tmp_path):
+        capsys.readouterr()
+        assert main(["planarity", "--graph", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_qi_check_map_shapes(tmp_path, capsys):
+    """A map file must be a JSON object; an image may be an int or a token."""
+    spath = write(tmp_path, "p3.txt", format_edge_list(path_graph(3)))
+    tpath = write(tmp_path, "p2.txt", format_edge_list(path_graph(2)))
+
+    def check(phi):
+        return main(["qi-check", "--source", spath, "--target", tpath, "--map", write_json(tmp_path, "phi.json", phi)])
+
+    for bad in ([["0", "0"]], {"phi": {"0": None, "1": 0, "2": 1}}):
+        assert check(bad) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert check({"phi": {"0": "0", "1": "0", "2": "1"}}) == 0
+    as_tokens = capsys.readouterr().out
+    assert check({"phi": {"0": 0, "1": 0, "2": 1}}) == 0
+    assert capsys.readouterr().out == as_tokens
 
 
 def test_console_entry_point(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsegraph import planarity
 from coarsegraph.generators import (
     complete_bipartite_graph,
     complete_graph,
@@ -46,12 +47,7 @@ def prism(n: int) -> Graph:
 
 def test_planar_families():
     for g in (complete_graph(4), grid_graph(4, 5), cycle_graph(9), prism(3), prism(6)):
-        verdict = is_planar(g)
-        assert verdict.planar
-        assert verdict.witness is None
-    # Exhaustively certifying the absence of a subdivision is only cheap on
-    # small graphs, so the direct search is spot-checked there.
-    for g in (complete_graph(4), grid_graph(3, 3), prism(3)):
+        assert is_planar(g) == PlanarityVerdict(True, None)
         assert find_subdivision(g) is None
 
 
@@ -82,7 +78,7 @@ def test_petersen_witness_is_a_k33_subdivision():
 
 def subdivided_k33() -> Graph:
     """K3,3 on {0, b, (c|1)} × {x, 2, (y|0)} with b-(y|0) subdivided and 0-x
-    replaced by two subdivided routes; the search's neighbour order picks one."""
+    replaced by two subdivided routes; the extractor's edge order picks one."""
     left, right = [0, "b", ("c", 1)], ["x", 2, ("y", 0)]
     edges = [(a, b) for a in left for b in right if (a, b) not in ((0, "x"), ("b", ("y", 0)))]
     return Graph.build(edges + [(0, "s1"), ("s1", ("s", 2)), (("s", 2), "x"), (0, ("s", 3)), (("s", 3), "x"),
@@ -95,14 +91,16 @@ def subdivided_k33() -> Graph:
     (complete_bipartite_graph(3, 3), "K33", ("l0", "l1", "l2", "r0", "r1", "r2"),
      (("l0", "r0"), ("l0", "r1"), ("l0", "r2"), ("l1", "r0"), ("l1", "r1"), ("l1", "r2"),
       ("l2", "r0"), ("l2", "r1"), ("l2", "r2"))),
-    (petersen(), "K33", (0, 2, 8, 1, 3, 5),
-     ((0, 1), (0, 4, 3), (0, 5), (2, 1), (2, 3), (2, 7, 5), (8, 6, 1), (8, 3), (8, 5))),
+    (petersen(), "K33", (2, 8, 9, 3, 6, 7),
+     ((2, 3), (2, 1, 6), (2, 7), (8, 3), (8, 6), (8, 5, 7), (9, 4, 3), (9, 6), (9, 7))),
     (subdivided_k33(), "K33", (0, "b", ("c", 1), 2, "x", ("y", 0)),
      ((0, 2), (0, ("s", 3), "x"), (0, ("y", 0)), ("b", 2), ("b", "x"), ("b", 7, ("y", 0)),
       (("c", 1), 2), (("c", 1), "x"), (("c", 1), ("y", 0)))),
 ])
 def test_witnesses_are_pinned(g, kind, branch, paths):
-    """The CLI prints these witnesses; they are the ones measured at 2ec775d."""
+    """The CLI prints these witnesses.  Petersen's is the one the edge-deletion
+    extractor gives; the others are also the ones the backtracking search it
+    replaced gave."""
     w = is_planar(g).witness
     assert (w.kind, w.branch_vertices, w.paths) == (kind, branch, paths)
 
@@ -137,19 +135,50 @@ def test_witness_paths_are_internally_disjoint():
         seen |= interior
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(4, 9), st.integers(0, 10_000))
-def test_verdict_matches_subdivision_search(n, seed):
-    """On small graphs the boolean verdict and the witness search agree, and
-    any produced witness validates."""
+def random_cubic(rng: random.Random, n: int) -> list:
+    """The edges of a random simple cubic graph on 0..n−1 (n even): random
+    pairings of the 3n half-edges until one has no loop and no repeated edge."""
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        es = {tuple(sorted(ends[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(es) == 3 * n // 2 and all(u != v for u, v in es):
+            return sorted(es)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 9), st.integers(0, 10_000), st.booleans())
+def test_verdict_matches_subdivision_search(n, seed, cubic):
+    """On small graphs, G(n, p) or random cubic graphs on 12 vertices under
+    mixed int, string and tuple labels, the verdict with a witness, the
+    verdict without one and networkx agree, and every witness validates."""
     rng = random.Random(seed)
-    vs, es = oracles.random_graph(rng, n, 0.55)
-    g = Graph.build(es, vertices=vs)
+    if cubic:
+        vs, es = list(range(12)), random_cubic(rng, 12)
+    else:
+        vs, es = oracles.random_graph(rng, n, 0.55)
+    names = [_label(rng, v) for v in vs]
+    g = Graph.build([(names[u], names[v]) for u, v in es], vertices=names)
     verdict = is_planar(g)
     w = find_subdivision(g)
-    assert verdict.planar == (w is None)
+    assert verdict == PlanarityVerdict(w is None, w)
+    assert verdict.planar == is_planar(g, witness_cap=0).planar == _networkx_verdict(g)
     if w is not None:
         assert validate_subdivision(g, w)
+
+
+def test_extraction_makes_at_most_one_verdict_per_edge(monkeypatch):
+    """One find_subdivision call runs the left-right test at most |E| + 1
+    times: once for the verdict, then at most once per edge."""
+    calls = []
+    real = planarity._lr_planar
+    monkeypatch.setattr(planarity, "_lr_planar", lambda nbrs: calls.append(1) or real(nbrs))
+    rng = random.Random(7)
+    cubic = [Graph.build(random_cubic(rng, 12)) for _ in range(20)]
+    for g in (petersen(), subdivided_k33(), complete_graph(8), complete_bipartite_graph(4, 5), *cubic):
+        calls.clear()
+        find_subdivision(g)
+        assert 1 <= len(calls) <= len(g.edges) + 1
 
 
 def _label(rng: random.Random, i: int):
