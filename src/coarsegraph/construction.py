@@ -32,8 +32,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    bit_ids,
-    components,
     cut_vertices,
     induced_subgraph,
     is_connected,
@@ -56,6 +54,7 @@ from .treedecomp import (
     edge_separation,
     exact_treewidth,
     heuristic_td,
+    min_degree_elimination,
     torso,
     tree_center,
     td_from_dict,
@@ -94,6 +93,8 @@ def validate_bundle(bundle: InstanceBundle) -> None:
         raise ContractViolationError("k must be non-negative")
     for v in bundle.infinite_markers:
         bundle.host.require_vertex(v)
+    for t in bundle.sub_tds:
+        bundle.td.part(t)  # raises for a sub-decomposition of no tree node
 
 
 # ---------------------------------------------------------------------------
@@ -102,52 +103,25 @@ def validate_bundle(bundle: InstanceBundle) -> None:
 
 
 def treewidth_at_most(g: Graph, k: int) -> bool:
-    """Decide tw(g) ≤ k by the cheapest exact route.
+    """Decide tw(g) ≤ k.
 
-    At every size, k < 0 holds only for the empty graph, k = 0 for an edgeless
-    one, k = 1 for a forest, and k = 2 exactly when the series-parallel
-    reduction rules empty the graph; all three tests are linear.  For k ≥ 3 the
-    exact subset DP decides at or below ``DEFAULT_TREEWIDTH_CAP`` vertices;
-    above it a heuristic width ≤ k certifies the upper bound and anything else
-    raises rather than guessing.
+    For k ≤ 2 at every size, by ``min_degree_elimination`` stopped at degree
+    k: while a vertex of degree ≤ k is left it removes one, and that order
+    empties the graph exactly when tw ≤ k.  For k ≥ 3 the exact subset DP
+    decides at or below ``DEFAULT_TREEWIDTH_CAP`` vertices; above it a
+    min-degree width ≤ k certifies the upper bound and anything else raises
+    rather than guessing.
     """
-    if k < 0:
-        return not g.vertices
-    if k == 0:
-        return not g.edges
-    if k == 1:
-        return len(g.edges) == len(g.vertices) - len(components(g))
-    if k == 2:
-        return _reducible_to_empty_by_sp_rules(g)
+    if k <= 2:
+        return min_degree_elimination(g, k) is not None
     n = len(g.vertices)
     if n <= DEFAULT_TREEWIDTH_CAP:
         return exact_treewidth(g, DEFAULT_TREEWIDTH_CAP) <= k
-    if width(heuristic_td(g)) <= k:
+    if min_degree_elimination(g, k) is not None:
         return True
     raise ContractViolationError(
         f"cannot decide treewidth ≤ {k} for a {n}-vertex graph above the exact cap {DEFAULT_TREEWIDTH_CAP}"
     )
-
-
-def _reducible_to_empty_by_sp_rules(g: Graph) -> bool:
-    # tw ≤ 2 iff the graph reduces to nothing under: drop a vertex of degree
-    # ≤ 1, bypass one of degree 2 (adding the shortcut edge).  Neither rule
-    # lowers a treewidth of 3 or more, so any order decides.  A vertex is
-    # queued whenever its degree may have fallen, so an empty queue leaves
-    # only vertices of degree ≥ 3.
-    adj = list(g.index.masks)
-    alive = queue = (1 << len(adj)) - 1
-    while queue:
-        low = queue & -queue
-        queue ^= low
-        nbrs = adj[low.bit_length() - 1]
-        if not alive & low or nbrs.bit_count() > 2:
-            continue
-        alive ^= low
-        for w in bit_ids(nbrs):
-            adj[w] = (adj[w] | nbrs) & ~(1 << w | low)
-        queue |= nbrs
-    return not alive
 
 
 def _first_fit(host: Graph, td: TreeDecomposition, t, kinds, k: int, finite_threshold: int,

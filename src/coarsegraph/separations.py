@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import StructuralError
-from .graph import Graph, Vertex, components_minus, set_key, sort_vertices, vertex_key
+from .graph import Graph, Vertex, components_minus, set_key, sort_vertices, vertex_from_json, vertex_key
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,7 @@ def separation_to_dict(sep: Separation) -> dict:
 
 
 def separation_from_dict(data: dict) -> Separation:
-    if not isinstance(data, dict) or "A" not in data or "B" not in data:
-        raise StructuralError("separation JSON must have keys 'A' and 'B'")
-    return Separation.of(data["A"], data["B"])
+    if not (isinstance(data, dict) and isinstance(data.get("A"), list) and isinstance(data.get("B"), list)):
+        raise StructuralError("separation JSON must have lists 'A' and 'B'")
+    a, b = ([vertex_from_json(v, token=False) for v in data[side]] for side in "AB")
+    return Separation.of(a, b)

@@ -135,6 +135,41 @@ def edge_separation(host: Graph, td: TreeDecomposition, edge: tuple) -> Separati
 # ---------------------------------------------------------------------------
 
 
+def min_degree_elimination(g: Graph, max_degree: int | None = None) -> list[tuple[int, int]] | None:
+    """Eliminate the vertex of least degree (ties to the least id, which is the
+    least vertex key) and make its neighbours a clique, until g is empty.
+    Returns each eliminated id with its bag (the id and its neighbours then)
+    as ``g.index`` masks in elimination order, or None once the least degree
+    left exceeds ``max_degree``.  The widest bag minus one bounds treewidth
+    (Bodlaender–Koster).  With ``max_degree`` = k ≤ 2 it returns None exactly
+    when tw > k: its steps are the series–parallel reductions (Wald–Colbourn).
+    """
+    adj = list(g.index.masks)
+    deg = [a.bit_count() for a in adj]
+    buckets = [0] * len(adj)  # degree -> mask of the live ids of that degree
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
+    out = []
+    d = 0
+    for _ in adj:
+        while not buckets[d]:
+            d += 1
+        if max_degree is not None and d > max_degree:
+            return None
+        low = buckets[d] & -buckets[d]
+        buckets[d] ^= low
+        nbrs = adj[low.bit_length() - 1]
+        out.append((low.bit_length() - 1, nbrs | low))
+        for a in bit_ids(nbrs):
+            adj[a] = (adj[a] | nbrs) & ~(1 << a | low)
+            buckets[deg[a]] ^= 1 << a
+            deg[a] = adj[a].bit_count()
+            buckets[deg[a]] |= 1 << a
+        # A neighbour loses only the eliminated vertex, so no degree falls below d - 1.
+        d = max(d - 1, 0)
+    return out
+
+
 def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
     """Exact treewidth by a forward dynamic programme over vertex subsets
     (Bodlaender, Fomin, Koster, Kratsch and Thilikos, "On exact algorithms
@@ -142,8 +177,8 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
     through S, f(S ∪ {v}) = min over v of max(f(S), |Q(S, v)|) and tw = f(V).
     Each S is expanded once: the components of G[S] give |Q(S, v)| for every
     v.  Only sets with f(S) below the min-degree width are kept.  Exponential
-    in |V|, hence the cap; ``construction.treewidth_at_most`` decides k ≤ 2
-    by linear tests and calls this only for k ≥ 3.
+    in |V|, hence the cap; ``construction.treewidth_at_most`` calls this only
+    for k ≥ 3.
     """
     n = len(g.vertices)
     if n > cap:
@@ -151,7 +186,7 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
     if n == 0:
         return -1
     adj = g.index.masks
-    bound = width(heuristic_td(g))
+    bound = max(bag.bit_count() for _, bag in min_degree_elimination(g)) - 1
     full = (1 << n) - 1
     layer = {0: -1}  # f on the kept sets of one size
     for _ in range(n):
@@ -184,34 +219,23 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
 def heuristic_td(g: Graph) -> TreeDecomposition:
     """Min-degree elimination tree-decomposition (deterministic tie-breaks).
 
-    Tree nodes are the elimination indices 0..n-1; node i's part is the
-    eliminated vertex plus its neighbours at elimination time.
+    Tree nodes are the elimination indices 0..n-1; node i's part is the bag of
+    the i-th vertex that ``min_degree_elimination`` removes.
     """
     index = g.index
     if not index.order:
         return TreeDecomposition(Graph.build(vertices=[0]), {0: frozenset()})
-    live = dict(enumerate(index.masks))  # id -> mask of its live neighbours
-    pos = [0] * len(live)  # id -> elimination index
-    bags: list[int] = []
-    while live:
-        # Ids follow vertex-key order, so ties fall to the least vertex.
-        v = min(live, key=lambda x: (live[x].bit_count(), x))
-        nbrs = live.pop(v)
-        pos[v] = len(bags)
-        bags.append(nbrs | 1 << v)
-        for a in bit_ids(nbrs):
-            live[a] = (live[a] | nbrs) & ~(1 << a | 1 << v)
+    elimination = min_degree_elimination(g)
+    pos = {v: i for i, (v, _) in enumerate(elimination)}  # id -> elimination index
     edges = []
-    for i, bag in enumerate(bags):
+    for i, (_, bag) in enumerate(elimination):
         later = [pos[w] for w in bit_ids(bag) if pos[w] > i]
-        if later:
-            edges.append((i, min(later)))
-        elif i + 1 < len(bags):
-            # Bag with no later vertices (end of a component): keep T connected.
-            edges.append((i, i + 1))
+        if later or i + 1 < len(elimination):
+            # A bag with no later vertex ends a component: link it to the next bag.
+            edges.append((i, min(later, default=i + 1)))
     return TreeDecomposition(
-        Graph.build(edges, vertices=range(len(bags))),
-        {i: index.labels(bag) for i, bag in enumerate(bags)},
+        Graph.build(edges, vertices=range(len(elimination))),
+        {i: index.labels(bag) for i, (_, bag) in enumerate(elimination)},
     )
 
 

@@ -207,6 +207,22 @@ def treewidth_elimination(adj):
     return best
 
 
+def min_degree_elimination(adj):
+    """The bags of min-degree elimination in order: eliminate the vertex of
+    least degree, ties to the least ``label_key``, make its neighbours a
+    clique; its bag is itself plus those neighbours."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    bags = []
+    while work:
+        v = min(work, key=lambda x: (len(work[x]), label_key(x)))
+        ns = work.pop(v)
+        bags.append(frozenset(ns | {v}))
+        for x in ns:
+            work[x] |= ns - {x}
+            work[x].discard(v)
+    return bags
+
+
 def has_minor(p_vertices, p_edges, host_adj):
     """Ordinary-minor containment by exhaustive assignment of host vertices to
     branch sets (or to none), checking connectivity and edge coverage."""

@@ -226,6 +226,9 @@ def test_planarize_from_bundle_json(tmp_path, capsys):
     '{"k": true, "td": {"tree_edges": [], "parts": {"a": [0, 1, 2, 3, 4, 5]}}}',      # true is not 1
     '{"k": 2.5, "td": {"tree_edges": [], "parts": {"a": [0, 1, 2, 3, 4, 5]}}}',
     '{"k": Infinity, "td": {"tree_edges": [], "parts": {"a": [0, 1, 2, 3, 4, 5]}}}',  # json reads it as inf
+    # a sub-decomposition keyed by a node that is not in the tree
+    '{"k": 2, "td": {"tree_edges": [], "parts": {"a": [0, 1, 2, 3, 4, 5]}},'
+    ' "sub_tds": {"b": {"tree_edges": [], "parts": {"x": [0, 1, 2, 3, 4, 5]}}}}',
 ])
 def test_malformed_bundle_exits_two(tmp_path, capsys, text):
     gpath, _ = two_k4_files(tmp_path)
@@ -320,6 +323,34 @@ def test_planarize_runs_without_networkx(tmp_path):
     )
     assert out.stderr.split() == ["0", "False"]
     assert json.loads(out.stdout)["report"]["passed"] is True
+
+
+def test_library_runs_with_networkx_unimportable():
+    """With networkx made unimportable, a fresh interpreter on the sources
+    builds and verifies one corpus instance of each torso class, finds a
+    Kuratowski witness in K5 and computes an exact treewidth."""
+    script = ("import sys\n"
+              "sys.modules['networkx'] = None\n"
+              "from coarsegraph.construction import build_H, verify_output\n"
+              "from coarsegraph.corpus import DEFAULT_SEED, corpus\n"
+              "from coarsegraph.generators import complete_graph, grid_graph\n"
+              "from coarsegraph.planarity import is_planar\n"
+              "from coarsegraph.treedecomp import exact_treewidth\n"
+              "passed = {}\n"
+              "for inst in corpus(DEFAULT_SEED):\n"
+              "    out = build_H(inst.bundle)\n"
+              "    kinds = set(out.classification.values()) - set(passed)\n"
+              "    if kinds:\n"
+              "        ok = verify_output(inst.bundle, out).passed\n"
+              "        passed.update(dict.fromkeys(kinds, ok))\n"
+              "print(sorted(passed.items()), is_planar(complete_graph(5)).witness is not None,\n"
+              "      exact_treewidth(grid_graph(3, 4)))\n")
+    src = os.path.dirname(os.path.dirname(coarsegraph.__file__))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[0] == (
+        "[('bounded-treewidth', True), ('finite', True), ('planar', True)] True 3")
 
 
 def _json_paths(node, path=()):

@@ -163,7 +163,7 @@ def test_treewidth_at_most_matches_the_elimination_oracle(n, p, seed):
     vs, es = oracles.random_graph(random.Random(seed), n, p)
     tw = oracles.treewidth_elimination(oracles.adjacency(es, vs))
     g = Graph.build(es, vertices=vs)
-    for k in range(4):
+    for k in range(-1, 4):
         assert treewidth_at_most(g, k) == (tw <= k), (k, tw, es)
 
 

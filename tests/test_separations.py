@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -119,8 +120,12 @@ def test_enumerate_matches_definitional_oracle():
 def test_dict_round_trip():
     sep = Separation.of({1, 2}, {2, 3, 4})
     assert separation_from_dict(separation_to_dict(sep)) == sep
-    with pytest.raises(StructuralError):
-        separation_from_dict({"A": [1]})
+    # Through JSON text, where tuple vertices become lists.
+    mixed = Separation.of({0, "a", (1, "b")}, {"a", (1, "b"), (2, ("c", 3)), "d"})
+    assert separation_from_dict(json.loads(json.dumps(separation_to_dict(mixed)))) == mixed
+    for bad in ({"A": [1]}, {"A": [1], "B": 2}, {"A": "12", "B": [2]}, [[1], [2]]):
+        with pytest.raises(StructuralError):
+            separation_from_dict(bad)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import CapacityError, EmptySetError, GraphToolError, StructuralError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph, is_connected, parse_vertex_token, vertex_token
@@ -198,6 +199,23 @@ def test_heuristic_td_is_pinned_on_mixed_labels(edges, isolated, expected):
     """Min-degree elimination breaks ties by vertex key; the decompositions
     are the ones measured at 2ec775d."""
     assert td_to_dict(heuristic_td(Graph.build(edges, vertices=isolated))) == expected
+
+
+def test_heuristic_td_parts_are_the_oracle_elimination_bags():
+    """Node i of heuristic_td holds the i-th bag of the plain-set min-degree
+    elimination, on random graphs with mixed labels and on every corpus torso."""
+    rng = random.Random(61)
+    graphs = []
+    for _ in range(300):
+        vs, es = oracles.random_graph(rng, rng.randint(1, 14), rng.choice([0.1, 0.25, 0.4, 0.6, 0.8]))
+        name = {v: rng.choice([v, f"s{v}", (v % 3, f"t{v}")]) for v in vs}
+        graphs.append(Graph.build([(name[u], name[v]) for u, v in es], vertices=name.values()))
+    for inst in corpus(DEFAULT_SEED):
+        graphs.extend(torso(inst.bundle.host, inst.bundle.td, t) for t in inst.bundle.td.tree.sorted_vertices())
+    for g in graphs:
+        td = heuristic_td(g)
+        parts = [td.parts[i] for i in range(len(td.parts))]
+        assert parts == oracles.min_degree_elimination(oracles.adjacency(g.edges, g.vertices)), g.sorted_edges()
 
 
 def test_heuristic_width_upper_bounds_exact():
