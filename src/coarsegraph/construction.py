@@ -480,21 +480,24 @@ def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
     b3 = 0
     b4 = 0
     for t in sub_tds:
-        tg = torsos[t]
         sub = sub_tds[t]
-        index = tg.index
-        for s in sub.tree.vertices:
-            ids = [index.pos[v] for v in sub.parts[s]]
-            for i in ids:
-                row = index.distance_row([i])
+        index = torsos[t].index
+        # One BFS per torso vertex, read over every part that holds it.
+        parts_of: dict = {}
+        for part in sub.parts.values():
+            ids = [index.pos[v] for v in part]
+            for v in part:
+                parts_of.setdefault(v, []).append(ids)
+        for v, parts in parts_of.items():
+            row = index.distance_row([index.pos[v]])
+            for ids in parts:
                 ds = [row[j] for j in ids]
                 if min(ds) < 0:
                     raise StructuralError(
                         f"part of the sub-decomposition at {t!r} is not connected within its torso"
                     )
                 b3 = max(b3, max(ds))
-        for v in td.parts[t]:
-            b4 = max(b4, sum(1 for s in sub.parts if v in sub.parts[s]))
+        b4 = max([b4] + [len(parts_of.get(v, ())) for v in td.parts[t]])
     b5 = 1 + max((refinements[t].max_deleted for t in refinements), default=0) if refinements else 0
     b = max(b1, b3 * b4, b5)
     return Bounds(b1, b2, b3, b4, b5, b)

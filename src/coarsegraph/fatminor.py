@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from operator import or_
 
 from .errors import CapacityError, ParseError, StructuralError
@@ -198,13 +198,10 @@ def _connected_subsets(index: GraphIndex) -> list[int]:
 
 
 def _vertex_balls(index: GraphIndex, radius: int) -> list[int]:
-    """Per vertex id, the mask of ids within ``radius`` of it; radius 0 reads no distance row."""
-    n = len(index.order)
+    """Per vertex id, the mask of ids within ``radius`` of it: that level of the ball levels."""
     if radius < 0:
-        return [0] * n
-    if radius == 0:
-        return [1 << i for i in range(n)]
-    return [sum(1 << j for j, d in enumerate(index.distance_row([i])) if 0 <= d <= radius) for i in range(n)]
+        return [0] * len(index.order)
+    return next(islice(index.ball_levels([1 << i for i in range(len(index.order))]), radius, None))
 
 
 def _route_edges_exhaustive(

@@ -167,8 +167,30 @@ class GraphIndex:
         return sum(1 << self.pos[v] for v in frozenset(vs))
 
     def labels(self, mask: int) -> frozenset:
-        """The vertices whose ids are set in ``mask``."""
-        return frozenset(self.order[i] for i in range(mask.bit_length()) if mask >> i & 1)
+        """The vertices whose ids are set in ``mask``, read off its set bits from
+        the highest down (as fast as a scan of every position on dense masks)."""
+        order, out = self.order, []
+        while mask:
+            i = mask.bit_length() - 1
+            out.append(order[i])
+            mask ^= 1 << i
+        return frozenset(out)
+
+    def ball_levels(self, seeds: list[int]):
+        """Bit-parallel BFS from every seed at once.  Level r holds, for each id
+        x, the OR of ``seeds[y]`` over the ids y within distance r of x: level 0
+        is ``seeds``, and level r + 1 at x ORs level r at x with level r at each
+        neighbour.  Endless; once no mask grows, every level equals the last."""
+        level, nbrs = seeds, self.nbrs
+        while True:
+            yield level
+            nxt = level[:]
+            for x, js in enumerate(nbrs):
+                m = nxt[x]
+                for j in js:
+                    m |= level[j]
+                nxt[x] = m
+            level = nxt
 
 
 def bit_ids(mask: int) -> list[int]:

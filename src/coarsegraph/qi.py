@@ -5,8 +5,10 @@ A map φ: V(G) → V(H) is a (γ, c)-quasi-isometry when
 (ii) every vertex of H lies within distance c of the image of φ.
 
 Constants are exact ``fractions.Fraction`` values at the API boundary, so
-the boundary cases are decided without rounding.  Inside, one scan over all
-pairs compares integers: with γ = p/q, every requirement on c is scaled by p·q.
+the boundary cases are decided without rounding.  Inside, one exact scan
+compares integers: with γ = p/q, every requirement on c is scaled by p·q.  It
+reads the pairs off bit-parallel ball levels of both graphs, one bit per
+source vertex, instead of one BFS per source vertex.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .errors import CompositionError, GraphToolError, StructuralError, UnknownVertexError
-from .graph import Graph
+from .graph import Graph, bit_ids, components_minus
 
 
 class ConnectivityError(GraphToolError, ValueError):
@@ -59,56 +61,115 @@ class _Scan(NamedTuple):
 
 def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fraction | None,
           per_component: bool) -> _Scan:
-    """One pass over the pairs u < v of source vertices, then the target
-    vertices, both in sorted order.  A pair requires c ≥ max(d_H − γ·d_G,
-    d_G/γ − d_H), a target vertex c ≥ its distance to the image; with γ = p/q
-    both are integers once scaled by p·q.  It holds one source BFS row at a
-    time and one target row per image vertex.  An infinite distance raises
+    """The requirements of the pairs u < v of source vertices, then of the
+    target vertices, both in sorted order.  A pair requires c ≥ max(d_H −
+    γ·d_G, d_G/γ − d_H), a target vertex c ≥ its distance to the image; with
+    γ = p/q both are integers once scaled by p·q.  An infinite distance raises
     ConnectivityError unless per_component is on; then a pair across source
     components requires −inf, and any other infinite distance +inf.
+
+    Each source vertex owns one bit.  Ball levels in G give A_v(r), the sources
+    within r of v; ball levels in H seeded at the images give C_v(b), the
+    sources whose image is within b of φ(v).  For r = 1 .. ecc(v), two forward
+    pointers into the H levels give the largest d_H among sources with d_G ≤ r
+    (the least b with A_v(r) ⊆ C_v(b)) and the least among those with d_G ≥ r,
+    hence max_u(p·q·d_H − p²·d_G) and max_u(q²·d_G − p·q·d_H) exactly for every
+    γ; H levels below the lower pointer are dropped.  The first entry meeting a
+    condition is the least id i whose row maximum meets it, with the least
+    j > i read off one BFS row on each side.
     """
     _check_map(source, target, phi)
     p, q = gamma.numerator, gamma.denominator
     pq, pp, qq = p * q, p * p, q * q
     # An integer requirement exceeds p·q·c exactly when it exceeds its floor.
     limit = math.inf if c is None else pq * c.numerator // c.denominator
-    best = worst = violation = None
-
-    def take(reqs: list, witness) -> None:
-        nonlocal best, worst, violation
-        if not reqs:
-            return
-        top = max(reqs)
-        if best is None or top > best:
-            best, worst = top, witness(reqs.index(top))
-        if violation is None and top > limit:
-            violation = witness(next(j for j, r in enumerate(reqs) if r > limit))
-
     src, tgt = source.index, target.index
-    order = src.order
-    img = [tgt.pos[phi[v]] for v in order]
-    rows: dict = {}
-    for i, u in enumerate(order):
-        hrow = rows.get(img[i])
-        if hrow is None:
-            hrow = rows[img[i]] = tgt.distance_row([img[i]])
-        gs, hs, vs = src.distance_row([i])[i + 1:], [hrow[k] for k in img[i + 1:]], order[i + 1:]
-        take([max(pq * h - pp * g, qq * g - pq * h) if g >= 0 <= h else _unbounded(u, v, g, per_component)
-              for g, h, v in zip(gs, hs, vs)], lambda j: (u, vs[j]))
+    n = len(src.order)
+    img = [tgt.pos[phi[v]] for v in src.order]
+    bit = [1 << i for i in range(n)]
+    seeds = [0] * len(tgt.order)
+    for i, y in enumerate(img):
+        seeds[y] |= bit[i]
+    comp, reach = [0] * n, [0] * n  # i's G-component; the sources with images in φ(i)'s H-component
+    for mask, _ in components_minus(source, ()):
+        for i in bit_ids(mask):
+            comp[i] = mask
+    for mask, _ in components_minus(target, ()):
+        srcs = sum(seeds[y] for y in bit_ids(mask))
+        for i in bit_ids(srcs):
+            reach[i] = srcs
+    for i in range(0 if per_component else n):  # the first pair at an infinite distance
+        later = ((1 << n) - 1 ^ comp[i] & reach[i]) >> (i + 1)
+        if later:
+            j = i + (later & -later).bit_length()
+            u, v = src.order[i], src.order[j]
+            if not comp[i] >> j & 1:
+                raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
+            raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
     row = tgt.distance_row(set(img))
     if -1 in row and not per_component:
         raise ConnectivityError(f"target vertex {tgt.order[row.index(-1)]!r} cannot reach the image")
-    take([pq * d if d >= 0 else math.inf for d in row], lambda j: (tgt.order[j],))
-    return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq), worst, violation)
+
+    # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
+    top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
+    walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
+    ball, near = src.ball_levels(bit), _Levels(tgt.ball_levels(seeds))
+    prev, t = next(ball), 0
+    far, close = [0] * n, [0] * n  # the two pointers of each source
+    while walk:
+        t += 1
+        level, keep = next(ball), []
+        for i in walk:
+            a, y = level[i], img[i]
+            s, b = a ^ bit[i], far[i]
+            while s & ~near[b][y]:
+                b += 1
+            far[i] = b
+            if pq * b - pp * t > top[i]:
+                top[i] = pq * b - pp * t
+            s, b = comp[i] & ~prev[i], close[i]
+            while not s & near[b][y]:
+                b += 1
+            close[i] = b
+            if qq * t - pq * b > top[i]:
+                top[i] = qq * t - pq * b
+            if a != comp[i]:
+                keep.append(i)
+        walk, prev = keep, level
+        low = min(map(close.__getitem__, walk), default=t)
+        for b in [b for b in near if b < low]:
+            del near[b]
+
+    dens = [pq * d if d >= 0 else math.inf for d in row]
+
+    def first(hit) -> tuple | None:
+        i = next((i for i in range(n) if hit(top[i])), None)
+        if i is None:
+            return next(((tgt.order[y],) for y, r in enumerate(dens) if hit(r)), None)
+        gs, hs = src.distance_row([i]), tgt.distance_row([img[i]])
+        for j in range(i + 1, n):
+            g, h = gs[j], hs[img[j]]
+            if hit(-math.inf if g < 0 else math.inf if h < 0 else max(pq * h - pp * g, qq * g - pq * h)):
+                return src.order[i], src.order[j]
+
+    best = max(top + dens, default=None)
+    worst = None if best is None else first(lambda r: r >= best)
+    return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq), worst, first(lambda r: r > limit))
 
 
-def _unbounded(u, v, g: int, per_component: bool) -> float:
-    """The requirement of a pair with an infinite distance."""
-    if per_component:
-        return -math.inf if g < 0 else math.inf
-    if g < 0:
-        raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
-    raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
+class _Levels(dict):
+    """Ball levels by index, made on first lookup; the caller deletes the
+    levels no pointer will read again."""
+
+    def __init__(self, levels):
+        super().__init__()
+        self.levels, self.made = levels, 0
+
+    def __missing__(self, k: int) -> list[int]:
+        while self.made <= k:
+            self[self.made] = next(self.levels)
+            self.made += 1
+        return self[k]
 
 
 def qi_verify(cert: QuasiIsometryCertificate, per_component: bool = False) -> tuple[bool, tuple | None]:

@@ -542,3 +542,29 @@ def test_planar_scale_output_matches_the_committed_digest():
         docs.append({"name": name, "output": output_to_dict(out), "report": report_to_dict(verify_output(b, out))})
     text = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PLANAR_SCALE_DIGEST
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([0.2, 0.4, 0.7]), st.integers(1, 5), st.integers(0, 10_000))
+def test_bounds_read_the_sub_decomposition_parts_by_definition(n, p, k, seed):
+    """b3 is the largest torso distance between two vertices of one part of the
+    sub-decomposition and b4 the most parts holding one vertex, both read off
+    all-pairs BFS; a part split in its torso raises the StructuralError."""
+    from coarsegraph.errors import StructuralError
+
+    rng = random.Random(seed)
+    vs, es = oracles.random_graph(rng, n, p)
+    torso = Graph.build(es, vertices=vs)
+    parts = {s: frozenset(v for v in vs if rng.random() < 0.4) | {rng.choice(vs)} for s in range(k)}
+    sub = TreeDecomposition(Graph.build([(s, s + 1) for s in range(k - 1)], vertices=range(k)), parts)
+    td = TreeDecomposition(Graph.build((), ["t"]), {"t": torso.vertices})
+    args = (td, {"t": BOUNDED_TW}, {"t": torso}, {"t": sub}, {})
+    dist = {v: oracles.bfs_distances(oracles.adjacency(es, vs), v) for v in vs}
+    if any(w not in dist[v] for part in parts.values() for v in part for w in part):
+        with pytest.raises(StructuralError) as exc:
+            construction._compute_bounds(*args)
+        assert str(exc.value) == "part of the sub-decomposition at 't' is not connected within its torso"
+        return
+    bounds = construction._compute_bounds(*args)
+    assert bounds.b3 == max(dist[v][w] for part in parts.values() for v in part for w in part)
+    assert bounds.b4 == max(sum(v in part for part in parts.values()) for v in vs)

@@ -257,3 +257,34 @@ def test_index_is_built_once_and_adds_no_attribute():
     assert index.masks is index.masks  # built once per graph
     # A late attribute would make every attribute read on g slower.
     assert list(vars(g)) == list(vars(fresh))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 150), st.integers(0, 2 ** 150), st.booleans())
+def test_labels_reads_the_set_bits(n, bits, sparse):
+    """GraphIndex.labels on random masks equals its definition, bit by bit."""
+    g = Graph.build([], vertices=[i if i % 3 else f"v{i}" for i in range(n)])
+    mask = bits & (1 << n) - 1
+    if sparse:
+        mask &= bits >> 3 & bits >> 7
+    index = g.index
+    assert index.labels(mask) == frozenset(index.order[i] for i in range(n) if mask >> i & 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 25), st.sampled_from([0.1, 0.3, 0.6]), st.integers(0, 10_000))
+def test_ball_levels_or_the_seeds_within_each_radius(n, p, seed):
+    """Level r at x is the OR of the seeds of the ids within distance r of x."""
+    rng = random.Random(seed)
+    vs, es = oracles.random_graph(rng, n, p)
+    index = Graph.build(es, vertices=vs).index
+    seeds = [rng.getrandbits(8) for _ in range(n)]
+    rows = [index.distance_row([x]) for x in range(n)]
+    levels = index.ball_levels(seeds)
+    for r in range(n + 1):
+        expected = [0] * n
+        for x in range(n):
+            for y, d in enumerate(rows[x]):
+                if 0 <= d <= r:
+                    expected[x] |= seeds[y]
+        assert next(levels) == expected

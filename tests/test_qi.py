@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsegraph.construction import InstanceBundle, build_H
 from coarsegraph.errors import CompositionError, StructuralError
-from coarsegraph.generators import cycle_graph, path_graph
+from coarsegraph.generators import cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph
 from coarsegraph.qi import (
     ConnectivityError,
@@ -23,6 +25,7 @@ from coarsegraph.qi import (
     tightest_certificate,
     tightest_constants,
 )
+from coarsegraph.treedecomp import TreeDecomposition
 
 import oracles
 
@@ -238,3 +241,91 @@ def test_tightest_certificate_is_none_exactly_when_no_constant_exists():
     assert tightest_certificate(src, tgt, {0: "a", 1: "b", 2: "a"}, per_component=True) is None
     cert = tightest_certificate(src, tgt, {0: "a", 1: "a", 2: "b"}, per_component=True)
     assert cert == _two_scan_tightest(src, tgt, {0: "a", 1: "a", 2: "b"}, 1, per_component=True)
+
+
+def _larger_map(rng, kind, n, split):
+    """A source of 20 to 90 vertices, so bit masks pass one machine word, a
+    target, and a map that need not be injective.  Bit 0 of ``split``
+    disconnects the source, bit 1 the target."""
+    def side(n, apart):
+        if apart:
+            return oracles.random_graph(rng, n, 1.5 / n)
+        return oracles.random_connected_graph(rng, n, 2.5 / n)
+
+    if kind == "random":
+        (src_vs, src_es), (tgt_vs, tgt_es) = side(n, split & 1), side(rng.randint(2, n), split & 2)
+        return src_vs, src_es, tgt_vs, tgt_es, {v: rng.choice(tgt_vs) for v in src_vs}
+    # A grid folded onto a coarser grid, with or without a few vertices sent anywhere.
+    w, m, noise = rng.randint(4, 9), rng.randint(1, 3), rng.choice([0, 0.05])
+    h = max(n // w, -(-20 // w))
+    src, tgt = grid_graph(w, h), grid_graph(-(-w // m), -(-h // m))
+    src_vs = sorted(src.vertices) + ["isolated"] * (split & 1)
+    tgt_vs = sorted(tgt.vertices) + ["isolated"] * (split & 2)
+    phi = {v: rng.choice(tgt_vs) for v in src_vs}
+    for v in sorted(src.vertices):
+        x, y = map(int, v.split(","))
+        if rng.random() >= noise:
+            phi[v] = f"{x // m},{y // m}"
+    return src_vs, sorted(src.edges), tgt_vs, sorted(tgt.edges), phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "grid"]),
+    st.integers(20, 90),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2)]),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(5, 2), None]),
+    st.booleans(),
+)
+def test_qi_matches_the_all_pairs_oracle_past_one_word(kind, n, split, seed, gamma, c, per_component):
+    """On sources past 64 vertices too: the tightest c, the worst witness,
+    qi_verify's violation and the ConnectivityError text agree with all-pairs
+    BFS and Fraction arithmetic.  c = None checks at the tightest c."""
+    rng = random.Random(seed)
+    src_vs, src_es, tgt_vs, tgt_es, phi = _larger_map(rng, kind, n, split)
+    src = Graph.build(src_es, vertices=src_vs)
+    tgt = Graph.build(tgt_es, vertices=tgt_vs)
+    expected = oracles.qi_oracle(oracles.adjacency(src_es, src_vs), oracles.adjacency(tgt_es, tgt_vs),
+                                 phi, gamma, c or 0, per_component)
+    if "error" in expected:
+        for call in (
+            lambda: tightest_constants(src, tgt, phi, fixed_gamma=gamma),
+            lambda: make_certificate(src, tgt, phi, gamma, c or 0),
+        ):
+            with pytest.raises(ConnectivityError) as exc:
+                call()
+            assert str(exc.value) == _connectivity_message(expected["error"])
+        return
+    tight = tightest_constants(src, tgt, phi, fixed_gamma=gamma, per_component=per_component)
+    assert tight == (None if expected["c"] is None else (gamma, expected["c"]))
+    if c is None:
+        if tight is None:
+            return
+        c, violation = tight[1], None
+    else:
+        violation = expected["violation"]
+    cert = make_certificate(src, tgt, phi, gamma, c, per_component=per_component)
+    assert cert.valid == (violation is None)
+    assert cert.worst_witness == (expected["worst"] if violation is None else violation)
+    assert qi_verify(cert, per_component=per_component) == (violation is None, violation)
+
+
+def test_tightest_constants_memory_stays_below_the_per_row_scan():
+    """The tracemalloc peak of tightest_constants on the 25×25 one-part grid's
+    output stays below 3.24 MB, what the per-source BFS scan with its cache of
+    target rows peaked at (Python 3.11.7).  A table of every ball level at full
+    width would not: it holds about 48 levels of 625 masks on each side."""
+    host = grid_graph(25, 25)
+    td = TreeDecomposition(Graph.build((), ["t"]), {"t": host.vertices})
+    bundle = InstanceBundle(host, td, k=2, infinite_markers=frozenset(v for v in host.vertices if host.degree(v) < 4))
+    out = build_H(bundle)
+    assert tightest_constants(host, out.H, out.phi, fixed_gamma=1, per_component=True) is not None
+    tracemalloc.start()
+    try:
+        tightest_constants(host, out.H, out.phi, fixed_gamma=1, per_component=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.24e6
