@@ -363,8 +363,11 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     for t in td.tree.sorted_vertices():
         if classification[t] != BOUNDED_TW:
             continue
-        sub = _prepare_sub_td(torsos[t], bundle.sub_tds.get(t), adhesion_cap=None)
-        sub = sub_tds[t] = _contract_to_tight(torsos[t], sub)
+        provided = bundle.sub_tds.get(t)
+        sub = _prepare_sub_td(torsos[t], provided, adhesion_cap=None)
+        if provided is None:  # a checked supplied one is tight on every edge: its own contraction
+            sub = _contract_to_tight(torsos[t], sub)
+        sub_tds[t] = sub
         for s in sub.tree.sorted_vertices():
             x = ("tw", t, s)
             vertices.append(x)
@@ -549,8 +552,8 @@ def verify_output(bundle: InstanceBundle, out: ConstructionOutput) -> Verificati
                 failures.append(f"tightest c = {c} exceeds B = {out.bounds.b} (+{tolerance} marker tolerance)")
 
     # A hub of degree ≥ 2 separates its attachment sides exactly when it is a cut vertex of H.
-    hubs = [x for x in sort_vertices(out.provenance)
-            if out.provenance[x].get("kind") == "adhesion-set" and out.H.degree(x) >= 2]
+    hubs = sort_vertices(x for x, rec in out.provenance.items()
+                         if rec.get("kind") == "adhesion-set" and out.H.degree(x) >= 2)
     cuts = cut_vertices(out.H) if hubs else frozenset()
     cut_failures = [x for x in hubs if x not in cuts]
     if cut_failures:

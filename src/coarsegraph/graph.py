@@ -289,41 +289,89 @@ def components(g: Graph) -> list[frozenset]:
     return [g.index.labels(comp) for comp, _ in components_minus(g, ())]
 
 
-def cut_vertices(g: Graph) -> frozenset:
-    """The vertices whose removal leaves more components: Hopcroft–Tarjan
-    lowpoints from one iterative DFS over ``g.index``."""
-    nbrs = g.index.nbrs
-    disc = [-1] * len(nbrs)
-    low, nxt, cut = disc[:], [0] * len(nbrs), [False] * len(nbrs)
-    t = 0
-    for r in range(len(nbrs)):
-        if disc[r] >= 0:
+def dfs_orientation(nbrs: list) -> tuple:
+    """One DFS over neighbour-id lists (``nbrs[v]`` in increasing order) that
+    orients every edge away from where it is first met, on edge ids.
+
+    Returns ``(height, parent, dst, out, lowpt, lowpt2)``: each vertex's DFS
+    height (0 at each root, one root per component, tried in id order); the
+    id of the tree edge into it (-1 at a root); the head of each edge; the
+    edges out of each vertex, in the order they were oriented; and each
+    edge's lowest and second-lowest return heights, the height of its tail
+    where it has none.  A tree edge v→w has ``lowpt`` at least ``height[v]``
+    iff no back edge from w's subtree climbs above v.  The left-right
+    planarity test and ``cut_vertices`` both read these lowpoints.
+    """
+    n = len(nbrs)
+    # Edge ids: eids[v][i] is the id of the edge v–nbrs[v][i].  Each nbrs[w]
+    # lists w's lower neighbours first, in the order this loop meets them.
+    eids = [[0] * len(js) for js in nbrs]
+    lower = [0] * n
+    m = 0
+    for v, js in enumerate(nbrs):
+        for i, w in enumerate(js):
+            if w > v:
+                eids[v][i] = eids[w][lower[w]] = m
+                lower[w] += 1
+                m += 1
+
+    height = [-1] * n
+    parent = [-1] * n
+    dst = [-1] * m  # -1 while unoriented
+    lowpt, lowpt2 = [0] * m, [0] * m
+    out: list = [[] for _ in range(n)]
+    nxt = [0] * n
+    for r in range(n):
+        if height[r] >= 0:
             continue
-        disc[r] = low[r] = t
-        t += 1
-        stack, root_children = [r], 0
+        height[r] = 0
+        stack = [r]
         while stack:
             v = stack[-1]
-            if nxt[v] < len(nbrs[v]):
-                w = nbrs[v][nxt[v]]
-                nxt[v] += 1
-                if disc[w] < 0:
-                    disc[w] = low[w] = t
-                    t += 1
+            i = nxt[v]
+            if i < len(nbrs[v]):
+                nxt[v] = i + 1
+                ei = eids[v][i]
+                if dst[ei] >= 0:
+                    continue
+                w = dst[ei] = nbrs[v][i]
+                out[v].append(ei)
+                lowpt[ei] = lowpt2[ei] = height[v]
+                if height[w] < 0:  # a tree edge, finished when w is
+                    parent[w] = ei
+                    height[w] = height[v] + 1
                     stack.append(w)
-                else:  # a back edge, or the edge to v's parent, which keeps low[v] ≥ disc[parent]
-                    low[v] = min(low[v], disc[w])
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1]
-                low[u] = min(low[u], low[v])
-                if u == r:
-                    root_children += 1
-                elif low[v] >= disc[u]:
-                    cut[u] = True
-        cut[r] = root_children > 1
-    return frozenset(v for v, c in zip(g.index.order, cut) if c)
+                    continue
+                lowpt[ei] = height[w]  # a back edge
+            else:
+                stack.pop()
+                ei = parent[v]
+                if ei < 0:
+                    continue
+                v = stack[-1]
+            # ei leaves v and is finished: fold its lowpoints into v's parent edge.
+            e = parent[v]
+            if e >= 0:
+                if lowpt[ei] < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lowpt2[ei])
+                    lowpt[e] = lowpt[ei]
+                elif lowpt[ei] > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lowpt[ei])
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[ei])
+    return height, parent, dst, out, lowpt, lowpt2
+
+
+def cut_vertices(g: Graph) -> frozenset:
+    """The vertices whose removal leaves more components, read off the
+    lowpoints of ``dfs_orientation`` (Hopcroft–Tarjan): a non-root v is one iff
+    some tree edge v→w has ``lowpt`` ≥ height(v), a root iff it has two or
+    more tree edges (all of which pass that test)."""
+    height, parent, dst, out, lowpt, _ = dfs_orientation(g.index.nbrs)
+    return frozenset(
+        g.index.order[v] for v, es in enumerate(out)
+        if sum(parent[dst[e]] == e and lowpt[e] >= height[v] for e in es) > (height[v] == 0)
+    )
 
 
 def is_connected(g: Graph) -> bool:

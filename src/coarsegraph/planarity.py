@@ -2,7 +2,9 @@
 
 One algorithm gives both the verdict and the witness: the package's own
 left-right planarity test (de Fraysseix–Rosenstiehl, in Brandes' formulation)
-on ``GraphIndex`` ids.  On a non-planar graph, deleting every edge the test
+on ``GraphIndex`` ids.  Its orientation pass is ``graph.dfs_orientation``,
+whose lowpoints ``graph.cut_vertices`` also reads; this module holds only the
+testing pass.  On a non-planar graph, deleting every edge the test
 shows to be unneeded for non-planarity leaves a K₅ or K₃,₃ subdivision, which
 ``validate_subdivision`` re-checks independently of the test.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import StructuralError
-from .graph import Graph
+from .graph import Graph, dfs_orientation
 
 WITNESS_CAP = 12
 
@@ -127,89 +129,31 @@ def _lr_planar(nbrs: list) -> bool:
     """The left-right planarity test (Brandes, "The Left-Right Planarity
     Test", 2009), verdict only.
 
-    A DFS orients every edge and gives each oriented edge its lowpoints and
-    nesting depth.  A second DFS visits each vertex's outgoing edges by nesting
-    depth and keeps the return edges on a stack of conflict pairs: two
-    intervals of back edges that must lie on opposite sides of the tree.  The
-    graph is planar iff no pair ever needs an edge on both sides.  Both passes
-    run on edge ids with explicit stacks; a conflict pair is the list
-    ``[left low, left high, right low, right high]`` with -1 for "none", and an
-    interval is empty iff its low end is -1.  ``ref`` links each back edge of
-    an interval to the next one down.  ``nbrs[v]`` lists the neighbour ids of
-    v in increasing order.
+    ``dfs_orientation`` orients every edge and gives it its lowpoints, and
+    from them its nesting depth.  A second DFS, the testing one, visits each
+    vertex's outgoing edges by nesting depth and keeps the return edges on a
+    stack of conflict pairs: two intervals of back edges that must lie on
+    opposite sides of the tree.  The graph is planar iff no pair ever needs an
+    edge on both sides.  Both passes run on edge ids with explicit stacks; a
+    conflict pair is the list ``[left low, left high, right low, right high]``
+    with -1 for "none", and an interval is empty iff its low end is -1.
+    ``ref`` links each back edge of an interval to the next one down.
+    ``nbrs[v]`` lists the neighbour ids of v in increasing order.
     """
     n = len(nbrs)
     if n > 2 and sum(map(len, nbrs)) > 2 * (3 * n - 6):
         return False
-    # Edge ids: eids[v][i] is the id of the edge v–nbrs[v][i].  Each nbrs[w]
-    # lists w's lower neighbours first, in the order this loop meets them.
-    eids = [[0] * len(js) for js in nbrs]
-    lower = [0] * n
-    m = 0
-    for v, js in enumerate(nbrs):
-        for i, w in enumerate(js):
-            if w > v:
-                eids[v][i] = eids[w][lower[w]] = m
-                lower[w] += 1
-                m += 1
-
-    # Orientation: each edge is oriented away from where the DFS first meets it.
-    height = [-1] * n
-    parent = [-1] * n  # the tree edge into each vertex
-    dst = [-1] * m  # the head of each oriented edge; -1 while unoriented
-    lowpt, lowpt2, depth = [0] * m, [0] * m, [0] * m
-    out: list = [[] for _ in range(n)]  # the edges oriented away from each vertex
-    roots = []
-    nxt = [0] * n
-    for r in range(n):
-        if height[r] >= 0:
-            continue
-        height[r] = 0
-        roots.append(r)
-        stack = [r]
-        while stack:
-            v = stack[-1]
-            i = nxt[v]
-            if i < len(nbrs[v]):
-                nxt[v] = i + 1
-                ei = eids[v][i]
-                if dst[ei] >= 0:
-                    continue
-                w = dst[ei] = nbrs[v][i]
-                out[v].append(ei)
-                lowpt[ei] = lowpt2[ei] = height[v]
-                if height[w] < 0:  # a tree edge, finished when w is
-                    parent[w] = ei
-                    height[w] = height[v] + 1
-                    stack.append(w)
-                    continue
-                lowpt[ei] = height[w]  # a back edge
-            else:
-                stack.pop()
-                ei = parent[v]
-                if ei < 0:
-                    continue
-                v = stack[-1]
-            # ei leaves v and is finished: its nesting depth, then the lowpoints of v's parent edge.
-            depth[ei] = 2 * lowpt[ei] + (lowpt2[ei] < height[v])
-            e = parent[v]
-            if e >= 0:
-                if lowpt[ei] < lowpt[e]:
-                    lowpt2[e] = min(lowpt[e], lowpt2[ei])
-                    lowpt[e] = lowpt[ei]
-                elif lowpt[ei] > lowpt[e]:
-                    lowpt2[e] = min(lowpt2[e], lowpt[ei])
-                else:
-                    lowpt2[e] = min(lowpt2[e], lowpt2[ei])
-
-    # Testing.
-    for es in out:
-        es.sort(key=depth.__getitem__)
+    height, parent, dst, out, lowpt, lowpt2 = dfs_orientation(nbrs)
+    m = len(dst)
+    for v, es in enumerate(out):  # by nesting depth
+        es.sort(key=lambda e: 2 * lowpt[e] + (lowpt2[e] < height[v]))
     pairs: list = []  # the stack of conflict pairs
     bottom = [0] * m  # the height of the pair stack when each edge is entered
     ref = [-1] * m
     nxt = [0] * n
-    for r in roots:
+    for r in range(n):
+        if height[r] > 0:
+            continue
         stack = [r]
         while stack:
             v = stack[-1]

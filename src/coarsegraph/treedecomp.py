@@ -254,27 +254,21 @@ def contract_td_edges(td: TreeDecomposition, keep: Iterable[tuple]) -> tuple[Tre
     unknown = keep_set - td.tree.edges
     if unknown:
         raise StructuralError(f"keep contains non-tree edges: {sorted(unknown, key=str)!r}")
-    parent: dict = {t: t for t in td.tree.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in td.tree.sorted_edges():
-        if e not in keep_set:
-            a, b = find(e[0]), find(e[1])
-            if a != b:
-                parent[a] = b
-    classes: dict = {}
-    for t in td.tree.vertices:
-        classes.setdefault(find(t), set()).add(t)
+    # Each class is a component of T minus the kept edges; ids follow key
+    # order, so a class's lowest id is its key-least node.
+    index = td.tree.index
+    masks = index.masks[:]
+    for a, b in keep_set:
+        i, j = index.pos[a], index.pos[b]
+        masks[i] &= ~(1 << j)
+        masks[j] &= ~(1 << i)
     rep = {}
-    for root, members in classes.items():
-        r = min(members, key=vertex_key)
-        for m in members:
-            rep[m] = r
+    rest = (1 << len(masks)) - 1
+    while rest:
+        low = rest & -rest
+        comp = grow_mask(masks, low, rest)[0]
+        rest &= ~comp
+        rep.update(dict.fromkeys(index.labels(comp), index.order[low.bit_length() - 1]))
     new_parts: dict = {}
     for t, p in td.parts.items():
         new_parts.setdefault(rep[t], frozenset())

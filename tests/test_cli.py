@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -53,7 +54,7 @@ def two_k4_files(tmp_path):
 def test_gen_round_trips_through_the_parser(tmp_path, capsys):
     out = str(tmp_path / "cycle.txt")
     assert main(["gen", "--family", "cycle", "--n", "9", "--out", out]) == 0
-    g = parse_edge_list(open(out).read())
+    g = parse_edge_list(Path(out).read_text())
     assert g == cycle_graph(9)
 
 
@@ -63,7 +64,7 @@ def test_gen_emits_markers_as_comments(tmp_path):
         "gen", "--family", "cayley-ball",
         "--preset", "integer-lattice-Z2", "--radius", "2", "--out", out,
     ]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     markers = [line.split(":", 1)[1].strip() for line in text.splitlines() if line.startswith("# marker:")]
     assert len(markers) == 8 and "2,0" in markers
     g = parse_edge_list(text)
@@ -73,7 +74,7 @@ def test_gen_emits_markers_as_comments(tmp_path):
 def test_gen_dot_output(tmp_path):
     out = str(tmp_path / "p.dot")
     assert main(["gen", "--family", "path", "--n", "3", "--dot", "--out", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.startswith("graph") and "--" in text
 
 
@@ -201,13 +202,13 @@ def test_planarize_from_td(tmp_path, capsys):
     assert data["report"]["passed"] is True
     assert data["report"]["bound"] == 4
     assert data["output"]["bounds"]["b1"] == 4
-    h = parse_edge_list(open(hout).read())
+    h = parse_edge_list(Path(hout).read_text())
     assert len(h.vertices) == 3 and len(h.edges) == 2
 
 
 def test_planarize_from_bundle_json(tmp_path, capsys):
     gpath, tdpath = two_k4_files(tmp_path)
-    bundle = {"k": 2, "td": json.load(open(tdpath))}
+    bundle = {"k": 2, "td": json.loads(Path(tdpath).read_text())}
     bpath = write_json(tmp_path, "bundle.json", bundle)
     assert main(["planarize", "--graph", gpath, "--bundle", bpath]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["passed"] is True

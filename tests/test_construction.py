@@ -343,6 +343,20 @@ def test_supplied_sub_decomposition_must_be_tight_on_every_edge():
         build_H(b)
 
 
+def test_supplied_bounded_treewidth_sub_decomposition_is_checked_tight_once(monkeypatch):
+    """A supplied sub-decomposition, once checked tight on every edge, is its
+    own contraction: build_H keeps it as it is without checking again."""
+    calls = []
+    real = construction.is_tight
+    monkeypatch.setattr(construction, "is_tight", lambda g, sep: calls.append(sep) or real(g, sep))
+    sub = TreeDecomposition(Graph.build([("a", "b")]), {"a": frozenset(range(7)), "b": frozenset({0, 6, 7, 8, 9, 10, 11})})
+    b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=2,
+                       classification={"t": BOUNDED_TW}, sub_tds={"t": sub})
+    out = build_H(b)
+    assert len(calls) == 1
+    assert sorted(x[2] for x in out.H.vertices if x[0] == "tw") == ["a", "b"]
+    assert verify_output(b, out).passed
+
 def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
     """A one-part torso has no outer adhesion set, so no edge of its
     sub-decomposition is a candidate to keep."""

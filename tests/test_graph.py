@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsegraph.errors import GraphToolError, ParseError, UnknownVertexError
-from coarsegraph.generators import cycle_graph, grid_graph, path_graph
+from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import (
     Graph,
     canonical_edge,
@@ -146,15 +146,27 @@ def test_shortest_path_matches_a_sorted_order_bfs(graph_data):
 @given(st.data())
 def test_cut_vertices_agree_with_the_oracle(data):
     """A vertex is a cut vertex exactly when removing it adds a component; over
-    mixed labels, isolated vertices and several components."""
+    mixed labels, isolated vertices, several components and any number of
+    edges up to every pair, so also above 3n − 6."""
     vs = data.draw(st.lists(_LABELS, min_size=1, max_size=12, unique=True))
     pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
-    es = data.draw(st.lists(st.sampled_from(pairs), max_size=16)) if pairs else []
+    es = data.draw(st.permutations(pairs))[:data.draw(st.integers(0, len(pairs)))]
     g = Graph.build(es, vertices=vs)
     adj = oracles.adjacency(es, vs)
     base = len(oracles.components_without(adj, ()))
     assert cut_vertices(g) == {v for v in vs if len(oracles.components_without(adj, {v})) > base}
 
+
+def test_cut_vertices_on_deep_and_dense_graphs():
+    """No recursion limit at depth 20,000, and dense graphs, where the
+    planarity test stops before orienting, still get their cut vertices."""
+    n = 20_000
+    assert cut_vertices(path_graph(n)) == frozenset(range(1, n - 1))
+    assert cut_vertices(cycle_graph(n)) == frozenset()
+    assert cut_vertices(grid_graph(60, 60)) == frozenset()
+    two_k6 = union(complete_graph(6), relabel(complete_graph(6), {i: i + 5 for i in range(6)}))
+    assert (len(two_k6.vertices), len(two_k6.edges)) == (11, 30)  # above 3n − 6 = 27
+    assert cut_vertices(two_k6) == {5}
 
 def test_shortest_path_is_geodesic():
     rng = random.Random(5)

@@ -239,6 +239,11 @@ def test_contract_preserves_validity():
         assert set(mapping) == set(td.tree.vertices)
         for t, part in td.parts.items():
             assert part <= new_td.parts[mapping[t]]
+        # Each node maps to the key-least node of its class: its component off the kept edges.
+        rest = oracles.adjacency([e for e in edges if e not in keep], td.tree.vertices)
+        for cls in oracles.components_without(rest, ()):
+            least = min(cls, key=oracles.label_key)
+            assert all(mapping[t] == least for t in cls)
 
 
 def test_contract_everything_gives_one_part():
