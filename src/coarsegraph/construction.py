@@ -341,127 +341,83 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     if any(not s for s in all_adh.values()):
         warnings.append("empty adhesion set: the corresponding tree edge contributes no gluing vertex")
 
-    vertices: list = []
+    # (i) one hub vertex per adhesion set; a vertex's hub is that of the key-least set holding it
+    hub = {S: _xs_name(S) for S in distinct_adh}
+    vertices: list = list(hub.values())
     edges: list = []
-    provenance: dict = {}
+    provenance: dict = {x: {"kind": "adhesion-set", "set": sort_vertices(S)} for S, x in hub.items()}
+    hub_of: dict = {}
+    for S, x in hub.items():
+        for v in S:
+            hub_of.setdefault(v, x)
 
-    # (i) one hub vertex per adhesion set
-    for S in distinct_adh:
-        x = _xs_name(S)
-        vertices.append(x)
-        provenance[x] = {"kind": "adhesion-set", "set": sort_vertices(S)}
-
-    # (ii) one vertex per finite torso
-    for t in td.tree.sorted_vertices():
+    # (ii)-(iv) each torso adds its vertices, inner edges, glue to the hubs of
+    # the adhesion sets in its part, and the φ candidates of its vertices:
+    # copy_of[v] is v's first surviving planar copy, own[v] its image in its own
+    # part (read only for a vertex outside every adhesion set, which by (T3)
+    # lies in exactly one part).  Finite torsos come first, then bounded-
+    # treewidth, then planar, so every sub-decomposition error of a
+    # bounded-treewidth torso precedes any planar one.
+    sub_tds: dict = {}
+    refinements: dict = {}
+    copy_of: dict = {}
+    own: dict = {}
+    for t in sorted(td.tree.vertices, key=lambda t: (TORSO_KINDS.index(classification[t]), vertex_key(t))):
+        outer = [S for S in distinct_adh if S <= td.parts[t]]
+        provided = bundle.sub_tds.get(t)
         if classification[t] == FINITE:
             x = ("xt", t)
             vertices.append(x)
             provenance[x] = {"kind": "finite-torso", "node": t}
-
-    # (iii) decomposition-tree copies for bounded-treewidth torsos
-    sub_tds: dict = {}
-    for t in td.tree.sorted_vertices():
-        if classification[t] != BOUNDED_TW:
-            continue
-        provided = bundle.sub_tds.get(t)
-        sub = _prepare_sub_td(torsos[t], provided, adhesion_cap=None)
-        if provided is None:  # a checked supplied one is tight on every edge: its own contraction
-            sub = _contract_to_tight(torsos[t], sub)
-        sub_tds[t] = sub
-        for s in sub.tree.sorted_vertices():
-            x = ("tw", t, s)
-            vertices.append(x)
-            provenance[x] = {"kind": "tree-copy", "node": t, "tree_node": s}
-        for (s1, s2) in sub.tree.sorted_edges():
-            edges.append((("tw", t, s1), ("tw", t, s2)))
-
-    # (iv) pruned planar part-torsos
-    refinements: dict = {}
-    for t in td.tree.sorted_vertices():
-        if classification[t] != PLANAR:
-            continue
-        outer = [S for S in distinct_adh if S <= td.parts[t]]
-        provided = bundle.sub_tds.get(t)
-        if provided is None and not any(len(S) == 3 for S in outer):
-            # No edge can be kept, so the min-degree decomposition would be
-            # contracted to its node 0 holding the whole torso.
-            sub = TreeDecomposition(Graph.build((), [0]), {0: torsos[t].vertices})
-        else:
-            sub = _prepare_sub_td(torsos[t], provided, adhesion_cap=3)
-        ref = refine_planar_torso(torsos[t], sub, outer, bundle.infinite_markers)
-        refinements[t] = ref
-        warnings.extend(ref.warnings)
-        for s in ref.contracted.tree.sorted_vertices():
-            g = ref.kept[s]
-            for v in g.sorted_vertices():
-                x = ("pl", t, s, v)
+            edges.extend((hub[S], x) for S in outer)
+            for v in td.parts[t]:
+                own.setdefault(v, x)
+        elif classification[t] == BOUNDED_TW:
+            sub = _prepare_sub_td(torsos[t], provided, adhesion_cap=None)
+            if provided is None:  # a checked supplied one is tight on every edge: its own contraction
+                sub = _contract_to_tight(torsos[t], sub)
+            sub_tds[t] = sub
+            for s in sub.tree.sorted_vertices():
+                x = ("tw", t, s)
                 vertices.append(x)
-                provenance[x] = {"kind": "planar-copy", "node": t, "part": s, "vertex": v}
-            for (u, v) in g.sorted_edges():
-                edges.append(((("pl", t, s, u)), ("pl", t, s, v)))
-
-    # (v)-(vii) gluing edges through the hubs
-    for S in distinct_adh:
-        x = _xs_name(S)
-        for t in td.tree.sorted_vertices():
-            if not S <= td.parts[t]:
-                continue
-            kind = classification[t]
-            if kind == FINITE:
-                edges.append((x, ("xt", t)))
-            elif kind == BOUNDED_TW:
-                center = tw_torso_attachment(sub_tds[t], S)
-                if center.kind == "vertex":
-                    edges.append((x, ("tw", t, center.location)))
-                else:
-                    s1, s2 = center.location
-                    edges.append((x, ("tw", t, s1)))
-                    edges.append((x, ("tw", t, s2)))
+                provenance[x] = {"kind": "tree-copy", "node": t, "tree_node": s}
+                for v in sub.parts[s]:
+                    own.setdefault(v, x)
+            edges.extend((("tw", t, s1), ("tw", t, s2)) for (s1, s2) in sub.tree.sorted_edges())
+            for S in outer:
+                center = tw_torso_attachment(sub, S)
+                ends = [center.location] if center.kind == "vertex" else center.location
+                edges.extend((hub[S], ("tw", t, s)) for s in ends)
+        else:
+            if provided is None and not any(len(S) == 3 for S in outer):
+                # No edge can be kept, so the min-degree decomposition would be
+                # contracted to its node 0 holding the whole torso.
+                sub = TreeDecomposition(Graph.build((), [0]), {0: torsos[t].vertices})
             else:
-                ref = refinements[t]
-                for s in ref.contracted.tree.sorted_vertices():
-                    g = ref.kept[s]
-                    if S <= g.vertices:
-                        for v in sort_vertices(S):
-                            edges.append((x, ("pl", t, s, v)))
+                sub = _prepare_sub_td(torsos[t], provided, adhesion_cap=3)
+            ref = refine_planar_torso(torsos[t], sub, outer, bundle.infinite_markers)
+            refinements[t] = ref
+            warnings.extend(ref.warnings)
+            for s in ref.contracted.tree.sorted_vertices():
+                g = ref.kept[s]
+                for v in g.sorted_vertices():
+                    x = ("pl", t, s, v)
+                    vertices.append(x)
+                    provenance[x] = {"kind": "planar-copy", "node": t, "part": s, "vertex": v}
+                    copy_of.setdefault(v, x)
+                edges.extend((("pl", t, s, u), ("pl", t, s, v)) for (u, v) in g.sorted_edges())
+                edges.extend((hub[S], ("pl", t, s, v)) for S in outer if S <= g.vertices for v in S)
+            for v, S in ref.deleted_site.items():  # a pruned vertex maps to the hub of its pruning site
+                own.setdefault(v, hub[S])
 
     H = Graph.build(edges, vertices=vertices)
 
-    # φ: surviving planar copy > adhesion hub > torso image
+    # φ: surviving planar copy > adhesion hub > image in its own part
     phi: dict = {}
-    copy_of: dict = {}
-    for t in sorted(refinements, key=vertex_key):
-        ref = refinements[t]
-        for s in ref.contracted.tree.sorted_vertices():
-            for v in ref.kept[s].vertices:
-                copy_of.setdefault(v, ("pl", t, s, v))
-    hub_of: dict = {}
-    for S in distinct_adh:
-        for v in sort_vertices(S):
-            hub_of.setdefault(v, _xs_name(S))
-    deleted_hub: dict = {}
-    for t in sorted(refinements, key=vertex_key):
-        for v, S in refinements[t].deleted_site.items():
-            deleted_hub.setdefault(v, _xs_name(S))
     for v in host.sorted_vertices():
-        if v in copy_of:
-            phi[v] = copy_of[v]
-        elif v in hub_of:
-            phi[v] = hub_of[v]
-        else:
-            nodes = sorted(td.nodes_containing(v), key=vertex_key)
-            t = nodes[0]
-            kind = classification[t]
-            if kind == FINITE:
-                phi[v] = ("xt", t)
-            elif kind == BOUNDED_TW:
-                s = min((s for s in sub_tds[t].parts if v in sub_tds[t].parts[s]), key=vertex_key)
-                phi[v] = ("tw", t, s)
-            else:
-                if v not in deleted_hub:
-                    raise StructuralError(f"no image for planar-torso vertex {v!r}")  # construction bug guard
-                phi[v] = deleted_hub[v]
-    for v in host.vertices:
+        phi[v] = copy_of.get(v) or hub_of.get(v) or own.get(v)
+        if phi[v] is None:
+            raise StructuralError(f"no image for planar-torso vertex {v!r}")  # construction bug guard
         if phi[v] not in H.vertices:
             raise StructuralError(f"phi({v!r}) is not a vertex of H")  # construction bug guard
 

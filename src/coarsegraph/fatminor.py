@@ -436,6 +436,8 @@ def search_fat_minor(
 ) -> SearchOutcome:
     if K < 0:
         raise StructuralError("K must be non-negative")
+    if budget < 0:
+        raise StructuralError("budget must be non-negative")
     if len(pattern.vertices) > PATTERN_CAP:
         raise CapacityError(f"pattern has {len(pattern.vertices)} vertices, cap is {PATTERN_CAP}")
     if len(host.vertices) > HOST_CAP:

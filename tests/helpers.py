@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from coarsegraph.construction import build_H
+import oracles
+from coarsegraph.construction import TORSO_KINDS, InstanceBundle, build_H
 from coarsegraph.corpus import relabel_bundle
-from coarsegraph.graph import relabel, sort_vertices
+from coarsegraph.graph import Graph, relabel, sort_vertices
+from coarsegraph.treedecomp import TreeDecomposition, contract_td_edges, heuristic_td, torso
 
 
 def rename_quotient_vertex(v: tuple, sigma: dict, tau: dict) -> tuple:
@@ -30,3 +32,39 @@ def assert_equivariant(inst) -> None:
     assert relabel(out1.H, rename) == out2.H, inst.name
     for v in inst.bundle.host.vertices:
         assert out2.phi[sigma[v]] == rename[out1.phi[v]], (inst.name, v)
+
+
+def _randomly_contracted(rng, td: TreeDecomposition) -> TreeDecomposition:
+    return contract_td_edges(td, [e for e in td.tree.sorted_edges() if rng.random() < 0.5])[0]
+
+
+def random_bundle(rng) -> InstanceBundle:
+    """A seeded decomposed host: a random graph on 3..10 vertices and its
+    min-degree decomposition with random tree edges contracted, k in {1, 2, 3}
+    and a finite threshold in {2, 4, 8}; at random also a supplied
+    classification, supplied sub-decompositions (the torso's own, randomly
+    contracted, or one part of random torso vertices) and infinite markers."""
+    vs, es = oracles.random_graph(rng, rng.randint(3, 10), rng.uniform(0.2, 0.6))
+    host = Graph.build(es, vertices=vs)
+    td = _randomly_contracted(rng, heuristic_td(host))
+    nodes = td.tree.sorted_vertices()
+    k = rng.choice((1, 2, 3))
+    threshold = rng.choice((2, 4, 8))
+    classification = None
+    if rng.random() < 0.3:
+        classification = {t: rng.choice(TORSO_KINDS) for t in nodes}
+    sub_tds = {}
+    if rng.random() < 0.4:
+        for t in nodes:
+            if rng.random() < 0.5:
+                tg = torso(host, td, t)
+                if rng.random() < 0.2:
+                    part = frozenset(v for v in tg.vertices if rng.random() < 0.8)
+                    sub_tds[t] = TreeDecomposition(Graph.build((), ["s"]), {"s": part})
+                else:
+                    sub_tds[t] = _randomly_contracted(rng, heuristic_td(tg))
+    markers = frozenset()
+    if rng.random() < 0.3:
+        markers = frozenset(v for v in vs if rng.random() < 0.3)
+    return InstanceBundle(host, td, k, classification, markers, sub_tds, threshold)
+

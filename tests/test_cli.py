@@ -190,6 +190,10 @@ def test_fat_minor_command(tmp_path, capsys):
         "fat-minor", "--host", gpath, "--pattern", ppath, "--fatness", "2", "--budget", "1",
     ]) == 3
     assert json.loads(capsys.readouterr().out)["status"] == "inconclusive"
+    # A negative budget is bad input (exit 2), not an exhausted one (exit 3).
+    assert main([
+        "fat-minor", "--host", gpath, "--pattern", ppath, "--fatness", "2", "--budget", "-1",
+    ]) == 2
 
 
 def test_planarize_from_td(tmp_path, capsys):

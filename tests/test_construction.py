@@ -7,7 +7,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsegraph.construction import (
@@ -33,15 +33,17 @@ from coarsegraph.construction import (
     verify_output,
 )
 from coarsegraph.corpus import DEFAULT_SEED, corpus
+from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import cayley_ball, complete_graph, cycle_graph, grid_graph, path_graph
-from coarsegraph.graph import Graph, is_connected, sort_vertices, union
-from coarsegraph.treedecomp import TreeDecomposition, exact_treewidth, heuristic_td
+from coarsegraph.graph import Graph, is_connected, set_key, sort_vertices, union, vertex_key
+from coarsegraph.treedecomp import TreeDecomposition, adhesion_sets, exact_treewidth, heuristic_td
 
 from dataclasses import replace
 from fractions import Fraction
 
 import oracles
 from coarsegraph import construction
+from helpers import random_bundle
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +359,19 @@ def test_supplied_bounded_treewidth_sub_decomposition_is_checked_tight_once(monk
     assert sorted(x[2] for x in out.H.vertices if x[0] == "tw") == ["a", "b"]
     assert verify_output(b, out).passed
 
+
+def test_bounded_treewidth_sub_decompositions_are_checked_before_planar_ones():
+    """Both supplied sub-decompositions miss a vertex; the bounded-treewidth
+    torso at b is reported, though the planar torso at a is key-earlier."""
+    td = TreeDecomposition(Graph.build([("a", "b")]), {"a": frozenset({0, 1, 2}), "b": frozenset({2, 3})})
+    b = InstanceBundle(Graph.build([(0, 1), (1, 2), (2, 3)]), td, k=1,
+                       classification={"a": PLANAR, "b": BOUNDED_TW},
+                       sub_tds={"a": single_node_td({0, 1}), "b": single_node_td({2})})
+    with pytest.raises(ContractViolationError) as exc:
+        build_H(b)
+    assert str(exc.value) == "sub-decomposition invalid: (T1) graph vertex 3 lies in no part"
+
+
 def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
     """A one-part torso has no outer adhesion set, so no edge of its
     sub-decomposition is a candidate to keep."""
@@ -556,6 +571,72 @@ def test_planar_scale_output_matches_the_committed_digest():
         docs.append({"name": name, "output": output_to_dict(out), "report": report_to_dict(verify_output(b, out))})
     text = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PLANAR_SCALE_DIGEST
+
+
+def build_outcome(bundle: InstanceBundle) -> str:
+    """The sorted-key JSON of the output and report, or the error's type and text."""
+    try:
+        out = build_H(bundle)
+        return json.dumps({"output": output_to_dict(out), "report": report_to_dict(verify_output(bundle, out))},
+                          sort_keys=True)
+    except GraphToolError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# sha256 of the JSON list of build_outcome over random_bundle(random.Random(i)), i < 400:
+# it guards error texts and outputs beyond the corpus.  A change that moves it must say why.
+RANDOM_BUNDLE_DIGEST = "c2f2c374b12c522b2f3998f43f21a8a0687a4b7c726912445ffa578c19466e37"
+
+
+def test_random_bundle_outcomes_match_the_committed_digest():
+    outcomes = [build_outcome(random_bundle(random.Random(i))) for i in range(400)]
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == RANDOM_BUNDLE_DIGEST
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+@example(168)  # tree copies of a supplied two-node sub-decomposition
+@example(333)  # a pruned planar-torso vertex
+@example(2070)  # two pruned planar-torso vertices
+def test_phi_follows_the_three_level_rule(seed):
+    """φ(v) is v's first surviving planar copy in (node, part) key order; else
+    the hub of the key-least adhesion set holding v; else v's image in the one
+    part t holding it: x_t for a finite torso, a tree copy of t (with a
+    supplied sub-decomposition the key-least node whose part holds v), and for
+    a pruned planar-torso vertex a hub whose set lies in t's part."""
+    b = random_bundle(random.Random(seed))
+    try:
+        out = build_H(b)
+    except GraphToolError:
+        return
+    prov = out.provenance
+    copies = sorted((x for x, rec in prov.items() if rec["kind"] == "planar-copy"),
+                    key=lambda x: (vertex_key(prov[x]["node"]), vertex_key(prov[x]["part"])))
+    first_copy: dict = {}
+    for x in copies:
+        first_copy.setdefault(prov[x]["vertex"], x)
+    hub = {frozenset(rec["set"]): x for x, rec in prov.items() if rec["kind"] == "adhesion-set"}
+    assert set(hub) == {S for S in adhesion_sets(b.td).values() if S}
+    assert set(out.phi) == b.host.vertices
+    for v, x in out.phi.items():
+        assert x in out.H.vertices
+        if v in first_copy:
+            assert x == first_copy[v]
+            continue
+        holding = [S for S in hub if v in S]
+        if holding:
+            assert x == hub[min(holding, key=set_key)]
+            continue
+        (t,) = [t for t, part in b.td.parts.items() if v in part]  # (T3): v is in no adhesion set
+        kind = out.classification[t]
+        if kind == FINITE:
+            assert x == ("xt", t)
+        elif kind == BOUNDED_TW:
+            assert prov[x]["kind"] == "tree-copy" and prov[x]["node"] == t
+            if t in b.sub_tds:
+                assert x[2] == min((s for s, p in b.sub_tds[t].parts.items() if v in p), key=vertex_key)
+        else:
+            assert prov[x]["kind"] == "adhesion-set" and set(prov[x]["set"]) <= b.td.parts[t]
 
 
 @settings(max_examples=60, deadline=None)

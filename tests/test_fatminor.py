@@ -262,6 +262,17 @@ def test_budget_exhaustion_is_reported_not_guessed():
     assert "budget" in out.reason
 
 
+def test_negative_budget_is_bad_input():
+    """A negative budget is refused, also through the probe; budget 0 is valid."""
+    for call in (lambda: search_fat_minor(cycle_graph(3), cycle_graph(4), 1, budget=-1),
+                 lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [1], budget=-1)):
+        with pytest.raises(StructuralError) as exc:
+            call()
+        assert str(exc.value) == "budget must be non-negative"
+    out = search_fat_minor(cycle_graph(3), cycle_graph(4), 1, budget=0)
+    assert (out.status, out.reason) == ("inconclusive", "budget exhausted during exhaustive search")
+
+
 def test_capacity_guards():
     with pytest.raises(CapacityError):
         search_fat_minor(cycle_graph(6), grid_graph(4, 4), 1)
