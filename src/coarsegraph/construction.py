@@ -39,11 +39,10 @@ from .graph import (
     set_key,
     sort_vertices,
     vertex_from_json,
-    vertex_key,
     vertex_token,
 )
 from . import planarity, qi, treedecomp
-from .separations import fully_attached_components, is_tight
+from .separations import Separation, fully_attached_components, is_tight
 from .treedecomp import (
     DEFAULT_TREEWIDTH_CAP,
     TreeCenter,
@@ -51,7 +50,7 @@ from .treedecomp import (
     adhesion_sets,
     clique_subtree,
     contract_td_edges,
-    edge_separation,
+    edge_separations,
     exact_treewidth,
     heuristic_td,
     min_degree_elimination,
@@ -189,23 +188,26 @@ def _prepare_sub_td(torso_graph: Graph, provided: TreeDecomposition | None, adhe
     rep = validate(torso_graph, provided)
     if not rep.ok:
         raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
+    seps = edge_separations(torso_graph, provided)
     for e in provided.tree.sorted_edges():
-        sep = edge_separation(torso_graph, provided, e)
-        if adhesion_cap is not None and sep.order > adhesion_cap:
-            raise ContractViolationError(f"sub-decomposition adhesion {sep.order} exceeds {adhesion_cap}")
-        if not is_tight(torso_graph, sep):
+        a, b = seps[e]
+        if adhesion_cap is not None and (a & b).bit_count() > adhesion_cap:
+            raise ContractViolationError(f"sub-decomposition adhesion {(a & b).bit_count()} exceeds {adhesion_cap}")
+        if not is_tight(torso_graph, Separation.on_masks(torso_graph.index, a, b)):
             raise ContractViolationError(f"sub-decomposition edge {e!r} has a non-tight separation")
     return provided
 
 
-def _contract_to_tight(torso_graph: Graph, sub_td: TreeDecomposition, adhesions: set | None = None) -> TreeDecomposition:
+def _contract_to_tight(torso_graph: Graph, sub_td: TreeDecomposition, adhesions: set | None = None,
+                       tight: bool = False) -> TreeDecomposition:
     """Contract every tree edge except the tight ones whose adhesion set is in
-    ``adhesions`` (any set if None).  Contracting other edges changes neither
-    the separation nor the adhesion set of an edge, so one pass decides all."""
-    keep = [
-        e for e, a in adhesion_sets(sub_td).items()
-        if (adhesions is None or a in adhesions) and is_tight(torso_graph, edge_separation(torso_graph, sub_td, e))
-    ]
+    ``adhesions`` (any set if None); with ``tight`` every edge is known tight.
+    Contracting other edges changes neither the separation nor the adhesion
+    set of an edge, so one pass decides all."""
+    keep = [e for e, a in adhesion_sets(sub_td).items() if adhesions is None or a in adhesions]
+    if keep and not tight:
+        seps = edge_separations(torso_graph, sub_td)
+        keep = [e for e in keep if is_tight(torso_graph, Separation.on_masks(torso_graph.index, *seps[e]))]
     return contract_td_edges(sub_td, keep)[0]
 
 
@@ -224,13 +226,16 @@ def refine_planar_torso(
     sub_td: TreeDecomposition,
     outer_sets: Iterable[frozenset],
     markers: frozenset = frozenset(),
+    tight: bool = False,
 ) -> PlanarRefinement:
     """Contract the sub-decomposition down to its tight edges whose adhesion
     set is a size-3 outer set, then prune, per part and per outer adhesion set
     S that is no kept edge's, every fully attached component except the
-    designated "infinite" one."""
+    designated "infinite" one.  With ``tight`` every edge of ``sub_td`` is
+    known tight (``_prepare_sub_td`` checks a supplied one), so only the
+    adhesion sets decide."""
     outer = sorted({frozenset(s) for s in outer_sets if s}, key=set_key)
-    contracted = _contract_to_tight(torso_graph, sub_td, {s for s in outer if len(s) == 3})
+    contracted = _contract_to_tight(torso_graph, sub_td, {s for s in outer if len(s) == 3}, tight)
     contracted_adh = set(adhesion_sets(contracted).values())
     kept: dict = {}
     deletions: list = []
@@ -362,7 +367,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     refinements: dict = {}
     copy_of: dict = {}
     own: dict = {}
-    for t in sorted(td.tree.vertices, key=lambda t: (TORSO_KINDS.index(classification[t]), vertex_key(t))):
+    for t in sorted(td.tree.sorted_vertices(), key=lambda t: TORSO_KINDS.index(classification[t])):
         outer = [S for S in distinct_adh if S <= td.parts[t]]
         provided = bundle.sub_tds.get(t)
         if classification[t] == FINITE:
@@ -395,7 +400,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
                 sub = TreeDecomposition(Graph.build((), [0]), {0: torsos[t].vertices})
             else:
                 sub = _prepare_sub_td(torsos[t], provided, adhesion_cap=3)
-            ref = refine_planar_torso(torsos[t], sub, outer, bundle.infinite_markers)
+            ref = refine_planar_torso(torsos[t], sub, outer, bundle.infinite_markers, tight=provided is not None)
             refinements[t] = ref
             warnings.extend(ref.warnings)
             for s in ref.contracted.tree.sorted_vertices():
@@ -602,12 +607,14 @@ def _provenance_record_to_dict(rec: dict) -> dict:
 
 
 def output_to_dict(out: ConstructionOutput) -> dict:
+    """The output as JSON values; every H vertex is rendered once, and H's
+    edges, isolated vertices and provenance come in H id order."""
+    index = out.H.index
+    pos, token = index.pos, [vertex_token(x) for x in index.order]
     return {
-        "h_edges": [[vertex_token(u), vertex_token(v)] for u, v in out.H.sorted_edges()],
-        "h_isolated": [
-            vertex_token(v) for v in out.H.sorted_vertices() if out.H.degree(v) == 0
-        ],
-        "phi": {vertex_token(v): vertex_token(out.phi[v]) for v in sort_vertices(out.phi)},
+        "h_edges": [[token[pos[u]], token[pos[v]]] for u, v in out.H.sorted_edges()],
+        "h_isolated": [token[i] for i, js in enumerate(index.nbrs) if not js],
+        "phi": {vertex_token(v): token[pos[out.phi[v]]] for v in sort_vertices(out.phi)},
         "bounds": {
             "b1": out.bounds.b1,
             "b2": out.bounds.b2,
@@ -620,10 +627,7 @@ def output_to_dict(out: ConstructionOutput) -> dict:
             vertex_token(t): out.classification[t] for t in sort_vertices(out.classification)
         },
         "finite_threshold": out.finite_threshold,
-        "provenance": {
-            vertex_token(x): _provenance_record_to_dict(out.provenance[x])
-            for x in sort_vertices(out.provenance)
-        },
+        "provenance": {token[i]: _provenance_record_to_dict(out.provenance[x]) for i, x in enumerate(index.order)},
         "warnings": list(out.warnings),
     }
 

@@ -460,6 +460,8 @@ def asymptotic_probe(pattern: Graph, host: Graph, k_list, budget: int = DEFAULT_
     get weaker), which keeps the verdict map monotone by construction.
     """
     ks = sorted({int(k) for k in k_list}, reverse=True)
+    if budget < 0:  # also with no K to search
+        raise StructuralError("budget must be non-negative")
     results: dict = {}
     carried: FatMinorModel | None = None
     for K in ks:

@@ -43,6 +43,12 @@ def set_key(vs: Iterable[Vertex]) -> tuple:
     return tuple(sorted(map(vertex_key, vs)))
 
 
+def _same_types(u, w) -> bool:
+    """Whether u and w, known to be equal, have the same types throughout."""
+    t = type(u)
+    return t is type(w) and (t is str or t is int or not isinstance(u, tuple) or all(map(_same_types, u, w)))
+
+
 def canonical_edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
     """The pair (u, v) with endpoints in canonical order."""
     if vertex_key(u) <= vertex_key(v):
@@ -70,12 +76,22 @@ class Graph:
     def build(cls, edges: Iterable[tuple[Vertex, Vertex]] = (), vertices: Iterable[Vertex] = ()) -> "Graph":
         vs = set(vertices)
         es = set()
+        # Each distinct endpoint is keyed once: vertex -> (vertex, key).  An equal
+        # vertex reuses the key only if its types match throughout, for True and
+        # 1.0 equal 1 but are no vertices.
+        keyed: dict = {}
         for (u, v) in edges:
             if u == v:
                 raise GraphToolError(f"loops are not allowed: ({u!r}, {v!r})")
             vs.add(u)
             vs.add(v)
-            es.add(canonical_edge(u, v))
+            ku = keyed.get(u)
+            if ku is None or ku[0] is not u and not _same_types(u, ku[0]):
+                ku = keyed[u] = (u, vertex_key(u))
+            kv = keyed.get(v)
+            if kv is None or kv[0] is not v and not _same_types(v, kv[0]):
+                kv = keyed[v] = (v, vertex_key(v))
+            es.add((u, v) if ku[1] <= kv[1] else (v, u))
         return cls(frozenset(vs), frozenset(es))
 
     # -- basic queries -------------------------------------------------
@@ -106,10 +122,11 @@ class Graph:
         return j is not None and mask >> j & 1 == 1
 
     def sorted_vertices(self) -> list[Vertex]:
-        return sort_vertices(self.vertices)
+        return list(self.index.order)
 
     def sorted_edges(self) -> list[tuple[Vertex, Vertex]]:
-        return sorted(self.edges, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
+        pos = self.index.pos
+        return sorted(self.edges, key=lambda e: (pos[e[0]], pos[e[1]]))
 
     def require_vertex(self, v: Vertex) -> None:
         if v not in self.vertices:
@@ -119,7 +136,7 @@ class Graph:
     def index(self) -> "GraphIndex":
         """The integer view of this graph, built on first use and then kept."""
         if self._index is None:
-            order = self.sorted_vertices()
+            order = sort_vertices(self.vertices)
             pos = {v: i for i, v in enumerate(order)}
             nbrs: list = [[] for _ in order]
             for (u, v) in self.edges:
@@ -135,11 +152,11 @@ class GraphIndex:
     in increasing order.  Id order is vertex-key order, so a BFS over ``nbrs``
     expands neighbours in key order; :func:`shortest_path` relies on that."""
 
-    __slots__ = ("order", "pos", "nbrs", "_masks")
+    __slots__ = ("order", "pos", "nbrs", "_masks", "_orientation")
 
     def __init__(self, order: list, pos: dict, nbrs: list):
         self.order, self.pos, self.nbrs = order, pos, nbrs
-        self._masks = None
+        self._masks = self._orientation = None
 
     def distance_row(self, sources: Iterable[int]) -> list[int]:
         """BFS distances from a set of vertex ids, indexed by id; -1 where unreachable."""
@@ -162,9 +179,19 @@ class GraphIndex:
             self._masks = [sum(1 << j for j in js) for js in self.nbrs]
         return self._masks
 
+    @property
+    def orientation(self) -> tuple:
+        """``dfs_orientation(nbrs)``, built on first use; its readers change none of its lists."""
+        if self._orientation is None:
+            self._orientation = dfs_orientation(self.nbrs)
+        return self._orientation
+
     def bits(self, vs: Iterable[Vertex]) -> int:
-        """The bitmask of a set of vertices of the graph."""
-        return sum(1 << self.pos[v] for v in frozenset(vs))
+        """The bitmask of a set of vertices of the graph; UnknownVertexError names one that is not."""
+        try:
+            return sum(1 << self.pos[v] for v in frozenset(vs))
+        except KeyError as e:
+            raise UnknownVertexError(repr(e.args[0])) from None
 
     def labels(self, mask: int) -> frozenset:
         """The vertices whose ids are set in ``mask``, read off its set bits from
@@ -220,11 +247,11 @@ def grow_mask(masks: list[int], seed: int, within: int) -> tuple[int, int]:
     return comp, reach
 
 
-def components_minus(g: Graph, s: Iterable[Vertex]) -> list[tuple[int, int]]:
-    """The components C of G − S, each with N(C), as bitmasks of ``g.index`` ids,
-    ordered by their smallest vertex like :func:`components`."""
+def components_minus(g: Graph, s: int = 0) -> list[tuple[int, int]]:
+    """The components C of G − S, each with N(C), as bitmasks of ``g.index`` ids
+    (S is such a mask too), ordered by their smallest vertex like :func:`components`."""
     index = g.index
-    rest = ((1 << len(index.order)) - 1) & ~index.bits(s)
+    rest = ((1 << len(index.order)) - 1) & ~s
     out = []
     while rest:
         comp, reach = grow_mask(index.masks, rest & -rest, rest)
@@ -286,7 +313,7 @@ def set_distance(g: Graph, xs: Iterable[Vertex], ys: Iterable[Vertex]) -> int | 
 
 def components(g: Graph) -> list[frozenset]:
     """Connected components, sorted by canonical key of their smallest vertex."""
-    return [g.index.labels(comp) for comp, _ in components_minus(g, ())]
+    return [g.index.labels(comp) for comp, _ in components_minus(g)]
 
 
 def dfs_orientation(nbrs: list) -> tuple:
@@ -367,7 +394,7 @@ def cut_vertices(g: Graph) -> frozenset:
     lowpoints of ``dfs_orientation`` (Hopcroft–Tarjan): a non-root v is one iff
     some tree edge v→w has ``lowpt`` ≥ height(v), a root iff it has two or
     more tree edges (all of which pass that test)."""
-    height, parent, dst, out, lowpt, _ = dfs_orientation(g.index.nbrs)
+    height, parent, dst, out, lowpt, _ = g.index.orientation
     return frozenset(
         g.index.order[v] for v, es in enumerate(out)
         if sum(parent[dst[e]] == e and lowpt[e] >= height[v] for e in es) > (height[v] == 0)
@@ -375,7 +402,7 @@ def cut_vertices(g: Graph) -> frozenset:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components_minus(g, ())) <= 1
+    return len(components_minus(g)) <= 1
 
 
 def induced_subgraph(g: Graph, keep: Iterable[Vertex]) -> Graph:
@@ -536,8 +563,7 @@ def format_edge_list(g: Graph) -> str:
         if parse_vertex_token(t) != v:
             raise GraphToolError(f"vertex {v!r} would read back from the edge-list format as {parse_vertex_token(t)!r}")
     lines = [f"{token[u]} {token[v]}" for (u, v) in g.sorted_edges()]
-    covered = {x for e in g.edges for x in e}
-    lines += [token[v] for v in sort_vertices(g.vertices - covered)]
+    lines += [token[v] for v, js in zip(g.index.order, g.index.nbrs) if not js]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -547,12 +573,7 @@ def _dot_quote(token: str) -> str:
 
 def to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
-    covered: set = set()
-    for (u, v) in g.sorted_edges():
-        lines.append(f"  {_dot_quote(vertex_token(u))} -- {_dot_quote(vertex_token(v))};")
-        covered.add(u)
-        covered.add(v)
-    for v in sort_vertices(g.vertices - covered):
-        lines.append(f"  {_dot_quote(vertex_token(v))};")
+    lines += [f"  {_dot_quote(vertex_token(u))} -- {_dot_quote(vertex_token(v))};" for (u, v) in g.sorted_edges()]
+    lines += [f"  {_dot_quote(vertex_token(v))};" for v, js in zip(g.index.order, g.index.nbrs) if not js]
     lines.append("}")
     return "\n".join(lines) + "\n"

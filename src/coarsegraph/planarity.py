@@ -3,8 +3,8 @@
 One algorithm gives both the verdict and the witness: the package's own
 left-right planarity test (de Fraysseix–Rosenstiehl, in Brandes' formulation)
 on ``GraphIndex`` ids.  Its orientation pass is ``graph.dfs_orientation``,
-whose lowpoints ``graph.cut_vertices`` also reads; this module holds only the
-testing pass.  On a non-planar graph, deleting every edge the test
+kept on the index as ``GraphIndex.orientation``, whose lowpoints
+``graph.cut_vertices`` also reads; this module holds only the testing pass.  On a non-planar graph, deleting every edge the test
 shows to be unneeded for non-planarity leaves a K₅ or K₃,₃ subdivision, which
 ``validate_subdivision`` re-checks independently of the test.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import StructuralError
-from .graph import Graph, dfs_orientation
+from .graph import Graph, GraphIndex
 
 WITNESS_CAP = 12
 
@@ -87,9 +87,9 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
     stop always comes.
     """
     index = g.index
-    nbrs = [list(js) for js in index.nbrs]
-    if _lr_planar(nbrs):
+    if _lr_planar(index):
         return None
+    nbrs = [list(js) for js in index.nbrs]
     _strip(nbrs, list(range(len(nbrs))))
     edges = sorted((-len(nbrs[u]) - len(nbrs[v]), u, v) for u, js in enumerate(nbrs) for v in js if u < v)
     for _, u, v in edges:
@@ -100,7 +100,7 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
             continue
         nbrs[u].remove(v)
         nbrs[v].remove(u)
-        if _lr_planar(nbrs):
+        if _lr_planar(GraphIndex(index.order, index.pos, nbrs)):
             insort(nbrs[u], v)
             insort(nbrs[v], u)
         else:
@@ -125,7 +125,7 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
                               tuple(tuple(label[v] for v in ends[branch[i], branch[j]]) for i, j in _SHAPES[kind][1]))
 
 
-def _lr_planar(nbrs: list) -> bool:
+def _lr_planar(index: GraphIndex) -> bool:
     """The left-right planarity test (Brandes, "The Left-Right Planarity
     Test", 2009), verdict only.
 
@@ -138,15 +138,15 @@ def _lr_planar(nbrs: list) -> bool:
     conflict pair is the list ``[left low, left high, right low, right high]``
     with -1 for "none", and an interval is empty iff its low end is -1.
     ``ref`` links each back edge of an interval to the next one down.
-    ``nbrs[v]`` lists the neighbour ids of v in increasing order.
+    The orientation is the index's own, shared with ``cut_vertices``.
     """
-    n = len(nbrs)
-    if n > 2 and sum(map(len, nbrs)) > 2 * (3 * n - 6):
+    n = len(index.nbrs)
+    if n > 2 and sum(map(len, index.nbrs)) > 2 * (3 * n - 6):
         return False
-    height, parent, dst, out, lowpt, lowpt2 = dfs_orientation(nbrs)
+    height, parent, dst, out, lowpt, lowpt2 = index.orientation
     m = len(dst)
-    for v, es in enumerate(out):  # by nesting depth
-        es.sort(key=lambda e: 2 * lowpt[e] + (lowpt2[e] < height[v]))
+    # Each vertex's outgoing edges by nesting depth, in new lists: the orientation's stay as they are.
+    out = [sorted(es, key=lambda e: 2 * lowpt[e] + (lowpt2[e] < height[v])) for v, es in enumerate(out)]
     pairs: list = []  # the stack of conflict pairs
     bottom = [0] * m  # the height of the pair stack when each edge is entered
     ref = [-1] * m
@@ -245,7 +245,7 @@ def is_planar(g: Graph, witness_cap: int = WITNESS_CAP) -> PlanarityVerdict:
     """The verdict, with a validated witness when g is non-planar and has at
     most ``witness_cap`` vertices; ``find_subdivision`` decides those graphs."""
     if len(g.vertices) > witness_cap:
-        return PlanarityVerdict(_lr_planar(g.index.nbrs), None)
+        return PlanarityVerdict(_lr_planar(g.index), None)
     witness = find_subdivision(g)
     if witness is not None and not validate_subdivision(g, witness):
         raise StructuralError("extracted subdivision failed validation")

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import StructuralError
-from .graph import Graph, Vertex, components_minus, set_key, sort_vertices, vertex_from_json, vertex_key
+from .graph import Graph, GraphIndex, Vertex, bit_ids, components_minus, sort_vertices, vertex_from_json
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,15 @@ class Separation:
 
     @classmethod
     def of(cls, side_a: Iterable[Vertex], side_b: Iterable[Vertex]) -> "Separation":
-        a = frozenset(side_a)
-        b = frozenset(side_b)
-        if a != b:
-            # The sides' sorted keys agree below the key-minimal vertex x of
-            # a ^ b, so the side that has nothing keyed above x sorts first.
-            x = min(a ^ b, key=vertex_key)
-            kx = vertex_key(x)
-            if any(vertex_key(v) > kx for v in (b if x in a else a)) != (x in a):
-                a, b = b, a
-        return cls(a, b)
+        """The sides in canonical order, by ``_a_first`` on ids of A ∪ B in key order."""
+        a, b = frozenset(side_a), frozenset(side_b)
+        pos = {v: i for i, v in enumerate(sort_vertices(a | b))}
+        return cls(a, b) if _a_first(sum(1 << pos[v] for v in a), sum(1 << pos[v] for v in b)) else cls(b, a)
+
+    @classmethod
+    def on_masks(cls, index: GraphIndex, a: int, b: int) -> "Separation":
+        """The separation whose sides are the id masks a and b of ``index``."""
+        return cls(index.labels(a), index.labels(b)) if _a_first(a, b) else cls(index.labels(b), index.labels(a))
 
     @property
     def separator(self) -> frozenset:
@@ -45,24 +44,27 @@ class Separation:
         return len(self.separator)
 
 
+def _a_first(a: int, b: int) -> bool:
+    """Whether side a sorts first, the sides being masks of ids in key order.
+    The sides' sorted keys agree below the key-minimal vertex x of a ^ b, its
+    lowest set bit, so the side that has nothing keyed above x sorts first."""
+    x = (a ^ b) & -(a ^ b)
+    return b >= x << 1 if a & x else a < x << 1
+
+
 def is_separation(g: Graph, sep: Separation) -> bool:
     """Checks the defining conditions: sides cover V(G), no edge crosses strictly."""
-    a, b = sep.side_a, sep.side_b
-    if a | b != g.vertices:
+    if sep.side_a | sep.side_b != g.vertices:
         return False
-    only_a = a - b
-    only_b = b - a
-    for (u, v) in g.edges:
-        if (u in only_a and v in only_b) or (u in only_b and v in only_a):
-            return False
-    return True
+    index = g.index
+    a, b = index.bits(sep.side_a), index.bits(sep.side_b)
+    return not any(index.masks[i] & b & ~a for i in bit_ids(a & ~b))
 
 
-def _split(g: Graph, s: frozenset) -> list[tuple[int, bool]]:
-    """The components of G − S as ``g.index`` bitmasks in canonical order, each
-    with whether it is fully attached (N(C) = S)."""
-    smask = g.index.bits(s)
-    return [(comp, nbhd == smask) for comp, nbhd in components_minus(g, s)]
+def _split(g: Graph, s: int) -> list[tuple[int, bool]]:
+    """The components of G − S, S a ``g.index`` mask, as such masks in
+    canonical order, each with whether it is fully attached (N(C) = S)."""
+    return [(comp, nbhd == s) for comp, nbhd in components_minus(g, s)]
 
 
 def fully_attached_components(g: Graph, s: Iterable[Vertex]) -> list[frozenset]:
@@ -70,7 +72,7 @@ def fully_attached_components(g: Graph, s: Iterable[Vertex]) -> list[frozenset]:
     sset = frozenset(s)
     for v in sset:
         g.require_vertex(v)
-    return [g.index.labels(comp) for comp, full in _split(g, sset) if full]
+    return [g.index.labels(comp) for comp, full in _split(g, g.index.bits(sset)) if full]
 
 
 def is_tight(g: Graph, sep: Separation) -> bool:
@@ -78,19 +80,17 @@ def is_tight(g: Graph, sep: Separation) -> bool:
     whole separator."""
     if not is_separation(g, sep):
         raise StructuralError("not a separation of the given graph")
-    a = g.index.bits(sep.side_a)
+    a, b = g.index.bits(sep.side_a), g.index.bits(sep.side_b)
     # A component of G − S lies wholly on one strict side; True marks side A.
-    return {comp & a == comp for comp, full in _split(g, sep.separator) if full} == {True, False}
+    return {comp & a == comp for comp, full in _split(g, a & b) if full} == {True, False}
 
 
 def separation_from_separator(g: Graph, s: Iterable[Vertex], a_components: Iterable[frozenset]) -> Separation:
     """The separation whose strict A-side is the given union of components of G − S."""
-    sset = frozenset(s)
-    a_side = set(sset)
-    for comp in a_components:
-        a_side |= comp
-    b_side = (g.vertices - a_side) | sset
-    return Separation.of(a_side, b_side)
+    index = g.index
+    smask = index.bits(s)
+    a = smask | index.bits(frozenset().union(*a_components))
+    return Separation.on_masks(index, a, ((1 << len(index.order)) - 1) & ~a | smask)
 
 
 def enumerate_tight(g: Graph, k: int) -> list[Separation]:
@@ -100,33 +100,32 @@ def enumerate_tight(g: Graph, k: int) -> list[Separation]:
     G − (A∩B), so iterating over separator k-subsets and component
     bipartitions is exhaustive.  Tightness then requires each strict side to
     absorb at least one fully attached component; all remaining components may
-    go to either side.
+    go to either side.  Sets compare like their sorted id tuples, which is
+    how their sorted key tuples compare.
     """
     if k < 0 or k > len(g.vertices):
         raise StructuralError("order must be between 0 and |V|")
-    verts = g.sorted_vertices()
-    seen: set[Separation] = set()
-    out: list[Separation] = []
-    for combo in combinations(verts, k):
-        s = frozenset(combo)
-        split = _split(g, s)
-        nf = sum(full for _, full in split)
+    index = g.index
+    full = (1 << len(index.order)) - 1
+    found = []
+    for combo in combinations(range(len(index.order)), k):
+        s = sum(1 << i for i in combo)
+        # Fully attached components first; each goes to side A (bit 1) or side B (bit 0).
+        split = sorted(_split(g, s), key=lambda cf: not cf[1])
+        nf = sum(f for _, f in split)
         if nf < 2:
             continue
-        # Fully attached components first; each goes to side A (bit 1) or side B (bit 0).
-        all_comps = [g.index.labels(comp) for comp, _ in sorted(split, key=lambda cf: not cf[1])]
-        n = len(all_comps)
-        for mask in range(2 ** n):
-            if mask & ((1 << nf) - 1) in (0, (1 << nf) - 1):
+        # The first component stays on side A, so each separation is met once.
+        for mask in range(1, 2 ** len(split), 2):
+            if mask & ((1 << nf) - 1) == (1 << nf) - 1:
                 continue
-            a_comps = [all_comps[i] for i in range(n) if (mask >> i) & 1]
-            sep = separation_from_separator(g, s, a_comps)
-            if sep in seen:
-                continue
-            seen.add(sep)
-            out.append(sep)
-    out.sort(key=lambda sp: (sp.order, set_key(sp.separator), set_key(sp.side_a), set_key(sp.side_b)))
-    return out
+            a = s | sum(comp for i, (comp, _) in enumerate(split) if mask >> i & 1)
+            b = full & ~a | s
+            if not _a_first(a, b):
+                a, b = b, a
+            found.append(((bit_ids(s), bit_ids(a), bit_ids(b)), a, b))
+    found.sort()
+    return [Separation.on_masks(index, a, b) for _, a, b in found]
 
 
 def separation_to_dict(sep: Separation) -> dict:

@@ -24,10 +24,8 @@ from .graph import (
     components,
     grow_mask,
     induced_subgraph,
-    induces_connected,
     sort_vertices,
     vertex_from_json,
-    vertex_key,
     vertex_token,
 )
 from .separations import Separation
@@ -59,9 +57,6 @@ class TreeDecomposition:
         except KeyError:
             raise StructuralError(f"no such tree node: {t!r}") from None
 
-    def nodes_containing(self, v: Vertex) -> frozenset:
-        return frozenset(t for t, p in self.parts.items() if v in p)
-
 
 @dataclass(frozen=True)
 class TDReport:
@@ -72,17 +67,29 @@ class TDReport:
 
 
 def validate(host: Graph, td: TreeDecomposition) -> TDReport:
-    """Report the first violated axiom (T1, T2, T3) with a witness."""
+    """Report the first violated axiom (T1, T2, T3) with a witness.  T2 and T3
+    read masks built from the parts: for each host id, the union of the parts
+    holding it and the set of tree nodes whose parts hold it."""
     covered = frozenset().union(*td.parts.values()) if td.parts else frozenset()
     for v in sort_vertices(covered - host.vertices):
         return TDReport(False, "T1", v, f"part vertex {vertex_token(v)} is not a graph vertex")
     for v in sort_vertices(host.vertices - covered):
         return TDReport(False, "T1", v, f"graph vertex {vertex_token(v)} lies in no part")
-    for (u, v) in host.sorted_edges():
-        if not any(u in p and v in p for p in td.parts.values()):
+    index, tree = host.index, td.tree.index
+    reach, nodes = [0] * len(index.order), [0] * len(index.order)
+    for t, node in enumerate(tree.order):
+        p = index.bits(td.parts[node])
+        for i in bit_ids(p):
+            reach[i] |= p
+            nodes[i] |= 1 << t
+    for i, m in enumerate(index.masks):
+        missed = m & ~reach[i] & -(2 << i)  # key-later neighbours sharing no part with i
+        if missed:
+            u, v = index.order[i], index.order[(missed & -missed).bit_length() - 1]
             return TDReport(False, "T2", (u, v), f"edge {vertex_token(u)}-{vertex_token(v)} lies in no part")
-    for v in host.sorted_vertices():
-        if not induces_connected(td.tree, td.nodes_containing(v)):
+    for i, ns in enumerate(nodes):
+        if grow_mask(tree.masks, ns & -ns, ns)[0] != ns:
+            v = index.order[i]
             return TDReport(False, "T3", v, f"nodes containing {vertex_token(v)} are not connected in the tree")
     return TDReport(True, message="valid tree-decomposition")
 
@@ -116,18 +123,40 @@ def torso(host: Graph, td: TreeDecomposition, t) -> Graph:
     return Graph.build(edges, vertices=part)
 
 
+def edge_separations(host: Graph, td: TreeDecomposition) -> dict:
+    """Both sides of every tree edge, from one pass over the tree rooted at its
+    key-least node: canonical tree edge (t1, t2) -> the unions of the parts on
+    t1's side and on t2's side, as ``host.index`` masks."""
+    tree = td.tree.index
+    part = [host.index.bits(td.parts[t]) for t in tree.order]
+    parent = [-1] * len(part)
+    preorder = [0]
+    for t in preorder:  # the list grows while it is read
+        for c in tree.nbrs[t]:
+            if c != parent[t]:
+                parent[c] = t
+                preorder.append(c)
+    below = part[:]  # the parts in t's subtree
+    for t in reversed(preorder[1:]):
+        below[parent[t]] |= below[t]
+    above = [0] * len(part)  # the parts outside t's subtree
+    for t in preorder[1:]:
+        p = parent[t]
+        above[t] = above[p] | part[p]
+        for s in tree.nbrs[p]:
+            if s != t and s != parent[p]:
+                above[t] |= below[s]
+    return {(tree.order[min(p, t)], tree.order[max(p, t)]): (above[t], below[t]) if p < t else (below[t], above[t])
+            for t, p in enumerate(parent) if p >= 0}
+
+
 def edge_separation(host: Graph, td: TreeDecomposition, edge: tuple) -> Separation:
     """The separation of the host induced by removing a tree edge."""
     t1, t2 = edge
-    if canonical_edge(t1, t2) not in td.tree.edges:
+    e = canonical_edge(t1, t2)
+    if e not in td.tree.edges:
         raise StructuralError(f"{edge!r} is not a tree edge")
-    # The side of t1 is its component in T − t2.
-    index = td.tree.index
-    side1 = index.labels(grow_mask(index.masks, 1 << index.pos[t1], ~(1 << index.pos[t2]))[0])
-    side2 = td.tree.vertices - side1
-    a = frozenset().union(*(td.parts[t] for t in side1))
-    b = frozenset().union(*(td.parts[t] for t in side2))
-    return Separation.of(a, b)
+    return Separation.on_masks(host.index, *edge_separations(host, td)[e])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +356,7 @@ def tree_center(tree: Graph) -> TreeCenter:
 def td_to_dict(td: TreeDecomposition) -> dict:
     return {
         "tree_edges": [[vertex_token(a), vertex_token(b)] for (a, b) in td.tree.sorted_edges()],
-        "parts": {vertex_token(t): sort_vertices(p) for t, p in sorted(td.parts.items(), key=lambda kv: vertex_key(kv[0]))},
+        "parts": {vertex_token(t): sort_vertices(td.parts[t]) for t in td.tree.sorted_vertices()},
     }
 
 

@@ -42,7 +42,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import oracles
-from coarsegraph import construction
+from coarsegraph import construction, graph, planarity
 from helpers import random_bundle
 
 
@@ -360,6 +360,38 @@ def test_supplied_bounded_treewidth_sub_decomposition_is_checked_tight_once(monk
     assert verify_output(b, out).passed
 
 
+def test_supplied_planar_sub_decomposition_is_checked_tight_once(monkeypatch):
+    """A supplied planar sub-decomposition is checked tight on every edge
+    before the refinement, whose keep rule then reads only adhesion sets: one
+    is_tight call for the one edge of TWO_PART_SUB, not two."""
+    calls = []
+    real = construction.is_tight
+    monkeypatch.setattr(construction, "is_tight", lambda g, sep: calls.append(sep) or real(g, sep))
+    S = ("s1", "s2", "s3")
+    host = Graph.build([(w, s) for w in "xyz" for s in S])
+    td = TreeDecomposition(Graph.build([("t", "u")]), {"t": frozenset({"x", "y", *S}), "u": frozenset({"z", *S})})
+    b = InstanceBundle(host, td, k=2, finite_threshold=4, sub_tds={"t": TWO_PART_SUB})
+    out = build_H(b)
+    assert len(calls) == 1
+    assert out.classification == {"t": PLANAR, "u": FINITE}
+    assert sorted(x[2] for x in out.H.vertices if x[0] == "pl") == [0] * 4 + [1] * 4
+    assert verify_output(b, out).passed
+
+
+def test_verify_output_orients_each_h_once(monkeypatch):
+    """The planarity test and the hub cut check read one orientation of H,
+    kept on its index: at most one dfs_orientation call per corpus H."""
+    outs = [(inst.bundle, build_H(inst.bundle)) for inst in corpus(DEFAULT_SEED)]
+    calls = []
+    real = graph.dfs_orientation
+    for module in (graph, planarity):  # wherever the name is bound
+        if hasattr(module, "dfs_orientation"):
+            monkeypatch.setattr(module, "dfs_orientation", lambda nbrs: calls.append(nbrs) or real(nbrs))
+    for b, out in outs:
+        verify_output(b, out)
+    assert len(outs) == 66 and len(calls) <= 66
+
+
 def test_bounded_treewidth_sub_decompositions_are_checked_before_planar_ones():
     """Both supplied sub-decompositions miss a vertex; the bounded-treewidth
     torso at b is reported, though the planar torso at a is key-earlier."""
@@ -376,8 +408,8 @@ def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
     """A one-part torso has no outer adhesion set, so no edge of its
     sub-decomposition is a candidate to keep."""
     calls = []
-    real = construction.edge_separation
-    monkeypatch.setattr(construction, "edge_separation", lambda g, td, e: calls.append(e) or real(g, td, e))
+    real = construction.edge_separations
+    monkeypatch.setattr(construction, "edge_separations", lambda g, td: calls.append(td) or real(g, td))
     grid = grid_graph(9, 9)
     b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))

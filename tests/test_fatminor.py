@@ -263,9 +263,11 @@ def test_budget_exhaustion_is_reported_not_guessed():
 
 
 def test_negative_budget_is_bad_input():
-    """A negative budget is refused, also through the probe; budget 0 is valid."""
+    """A negative budget is refused, also through the probe, whatever its K
+    list; budget 0 is valid."""
     for call in (lambda: search_fat_minor(cycle_graph(3), cycle_graph(4), 1, budget=-1),
-                 lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [1], budget=-1)):
+                 lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [1], budget=-1),
+                 lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [], budget=-1)):
         with pytest.raises(StructuralError) as exc:
             call()
         assert str(exc.value) == "budget must be non-negative"

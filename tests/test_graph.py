@@ -56,6 +56,34 @@ def test_build_dedupes_and_rejects_loops():
         Graph.build([(1, 1)])
 
 
+@pytest.mark.parametrize("alias", [True, 1.0])
+def test_build_refuses_a_non_vertex_equal_to_a_keyed_vertex(alias):
+    """Build keys each distinct vertex once, but True and 1.0, which equal 1
+    and hash like it, are still refused in either edge order, also inside a tuple."""
+    for first, second in (((1, 2), (alias, 3)), (((1, "a"), 2), ((alias, "a"), 3))):
+        for edges in ([first, second], [second, first]):
+            with pytest.raises(GraphToolError):
+                Graph.build(edges)
+
+
+_MIXED = (st.integers(0, 12) | st.sampled_from(["a", "b", "10", "(1|a)"])
+          | st.tuples(st.integers(0, 2), st.sampled_from("ab")) | st.tuples(st.just("x"), st.tuples(st.integers(0, 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_MIXED, _MIXED), max_size=25), st.lists(_MIXED, max_size=4))
+def test_edges_are_canonical_and_sorted_in_key_order(pairs, isolated):
+    """On mixed int, str and tuple labels: every edge is stored in canonical
+    order, and sorted_edges and sorted_vertices follow the oracle's key order."""
+    edges = [(u, v) for u, v in pairs if u != v]
+    g = Graph.build(edges, vertices=isolated)
+    key = oracles.label_key
+    assert all(key(u) < key(v) for u, v in g.edges)
+    assert {frozenset(e) for e in g.edges} == {frozenset(e) for e in edges}
+    assert g.sorted_edges() == sorted(g.edges, key=lambda e: (key(e[0]), key(e[1])))
+    assert g.sorted_vertices() == sorted(set(isolated) | {v for e in edges for v in e}, key=key)
+
+
 def test_unknown_vertex_raises():
     g = Graph.build([(1, 2)], vertices=["x"])
     with pytest.raises(UnknownVertexError):

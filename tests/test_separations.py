@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from coarsegraph.errors import StructuralError
 from coarsegraph.generators import cycle_graph, path_graph
 from coarsegraph.graph import Graph, sort_vertices, vertex_key
-from coarsegraph.treedecomp import TreeDecomposition, edge_separation
+from coarsegraph.treedecomp import TreeDecomposition, edge_separation, edge_separations
 from coarsegraph.separations import (
     Separation,
     enumerate_tight,
@@ -161,3 +161,30 @@ def test_components_of_g_minus_s_agree_with_the_oracle(data):
         a = frozenset().union(*(parts[t] for t in side1))
         b = frozenset().union(*(parts[t] for t in range(m) if t not in side1))
         assert edge_separation(g, td, (t1, t2)) == Separation.of(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_edge_separations_are_the_side_unions_on_mixed_labels(data):
+    """edge_separations on random trees and parts over mixed labels against the
+    unions of the parts on each side of T − e; Separation.on_masks against
+    Separation.of on the same sides, and on random masks."""
+    labels = data.draw(st.lists(_LABELS, unique=True, min_size=1, max_size=8))
+    g = Graph.build([], vertices=labels)
+    index = g.index
+    nodes = data.draw(st.lists(_LABELS, unique=True, min_size=1, max_size=6))
+    tree_edges = [(nodes[i], nodes[data.draw(st.integers(0, i - 1))]) for i in range(1, len(nodes))]
+    parts = {t: frozenset(data.draw(st.sets(st.sampled_from(labels)))) for t in nodes}
+    td = TreeDecomposition(Graph.build(tree_edges, vertices=nodes), parts)
+    tree_adj = oracles.adjacency(tree_edges, nodes)
+    seps = edge_separations(g, td)
+    assert set(seps) == set(td.tree.edges)
+    for (t1, t2), (a, b) in seps.items():
+        assert oracles.label_key(t1) < oracles.label_key(t2)
+        side1 = set(oracles.bfs_distances({t: ns - {t2} for t, ns in tree_adj.items() if t != t2}, t1))
+        assert index.labels(a) == frozenset().union(*(parts[t] for t in side1))
+        assert index.labels(b) == frozenset().union(*(parts[t] for t in nodes if t not in side1))
+        sep = Separation.on_masks(index, a, b)
+        assert sep == Separation.of(index.labels(a), index.labels(b)) == edge_separation(g, td, (t2, t1))
+    a, b = (data.draw(st.integers(0, 2 ** len(labels) - 1)) for _ in "ab")
+    assert Separation.on_masks(index, a, b) == Separation.of(index.labels(a), index.labels(b))

@@ -82,6 +82,37 @@ def test_validate_reports_each_axiom():
     assert not rep.ok and rep.axiom == "T3"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_reports_the_first_violation_like_the_axioms(data):
+    """validate on random, mostly invalid, decompositions of mixed-label hosts
+    against the axioms read directly: the first failing axiom, and its witness
+    first in the oracle's key order."""
+    n = data.draw(st.integers(1, 7))
+    labels = [i if i % 2 else f"v{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    host = Graph.build(edges, vertices=labels)
+    m = data.draw(st.integers(1, 5))
+    tree_edges = [(i, data.draw(st.integers(0, i - 1))) for i in range(1, m)]
+    parts = {t: frozenset(data.draw(st.sets(st.sampled_from(labels), min_size=1))) for t in range(m)}
+    rep = validate(host, TreeDecomposition(Graph.build(tree_edges, vertices=range(m)), parts))
+
+    key = oracles.label_key
+    tree_adj = oracles.adjacency(tree_edges, range(m))
+    uncovered = sorted(set(labels) - set().union(*parts.values()), key=key)
+    split_edges = sorted((tuple(sorted(e, key=key)) for e in edges if not any(set(e) <= p for p in parts.values())),
+                         key=lambda e: (key(e[0]), key(e[1])))
+
+    def connected(ts):  # an empty set only for an uncovered vertex, reported under T1
+        return not ts or set(oracles.bfs_distances({t: tree_adj[t] & ts for t in ts}, min(ts))) == ts
+
+    split_vertices = [v for v in sorted(labels, key=key) if not connected({t for t, p in parts.items() if v in p})]
+    expected = (("T1", uncovered) if uncovered else ("T2", split_edges) if split_edges
+                else ("T3", split_vertices) if split_vertices else (None, [None]))
+    assert (rep.ok, rep.axiom, rep.witness) == (expected[0] is None, expected[0], expected[1][0])
+
+
 def test_adhesion_and_width():
     _, td = two_k4()
     assert adhesion_sets(td) == {("t1", "t2"): frozenset({"s1", "s2", "s3"})}
