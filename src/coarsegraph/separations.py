@@ -69,10 +69,7 @@ def _split(g: Graph, s: int) -> list[tuple[int, bool]]:
 
 def fully_attached_components(g: Graph, s: Iterable[Vertex]) -> list[frozenset]:
     """Components C of G − S with N(C) exactly S, in canonical order."""
-    sset = frozenset(s)
-    for v in sset:
-        g.require_vertex(v)
-    return [g.index.labels(comp) for comp, full in _split(g, g.index.bits(sset)) if full]
+    return [g.index.labels(comp) for comp, full in _split(g, g.index.bits(s)) if full]
 
 
 def is_tight(g: Graph, sep: Separation) -> bool:
