@@ -54,11 +54,15 @@ def _a_first(a: int, b: int) -> bool:
 
 def is_separation(g: Graph, sep: Separation) -> bool:
     """Checks the defining conditions: sides cover V(G), no edge crosses strictly."""
-    if sep.side_a | sep.side_b != g.vertices:
+    a, b = sep.side_a, sep.side_b
+    if a | b != g.vertices:
         return False
-    index = g.index
-    a, b = index.bits(sep.side_a), index.bits(sep.side_b)
-    return not any(index.masks[i] & b & ~a for i in bit_ids(a & ~b))
+    only_a = a - b
+    only_b = b - a
+    for (u, v) in g.edges:
+        if (u in only_a and v in only_b) or (u in only_b and v in only_a):
+            return False
+    return True
 
 
 def _split(g: Graph, s: int) -> list[tuple[int, bool]]:
@@ -77,9 +81,9 @@ def is_tight(g: Graph, sep: Separation) -> bool:
     whole separator."""
     if not is_separation(g, sep):
         raise StructuralError("not a separation of the given graph")
-    a, b = g.index.bits(sep.side_a), g.index.bits(sep.side_b)
+    a, s = g.index.bits(sep.side_a), g.index.bits(sep.separator)
     # A component of G − S lies wholly on one strict side; True marks side A.
-    return {comp & a == comp for comp, full in _split(g, a & b) if full} == {True, False}
+    return {comp & a == comp for comp, full in _split(g, s) if full} == {True, False}
 
 
 def separation_from_separator(g: Graph, s: Iterable[Vertex], a_components: Iterable[frozenset]) -> Separation:
