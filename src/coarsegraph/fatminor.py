@@ -20,7 +20,9 @@ The exhaustive search works on ``GraphIndex`` id masks: branch sets, paths
 and the zones they rule out are ints, and the radius-(K − 1) ball of every
 vertex is read once per search, so a set's ball is an OR of vertex balls.
 Ids follow vertex-key order, so candidates are tried in key order and the
-labels come back only in the model that is returned.
+labels come back only in the model that is returned.  The first pattern vertex
+takes only branch sets least in their Aut(host) orbit (isomorph rejection):
+the model found is the unfiltered search's, for fewer nodes.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .graph import (
     vertex_key,
     vertex_token,
 )
-from . import planarity
+from . import planarity, symmetry
 
 DEFAULT_BUDGET = 200_000
 PATTERN_CAP = 5
@@ -197,6 +199,26 @@ def _connected_subsets(index: GraphIndex) -> list[int]:
     return out
 
 
+def _first_in_orbit(host: Graph):
+    """A test fed the connected id sets in search order: it passes each set not
+    met before, the least of its Aut(host) orbit, and marks that orbit met."""
+    gens = [[1 << j for j in a] for a in symmetry.automorphism_generators(host)]
+    met: set = set()
+
+    def first(s: int) -> bool:
+        if s in met:
+            return False
+        met.add(s)
+        orbit = [s]
+        for t in orbit:
+            images = {sum(map(g.__getitem__, bit_ids(t))) for g in gens} - met
+            met.update(images)
+            orbit += images
+        return True
+
+    return first
+
+
 def _vertex_balls(index: GraphIndex, radius: int) -> list[int]:
     """Per vertex id, the mask of ids within ``radius`` of it: that level of the ball levels."""
     if radius < 0:
@@ -305,6 +327,7 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
     # (mask, size, ball of the set)
     subsets = [(s, s.bit_count(), reduce(or_, map(balls.__getitem__, bit_ids(s)))) for s in _connected_subsets(index)]
     pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), vertex_key(v)))
+    first_in_orbit = _first_in_orbit(host)
     branch: dict = {}
     near: dict = {}
 
@@ -317,6 +340,9 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
         remaining = len(pverts) - i
         free = n - used.bit_count()
         for s, size, zone in subsets:
+            # The least first branch set of any model is least in its orbit.
+            if i == 0 and not first_in_orbit(s):
+                continue
             budget.spend()
             if s & used:
                 continue

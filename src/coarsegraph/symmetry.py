@@ -4,9 +4,10 @@ Automorphisms are plain dicts (vertex -> vertex, in vertex-key order).
 Enumeration is exact backtracking over ``GraphIndex`` ids after colour
 refinement (McKay, "Practical Graph Isomorphism", 1981), intended for graphs
 up to a configurable size cap: a candidate image is checked with one mask
-compare against the images of the neighbours already placed.  Orbit
-computation groups arbitrary objects (vertices, vertex sets, separations,
-edges) under a supplied or derived action.
+compare against the images of the neighbours already placed; stopped at the
+first extension of each coset of a stabiliser chain, the same backtrack gives
+a generating set.  Orbit computation groups arbitrary objects (vertices,
+vertex sets, separations, edges) under a supplied or derived action.
 """
 
 from __future__ import annotations
@@ -20,16 +21,38 @@ from .separations import Separation
 DEFAULT_AUTOMORPHISM_CAP = 12
 
 
-def _refine_colors(index: GraphIndex) -> list[int]:
-    """Iterated neighbour-colour refinement of the ids; a coarse invariant used for pruning."""
+def _refined_order(index: GraphIndex) -> tuple[list[int], list[int]]:
+    """Refined neighbour colours of the ids (used for pruning), and the ids by rarity of colour."""
     color = [len(js) for js in index.nbrs]
     while True:
         sig = [(c, tuple(sorted(color[j] for j in js))) for c, js in zip(color, index.nbrs)]
         palette = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [palette[s] for s in sig]
         if new == color:
-            return color
+            return color, sorted(range(len(color)), key=lambda v: (color.count(color[v]), v))
         color = new
+
+
+def _extensions(index: GraphIndex, color: list[int], order: list[int], prefix: tuple):
+    """Yield, as id tuples of images, each automorphism sending ``order[i]`` to
+    ``prefix[i]`` for every ``i < len(prefix)``, in backtracking order."""
+    n, masks = len(order), index.masks
+    image = [0] * n
+
+    def extend(i: int, used: int):
+        if i == n:
+            yield tuple(image)
+            return
+        v = order[i]
+        # w extends the map iff it is free, of v's colour, and adjacent to
+        # exactly the images of v's placed neighbours among the used ids.
+        need = sum(1 << image[u] for u in order[:i] if masks[v] >> u & 1)
+        for w in prefix[i:i + 1] or range(n):
+            if color[w] == color[v] and not used >> w & 1 and masks[w] & used == need:
+                image[v] = w
+                yield from extend(i + 1, used | 1 << w)
+
+    return extend(0, 0)
 
 
 def automorphisms(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> list[dict]:
@@ -38,43 +61,29 @@ def automorphisms(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> lis
     if n > max_vertices:
         raise CapacityError(f"graph has {n} vertices, automorphism cap is {max_vertices}")
     index = g.index
-    masks = index.masks
-    color = _refine_colors(index)
-    # Most-constrained-first assignment order: rare colours early.
-    order = sorted(range(n), key=lambda v: (color.count(color[v]), v))
-    found: list[tuple] = []
-    image = [0] * n
-
-    def backtrack(i: int, used: int) -> None:
-        if i == n:
-            found.append(tuple(image))
-            return
-        v = order[i]
-        # w extends the map iff it is free, of v's colour, and adjacent to
-        # exactly the images of v's placed neighbours among the used ids.
-        need = sum(1 << image[u] for u in order[:i] if masks[v] >> u & 1)
-        for w in range(n):
-            if color[w] == color[v] and not used >> w & 1 and masks[w] & used == need:
-                image[v] = w
-                backtrack(i + 1, used | 1 << w)
-
-    backtrack(0, 0)
     # Ids follow vertex-key order, so the identity is the least tuple.
-    found.sort()
+    found = sorted(_extensions(index, *_refined_order(index), ()))
     return [{index.order[v]: index.order[w] for v, w in enumerate(a)} for a in found]
 
 
-def is_identity(auto: dict) -> bool:
-    return all(v == w for v, w in auto.items())
-
-
-def compose(outer: dict, inner: dict) -> dict:
-    """outer ∘ inner (apply inner first)."""
-    return {v: outer[w] for v, w in inner.items()}
-
-
-def invert(auto: dict) -> dict:
-    return {w: v for v, w in auto.items()}
+def automorphism_generators(g: Graph) -> list[tuple]:
+    """At most n(n − 1)/2 automorphisms (id tuples of images) generating Aut(g): down
+    the stabiliser chain of the refinement order, deepest first, level ``l`` takes
+    the first extension for each image of its id that the generators so far miss."""
+    index = g.index
+    color, order = _refined_order(index)
+    gens: list[tuple] = []
+    for l in reversed(range(len(order))):
+        orbit = [order[l]]
+        for w in order[l + 1:]:
+            if w in orbit or color[w] != color[order[l]]:
+                continue
+            a = next(_extensions(index, color, order, (*order[:l], w)), None)
+            if a is not None:
+                gens.append(a)
+                for x in orbit:  # the orbit of order[l] under the generators so far
+                    orbit += {b[x] for b in gens}.difference(orbit)
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +125,8 @@ def orbits(objects: Iterable, autos: Sequence[dict], act: Callable = apply_to) -
     :func:`automorphisms`); each object's orbit representative is its minimal
     image, and objects sharing a representative share an orbit.
     """
+    if not autos:
+        raise StructuralError("orbits need at least one automorphism: a group holds the identity")
     groups: dict = {}  # representative's key -> {object key -> first object with that key}
     for o in objects:
         rkey = min(_obj_key(act(a, o)) for a in autos)

@@ -103,16 +103,40 @@ def connected_sets(adj):
 def automorphisms(vertices, edges):
     """Every permutation of the vertices that maps the edge set onto itself,
     as dicts, ordered by the images of the vertices taken in ``label_key``
-    order (so the identity comes first)."""
+    order (so the identity comes first).  Permutations are grown one vertex
+    at a time, and a partial map that already breaks an adjacency or a
+    non-adjacency between placed vertices is not grown further."""
     vs = sorted(vertices, key=label_key)
-    es = {frozenset(e) for e in edges}
+    adj = adjacency(edges, vs)
     out = []
-    for perm in itertools.permutations(vs):
-        img = dict(zip(vs, perm))
-        if all(frozenset(img[x] for x in e) in es for e in es):
-            out.append(img)
+
+    def grow(img):
+        if len(img) == len(vs):
+            out.append(dict(img))
+            return
+        v = vs[len(img)]
+        for w in vs:
+            if w not in img.values() and all((x in adj[v]) == (y in adj[w]) for x, y in img.items()):
+                img[v] = w
+                grow(img)
+                del img[v]
+
+    grow({})
     out.sort(key=lambda a: [label_key(a[v]) for v in vs])
     return out
+
+
+def is_identity(auto):
+    return all(v == w for v, w in auto.items())
+
+
+def compose(outer, inner):
+    """outer ∘ inner (apply inner first)."""
+    return {v: outer[w] for v, w in inner.items()}
+
+
+def invert(auto):
+    return {w: v for v, w in auto.items()}
 
 
 def orbit_partition(objects, autos, act, key):

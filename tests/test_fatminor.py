@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsegraph import symmetry
 from coarsegraph.errors import CapacityError, GraphToolError, StructuralError
 from coarsegraph.fatminor import (
     FatMinorModel,
     _connected_subsets,
     _farthest_point_seeds,
+    _first_in_orbit,
     _vertex_balls,
     asymptotic_probe,
     check_model_structure,
@@ -20,6 +24,7 @@ from coarsegraph.fatminor import (
     verify_fat_model,
 )
 from coarsegraph.generators import (
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     grid_graph,
@@ -158,7 +163,7 @@ def test_cycle_in_cycle_exhaustive_fatness_frontier():
     found = search_fat_minor(c4, c8, 1)
     assert found.status == "found"
     assert verify_fat_model(found.model, 1).ok
-    assert found.nodes_used == 148_850
+    assert found.nodes_used == 23_809
     assert model_to_dict(found.model) == {
         "branch_sets": {"0": ["0", "1"], "1": ["2", "3"], "2": ["4", "5"], "3": ["6", "7"]},
         "edge_paths": {"0-1": ["1", "2"], "0-3": ["0", "7"], "1-2": ["3", "4"], "2-3": ["5", "6"]},
@@ -170,18 +175,18 @@ def test_probe_is_monotone():
     results = asymptotic_probe(cycle_graph(4), cycle_graph(8), [0, 1, 2])
     statuses = [results[k].status for k in (0, 1, 2)]
     assert statuses == ["found", "found", "not-found"]
-    assert [results[k].nodes_used for k in (0, 1, 2)] == [0, 148_850, 37_529]
+    assert [results[k].nodes_used for k in (0, 1, 2)] == [0, 23_809, 4_692]
     for k in (0, 1):
         assert verify_fat_model(results[k].model, k).ok
 
 
 @pytest.mark.parametrize("pattern, host, K, status, reason, nodes_used, model", [
-    (cycle_graph(3), cycle_graph(10), 2, "not-found", "search space exhausted", 95_031, None),
-    (path_graph(3), cycle_graph(10), 2, "found", "witness verified", 55_269, {
+    (cycle_graph(3), cycle_graph(10), 2, "not-found", "search space exhausted", 9_504, None),
+    (path_graph(3), cycle_graph(10), 2, "found", "witness verified", 5_544, {
         "branch_sets": {"0": ["4"], "1": ["0", "1", "2"], "2": ["6"]},
         "edge_paths": {"0-1": ["4", "3", "2"], "1-2": ["0", "9", "8", "7", "6"]},
     }),
-    (path_graph(3), path_graph(10), 3, "found", "witness verified", 23_808, {
+    (path_graph(3), path_graph(10), 3, "found", "witness verified", 12_751, {
         "branch_sets": {"0": ["0"], "1": ["3", "4", "5", "6"], "2": ["9"]},
         "edge_paths": {"0-1": ["0", "1", "2", "3"], "1-2": ["6", "7", "8", "9"]},
     }),
@@ -211,8 +216,8 @@ LABELS = st.one_of(
 
 
 @st.composite
-def labelled_hosts(draw):
-    labels = draw(st.lists(LABELS, min_size=1, max_size=8, unique=True))
+def labelled_hosts(draw, max_size=8):
+    labels = draw(st.lists(LABELS, min_size=1, max_size=max_size, unique=True))
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph.build(edges, vertices=labels)
@@ -228,6 +233,99 @@ def test_subset_and_ball_masks_match_brute_force(host, radius):
     assert [index.labels(m) for m in _connected_subsets(index)] == oracles.connected_sets(adj)
     balls = _vertex_balls(index, radius)
     assert [index.labels(b) for b in balls] == [oracles.ball(adj, v, radius) for v in index.order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(host=labelled_hosts(max_size=7))
+def test_first_branch_sets_are_the_orbit_least_connected_sets(host):
+    """Fed the connected sets in search order, the filter passes exactly those
+    that no brute-force automorphism maps to an earlier set."""
+    index = host.index
+    first = _first_in_orbit(host)
+    kept = [index.labels(s) for s in _connected_subsets(index) if first(s)]
+    autos = oracles.automorphisms(host.vertices, host.edges)
+
+    def key(s):
+        return sorted(map(oracles.label_key, s))
+
+    least = [s for s in oracles.connected_sets(oracles.adjacency(host.edges, host.vertices))
+             if all(key(s) <= key({a[x] for x in s}) for a in autos)]
+    assert kept == least
+
+
+def _unfiltered(monkeypatch):
+    """The search without isomorph rejection: an empty generating set."""
+    monkeypatch.setattr(symmetry, "automorphism_generators", lambda g: [])
+
+
+def _random_triple(rng):
+    pattern = oracles.random_graph(rng, rng.randint(1, 4), rng.random())
+    host = oracles.random_graph(rng, rng.randint(1, 10), rng.random())
+    return Graph.build(pattern[1], vertices=pattern[0]), Graph.build(host[1], vertices=host[0]), rng.randint(0, 3)
+
+
+def test_isomorph_rejection_keeps_every_decided_outcome(monkeypatch):
+    """On 2,000 seeded (pattern, host, K) triples: wherever the unfiltered
+    search decides, the filtered one gives the same status, reason and model
+    with no more nodes; where it gives up, a model found is still verified.
+    The budget is cut to 5,000 nodes to keep the run short."""
+    rng = random.Random(1616)
+    triples = [_random_triple(rng) for _ in range(2000)]
+    got = [search_fat_minor(p, h, K, budget=5_000) for p, h, K in triples]
+    _unfiltered(monkeypatch)
+    decided = fewer = 0
+    for (p, h, K), out in zip(triples, got):
+        ref = search_fat_minor(p, h, K, budget=5_000)
+        if ref.status == "inconclusive":
+            assert out.model is None or verify_fat_model(out.model, K).ok
+            continue
+        decided += 1
+        fewer += out.nodes_used < ref.nodes_used
+        assert (out.status, out.reason) == (ref.status, ref.reason)
+        assert (out.model and model_to_dict(out.model)) == (ref.model and model_to_dict(ref.model))
+        assert out.nodes_used <= ref.nodes_used
+    assert decided >= 1_700 and fewer >= 200
+
+
+def _edgeless(n):
+    return Graph.build([], vertices=range(n))
+
+
+@pytest.mark.parametrize("host, cases", [
+    (complete_graph(10), [(complete_graph(4), 0), (path_graph(2), 1), (_edgeless(3), 1)]),
+    (complete_bipartite_graph(1, 9), [(complete_graph(4), 0), (complete_graph(3), 0), (path_graph(2), 2)]),
+    (complete_bipartite_graph(5, 5), [(complete_graph(4), 0), (path_graph(3), 0), (path_graph(2), 2)]),
+    (_edgeless(10), [(complete_graph(4), 0), (path_graph(3), 0), (_edgeless(3), 2)]),
+])
+def test_symmetric_hosts_never_list_their_group(monkeypatch, host, cases):
+    """On hosts with up to 10! automorphisms the search draws at most
+    n(n - 1)/2 automorphisms from the backtrack and never lists the group,
+    and it returns what the unfiltered search returns."""
+    drawn = []
+    real = symmetry._extensions
+
+    def counted(*args):
+        for a in real(*args):
+            drawn.append(a)
+            yield a
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search listed the whole automorphism group")
+
+    monkeypatch.setattr(symmetry, "_extensions", counted)
+    monkeypatch.setattr(symmetry, "automorphisms", refuse)
+    got = []
+    for pattern, K in cases:
+        drawn.clear()
+        got.append(search_fat_minor(pattern, host, K))
+        assert 0 < len(drawn) <= 45
+    _unfiltered(monkeypatch)
+    for (pattern, K), out in zip(cases, got):
+        ref = search_fat_minor(pattern, host, K)
+        assert ref.status != "inconclusive"
+        assert (out.status, out.reason) == (ref.status, ref.reason)
+        assert out.model == ref.model
+        assert out.nodes_used <= ref.nodes_used
 
 
 @pytest.mark.parametrize("pattern, host, K", [

@@ -8,22 +8,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coarsegraph.errors import CapacityError
-from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
+from coarsegraph.errors import CapacityError, StructuralError
+from coarsegraph.generators import complete_bipartite_graph, complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph, canonical_edge
 from coarsegraph.separations import enumerate_tight
 from coarsegraph.symmetry import (
     apply_to,
+    automorphism_generators,
     automorphisms,
-    compose,
     edge_orbits,
-    invert,
-    is_identity,
     orbits,
     vertex_orbits,
 )
 
 import oracles
+from oracles import compose, invert, is_identity
 
 
 def petersen() -> Graph:
@@ -100,6 +99,45 @@ def test_apply_to_handles_vertices_edges_and_sets():
     assert apply_to(rot, 0) == 1
     assert apply_to(rot, (0, 1)) == (1, 2)
     assert apply_to(rot, frozenset({0, 2})) == frozenset({1, 3})
+
+
+def test_orbits_refuse_an_empty_list_of_automorphisms():
+    """A group holds the identity, so no automorphisms at all is bad input."""
+    with pytest.raises(StructuralError):
+        orbits([0, 1], [])
+
+
+def _prism(n: int) -> Graph:
+    rim = [(i, (i + 1) % n) for i in range(n)]
+    return Graph.build(rim + [(n + a, n + b) for a, b in rim] + [(i, n + i) for i in range(n)])
+
+
+def _wheel(n: int) -> Graph:
+    return Graph.build([(i, (i + 1) % n) for i in range(n)] + [("hub", i) for i in range(n)])
+
+
+def _random_graphs(count: int) -> list[Graph]:
+    rng = random.Random(1601)
+    return [Graph.build(edges, vertices=vs)
+            for vs, edges in (oracles.random_graph(rng, rng.randint(1, 8), rng.random()) for _ in range(count))]
+
+
+@pytest.mark.parametrize("g", [
+    petersen(), _prism(4), complete_bipartite_graph(3, 3), complete_bipartite_graph(3, 4),
+    _wheel(4), _wheel(5), _wheel(8), _prism(3), _prism(5), complete_graph(5),
+] + _random_graphs(40))
+def test_generators_generate_the_whole_group(g):
+    """Closed under composition, the generating set gives exactly the
+    brute-force automorphisms, from at most n(n - 1)/2 generators."""
+    index = g.index
+    n = len(index.order)
+    gens = automorphism_generators(g)
+    assert len(gens) <= n * (n - 1) // 2
+    group = [tuple(range(n))]
+    for a in group:
+        group += [c for c in (tuple(b[i] for i in a) for b in gens) if c not in group]
+    expected = {tuple(index.pos[a[v]] for v in index.order) for a in oracles.automorphisms(g.vertices, g.edges)}
+    assert set(group) == expected
 
 
 def test_capacity_guard():
