@@ -152,11 +152,11 @@ class GraphIndex:
     in increasing order.  Id order is vertex-key order, so a BFS over ``nbrs``
     expands neighbours in key order; :func:`shortest_path` relies on that."""
 
-    __slots__ = ("order", "pos", "nbrs", "_masks", "_orientation")
+    __slots__ = ("order", "pos", "nbrs", "_masks", "_orientation", "_generators")
 
     def __init__(self, order: list, pos: dict, nbrs: list):
         self.order, self.pos, self.nbrs = order, pos, nbrs
-        self._masks = self._orientation = None
+        self._masks = self._orientation = self._generators = None
 
     def distance_row(self, sources: Iterable[int]) -> list[int]:
         """BFS distances from a set of vertex ids, indexed by id; -1 where unreachable."""

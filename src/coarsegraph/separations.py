@@ -86,14 +86,6 @@ def is_tight(g: Graph, sep: Separation) -> bool:
     return {comp & a == comp for comp, full in _split(g, s) if full} == {True, False}
 
 
-def separation_from_separator(g: Graph, s: Iterable[Vertex], a_components: Iterable[frozenset]) -> Separation:
-    """The separation whose strict A-side is the given union of components of G − S."""
-    index = g.index
-    smask = index.bits(s)
-    a = smask | index.bits(frozenset().union(*a_components))
-    return Separation.on_masks(index, a, ((1 << len(index.order)) - 1) & ~a | smask)
-
-
 def enumerate_tight(g: Graph, k: int) -> list[Separation]:
     """All tight separations of order exactly k, deduplicated and canonically sorted.
 

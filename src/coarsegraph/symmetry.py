@@ -6,8 +6,8 @@ refinement (McKay, "Practical Graph Isomorphism", 1981), intended for graphs
 up to a configurable size cap: a candidate image is checked with one mask
 compare against the images of the neighbours already placed; stopped at the
 first extension of each coset of a stabiliser chain, the same backtrack gives
-a generating set.  Orbit computation groups arbitrary objects (vertices,
-vertex sets, separations, edges) under a supplied or derived action.
+a generating set, kept in ``GraphIndex._generators``.  Vertex and edge orbits
+close ids under it; :func:`orbits` groups any objects under a list of automorphisms.
 """
 
 from __future__ import annotations
@@ -55,22 +55,27 @@ def _extensions(index: GraphIndex, color: list[int], order: list[int], prefix: t
     return extend(0, 0)
 
 
+def _capped(g: Graph, max_vertices: int) -> GraphIndex:
+    if len(g.vertices) > max_vertices:
+        raise CapacityError(f"graph has {len(g.vertices)} vertices, automorphism cap is {max_vertices}")
+    return g.index
+
+
 def automorphisms(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> list[dict]:
     """All automorphisms of g, identity first, the rest by their images in vertex-key order."""
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise CapacityError(f"graph has {n} vertices, automorphism cap is {max_vertices}")
-    index = g.index
+    index = _capped(g, max_vertices)
     # Ids follow vertex-key order, so the identity is the least tuple.
     found = sorted(_extensions(index, *_refined_order(index), ()))
     return [{index.order[v]: index.order[w] for v, w in enumerate(a)} for a in found]
 
 
-def automorphism_generators(g: Graph) -> list[tuple]:
+def automorphism_generators(g: Graph) -> tuple[tuple, ...]:
     """At most n(n − 1)/2 automorphisms (id tuples of images) generating Aut(g): down
     the stabiliser chain of the refinement order, deepest first, level ``l`` takes
-    the first extension for each image of its id that the generators so far miss."""
+    the first extension for each image of its id that the generators so far miss (kept on ``g.index``)."""
     index = g.index
+    if index._generators is not None:
+        return index._generators
     color, order = _refined_order(index)
     gens: list[tuple] = []
     for l in reversed(range(len(order))):
@@ -83,7 +88,8 @@ def automorphism_generators(g: Graph) -> list[tuple]:
                 gens.append(a)
                 for x in orbit:  # the orbit of order[l] under the generators so far
                     orbit += {b[x] for b in gens}.difference(orbit)
-    return gens
+    index._generators = tuple(gens)
+    return index._generators
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +140,26 @@ def orbits(objects: Iterable, autos: Sequence[dict], act: Callable = apply_to) -
     return [[orbit[k] for k in sorted(orbit)] for _, orbit in sorted(groups.items())]
 
 
+def _id_orbits(n: int, maps: list) -> list[list[int]]:
+    """The orbits of ids 0 .. n − 1 under the group the id maps generate, by least id, each sorted."""
+    out: list[list[int]] = []
+    for i in range(n):
+        if all(i not in o for o in out):
+            out.append(orbit := [i])
+            for x in orbit:  # grows while read; in a finite group, closing under the maps is enough
+                orbit += {m[x] for m in maps}.difference(orbit)
+    return [sorted(o) for o in out]
+
+
 def vertex_orbits(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> list[list]:
-    return orbits(g.sorted_vertices(), automorphisms(g, max_vertices))
+    """The vertex orbits of Aut(g), by least vertex, each in key order; CapacityError above the cap."""
+    order = _capped(g, max_vertices).order
+    return [[order[i] for i in orbit] for orbit in _id_orbits(len(order), automorphism_generators(g))]
 
 
 def edge_orbits(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> list[list]:
-    return orbits(g.sorted_edges(), automorphisms(g, max_vertices))
+    """The edge orbits of Aut(g) (edge ids: places in ``sorted_edges``), by least edge; CapacityError above the cap."""
+    pos, edges = _capped(g, max_vertices).pos, g.sorted_edges()
+    eid = {(pos[u], pos[v]): i for i, (u, v) in enumerate(edges)}  # in id order
+    maps = [[eid[min(a[x], a[y]), max(a[x], a[y])] for x, y in eid] for a in automorphism_generators(g)]
+    return [[edges[i] for i in orbit] for orbit in _id_orbits(len(edges), maps)]

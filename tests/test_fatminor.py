@@ -298,9 +298,10 @@ def _edgeless(n):
     (_edgeless(10), [(complete_graph(4), 0), (path_graph(3), 0), (_edgeless(3), 2)]),
 ])
 def test_symmetric_hosts_never_list_their_group(monkeypatch, host, cases):
-    """On hosts with up to 10! automorphisms the search draws at most
-    n(n - 1)/2 automorphisms from the backtrack and never lists the group,
-    and it returns what the unfiltered search returns."""
+    """On hosts with up to 10! automorphisms the searches on one host draw at
+    most n(n - 1)/2 automorphisms from the backtrack in all (the generating set
+    is kept on the host's index) and never list the group, and they return
+    what the unfiltered search returns."""
     drawn = []
     real = symmetry._extensions
 
@@ -314,11 +315,8 @@ def test_symmetric_hosts_never_list_their_group(monkeypatch, host, cases):
 
     monkeypatch.setattr(symmetry, "_extensions", counted)
     monkeypatch.setattr(symmetry, "automorphisms", refuse)
-    got = []
-    for pattern, K in cases:
-        drawn.clear()
-        got.append(search_fat_minor(pattern, host, K))
-        assert 0 < len(drawn) <= 45
+    got = [search_fat_minor(pattern, host, K) for pattern, K in cases]
+    assert 0 < len(drawn) <= 45
     _unfiltered(monkeypatch)
     for (pattern, K), out in zip(cases, got):
         ref = search_fat_minor(pattern, host, K)

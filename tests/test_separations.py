@@ -19,7 +19,6 @@ from coarsegraph.separations import (
     is_separation,
     is_tight,
     separation_from_dict,
-    separation_from_separator,
     separation_to_dict,
 )
 
@@ -70,9 +69,9 @@ def test_theta_graph_has_three_fully_attached_components():
 
 def test_tightness_on_c5():
     g = cycle_graph(5)
-    non_adjacent = separation_from_separator(g, {0, 2}, [frozenset({1})])
+    non_adjacent = Separation.of({0, 1, 2}, {0, 2, 3, 4})
     assert is_tight(g, non_adjacent)
-    adjacent = separation_from_separator(g, {0, 1}, [])
+    adjacent = Separation.of({0, 1}, {0, 1, 2, 3, 4})
     assert not is_tight(g, adjacent)
 
 

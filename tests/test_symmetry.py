@@ -8,7 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coarsegraph import symmetry
 from coarsegraph.errors import CapacityError, StructuralError
+from coarsegraph.fatminor import asymptotic_probe
 from coarsegraph.generators import complete_bipartite_graph, complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph, canonical_edge
 from coarsegraph.separations import enumerate_tight
@@ -116,16 +118,19 @@ def _wheel(n: int) -> Graph:
     return Graph.build([(i, (i + 1) % n) for i in range(n)] + [("hub", i) for i in range(n)])
 
 
-def _random_graphs(count: int) -> list[Graph]:
+def _random_graphs(count: int, max_n: int = 8) -> list[Graph]:
     rng = random.Random(1601)
     return [Graph.build(edges, vertices=vs)
-            for vs, edges in (oracles.random_graph(rng, rng.randint(1, 8), rng.random()) for _ in range(count))]
+            for vs, edges in (oracles.random_graph(rng, rng.randint(1, max_n), rng.random()) for _ in range(count))]
 
 
-@pytest.mark.parametrize("g", [
+SYMMETRIC_SHAPES = [
     petersen(), _prism(4), complete_bipartite_graph(3, 3), complete_bipartite_graph(3, 4),
     _wheel(4), _wheel(5), _wheel(8), _prism(3), _prism(5), complete_graph(5),
-] + _random_graphs(40))
+]
+
+
+@pytest.mark.parametrize("g", SYMMETRIC_SHAPES + _random_graphs(40))
 def test_generators_generate_the_whole_group(g):
     """Closed under composition, the generating set gives exactly the
     brute-force automorphisms, from at most n(n - 1)/2 generators."""
@@ -140,10 +145,44 @@ def test_generators_generate_the_whole_group(g):
     assert set(group) == expected
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
     with pytest.raises(CapacityError):
         automorphisms(cycle_graph(20))
     assert len(automorphisms(cycle_graph(20), max_vertices=20)) == 40
+    assert vertex_orbits(cycle_graph(20), max_vertices=20) == [list(range(20))]
+    assert len(edge_orbits(cycle_graph(20), max_vertices=20)) == 1
+
+    def refuse(index):
+        raise AssertionError("searched for generators above the cap")
+
+    monkeypatch.setattr(symmetry, "_refined_order", refuse)
+    for orbits_of in (vertex_orbits, edge_orbits):
+        with pytest.raises(CapacityError):
+            orbits_of(cycle_graph(20))
+
+
+def test_orbits_of_empty_single_vertex_and_edgeless_graphs():
+    assert vertex_orbits(Graph.build([])) == [] and edge_orbits(Graph.build([])) == []
+    assert vertex_orbits(Graph.build([], vertices=["a"])) == [["a"]]
+    assert edge_orbits(Graph.build([], vertices=["a"])) == []
+    edgeless = Graph.build([], vertices=[3, "b", (0, "x"), 1])
+    assert vertex_orbits(edgeless) == [[1, 3, "b", (0, "x")]]
+    assert edge_orbits(edgeless) == []
+
+
+def test_one_generator_search_per_graph(monkeypatch):
+    """The generating set is kept on the graph's index: vertex and edge
+    orbits of one graph, and every K of one fat-minor probe, share one search."""
+    calls = []
+    real = symmetry._refined_order  # called once per generator search
+    monkeypatch.setattr(symmetry, "_refined_order", lambda index: calls.append(index) or real(index))
+    g = petersen()
+    vertex_orbits(g)
+    edge_orbits(g)
+    assert len(calls) == 1
+    calls.clear()
+    asymptotic_probe(cycle_graph(4), cycle_graph(8), [0, 1, 2])
+    assert len(calls) == 1
 
 
 LABELS = st.one_of(
@@ -171,18 +210,29 @@ def test_automorphisms_and_orbits_match_brute_force(g):
     expected = oracles.automorphisms(g.vertices, g.edges)
     assert autos == expected
     assert is_identity(autos[0])
-    sv = g.sorted_vertices()
-    assert vertex_orbits(g) == oracles.orbit_partition(sv, expected, lambda a, v: a[v], oracles.label_key)
+    _assert_orbits_match(g, expected)
+    pairs = [frozenset(p) for p in itertools.combinations(g.sorted_vertices(), 2)]
+    # Fed in reverse, the pairs still come back in key order.
+    assert orbits(pairs[::-1], autos) == oracles.orbit_partition(pairs, expected, _act_on_set, _edge_key)
 
-    def edge_key(e):
-        return sorted(map(oracles.label_key, e))
 
-    def act_on_set(a, s):
-        return frozenset(a[x] for x in s)
+@pytest.mark.parametrize("g", SYMMETRIC_SHAPES + [_prism(6), _wheel(6), _wheel(7)] + _random_graphs(40, max_n=10))
+def test_orbits_match_brute_force_on_symmetric_and_larger_graphs(g):
+    _assert_orbits_match(g, oracles.automorphisms(g.vertices, g.edges))
 
+
+def _edge_key(e):
+    return sorted(map(oracles.label_key, e))
+
+
+def _act_on_set(a, s):
+    return frozenset(a[x] for x in s)
+
+
+def _assert_orbits_match(g, expected):
+    """Vertex and edge orbits equal the brute-force partitions under the
+    automorphisms ``expected``, in the same order."""
+    assert vertex_orbits(g) == oracles.orbit_partition(g.sorted_vertices(), expected, lambda a, v: a[v], oracles.label_key)
     edges = [frozenset(e) for e in g.sorted_edges()]
     assert [[frozenset(e) for e in orbit] for orbit in edge_orbits(g)] == \
-        oracles.orbit_partition(edges, expected, act_on_set, edge_key)
-    pairs = [frozenset(p) for p in itertools.combinations(sv, 2)]
-    # Fed in reverse, the pairs still come back in key order.
-    assert orbits(pairs[::-1], autos) == oracles.orbit_partition(pairs, expected, act_on_set, edge_key)
+        oracles.orbit_partition(edges, expected, _act_on_set, _edge_key)
