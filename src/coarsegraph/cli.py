@@ -145,16 +145,11 @@ def cmd_tight_seps(args) -> int:
 
 def cmd_orbits(args) -> int:
     g = _read_graph(args.graph)
-    autos = symmetry.automorphisms(g, max_vertices=args.cap)
-    obs = symmetry.orbits(g.sorted_edges() if args.edges else g.sorted_vertices(), autos)
     if args.edges:
-        rendered = [[[vertex_token(u), vertex_token(v)] for (u, v) in orbit] for orbit in obs]
+        obs = [[[vertex_token(u), vertex_token(v)] for (u, v) in o] for o in symmetry.edge_orbits(g, args.cap)]
     else:
-        rendered = [[vertex_token(v) for v in orbit] for orbit in obs]
-    _emit_json(
-        {"automorphisms": len(autos), "orbit_count": len(obs), "orbits": rendered},
-        args.out,
-    )
+        obs = [[vertex_token(v) for v in o] for o in symmetry.vertex_orbits(g, args.cap)]
+    _emit_json({"automorphisms": symmetry._group_order(g), "orbit_count": len(obs), "orbits": obs}, args.out)
     return 0
 
 

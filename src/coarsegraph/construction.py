@@ -42,7 +42,7 @@ from .graph import (
     vertex_token,
 )
 from . import planarity, qi, treedecomp
-from .separations import Separation, fully_attached_components, is_tight
+from .separations import _tight_on_masks, fully_attached_components
 from .treedecomp import (
     DEFAULT_TREEWIDTH_CAP,
     TreeCenter,
@@ -193,7 +193,7 @@ def _prepare_sub_td(torso_graph: Graph, provided: TreeDecomposition | None, adhe
         a, b = seps[e]
         if adhesion_cap is not None and (a & b).bit_count() > adhesion_cap:
             raise ContractViolationError(f"sub-decomposition adhesion {(a & b).bit_count()} exceeds {adhesion_cap}")
-        if not is_tight(torso_graph, Separation.on_masks(torso_graph.index, a, b)):
+        if not _tight_on_masks(torso_graph, a, b):
             raise ContractViolationError(f"sub-decomposition edge {e!r} has a non-tight separation")
     return provided
 
@@ -207,7 +207,7 @@ def _contract_to_tight(torso_graph: Graph, sub_td: TreeDecomposition, adhesions:
     keep = [e for e, a in adhesion_sets(sub_td).items() if adhesions is None or a in adhesions]
     if keep and not tight:
         seps = edge_separations(torso_graph, sub_td)
-        keep = [e for e in keep if is_tight(torso_graph, Separation.on_masks(torso_graph.index, *seps[e]))]
+        keep = [e for e in keep if _tight_on_masks(torso_graph, *seps[e])]
     return contract_td_edges(sub_td, keep)[0]
 
 
@@ -382,17 +382,17 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             if provided is None:  # a checked supplied one is tight on every edge: its own contraction
                 sub = _contract_to_tight(torsos[t], sub)
             sub_tds[t] = sub
-            for s in sub.tree.sorted_vertices():
-                x = ("tw", t, s)
+            name = {s: ("tw", t, s) for s in sub.tree.sorted_vertices()}
+            for s, x in name.items():
                 vertices.append(x)
                 provenance[x] = {"kind": "tree-copy", "node": t, "tree_node": s}
                 for v in sub.parts[s]:
                     own.setdefault(v, x)
-            edges.extend((("tw", t, s1), ("tw", t, s2)) for (s1, s2) in sub.tree.sorted_edges())
+            edges.extend((name[s1], name[s2]) for (s1, s2) in sub.tree.sorted_edges())
             for S in outer:
                 center = tw_torso_attachment(sub, S)
                 ends = [center.location] if center.kind == "vertex" else center.location
-                edges.extend((hub[S], ("tw", t, s)) for s in ends)
+                edges.extend((hub[S], name[s]) for s in ends)
         else:
             if provided is None and not any(len(S) == 3 for S in outer):
                 # No edge can be kept, so the min-degree decomposition would be
@@ -405,13 +405,13 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             warnings.extend(ref.warnings)
             for s in ref.contracted.tree.sorted_vertices():
                 g = ref.kept[s]
-                for v in g.sorted_vertices():
-                    x = ("pl", t, s, v)
+                name = {v: ("pl", t, s, v) for v in g.sorted_vertices()}
+                for v, x in name.items():
                     vertices.append(x)
                     provenance[x] = {"kind": "planar-copy", "node": t, "part": s, "vertex": v}
                     copy_of.setdefault(v, x)
-                edges.extend((("pl", t, s, u), ("pl", t, s, v)) for (u, v) in g.sorted_edges())
-                edges.extend((hub[S], ("pl", t, s, v)) for S in outer if S <= g.vertices for v in S)
+                edges.extend((name[u], name[v]) for (u, v) in g.sorted_edges())
+                edges.extend((hub[S], name[v]) for S in outer if S <= g.vertices for v in S)
             for v, S in ref.deleted_site.items():  # a pruned vertex maps to the hub of its pruning site
                 own.setdefault(v, hub[S])
 

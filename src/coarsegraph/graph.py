@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import GraphToolError, ParseError, UnknownVertexError
@@ -58,41 +59,51 @@ def canonical_edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
 
 @dataclass(frozen=True)
 class Graph:
-    """An immutable finite simple graph.
+    """An immutable finite simple graph with its integer view ``index``.
 
     ``edges`` holds canonical-order pairs; use :meth:`build` rather than the
-    raw constructor so endpoints are registered and loops rejected.
+    raw constructor so vertices are keyed, loops rejected and the index made.
     """
 
     vertices: frozenset
     edges: frozenset
-    _index: object = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        # Not functools.cached_property: writing through __dict__ slows every later attribute read.
-        object.__setattr__(self, "_index", None)
+    index: "GraphIndex" = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, edges: Iterable[tuple[Vertex, Vertex]] = (), vertices: Iterable[Vertex] = ()) -> "Graph":
-        vs = set(vertices)
-        es = set()
-        # Each distinct endpoint is keyed once: vertex -> (vertex, key).  An equal
-        # vertex reuses the key only if its types match throughout, for True and
-        # 1.0 equal 1 but are no vertices.
+        # Each distinct vertex is keyed once, in an entry [vertex, key] whose key becomes its id. An equal
+        # vertex shares the entry only if its types match throughout: True and 1.0 equal 1 but are no vertices.
         keyed: dict = {}
+
+        def entry(v) -> list:
+            e = keyed.get(v)
+            if e is None or e[0] is not v and not _same_types(v, e[0]):
+                e = keyed[v] = [v, vertex_key(v)]
+            return e
+
+        es = []
         for (u, v) in edges:
             if u == v:
                 raise GraphToolError(f"loops are not allowed: ({u!r}, {v!r})")
-            vs.add(u)
-            vs.add(v)
-            ku = keyed.get(u)
-            if ku is None or ku[0] is not u and not _same_types(u, ku[0]):
-                ku = keyed[u] = (u, vertex_key(u))
-            kv = keyed.get(v)
-            if kv is None or kv[0] is not v and not _same_types(v, kv[0]):
-                kv = keyed[v] = (v, vertex_key(v))
-            es.add((u, v) if ku[1] <= kv[1] else (v, u))
-        return cls(frozenset(vs), frozenset(es))
+            es.append((entry(u), entry(v)))
+        for v in vertices:
+            entry(v)
+        order = sorted(keyed.values(), key=lambda e: e[1])
+        for i, e in enumerate(order):
+            e[1] = i
+        return cls._on_ids([v for v, _ in order], [(a[1], b[1]) for a, b in es])
+
+    @classmethod
+    def _on_ids(cls, order: list, pairs: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on ``order``, distinct vertices in key order whose places
+        are their ids, with an edge for each pair of ids (repeats count once)."""
+        ids = {(i, j) if i < j else (j, i) for i, j in pairs}
+        nbrs: list = [[] for _ in order]
+        for i, j in ids:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        index = GraphIndex(order, {v: i for i, v in enumerate(order)}, [sorted(js) for js in nbrs])
+        return cls(frozenset(order), frozenset((order[i], order[j]) for i, j in ids), index)
 
     # -- basic queries -------------------------------------------------
 
@@ -103,10 +114,7 @@ class Graph:
         return len(self.vertices)
 
     def _id(self, v: Vertex) -> int:
-        try:
-            return self.index.pos[v]
-        except KeyError:
-            raise UnknownVertexError(repr(v)) from None
+        return _ids(self.index, [v])[0]
 
     def neighbors(self, v: Vertex) -> frozenset:
         index = self.index
@@ -132,24 +140,11 @@ class Graph:
         if v not in self.vertices:
             raise UnknownVertexError(repr(v))
 
-    @property
-    def index(self) -> "GraphIndex":
-        """The integer view of this graph, built on first use and then kept."""
-        if self._index is None:
-            order = sort_vertices(self.vertices)
-            pos = {v: i for i, v in enumerate(order)}
-            nbrs: list = [[] for _ in order]
-            for (u, v) in self.edges:
-                nbrs[pos[u]].append(pos[v])
-                nbrs[pos[v]].append(pos[u])
-            object.__setattr__(self, "_index", GraphIndex(order, pos, [sorted(js) for js in nbrs]))
-        return self._index
-
 
 class GraphIndex:
-    """A graph as integers: vertex ``i`` is ``order[i]`` in sorted order,
-    ``pos`` maps each vertex back to its id, ``nbrs[i]`` lists the neighbour ids
-    in increasing order.  Id order is vertex-key order, so a BFS over ``nbrs``
+    """A graph as integers, made with the graph: vertex ``i`` is ``order[i]`` in key order (a
+    derived graph keeps its parent's on the ids it takes), ``pos`` maps each vertex back to its
+    id, ``nbrs[i]`` lists the neighbour ids in increasing order.  So a BFS over ``nbrs``
     expands neighbours in key order; :func:`shortest_path` relies on that."""
 
     __slots__ = ("order", "pos", "nbrs", "_masks", "_orientation", "_generators")
@@ -188,10 +183,7 @@ class GraphIndex:
 
     def bits(self, vs: Iterable[Vertex]) -> int:
         """The bitmask of a set of vertices of the graph; UnknownVertexError names one that is not."""
-        try:
-            return sum(1 << self.pos[v] for v in frozenset(vs))
-        except KeyError as e:
-            raise UnknownVertexError(repr(e.args[0])) from None
+        return sum(1 << i for i in _ids(self, frozenset(vs)))
 
     def labels(self, mask: int) -> frozenset:
         """The vertices whose ids are set in ``mask``, read off its set bits from
@@ -272,11 +264,10 @@ def induces_connected(g: Graph, xs: Iterable[Vertex]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _ids(g: Graph, vs: Iterable[Vertex]) -> list[int]:
-    """The ``g.index`` ids of some vertices; UnknownVertexError names the first unknown one."""
-    pos = g.index.pos
+def _ids(index: GraphIndex, vs: Iterable[Vertex]) -> list[int]:
+    """The ids of some vertices in ``index``; UnknownVertexError names the first unknown one."""
     try:
-        return [pos[v] for v in vs]
+        return [index.pos[v] for v in vs]
     except KeyError as e:
         raise UnknownVertexError(repr(e.args[0])) from None
 
@@ -288,14 +279,14 @@ def row_distance(row: list[int], ids: Iterable[int]) -> int | float:
 
 def distances_from(g: Graph, sources: Iterable[Vertex]) -> dict:
     """BFS distances from a set of sources (unreached vertices absent)."""
-    row = g.index.distance_row(_ids(g, sources))
+    row = g.index.distance_row(_ids(g.index, sources))
     return {v: d for v, d in zip(g.index.order, row) if d >= 0}
 
 
 def distance(g: Graph, u: Vertex, v: Vertex) -> int | float:
     """d_G(u, v); ``math.inf`` when u and v lie in different components."""
-    row = g.index.distance_row(_ids(g, [u]))
-    return row_distance(row, _ids(g, [v]))
+    row = g.index.distance_row(_ids(g.index, [u]))
+    return row_distance(row, _ids(g.index, [v]))
 
 
 def set_distance(g: Graph, xs: Iterable[Vertex], ys: Iterable[Vertex]) -> int | float:
@@ -307,8 +298,8 @@ def set_distance(g: Graph, xs: Iterable[Vertex], ys: Iterable[Vertex]) -> int | 
         return math.inf
     if xset & yset:
         return 0
-    row = g.index.distance_row(_ids(g, xset))
-    return row_distance(row, _ids(g, yset & g.vertices))
+    row = g.index.distance_row(_ids(g.index, xset))
+    return row_distance(row, _ids(g.index, yset & g.vertices))
 
 
 def components(g: Graph) -> list[frozenset]:
@@ -406,11 +397,19 @@ def is_connected(g: Graph) -> bool:
 
 
 def induced_subgraph(g: Graph, keep: Iterable[Vertex]) -> Graph:
-    kset = set(keep)
-    for v in kset:
-        g.require_vertex(v)
-    edges = [(u, v) for (u, v) in g.edges if u in kset and v in kset]
-    return Graph.build(edges, vertices=kset)
+    return _induced(g, keep)
+
+
+def _induced(g: Graph, keep: Iterable[Vertex], cliques: Iterable[Iterable[Vertex]] = ()) -> Graph:
+    """G[keep] plus a clique on each of ``cliques`` (sets of kept vertices), on
+    ``g.index`` ids: the kept ids, in increasing order, stay in key order."""
+    index = g.index
+    ids = sorted(_ids(index, set(keep)))
+    new = dict(zip(ids, range(len(ids))))
+    pairs = [(new[i], new[j]) for i in ids for j in index.nbrs[i] if j > i and j in new]
+    for c in cliques:
+        pairs.extend(combinations([new[i] for i in _ids(index, c)], 2))
+    return Graph._on_ids([index.order[i] for i in ids], pairs)
 
 
 def union(a: Graph, b: Graph) -> Graph:
@@ -456,7 +455,7 @@ def is_path(g: Graph, seq: Iterable[Vertex]) -> bool:
 def shortest_path(g: Graph, u: Vertex, v: Vertex) -> list[Vertex] | None:
     """One shortest u-v path (deterministic: BFS expands neighbours in key order)."""
     index = g.index
-    s, t = _ids(g, [u, v])
+    s, t = _ids(g.index, [u, v])
     prev = [-1] * len(index.order)
     prev[s] = s
     queue = [s]

@@ -54,15 +54,10 @@ def _a_first(a: int, b: int) -> bool:
 
 def is_separation(g: Graph, sep: Separation) -> bool:
     """Checks the defining conditions: sides cover V(G), no edge crosses strictly."""
-    a, b = sep.side_a, sep.side_b
-    if a | b != g.vertices:
+    if sep.side_a | sep.side_b != g.vertices:
         return False
-    only_a = a - b
-    only_b = b - a
-    for (u, v) in g.edges:
-        if (u in only_a and v in only_b) or (u in only_b and v in only_a):
-            return False
-    return True
+    a, b = g.index.bits(sep.side_a), g.index.bits(sep.side_b)
+    return not any(g.index.masks[i] & b & ~a for i in bit_ids(a & ~b))
 
 
 def _split(g: Graph, s: int) -> list[tuple[int, bool]]:
@@ -81,9 +76,14 @@ def is_tight(g: Graph, sep: Separation) -> bool:
     whole separator."""
     if not is_separation(g, sep):
         raise StructuralError("not a separation of the given graph")
-    a, s = g.index.bits(sep.side_a), g.index.bits(sep.separator)
+    return _tight_on_masks(g, g.index.bits(sep.side_a), g.index.bits(sep.side_b))
+
+
+def _tight_on_masks(g: Graph, a: int, b: int) -> bool:
+    """:func:`is_tight` for the separation whose sides are the ``g.index`` id
+    masks a and b, taken to be a separation unchecked."""
     # A component of G − S lies wholly on one strict side; True marks side A.
-    return {comp & a == comp for comp, full in _split(g, s) if full} == {True, False}
+    return {comp & a == comp for comp, full in _split(g, a & b) if full} == {True, False}
 
 
 def enumerate_tight(g: Graph, k: int) -> list[Separation]:

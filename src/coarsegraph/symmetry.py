@@ -12,6 +12,7 @@ close ids under it; :func:`orbits` groups any objects under a list of automorphi
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, StructuralError
@@ -90,6 +91,15 @@ def automorphism_generators(g: Graph) -> tuple[tuple, ...]:
                     orbit += {b[x] for b in gens}.difference(orbit)
     index._generators = tuple(gens)
     return index._generators
+
+
+def _group_order(g: Graph) -> int:
+    """|Aut(g)|: down the stabiliser chain of :func:`automorphism_generators`, the
+    product of each level's orbit length under the generators of that level and
+    deeper, which are those fixing every earlier id of the refinement order."""
+    gens, order = automorphism_generators(g), _refined_order(g.index)[1]
+    stabilisers = ([a for a in gens if all(a[u] == u for u in order[:l])] for l in range(len(order)))
+    return math.prod(next(len(o) for o in _id_orbits(len(order), s) if v in o) for v, s in zip(order, stabilisers))
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ part is its induced subgraph plus clique edges on each incident adhesion set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .errors import CapacityError, EmptySetError, StructuralError
 from .graph import (
     Graph,
     Vertex,
+    _induced,
     bit_ids,
     canonical_edge,
     components,
@@ -113,14 +113,9 @@ def width(td: TreeDecomposition) -> int:
 
 def torso(host: Graph, td: TreeDecomposition, t) -> Graph:
     """The torso of part t: the induced subgraph on V_t plus clique edges on
-    each adhesion set at t, as a graph on exactly V_t."""
+    each adhesion set at t, as a graph on exactly V_t, built on host ids."""
     part = td.part(t)
-    for v in part:
-        host.require_vertex(v)
-    edges = [(u, v) for (u, v) in host.edges if u in part and v in part]
-    for t2 in td.tree.neighbors(t):
-        edges.extend(combinations(sort_vertices(part & td.parts[t2]), 2))
-    return Graph.build(edges, vertices=part)
+    return _induced(host, part, [part & td.parts[t2] for t2 in td.tree.neighbors(t)])
 
 
 def edge_separations(host: Graph, td: TreeDecomposition) -> dict:
@@ -263,7 +258,7 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
             # A bag with no later vertex ends a component: link it to the next bag.
             edges.append((i, min(later, default=i + 1)))
     return TreeDecomposition(
-        Graph.build(edges, vertices=range(len(elimination))),
+        Graph._on_ids(list(range(len(elimination))), edges),
         {i: index.labels(bag) for i, (_, bag) in enumerate(elimination)},
     )
 

@@ -19,7 +19,7 @@ from coarsegraph.construction import build_H, bundle_to_dict
 from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import cycle_graph, path_graph
-from coarsegraph.graph import format_edge_list, parse_edge_list
+from coarsegraph.graph import format_edge_list, parse_edge_list, vertex_token
 from coarsegraph.treedecomp import td_to_dict, TreeDecomposition
 from coarsegraph.graph import Graph
 from coarsegraph.qi import certificate_to_dict, make_certificate, tightest_constants
@@ -135,13 +135,41 @@ def test_orbits_command(tmp_path, capsys):
     assert data["orbit_count"] == 2
 
 
-def test_orbits_command_searches_automorphisms_once(tmp_path, capsys, monkeypatch):
-    """One search answers both the count and the orbits; the JSON is pinned
-    (measured at 2ec775d, which searched twice)."""
+def _cycle(n, first=0):
+    return [(first + i, first + (i + 1) % n) for i in range(n)]
+
+
+# The toolbox benchmark's orbit cases: cycles, paths, prisms, wheels,
+# complete (bipartite) graphs and the Petersen graph.
+ORBIT_CASES = (
+    [_cycle(7), _cycle(12), [(i, i + 1) for i in range(7)], [(i, i + 1) for i in range(10)]]
+    + [_cycle(n) + _cycle(n, n) + [(i, n + i) for i in range(n)] for n in (3, 4, 5, 6)]
+    + [_cycle(n) + [(n, i) for i in range(n)] for n in (5, 8)]
+    + [[(i, a + j) for i in range(a) for j in range(b)] for a, b in ((2, 4), (3, 3), (3, 4))]
+    + [[(i, j) for i in range(5) for j in range(i + 1, 5)], _cycle(5) + [(i, i + 5) for i in range(5)]
+       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]]
+)
+
+
+def test_orbits_command_never_lists_the_group(tmp_path, capsys, monkeypatch):
+    """The orbits come from the generating set and the group order from its
+    stabiliser chain: the JSON is that of listing the group (pinned, and
+    computed by the listing on the benchmark's orbit cases), with
+    ``automorphisms`` patched to raise; K1,9 and 12 isolated vertices finish."""
     from coarsegraph import symmetry
-    calls = []
-    real = symmetry.automorphisms
-    monkeypatch.setattr(symmetry, "automorphisms", lambda g, max_vertices: calls.append(g) or real(g, max_vertices))
+    expected = []
+    for edges in ORBIT_CASES:
+        g = Graph.build(edges)
+        autos = symmetry.automorphisms(g)
+        vertex_obs = [[vertex_token(v) for v in o] for o in symmetry.orbits(g.sorted_vertices(), autos)]
+        edge_obs = [[[vertex_token(u), vertex_token(v)] for u, v in o] for o in symmetry.orbits(g.sorted_edges(), autos)]
+        for obs in (vertex_obs, edge_obs):
+            expected.append({"automorphisms": len(autos), "orbit_count": len(obs), "orbits": obs})
+
+    def listing(*args, **kwargs):
+        raise AssertionError("cli orbits listed the automorphism group")
+
+    monkeypatch.setattr(symmetry, "automorphisms", listing)
     # A 4-cycle 1-a-(x|1)-2 with a pendant b at 1; the reflection swaps a and 2.
     gpath = write(tmp_path, "g.txt", "1 a\na (x|1)\n(x|1) 2\n2 1\n1 b\n")
     assert main(["orbits", "--graph", gpath]) == 0
@@ -151,7 +179,20 @@ def test_orbits_command_searches_automorphisms_once(tmp_path, capsys, monkeypatc
     assert json.loads(capsys.readouterr().out) == {
         "automorphisms": 2, "orbit_count": 3,
         "orbits": [[["1", "2"], ["1", "a"]], [["1", "b"]], [["2", "(x|1)"], ["a", "(x|1)"]]]}
-    assert len(calls) == 2
+    got = []
+    for edges in ORBIT_CASES:
+        gpath = write(tmp_path, "case.txt", format_edge_list(Graph.build(edges)))
+        for flags in ([], ["--edges"]):
+            assert main(["orbits", "--graph", gpath, *flags]) == 0
+            got.append(json.loads(capsys.readouterr().out))
+    assert got == expected
+    star = write(tmp_path, "k19.txt", format_edge_list(Graph.build([(0, i) for i in range(1, 10)])))
+    assert main(["orbits", "--graph", star]) == 0
+    assert json.loads(capsys.readouterr().out)["automorphisms"] == 362880
+    lone = write(tmp_path, "lone.txt", format_edge_list(Graph.build(vertices=range(12))))
+    assert main(["orbits", "--graph", lone, "--cap", "12"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "automorphisms": 479001600, "orbit_count": 1, "orbits": [[str(i) for i in range(12)]]}
 
 
 def test_qi_check_modes(tmp_path, capsys):

@@ -349,8 +349,8 @@ def test_supplied_bounded_treewidth_sub_decomposition_is_checked_tight_once(monk
     """A supplied sub-decomposition, once checked tight on every edge, is its
     own contraction: build_H keeps it as it is without checking again."""
     calls = []
-    real = construction.is_tight
-    monkeypatch.setattr(construction, "is_tight", lambda g, sep: calls.append(sep) or real(g, sep))
+    real = construction._tight_on_masks
+    monkeypatch.setattr(construction, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
     sub = TreeDecomposition(Graph.build([("a", "b")]), {"a": frozenset(range(7)), "b": frozenset({0, 6, 7, 8, 9, 10, 11})})
     b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=2,
                        classification={"t": BOUNDED_TW}, sub_tds={"t": sub})
@@ -363,10 +363,10 @@ def test_supplied_bounded_treewidth_sub_decomposition_is_checked_tight_once(monk
 def test_supplied_planar_sub_decomposition_is_checked_tight_once(monkeypatch):
     """A supplied planar sub-decomposition is checked tight on every edge
     before the refinement, whose keep rule then reads only adhesion sets: one
-    is_tight call for the one edge of TWO_PART_SUB, not two."""
+    tightness test for the one edge of TWO_PART_SUB, not two."""
     calls = []
-    real = construction.is_tight
-    monkeypatch.setattr(construction, "is_tight", lambda g, sep: calls.append(sep) or real(g, sep))
+    real = construction._tight_on_masks
+    monkeypatch.setattr(construction, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
     S = ("s1", "s2", "s3")
     host = Graph.build([(w, s) for w in "xyz" for s in S])
     td = TreeDecomposition(Graph.build([("t", "u")]), {"t": frozenset({"x", "y", *S}), "u": frozenset({"z", *S})})

@@ -32,6 +32,8 @@ from coarsegraph.graph import (
     vertex_token,
 )
 
+from coarsegraph.treedecomp import TreeDecomposition, torso
+
 import oracles
 
 
@@ -64,6 +66,53 @@ def test_build_refuses_a_non_vertex_equal_to_a_keyed_vertex(alias):
         for edges in ([first, second], [second, first]):
             with pytest.raises(GraphToolError):
                 Graph.build(edges)
+
+
+@pytest.mark.parametrize("alias", [True, 1.0])
+def test_build_refuses_an_isolated_non_vertex(alias):
+    """An isolated True or 1.0 is refused by build itself, beside 1 as an
+    endpoint or as an isolated vertex, in either order, inside a tuple, and alone."""
+    cases = [([(1, 2)], [alias]), ([(alias, 2)], [1]), ([], [1, alias]), ([], [alias, 1]),
+             ([], [(1, "a"), (alias, "a")]), ([], [alias])]
+    for edges, vertices in cases:
+        with pytest.raises(GraphToolError):
+            Graph.build(edges, vertices=vertices)
+
+
+def _count_vertex_keys(monkeypatch) -> list:
+    """Record each vertex that graph.vertex_key is called on, not the members
+    it keys in turn for a tuple."""
+    from coarsegraph import graph
+    calls, real, depth = [], graph.vertex_key, [0]
+
+    def counted(v):
+        if not depth[0]:
+            calls.append(v)
+        depth[0] += 1
+        try:
+            return real(v)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(graph, "vertex_key", counted)
+    return calls
+
+
+def test_build_keys_each_vertex_once_and_derived_graphs_none(monkeypatch):
+    """Graph.build calls vertex_key once per distinct vertex, also for equal
+    tuples made apart and for isolated vertices that are endpoints too;
+    induced_subgraph and torso, built on their parent's ids, call it never."""
+    calls = _count_vertex_keys(monkeypatch)
+    x = lambda: tuple([0, "x"])  # a new tuple object on every call
+    edges = [(1, "a"), ("a", x()), (x(), 2), (2, 1), (x(), "b"), ("a", 1)]
+    g = Graph.build(edges, vertices=[3, "a", x(), 3])
+    assert sorted(calls, key=repr) == sorted([1, "a", (0, "x"), 2, "b", 3], key=repr)
+    td = TreeDecomposition(Graph.build([("s", "t")]), {"s": frozenset({1, 2, "a", 3}), "t": frozenset({2, x(), "a", "b"})})
+    calls.clear()
+    assert induced_subgraph(g, [1, "a", x(), 3]).sorted_edges() == [(1, "a"), ("a", (0, "x"))]
+    # The adhesion set {2, a} becomes a clique.
+    assert torso(g, td, "t").sorted_edges() == [(2, "a"), (2, (0, "x")), ("a", (0, "x")), ("b", (0, "x"))]
+    assert calls == []
 
 
 _MIXED = (st.integers(0, 12) | st.sampled_from(["a", "b", "10", "(1|a)"])

@@ -221,6 +221,19 @@ def test_orbits_match_brute_force_on_symmetric_and_larger_graphs(g):
     _assert_orbits_match(g, oracles.automorphisms(g.vertices, g.edges))
 
 
+@settings(max_examples=100, deadline=None)
+@given(labelled_graphs())
+def test_group_order_is_the_product_of_the_chain_orbit_lengths(g):
+    """The group order read off the generators' stabiliser chain is the
+    number of edge-preserving permutations."""
+    assert symmetry._group_order(g) == len(oracles.automorphisms(g.vertices, g.edges))
+
+
+@pytest.mark.parametrize("g", SYMMETRIC_SHAPES + [petersen(), _prism(6), _wheel(7)])
+def test_group_order_of_symmetric_graphs(g):
+    assert symmetry._group_order(g) == len(automorphisms(g))
+
+
 def _edge_key(e):
     return sorted(map(oracles.label_key, e))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import CapacityError, EmptySetError, GraphToolError, StructuralError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
-from coarsegraph.graph import Graph, is_connected, parse_vertex_token, vertex_token
+from coarsegraph.graph import Graph, induced_subgraph, is_connected, parse_vertex_token, relabel, vertex_token
 from coarsegraph.separations import is_separation
 from coarsegraph.treedecomp import (
     TreeDecomposition,
@@ -111,6 +111,43 @@ def test_validate_reports_the_first_violation_like_the_axioms(data):
     expected = (("T1", uncovered) if uncovered else ("T2", split_edges) if split_edges
                 else ("T3", split_vertices) if split_vertices else (None, [None]))
     assert (rep.ok, rep.axiom, rep.witness) == (expected[0] is None, expected[0], expected[1][0])
+
+
+_LABELS = st.integers(0, 9) | st.text(alphabet="ab", min_size=1, max_size=2) | st.tuples(st.integers(0, 3), st.sampled_from("xy"))
+
+
+def _assert_same_graph(g: Graph, ref: Graph) -> None:
+    assert (g.vertices, g.edges) == (ref.vertices, ref.edges)
+    assert (g.index.order, g.index.pos, g.index.nbrs) == (ref.index.order, ref.index.pos, ref.index.nbrs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_derived_graphs_equal_a_keyed_build_on_mixed_labels(data):
+    """induced_subgraph, torso and clique_subtree, built on their parent's
+    ids, equal Graph.build of the same vertices and edges in vertices, edges
+    and index; the torso's reference is its definition on the host's edges."""
+    labels = data.draw(st.lists(_LABELS, min_size=1, max_size=9, unique=True))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+    host = Graph.build(data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [], vertices=labels)
+    keep = data.draw(st.sets(st.sampled_from(labels)))
+    _assert_same_graph(induced_subgraph(host, keep), Graph.build([e for e in host.edges if set(e) <= keep], vertices=keep))
+
+    # A valid decomposition with mixed tree nodes: the min-degree one, renamed.
+    plain = heuristic_td(host)
+    nodes = data.draw(st.lists(_LABELS, min_size=len(plain.parts), max_size=len(plain.parts), unique=True))
+    name = dict(zip(plain.parts, nodes))
+    td = TreeDecomposition(relabel(plain.tree, name), {name[t]: p for t, p in plain.parts.items()})
+    t = data.draw(st.sampled_from(nodes))
+    part = td.parts[t]
+    edges = [e for e in host.edges if set(e) <= part]
+    for t2 in td.tree.neighbors(t):
+        edges.extend(itertools.combinations(sorted(part & td.parts[t2], key=oracles.label_key), 2))
+    _assert_same_graph(torso(host, td, t), Graph.build(edges, vertices=part))
+
+    s = data.draw(st.sets(st.sampled_from(sorted(part, key=oracles.label_key)), min_size=1))
+    holding = {u for u, p in td.parts.items() if s <= p}
+    _assert_same_graph(clique_subtree(td, s), Graph.build([e for e in td.tree.edges if set(e) <= holding], vertices=holding))
 
 
 def test_adhesion_and_width():
