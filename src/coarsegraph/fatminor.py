@@ -16,13 +16,16 @@ cannot carry two pattern edges.
 The searcher is exhaustive (hence sound for "not-found") on hosts up to
 ``EXHAUSTIVE_CAP`` vertices, and a verified-witness heuristic beyond that;
 negative answers from the heuristic regime are reported "inconclusive".
-The exhaustive search works on ``GraphIndex`` id masks: branch sets, paths
-and the zones they rule out are ints, and the radius-(K − 1) ball of every
-vertex is read once per search, so a set's ball is an OR of vertex balls.
-Ids follow vertex-key order, so candidates are tried in key order and the
-labels come back only in the model that is returned.  The first pattern vertex
-takes only branch sets least in their Aut(host) orbit (isomorph rejection):
-the model found is the unfiltered search's, for fewer nodes.
+Both work on ``GraphIndex`` ids (branch sets as masks, paths as id tuples),
+check each candidate against (1)-(4) with the id-level check that
+``verify_fat_model`` runs after its structural one, and return the labelled
+witness only once ``verify_fat_model`` has passed it.  Ids follow vertex-key
+order, so candidates are tried in key order.  The exhaustive search reads the
+radius-(K − 1) ball of every vertex once, so a set's ball is an OR of vertex
+balls, and takes for the first pattern vertex only branch sets least in their
+Aut(host) orbit (isomorph rejection): the model found is the unfiltered
+search's, for fewer nodes.  The heuristic reads its geodesics off one BFS
+parent row per seed.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from .graph import (
     grow_mask,
     induces_connected,
     is_path,
+    parent_path,
     parse_vertex_token,
     row_distance,
-    shortest_path,
     sort_vertices,
     vertex_from_json,
     vertex_key,
@@ -99,32 +102,35 @@ def check_model_structure(m: FatMinorModel) -> None:
 
 
 def verify_fat_model(m: FatMinorModel, K: int) -> FatVerifyReport:
-    """Check conditions (1)-(4) and report the first failure."""
+    """Check the structure, then conditions (1)-(4) on ids, and report the first failure."""
     if K < 0:
         raise StructuralError("K must be non-negative")
     check_model_structure(m)
-    union_b = frozenset().union(*m.branch_sets.values()) if m.branch_sets else frozenset()
-    path_of = {canonical_edge(*e): tuple(p) for e, p in m.edge_paths.items()}
-    edges = sorted(path_of, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
+    index = m.host.index
+    branch = {w: index.bits(b) for w, b in m.branch_sets.items()}
+    paths = {canonical_edge(*e): tuple(index.pos[x] for x in p) for e, p in m.edge_paths.items()}
+    return _fat_report(index, m.pattern, branch, paths, K)
 
+
+def _fat_report(index: GraphIndex, pattern: Graph, branch: dict, paths: dict, K: int) -> FatVerifyReport:
+    """Conditions (1)-(4) for a structurally sound model on ``index`` ids: branch
+    sets as id masks, paths as id tuples keyed by the pattern's edges."""
+    pverts, edges = pattern.sorted_vertices(), pattern.sorted_edges()
+    union_b = reduce(or_, branch.values(), 0)
     for (u, v) in edges:
-        p = path_of[(u, v)]
-        ends = {p[0], p[-1]}
-        b_u, b_v = m.branch_sets[u], m.branch_sets[v]
-        end_ok = (p[0] in b_u and p[-1] in b_v) or (p[0] in b_v and p[-1] in b_u)
-        if len(p) < 2 or not end_ok:
+        p = paths[(u, v)]
+        b_u, b_v = branch[u], branch[v]
+        ends = 1 << p[0] | 1 << p[-1]  # two ids once len(p) ≥ 2, as a path's vertices are distinct
+        if len(p) < 2 or not (b_u & ends and b_v & ends):
             return FatVerifyReport(False, 1, f"path for {u!r}-{v!r} must run from B_{u!r} to B_{v!r}")
-        inner_hits = (set(p) & union_b) - ends
-        if inner_hits:
+        if any(union_b >> x & 1 for x in p[1:-1]):
             return FatVerifyReport(False, 1, f"path for {u!r}-{v!r} meets branch sets beyond its endpoints")
 
     if K > 0:
-        index, pverts = m.host.index, m.pattern.sorted_vertices()
-        b_ids = {w: [index.pos[x] for x in b] for w, b in m.branch_sets.items()}
-        p_ids = {e: [index.pos[x] for x in p] for e, p in path_of.items()}
+        b_ids = {w: bit_ids(b) for w, b in branch.items()}
         p_rows: dict = {}  # one BFS row per path, read again by condition (4)
         for (u, v) in edges:
-            p_rows[(u, v)] = row = index.distance_row(p_ids[(u, v)])
+            p_rows[(u, v)] = row = index.distance_row(paths[(u, v)])
             for w in pverts:
                 if w in (u, v):
                     continue
@@ -138,7 +144,7 @@ def verify_fat_model(m: FatMinorModel, K: int) -> FatVerifyReport:
                 if d < K:
                     return FatVerifyReport(False, 3, f"B_{u!r} and B_{v!r} are at distance {d} < {K}")
         for e1, e2 in combinations(edges, 2):
-            d = row_distance(p_rows[e1], p_ids[e2])
+            d = row_distance(p_rows[e1], paths[e2])
             if d < K:
                 return FatVerifyReport(False, 4, f"paths for {e1!r} and {e2!r} are at distance {d} < {K}")
     return FatVerifyReport(True)
@@ -363,16 +369,19 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
         return SearchOutcome("inconclusive", None, "budget exhausted during exhaustive search", budget.used)
     if paths is None:
         return SearchOutcome("not-found", None, "search space exhausted", budget.used)
-    model = FatMinorModel(
-        pattern,
-        host,
-        {v: index.labels(s) for v, s in branch.items()},
-        {e: tuple(index.order[i] for i in p) for e, p in paths.items()},
-    )
+    return _verified(pattern, host, K, branch, paths, "witness verified", budget.used)
+
+
+def _verified(pattern: Graph, host: Graph, K: int, branch: dict, paths: dict, reason: str, used: int) -> SearchOutcome:
+    """A witness found on ids (branch masks, id-tuple paths), labelled once and
+    re-checked in full by ``verify_fat_model``; a failure is a search bug."""
+    index = host.index
+    labelled = {e: tuple(index.order[i] for i in p) for e, p in paths.items()}
+    model = FatMinorModel(pattern, host, {v: index.labels(s) for v, s in branch.items()}, labelled)
     report = verify_fat_model(model, K)
     if not report.ok:
         raise StructuralError(f"search produced an invalid model: {report.detail}")
-    return SearchOutcome("found", model, "witness verified", budget.used)
+    return SearchOutcome("found", model, reason, used)
 
 
 def _farthest_point_seeds(host: Graph, count: int) -> list:
@@ -390,31 +399,34 @@ def _farthest_point_seeds(host: Graph, count: int) -> list:
 
 
 def _search_heuristic(pattern: Graph, host: Graph, K: int, budget: _Budget) -> SearchOutcome:
-    """Seed-and-skeleton placement: pattern vertices on far-apart seeds, edges
-    routed along geodesics, branch sets grown as geodesic prefixes.  Every
-    candidate is re-verified; absence of a candidate proves nothing."""
-    pverts = pattern.sorted_vertices()
-    p = len(pverts)
-    if p == 0:
-        return SearchOutcome("found", FatMinorModel(pattern, host, {}, {}), "empty pattern", budget.used)
-    seeds = _farthest_point_seeds(host, p)
-    if len(seeds) < p:
-        return SearchOutcome("inconclusive", None, "host has fewer vertices than seeds needed", budget.used)
-    prefix_lengths = sorted({(K + 1) // 2, max(K, 1), K + 1})
+    """Seed-and-skeleton placement on ids: pattern vertices on far-apart seeds,
+    edges routed along the geodesics of one BFS parent row per seed, branch sets
+    grown as geodesic prefixes.  Every candidate is checked; absence of a
+    candidate proves nothing."""
+    index = host.index
+    pverts, edges = pattern.sorted_vertices(), pattern.sorted_edges()
+    seeds = [index.pos[s] for s in _farthest_point_seeds(host, len(pverts))]
+    rows = {s: index.parent_row(s) for s in seeds}
+    geodesic = {(a, b): parent_path(rows[a], b) for a in seeds for b in seeds if a != b}
+    # Per prefix length L, how far each branch set reaches along its geodesics.
+    cuts = [{v: L if pattern.degree(v) > 1 else 0 for v in pverts} for L in sorted({(K + 1) // 2, max(K, 1), K + 1})]
     try:
         for perm in permutations(seeds):
-            assign = dict(zip(pverts, perm))
-            for L in prefix_lengths:
+            at = dict(zip(pverts, perm))
+            geo = {(u, v): geodesic[at[u], at[v]] for (u, v) in edges}
+            for cut in cuts:
                 budget.spend(50)
-                model = _skeleton_model(pattern, host, assign, L)
-                if model is None:
+                if any(g is None or cut[u] + cut[v] + 2 > len(g) for (u, v), g in geo.items()):
                     continue
-                try:
-                    report = verify_fat_model(model, K)
-                except StructuralError:
-                    continue
-                if report.ok:
-                    return SearchOutcome("found", model, "heuristic witness verified", budget.used)
+                branch = {v: 1 << at[v] for v in pverts}
+                for (u, v), g in geo.items():
+                    branch[u] |= sum(1 << x for x in g[: cut[u] + 1])
+                    branch[v] |= sum(1 << x for x in g[len(g) - cut[v] - 1:])
+                if sum(b.bit_count() for b in branch.values()) != reduce(or_, branch.values()).bit_count():
+                    continue  # two branch sets overlap
+                paths = {(u, v): g[cut[u]: len(g) - cut[v]] for (u, v), g in geo.items()}
+                if _fat_report(index, pattern, branch, paths, K).ok:
+                    return _verified(pattern, host, K, branch, paths, "heuristic witness verified", budget.used)
     except _BudgetExhausted:
         return SearchOutcome("inconclusive", None, "budget exhausted during heuristic search", budget.used)
     return SearchOutcome(
@@ -423,35 +435,6 @@ def _search_heuristic(pattern: Graph, host: Graph, K: int, budget: _Budget) -> S
         "no heuristic witness; host exceeds the exhaustive-search cap so absence is not certified",
         budget.used,
     )
-
-
-def _skeleton_model(pattern: Graph, host: Graph, assign: dict, L: int) -> FatMinorModel | None:
-    geodesics: dict = {}
-    for e in pattern.sorted_edges():
-        u, v = e
-        path = shortest_path(host, assign[u], assign[v])
-        if path is None:
-            return None
-        geodesics[e] = path
-    branch: dict = {}
-    for v in pattern.sorted_vertices():
-        cut = L if pattern.degree(v) > 1 else 0
-        b: set = {assign[v]}
-        for e, path in geodesics.items():
-            if v == e[0]:
-                b.update(path[: cut + 1])
-            elif v == e[1]:
-                b.update(path[len(path) - cut - 1:])
-        branch[v] = frozenset(b)
-    paths: dict = {}
-    for e, path in geodesics.items():
-        u, v = e
-        cu = L if pattern.degree(u) > 1 else 0
-        cv = L if pattern.degree(v) > 1 else 0
-        if cu + cv + 2 > len(path):
-            return None
-        paths[e] = tuple(path[cu: len(path) - cv])
-    return FatMinorModel(pattern, host, branch, paths)
 
 
 def search_fat_minor(

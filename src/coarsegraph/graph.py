@@ -145,13 +145,26 @@ class GraphIndex:
     """A graph as integers, made with the graph: vertex ``i`` is ``order[i]`` in key order (a
     derived graph keeps its parent's on the ids it takes), ``pos`` maps each vertex back to its
     id, ``nbrs[i]`` lists the neighbour ids in increasing order.  So a BFS over ``nbrs``
-    expands neighbours in key order; :func:`shortest_path` relies on that."""
+    expands neighbours in key order; :meth:`parent_row` relies on that."""
 
     __slots__ = ("order", "pos", "nbrs", "_masks", "_orientation", "_generators")
 
     def __init__(self, order: list, pos: dict, nbrs: list):
         self.order, self.pos, self.nbrs = order, pos, nbrs
         self._masks = self._orientation = self._generators = None
+
+    def parent_row(self, s: int) -> list[int]:
+        """BFS parents from id ``s``, indexed by id: ``s`` at ``s``, -1 where unreachable.  Each
+        id's parent is its first neighbour met, so :func:`parent_path` follows key-order geodesics."""
+        prev = [-1] * len(self.order)
+        prev[s] = s
+        queue = [s]
+        for x in queue:  # the list grows while it is read, as a FIFO queue
+            for w in self.nbrs[x]:
+                if prev[w] < 0:
+                    prev[w] = x
+                    queue.append(w)
+        return prev
 
     def distance_row(self, sources: Iterable[int]) -> list[int]:
         """BFS distances from a set of vertex ids, indexed by id; -1 where unreachable."""
@@ -287,19 +300,6 @@ def distance(g: Graph, u: Vertex, v: Vertex) -> int | float:
     """d_G(u, v); ``math.inf`` when u and v lie in different components."""
     row = g.index.distance_row(_ids(g.index, [u]))
     return row_distance(row, _ids(g.index, [v]))
-
-
-def set_distance(g: Graph, xs: Iterable[Vertex], ys: Iterable[Vertex]) -> int | float:
-    """min over x in xs, y in ys of d_G(x, y); ``math.inf`` if either side is empty
-    or no pair is connected."""
-    xset = set(xs)
-    yset = set(ys)
-    if not xset or not yset:
-        return math.inf
-    if xset & yset:
-        return 0
-    row = g.index.distance_row(_ids(g.index, xset))
-    return row_distance(row, _ids(g.index, yset & g.vertices))
 
 
 def components(g: Graph) -> list[frozenset]:
@@ -454,22 +454,19 @@ def is_path(g: Graph, seq: Iterable[Vertex]) -> bool:
 
 def shortest_path(g: Graph, u: Vertex, v: Vertex) -> list[Vertex] | None:
     """One shortest u-v path (deterministic: BFS expands neighbours in key order)."""
-    index = g.index
     s, t = _ids(g.index, [u, v])
-    prev = [-1] * len(index.order)
-    prev[s] = s
-    queue = [s]
-    for x in queue:  # the list grows while it is read, as a FIFO queue
-        if x == t:
-            path = [t]
-            while path[-1] != s:
-                path.append(prev[path[-1]])
-            return [index.order[i] for i in reversed(path)]
-        for w in index.nbrs[x]:
-            if prev[w] < 0:
-                prev[w] = x
-                queue.append(w)
-    return None
+    path = parent_path(g.index.parent_row(s), t)
+    return None if path is None else [g.index.order[i] for i in path]
+
+
+def parent_path(prev: list[int], t: int) -> tuple[int, ...] | None:
+    """The id path from the root of a ``GraphIndex.parent_row`` to id ``t``; None if ``t`` is unreached."""
+    if prev[t] < 0:
+        return None
+    path = [t]
+    while prev[path[-1]] != path[-1]:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
 
 
 # ---------------------------------------------------------------------------

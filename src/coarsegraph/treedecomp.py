@@ -274,31 +274,36 @@ def contract_td_edges(td: TreeDecomposition, keep: Iterable[tuple]) -> tuple[Tre
     Returns the contracted decomposition and a map original node -> new node.
     New node identifiers are the key-minimal members of their merged class.
     """
-    keep_set = {canonical_edge(*e) for e in keep}
-    unknown = keep_set - td.tree.edges
-    if unknown:
-        raise StructuralError(f"keep contains non-tree edges: {sorted(unknown, key=str)!r}")
-    # Each class is a component of T minus the kept edges; ids follow key
-    # order, so a class's lowest id is its key-least node.
+    # Each class is a component of T minus the kept edges, named by its lowest
+    # id (its key-least node); found in id order, the classes are in key order.
     index = td.tree.index
-    masks = index.masks[:]
-    for a, b in keep_set:
-        i, j = index.pos[a], index.pos[b]
+    masks, pairs, unknown = index.masks[:], [], set()
+    for a, b in keep:
+        i, j = index.pos.get(a), index.pos.get(b)
+        if i is None or j is None or not index.masks[i] >> j & 1:
+            unknown.add(canonical_edge(a, b))
+            continue
+        pairs.append((i, j))
         masks[i] &= ~(1 << j)
         masks[j] &= ~(1 << i)
-    rep = {}
+    if unknown:
+        raise StructuralError(f"keep contains non-tree edges: {sorted(unknown, key=str)!r}")
+    cls = [0] * len(masks)  # tree id -> class id
+    reps: list = []
     rest = (1 << len(masks)) - 1
     while rest:
         low = rest & -rest
         comp = grow_mask(masks, low, rest)[0]
         rest &= ~comp
-        rep.update(dict.fromkeys(index.labels(comp), index.order[low.bit_length() - 1]))
+        for i in bit_ids(comp):
+            cls[i] = len(reps)
+        reps.append(index.order[low.bit_length() - 1])
+    rep = {t: reps[c] for t, c in zip(index.order, cls)}
     new_parts: dict = {}
     for t, p in td.parts.items():
         new_parts.setdefault(rep[t], frozenset())
         new_parts[rep[t]] |= p
-    new_edges = [(rep[a], rep[b]) for (a, b) in keep_set]
-    new_tree = Graph.build(new_edges, vertices=new_parts.keys())
+    new_tree = Graph._on_ids(reps, [(cls[i], cls[j]) for i, j in pairs])
     return TreeDecomposition(new_tree, new_parts), rep
 
 

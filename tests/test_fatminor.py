@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsegraph import symmetry
+from coarsegraph import fatminor, symmetry
 from coarsegraph.errors import CapacityError, GraphToolError, StructuralError
 from coarsegraph.fatminor import (
+    EXHAUSTIVE_CAP,
     FatMinorModel,
     _connected_subsets,
     _farthest_point_seeds,
@@ -31,7 +34,7 @@ from coarsegraph.generators import (
     path_graph,
     tree_graph,
 )
-from coarsegraph.graph import Graph, GraphIndex, canonical_edge
+from coarsegraph.graph import Graph, GraphIndex, canonical_edge, relabel
 
 import oracles
 
@@ -352,10 +355,68 @@ def test_heuristic_finds_fat_cycle_in_large_cycle():
     assert verify_fat_model(out.model, 2).ok
 
 
+@pytest.mark.parametrize("K, status, verified", [(2, "found", 1), (3, "inconclusive", 0)])
+def test_heuristic_verifies_only_its_witness(monkeypatch, K, status, verified):
+    """Heuristic candidates are checked on ids; only the witness returned goes
+    through the full verify_fat_model, once."""
+    calls = []
+    real = fatminor.verify_fat_model
+    monkeypatch.setattr(fatminor, "verify_fat_model", lambda m, K: calls.append(m) or real(m, K))
+    out = search_fat_minor(cycle_graph(4), cycle_graph(24), K)
+    assert (out.status, len(calls)) == (status, verified)
+    assert calls == ([out.model] if out.model else [])
+
+
 def test_budget_exhaustion_is_reported_not_guessed():
     out = search_fat_minor(cycle_graph(4), grid_graph(6, 6), 2, budget=3)
     assert out.status == "inconclusive"
     assert "budget" in out.reason
+
+
+HEURISTIC_PATTERNS = (path_graph(2), path_graph(3), path_graph(4), cycle_graph(3), cycle_graph(4),
+                      cycle_graph(5), complete_bipartite_graph(1, 3), complete_graph(4))
+
+
+def _mixed_labels(g: Graph, rng) -> Graph:
+    """G renamed onto shuffled int, string and tuple labels."""
+    names = list(range(len(g)))
+    rng.shuffle(names)
+    return relabel(g, {v: rng.choice((i, f"v{i}", (i % 3, f"t{i}"))) for v, i in zip(g.sorted_vertices(), names)})
+
+
+def _heuristic_case(rng):
+    """A seeded search beyond the exhaustive cap: a cycle, grid, tree or random
+    host on mixed labels, a pattern from HEURISTIC_PATTERNS, K in 0..4 and a
+    budget from 50 nodes (a handful of candidates) up."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        host = cycle_graph(rng.randint(11, 30))
+    elif kind == 1:
+        host = grid_graph(rng.randint(3, 5), rng.randint(4, 6))
+    elif kind == 2:
+        host = tree_graph(*rng.choice(((2, 3), (3, 2), (2, 4))))
+    else:
+        vs, es = oracles.random_graph(rng, rng.randint(11, 24), rng.uniform(0.08, 0.3))
+        host = Graph.build(es, vertices=vs)
+    pattern = rng.choice(HEURISTIC_PATTERNS)
+    return _mixed_labels(pattern, rng), _mixed_labels(host, rng), rng.randint(0, 4), rng.choice((50, 200, 1_000, 5_000, 20_000))
+
+
+# sha256 of the JSON list of (status, reason, nodes_used, model_to_dict) over
+# _heuristic_case(random.Random(i)), i < 400: found, budget-exhausted, no-witness
+# and quick-reject outcomes of the heuristic regime.  A change that moves it must say why.
+HEURISTIC_DIGEST = "4c337c19e56a683b11e3015a5e213292791804fe0ad53b7eb2a540ea5ee2e581"
+
+
+def test_heuristic_outcomes_match_the_committed_digest():
+    cases = [_heuristic_case(random.Random(i)) for i in range(400)]
+    assert all(len(host) > EXHAUSTIVE_CAP for _, host, _, _ in cases)
+    outcomes = []
+    for pattern, host, K, budget in cases:
+        out = search_fat_minor(pattern, host, K, budget=budget)
+        outcomes.append([out.status, out.reason, out.nodes_used, out.model and model_to_dict(out.model)])
+    assert {o[1] for o in outcomes} >= {"heuristic witness verified", "budget exhausted during heuristic search"}
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == HEURISTIC_DIGEST
 
 
 def test_negative_budget_is_bad_input():

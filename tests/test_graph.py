@@ -24,7 +24,6 @@ from coarsegraph.graph import (
     parse_edge_list,
     parse_vertex_token,
     relabel,
-    set_distance,
     shortest_path,
     to_dot,
     union,
@@ -193,14 +192,12 @@ def test_traversals_agree_with_the_oracle(data):
     assert distances_from(g, sources) == {v: min(rows[s].get(v, math.inf) for s in sources) for v in reached}
     u, v = data.draw(pick), data.draw(pick)
     assert distance(g, u, v) == rows[u].get(v, math.inf)
-    xs, ys = data.draw(st.sets(pick)), data.draw(st.sets(pick))
-    assert set_distance(g, xs, ys) == min((rows[x].get(y, math.inf) for x in xs for y in ys), default=math.inf)
     comps = oracles.components_without(adj, ())
     assert components(g) == sorted(comps, key=lambda c: min(map(vertex_key, c)))
     assert is_connected(g) == (len(comps) <= 1)
 
     for call in (lambda: distances_from(g, [*sources, _MISSING]), lambda: distance(g, _MISSING, v),
-                 lambda: distance(g, u, _MISSING), lambda: set_distance(g, [_MISSING], ys | {u}),
+                 lambda: distance(g, u, _MISSING),
                  lambda: shortest_path(g, _MISSING, v), lambda: shortest_path(g, u, _MISSING)):
         with pytest.raises(UnknownVertexError):
             call()
