@@ -323,10 +323,6 @@ class ConstructionOutput:
     warnings: tuple
 
 
-def _xs_name(S: frozenset) -> tuple:
-    return ("xS",) + tuple(sort_vertices(S))
-
-
 def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     validate_bundle(bundle)
     host, td = bundle.host, bundle.td
@@ -347,10 +343,10 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
         warnings.append("empty adhesion set: the corresponding tree edge contributes no gluing vertex")
 
     # (i) one hub vertex per adhesion set; a vertex's hub is that of the key-least set holding it
-    hub = {S: _xs_name(S) for S in distinct_adh}
+    hub = {S: ("xS", *sort_vertices(S)) for S in distinct_adh}
     vertices: list = list(hub.values())
     edges: list = []
-    provenance: dict = {x: {"kind": "adhesion-set", "set": sort_vertices(S)} for S, x in hub.items()}
+    provenance: dict = {x: {"kind": "adhesion-set", "set": list(x[1:])} for x in vertices}
     hub_of: dict = {}
     for S, x in hub.items():
         for v in S:
@@ -607,14 +603,14 @@ def _provenance_record_to_dict(rec: dict) -> dict:
 
 
 def output_to_dict(out: ConstructionOutput) -> dict:
-    """The output as JSON values; every H vertex is rendered once, and H's
-    edges, isolated vertices and provenance come in H id order."""
+    """The output as JSON values; every H vertex is rendered once, H's edges, isolated
+    vertices and provenance come in H id order, φ in the host key order of ``build_H``."""
     index = out.H.index
     pos, token = index.pos, [vertex_token(x) for x in index.order]
     return {
         "h_edges": [[token[pos[u]], token[pos[v]]] for u, v in out.H.sorted_edges()],
         "h_isolated": [token[i] for i, js in enumerate(index.nbrs) if not js],
-        "phi": {vertex_token(v): token[pos[out.phi[v]]] for v in sort_vertices(out.phi)},
+        "phi": {vertex_token(v): token[pos[x]] for v, x in out.phi.items()},
         "bounds": {
             "b1": out.bounds.b1,
             "b2": out.bounds.b2,

@@ -43,8 +43,6 @@ from .graph import (
     canonical_edge,
     components,
     grow_mask,
-    induces_connected,
-    is_path,
     parent_path,
     parse_vertex_token,
     row_distance,
@@ -78,38 +76,44 @@ class FatVerifyReport:
 
 def check_model_structure(m: FatMinorModel) -> None:
     """Raise StructuralError naming the violated invariant, if any."""
+    _model_on_ids(m)
+
+
+def _model_on_ids(m: FatMinorModel) -> tuple[dict, dict]:
+    """The model on ``m.host.index`` ids, checked for structure on the way: branch
+    sets as id masks by pattern vertex, paths as id tuples by canonical edge."""
     if set(m.branch_sets) != set(m.pattern.vertices):
         raise StructuralError("branch sets must be keyed exactly by the pattern vertices")
-    taken: set = set()
+    index, masks = m.host.index, m.host.index.masks
+    branch: dict = {}
+    taken = 0
     for v in m.pattern.sorted_vertices():
         b = frozenset(m.branch_sets[v])
         if not b:
             raise StructuralError(f"branch set of {v!r} is empty")
-        for x in b:
-            m.host.require_vertex(x)
-        if b & taken:
+        branch[v] = x = index.bits(b)
+        if x & taken:
             raise StructuralError(f"branch set of {v!r} overlaps another branch set")
-        taken |= b
-        if not induces_connected(m.host, b):
+        taken |= x
+        if grow_mask(masks, x & -x, x)[0] != x:
             raise StructuralError(f"branch set of {v!r} is not connected")
-    expected_edges = set(m.pattern.edges)
-    given_edges = {canonical_edge(*e) for e in m.edge_paths}
-    if given_edges != expected_edges:
+    if {canonical_edge(*e) for e in m.edge_paths} != set(m.pattern.edges):
         raise StructuralError("edge paths must be keyed exactly by the pattern edges")
+    paths: dict = {}
     for e, p in m.edge_paths.items():
-        if not is_path(m.host, p):
+        ids = tuple(index.pos.get(x) for x in p)
+        steps = zip(ids, ids[1:])
+        if not ids or None in ids or len(set(ids)) < len(ids) or any(masks[a] >> b & 1 == 0 for a, b in steps):
             raise StructuralError(f"edge path for {e!r} is not a path of the host")
+        paths[canonical_edge(*e)] = ids
+    return branch, paths
 
 
 def verify_fat_model(m: FatMinorModel, K: int) -> FatVerifyReport:
-    """Check the structure, then conditions (1)-(4) on ids, and report the first failure."""
+    """Check the structure, then conditions (1)-(4), on ids; report the first failure."""
     if K < 0:
         raise StructuralError("K must be non-negative")
-    check_model_structure(m)
-    index = m.host.index
-    branch = {w: index.bits(b) for w, b in m.branch_sets.items()}
-    paths = {canonical_edge(*e): tuple(index.pos[x] for x in p) for e, p in m.edge_paths.items()}
-    return _fat_report(index, m.pattern, branch, paths, K)
+    return _fat_report(m.host.index, m.pattern, *_model_on_ids(m), K)
 
 
 def _fat_report(index: GraphIndex, pattern: Graph, branch: dict, paths: dict, K: int) -> FatVerifyReport:
@@ -297,7 +301,7 @@ def _route_edges_free(index: GraphIndex, edges: list, branch: dict, union_b: int
         b_u, b_v = branch[e[0]], branch[e[1]]
         # Breadth-first from B_u, staying outside branch sets in the interior.
         seen = b_u | (union_b & ~b_v)
-        prev: dict = {}
+        prev = [x if b_u >> x & 1 else -1 for x in range(len(nbrs))]  # each id of B_u is a root
         queue = bit_ids(b_u)
         hit = None
         while queue and hit is None:
@@ -318,10 +322,7 @@ def _route_edges_free(index: GraphIndex, edges: list, branch: dict, union_b: int
             queue = nxt
         if hit is None:
             return None
-        p = [hit]
-        while p[-1] in prev:
-            p.append(prev[p[-1]])
-        paths[e] = tuple(reversed(p))
+        paths[e] = parent_path(prev, hit)
     return paths
 
 

@@ -265,13 +265,6 @@ def components_minus(g: Graph, s: int = 0) -> list[tuple[int, int]]:
     return out
 
 
-def induces_connected(g: Graph, xs: Iterable[Vertex]) -> bool:
-    """True iff X is a non-empty set of vertices of G and G[X] is connected."""
-    index = g.index
-    x = index.bits(xs)
-    return x != 0 and grow_mask(index.masks, x & -x, x)[0] == x
-
-
 # ---------------------------------------------------------------------------
 # metric / connectivity primitives
 # ---------------------------------------------------------------------------
@@ -434,22 +427,6 @@ def relabel(g: Graph, mapping: Mapping) -> Graph:
 # ---------------------------------------------------------------------------
 # walks and paths
 # ---------------------------------------------------------------------------
-
-
-def is_path(g: Graph, seq: Iterable[Vertex]) -> bool:
-    """True iff seq is a sequence of distinct vertices with consecutive ones adjacent.
-
-    A single vertex counts as a (trivial) path; an empty sequence does not.
-    """
-    vs = list(seq)
-    if not vs:
-        return False
-    if len(set(vs)) != len(vs):
-        return False
-    for v in vs:
-        if v not in g.vertices:
-            return False
-    return all(g.adjacent(a, b) for a, b in zip(vs, vs[1:]))
 
 
 def shortest_path(g: Graph, u: Vertex, v: Vertex) -> list[Vertex] | None:

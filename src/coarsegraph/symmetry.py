@@ -7,7 +7,7 @@ up to a configurable size cap: a candidate image is checked with one mask
 compare against the images of the neighbours already placed; stopped at the
 first extension of each coset of a stabiliser chain, the same backtrack gives
 a generating set, kept in ``GraphIndex._generators``.  Vertex and edge orbits
-close ids under it; :func:`orbits` groups any objects under a list of automorphisms.
+close ids under it; :func:`orbits` groups any objects under the group a list of automorphisms generates.
 """
 
 from __future__ import annotations
@@ -137,16 +137,23 @@ def _obj_key(obj):
 def orbits(objects: Iterable, autos: Sequence[dict], act: Callable = apply_to) -> list[list]:
     """Partition objects into orbits under the group generated by autos.
 
-    The given automorphisms are treated as the full group (as returned by
-    :func:`automorphisms`); each object's orbit representative is its minimal
-    image, and objects sharing a representative share an orbit.
+    A generating set is enough: each object's orbit is closed under the given
+    maps; the groups come in the order of their orbits' least members, each in key order.
     """
     if not autos:
         raise StructuralError("orbits need at least one automorphism: a group holds the identity")
-    groups: dict = {}  # representative's key -> {object key -> first object with that key}
+    least: dict = {}  # object key -> least key of its orbit
+    groups: dict = {}  # least key -> {object key -> first object with that key}
     for o in objects:
-        rkey = min(_obj_key(act(a, o)) for a in autos)
-        groups.setdefault(rkey, {}).setdefault(_obj_key(o), o)
+        k = _obj_key(o)
+        if k not in least:
+            orbit, todo = {k}, [o]
+            for x in todo:  # grows while read; in a finite group, closing under the maps is enough
+                new = {ky: y for y in (act(a, x) for a in autos) if (ky := _obj_key(y)) not in orbit}
+                orbit.update(new)
+                todo += new.values()
+            least.update(dict.fromkeys(orbit, min(orbit)))
+        groups.setdefault(least[k], {}).setdefault(k, o)
     return [[orbit[k] for k in sorted(orbit)] for _, orbit in sorted(groups.items())]
 
 

@@ -12,6 +12,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from coarsegraph.construction import build_H, output_to_dict, verify_output
 from coarsegraph.corpus import DEFAULT_SEED, corpus, symmetric_instances
@@ -234,3 +235,11 @@ def test_08_separator_triples_in_planar_hosts_attach_at_most_two_components():
             if len(fully_attached_components(host, frozenset(S))) > 2:
                 violations.append((inst.name, S))
     assert violations == []
+
+
+def test_readme_python_api_example_runs():
+    """The ``python`` block under README's "Python API" heading runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

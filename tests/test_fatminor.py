@@ -34,7 +34,7 @@ from coarsegraph.generators import (
     path_graph,
     tree_graph,
 )
-from coarsegraph.graph import Graph, GraphIndex, canonical_edge, relabel
+from coarsegraph.graph import Graph, GraphIndex, canonical_edge, relabel, shortest_path, sort_vertices
 
 import oracles
 
@@ -417,6 +417,103 @@ def test_heuristic_outcomes_match_the_committed_digest():
         outcomes.append([out.status, out.reason, out.nodes_used, out.model and model_to_dict(out.model)])
     assert {o[1] for o in outcomes} >= {"heuristic witness verified", "budget exhausted during heuristic search"}
     assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == HEURISTIC_DIGEST
+
+
+def _walk(rng, host: Graph, steps: int) -> tuple:
+    """A random walk of at most ``steps`` steps (vertices may repeat)."""
+    index = host.index
+    walk = [rng.randrange(len(index.order))]
+    for _ in range(steps):
+        if not index.nbrs[walk[-1]]:
+            break
+        walk.append(rng.choice(index.nbrs[walk[-1]]))
+    return tuple(index.order[i] for i in walk)
+
+
+def _model_case(rng):
+    """A seeded exhaustive-regime search (pattern of 1-4 and host of 2-9
+    vertices on mixed labels, K in 0..2, budget 50-2,000), and a model of the
+    pattern in the host at K in 0..3: the search's witness or disjoint grown
+    branch sets joined by geodesics or walks, then broken at random by up to
+    two edits (a branch-set key dropped or foreign, a set emptied, overlapping,
+    grown or given an unknown vertex, an edge key reversed, dropped or
+    foreign, a path replaced by a walk, cut short or given an unknown vertex)."""
+    pattern = _mixed_labels(Graph.build(*oracles.random_graph(rng, rng.randint(1, 4), rng.random())[::-1]), rng)
+    host = _mixed_labels(Graph.build(*oracles.random_graph(rng, rng.randint(2, 9), rng.random())[::-1]), rng)
+    K, budget = rng.randint(0, 2), rng.choice((50, 500, 2_000))
+    out = search_fat_minor(pattern, host, K, budget=budget)
+    if out.model is not None and rng.random() < 0.5:
+        branch = {v: set(b) for v, b in out.model.branch_sets.items()}
+        paths = dict(out.model.edge_paths)
+    else:
+        free, branch = host.sorted_vertices(), {}
+        rng.shuffle(free)
+        for v in pattern.sorted_vertices():
+            b = branch[v] = {free.pop()} if free else set()
+            for _ in range(rng.randint(0, 2)):
+                grow = sorted({w for x in b for w in host.neighbors(x) if w in free}, key=host.index.pos.get)
+                if grow:
+                    b.add(w := rng.choice(grow))
+                    free.remove(w)
+        paths = {}
+        for (u, v) in pattern.sorted_edges():
+            ends = [rng.choice(sort_vertices(branch[w])) for w in (u, v) if branch[w]]
+            geodesic = len(ends) == 2 and rng.random() < 0.8 and shortest_path(host, *ends)
+            paths[(u, v)] = tuple(geodesic) if geodesic else _walk(rng, host, rng.randint(0, 4)) if ends else ()
+    unknown = rng.choice((99, "zz", ("q", 1)))  # one per case: an unknown vertex is named whatever the set order
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        v, op = rng.choice(list(branch)), rng.randrange(12)
+        if op == 0 and len(branch) > 1:
+            del branch[v]
+        elif op == 1:
+            branch[unknown] = {rng.choice(host.sorted_vertices())}
+        elif op == 2:
+            branch[v] = set()
+        elif op == 3:
+            branch[v].add(unknown)
+        elif op == 4:
+            branch[v] |= rng.choice(list(branch.values()))
+        elif op == 5:
+            branch[v].add(rng.choice(host.sorted_vertices()))
+        elif paths:
+            e = rng.choice(list(paths))
+            if op == 6:
+                paths[e[::-1]] = paths.pop(e)[:: rng.choice((1, -1))]
+            elif op == 7:
+                del paths[e]
+            elif op == 8:
+                paths[e] = _walk(rng, host, rng.randint(1, 6))
+            elif op == 9:
+                cut = rng.randint(0, len(paths[e]))
+                paths[e] = paths[e][:cut] + (unknown,) + paths[e][cut:]
+            elif op == 10:
+                paths[e] = paths[e][: rng.randint(0, 1)]
+            else:
+                paths[(e[0], unknown)] = paths[e]
+    model = FatMinorModel(pattern, host, {v: frozenset(b) for v, b in branch.items()}, paths)
+    return out, model, rng.randint(0, 3)
+
+
+# sha256 of the JSON pair [searches, reports] over _model_case(random.Random(i)),
+# i < 1,500: each search's (status, reason, nodes_used, model_to_dict), and each
+# model's verify_fat_model report (ok, condition, detail) or its error's type and
+# text.  A change that moves it must say why.
+MODEL_DIGEST = "7bca32554d88dad714cb1058381f95b4a431c6d86ccf3c0951f248846b399a0a"
+
+
+def test_model_reports_and_searches_match_the_committed_digest():
+    searches, reports = [], []
+    for i in range(1_500):
+        out, model, K = _model_case(random.Random(i))
+        searches.append([out.status, out.reason, out.nodes_used, out.model and model_to_dict(out.model)])
+        try:
+            r = verify_fat_model(model, K)
+            reports.append([r.ok, r.failed_condition, r.detail])
+        except GraphToolError as e:
+            reports.append([type(e).__name__, str(e)])
+    assert {r[1] for r in reports if not r[0]} >= {1, 2, 3, 4}
+    assert {r[0] for r in reports} >= {True, "StructuralError", "UnknownVertexError"}
+    assert hashlib.sha256(json.dumps([searches, reports]).encode()).hexdigest() == MODEL_DIGEST
 
 
 def test_negative_budget_is_bad_input():

@@ -216,6 +216,26 @@ def test_automorphisms_and_orbits_match_brute_force(g):
     assert orbits(pairs[::-1], autos) == oracles.orbit_partition(pairs, expected, _act_on_set, _edge_key)
 
 
+@settings(max_examples=100, deadline=None)
+@given(labelled_graphs())
+def test_orbits_under_a_generating_set_match_brute_force(g):
+    """Given only the generators, as dicts, orbits gives the brute-force vertex,
+    edge and vertex-pair partitions under the whole group, in the same order."""
+    order = g.index.order
+    gens = [dict(zip(order, (order[i] for i in a))) for a in automorphism_generators(g)] or [dict(zip(order, order))]
+    expected = oracles.automorphisms(g.vertices, g.edges)
+    vertices, edges = g.sorted_vertices(), g.sorted_edges()
+    assert orbits(vertices, gens) == oracles.orbit_partition(vertices, expected, lambda a, v: a[v], oracles.label_key)
+    assert [[frozenset(e) for e in orbit] for orbit in orbits(edges, gens)] == \
+        oracles.orbit_partition([frozenset(e) for e in edges], expected, _act_on_set, _edge_key)
+    pairs = [frozenset(p) for p in itertools.combinations(vertices, 2)]
+    assert orbits(pairs[::-1], gens) == oracles.orbit_partition(pairs, expected, _act_on_set, _edge_key)
+
+
+def test_orbits_under_one_rotation_of_c6():
+    assert orbits(range(6), [{i: (i + 1) % 6 for i in range(6)}]) == [[0, 1, 2, 3, 4, 5]]
+
+
 @pytest.mark.parametrize("g", SYMMETRIC_SHAPES + [_prism(6), _wheel(6), _wheel(7)] + _random_graphs(40, max_n=10))
 def test_orbits_match_brute_force_on_symmetric_and_larger_graphs(g):
     _assert_orbits_match(g, oracles.automorphisms(g.vertices, g.edges))
