@@ -59,7 +59,7 @@ def _read_graph(path: str) -> Graph:
 def _read_json(path: str):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses on nested arrays
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -96,10 +96,7 @@ def cmd_validate_td(args) -> int:
     g = _read_graph(args.graph)
     td = td_from_dict(_read_json(args.td))
     rep = validate(g, td)
-    _emit_json(
-        {"ok": rep.ok, "axiom": rep.axiom, "witness": rep.witness, "message": rep.message},
-        args.out,
-    )
+    _emit_json(dict(vars(rep)), args.out)
     return 0 if rep.ok else 1
 
 

@@ -179,33 +179,35 @@ def check_classification(host: Graph, td: TreeDecomposition, k: int, classificat
 # ---------------------------------------------------------------------------
 
 
-def _prepare_sub_td(torso_graph: Graph, provided: TreeDecomposition | None, adhesion_cap: int | None) -> TreeDecomposition:
-    """Return a supplied sub-decomposition once it is valid, of adhesion at most
-    ``adhesion_cap`` and tight on every edge; else the min-degree one, which
-    ``_contract_to_tight`` then trims."""
+def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, keep: set | None = None) -> TreeDecomposition:
+    """The torso's sub-decomposition contracted to its tight edges whose
+    adhesion set is in ``keep`` (any set if None).  A supplied one must be
+    valid, of adhesion ≤ 3 when ``keep`` is given, and tight on every edge, so
+    its adhesion sets alone decide; else the min-degree one is contracted, and
+    with ``keep`` empty the one node it would contract to is built directly."""
     if provided is None:
-        return heuristic_td(torso_graph)
+        if keep is not None and not keep:
+            return TreeDecomposition(Graph.build((), [0]), {0: torso_graph.vertices})
+        return _contract_to_tight(torso_graph, heuristic_td(torso_graph), keep)
     rep = validate(torso_graph, provided)
     if not rep.ok:
         raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
     seps = edge_separations(torso_graph, provided)
     for e in provided.tree.sorted_edges():
         a, b = seps[e]
-        if adhesion_cap is not None and (a & b).bit_count() > adhesion_cap:
-            raise ContractViolationError(f"sub-decomposition adhesion {(a & b).bit_count()} exceeds {adhesion_cap}")
+        if keep is not None and (a & b).bit_count() > 3:
+            raise ContractViolationError(f"sub-decomposition adhesion {(a & b).bit_count()} exceeds 3")
         if not _tight_on_masks(torso_graph, a, b):
             raise ContractViolationError(f"sub-decomposition edge {e!r} has a non-tight separation")
-    return provided
+    return contract_td_edges(provided, [e for e, s in adhesion_sets(provided).items() if keep is None or s in keep])[0]
 
 
-def _contract_to_tight(torso_graph: Graph, sub_td: TreeDecomposition, adhesions: set | None = None,
-                       tight: bool = False) -> TreeDecomposition:
+def _contract_to_tight(torso_graph: Graph, sub_td: TreeDecomposition, adhesions: set | None = None) -> TreeDecomposition:
     """Contract every tree edge except the tight ones whose adhesion set is in
-    ``adhesions`` (any set if None); with ``tight`` every edge is known tight.
-    Contracting other edges changes neither the separation nor the adhesion
-    set of an edge, so one pass decides all."""
+    ``adhesions`` (any set if None).  Contracting other edges changes neither
+    the separation nor the adhesion set of an edge, so one pass decides all."""
     keep = [e for e, a in adhesion_sets(sub_td).items() if adhesions is None or a in adhesions]
-    if keep and not tight:
+    if keep:
         seps = edge_separations(torso_graph, sub_td)
         keep = [e for e in keep if _tight_on_masks(torso_graph, *seps[e])]
     return contract_td_edges(sub_td, keep)[0]
@@ -221,21 +223,19 @@ class PlanarRefinement:
     warnings: tuple
 
 
-def refine_planar_torso(
-    torso_graph: Graph,
-    sub_td: TreeDecomposition,
-    outer_sets: Iterable[frozenset],
-    markers: frozenset = frozenset(),
-    tight: bool = False,
-) -> PlanarRefinement:
+def refine_planar_torso(torso_graph: Graph, sub_td: TreeDecomposition, outer_sets: Iterable[frozenset],
+                        markers: frozenset = frozenset()) -> PlanarRefinement:
     """Contract the sub-decomposition down to its tight edges whose adhesion
-    set is a size-3 outer set, then prune, per part and per outer adhesion set
-    S that is no kept edge's, every fully attached component except the
-    designated "infinite" one.  With ``tight`` every edge of ``sub_td`` is
-    known tight (``_prepare_sub_td`` checks a supplied one), so only the
-    adhesion sets decide."""
+    set is a size-3 outer set, then prune its parts (``_prune``)."""
     outer = sorted({frozenset(s) for s in outer_sets if s}, key=set_key)
-    contracted = _contract_to_tight(torso_graph, sub_td, {s for s in outer if len(s) == 3}, tight)
+    contracted = _contract_to_tight(torso_graph, sub_td, {s for s in outer if len(s) == 3})
+    return _prune(torso_graph, contracted, outer, markers)
+
+
+def _prune(torso_graph: Graph, contracted: TreeDecomposition, outer: list, markers: frozenset) -> PlanarRefinement:
+    """Per part and per outer adhesion set S (distinct, in key order) that is
+    no edge's of ``contracted``, delete every fully attached component except
+    the designated "infinite" one."""
     contracted_adh = set(adhesion_sets(contracted).values())
     kept: dict = {}
     deletions: list = []
@@ -374,10 +374,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             for v in td.parts[t]:
                 own.setdefault(v, x)
         elif classification[t] == BOUNDED_TW:
-            sub = _prepare_sub_td(torsos[t], provided, adhesion_cap=None)
-            if provided is None:  # a checked supplied one is tight on every edge: its own contraction
-                sub = _contract_to_tight(torsos[t], sub)
-            sub_tds[t] = sub
+            sub = sub_tds[t] = _sub_decomposition(torsos[t], provided)
             name = {s: ("tw", t, s) for s in sub.tree.sorted_vertices()}
             for s, x in name.items():
                 vertices.append(x)
@@ -390,14 +387,8 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
                 ends = [center.location] if center.kind == "vertex" else center.location
                 edges.extend((hub[S], name[s]) for s in ends)
         else:
-            if provided is None and not any(len(S) == 3 for S in outer):
-                # No edge can be kept, so the min-degree decomposition would be
-                # contracted to its node 0 holding the whole torso.
-                sub = TreeDecomposition(Graph.build((), [0]), {0: torsos[t].vertices})
-            else:
-                sub = _prepare_sub_td(torsos[t], provided, adhesion_cap=3)
-            ref = refine_planar_torso(torsos[t], sub, outer, bundle.infinite_markers, tight=provided is not None)
-            refinements[t] = ref
+            sub = _sub_decomposition(torsos[t], provided, {S for S in outer if len(S) == 3})
+            ref = refinements[t] = _prune(torsos[t], sub, outer, bundle.infinite_markers)
             warnings.extend(ref.warnings)
             for s in ref.contracted.tree.sorted_vertices():
                 g = ref.kept[s]
@@ -611,14 +602,7 @@ def output_to_dict(out: ConstructionOutput) -> dict:
         "h_edges": [[token[pos[u]], token[pos[v]]] for u, v in out.H.sorted_edges()],
         "h_isolated": [token[i] for i, js in enumerate(index.nbrs) if not js],
         "phi": {vertex_token(v): token[pos[x]] for v, x in out.phi.items()},
-        "bounds": {
-            "b1": out.bounds.b1,
-            "b2": out.bounds.b2,
-            "b3": out.bounds.b3,
-            "b4": out.bounds.b4,
-            "b5": out.bounds.b5,
-            "b": out.bounds.b,
-        },
+        "bounds": dict(vars(out.bounds)),
         "classification": {
             vertex_token(t): out.classification[t] for t in sort_vertices(out.classification)
         },
@@ -630,15 +614,8 @@ def output_to_dict(out: ConstructionOutput) -> dict:
 
 def report_to_dict(rep: VerificationReport) -> dict:
     return {
-        "planar": rep.planar,
-        "connectivity_ok": rep.connectivity_ok,
-        "qi_checked": rep.qi_checked,
-        "qi_valid": rep.qi_valid,
+        **vars(rep),
         "c": None if rep.c is None else str(rep.c),
-        "bound": rep.bound,
-        "marker_tolerance": rep.marker_tolerance,
-        "c_within_bound": rep.c_within_bound,
         "cut_vertex_failures": [vertex_token(x) for x in rep.cut_vertex_failures],
         "failures": list(rep.failures),
-        "passed": rep.passed,
     }

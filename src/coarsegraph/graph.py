@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 from .errors import GraphToolError, ParseError, UnknownVertexError
 
 Vertex = int | str | tuple
+MAX_VERTEX_DEPTH = 100  # deepest tuple nesting read from text or JSON; H names nest a host vertex one deeper
 
 
 def vertex_key(v: Vertex):
@@ -457,7 +458,8 @@ def parent_path(prev: list[int], t: int) -> tuple[int, ...] | None:
 def parse_vertex_token(tok: str) -> Vertex:
     """Inverse of vertex_token on its image: ints and tuple tokens are
     recognised when re-rendering them reproduces the input exactly; anything
-    else stays a plain string."""
+    else stays a plain string.  Parentheses nested deeper than
+    ``MAX_VERTEX_DEPTH`` raise ``ParseError``."""
     if tok.startswith("(") and tok.endswith(")"):
         parts: list[str] = []
         depth = 0
@@ -469,6 +471,8 @@ def parse_vertex_token(tok: str) -> Vertex:
                 continue
             if ch == "(":
                 depth += 1
+                if depth >= MAX_VERTEX_DEPTH:
+                    raise ParseError(f"vertex token nests deeper than {MAX_VERTEX_DEPTH} levels")
             elif ch == ")":
                 depth -= 1
             current.append(ch)
@@ -487,14 +491,21 @@ def parse_vertex_token(tok: str) -> Vertex:
 
 def vertex_from_json(v, token: bool = True) -> Vertex:
     """A vertex as JSON holds it: a string, read as a vertex token when
-    ``token``; a list, read as a tuple of plain vertices; or an int."""
+    ``token``; a list, read as a tuple of plain vertices nested at most
+    ``MAX_VERTEX_DEPTH`` deep; or an int."""
     if isinstance(v, list):
-        return tuple(vertex_from_json(x, token=False) for x in v)
+        return _tuple_from_json(v, MAX_VERTEX_DEPTH)
     if isinstance(v, str) and token:
         return parse_vertex_token(v)
     if isinstance(v, (int, str, tuple)) and not isinstance(v, bool):
         return v
     raise ParseError(f"{v!r} is not a vertex")
+
+
+def _tuple_from_json(v: list, depth: int) -> tuple:
+    if not depth:
+        raise ParseError(f"vertex array nests deeper than {MAX_VERTEX_DEPTH} levels")
+    return tuple(_tuple_from_json(x, depth - 1) if isinstance(x, list) else vertex_from_json(x, token=False) for x in v)
 
 
 def vertex_token(v: Vertex) -> str:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import oracles
-from coarsegraph.construction import TORSO_KINDS, InstanceBundle, build_H
+from coarsegraph.construction import BOUNDED_TW, PLANAR, TORSO_KINDS, InstanceBundle, build_H
 from coarsegraph.corpus import relabel_bundle
 from coarsegraph.graph import Graph, relabel, sort_vertices
 from coarsegraph.treedecomp import TreeDecomposition, contract_td_edges, heuristic_td, torso
@@ -34,8 +36,9 @@ def assert_equivariant(inst) -> None:
         assert out2.phi[sigma[v]] == rename[out1.phi[v]], (inst.name, v)
 
 
-def _randomly_contracted(rng, td: TreeDecomposition) -> TreeDecomposition:
-    return contract_td_edges(td, [e for e in td.tree.sorted_edges() if rng.random() < 0.5])[0]
+def _randomly_contracted(rng, td: TreeDecomposition, keep: float = 0.5) -> TreeDecomposition:
+    """``td`` with each tree edge kept with probability ``keep``, else contracted."""
+    return contract_td_edges(td, [e for e in td.tree.sorted_edges() if rng.random() < keep])[0]
 
 
 def random_bundle(rng) -> InstanceBundle:
@@ -68,3 +71,17 @@ def random_bundle(rng) -> InstanceBundle:
         markers = frozenset(v for v in vs if rng.random() < 0.3)
     return InstanceBundle(host, td, k, classification, markers, sub_tds, threshold)
 
+
+
+def supplied_bundle(rng) -> InstanceBundle:
+    """A ``random_bundle`` with a supplied sub-decomposition on every tree
+    node: the torso's min-degree decomposition with about 40% of its tree
+    edges contracted.  Half of these bundles classify every node planar or
+    bounded-treewidth at random, the others not at all."""
+    b = random_bundle(rng)
+    nodes = b.td.tree.sorted_vertices()
+    classification = None
+    if rng.random() < 0.5:
+        classification = {t: rng.choice((PLANAR, BOUNDED_TW)) for t in nodes}
+    sub_tds = {t: _randomly_contracted(rng, heuristic_td(torso(b.host, b.td, t)), keep=0.6) for t in nodes}
+    return replace(b, classification=classification, sub_tds=sub_tds)

@@ -19,7 +19,7 @@ from coarsegraph.construction import build_H, bundle_to_dict
 from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import cycle_graph, path_graph
-from coarsegraph.graph import format_edge_list, parse_edge_list, vertex_token
+from coarsegraph.graph import MAX_VERTEX_DEPTH, format_edge_list, parse_edge_list, vertex_token
 from coarsegraph.treedecomp import td_to_dict, TreeDecomposition
 from coarsegraph.graph import Graph
 from coarsegraph.qi import certificate_to_dict, make_certificate, tightest_constants
@@ -321,6 +321,49 @@ def test_bad_input_exits_two(tmp_path, capsys):
         capsys.readouterr()
         assert main(["planarity", "--graph", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    """The JSON decoder recurses on nested arrays: 100,000 of them, read by any
+    JSON-reading subcommand, end in a one-line ParseError, not a traceback."""
+    gpath, _ = two_k4_files(tmp_path)
+    deep = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    for args in (["validate-td", "--graph", gpath, "--td", deep],
+                 ["torso", "--graph", gpath, "--node", "a", "--td", deep],
+                 ["qi-check", "--source", gpath, "--target", gpath, "--map", deep],
+                 ["planarize", "--graph", gpath, "--k", "2", "--td", deep],
+                 ["planarize", "--graph", gpath, "--bundle", deep]):
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep}: not valid JSON") and err.count("\n") == 1, args
+
+
+def test_deeply_nested_vertices_exit_two(tmp_path, capsys):
+    """An edge-list token nested 400 deep and a part member that is a JSON
+    array nested 600 deep are refused with exit 2; at the depth limit both read."""
+    def token(depth):
+        return "(" * depth + "a" + ")" * depth
+
+    def array(depth):
+        v = "a"
+        for _ in range(depth):
+            v = [v]
+        return v
+
+    gpath = write(tmp_path, "deep.txt", f"0 {token(400)}\n")
+    assert main(["treewidth", "--graph", gpath]) == 2
+    assert capsys.readouterr().err.startswith("error: vertex token nests deeper")
+    host = write(tmp_path, "p.txt", "0 1\n")
+    tdpath = write_json(tmp_path, "td.json", {"tree_edges": [], "parts": {"t": [0, 1, array(600)]}})
+    assert main(["validate-td", "--graph", host, "--td", tdpath]) == 2
+    assert capsys.readouterr().err.startswith("error: vertex array nests deeper")
+
+    gpath = write(tmp_path, "limit.txt", f"0 {token(MAX_VERTEX_DEPTH)}\n")
+    assert main(["treewidth", "--graph", gpath]) == 0
+    assert json.loads(capsys.readouterr().out) == {"treewidth": 1}
+    tdpath = write_json(tmp_path, "td.json", {"tree_edges": [], "parts": {"t": [0, array(MAX_VERTEX_DEPTH)]}})
+    assert main(["validate-td", "--graph", gpath, "--td", tdpath]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_qi_check_map_shapes(tmp_path, capsys):

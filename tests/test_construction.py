@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import oracles
 from coarsegraph import construction, graph, planarity
-from helpers import random_bundle
+from helpers import random_bundle, supplied_bundle
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +623,17 @@ RANDOM_BUNDLE_DIGEST = "c2f2c374b12c522b2f3998f43f21a8a0687a4b7c726912445ffa578c
 def test_random_bundle_outcomes_match_the_committed_digest():
     outcomes = [build_outcome(random_bundle(random.Random(i))) for i in range(400)]
     assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == RANDOM_BUNDLE_DIGEST
+
+
+# sha256 of the JSON list of build_outcome over supplied_bundle(random.Random(i)), i < 1000:
+# every tree node carries a supplied sub-decomposition, so it guards their checks, error
+# texts and contraction.  A change that moves it must say why.
+SUPPLIED_BUNDLE_DIGEST = "ff89d59e38c0878cac5f43985d74e7627835953037fe535f2a6e4167dee77823"
+
+
+def test_supplied_sub_decomposition_outcomes_match_the_committed_digest():
+    outcomes = [build_outcome(supplied_bundle(random.Random(i))) for i in range(1000)]
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == SUPPLIED_BUNDLE_DIGEST
 
 
 @settings(max_examples=150, deadline=None)

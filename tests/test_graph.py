@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from coarsegraph.errors import GraphToolError, ParseError, UnknownVertexError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import (
+    MAX_VERTEX_DEPTH,
     Graph,
     canonical_edge,
     components,
@@ -26,6 +27,7 @@ from coarsegraph.graph import (
     shortest_path,
     to_dot,
     union,
+    vertex_from_json,
     vertex_key,
     vertex_token,
 )
@@ -293,6 +295,30 @@ def test_comments_and_isolated_vertices_parse():
 def test_vertex_token_round_trip():
     for v in (0, 17, -3, "abc", "0x", "007", ("xS", "a", "b"), ("tw", 1, (2, 3))):
         assert parse_vertex_token(vertex_token(v)) == v
+
+
+def _nested(depth: int, leaf="a"):
+    for _ in range(depth):
+        leaf = (leaf,)
+    return leaf
+
+
+def _as_json(v):
+    return [_as_json(x) for x in v] if isinstance(v, tuple) else v
+
+
+def test_vertices_nest_up_to_the_depth_limit():
+    """A vertex nested MAX_VERTEX_DEPTH deep reads back from its token and
+    from its JSON array; one level deeper is a ParseError, not a RecursionError."""
+    v = _nested(MAX_VERTEX_DEPTH)
+    assert parse_vertex_token(vertex_token(v)) == v
+    assert vertex_from_json(_as_json(v)) == v and vertex_from_json(vertex_token(v)) == v
+    assert parse_edge_list(format_edge_list(Graph.build([(v, 0)]))) == Graph.build([(v, 0)])
+    too_deep = _nested(MAX_VERTEX_DEPTH + 1)
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_vertex_token(vertex_token(too_deep))
+    with pytest.raises(ParseError, match="nests deeper"):
+        vertex_from_json(_as_json(too_deep))
 
 
 def test_tuple_token_format():
