@@ -23,7 +23,7 @@ from .construction import (
     verify_output,
 )
 from .errors import GraphToolError, ParseError
-from .generators import CAYLEY_PRESETS, FAMILIES, GeneratorSpec, generate
+from .generators import _PARAMETERS, CAYLEY_PRESETS, FAMILIES, GeneratorSpec, generate
 from .graph import (
     Graph,
     format_edge_list,
@@ -204,11 +204,7 @@ def cmd_planarize(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = {
-        key: getattr(args, key.replace("-", "_"))
-        for key in ("n", "rows", "cols", "a", "b", "branching", "depth", "preset", "radius")
-        if getattr(args, key.replace("-", "_"), None) is not None
-    }
+    params = {key: getattr(args, key) for key in _PARAMETERS if getattr(args, key) is not None}
     made = generate(GeneratorSpec(args.family, params))
     header = "".join(f"# marker: {tok}\n" for tok in sorted(map(vertex_token, made.markers)))
     if args.dot:
@@ -301,15 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help=f"generate a test-family graph ({', '.join(FAMILIES)})")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--branching", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--preset", choices=CAYLEY_PRESETS)
-    p.add_argument("--radius", type=int)
+    for key in _PARAMETERS:
+        p.add_argument(f"--{key}", **({"choices": CAYLEY_PRESETS} if key == "preset" else {"type": int}))
     p.add_argument("--out")
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_gen)

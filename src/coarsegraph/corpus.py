@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .construction import InstanceBundle
 from .generators import cayley_ball, cycle_graph, grid_graph
@@ -49,8 +49,24 @@ class CorpusInstance:
     relabeling: tuple | None = None
 
 
-def _single_node_td(vertices, node=0) -> TreeDecomposition:
-    return TreeDecomposition(Graph.build((), [node]), {node: frozenset(vertices)})
+def _td(tree_edges, parts: dict) -> TreeDecomposition:
+    """The decomposition along ``tree_edges`` into ``parts`` (tree node -> vertex set)."""
+    return TreeDecomposition(Graph.build(tree_edges, parts), parts)
+
+
+def _bundle(host: Graph, tree_edges, parts: dict, **fields) -> InstanceBundle:
+    return InstanceBundle(host, _td(tree_edges, parts), k=2, **fields)
+
+
+def _one_part(name: str, host: Graph, **fields) -> CorpusInstance:
+    """An instance decomposed into one part "t" that holds the whole host."""
+    return CorpusInstance(name, _bundle(host, (), {"t": host.vertices}, **fields))
+
+
+def _clique_parts(tree_edges, parts: dict) -> InstanceBundle:
+    """A clique on each part, decomposed into its parts."""
+    host = Graph.build([e for part in parts.values() for e in _clique(part)])
+    return _bundle(host, tree_edges, parts)
 
 
 def _clique(vertices) -> list:
@@ -89,12 +105,9 @@ def _clique_tree_instance(rng: random.Random, idx: int) -> CorpusInstance:
     """A tree of overlapping cliques; every torso is small."""
     m = rng.randint(2, 4)
     parent = {i: rng.randrange(i) for i in range(1, m)}
-    parts: dict = {}
     sizes = [rng.randint(4, 8) for _ in range(m)]
-    first = frozenset(range(sizes[0]))
+    parts = {0: frozenset(range(sizes[0]))}
     counter = sizes[0]
-    parts[0] = first
-    edges: list = list(_clique(first))
     adhesions: list = []
     for i in range(1, m):
         glue = _pick_glue(rng, parts[parent[i]], adhesions)
@@ -102,23 +115,12 @@ def _clique_tree_instance(rng: random.Random, idx: int) -> CorpusInstance:
         fresh = list(range(counter, counter + max(sizes[i] - len(glue), 1)))
         counter += len(fresh)
         parts[i] = glue | frozenset(fresh)
-        edges.extend(_clique(parts[i]))
-    host = Graph.build(edges)
-    tree = Graph.build([(parent[i], i) for i in range(1, m)], vertices=range(m))
-    bundle = InstanceBundle(host, TreeDecomposition(tree, parts), k=2)
+    bundle = _clique_parts([(parent[i], i) for i in range(1, m)], parts)
     return CorpusInstance(f"clique-tree-{idx:02d}", bundle)
 
 
 def _cycle_instance(n: int) -> CorpusInstance:
-    host = cycle_graph(n)
-    bundle = InstanceBundle(host, _single_node_td(host.vertices, "t"), k=2)
-    return CorpusInstance(f"cycle-{n}", bundle)
-
-
-def _grid_instance(r: int, c: int) -> CorpusInstance:
-    host = grid_graph(r, c)
-    bundle = InstanceBundle(host, _single_node_td(host.vertices, "t"), k=2)
-    return CorpusInstance(f"grid-{r}x{c}", bundle)
+    return _one_part(f"cycle-{n}", cycle_graph(n))
 
 
 def _face_triple(i: int, j: int) -> frozenset:
@@ -130,9 +132,8 @@ def _grid_k4_instance(r: int, c: int, i: int, j: int) -> CorpusInstance:
     grid = grid_graph(r, c)
     s = _face_triple(i, j)
     host = add_edges(grid, [("q", v) for v in sort_vertices(s)])
-    tree = Graph.build([("g", "k")])
-    td = TreeDecomposition(tree, {"g": grid.vertices, "k": s | {"q"}})
-    return CorpusInstance(f"grid-k4-{r}x{c}-at-{i}-{j}", InstanceBundle(host, td, k=2))
+    bundle = _bundle(host, [("g", "k")], {"g": grid.vertices, "k": s | {"q"}})
+    return CorpusInstance(f"grid-k4-{r}x{c}-at-{i}-{j}", bundle)
 
 
 def _pocket_instance(m: int, marked: bool) -> CorpusInstance:
@@ -144,32 +145,27 @@ def _pocket_instance(m: int, marked: bool) -> CorpusInstance:
     """
     grid = grid_graph(3, m)
     s = frozenset({f"{i},0" for i in range(3)})
-    extra = [("p", v) for v in sort_vertices(s)] + [("q", v) for v in sort_vertices(s)]
-    host = add_edges(grid, extra)
-    tree = Graph.build([("g", "k")])
+    host = add_edges(grid, [(w, v) for w in ("p", "q") for v in sort_vertices(s)])
     part_g = grid.vertices | {"p"}
-    td = TreeDecomposition(tree, {"g": part_g, "k": s | {"q"}})
     markers = frozenset(f"{i},{m - 1}" for i in range(3)) if marked else frozenset()
     name = f"pocket-3x{m}-{'marked' if marked else 'plain'}"
     # The pinned trivial sub-decomposition keeps the column separator out of
     # the contracted adhesions, so the refinement really has to prune.
-    sub = _single_node_td(part_g, node=0)
-    return CorpusInstance(
-        name, InstanceBundle(host, td, k=2, infinite_markers=markers, sub_tds={"g": sub})
-    )
+    bundle = _bundle(host, [("g", "k")], {"g": part_g, "k": s | {"q"}},
+                     infinite_markers=markers, sub_tds={"g": _td((), {0: part_g})})
+    return CorpusInstance(name, bundle)
 
 
 def _bridge_instance(n: int) -> CorpusInstance:
     """Two n×n grids joined through a small bridge torso on two face triples."""
     g1 = grid_graph(n, n)
-    g2 = relabel(grid_graph(n, n), {v: f"b{v}" for v in grid_graph(n, n).vertices})
+    g2 = relabel(g1, {v: f"b{v}" for v in g1.vertices})
     s1 = _face_triple(0, 0)
-    s2 = frozenset(f"b{v}" for v in _face_triple(0, 0))
+    s2 = frozenset(f"b{v}" for v in s1)
     bridge = [(u, v) for u in sort_vertices(s1) for v in sort_vertices(s2)]
     host = add_edges(union(g1, g2), bridge)
-    tree = Graph.build([("g1", "m"), ("m", "g2")])
-    td = TreeDecomposition(tree, {"g1": g1.vertices, "m": s1 | s2, "g2": g2.vertices})
-    return CorpusInstance(f"bridge-{n}", InstanceBundle(host, td, k=2))
+    bundle = _bundle(host, [("g1", "m"), ("m", "g2")], {"g1": g1.vertices, "m": s1 | s2, "g2": g2.vertices})
+    return CorpusInstance(f"bridge-{n}", bundle)
 
 
 def _mixed_instance(cycle_n: int, gr: int, gc: int) -> CorpusInstance:
@@ -178,24 +174,14 @@ def _mixed_instance(cycle_n: int, gr: int, gc: int) -> CorpusInstance:
     grid = grid_graph(gr, gc)
     hook = cycle_n // 2
     host = add_edges(union(cyc, grid), [("a", 0), ("a", 1), (hook, "0,0")])
-    tree = Graph.build([("A", "B"), ("B", "C")])
-    td = TreeDecomposition(
-        tree,
-        {"A": frozenset({"a", 0, 1}), "B": cyc.vertices, "C": grid.vertices | {hook}},
-    )
-    return CorpusInstance(f"mixed-c{cycle_n}-g{gr}x{gc}", InstanceBundle(host, td, k=2))
+    parts = {"A": frozenset({"a", 0, 1}), "B": cyc.vertices, "C": grid.vertices | {hook}}
+    return CorpusInstance(f"mixed-c{cycle_n}-g{gr}x{gc}", _bundle(host, [("A", "B"), ("B", "C")], parts))
 
 
 def _cayley_instance(preset: str, radius: int, finite_threshold: int = 8) -> CorpusInstance:
     ball = cayley_ball(preset, radius)
-    bundle = InstanceBundle(
-        ball.graph,
-        _single_node_td(ball.graph.vertices, "t"),
-        k=2,
-        infinite_markers=ball.markers,
-        finite_threshold=finite_threshold,
-    )
-    return CorpusInstance(f"cayley-{preset}-r{radius}", bundle)
+    return _one_part(f"cayley-{preset}-r{radius}", ball.graph,
+                     infinite_markers=ball.markers, finite_threshold=finite_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +193,12 @@ def _sym_mirror_path(arm: int, a: int, idx: int) -> CorpusInstance:
     """Left clique — middle — right clique, mirror-symmetric."""
     left = [f"l{i}" for i in range(arm)]
     right = [f"r{i}" for i in range(arm)]
-    sl = frozenset(left[-a:])
-    sr = frozenset(right[-a:])
-    mid = sl | sr | {"m0"}
-    parts = {"L": frozenset(left), "M": mid, "R": frozenset(right)}
-    edges = _clique(parts["L"]) + _clique(mid) + _clique(parts["R"])
-    host = Graph.build(edges)
-    tree = Graph.build([("L", "M"), ("M", "R")])
+    mid = frozenset(left[-a:]) | frozenset(right[-a:]) | {"m0"}
+    bundle = _clique_parts([("L", "M"), ("M", "R")], {"L": frozenset(left), "M": mid, "R": frozenset(right)})
     sigma = {f"l{i}": f"r{i}" for i in range(arm)}
     sigma.update({f"r{i}": f"l{i}" for i in range(arm)})
     sigma["m0"] = "m0"
     tau = {"L": "R", "M": "M", "R": "L"}
-    bundle = InstanceBundle(host, TreeDecomposition(tree, parts), k=2)
     return CorpusInstance(f"sym-mirror-{idx}", bundle, symmetric=True, relabeling=(sigma, tau))
 
 
@@ -226,50 +206,36 @@ def _sym_star(arms: int, idx: int) -> CorpusInstance:
     """Clique arms around a shared triangle, rotated by the automorphism."""
     z = ["z0", "z1", "z2"]
     parts: dict = {"Z": frozenset(z)}
-    edges = _clique(z)
-    for i in range(arms):
-        arm = frozenset(z) | {f"a{i}x", f"a{i}y"}
-        parts[f"A{i}"] = arm
-        edges.extend(_clique(arm))
-    host = Graph.build(edges)
-    tree = Graph.build([("Z", f"A{i}") for i in range(arms)])
     sigma = {v: v for v in z}
     tau = {"Z": "Z"}
     for i in range(arms):
         j = (i + 1) % arms
+        parts[f"A{i}"] = frozenset(z) | {f"a{i}x", f"a{i}y"}
         sigma[f"a{i}x"] = f"a{j}x"
         sigma[f"a{i}y"] = f"a{j}y"
         tau[f"A{i}"] = f"A{j}"
-    bundle = InstanceBundle(host, TreeDecomposition(tree, parts), k=2)
+    bundle = _clique_parts([("Z", f"A{i}") for i in range(arms)], parts)
     return CorpusInstance(f"sym-star-{idx}", bundle, symmetric=True, relabeling=(sigma, tau))
 
 
 def _sym_cycle(n: int) -> CorpusInstance:
-    """A single bounded-treewidth cycle with a pinned one-node sub-decomposition,
-    rotated halfway around by the automorphism."""
-    host = cycle_graph(n)
-    td = _single_node_td(host.vertices, "t")
-    sub = _single_node_td(host.vertices, 0)
+    """``cycle-n`` with a pinned one-node sub-decomposition, rotated halfway
+    around by the automorphism."""
+    plain = _cycle_instance(n).bundle
+    bundle = replace(plain, sub_tds={"t": _td((), {0: plain.host.vertices})})
     sigma = {v: (v + n // 2) % n for v in range(n)}
-    tau = {"t": "t"}
-    bundle = InstanceBundle(host, td, k=2, sub_tds={"t": sub})
-    return CorpusInstance(f"sym-cycle-{n}", bundle, symmetric=True, relabeling=(sigma, tau))
+    return CorpusInstance(f"sym-cycle-{n}", bundle, symmetric=True, relabeling=(sigma, {"t": "t"}))
 
 
 def _sym_grid_k4(n: int) -> CorpusInstance:
-    """A square grid with a K4 pocket at the corner face, transposed by the
-    automorphism; the planar sub-decomposition is pinned to one node so the
-    construction's vertex names relabel exactly."""
-    grid = grid_graph(n, n)
-    s = _face_triple(0, 0)
-    host = add_edges(grid, [("q", v) for v in sort_vertices(s)])
-    tree = Graph.build([("g", "k")])
-    td = TreeDecomposition(tree, {"g": grid.vertices, "k": s | {"q"}})
+    """``grid-k4-nxn-at-0-0``, transposed by the automorphism; the planar
+    sub-decomposition is pinned to one node so the construction's vertex
+    names relabel exactly."""
+    plain = _grid_k4_instance(n, n, 0, 0).bundle
+    bundle = replace(plain, sub_tds={"g": _td((), {0: plain.td.parts["g"]})})
     sigma = {f"{i},{j}": f"{j},{i}" for i in range(n) for j in range(n)}
     sigma["q"] = "q"
-    tau = {"g": "g", "k": "k"}
-    bundle = InstanceBundle(host, td, k=2, sub_tds={"g": _single_node_td(grid.vertices, 0)})
-    return CorpusInstance(f"sym-grid-k4-{n}", bundle, symmetric=True, relabeling=(sigma, tau))
+    return CorpusInstance(f"sym-grid-k4-{n}", bundle, symmetric=True, relabeling=(sigma, {"g": "g", "k": "k"}))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +253,7 @@ def corpus(seed: int | None = None) -> list[CorpusInstance]:
     for n in range(12, 31, 2):
         out.append(_cycle_instance(n))
     for (r, c) in [(4, 4), (4, 5), (4, 6), (5, 5), (5, 6), (6, 6)]:
-        out.append(_grid_instance(r, c))
+        out.append(_one_part(f"grid-{r}x{c}", grid_graph(r, c)))
     faces = [(0, 0), (0, 1), (1, 1), (2, 1)]
     for (r, c) in [(4, 4), (5, 5)]:
         for (i, j) in rng.sample(faces, 3):
@@ -305,10 +271,8 @@ def corpus(seed: int | None = None) -> list[CorpusInstance]:
     out.append(_cayley_instance("integer-lattice-Z2", 3))
     out.append(_cayley_instance("free-product-Z2-Z3", 2, finite_threshold=4))
     out.append(_cayley_instance("free-product-Z2-Z3", 3))
-    out.append(_sym_mirror_path(4, 1, 0))
-    out.append(_sym_mirror_path(5, 2, 1))
-    out.append(_sym_mirror_path(6, 3, 2))
-    out.append(_sym_mirror_path(7, 2, 3))
+    for idx, (arm, a) in enumerate([(4, 1), (5, 2), (6, 3), (7, 2)]):
+        out.append(_sym_mirror_path(arm, a, idx))
     out.append(_sym_star(3, 0))
     out.append(_sym_star(4, 1))
     out.append(_sym_cycle(12))
@@ -331,27 +295,14 @@ def relabel_bundle(bundle: InstanceBundle, sigma: dict, tau: dict) -> InstanceBu
     parts move.  Building the relabeled bundle must produce the renamed
     quotient of the original — that is what the symmetric instances check.
     """
-    host = relabel(bundle.host, sigma)
-    td = TreeDecomposition(
-        relabel(bundle.td.tree, tau),
-        {tau[t]: frozenset(sigma[v] for v in p) for t, p in bundle.td.parts.items()},
-    )
-    classification = None
-    if bundle.classification is not None:
-        classification = {tau[t]: kind for t, kind in bundle.classification.items()}
-    sub_tds = {
-        tau[t]: TreeDecomposition(
-            sub.tree,
-            {s: frozenset(sigma[v] for v in p) for s, p in sub.parts.items()},
-        )
-        for t, sub in bundle.sub_tds.items()
-    }
-    return InstanceBundle(
-        host,
-        td,
-        bundle.k,
-        classification=classification,
+    def moved(parts: dict) -> dict:
+        return {t: frozenset(sigma[v] for v in p) for t, p in parts.items()}
+
+    return replace(
+        bundle,
+        host=relabel(bundle.host, sigma),
+        td=TreeDecomposition(relabel(bundle.td.tree, tau), {tau[t]: p for t, p in moved(bundle.td.parts).items()}),
+        classification=bundle.classification and {tau[t]: kind for t, kind in bundle.classification.items()},
         infinite_markers=frozenset(sigma[v] for v in bundle.infinite_markers),
-        sub_tds=sub_tds,
-        finite_threshold=bundle.finite_threshold,
+        sub_tds={tau[t]: TreeDecomposition(sub.tree, moved(sub.parts)) for t, sub in bundle.sub_tds.items()},
     )

@@ -35,10 +35,11 @@ from functools import reduce
 from itertools import combinations, islice, permutations
 from operator import or_
 
-from .errors import CapacityError, ParseError, StructuralError
+from .errors import CapacityError, ParseError, StructuralError, UnknownVertexError
 from .graph import (
     Graph,
     GraphIndex,
+    _same_types,
     bit_ids,
     canonical_edge,
     components,
@@ -85,13 +86,21 @@ def _model_on_ids(m: FatMinorModel) -> tuple[dict, dict]:
     if set(m.branch_sets) != set(m.pattern.vertices):
         raise StructuralError("branch sets must be keyed exactly by the pattern vertices")
     index, masks = m.host.index, m.host.index.masks
+
+    def own_id(x) -> int | None:  # x's id if x is the host's own vertex: True or 1.0 is no stand-in for 1
+        i = index.pos.get(x)
+        return i if i is not None and _same_types(x, index.order[i]) else None
+
     branch: dict = {}
     taken = 0
     for v in m.pattern.sorted_vertices():
         b = frozenset(m.branch_sets[v])
         if not b:
             raise StructuralError(f"branch set of {v!r} is empty")
-        branch[v] = x = index.bits(b)
+        ids = [own_id(w) for w in b]
+        if None in ids:
+            raise UnknownVertexError(repr(next(w for w, i in zip(b, ids) if i is None)))
+        branch[v] = x = sum(1 << i for i in ids)
         if x & taken:
             raise StructuralError(f"branch set of {v!r} overlaps another branch set")
         taken |= x
@@ -101,7 +110,7 @@ def _model_on_ids(m: FatMinorModel) -> tuple[dict, dict]:
         raise StructuralError("edge paths must be keyed exactly by the pattern edges")
     paths: dict = {}
     for e, p in m.edge_paths.items():
-        ids = tuple(index.pos.get(x) for x in p)
+        ids = tuple(own_id(x) for x in p)
         steps = zip(ids, ids[1:])
         if not ids or None in ids or len(set(ids)) < len(ids) or any(masks[a] >> b & 1 == 0 for a, b in steps):
             raise StructuralError(f"edge path for {e!r} is not a path of the host")

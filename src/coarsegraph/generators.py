@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 from .errors import GeneratorError
 from .graph import Graph
 
-CAYLEY_PRESETS = ("free-group-rank-2", "integer-lattice-Z2", "free-product-Z2-Z3")
-FAMILIES = ("path", "cycle", "grid", "complete", "complete-bipartite", "tree", "cayley-ball")
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -70,7 +67,8 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 
 def tree_graph(branching: int, depth: int) -> Graph:
-    """Complete rooted tree: every non-leaf has `branching` children."""
+    """Complete rooted tree: every non-leaf has `branching` children.  Below the
+    root "r" names start with "c" ("c0", "c0.1"), so none reads back as an int."""
     _positive(branching, "branching")
     if depth < 0:
         raise GeneratorError("depth must be non-negative")
@@ -81,7 +79,7 @@ def tree_graph(branching: int, depth: int) -> Graph:
         nxt = []
         for parent in frontier:
             for i in range(branching):
-                child = f"{parent}.{i}" if parent != "r" else f"{i}"
+                child = f"{parent}.{i}" if parent != "r" else f"c{i}"
                 edges.append((parent, child))
                 vertices.append(child)
                 nxt.append(child)
@@ -129,6 +127,7 @@ _PRESETS = {
     "integer-lattice-Z2": ("0,0", ("e", "w", "n", "s"), _z2_multiply),
     "free-product-Z2-Z3": ("", ("a", "b", "B"), _zz_multiply),
 }
+CAYLEY_PRESETS = tuple(_PRESETS)
 
 
 def cayley_ball(preset: str, radius: int) -> GeneratedGraph:
@@ -153,8 +152,6 @@ def cayley_ball(preset: str, radius: int) -> GeneratedGraph:
         w = queue.popleft()
         for g in gens:
             w2 = mult(w, g)
-            if w2 == w:
-                continue
             if w2 not in dist:
                 if dist[w] == radius:
                     continue  # edge would leave the ball
@@ -171,24 +168,28 @@ def _positive(value: int, name: str) -> None:
         raise GeneratorError(f"{name} must be a positive integer")
 
 
+# Each family's builder and its parameters, in the order the builder takes them.
+_FAMILY_TABLE = {
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "grid": (grid_graph, ("rows", "cols")),
+    "complete": (complete_graph, ("n",)),
+    "complete-bipartite": (complete_bipartite_graph, ("a", "b")),
+    "tree": (tree_graph, ("branching", "depth")),
+    "cayley-ball": (cayley_ball, ("preset", "radius")),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+# Every family's parameters, each once, in the order of first use.
+_PARAMETERS = tuple(dict.fromkeys(name for _, names in _FAMILY_TABLE.values() for name in names))
+
+
 def generate(spec: GeneratorSpec) -> GeneratedGraph:
-    fam = spec.family
-    p = spec.params
+    if spec.family not in FAMILIES:  # compared, not hashed, as the family may be any value
+        raise GeneratorError(f"unknown family {spec.family!r}; choose from {', '.join(FAMILIES)}")
+    builder, names = _FAMILY_TABLE[spec.family]
     try:
-        if fam == "path":
-            return GeneratedGraph(path_graph(p["n"]), frozenset())
-        if fam == "cycle":
-            return GeneratedGraph(cycle_graph(p["n"]), frozenset())
-        if fam == "grid":
-            return GeneratedGraph(grid_graph(p["rows"], p["cols"]), frozenset())
-        if fam == "complete":
-            return GeneratedGraph(complete_graph(p["n"]), frozenset())
-        if fam == "complete-bipartite":
-            return GeneratedGraph(complete_bipartite_graph(p["a"], p["b"]), frozenset())
-        if fam == "tree":
-            return GeneratedGraph(tree_graph(p["branching"], p["depth"]), frozenset())
-        if fam == "cayley-ball":
-            return cayley_ball(p["preset"], p["radius"])
+        args = [spec.params[name] for name in names]
     except KeyError as exc:
-        raise GeneratorError(f"family {fam!r} is missing parameter {exc.args[0]!r}") from None
-    raise GeneratorError(f"unknown family {fam!r}; choose from {', '.join(FAMILIES)}")
+        raise GeneratorError(f"family {spec.family!r} is missing parameter {exc.args[0]!r}") from None
+    made = builder(*args)
+    return made if isinstance(made, GeneratedGraph) else GeneratedGraph(made, frozenset())

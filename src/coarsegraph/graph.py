@@ -527,15 +527,18 @@ def parse_edge_list(text: str) -> Graph:
         if not line:
             continue
         toks = line.split()
-        if len(toks) == 1:
-            vertices.append(parse_vertex_token(toks[0]))
-        elif len(toks) == 2:
-            u, v = (parse_vertex_token(t) for t in toks)
-            if u == v:
-                raise ParseError(f"loop edge {toks[0]!r}", line=lineno)
-            edges.append((u, v))
-        else:
-            raise ParseError(f"expected 1 or 2 tokens, got {len(toks)}", line=lineno)
+        try:  # every error on a line, a token's own included, names the line
+            if len(toks) == 1:
+                vertices.append(parse_vertex_token(toks[0]))
+            elif len(toks) == 2:
+                u, v = (parse_vertex_token(t) for t in toks)
+                if u == v:
+                    raise ParseError(f"loop edge {toks[0]!r}")
+                edges.append((u, v))
+            else:
+                raise ParseError(f"expected 1 or 2 tokens, got {len(toks)}")
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     return Graph.build(edges, vertices=vertices)
 
 

@@ -18,8 +18,8 @@ from coarsegraph.cli import main
 from coarsegraph.construction import build_H, bundle_to_dict
 from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import GraphToolError
-from coarsegraph.generators import cycle_graph, path_graph
-from coarsegraph.graph import MAX_VERTEX_DEPTH, format_edge_list, parse_edge_list, vertex_token
+from coarsegraph.generators import CAYLEY_PRESETS, GeneratorSpec, cycle_graph, generate, path_graph
+from coarsegraph.graph import MAX_VERTEX_DEPTH, format_edge_list, parse_edge_list, parse_vertex_token, vertex_token
 from coarsegraph.treedecomp import td_to_dict, TreeDecomposition
 from coarsegraph.graph import Graph
 from coarsegraph.qi import certificate_to_dict, make_certificate, tightest_constants
@@ -69,6 +69,30 @@ def test_gen_emits_markers_as_comments(tmp_path):
     assert len(markers) == 8 and "2,0" in markers
     g = parse_edge_list(text)
     assert len(g.vertices) == 13
+
+
+GEN_SPECS = [
+    GeneratorSpec("path", {"n": 4}),
+    GeneratorSpec("cycle", {"n": 5}),
+    GeneratorSpec("grid", {"rows": 2, "cols": 3}),
+    GeneratorSpec("complete", {"n": 4}),
+    GeneratorSpec("complete-bipartite", {"a": 2, "b": 3}),
+    GeneratorSpec("tree", {"branching": 3, "depth": 2}),
+    *(GeneratorSpec("cayley-ball", {"preset": p, "radius": 2}) for p in CAYLEY_PRESETS),
+]
+
+
+@pytest.mark.parametrize("spec", GEN_SPECS, ids=lambda s: "-".join(map(str, [s.family, *s.params.values()])))
+def test_gen_output_reads_back_as_the_generated_graph(spec, tmp_path):
+    out = str(tmp_path / "g.txt")
+    flags = [x for key, value in spec.params.items() for x in (f"--{key}", str(value))]
+    assert main(["gen", "--family", spec.family, *flags, "--out", out]) == 0
+    text = Path(out).read_text()
+    made = generate(spec)
+    assert parse_edge_list(text) == made.graph
+    markers = {parse_vertex_token(line.split(":", 1)[1].strip()) for line in text.splitlines()
+               if line.startswith("# marker:")}
+    assert markers == made.markers
 
 
 def test_gen_dot_output(tmp_path):
@@ -251,6 +275,20 @@ def test_planarize_from_td(tmp_path, capsys):
     assert len(h.vertices) == 3 and len(h.edges) == 2
 
 
+def test_planarize_reads_markers_and_needs_td_and_k(tmp_path, capsys):
+    """--markers takes comma-separated tokens (empty ones skipped) into the
+    bundle; a marker that is no host vertex, or a missing --td or --k, exits 2."""
+    gpath, tdpath = two_k4_files(tmp_path)
+    assert main(["planarize", "--graph", gpath, "--td", tdpath, "--k", "2", "--markers", "0,,5"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["passed"] is True and report["marker_tolerance"] == 3
+    assert main(["planarize", "--graph", gpath, "--td", tdpath, "--k", "2", "--markers", "0,9"]) == 2
+    assert capsys.readouterr().err == "error: '9'\n"
+    for args in (["--td", tdpath], ["--k", "2"]):
+        assert main(["planarize", "--graph", gpath, *args]) == 2
+        assert capsys.readouterr().err == "error: planarize needs --td and --k (or a full --bundle)\n"
+
+
 def test_planarize_from_bundle_json(tmp_path, capsys):
     gpath, tdpath = two_k4_files(tmp_path)
     bundle = {"k": 2, "td": json.loads(Path(tdpath).read_text())}
@@ -352,7 +390,7 @@ def test_deeply_nested_vertices_exit_two(tmp_path, capsys):
 
     gpath = write(tmp_path, "deep.txt", f"0 {token(400)}\n")
     assert main(["treewidth", "--graph", gpath]) == 2
-    assert capsys.readouterr().err.startswith("error: vertex token nests deeper")
+    assert capsys.readouterr().err.startswith("error: line 1: vertex token nests deeper")
     host = write(tmp_path, "p.txt", "0 1\n")
     tdpath = write_json(tmp_path, "td.json", {"tree_edges": [], "parts": {"t": [0, 1, array(600)]}})
     assert main(["validate-td", "--graph", host, "--td", tdpath]) == 2

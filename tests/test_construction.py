@@ -337,6 +337,26 @@ def test_refinement_keeps_only_tight_size_three_outer_edges():
     assert loose.kept == {0: g} and loose.deletions == ()
 
 
+def test_refinement_skips_an_outer_set_outside_the_part():
+    """{x, s1, s2} lies in part 0 but not in part 1, so part 1 does not prune at
+    it: no fully attached component is sought there, and nothing warns."""
+    S = frozenset({"s1", "s2", "s3"})
+    ref = refine_planar_torso(_two_sided_torso(S), TWO_PART_SUB, [S, {"x", "s1", "s2"}])
+    assert sorted(ref.contracted.tree.vertices) == [0, 1]
+    assert ref.warnings == () and ref.deletions == ()
+
+
+def test_supplied_planar_sub_decomposition_of_adhesion_four_is_refused():
+    """K2,4 split at its four-vertex side: tight, but a planar torso's
+    sub-decomposition may have adhesion at most 3."""
+    S = ("s1", "s2", "s3", "s4")
+    host = Graph.build([(w, s) for w in "xy" for s in S])
+    sub = TreeDecomposition(Graph.build([(0, 1)]), {0: frozenset({"x", *S}), 1: frozenset({"y", *S})})
+    b = InstanceBundle(host, single_node_td(host.vertices), k=2, classification={"t": PLANAR}, sub_tds={"t": sub})
+    with pytest.raises(ContractViolationError, match="^sub-decomposition adhesion 4 exceeds 3$"):
+        build_H(b)
+
+
 def test_supplied_sub_decomposition_must_be_tight_on_every_edge():
     # Adhesion {0, 6, 7}: the arcs 1..5 and 8..11 each miss one of its vertices.
     sub = TreeDecomposition(Graph.build([("a", "b")]), {"a": frozenset(range(8)), "b": frozenset({0, 6, 7, 8, 9, 10, 11})})

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from coarsegraph.corpus import (
@@ -11,8 +14,8 @@ from coarsegraph.corpus import (
     relabel_bundle,
     symmetric_instances,
 )
-from coarsegraph.construction import build_H, validate_bundle
-from coarsegraph.graph import canonical_edge
+from coarsegraph.construction import build_H, bundle_to_dict, validate_bundle
+from coarsegraph.graph import canonical_edge, format_edge_list
 
 import helpers
 
@@ -87,3 +90,32 @@ def test_marked_instances_build():
     inst = next(i for i in marked if "pocket" in i.name)
     out = build_H(inst.bundle)
     assert out.bounds.b5 == 2
+
+
+def corpus_inputs(seed: int) -> str:
+    """The sorted-key JSON of every instance of corpus(seed) as built, before
+    any construction runs: its name, symmetric flag, relabeling (each map as
+    sorted ``repr`` pairs, so a vertex's type counts), bundle and host."""
+    docs = []
+    for inst in corpus(seed):
+        relabeling = None
+        if inst.relabeling is not None:
+            relabeling = [sorted([repr(a), repr(b)] for a, b in m.items()) for m in inst.relabeling]
+        docs.append({"name": inst.name, "symmetric": inst.symmetric, "relabeling": relabeling,
+                     "bundle": bundle_to_dict(inst.bundle), "host": format_edge_list(inst.bundle.host)})
+    return json.dumps(docs, sort_keys=True)
+
+
+# sha256 of corpus_inputs(seed).  It pins what the corpus builds, including the
+# relabelings and the bundle fields that no build reads; a change that moves a
+# digest changes the corpus and must say why.
+CORPUS_INPUT_DIGESTS = {
+    DEFAULT_SEED: "6de29b43799efb294fadd0cb01f671583a35dccd68efc2da03ab890eca8cf83d",
+    101: "1732283a4188691a5de7b66b6bb153808c17c808cd0bd483deac1393c39c2003",
+    7: "49b15f9cbc05172cf107cbdf5509cc857a888cdfcfab358687ca9af99c9ee950",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_INPUT_DIGESTS))
+def test_corpus_inputs_match_the_committed_digest(seed):
+    assert hashlib.sha256(corpus_inputs(seed).encode()).hexdigest() == CORPUS_INPUT_DIGESTS[seed]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsegraph import fatminor, symmetry
-from coarsegraph.errors import CapacityError, GraphToolError, StructuralError
+from coarsegraph.errors import CapacityError, GraphToolError, StructuralError, UnknownVertexError
 from coarsegraph.fatminor import (
     EXHAUSTIVE_CAP,
     FatMinorModel,
@@ -89,6 +89,21 @@ def test_structure_errors():
         check_model_structure(FatMinorModel(m.pattern, m.host, m.branch_sets, bad_walk))
     with pytest.raises(StructuralError):
         verify_fat_model(m, -1)
+
+
+@pytest.mark.parametrize("stand_in", [True, 1.0])
+def test_model_members_must_be_the_host_s_own_vertices(stand_in):
+    """True and 1.0 equal the host vertex 1 but are not it: in a branch set they
+    are unknown vertices, in a path the path is not one of the host, so every
+    model that verifies also reads back from the dict it writes."""
+    pattern, host = path_graph(2), path_graph(3)
+    ok = FatMinorModel(pattern, host, {0: {0}, 1: {2}}, {(0, 1): (0, 1, 2)})
+    assert verify_fat_model(ok, 0).ok
+    assert model_from_dict(pattern, host, model_to_dict(ok)) == ok
+    with pytest.raises(StructuralError, match="not a path of the host"):
+        verify_fat_model(FatMinorModel(pattern, host, {0: {0}, 1: {2}}, {(0, 1): (0, stand_in, 2)}), 0)
+    with pytest.raises(UnknownVertexError, match=repr(stand_in)):
+        verify_fat_model(FatMinorModel(pattern, host, {0: {0, stand_in}, 1: {2}}, {(0, 1): (stand_in, 2)}), 0)
 
 
 FAR = {

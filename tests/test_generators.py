@@ -34,6 +34,14 @@ def test_basic_family_shapes():
     assert len(t.vertices) == 15 and len(t.edges) == 14
 
 
+def test_tree_names_keep_key_order_and_read_as_strings():
+    """Below the root "r" every name starts with "c", so none is int-like and
+    all still sort before the root."""
+    t = tree_graph(2, 2)
+    assert t.sorted_vertices() == ["c0", "c0.0", "c0.1", "c1", "c1.0", "c1.1", "r"]
+    assert t.adjacent("r", "c1") and t.adjacent("c1", "c1.0")
+
+
 def test_free_group_ball_is_a_tree():
     ball = cayley_ball("free-group-rank-2", 2)
     g = ball.graph
@@ -97,10 +105,14 @@ def test_generation_is_deterministic():
 
 
 def test_generator_errors():
-    with pytest.raises(GeneratorError):
+    with pytest.raises(GeneratorError, match="^unknown family 'moebius'; choose from path, cycle, grid, "):
         generate(GeneratorSpec("moebius", {"n": 5}))
-    with pytest.raises(GeneratorError, match="rows"):
+    with pytest.raises(GeneratorError, match=r"^unknown family \['path'\]"):
+        generate(GeneratorSpec(["path"], {"n": 3}))
+    with pytest.raises(GeneratorError, match="^family 'grid' is missing parameter 'rows'$"):
         generate(GeneratorSpec("grid", {"cols": 4}))
+    with pytest.raises(GeneratorError, match="^family 'cayley-ball' is missing parameter 'preset'$"):
+        generate(GeneratorSpec("cayley-ball", {}))
     with pytest.raises(GeneratorError):
         path_graph(0)
     with pytest.raises(GeneratorError):

@@ -321,6 +321,18 @@ def test_vertices_nest_up_to_the_depth_limit():
         vertex_from_json(_as_json(too_deep))
 
 
+def test_edge_list_errors_name_their_line():
+    """A token's own error names its line, as the edge list's errors do."""
+    deep = "(" * 400 + "a" + ")" * 400
+    with pytest.raises(ParseError, match="^line 3: vertex token nests deeper") as err:
+        parse_edge_list(f"0 1\n# note\n1 {deep}\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError, match="^line 2: expected 1 or 2 tokens, got 3$"):
+        parse_edge_list(f"0 1\n1 2 {deep}\n")
+    with pytest.raises(ParseError, match="^line 1: loop edge '0'$"):
+        parse_edge_list("0 0\n")
+
+
 def test_tuple_token_format():
     assert vertex_token(("xS", "a", 2)) == "(xS|a|2)"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -122,6 +123,26 @@ def test_tampered_witnesses_are_rejected():
     mislabeled = replace(w, kind="K33")
     assert not validate_subdivision(g, mislabeled)
     assert not validate_subdivision(g, replace(w, kind="K7"))
+
+
+def test_mutated_witnesses_are_rejected():
+    """K5 with its edge 0-1 subdivided by m, which also sees 2, 3 and a leaf x;
+    each mutation of the hand-made witness breaks one rule."""
+    g = Graph.build([e for e in complete_graph(5).edges if e != (0, 1)] + [(0, "m"), ("m", 1)]
+                    + [("m", 2), ("m", 3), ("m", "x")])
+    pairs = list(combinations(range(5), 2))
+    paths = [(0, "m", 1) if e == (0, 1) else e for e in pairs]
+    w = SubdivisionWitness("K5", tuple(range(5)), tuple(paths))
+    assert validate_subdivision(g, w)
+
+    def mutated(e, path):
+        return replace(w, paths=tuple(path if f == e else p for f, p in zip(pairs, paths)))
+
+    assert not validate_subdivision(g, mutated((0, 1), (1, "m", 0)))            # wrong ends
+    assert not validate_subdivision(g, mutated((0, 1), (0, "m", "x", "m", 1)))  # a repeated vertex
+    assert not validate_subdivision(g, mutated((0, 1), (0, 1)))                 # a step along no edge
+    assert not validate_subdivision(g, mutated((2, 3), (2, "m", 3)))            # shares m with 0-m-1
+    assert not validate_subdivision(g, mutated((2, 3), (2, 4, 3)))              # runs through a branch vertex
 
 
 def test_witness_paths_are_internally_disjoint():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsegraph.construction import InstanceBundle, build_H
-from coarsegraph.errors import CompositionError, StructuralError
+from coarsegraph.errors import CompositionError, StructuralError, UnknownVertexError
 from coarsegraph.generators import cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph
 from coarsegraph.qi import (
@@ -32,6 +32,15 @@ import oracles
 
 def floor_map(n: int) -> dict:
     return {i: i // 2 for i in range(n)}
+
+
+def test_a_map_must_be_total_into_the_target():
+    g = path_graph(3)
+    for check in (lambda phi: tightest_constants(g, g, phi), lambda phi: make_certificate(g, g, phi, 1, 0)):
+        with pytest.raises(StructuralError, match="^phi is not total: missing 2$"):
+            check({0: 0, 1: 1})
+        with pytest.raises(UnknownVertexError, match="7"):
+            check({0: 0, 1: 1, 2: 7})
 
 
 def test_identity_is_a_1_0_quasi_isometry():
