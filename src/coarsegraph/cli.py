@@ -288,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--td")
     p.add_argument("--k", type=int)
-    p.add_argument("--markers", help="comma-separated truncation-boundary vertices")
+    p.add_argument("--markers", help="comma-separated truncation-boundary vertices; a vertex whose token "
+                   "holds a comma (a grid or Z2 ball vertex) must come through --bundle")
     p.add_argument("--bundle", help="full bundle JSON (decomposition, k, markers, pinned sub-decompositions)")
     p.add_argument("--out")
     p.add_argument("--h-out", help="also write H as a graph file")

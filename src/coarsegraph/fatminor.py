@@ -39,7 +39,6 @@ from .errors import CapacityError, ParseError, StructuralError, UnknownVertexErr
 from .graph import (
     Graph,
     GraphIndex,
-    _same_types,
     bit_ids,
     canonical_edge,
     components,
@@ -85,12 +84,7 @@ def _model_on_ids(m: FatMinorModel) -> tuple[dict, dict]:
     sets as id masks by pattern vertex, paths as id tuples by canonical edge."""
     if set(m.branch_sets) != set(m.pattern.vertices):
         raise StructuralError("branch sets must be keyed exactly by the pattern vertices")
-    index, masks = m.host.index, m.host.index.masks
-
-    def own_id(x) -> int | None:  # x's id if x is the host's own vertex: True or 1.0 is no stand-in for 1
-        i = index.pos.get(x)
-        return i if i is not None and _same_types(x, index.order[i]) else None
-
+    own_id, masks = m.host.index.own_id, m.host.index.masks
     branch: dict = {}
     taken = 0
     for v in m.pattern.sorted_vertices():
@@ -245,99 +239,13 @@ def _vertex_balls(index: GraphIndex, radius: int) -> list[int]:
     return next(islice(index.ball_levels([1 << i for i in range(len(index.order))]), radius, None))
 
 
-def _route_edges_exhaustive(
-    index: GraphIndex,
-    edges: list,
-    branch: dict,
-    union_b: int,
-    near: dict,
-    balls: list[int],
-    budget: _Budget,
-) -> dict | None:
-    """Assign id paths to all pattern edges, backtracking across edges (K ≥ 1).
-
-    ``union_b`` is the union of the branch sets; ``near[w]`` and ``balls[i]``
-    are the radius-(K − 1) balls of branch set ``w`` and of vertex ``i``: what
-    lies at distance < K from them."""
-    nbrs = index.nbrs
-    paths: dict = {}
-    blocked: list = []  # parallel list of K-neighbourhoods of routed paths
-
-    def attempt(ei: int) -> bool:
-        if ei == len(edges):
-            return True
-        e = edges[ei]
-        u, v = e
-        b_u, b_v = branch[u], branch[v]
-        # Vertices at distance < K from a foreign branch set or a routed path.
-        avoid = 0
-        for w, zone in near.items():
-            if w != u and w != v:
-                avoid |= zone
-        for zone in blocked:
-            avoid |= zone
-        stack = [(a, (a,), 1 << a) for a in reversed(bit_ids(b_u & ~avoid))]
-        while stack:
-            budget.spend()
-            x, p, on_p = stack.pop()
-            for w in nbrs[x]:
-                if (avoid | on_p) >> w & 1:
-                    continue
-                if b_v >> w & 1:
-                    cand = p + (w,)
-                    paths[e] = cand
-                    blocked.append(reduce(or_, map(balls.__getitem__, cand)))
-                    if attempt(ei + 1):
-                        return True
-                    blocked.pop()
-                    del paths[e]
-                    continue
-                if union_b >> w & 1:
-                    continue
-                stack.append((w, p + (w,), on_p | 1 << w))
-        return False
-
-    if attempt(0):
-        return paths
-    return None
-
-
-def _route_edges_free(index: GraphIndex, edges: list, branch: dict, union_b: int, budget: _Budget) -> dict | None:
-    """K = 0: paths are independent, one breadth-first search per edge."""
-    nbrs = index.nbrs
-    paths: dict = {}
-    for e in edges:
-        b_u, b_v = branch[e[0]], branch[e[1]]
-        # Breadth-first from B_u, staying outside branch sets in the interior.
-        seen = b_u | (union_b & ~b_v)
-        prev = [x if b_u >> x & 1 else -1 for x in range(len(nbrs))]  # each id of B_u is a root
-        queue = bit_ids(b_u)
-        hit = None
-        while queue and hit is None:
-            nxt = []
-            for x in queue:
-                budget.spend()
-                for w in nbrs[x]:
-                    if seen >> w & 1:
-                        continue
-                    prev[w] = x
-                    if b_v >> w & 1:
-                        hit = w
-                        break
-                    seen |= 1 << w
-                    nxt.append(w)
-                if hit is not None:
-                    break
-            queue = nxt
-        if hit is None:
-            return None
-        paths[e] = parent_path(prev, hit)
-    return paths
-
-
 def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> SearchOutcome:
+    """Place connected branch sets on the pattern vertices (highest degree first),
+    then route the pattern edges between them; the first full model found is
+    the witness.  Placement and routing share ``branch``, ``near`` (each branch
+    set's radius-(K − 1) ball: what lies at distance < K from it) and ``paths``."""
     index = host.index
-    n = len(index.order)
+    nbrs, n = index.nbrs, len(index.order)
     edges = pattern.sorted_edges()
     balls = _vertex_balls(index, K - 1)
     # (mask, size, ball of the set)
@@ -346,12 +254,56 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
     first_in_orbit = _first_in_orbit(host)
     branch: dict = {}
     near: dict = {}
+    paths: dict = {}
 
-    def place(i: int, used: int) -> dict | None:
+    def route(ei: int, used: int, blocked: int) -> bool:
+        """Route ``edges[ei:]`` with interiors outside the branch sets ``used``;
+        ``blocked`` is what lies at distance < K from the paths routed so far."""
+        if ei == len(edges):
+            return True
+        e = u, v = edges[ei]
+        b_u, b_v = branch[u], branch[v]
+        if K == 0:  # paths are independent: take the first of a breadth-first search from B_u
+            seen = b_u | (used & ~b_v)
+            prev = [x if b_u >> x & 1 else -1 for x in range(n)]  # each id of B_u is a root
+            queue = bit_ids(b_u)
+            for x in queue:  # the list grows while it is read, as a FIFO queue
+                budget.spend()
+                for w in nbrs[x]:
+                    if seen >> w & 1:
+                        continue
+                    prev[w] = x
+                    if b_v >> w & 1:
+                        paths[e] = parent_path(prev, w)
+                        return route(ei + 1, used, 0)
+                    seen |= 1 << w
+                    queue.append(w)
+            return False
+        # K ≥ 1: depth-first, backtracking across edges, outside what lies at
+        # distance < K from a foreign branch set or a routed path.
+        avoid = reduce(or_, (zone for w, zone in near.items() if w != u and w != v), blocked)
+        stack = [(a, (a,), 1 << a) for a in reversed(bit_ids(b_u & ~avoid))]
+        while stack:
+            budget.spend()
+            x, p, on_p = stack.pop()
+            for w in nbrs[x]:
+                if (avoid | on_p) >> w & 1:
+                    continue
+                if b_v >> w & 1:
+                    paths[e] = cand = p + (w,)
+                    if route(ei + 1, used, blocked | reduce(or_, map(balls.__getitem__, cand))):
+                        return True
+                    continue
+                if used >> w & 1:
+                    continue
+                stack.append((w, p + (w,), on_p | 1 << w))
+        return False
+
+    def place(i: int, used: int) -> bool:
+        """Place ``pverts[i:]`` outside ``used``, then route; a set placed here is
+        overwritten by the next candidate, so nothing is undone on the way back."""
         if i == len(pverts):
-            if K == 0:
-                return _route_edges_free(index, edges, branch, used, budget)
-            return _route_edges_exhaustive(index, edges, branch, used, near, balls, budget)
+            return route(0, used, 0)
         v = pverts[i]
         remaining = len(pverts) - i
         free = n - used.bit_count()
@@ -367,17 +319,15 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
             if K >= 1 and used and zone & used:
                 continue
             branch[v], near[v] = s, zone
-            got = place(i + 1, used | s)
-            if got is not None:
-                return got
-            del branch[v], near[v]
-        return None
+            if place(i + 1, used | s):
+                return True
+        return False
 
     try:
-        paths = place(0, 0)
+        found = place(0, 0)
     except _BudgetExhausted:
         return SearchOutcome("inconclusive", None, "budget exhausted during exhaustive search", budget.used)
-    if paths is None:
+    if not found:
         return SearchOutcome("not-found", None, "search space exhausted", budget.used)
     return _verified(pattern, host, K, branch, paths, "witness verified", budget.used)
 

@@ -79,7 +79,10 @@ class Graph:
         def entry(v) -> list:
             e = keyed.get(v)
             if e is None or e[0] is not v and not _same_types(v, e[0]):
-                e = keyed[v] = [v, vertex_key(v)]
+                try:
+                    e = keyed[v] = [v, vertex_key(v)]
+                except RecursionError:  # no repr either: it would recurse as deep
+                    raise GraphToolError("a vertex identifier nests too deep to key") from None
             return e
 
         es = []
@@ -153,6 +156,11 @@ class GraphIndex:
     def __init__(self, order: list, pos: dict, nbrs: list):
         self.order, self.pos, self.nbrs = order, pos, nbrs
         self._masks = self._orientation = self._generators = None
+
+    def own_id(self, v) -> int | None:
+        """v's id if v is this graph's own vertex, else None: True or 1.0 equals 1 but is no vertex."""
+        i = self.pos.get(v)
+        return i if i is not None and (self.order[i] is v or _same_types(v, self.order[i])) else None
 
     def parent_row(self, s: int) -> list[int]:
         """BFS parents from id ``s``, indexed by id: ``s`` at ``s``, -1 where unreachable.  Each
@@ -558,8 +566,8 @@ def _dot_quote(token: str) -> str:
     return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     lines += [f"  {_dot_quote(vertex_token(u))} -- {_dot_quote(vertex_token(v))};" for (u, v) in g.sorted_edges()]
     lines += [f"  {_dot_quote(vertex_token(v))};" for v, js in zip(g.index.order, g.index.nbrs) if not js]
     lines.append("}")

@@ -49,7 +49,7 @@ def _check_map(source: Graph, target: Graph, phi: Mapping) -> None:
     for v in source.vertices:
         if v not in phi:
             raise StructuralError(f"phi is not total: missing {v!r}")
-        if phi[v] not in target.vertices:
+        if target.index.own_id(phi[v]) is None:
             raise UnknownVertexError(repr(phi[v]))
 
 

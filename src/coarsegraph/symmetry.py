@@ -6,14 +6,13 @@ refinement (McKay, "Practical Graph Isomorphism", 1981), intended for graphs
 up to a configurable size cap: a candidate image is checked with one mask
 compare against the images of the neighbours already placed; stopped at the
 first extension of each coset of a stabiliser chain, the same backtrack gives
-a generating set, kept in ``GraphIndex._generators``.  Vertex and edge orbits
+a generating set and the group order, kept in ``GraphIndex._generators``.  Vertex and edge orbits
 close ids under it; :func:`orbits` groups any objects under the group a list of automorphisms generates.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, StructuralError
 from .graph import Graph, GraphIndex, canonical_edge, set_key, vertex_key
@@ -74,32 +73,38 @@ def automorphism_generators(g: Graph) -> tuple[tuple, ...]:
     """At most n(n − 1)/2 automorphisms (id tuples of images) generating Aut(g): down
     the stabiliser chain of the refinement order, deepest first, level ``l`` takes
     the first extension for each image of its id that the generators so far miss (kept on ``g.index``)."""
-    index = g.index
-    if index._generators is not None:
-        return index._generators
-    color, order = _refined_order(index)
-    gens: list[tuple] = []
-    for l in reversed(range(len(order))):
-        orbit = [order[l]]
-        for w in order[l + 1:]:
-            if w in orbit or color[w] != color[order[l]]:
-                continue
-            a = next(_extensions(index, color, order, (*order[:l], w)), None)
-            if a is not None:
-                gens.append(a)
-                for x in orbit:  # the orbit of order[l] under the generators so far
-                    orbit += {b[x] for b in gens}.difference(orbit)
-    index._generators = tuple(gens)
-    return index._generators
+    return _chain(g.index)[0]
 
 
 def _group_order(g: Graph) -> int:
-    """|Aut(g)|: down the stabiliser chain of :func:`automorphism_generators`, the
-    product of each level's orbit length under the generators of that level and
-    deeper, which are those fixing every earlier id of the refinement order."""
-    gens, order = automorphism_generators(g), _refined_order(g.index)[1]
-    stabilisers = ([a for a in gens if all(a[u] == u for u in order[:l])] for l in range(len(order)))
-    return math.prod(next(len(o) for o in _id_orbits(len(order), s) if v in o) for v, s in zip(order, stabilisers))
+    """|Aut(g)|: the product of the orbit lengths down the stabiliser chain."""
+    return _chain(g.index)[1]
+
+
+def _chain(index: GraphIndex) -> tuple[tuple, int]:
+    """The generators of :func:`automorphism_generators` and |Aut|, kept on the index.  Level
+    ``l``'s orbit is that of its id under the generators of that level and deeper, which fix
+    every earlier id, so the product of the orbit lengths is the group order."""
+    if index._generators is None:
+        color, order = _refined_order(index)
+        gens: list[tuple] = []
+        size = 1
+        try:
+            for l in reversed(range(len(order))):
+                orbit = [order[l]]
+                for w in order[l + 1:]:
+                    if w in orbit or color[w] != color[order[l]]:
+                        continue
+                    a = next(_extensions(index, color, order, (*order[:l], w)), None)
+                    if a is not None:
+                        gens.append(a)
+                        for x in orbit:  # the orbit of order[l] under the generators so far
+                            orbit += {b[x] for b in gens}.difference(orbit)
+                size *= len(orbit)
+        except RecursionError:  # the backtrack recurses once per vertex
+            raise CapacityError(f"graph has {len(order)} vertices, too many for the automorphism backtrack") from None
+        index._generators = (tuple(gens), size)
+    return index._generators
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +139,8 @@ def _obj_key(obj):
     return (0, vertex_key(obj))
 
 
-def orbits(objects: Iterable, autos: Sequence[dict], act: Callable = apply_to) -> list[list]:
-    """Partition objects into orbits under the group generated by autos.
+def orbits(objects: Iterable, autos: Sequence[dict]) -> list[list]:
+    """Partition objects into orbits under the group generated by autos, acting by :func:`apply_to`.
 
     A generating set is enough: each object's orbit is closed under the given
     maps; the groups come in the order of their orbits' least members, each in key order.
@@ -149,7 +154,7 @@ def orbits(objects: Iterable, autos: Sequence[dict], act: Callable = apply_to) -
         if k not in least:
             orbit, todo = {k}, [o]
             for x in todo:  # grows while read; in a finite group, closing under the maps is enough
-                new = {ky: y for y in (act(a, x) for a in autos) if (ky := _obj_key(y)) not in orbit}
+                new = {ky: y for y in (apply_to(a, x) for a in autos) if (ky := _obj_key(y)) not in orbit}
                 orbit.update(new)
                 todo += new.values()
             least.update(dict.fromkeys(orbit, min(orbit)))

@@ -159,6 +159,15 @@ def test_orbits_command(tmp_path, capsys):
     assert data["orbit_count"] == 2
 
 
+def test_orbits_of_a_graph_too_deep_to_backtrack_exit_two(tmp_path, capsys):
+    """The automorphism backtrack recurses once per vertex; the 33x33 grid
+    under a cap that admits it is refused in one line, not a traceback."""
+    from coarsegraph.generators import grid_graph
+    gpath = write(tmp_path, "grid.txt", format_edge_list(grid_graph(33, 33)))
+    assert main(["orbits", "--graph", gpath, "--cap", "5000"]) == 2
+    assert capsys.readouterr().err == "error: graph has 1089 vertices, too many for the automorphism backtrack\n"
+
+
 def _cycle(n, first=0):
     return [(first + i, first + (i + 1) % n) for i in range(n)]
 

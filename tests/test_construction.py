@@ -36,7 +36,7 @@ from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import cayley_ball, complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph, is_connected, set_key, sort_vertices, union, vertex_key
-from coarsegraph.treedecomp import TreeDecomposition, adhesion_sets, exact_treewidth, heuristic_td
+from coarsegraph.treedecomp import TreeDecomposition, adhesion_sets, exact_treewidth, heuristic_td, td_to_dict
 
 from dataclasses import replace
 from fractions import Fraction
@@ -726,3 +726,15 @@ def test_bounds_read_the_sub_decomposition_parts_by_definition(n, p, k, seed):
     bounds = construction._compute_bounds(*args)
     assert bounds.b3 == max(dist[v][w] for part in parts.values() for v in part for w in part)
     assert bounds.b4 == max(sum(v in part for part in parts.values()) for v in vs)
+
+
+def test_bundle_with_classification_round_trips_through_json():
+    """Classification, markers, sub-decompositions, k and threshold all come back equal."""
+    sub = TreeDecomposition(Graph.build([("a", "b")]), {"a": frozenset(range(7)), "b": frozenset({0, 6, 7, 8, 9, 10, 11})})
+    b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=3, classification={"t": BOUNDED_TW},
+                       infinite_markers=frozenset({0, 5}), sub_tds={"t": sub}, finite_threshold=6)
+    data = bundle_to_dict(b)
+    assert data["classification"] == {"t": BOUNDED_TW}
+    b2 = bundle_from_dict(json.loads(json.dumps(data)), b.host)
+    assert (b2.classification, b2.infinite_markers, b2.k, b2.finite_threshold) == ({"t": BOUNDED_TW}, {0, 5}, 3, 6)
+    assert {t: td_to_dict(td) for t, td in b2.sub_tds.items()} == {"t": td_to_dict(sub)}

@@ -611,3 +611,25 @@ def test_zero_fat_search_contains_ordinary_minors():
     tri = complete_graph(3)
     assert not oracles.has_minor(sorted(tri.vertices), list(tri.edges), h_adj)
     assert search_fat_minor(tri, host, 0).status == "not-found"
+
+
+def test_negative_fatness_is_refused():
+    with pytest.raises(StructuralError) as exc:
+        search_fat_minor(path_graph(2), path_graph(4), -1)
+    assert str(exc.value) == "K must be non-negative"
+
+
+@pytest.mark.parametrize("host", [path_graph(4), cycle_graph(12)])
+def test_the_empty_pattern_is_found_without_a_search(host):
+    """Also beyond the exhaustive cap, where the heuristic has no branch set to start from."""
+    out = search_fat_minor(Graph.build(), host, 1)
+    assert (out.status, out.reason, out.nodes_used) == ("found", "empty pattern", 0)
+    assert model_to_dict(out.model) == {"branch_sets": {}, "edge_paths": {}}
+
+
+@pytest.mark.parametrize("key", ["0-5", "01"])
+def test_model_edge_key_must_name_two_pattern_vertices(key):
+    data = {"branch_sets": {"0": [0], "1": [3]}, "edge_paths": {key: [0, 1, 2, 3]}}
+    with pytest.raises(StructuralError) as exc:
+        model_from_dict(path_graph(2), path_graph(4), data)
+    assert str(exc.value) == f"edge key {key!r} does not name two pattern vertices"

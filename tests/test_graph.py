@@ -411,3 +411,12 @@ def test_ball_levels_or_the_seeds_within_each_radius(n, p, seed):
                 if 0 <= d <= r:
                     expected[x] |= seeds[y]
         assert next(levels) == expected
+
+
+def test_a_vertex_too_deep_to_key_is_a_typed_error():
+    """Built through the API, a vertex nested past what ``vertex_key`` can
+    recurse into is a GraphToolError, not a RecursionError."""
+    with pytest.raises(GraphToolError) as exc:
+        Graph.build([(_nested(1_000, 0), 0)])
+    assert str(exc.value) == "a vertex identifier nests too deep to key"
+    assert len(Graph.build([((_nested(MAX_VERTEX_DEPTH), 1), 0)])) == 2  # an H name nests one level deeper

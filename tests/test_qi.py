@@ -338,3 +338,12 @@ def test_tightest_constants_memory_stays_below_the_per_row_scan():
     finally:
         tracemalloc.stop()
     assert peak < 3.24e6
+
+
+@pytest.mark.parametrize("image", [True, 1.0])
+def test_a_map_image_must_be_the_targets_own_vertex(image):
+    """True and 1.0 equal the target vertex 1 but are not it: the map is refused."""
+    g = path_graph(3)
+    with pytest.raises(UnknownVertexError) as exc:
+        make_certificate(g, g, {0: 0, 1: image, 2: 2}, 1, 0)
+    assert exc.value.args == (repr(image),)

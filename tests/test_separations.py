@@ -187,3 +187,10 @@ def test_edge_separations_are_the_side_unions_on_mixed_labels(data):
         assert sep == Separation.of(index.labels(a), index.labels(b)) == edge_separation(g, td, (t2, t1))
     a, b = (data.draw(st.integers(0, 2 ** len(labels) - 1)) for _ in "ab")
     assert Separation.on_masks(index, a, b) == Separation.of(index.labels(a), index.labels(b))
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_enumerate_tight_refuses_an_order_outside_the_vertex_count(k):
+    with pytest.raises(StructuralError) as exc:
+        enumerate_tight(path_graph(3), k)
+    assert str(exc.value) == "order must be between 0 and |V|"

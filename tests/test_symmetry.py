@@ -269,3 +269,28 @@ def _assert_orbits_match(g, expected):
     edges = [frozenset(e) for e in g.sorted_edges()]
     assert [[frozenset(e) for e in orbit] for orbit in edge_orbits(g)] == \
         oracles.orbit_partition(edges, expected, _act_on_set, _edge_key)
+
+
+@pytest.mark.parametrize("obj", [5, [0], (0, 7)])
+def test_apply_to_refuses_an_object_it_cannot_act_on(obj):
+    with pytest.raises(StructuralError) as exc:
+        apply_to({0: 1, 1: 0}, obj)
+    assert str(exc.value) == f"cannot apply automorphism to object {obj!r}"
+
+
+def test_group_order_is_read_off_the_generator_walk(monkeypatch):
+    """Once the generators are known, the group order needs no second walk:
+    neither a refinement nor an orbit closure runs again."""
+    g = grid_graph(3, 3)
+    automorphism_generators(g)
+    for name in ("_refined_order", "_id_orbits", "_extensions"):
+        monkeypatch.setattr(symmetry, name, lambda *a: pytest.fail("the chain was walked again"))
+    assert symmetry._group_order(g) == 8
+
+
+def test_generators_of_a_graph_too_deep_to_backtrack_are_a_capacity_error():
+    """The backtrack recurses once per vertex: a graph past the recursion limit
+    is refused with CapacityError, not a RecursionError."""
+    with pytest.raises(CapacityError) as exc:
+        vertex_orbits(grid_graph(33, 33), 5_000)
+    assert str(exc.value) == "graph has 1089 vertices, too many for the automorphism backtrack"

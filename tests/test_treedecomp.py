@@ -416,3 +416,24 @@ def test_td_with_int_like_string_nodes_reads_back_as_a_tree():
 def test_malformed_td_json_raises_typed_errors(data):
     with pytest.raises(GraphToolError):
         td_from_dict(data)
+
+
+def _path_td() -> TreeDecomposition:
+    return TreeDecomposition(path_graph(3), {0: frozenset({0, 1}), 1: frozenset({1, 2}), 2: frozenset({2, 3})})
+
+
+def test_contract_td_edges_refuses_non_tree_keep_edges():
+    """Every keep edge that is no tree edge is named, sorted by its text."""
+    with pytest.raises(StructuralError) as exc:
+        contract_td_edges(_path_td(), [(0, 2), ("z", 0), (0, 1)])
+    assert str(exc.value) == "keep contains non-tree edges: [(0, 'z'), (0, 2)]"
+
+
+def test_heuristic_td_of_the_empty_graph_is_one_empty_part():
+    assert td_to_dict(heuristic_td(Graph.build())) == {"tree_edges": [], "parts": {"0": []}}
+
+
+def test_edge_separation_refuses_a_non_tree_edge():
+    with pytest.raises(StructuralError) as exc:
+        edge_separation(path_graph(4), _path_td(), (2, 0))
+    assert str(exc.value) == "(2, 0) is not a tree edge"
