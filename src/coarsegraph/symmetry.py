@@ -52,7 +52,10 @@ def _extensions(index: GraphIndex, color: list[int], order: list[int], prefix: t
                 image[v] = w
                 yield from extend(i + 1, used | 1 << w)
 
-    return extend(0, 0)
+    try:
+        yield from extend(0, 0)
+    except RecursionError:  # extend recurses once per vertex
+        raise CapacityError(f"graph has {n} vertices, too many for the automorphism backtrack") from None
 
 
 def _capped(g: Graph, max_vertices: int) -> GraphIndex:
@@ -89,20 +92,17 @@ def _chain(index: GraphIndex) -> tuple[tuple, int]:
         color, order = _refined_order(index)
         gens: list[tuple] = []
         size = 1
-        try:
-            for l in reversed(range(len(order))):
-                orbit = [order[l]]
-                for w in order[l + 1:]:
-                    if w in orbit or color[w] != color[order[l]]:
-                        continue
-                    a = next(_extensions(index, color, order, (*order[:l], w)), None)
-                    if a is not None:
-                        gens.append(a)
-                        for x in orbit:  # the orbit of order[l] under the generators so far
-                            orbit += {b[x] for b in gens}.difference(orbit)
-                size *= len(orbit)
-        except RecursionError:  # the backtrack recurses once per vertex
-            raise CapacityError(f"graph has {len(order)} vertices, too many for the automorphism backtrack") from None
+        for l in reversed(range(len(order))):
+            orbit = [order[l]]
+            for w in order[l + 1:]:
+                if w in orbit or color[w] != color[order[l]]:
+                    continue
+                a = next(_extensions(index, color, order, (*order[:l], w)), None)
+                if a is not None:
+                    gens.append(a)
+                    for x in orbit:  # the orbit of order[l] under the generators so far
+                        orbit += {b[x] for b in gens}.difference(orbit)
+            size *= len(orbit)
         index._generators = (tuple(gens), size)
     return index._generators
 

@@ -288,9 +288,10 @@ def test_group_order_is_read_off_the_generator_walk(monkeypatch):
     assert symmetry._group_order(g) == 8
 
 
-def test_generators_of_a_graph_too_deep_to_backtrack_are_a_capacity_error():
+@pytest.mark.parametrize("query", [vertex_orbits, automorphisms])
+def test_a_graph_too_deep_to_backtrack_is_a_capacity_error(query):
     """The backtrack recurses once per vertex: a graph past the recursion limit
     is refused with CapacityError, not a RecursionError."""
     with pytest.raises(CapacityError) as exc:
-        vertex_orbits(grid_graph(33, 33), 5_000)
+        query(grid_graph(33, 33), 5_000)
     assert str(exc.value) == "graph has 1089 vertices, too many for the automorphism backtrack"
