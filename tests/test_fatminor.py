@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -529,6 +530,74 @@ def test_model_reports_and_searches_match_the_committed_digest():
     assert {r[1] for r in reports if not r[0]} >= {1, 2, 3, 4}
     assert {r[0] for r in reports} >= {True, "StructuralError", "UnknownVertexError"}
     assert hashlib.sha256(json.dumps([searches, reports]).encode()).hexdigest() == MODEL_DIGEST
+
+
+def _wheel(rim: int) -> Graph:
+    return Graph.build([(i, (i + 1) % rim) for i in range(rim)] + [(rim, i) for i in range(rim)])
+
+
+def _petersen() -> Graph:
+    return Graph.build([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+GRID_PATTERNS = {
+    "P3": path_graph(3), "C4": cycle_graph(4), "C5": cycle_graph(5), "K4": complete_graph(4),
+    "K1,3": complete_bipartite_graph(1, 3),
+}
+GRID_HOSTS = {
+    "C10": cycle_graph(10), "K10": complete_graph(10), "Petersen": _petersen(), "3x3 grid": grid_graph(3, 3),
+    "K5,5": complete_bipartite_graph(5, 5), "W9": _wheel(9), "P10": path_graph(10), "C8": cycle_graph(8),
+}
+
+
+@functools.cache
+def _grid_outcomes() -> dict:
+    """The 160-case grid: each pattern in each host of ≤ 10 vertices at K = 0..3,
+    at the default budget, keyed by (pattern, host, K)."""
+    return {(p, h, K): search_fat_minor(GRID_PATTERNS[p], GRID_HOSTS[h], K)
+            for p in GRID_PATTERNS for h in GRID_HOSTS for K in range(4)}
+
+
+# The searches that the exhaustive search without its degree prunes left
+# inconclusive: _model_case(random.Random(i)) for these i, and these grid cases.
+UNDECIDED_MODEL_CASES = frozenset((
+    17, 23, 38, 41, 50, 75, 80, 84, 109, 112, 124, 132, 134, 135, 136, 145, 148, 150, 151, 170, 171,
+    189, 195, 199, 204, 205, 212, 223, 227, 235, 237, 251, 253, 256, 261, 264, 265, 271, 274, 279,
+    290, 297, 301, 320, 321, 322, 328, 331, 341, 352, 368, 371, 386, 400, 406, 412, 418, 425, 428,
+    437, 460, 481, 482, 489, 490, 491, 493, 501, 504, 509, 517, 518, 523, 535, 562, 563, 573, 596,
+    617, 621, 627, 630, 632, 637, 639, 644, 649, 650, 654, 664, 668, 669, 674, 679, 693, 699, 710,
+    718, 724, 729, 733, 735, 746, 755, 757, 766, 771, 784, 790, 798, 800, 804, 805, 810, 823, 833,
+    834, 864, 871, 875, 887, 894, 898, 902, 926, 931, 934, 938, 940, 958, 963, 975, 980, 988, 1000,
+    1008, 1032, 1035, 1040, 1068, 1069, 1073, 1080, 1088, 1090, 1101, 1104, 1106, 1109, 1110, 1117,
+    1122, 1135, 1137, 1138, 1141, 1146, 1158, 1160, 1161, 1172, 1177, 1180, 1193, 1204, 1206, 1213,
+    1215, 1219, 1220, 1223, 1225, 1226, 1230, 1234, 1235, 1236, 1244, 1254, 1259, 1289, 1290, 1291,
+    1296, 1297, 1308, 1312, 1331, 1340, 1341, 1343, 1344, 1346, 1357, 1371, 1376, 1382, 1403, 1408,
+    1413, 1420, 1423, 1435, 1441, 1454, 1466, 1477,
+))
+UNDECIDED_GRID_CASES = frozenset({
+    ("P3", "K10", 1), ("P3", "K5,5", 1), ("P3", "W9", 1), ("C4", "K10", 1), ("C4", "Petersen", 1),
+    ("C4", "3x3 grid", 1), ("C4", "K5,5", 1), ("C4", "W9", 1), ("C4", "P10", 0), ("C5", "C10", 1),
+    ("C5", "K10", 1), ("C5", "Petersen", 1), ("C5", "3x3 grid", 1), ("C5", "K5,5", 1), ("C5", "W9", 1),
+    ("C5", "P10", 0), ("K4", "C10", 0), ("K4", "K10", 1), ("K4", "Petersen", 1), ("K4", "3x3 grid", 1),
+    ("K4", "K5,5", 1), ("K4", "W9", 1), ("K4", "P10", 0), ("K1,3", "C10", 0), ("K1,3", "K10", 1),
+    ("K1,3", "Petersen", 1), ("K1,3", "3x3 grid", 1), ("K1,3", "K5,5", 1), ("K1,3", "W9", 1),
+    ("K1,3", "P10", 0), ("K1,3", "P10", 1),
+})
+# sha256 of the JSON list of (status, reason, model_to_dict), nodes_used left
+# out, over the other 1,293 _model_case searches (i < 1,500) and then the other
+# 129 grid cases in grid order: taken before the degree prunes, which cut only
+# subtrees holding no model, so every search decided then keeps its outcome.
+DECIDED_DIGEST = "42898f7b57fbcaf05d98ecdd919066c74944e32477e76badd6b6ba8c384197e4"
+
+
+def test_decided_outcomes_match_the_committed_digest():
+    searches = [_model_case(random.Random(i))[0] for i in range(1_500) if i not in UNDECIDED_MODEL_CASES]
+    searches += [out for case, out in _grid_outcomes().items() if case not in UNDECIDED_GRID_CASES]
+    assert len(searches) == 1_293 + 129
+    outcomes = [[out.status, out.reason, out.model and model_to_dict(out.model)] for out in searches]
+    assert "inconclusive" not in {o[0] for o in outcomes}
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == DECIDED_DIGEST
 
 
 def test_negative_budget_is_bad_input():
