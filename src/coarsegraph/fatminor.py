@@ -24,8 +24,13 @@ order, so candidates are tried in key order.  The exhaustive search reads the
 radius-(K − 1) ball of every vertex once, so a set's ball is an OR of vertex
 balls, and takes for the first pattern vertex only branch sets least in their
 Aut(host) orbit (isomorph rejection): the model found is the unfiltered
-search's, for fewer nodes.  The heuristic reads its geodesics off one BFS
-parent row per seed.
+search's, for fewer nodes.  At K ≥ 1 it also prunes by pattern degree: the
+deg_P(v) paths at v are disjoint and each has an end in B_v, so B_v holds at
+least deg_P(v) vertices, and a set is placed only if the vertices left outside
+the sets placed so far can still give each later pattern vertex that many.
+Both cuts drop only subtrees that hold no model, so the first model found and
+every decided status stay as without them.  The heuristic reads its geodesics
+off one BFS parent row per seed.
 """
 
 from __future__ import annotations
@@ -203,13 +208,15 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
     return None
 
 
-def _connected_subsets(index: GraphIndex) -> list[int]:
+def _connected_subsets(index: GraphIndex) -> tuple[int, ...]:
     """Every connected vertex set as an id mask, by size and then by ``set_key``
-    (ids follow key order, so that is the order of the sorted id lists)."""
-    masks = index.masks
-    out = [m for m in range(1, 1 << len(index.order)) if grow_mask(masks, m & -m, m)[0] == m]
-    out.sort(key=lambda m: (m.bit_count(), bit_ids(m)))
-    return out
+    (ids follow key order, so that is the order of the sorted id lists); built
+    once per graph and kept on its index."""
+    if index._subsets is None:
+        masks = index.masks
+        out = [m for m in range(1, 1 << len(index.order)) if grow_mask(masks, m & -m, m)[0] == m]
+        index._subsets = tuple(sorted(out, key=lambda m: (m.bit_count(), bit_ids(m))))
+    return index._subsets
 
 
 def _first_in_orbit(host: Graph):
@@ -251,6 +258,8 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
     # (mask, size, ball of the set)
     subsets = [(s, s.bit_count(), reduce(or_, map(balls.__getitem__, bit_ids(s)))) for s in _connected_subsets(index)]
     pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), vertex_key(v)))
+    need = [max(1, pattern.degree(v)) if K >= 1 else 1 for v in pverts]  # least size of each branch set
+    later = [sum(need[i + 1:]) for i in range(len(pverts))]  # least vertices the sets after pverts[i] take
     first_in_orbit = _first_in_orbit(host)
     branch: dict = {}
     near: dict = {}
@@ -305,7 +314,6 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
         if i == len(pverts):
             return route(0, used, 0)
         v = pverts[i]
-        remaining = len(pverts) - i
         free = n - used.bit_count()
         for s, size, zone in subsets:
             # The least first branch set of any model is least in its orbit.
@@ -314,7 +322,11 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
             budget.spend()
             if s & used:
                 continue
-            if free - size < remaining - 1:
+            # At K ≥ 1 the deg_P(v) paths at v are disjoint and each ends in B_v.
+            if size < need[i]:
+                continue
+            # Branch sets are disjoint: the later ones need later[i] vertices beyond s and used.
+            if free - size < later[i]:
                 continue
             if K >= 1 and used and zone & used:
                 continue

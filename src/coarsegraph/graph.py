@@ -151,11 +151,11 @@ class GraphIndex:
     id, ``nbrs[i]`` lists the neighbour ids in increasing order.  So a BFS over ``nbrs``
     expands neighbours in key order; :meth:`parent_row` relies on that."""
 
-    __slots__ = ("order", "pos", "nbrs", "_masks", "_orientation", "_generators")
+    __slots__ = ("order", "pos", "nbrs", "_masks", "_orientation", "_generators", "_subsets")
 
     def __init__(self, order: list, pos: dict, nbrs: list):
         self.order, self.pos, self.nbrs = order, pos, nbrs
-        self._masks = self._orientation = self._generators = None
+        self._masks = self._orientation = self._generators = self._subsets = None
 
     def own_id(self, v) -> int | None:
         """v's id if v is this graph's own vertex, else None: True or 1.0 equals 1 but is no vertex."""

@@ -10,10 +10,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
+import shlex
 import time
 from fractions import Fraction
 from pathlib import Path
 
+from coarsegraph.cli import main
 from coarsegraph.construction import build_H, output_to_dict, verify_output
 from coarsegraph.corpus import DEFAULT_SEED, corpus, symmetric_instances
 from coarsegraph.fatminor import asymptotic_probe, search_fat_minor, verify_fat_model
@@ -243,3 +246,20 @@ def test_readme_python_api_example_runs():
     section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_fat_minor_line_spends_the_nodes_it_states(tmp_path, monkeypatch, capsys):
+    """README's ``fat-minor`` line, after the ``gen`` lines that write its cycles,
+    runs as written and spends the ``nodes_used`` that the comment above it states."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("\n# Fat minors:", 1)[1].split("\n\n", 1)[0].splitlines()
+    stated = int(re.search(r"\(here ([\d,]+) nodes\)", "\n".join(lines)).group(1).replace(",", ""))
+    fat_minor = next(line for line in lines if line.startswith("coarsegraph fat-minor"))
+    gens = [line for line in readme.splitlines() if line.startswith("coarsegraph gen --family cycle")]
+    monkeypatch.chdir(tmp_path)
+    for line in gens:
+        assert main(shlex.split(line)[1:]) == 0
+    capsys.readouterr()
+    assert main(shlex.split(fat_minor)[1:]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["nodes_used"]) == ("found", stated)

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -182,7 +183,7 @@ def test_cycle_in_cycle_exhaustive_fatness_frontier():
     found = search_fat_minor(c4, c8, 1)
     assert found.status == "found"
     assert verify_fat_model(found.model, 1).ok
-    assert found.nodes_used == 23_809
+    assert found.nodes_used == 49
     assert model_to_dict(found.model) == {
         "branch_sets": {"0": ["0", "1"], "1": ["2", "3"], "2": ["4", "5"], "3": ["6", "7"]},
         "edge_paths": {"0-1": ["1", "2"], "0-3": ["0", "7"], "1-2": ["3", "4"], "2-3": ["5", "6"]},
@@ -194,22 +195,25 @@ def test_probe_is_monotone():
     results = asymptotic_probe(cycle_graph(4), cycle_graph(8), [0, 1, 2])
     statuses = [results[k].status for k in (0, 1, 2)]
     assert statuses == ["found", "found", "not-found"]
-    assert [results[k].nodes_used for k in (0, 1, 2)] == [0, 23_809, 4_692]
+    assert [results[k].nodes_used for k in (0, 1, 2)] == [0, 49, 236]
     for k in (0, 1):
         assert verify_fat_model(results[k].model, k).ok
 
 
 @pytest.mark.parametrize("pattern, host, K, status, reason, nodes_used, model", [
-    (cycle_graph(3), cycle_graph(10), 2, "not-found", "search space exhausted", 9_504, None),
-    (path_graph(3), cycle_graph(10), 2, "found", "witness verified", 5_544, {
+    (cycle_graph(3), cycle_graph(10), 2, "not-found", "search space exhausted", 3_696, None),
+    (path_graph(3), cycle_graph(10), 2, "found", "witness verified", 2_289, {
         "branch_sets": {"0": ["4"], "1": ["0", "1", "2"], "2": ["6"]},
         "edge_paths": {"0-1": ["4", "3", "2"], "1-2": ["0", "9", "8", "7", "6"]},
     }),
-    (path_graph(3), path_graph(10), 3, "found", "witness verified", 12_751, {
+    (path_graph(3), path_graph(10), 3, "found", "witness verified", 7_212, {
         "branch_sets": {"0": ["0"], "1": ["3", "4", "5", "6"], "2": ["9"]},
         "edge_paths": {"0-1": ["0", "1", "2", "3"], "1-2": ["6", "7", "8", "9"]},
     }),
-    (cycle_graph(5), cycle_graph(10), 1, "inconclusive", "budget exhausted during exhaustive search", 200_001, None),
+    (cycle_graph(5), cycle_graph(10), 1, "found", "witness verified", 76, {
+        "branch_sets": {"0": ["0", "1"], "1": ["2", "3"], "2": ["4", "5"], "3": ["6", "7"], "4": ["8", "9"]},
+        "edge_paths": {"0-1": ["1", "2"], "0-4": ["0", "9"], "1-2": ["3", "4"], "2-3": ["5", "6"], "3-4": ["7", "8"]},
+    }),
     (complete_graph(4), grid_graph(3, 3), 0, "found", "witness verified", 26, {
         "branch_sets": {"0": ["0,0"], "1": ["0,1"], "2": ["0,2"], "3": ["1,1"]},
         "edge_paths": {
@@ -252,6 +256,19 @@ def test_subset_and_ball_masks_match_brute_force(host, radius):
     assert [index.labels(m) for m in _connected_subsets(index)] == oracles.connected_sets(adj)
     balls = _vertex_balls(index, radius)
     assert [index.labels(b) for b in balls] == [oracles.ball(adj, v, radius) for v in index.order]
+
+
+def test_probe_builds_the_connected_sets_once(monkeypatch):
+    """The connected sets depend on the host alone: the probe's searches at K = 2
+    and K = 1 (K = 0 takes the carried witness) read one tuple, built by the
+    first and kept on the host's index."""
+    host = cycle_graph(8)
+    assert host.index._subsets is None
+    read = []
+    real = fatminor._connected_subsets
+    monkeypatch.setattr(fatminor, "_connected_subsets", lambda index: read.append(real(index)) or read[-1])
+    asymptotic_probe(cycle_graph(4), host, [0, 1, 2])
+    assert len(read) == 2 and read[0] is read[1] is host.index._subsets
 
 
 @settings(max_examples=150, deadline=None)
@@ -514,7 +531,7 @@ def _model_case(rng):
 # i < 1,500: each search's (status, reason, nodes_used, model_to_dict), and each
 # model's verify_fat_model report (ok, condition, detail) or its error's type and
 # text.  A change that moves it must say why.
-MODEL_DIGEST = "7bca32554d88dad714cb1058381f95b4a431c6d86ccf3c0951f248846b399a0a"
+MODEL_DIGEST = "374519ca327c101b4607620880f1a864a26ca2c39d6e90fead76cebddbd669ec"
 
 
 def test_model_reports_and_searches_match_the_committed_digest():
@@ -598,6 +615,40 @@ def test_decided_outcomes_match_the_committed_digest():
     outcomes = [[out.status, out.reason, out.model and model_to_dict(out.model)] for out in searches]
     assert "inconclusive" not in {o[0] for o in outcomes}
     assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == DECIDED_DIGEST
+
+
+def test_grid_decides_all_but_six_searches_at_fatness_zero():
+    """Every model the grid finds verifies, and of its 160 searches six stay
+    inconclusive at the default budget, all at K = 0 on P10 or C10; the degree
+    prunes decide 25 of the 31 that were inconclusive without them."""
+    outcomes = _grid_outcomes()
+    for (_, _, K), out in outcomes.items():
+        assert out.model is None or verify_fat_model(out.model, K).ok
+    assert {case for case, out in outcomes.items() if out.status == "inconclusive"} == {
+        ("C4", "P10", 0), ("C5", "P10", 0), ("K4", "P10", 0), ("K1,3", "P10", 0), ("K4", "C10", 0), ("K1,3", "C10", 0),
+    }
+    newly = Counter(outcomes[case].status for case in UNDECIDED_GRID_CASES)
+    assert newly == {"found": 17, "not-found": 8, "inconclusive": 6}
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern=labelled_hosts(max_size=4), host=labelled_hosts(max_size=7), seed=st.integers(0, 1_499))
+def test_models_verified_at_positive_fatness_hold_their_pattern_degree(pattern, host, seed):
+    """The degree prunes' premise, against the verifier: a model that
+    verify_fat_model accepts at K ≥ 1 has |B_v| ≥ deg_P(v) for every pattern
+    vertex v.  The models are a K = 0 search's witness, which the prunes do not
+    restrict, re-checked at K = 1 and 2, and the mutated model of a _model_case."""
+    out = search_fat_minor(pattern, host, 0, budget=2_000)
+    _, mutated, K = _model_case(random.Random(seed))
+    for model, K in [(out.model, 1), (out.model, 2), (mutated, K)]:
+        if model is None or K == 0:
+            continue
+        try:
+            ok = verify_fat_model(model, K).ok
+        except GraphToolError:
+            continue
+        if ok:
+            assert all(len(model.branch_sets[v]) >= model.pattern.degree(v) for v in model.pattern.vertices)
 
 
 def test_negative_budget_is_bad_input():
