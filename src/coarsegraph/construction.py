@@ -344,9 +344,8 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
 
     # (i) one hub vertex per adhesion set; a vertex's hub is that of the key-least set holding it
     hub = {S: ("xS", *sort_vertices(S)) for S in distinct_adh}
-    vertices: list = list(hub.values())
     edges: list = []
-    provenance: dict = {x: {"kind": "adhesion-set", "set": list(x[1:])} for x in vertices}
+    provenance: dict = {x: {"kind": "adhesion-set", "set": list(x[1:])} for x in hub.values()}
     hub_of: dict = {}
     for S, x in hub.items():
         for v in S:
@@ -358,7 +357,12 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     # part (read only for a vertex outside every adhesion set, which by (T3)
     # lies in exactly one part).  Finite torsos come first, then bounded-
     # treewidth, then planar, so every sub-decomposition error of a
-    # bounded-treewidth torso precedes any planar one.
+    # bounded-treewidth torso precedes any planar one.  Each kind of H vertex
+    # is listed in key order as it comes, by the positions of its parts in
+    # their trees and graphs: planar copies ("pl", t, s, v), tree copies
+    # ("tw", t, s), finite points ("xt", t).  Joined with the hubs, in set_key
+    # order, as "pl" < "tw" < "xS" < "xt", they are H's key order: no H name is keyed.
+    pl, tw, xt, pairs = [], [], [], []
     sub_tds: dict = {}
     refinements: dict = {}
     copy_of: dict = {}
@@ -368,7 +372,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
         provided = bundle.sub_tds.get(t)
         if classification[t] == FINITE:
             x = ("xt", t)
-            vertices.append(x)
+            xt.append(x)
             provenance[x] = {"kind": "finite-torso", "node": t}
             edges.extend((hub[S], x) for S in outer)
             for v in td.parts[t]:
@@ -377,7 +381,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             sub = sub_tds[t] = _sub_decomposition(torsos[t], provided)
             name = {s: ("tw", t, s) for s in sub.tree.sorted_vertices()}
             for s, x in name.items():
-                vertices.append(x)
+                tw.append(x)
                 provenance[x] = {"kind": "tree-copy", "node": t, "tree_node": s}
                 for v in sub.parts[s]:
                     own.setdefault(v, x)
@@ -391,18 +395,20 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             ref = refinements[t] = _prune(torsos[t], sub, outer, bundle.infinite_markers)
             warnings.extend(ref.warnings)
             for s in ref.contracted.tree.sorted_vertices():
-                g = ref.kept[s]
-                name = {v: ("pl", t, s, v) for v in g.sorted_vertices()}
+                g, base = ref.kept[s], len(pl)  # the planar copies come first, so their ids are final
+                name = {v: ("pl", t, s, v) for v in g.index.order}
                 for v, x in name.items():
-                    vertices.append(x)
+                    pl.append(x)
                     provenance[x] = {"kind": "planar-copy", "node": t, "part": s, "vertex": v}
                     copy_of.setdefault(v, x)
-                edges.extend((name[u], name[v]) for (u, v) in g.sorted_edges())
+                pairs.extend((base + i, base + j) for i, js in enumerate(g.index.nbrs) for j in js if j > i)
                 edges.extend((hub[S], name[v]) for S in outer if S <= g.vertices for v in S)
             for v, S in ref.deleted_site.items():  # a pruned vertex maps to the hub of its pruning site
                 own.setdefault(v, hub[S])
 
-    H = Graph.build(edges, vertices=vertices)
+    order = pl + tw + list(hub.values()) + xt
+    pos = {x: i for i, x in enumerate(order)}
+    H = Graph._on_ids(order, pairs + [(pos[a], pos[b]) for a, b in edges])
 
     # φ: surviving planar copy > adhesion hub > image in its own part
     phi: dict = {}

@@ -16,7 +16,8 @@ from typing import Iterable, Mapping
 from .errors import GraphToolError, ParseError, UnknownVertexError
 
 Vertex = int | str | tuple
-MAX_VERTEX_DEPTH = 100  # deepest tuple nesting read from text or JSON; H names nest a host vertex one deeper
+MAX_VERTEX_DEPTH = 100  # deepest tuple nesting read from text or JSON
+MAX_KEY_DEPTH = MAX_VERTEX_DEPTH + 1  # deepest tuple nesting keyed: an H name nests a vertex read one deeper
 
 
 def vertex_key(v: Vertex):
@@ -24,7 +25,14 @@ def vertex_key(v: Vertex):
 
     Sorts all ints before all strings before all tuples; tuples compare
     recursively.  Used everywhere a deterministic iteration order is needed.
+    A tuple nested deeper than ``MAX_KEY_DEPTH`` raises ``GraphToolError``, so
+    every vertex of a graph, and its H name one level deeper, renders.
     """
+    return _key(v, MAX_KEY_DEPTH)
+
+
+def _key(v: Vertex, depth: int):
+    """vertex_key of a v that may nest tuples ``depth`` deep."""
     if isinstance(v, bool):
         raise GraphToolError(f"booleans are not valid vertex identifiers: {v!r}")
     if isinstance(v, int):
@@ -32,7 +40,9 @@ def vertex_key(v: Vertex):
     if isinstance(v, str):
         return (1, v)
     if isinstance(v, tuple):
-        return (2, tuple(vertex_key(x) for x in v))
+        if not depth:
+            raise GraphToolError("a vertex identifier nests too deep to key")
+        return (2, tuple(_key(x, depth - 1) for x in v))
     raise GraphToolError(f"unsupported vertex identifier type: {v!r}")
 
 
@@ -79,10 +89,7 @@ class Graph:
         def entry(v) -> list:
             e = keyed.get(v)
             if e is None or e[0] is not v and not _same_types(v, e[0]):
-                try:
-                    e = keyed[v] = [v, vertex_key(v)]
-                except RecursionError:  # no repr either: it would recurse as deep
-                    raise GraphToolError("a vertex identifier nests too deep to key") from None
+                e = keyed[v] = [v, vertex_key(v)]
             return e
 
         es = []

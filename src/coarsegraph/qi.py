@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import CompositionError, GraphToolError, StructuralError, UnknownVertexError
 from .graph import Graph, bit_ids, components_minus
@@ -54,9 +54,9 @@ def _check_map(source: Graph, target: Graph, phi: Mapping) -> None:
 
 
 class _Scan(NamedTuple):
-    c: Fraction | None          # tightest c at the scanned γ; None when no c works
-    worst: tuple | None         # first entry of largest requirement
-    violation: tuple | None     # first entry whose requirement exceeds the given c, if any
+    c: Fraction | None                      # tightest c at the scanned γ; None when no c works
+    worst: Callable[[], tuple | None]       # first entry of largest requirement, found when called
+    violation: Callable[[], tuple | None]   # first entry whose requirement exceeds the given c, if any
 
 
 def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fraction | None,
@@ -153,8 +153,8 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
                 return src.order[i], src.order[j]
 
     best = max(top + dens, default=None)
-    worst = None if best is None else first(lambda r: r >= best)
-    return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq), worst, first(lambda r: r > limit))
+    return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq),
+                 lambda: None if best is None else first(lambda r: r >= best), lambda: first(lambda r: r > limit))
 
 
 class _Levels(dict):
@@ -178,7 +178,7 @@ def qi_verify(cert: QuasiIsometryCertificate, per_component: bool = False) -> tu
     Returns (ok, witness): the witness is the first violating vertex pair or a
     lone target vertex violating density, None when valid.
     """
-    violation = _scan(cert.source, cert.target, cert.phi, cert.gamma, cert.c, per_component).violation
+    violation = _scan(cert.source, cert.target, cert.phi, cert.gamma, cert.c, per_component).violation()
     return violation is None, violation
 
 
@@ -194,9 +194,10 @@ def make_certificate(
     else the pair (or density vertex) with the least margin before violation."""
     cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(gamma), Fraction(c), False, None)
     scan = _scan(source, target, cert.phi, cert.gamma, cert.c, per_component)
-    if scan.violation is not None:
-        return replace(cert, worst_witness=scan.violation)
-    return replace(cert, valid=True, worst_witness=scan.worst)
+    violation = scan.violation()
+    if violation is not None:
+        return replace(cert, worst_witness=violation)
+    return replace(cert, valid=True, worst_witness=scan.worst())
 
 
 def tightest_certificate(
@@ -211,7 +212,7 @@ def tightest_certificate(
     None when no finite c works (per-component mode only)."""
     cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(gamma), 0, True, None)
     scan = _scan(source, target, cert.phi, cert.gamma, None, per_component)
-    return None if scan.c is None else replace(cert, c=scan.c, worst_witness=scan.worst)
+    return None if scan.c is None else replace(cert, c=scan.c, worst_witness=scan.worst())
 
 
 def tightest_constants(
@@ -232,8 +233,11 @@ def tightest_constants(
     maps to an infinite target distance or a target vertex cannot reach the
     image (no c can fix either).
     """
-    cert = tightest_certificate(source, target, phi, 1 if fixed_gamma is None else fixed_gamma, per_component)
-    return None if cert is None else (cert.gamma, cert.c)
+    # tightest_certificate's checks and scan, without its witness: none is returned.
+    gamma = Fraction(1 if fixed_gamma is None else fixed_gamma)
+    cert = QuasiIsometryCertificate(source, target, dict(phi), gamma, 0, True, None)
+    c = _scan(source, target, cert.phi, cert.gamma, None, per_component).c
+    return None if c is None else (cert.gamma, c)
 
 
 def qi_compose(f: QuasiIsometryCertificate, g: QuasiIsometryCertificate) -> QuasiIsometryCertificate:

@@ -69,7 +69,8 @@ class TDReport:
 def validate(host: Graph, td: TreeDecomposition) -> TDReport:
     """Report the first violated axiom (T1, T2, T3) with a witness.  T2 and T3
     read masks built from the parts: for each host id, the union of the parts
-    holding it and the set of tree nodes whose parts hold it."""
+    holding it and the set of tree nodes whose parts hold it, tested for T3
+    once per distinct set."""
     covered = frozenset().union(*td.parts.values()) if td.parts else frozenset()
     for v in sort_vertices(covered - host.vertices):
         return TDReport(False, "T1", v, f"part vertex {vertex_token(v)} is not a graph vertex")
@@ -87,10 +88,12 @@ def validate(host: Graph, td: TreeDecomposition) -> TDReport:
         if missed:
             u, v = index.order[i], index.order[(missed & -missed).bit_length() - 1]
             return TDReport(False, "T2", (u, v), f"edge {vertex_token(u)}-{vertex_token(v)} lies in no part")
-    for i, ns in enumerate(nodes):
-        if grow_mask(tree.masks, ns & -ns, ns)[0] != ns:
+    tested = set()
+    for i, ns in enumerate(nodes):  # a failing set fails first at its key-least vertex
+        if ns not in tested and grow_mask(tree.masks, ns & -ns, ns)[0] != ns:
             v = index.order[i]
             return TDReport(False, "T3", v, f"nodes containing {vertex_token(v)} are not connected in the tree")
+        tested.add(ns)
     return TDReport(True, message="valid tree-decomposition")
 
 

@@ -35,7 +35,7 @@ from coarsegraph.construction import (
 from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import cayley_ball, complete_graph, cycle_graph, grid_graph, path_graph
-from coarsegraph.graph import Graph, is_connected, set_key, sort_vertices, union, vertex_key
+from coarsegraph.graph import MAX_KEY_DEPTH, Graph, is_connected, relabel, set_key, sort_vertices, union, vertex_key
 from coarsegraph.treedecomp import TreeDecomposition, adhesion_sets, exact_treewidth, heuristic_td, td_to_dict
 
 from dataclasses import replace
@@ -623,6 +623,54 @@ def test_planar_scale_output_matches_the_committed_digest():
         docs.append({"name": name, "output": output_to_dict(out), "report": report_to_dict(verify_output(b, out))})
     text = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PLANAR_SCALE_DIGEST
+
+
+def _id_order_bundles():
+    """Every corpus instance at three seeds, random and supplied bundles, and
+    the planar-scale benchmark's hosts under a seeded renaming."""
+    for seed in (DEFAULT_SEED, 7, 101):
+        yield from (inst.bundle for inst in corpus(seed))
+    for i in range(150):
+        yield random_bundle(random.Random(i))
+        yield supplied_bundle(random.Random(i))
+    rng = random.Random(3)
+    hosts = [(g, frozenset(v for v in g.vertices if g.degree(v) < 4)) for g in map(grid_graph, (7, 10, 13, 17), (7, 10, 13, 17))]
+    hosts += [(b.graph, b.markers) for b in (cayley_ball("integer-lattice-Z2", r) for r in (4, 7, 11))]
+    for g, markers in hosts:
+        names = g.sorted_vertices()
+        sigma = dict(zip(names, rng.sample(names, len(names))))
+        host = relabel(g, sigma)
+        yield InstanceBundle(host, single_node_td(host.vertices), k=2, infinite_markers=frozenset(map(sigma.get, markers)))
+
+
+def test_h_built_on_ids_equals_a_keyed_build():
+    """build_H lists H's vertices in key order without keying them: its H
+    equals Graph.build of the same vertices and edges, index included."""
+    built = 0
+    for b in _id_order_bundles():
+        try:
+            H = build_H(b).H
+        except GraphToolError:
+            continue
+        ref = Graph.build(H.edges, vertices=H.vertices)
+        assert (H.vertices, H.edges) == (ref.vertices, ref.edges)
+        assert (H.index.order, H.index.nbrs) == (ref.index.order, ref.index.nbrs)
+        built += 1
+    assert built > 3 * 66
+
+
+def test_a_host_vertex_at_the_key_bound_renders_in_h():
+    """A host vertex nested MAX_KEY_DEPTH deep gets a planar copy one level
+    deeper, and the output still verifies and renders."""
+    deep = "d"
+    for _ in range(MAX_KEY_DEPTH):
+        deep = (deep,)
+    g = relabel(grid_graph(3, 3), {"1,1": deep})
+    b = InstanceBundle(g, single_node_td(g.vertices), k=1)
+    out = build_H(b)
+    assert verify_output(b, out).passed and out.phi[deep] == ("pl", "t", 0, deep)
+    token = "(" * MAX_KEY_DEPTH + "d" + ")" * MAX_KEY_DEPTH
+    assert output_to_dict(out)["phi"][token] == f"(pl|t|0|{token})"
 
 
 def build_outcome(bundle: InstanceBundle) -> str:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from coarsegraph.errors import GraphToolError, ParseError, UnknownVertexError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import (
+    MAX_KEY_DEPTH,
     MAX_VERTEX_DEPTH,
     Graph,
     canonical_edge,
@@ -113,6 +114,19 @@ def test_build_keys_each_vertex_once_and_derived_graphs_none(monkeypatch):
     # The adhesion set {2, a} becomes a clique.
     assert torso(g, td, "t").sorted_edges() == [(2, "a"), (2, (0, "x")), ("a", (0, "x")), ("b", (0, "x"))]
     assert calls == []
+
+
+def test_build_h_keys_no_h_name(monkeypatch):
+    """build_H lists H's vertices in key order as it makes them, so across
+    the corpus it keys host vertices and tree nodes only, never an H name."""
+    from coarsegraph.construction import build_H
+    from coarsegraph.corpus import corpus
+
+    calls = _count_vertex_keys(monkeypatch)
+    for inst in corpus():
+        calls.clear()
+        out = build_H(inst.bundle)
+        assert not [v for v in calls if v in out.H.vertices], inst.name
 
 
 _MIXED = (st.integers(0, 12) | st.sampled_from(["a", "b", "10", "(1|a)"])
@@ -319,6 +333,21 @@ def test_vertices_nest_up_to_the_depth_limit():
         parse_vertex_token(vertex_token(too_deep))
     with pytest.raises(ParseError, match="nests deeper"):
         vertex_from_json(_as_json(too_deep))
+
+
+def test_vertices_nest_up_to_the_key_bound():
+    """A vertex nested MAX_KEY_DEPTH deep is keyed, and renders, as does a
+    tuple one level deeper holding it, as its H name does; one level deeper is
+    refused with GraphToolError wherever it is keyed, not only by Graph.build."""
+    v = _nested(MAX_KEY_DEPTH)
+    assert Graph.build([(v, 0)]).sorted_vertices() == [0, v]
+    assert vertex_token(("pl", v)) == "(pl|" + "(" * MAX_KEY_DEPTH + "a" + ")" * MAX_KEY_DEPTH + ")"
+    too_deep = _nested(MAX_KEY_DEPTH + 1)
+    for key in (lambda: Graph.build([(too_deep, 0)]), lambda: Graph.build((), [too_deep]),
+                lambda: sorted([too_deep, 0], key=vertex_key)):
+        with pytest.raises(GraphToolError) as exc:
+            key()
+        assert str(exc.value) == "a vertex identifier nests too deep to key"
 
 
 def test_edge_list_errors_name_their_line():

@@ -347,3 +347,19 @@ def test_a_map_image_must_be_the_targets_own_vertex(image):
     with pytest.raises(UnknownVertexError) as exc:
         make_certificate(g, g, {0: 0, 1: image, 2: 2}, 1, 0)
     assert exc.value.args == (repr(image),)
+
+
+def test_tightest_constants_finds_no_witness(monkeypatch):
+    """tightest_constants reads one BFS row, from the image into the target;
+    the two rows that locate the worst pair run only for a certificate, which
+    returns that pair.  Both give the same constants."""
+    from coarsegraph.graph import GraphIndex
+
+    host, target, phi = path_graph(9), path_graph(5), floor_map(9)
+    rows, real = [], GraphIndex.distance_row
+    monkeypatch.setattr(GraphIndex, "distance_row", lambda self, sources: rows.append(1) or real(self, sources))
+    constants = tightest_constants(host, target, phi, fixed_gamma=1)
+    assert len(rows) == 1
+    cert = tightest_certificate(host, target, phi, 1)
+    assert len(rows) == 1 + 3 and cert.worst_witness is not None
+    assert constants == (cert.gamma, cert.c)

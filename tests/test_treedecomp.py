@@ -113,6 +113,22 @@ def test_validate_reports_the_first_violation_like_the_axioms(data):
     assert (rep.ok, rep.axiom, rep.witness) == (expected[0] is None, expected[0], expected[1][0])
 
 
+def test_validate_tests_each_distinct_node_set_once(monkeypatch):
+    """T3 grows one tree mask per distinct set of nodes holding a vertex: one
+    for a one-part 17×17 grid, not one per vertex; a path's two-node
+    decomposition has three such sets ({0}, {0, 1}, {1})."""
+    from coarsegraph import treedecomp
+
+    grown, real = [], treedecomp.grow_mask
+    monkeypatch.setattr(treedecomp, "grow_mask", lambda *a: grown.append(a[1]) or real(*a))
+    host = grid_graph(17, 17)
+    assert validate(host, TreeDecomposition(Graph.build((), ["t"]), {"t": host.vertices})).ok
+    assert len(grown) == 1
+    grown.clear()
+    assert validate(path_graph(4), TreeDecomposition(path_graph(2), {0: frozenset({0, 1, 2}), 1: frozenset({2, 3})})).ok
+    assert len(grown) == 3
+
+
 _LABELS = st.integers(0, 9) | st.text(alphabet="ab", min_size=1, max_size=2) | st.tuples(st.integers(0, 3), st.sampled_from("xy"))
 
 
