@@ -31,10 +31,12 @@ from .errors import (
     StructuralError,
 )
 from .graph import (
+    MAX_VERTEX_DEPTH,
     Graph,
     cut_vertices,
     induced_subgraph,
     is_connected,
+    nests_deeper,
     parse_vertex_token,
     set_key,
     sort_vertices,
@@ -82,6 +84,9 @@ class InstanceBundle:
 
 
 def validate_bundle(bundle: InstanceBundle) -> None:
+    # A host vertex deeper than the read bound would pass, but its output could not be written and read back.
+    if any(isinstance(v, tuple) and nests_deeper(v) for v in bundle.host.vertices):
+        raise ContractViolationError(f"a host vertex nests deeper than {MAX_VERTEX_DEPTH} levels")
     report = validate(bundle.host, bundle.td)
     if not report.ok:
         raise StructuralError(f"tree-decomposition invalid: ({report.axiom}) {report.message}")

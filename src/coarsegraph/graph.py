@@ -46,6 +46,11 @@ def _key(v: Vertex, depth: int):
     raise GraphToolError(f"unsupported vertex identifier type: {v!r}")
 
 
+def nests_deeper(v: Vertex, depth: int = MAX_VERTEX_DEPTH) -> bool:
+    """Whether v nests tuples more than ``depth`` deep; by default, deeper than a vertex read from text or JSON."""
+    return isinstance(v, tuple) and (not depth or any(nests_deeper(x, depth - 1) for x in v))
+
+
 def sort_vertices(vs: Iterable[Vertex]) -> list[Vertex]:
     return sorted(vs, key=vertex_key)
 
@@ -113,8 +118,9 @@ class Graph:
         for i, j in ids:
             nbrs[i].append(j)
             nbrs[j].append(i)
-        index = GraphIndex(order, {v: i for i, v in enumerate(order)}, [sorted(js) for js in nbrs])
-        return cls(frozenset(order), frozenset((order[i], order[j]) for i, j in ids), index)
+        vertices = frozenset(order)
+        index = GraphIndex(order, {v: i for i, v in enumerate(order)}, [sorted(js) for js in nbrs], vertices)
+        return cls(vertices, frozenset((order[i], order[j]) for i, j in ids), index)
 
     # -- basic queries -------------------------------------------------
 
@@ -155,13 +161,14 @@ class Graph:
 class GraphIndex:
     """A graph as integers, made with the graph: vertex ``i`` is ``order[i]`` in key order (a
     derived graph keeps its parent's on the ids it takes), ``pos`` maps each vertex back to its
-    id, ``nbrs[i]`` lists the neighbour ids in increasing order.  So a BFS over ``nbrs``
-    expands neighbours in key order; :meth:`parent_row` relies on that."""
+    id, ``nbrs[i]`` lists the neighbour ids in increasing order, and ``vertices`` is the
+    graph's own vertex set.  So a BFS over ``nbrs`` expands neighbours in key order;
+    :meth:`parent_row` relies on that."""
 
-    __slots__ = ("order", "pos", "nbrs", "_masks", "_orientation", "_generators", "_subsets")
+    __slots__ = ("order", "pos", "nbrs", "vertices", "_masks", "_orientation", "_generators", "_subsets")
 
-    def __init__(self, order: list, pos: dict, nbrs: list):
-        self.order, self.pos, self.nbrs = order, pos, nbrs
+    def __init__(self, order: list, pos: dict, nbrs: list, vertices: frozenset):
+        self.order, self.pos, self.nbrs, self.vertices = order, pos, nbrs, vertices
         self._masks = self._orientation = self._generators = self._subsets = None
 
     def own_id(self, v) -> int | None:
@@ -215,14 +222,20 @@ class GraphIndex:
         return sum(1 << i for i in _ids(self, frozenset(vs)))
 
     def labels(self, mask: int) -> frozenset:
-        """The vertices whose ids are set in ``mask``, read off its set bits from
-        the highest down (as fast as a scan of every position on dense masks)."""
-        order, out = self.order, []
+        """The vertices whose ids are set in ``mask``, in min(|mask|, n − |mask|)
+        steps: a sparse mask is read off its set bits, a dense one is ``vertices``
+        less the labels of its complement."""
+        order = self.order
+        rest = (1 << len(order)) - 1 ^ mask
+        dense = rest.bit_count() < mask.bit_count()
+        if dense:
+            mask = rest
+        out = []
         while mask:
             i = mask.bit_length() - 1
             out.append(order[i])
             mask ^= 1 << i
-        return frozenset(out)
+        return self.vertices.difference(out) if dense else frozenset(out)
 
     def ball_levels(self, seeds: list[int]):
         """Bit-parallel BFS from every seed at once.  Level r holds, for each id
@@ -269,15 +282,28 @@ def grow_mask(masks: list[int], seed: int, within: int) -> tuple[int, int]:
 
 
 def components_minus(g: Graph, s: int = 0) -> list[tuple[int, int]]:
-    """The components C of G − S, each with N(C), as bitmasks of ``g.index`` ids
-    (S is such a mask too), ordered by their smallest vertex like :func:`components`."""
-    index = g.index
-    rest = ((1 << len(index.order)) - 1) & ~s
+    """The components C of G − S, each with N(C) ⊆ S, as bitmasks of ``g.index``
+    ids (S is such a mask too), ordered by their smallest vertex like
+    :func:`components`.  One bit-parallel BFS per component, the loop of
+    :func:`grow_mask` over the ids not yet in a component."""
+    masks = g.index.masks
+    rest = (1 << len(masks)) - 1 & ~s
     out = []
     while rest:
-        comp, reach = grow_mask(index.masks, rest & -rest, rest)
-        rest &= ~comp
-        out.append((comp, reach & ~comp))
+        comp = frontier = rest & -rest
+        rest ^= comp
+        reach = 0
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= masks[low.bit_length() - 1]
+            reach |= grow
+            frontier = grow & rest
+            rest ^= frontier
+            comp |= frontier
+        out.append((comp, reach & s))
     return out
 
 

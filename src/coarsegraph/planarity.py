@@ -100,7 +100,7 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
             continue
         nbrs[u].remove(v)
         nbrs[v].remove(u)
-        if _lr_planar(GraphIndex(index.order, index.pos, nbrs)):
+        if _lr_planar(GraphIndex(index.order, index.pos, nbrs, index.vertices)):
             insort(nbrs[u], v)
             insort(nbrs[v], u)
         else:

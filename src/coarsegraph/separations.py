@@ -60,15 +60,11 @@ def is_separation(g: Graph, sep: Separation) -> bool:
     return not any(g.index.masks[i] & b & ~a for i in bit_ids(a & ~b))
 
 
-def _split(g: Graph, s: int) -> list[tuple[int, bool]]:
-    """The components of G − S, S a ``g.index`` mask, as such masks in
-    canonical order, each with whether it is fully attached (N(C) = S)."""
-    return [(comp, nbhd == s) for comp, nbhd in components_minus(g, s)]
-
-
 def fully_attached_components(g: Graph, s: Iterable[Vertex]) -> list[frozenset]:
     """Components C of G − S with N(C) exactly S, in canonical order."""
-    return [g.index.labels(comp) for comp, full in _split(g, g.index.bits(s)) if full]
+    index = g.index
+    m = index.bits(s)
+    return [index.labels(comp) for comp, nbhd in components_minus(g, m) if nbhd == m]
 
 
 def is_tight(g: Graph, sep: Separation) -> bool:
@@ -83,7 +79,8 @@ def _tight_on_masks(g: Graph, a: int, b: int) -> bool:
     """:func:`is_tight` for the separation whose sides are the ``g.index`` id
     masks a and b, taken to be a separation unchecked."""
     # A component of G − S lies wholly on one strict side; True marks side A.
-    return {comp & a == comp for comp, full in _split(g, a & b) if full} == {True, False}
+    s = a & b
+    return {comp & a == comp for comp, nbhd in components_minus(g, s) if nbhd == s} == {True, False}
 
 
 def enumerate_tight(g: Graph, k: int) -> list[Separation]:
@@ -104,8 +101,8 @@ def enumerate_tight(g: Graph, k: int) -> list[Separation]:
     for combo in combinations(range(len(index.order)), k):
         s = sum(1 << i for i in combo)
         # Fully attached components first; each goes to side A (bit 1) or side B (bit 0).
-        split = sorted(_split(g, s), key=lambda cf: not cf[1])
-        nf = sum(f for _, f in split)
+        split = sorted(components_minus(g, s), key=lambda cn: cn[1] != s)
+        nf = sum(nbhd == s for _, nbhd in split)
         if nf < 2:
             continue
         # The first component stays on side A, so each separation is met once.

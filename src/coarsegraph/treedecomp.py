@@ -162,14 +162,17 @@ def edge_separation(host: Graph, td: TreeDecomposition, edge: tuple) -> Separati
 # ---------------------------------------------------------------------------
 
 
-def min_degree_elimination(g: Graph, max_degree: int | None = None) -> list[tuple[int, int]] | None:
+def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool = True) -> list[tuple[int, int]] | None:
     """Eliminate the vertex of least degree (ties to the least id, which is the
     least vertex key) and make its neighbours a clique, until g is empty.
     Returns each eliminated id with its bag (the id and its neighbours then)
     as ``g.index`` masks in elimination order, or None once the least degree
     left exceeds ``max_degree``.  The widest bag minus one bounds treewidth
-    (Bodlaender–Koster).  With ``max_degree`` = k ≤ 2 it returns None exactly
-    when tw > k: its steps are the series–parallel reductions (Wald–Colbourn).
+    from above (Bodlaender–Koster).  With ``max_degree`` = k ≤ 2 it returns
+    None exactly when tw > k: its steps are the series–parallel reductions
+    (Wald–Colbourn).  With ``fill`` False the neighbours are left as they are,
+    and the widest bag minus one is the degeneracy, which bounds treewidth
+    from below.
     """
     adj = list(g.index.masks)
     deg = [a.bit_count() for a in adj]
@@ -188,7 +191,7 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None) -> list[tupl
         nbrs = adj[low.bit_length() - 1]
         out.append((low.bit_length() - 1, nbrs | low))
         for a in bit_ids(nbrs):
-            adj[a] = (adj[a] | nbrs) & ~(1 << a | low)
+            adj[a] = (adj[a] | nbrs) & ~(1 << a | low) if fill else adj[a] ^ low
             buckets[deg[a]] ^= 1 << a
             deg[a] = adj[a].bit_count()
             buckets[deg[a]] |= 1 << a
@@ -203,9 +206,9 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
     for treewidth").  With Q(S, v) the vertices outside S ∪ {v} reached from v
     through S, f(S ∪ {v}) = min over v of max(f(S), |Q(S, v)|) and tw = f(V).
     Each S is expanded once: the components of G[S] give |Q(S, v)| for every
-    v.  Only sets with f(S) below the min-degree width are kept.  Exponential
-    in |V|, hence the cap; ``construction.treewidth_at_most`` calls this only
-    for k ≥ 3.
+    v.  Only sets with f(S) below the min-degree width are kept, and none is
+    when the degeneracy, a lower bound, meets that width.  Exponential in |V|,
+    hence the cap; ``construction.treewidth_at_most`` calls this only for k ≥ 3.
     """
     n = len(g.vertices)
     if n > cap:
@@ -213,7 +216,10 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
     if n == 0:
         return -1
     adj = g.index.masks
-    bound = max(bag.bit_count() for _, bag in min_degree_elimination(g)) - 1
+    bound, degeneracy = (max(bag.bit_count() for _, bag in min_degree_elimination(g, fill=fill)) - 1
+                         for fill in (True, False))
+    if degeneracy == bound:
+        return bound
     full = (1 << n) - 1
     layer = {0: -1}  # f on the kept sets of one size
     for _ in range(n):

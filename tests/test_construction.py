@@ -35,7 +35,18 @@ from coarsegraph.construction import (
 from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import cayley_ball, complete_graph, cycle_graph, grid_graph, path_graph
-from coarsegraph.graph import MAX_KEY_DEPTH, Graph, is_connected, relabel, set_key, sort_vertices, union, vertex_key
+from coarsegraph.graph import (
+    MAX_VERTEX_DEPTH,
+    Graph,
+    format_edge_list,
+    is_connected,
+    parse_edge_list,
+    relabel,
+    set_key,
+    sort_vertices,
+    union,
+    vertex_key,
+)
 from coarsegraph.treedecomp import TreeDecomposition, adhesion_sets, exact_treewidth, heuristic_td, td_to_dict
 
 from dataclasses import replace
@@ -659,18 +670,26 @@ def test_h_built_on_ids_equals_a_keyed_build():
     assert built > 3 * 66
 
 
-def test_a_host_vertex_at_the_key_bound_renders_in_h():
-    """A host vertex nested MAX_KEY_DEPTH deep gets a planar copy one level
-    deeper, and the output still verifies and renders."""
+def test_host_vertices_up_to_the_read_bound_render_in_h():
+    """A host vertex nested MAX_VERTEX_DEPTH deep, as deep as one read from
+    text, gets a planar copy at the key bound, and the output still verifies
+    and renders.  One level deeper the host could be built but not written
+    and read back, so validate_bundle refuses it with a typed error (exit 2)."""
     deep = "d"
-    for _ in range(MAX_KEY_DEPTH):
+    for _ in range(MAX_VERTEX_DEPTH):
         deep = (deep,)
     g = relabel(grid_graph(3, 3), {"1,1": deep})
+    assert parse_edge_list(format_edge_list(g)) == g
     b = InstanceBundle(g, single_node_td(g.vertices), k=1)
     out = build_H(b)
     assert verify_output(b, out).passed and out.phi[deep] == ("pl", "t", 0, deep)
-    token = "(" * MAX_KEY_DEPTH + "d" + ")" * MAX_KEY_DEPTH
+    token = "(" * MAX_VERTEX_DEPTH + "d" + ")" * MAX_VERTEX_DEPTH
     assert output_to_dict(out)["phi"][token] == f"(pl|t|0|{token})"
+
+    g = relabel(grid_graph(3, 3), {"1,1": (deep,)})
+    b = InstanceBundle(g, single_node_td(g.vertices), k=1)
+    with pytest.raises(ContractViolationError, match=f"^a host vertex nests deeper than {MAX_VERTEX_DEPTH} levels$"):
+        build_H(b)
 
 
 def build_outcome(bundle: InstanceBundle) -> str:

@@ -16,6 +16,7 @@ from coarsegraph.graph import (
     Graph,
     canonical_edge,
     components,
+    components_minus,
     cut_vertices,
     distance,
     distances_from,
@@ -421,6 +422,40 @@ def test_labels_reads_the_set_bits(n, bits, sparse):
         mask &= bits >> 3 & bits >> 7
     index = g.index
     assert index.labels(mask) == frozenset(index.order[i] for i in range(n) if mask >> i & 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_labels_at_every_density_are_the_stored_vertices(data):
+    """GraphIndex.labels reads a mask of every size, the empty and full ones
+    and n/2 and n/2 + 1 bits among them, from the sparse side or as the
+    vertex set less the complement's labels; either way it returns the
+    graph's own tuple objects, not equal copies."""
+    n = data.draw(st.integers(0, 40))
+    g = Graph.build([], vertices=[(i, "x") for i in range(n)])
+    index = g.index
+    size = data.draw(st.sampled_from([0, n // 2, min(n // 2 + 1, n), n]) | st.integers(0, n))
+    ids = data.draw(st.permutations(range(n)))[:size]
+    got = index.labels(sum(1 << i for i in ids))
+    assert got == frozenset(index.order[i] for i in ids)
+    assert all(index.order[index.pos[v]] is v for v in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_components_minus_agrees_with_the_oracle(data):
+    """Each component of G − S, in the oracle's order, with its neighbourhood
+    N(C) ⊆ S, on random graphs with mixed labels and any S."""
+    n = data.draw(st.integers(0, 12))
+    labels = [i if i % 3 else (i, "t") if i % 2 else f"v{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph.build(edges, vertices=labels)
+    s = frozenset(data.draw(st.sets(st.sampled_from(labels)))) if n else frozenset()
+    adj = oracles.adjacency(edges, sorted(labels, key=oracles.label_key))  # components come in canonical order
+    expected = [(c, frozenset(w for v in c for w in adj[v]) - c) for c in oracles.components_without(adj, s)]
+    index = g.index
+    assert [(index.labels(c), index.labels(nb)) for c, nb in components_minus(g, index.bits(s))] == expected
 
 
 @settings(max_examples=60, deadline=None)

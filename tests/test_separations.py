@@ -163,6 +163,19 @@ def test_components_of_g_minus_s_agree_with_the_oracle(data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.integers(0, 16), st.sampled_from([0.15, 0.3, 0.5]), st.integers(0, 4), st.integers(0, 10_000))
+def test_fully_attached_components_agree_with_the_oracle_for_small_separators(n, p, k, seed):
+    """fully_attached_components against plain BFS on random graphs of up to
+    16 vertices with |S| from 0 to 4, component for component in the same order."""
+    rng = random.Random(seed)
+    vs, es = oracles.random_graph(rng, n, p)
+    s = frozenset(rng.sample(vs, min(k, n)))
+    adj = oracles.adjacency(es, vs)
+    expected = [c for c in oracles.components_without(adj, s) if {w for v in c for w in adj[v]} - c == s]
+    assert fully_attached_components(Graph.build(es, vertices=vs), s) == expected
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_edge_separations_are_the_side_unions_on_mixed_labels(data):
     """edge_separations on random trees and parts over mixed labels against the

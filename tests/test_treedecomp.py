@@ -24,6 +24,7 @@ from coarsegraph.treedecomp import (
     edge_separation,
     exact_treewidth,
     heuristic_td,
+    min_degree_elimination,
     td_from_dict,
     td_to_dict,
     torso,
@@ -243,6 +244,36 @@ def test_exact_treewidth_of_partial_k_trees_up_to_the_cap():
     rng = random.Random(48)
     for n, k in ((12, 4), (12, 2), (13, 3), (14, 5), (14, 1)):
         assert exact_treewidth(partial_k_tree(rng, n, k)) == k
+
+
+def test_exact_treewidth_skips_the_dp_when_the_degeneracy_meets_the_min_degree_width(monkeypatch):
+    """A partial k-tree's degeneracy usually reaches its min-degree width, and
+    then no component of the subset DP is grown; on the 3×3 grid (degeneracy
+    2, min-degree width 3) the DP runs and finds treewidth 3."""
+    from coarsegraph import treedecomp
+
+    grown, real = [], treedecomp.grow_mask
+    monkeypatch.setattr(treedecomp, "grow_mask", lambda *a: grown.append(a[1]) or real(*a))
+    degeneracy = max(bag.bit_count() for _, bag in min_degree_elimination(grid_graph(3, 3), fill=False)) - 1
+    assert (degeneracy, width(heuristic_td(grid_graph(3, 3)))) == (2, 3)
+    assert exact_treewidth(grid_graph(3, 3)) == 3 and grown
+    grown.clear()
+    assert exact_treewidth(partial_k_tree(random.Random(7), 12, 4)) == 4 and not grown
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_treewidth_with_the_degeneracy_short_cut_against_the_oracle(data):
+    """On graphs of at most 8 vertices the degeneracy bounds the oracle's
+    treewidth from below, and exact_treewidth equals it whether or not the
+    short-cut applies."""
+    n = data.draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    es = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph.build(es, vertices=range(n))
+    tw = oracles.treewidth_elimination(oracles.adjacency(es, range(n)))
+    assert max((bag.bit_count() - 1 for _, bag in min_degree_elimination(g, fill=False)), default=-1) <= tw
+    assert exact_treewidth(g) == tw
 
 
 def test_exact_treewidth_cap():
