@@ -226,10 +226,9 @@ class GraphIndex:
         steps: a sparse mask is read off its set bits, a dense one is ``vertices``
         less the labels of its complement."""
         order = self.order
-        rest = (1 << len(order)) - 1 ^ mask
-        dense = rest.bit_count() < mask.bit_count()
+        dense = 2 * mask.bit_count() > len(order)
         if dense:
-            mask = rest
+            mask ^= (1 << len(order)) - 1
         out = []
         while mask:
             i = mask.bit_length() - 1

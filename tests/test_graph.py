@@ -412,32 +412,23 @@ def test_index_is_built_once_and_adds_no_attribute():
     assert list(vars(g)) == list(vars(fresh))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 150), st.integers(0, 2 ** 150), st.booleans())
-def test_labels_reads_the_set_bits(n, bits, sparse):
-    """GraphIndex.labels on random masks equals its definition, bit by bit."""
-    g = Graph.build([], vertices=[i if i % 3 else f"v{i}" for i in range(n)])
-    mask = bits & (1 << n) - 1
-    if sparse:
-        mask &= bits >> 3 & bits >> 7
-    index = g.index
-    assert index.labels(mask) == frozenset(index.order[i] for i in range(n) if mask >> i & 1)
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_labels_at_every_density_are_the_stored_vertices(data):
-    """GraphIndex.labels reads a mask of every size, the empty and full ones
-    and n/2 and n/2 + 1 bits among them, from the sparse side or as the
-    vertex set less the complement's labels; either way it returns the
-    graph's own tuple objects, not equal copies."""
-    n = data.draw(st.integers(0, 40))
-    g = Graph.build([], vertices=[(i, "x") for i in range(n)])
+@given(st.integers(0, 150), st.integers(0, 2 ** 150), st.sampled_from(["any", "sparse", "n/2", "n/2 + 1", "empty", "full"]))
+def test_labels_reads_the_set_bits(n, bits, density):
+    """GraphIndex.labels on masks of every density equals its definition, bit
+    by bit, whether it reads the mask's set bits or its complement's; what it
+    returns are the graph's own vertex objects (tuples among them), not equal
+    copies."""
+    g = Graph.build([], vertices=[i if i % 3 == 1 else f"v{i}" if i % 3 else (i, "x") for i in range(n)])
+    mask = bits & (1 << n) - 1
+    if density == "sparse":
+        mask &= bits >> 3 & bits >> 7
+    elif density != "any":
+        size = {"n/2": n // 2, "n/2 + 1": min(n // 2 + 1, n), "empty": 0, "full": n}[density]
+        mask = sum(1 << i for i in random.Random(bits).sample(range(n), size))
     index = g.index
-    size = data.draw(st.sampled_from([0, n // 2, min(n // 2 + 1, n), n]) | st.integers(0, n))
-    ids = data.draw(st.permutations(range(n)))[:size]
-    got = index.labels(sum(1 << i for i in ids))
-    assert got == frozenset(index.order[i] for i in ids)
+    got = index.labels(mask)
+    assert got == frozenset(index.order[i] for i in range(n) if mask >> i & 1)
     assert all(index.order[index.pos[v]] is v for v in got)
 
 

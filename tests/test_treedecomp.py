@@ -214,10 +214,15 @@ def test_exact_treewidth_matches_elimination_oracle():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 7), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 10_000))
+@given(st.integers(0, 8), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 10_000))
 def test_exact_treewidth_property_against_the_oracle(n, p, seed):
+    """On up to 8 vertices exact_treewidth equals the oracle, whether or not
+    the degeneracy, which never exceeds it, meets the min-degree width."""
     vs, es = oracles.random_graph(random.Random(seed), n, p)
-    assert exact_treewidth(Graph.build(es, vertices=vs)) == oracles.treewidth_elimination(oracles.adjacency(es, vs))
+    g = Graph.build(es, vertices=vs)
+    tw = oracles.treewidth_elimination(oracles.adjacency(es, vs))
+    assert max((bag.bit_count() - 1 for _, bag in min_degree_elimination(g, fill=False)), default=-1) <= tw
+    assert exact_treewidth(g) == tw
 
 
 def test_exact_treewidth_below_the_min_degree_width():
@@ -259,21 +264,6 @@ def test_exact_treewidth_skips_the_dp_when_the_degeneracy_meets_the_min_degree_w
     assert exact_treewidth(grid_graph(3, 3)) == 3 and grown
     grown.clear()
     assert exact_treewidth(partial_k_tree(random.Random(7), 12, 4)) == 4 and not grown
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_exact_treewidth_with_the_degeneracy_short_cut_against_the_oracle(data):
-    """On graphs of at most 8 vertices the degeneracy bounds the oracle's
-    treewidth from below, and exact_treewidth equals it whether or not the
-    short-cut applies."""
-    n = data.draw(st.integers(0, 8))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    es = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    g = Graph.build(es, vertices=range(n))
-    tw = oracles.treewidth_elimination(oracles.adjacency(es, range(n)))
-    assert max((bag.bit_count() - 1 for _, bag in min_degree_elimination(g, fill=False)), default=-1) <= tw
-    assert exact_treewidth(g) == tw
 
 
 def test_exact_treewidth_cap():
