@@ -47,7 +47,7 @@ from .graph import (
     bit_ids,
     canonical_edge,
     components,
-    grow_mask,
+    mask_components,
     parent_path,
     parse_vertex_token,
     row_distance,
@@ -103,7 +103,7 @@ def _model_on_ids(m: FatMinorModel) -> tuple[dict, dict]:
         if x & taken:
             raise StructuralError(f"branch set of {v!r} overlaps another branch set")
         taken |= x
-        if grow_mask(masks, x & -x, x)[0] != x:
+        if next(mask_components(masks, x))[0] != x:
             raise StructuralError(f"branch set of {v!r} is not connected")
     if {canonical_edge(*e) for e in m.edge_paths} != set(m.pattern.edges):
         raise StructuralError("edge paths must be keyed exactly by the pattern edges")
@@ -211,10 +211,20 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
 def _connected_subsets(index: GraphIndex) -> tuple[int, ...]:
     """Every connected vertex set as an id mask, by size and then by ``set_key``
     (ids follow key order, so that is the order of the sorted id lists); built
-    once per graph and kept on its index."""
+    once per graph and kept on its index.  A connected set of k + 1 vertices is
+    one of k vertices plus a neighbour, so the sets are grown size by size: the
+    work follows their number, not the 2^n masks of ids."""
     if index._subsets is None:
         masks = index.masks
-        out = [m for m in range(1, 1 << len(index.order)) if grow_mask(masks, m & -m, m)[0] == m]
+        level = {1 << i: m for i, m in enumerate(masks)}  # each set of one size -> its vertices' neighbours
+        out = list(level)
+        while level:
+            grown: dict = {}
+            for s, nb in level.items():
+                for j in bit_ids(nb & ~s):
+                    grown.setdefault(s | 1 << j, nb | masks[j])
+            out += grown
+            level = grown
         index._subsets = tuple(sorted(out, key=lambda m: (m.bit_count(), bit_ids(m))))
     return index._subsets
 
@@ -240,10 +250,11 @@ def _first_in_orbit(host: Graph):
 
 
 def _vertex_balls(index: GraphIndex, radius: int) -> list[int]:
-    """Per vertex id, the mask of ids within ``radius`` of it: that level of the ball levels."""
+    """Per vertex id, the mask of ids within ``radius`` of it: that level of the ball
+    levels, read at most n deep, since no ball grows past level n − 1."""
     if radius < 0:
         return [0] * len(index.order)
-    return next(islice(index.ball_levels([1 << i for i in range(len(index.order))]), radius, None))
+    return next(islice(index.ball_levels([1 << i for i in range(len(index.order))]), min(radius, len(index.order)), None))
 
 
 def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> SearchOutcome:

@@ -263,31 +263,13 @@ def bit_ids(mask: int) -> list[int]:
     return out
 
 
-def grow_mask(masks: list[int], seed: int, within: int) -> tuple[int, int]:
-    """Bitmasks of ids: the component of ``seed`` in the subgraph induced on
-    ``within``, and the union of its vertices' ``masks`` (``GraphIndex.masks``)."""
-    comp = frontier = seed
-    reach = 0
-    while frontier:
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grow |= masks[low.bit_length() - 1]
-        reach |= grow
-        frontier = grow & within & ~comp
-        comp |= frontier
-    return comp, reach
-
-
-def components_minus(g: Graph, s: int = 0) -> list[tuple[int, int]]:
-    """The components C of G − S, each with N(C) ⊆ S, as bitmasks of ``g.index``
-    ids (S is such a mask too), ordered by their smallest vertex like
-    :func:`components`.  One bit-parallel BFS per component, the loop of
-    :func:`grow_mask` over the ids not yet in a component."""
-    masks = g.index.masks
-    rest = (1 << len(masks)) - 1 & ~s
-    out = []
+def mask_components(masks: list[int], within: int = -1):
+    """The components C of the subgraph induced on the ids in ``within``, each
+    yielded with N(C) ∖ ``within`` as bitmasks of ids, lowest id first; ``masks``
+    holds each id's neighbours (``GraphIndex.masks``).  With ``within`` = ~S this
+    gives G − S with N(C) ⊆ S, with ``within`` = S the components of G[S].  One
+    bit-parallel BFS per component, taking its ids out of ``rest`` as it grows."""
+    rest = within & (1 << len(masks)) - 1
     while rest:
         comp = frontier = rest & -rest
         rest ^= comp
@@ -302,8 +284,7 @@ def components_minus(g: Graph, s: int = 0) -> list[tuple[int, int]]:
             frontier = grow & rest
             rest ^= frontier
             comp |= frontier
-        out.append((comp, reach & s))
-    return out
+        yield comp, reach & ~within
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +319,7 @@ def distance(g: Graph, u: Vertex, v: Vertex) -> int | float:
 
 def components(g: Graph) -> list[frozenset]:
     """Connected components, sorted by canonical key of their smallest vertex."""
-    return [g.index.labels(comp) for comp, _ in components_minus(g)]
+    return [g.index.labels(comp) for comp, _ in mask_components(g.index.masks)]
 
 
 def dfs_orientation(nbrs: list) -> tuple:
@@ -427,7 +408,7 @@ def cut_vertices(g: Graph) -> frozenset:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components_minus(g)) <= 1
+    return len(list(mask_components(g.index.masks))) <= 1
 
 
 def induced_subgraph(g: Graph, keep: Iterable[Vertex]) -> Graph:

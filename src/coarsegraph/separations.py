@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import StructuralError
-from .graph import Graph, GraphIndex, Vertex, bit_ids, components_minus, sort_vertices, vertex_from_json
+from .graph import Graph, GraphIndex, Vertex, bit_ids, mask_components, sort_vertices, vertex_from_json
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def fully_attached_components(g: Graph, s: Iterable[Vertex]) -> list[frozenset]:
     """Components C of G − S with N(C) exactly S, in canonical order."""
     index = g.index
     m = index.bits(s)
-    return [index.labels(comp) for comp, nbhd in components_minus(g, m) if nbhd == m]
+    return [index.labels(comp) for comp, nbhd in mask_components(index.masks, ~m) if nbhd == m]
 
 
 def is_tight(g: Graph, sep: Separation) -> bool:
@@ -80,7 +80,7 @@ def _tight_on_masks(g: Graph, a: int, b: int) -> bool:
     masks a and b, taken to be a separation unchecked."""
     # A component of G − S lies wholly on one strict side; True marks side A.
     s = a & b
-    return {comp & a == comp for comp, nbhd in components_minus(g, s) if nbhd == s} == {True, False}
+    return {comp & a == comp for comp, nbhd in mask_components(g.index.masks, ~s) if nbhd == s} == {True, False}
 
 
 def enumerate_tight(g: Graph, k: int) -> list[Separation]:
@@ -101,7 +101,7 @@ def enumerate_tight(g: Graph, k: int) -> list[Separation]:
     for combo in combinations(range(len(index.order)), k):
         s = sum(1 << i for i in combo)
         # Fully attached components first; each goes to side A (bit 1) or side B (bit 0).
-        split = sorted(components_minus(g, s), key=lambda cn: cn[1] != s)
+        split = sorted(mask_components(index.masks, ~s), key=lambda cn: cn[1] != s)
         nf = sum(nbhd == s for _, nbhd in split)
         if nf < 2:
             continue

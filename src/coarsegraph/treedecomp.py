@@ -22,8 +22,8 @@ from .graph import (
     bit_ids,
     canonical_edge,
     components,
-    grow_mask,
     induced_subgraph,
+    mask_components,
     sort_vertices,
     vertex_from_json,
     vertex_token,
@@ -90,7 +90,7 @@ def validate(host: Graph, td: TreeDecomposition) -> TDReport:
             return TDReport(False, "T2", (u, v), f"edge {vertex_token(u)}-{vertex_token(v)} lies in no part")
     tested = set()
     for i, ns in enumerate(nodes):  # a failing set fails first at its key-least vertex
-        if ns not in tested and grow_mask(tree.masks, ns & -ns, ns)[0] != ns:
+        if ns not in tested and next(mask_components(tree.masks, ns))[0] != ns:
             v = index.order[i]
             return TDReport(False, "T3", v, f"nodes containing {vertex_token(v)} are not connected in the tree")
         tested.add(ns)
@@ -228,11 +228,7 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
             # reach[v] ∖ {v} = Q(S, v): v's neighbours outside S, plus the
             # outside neighbourhood of every component of G[S] next to v.
             reach = [a & ~s for a in adj]
-            rest = s
-            while rest:
-                comp, nbhd = grow_mask(adj, rest & -rest, rest)
-                rest &= ~comp
-                nbhd &= ~s
+            for _, nbhd in mask_components(adj, s):
                 w = nbhd
                 while w:
                     low = w & -w
@@ -299,14 +295,10 @@ def contract_td_edges(td: TreeDecomposition, keep: Iterable[tuple]) -> tuple[Tre
         raise StructuralError(f"keep contains non-tree edges: {sorted(unknown, key=str)!r}")
     cls = [0] * len(masks)  # tree id -> class id
     reps: list = []
-    rest = (1 << len(masks)) - 1
-    while rest:
-        low = rest & -rest
-        comp = grow_mask(masks, low, rest)[0]
-        rest &= ~comp
+    for comp, _ in mask_components(masks):
         for i in bit_ids(comp):
             cls[i] = len(reps)
-        reps.append(index.order[low.bit_length() - 1])
+        reps.append(index.order[(comp & -comp).bit_length() - 1])
     rep = {t: reps[c] for t, c in zip(index.order, cls)}
     new_parts: dict = {}
     for t, p in td.parts.items():

@@ -258,6 +258,10 @@ def test_fat_minor_command(tmp_path, capsys):
     assert main(["fat-minor", "--host", hpath, "--pattern", ppath, "--fatness", "1"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "found" and data["model"]["branch_sets"]
+    # Balls stop growing at the host's size, so a huge fatness returns at once.
+    p2path = write(tmp_path, "p2.txt", format_edge_list(path_graph(2)))
+    assert main(["fat-minor", "--host", hpath, "--pattern", p2path, "--fatness", str(10**12)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "not-found"
 
     gpath = write(tmp_path, "g.txt", format_edge_list(cycle_graph(30)))
     assert main([

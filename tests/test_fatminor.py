@@ -739,6 +739,22 @@ def test_negative_fatness_is_refused():
     assert str(exc.value) == "K must be non-negative"
 
 
+def test_a_fatness_beyond_the_host_reads_no_ball_level_past_its_size(monkeypatch):
+    """Balls stop growing after n − 1 levels, so P2 in C8 at K = 10**12 reads at
+    most n + 1 levels and gives the outcome at K = 8, node count included."""
+    eight = search_fat_minor(path_graph(2), cycle_graph(8), 8)
+    real = GraphIndex.ball_levels
+
+    def levels(self, seeds):
+        for r, level in enumerate(real(self, seeds)):
+            assert r <= len(self.order), "a ball level past the host's size was read"
+            yield level
+
+    monkeypatch.setattr(GraphIndex, "ball_levels", levels)
+    assert search_fat_minor(path_graph(2), cycle_graph(8), 10**12) == eight
+    assert (eight.status, eight.nodes_used) == ("not-found", 407)
+
+
 @pytest.mark.parametrize("host", [path_graph(4), cycle_graph(12)])
 def test_the_empty_pattern_is_found_without_a_search(host):
     """Also beyond the exhaustive cap, where the heuristic has no branch set to start from."""

@@ -16,13 +16,13 @@ from coarsegraph.graph import (
     Graph,
     canonical_edge,
     components,
-    components_minus,
     cut_vertices,
     distance,
     distances_from,
     format_edge_list,
     induced_subgraph,
     is_connected,
+    mask_components,
     parse_edge_list,
     parse_vertex_token,
     relabel,
@@ -434,19 +434,28 @@ def test_labels_reads_the_set_bits(n, bits, density):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_components_minus_agrees_with_the_oracle(data):
-    """Each component of G − S, in the oracle's order, with its neighbourhood
-    N(C) ⊆ S, on random graphs with mixed labels and any S."""
+def test_mask_components_agrees_with_the_oracle(data):
+    """Each component of the subgraph on ``within``, in the oracle's order, with
+    its neighbourhood outside ``within``, on random graphs with mixed labels and
+    any S: ``within`` = ~S gives G − S with N(C) ⊆ S, ``within`` = S gives G[S].
+    The first component of a non-empty mask holds the mask's lowest id."""
     n = data.draw(st.integers(0, 12))
     labels = [i if i % 3 else (i, "t") if i % 2 else f"v{i}" for i in range(n)]
     pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = Graph.build(edges, vertices=labels)
     s = frozenset(data.draw(st.sets(st.sampled_from(labels)))) if n else frozenset()
-    adj = oracles.adjacency(edges, sorted(labels, key=oracles.label_key))  # components come in canonical order
-    expected = [(c, frozenset(w for v in c for w in adj[v]) - c) for c in oracles.components_without(adj, s)]
     index = g.index
-    assert [(index.labels(c), index.labels(nb)) for c, nb in components_minus(g, index.bits(s))] == expected
+    m = index.bits(s)
+    within = data.draw(st.sampled_from([~m, m]))
+    removed = s if within < 0 else g.vertices - s
+    adj = oracles.adjacency(edges, sorted(labels, key=oracles.label_key))  # components come in canonical order
+    expected = [(c, frozenset(w for v in c for w in adj[v]) - c) for c in oracles.components_without(adj, removed)]
+    assert [(index.labels(c), index.labels(nb)) for c, nb in mask_components(index.masks, within)] == expected
+    kept = within & (1 << n) - 1
+    if kept:
+        comp, _ = next(mask_components(index.masks, within))
+        assert comp & -comp == kept & -kept
 
 
 @settings(max_examples=60, deadline=None)

@@ -120,8 +120,8 @@ def test_validate_tests_each_distinct_node_set_once(monkeypatch):
     decomposition has three such sets ({0}, {0, 1}, {1})."""
     from coarsegraph import treedecomp
 
-    grown, real = [], treedecomp.grow_mask
-    monkeypatch.setattr(treedecomp, "grow_mask", lambda *a: grown.append(a[1]) or real(*a))
+    grown, real = [], treedecomp.mask_components
+    monkeypatch.setattr(treedecomp, "mask_components", lambda *a: grown.append(a[1]) or real(*a))
     host = grid_graph(17, 17)
     assert validate(host, TreeDecomposition(Graph.build((), ["t"]), {"t": host.vertices})).ok
     assert len(grown) == 1
@@ -257,8 +257,8 @@ def test_exact_treewidth_skips_the_dp_when_the_degeneracy_meets_the_min_degree_w
     2, min-degree width 3) the DP runs and finds treewidth 3."""
     from coarsegraph import treedecomp
 
-    grown, real = [], treedecomp.grow_mask
-    monkeypatch.setattr(treedecomp, "grow_mask", lambda *a: grown.append(a[1]) or real(*a))
+    grown, real = [], treedecomp.mask_components
+    monkeypatch.setattr(treedecomp, "mask_components", lambda *a: grown.append(a[1]) or real(*a))
     degeneracy = max(bag.bit_count() for _, bag in min_degree_elimination(grid_graph(3, 3), fill=False)) - 1
     assert (degeneracy, width(heuristic_td(grid_graph(3, 3)))) == (2, 3)
     assert exact_treewidth(grid_graph(3, 3)) == 3 and grown
