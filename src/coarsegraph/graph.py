@@ -207,7 +207,13 @@ class GraphIndex:
     def masks(self) -> list[int]:
         """The neighbour ids of each vertex as a bitmask (bit j for id j), built on first use."""
         if self._masks is None:
-            self._masks = [sum(1 << j for j in js) for js in self.nbrs]
+            masks = []
+            for js in self.nbrs:
+                m = 0
+                for j in js:
+                    m |= 1 << j
+                masks.append(m)
+            self._masks = masks
         return self._masks
 
     @property
@@ -218,8 +224,15 @@ class GraphIndex:
         return self._orientation
 
     def bits(self, vs: Iterable[Vertex]) -> int:
-        """The bitmask of a set of vertices of the graph; UnknownVertexError names one that is not."""
-        return sum(1 << i for i in _ids(self, frozenset(vs)))
+        """The bitmask of a set of vertices of the graph; UnknownVertexError names
+        the first vertex of ``frozenset(vs)`` that is not one."""
+        pos, m = self.pos, 0
+        try:
+            for v in frozenset(vs):
+                m |= 1 << pos[v]
+        except KeyError as e:
+            raise UnknownVertexError(repr(e.args[0])) from None
+        return m
 
     def labels(self, mask: int) -> frozenset:
         """The vertices whose ids are set in ``mask``, in min(|mask|, n − |mask|)
@@ -240,17 +253,30 @@ class GraphIndex:
         """Bit-parallel BFS from every seed at once.  Level r holds, for each id
         x, the OR of ``seeds[y]`` over the ids y within distance r of x: level 0
         is ``seeds``, and level r + 1 at x ORs level r at x with level r at each
-        neighbour.  Endless; once no mask grows, every level equals the last."""
+        neighbour.  Endless; once no mask grows, every level equals the last.
+        An id whose mask holds the OR of its component's seeds is finished: its
+        mask can grow no more, so only the other ids are recomputed."""
         level, nbrs = seeds, self.nbrs
+        total = [0] * len(nbrs)
+        for comp, _ in mask_components(self.masks):
+            ids = bit_ids(comp)
+            m = 0
+            for x in ids:
+                m |= seeds[x]
+            for x in ids:
+                total[x] = m
+        live = [x for x, m in enumerate(seeds) if m != total[x]]
         while True:
             yield level
-            nxt = level[:]
-            for x, js in enumerate(nbrs):
+            nxt, keep = level[:], []
+            for x in live:
                 m = nxt[x]
-                for j in js:
+                for j in nbrs[x]:
                     m |= level[j]
                 nxt[x] = m
-            level = nxt
+                if m != total[x]:
+                    keep.append(x)
+            level, live = nxt, keep
 
 
 def bit_ids(mask: int) -> list[int]:

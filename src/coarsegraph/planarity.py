@@ -146,7 +146,11 @@ def _lr_planar(index: GraphIndex) -> bool:
     height, parent, dst, out, lowpt, lowpt2 = index.orientation
     m = len(dst)
     # Each vertex's outgoing edges by nesting depth, in new lists: the orientation's stay as they are.
-    out = [sorted(es, key=lambda e: 2 * lowpt[e] + (lowpt2[e] < height[v])) for v, es in enumerate(out)]
+    depth = [0] * m
+    for v, es in enumerate(out):
+        for e in es:
+            depth[e] = 2 * lowpt[e] + (lowpt2[e] < height[v])
+    out = [sorted(es, key=depth.__getitem__) for es in out]
     pairs: list = []  # the stack of conflict pairs
     bottom = [0] * m  # the height of the pair stack when each edge is entered
     ref = [-1] * m

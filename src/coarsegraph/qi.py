@@ -113,21 +113,23 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
     top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
     walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
-    ball, near = src.ball_levels(bit), _Levels(tgt.ball_levels(seeds))
-    prev, t = next(ball), 0
+    ball, levels = src.ball_levels(bit), tgt.ball_levels(seeds)
+    near = [next(levels)]  # the H levels made so far; None below the lowest close pointer
+    prev, t, dropped = next(ball), 0, 0
     far, close = [0] * n, [0] * n  # the two pointers of each source
     while walk:
         t += 1
         level, keep = next(ball), []
         for i in walk:
-            a, y = level[i], img[i]
-            s, b = a ^ bit[i], far[i]
-            while s & ~near[b][y]:
+            a, y, b = level[i], img[i], far[i]
+            while a & near[b][y] != a:  # i's own bit lies in C_v(b) for every b
                 b += 1
+                if b == len(near):
+                    near.append(next(levels))
             far[i] = b
             if pq * b - pp * t > top[i]:
                 top[i] = pq * b - pp * t
-            s, b = comp[i] & ~prev[i], close[i]
+            s, b = comp[i] ^ prev[i], close[i]  # close[i] ≤ far[i], so its level is made
             while not s & near[b][y]:
                 b += 1
             close[i] = b
@@ -136,9 +138,10 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
             if a != comp[i]:
                 keep.append(i)
         walk, prev = keep, level
-        low = min(map(close.__getitem__, walk), default=t)
-        for b in [b for b in near if b < low]:
-            del near[b]
+        low = min(map(close.__getitem__, walk), default=dropped)
+        while dropped < low:
+            near[dropped] = None
+            dropped += 1
 
     dens = [pq * d if d >= 0 else math.inf for d in row]
 
@@ -155,21 +158,6 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     best = max(top + dens, default=None)
     return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq),
                  lambda: None if best is None else first(lambda r: r >= best), lambda: first(lambda r: r > limit))
-
-
-class _Levels(dict):
-    """Ball levels by index, made on first lookup; the caller deletes the
-    levels no pointer will read again."""
-
-    def __init__(self, levels):
-        super().__init__()
-        self.levels, self.made = levels, 0
-
-    def __missing__(self, k: int) -> list[int]:
-        while self.made <= k:
-            self[self.made] = next(self.levels)
-            self.made += 1
-        return self[k]
 
 
 def qi_verify(cert: QuasiIsometryCertificate, per_component: bool = False) -> tuple[bool, tuple | None]:

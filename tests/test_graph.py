@@ -160,6 +160,17 @@ def test_unknown_vertex_raises():
     assert g.adjacent(1, 2) and g.adjacent(2, 1)
 
 
+def test_bits_names_the_unknown_vertex_its_set_yields_first():
+    """GraphIndex.bits reads its input as a set, so of two unknown vertices in
+    a list it names the one the set yields first, not the list's first."""
+    index = path_graph(3).index
+    assert index.bits([2, 0, 2]) == 0b101
+    assert list(frozenset([3, 0, 9])) == [0, 9, 3]  # small ints hash to themselves
+    with pytest.raises(UnknownVertexError) as exc:
+        index.bits([3, 0, 9])
+    assert exc.value.args == ("9",)
+
+
 def test_distance_frozen_values():
     """Grid corners and cycle antipodes, checked against counted values."""
     grid = grid_graph(5, 5)
@@ -459,13 +470,19 @@ def test_mask_components_agrees_with_the_oracle(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 25), st.sampled_from([0.1, 0.3, 0.6]), st.integers(0, 10_000))
-def test_ball_levels_or_the_seeds_within_each_radius(n, p, seed):
-    """Level r at x is the OR of the seeds of the ids within distance r of x."""
+@given(st.integers(0, 25), st.sampled_from([0.1, 0.3, 0.6]), st.integers(0, 10_000),
+       st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 3))
+def test_ball_levels_or_the_seeds_within_each_radius(n, p, seed, zeros, isolated):
+    """Level r at x is the OR of the seeds of the ids within distance r of x,
+    also with zero seeds, several components and isolated ids."""
     rng = random.Random(seed)
     vs, es = oracles.random_graph(rng, n, p)
+    more, more_es = oracles.random_connected_graph(rng, rng.randint(0, 6), 0.4)  # one more component, or none
+    es += [(n + u, n + v) for u, v in more_es]
+    vs += [n + v for v in more] + list(range(n + len(more), n + len(more) + isolated))
+    n = len(vs)
     index = Graph.build(es, vertices=vs).index
-    seeds = [rng.getrandbits(8) for _ in range(n)]
+    seeds = [0 if rng.random() < zeros else rng.getrandbits(8) for _ in range(n)]
     rows = [index.distance_row([x]) for x in range(n)]
     levels = index.ball_levels(seeds)
     for r in range(n + 1):
@@ -475,6 +492,21 @@ def test_ball_levels_or_the_seeds_within_each_radius(n, p, seed):
                 if 0 <= d <= r:
                     expected[x] |= seeds[y]
         assert next(levels) == expected
+
+
+def test_ball_levels_keep_an_id_whose_mask_pauses_before_it_grows():
+    """On the path 0-1-2-3-4 with seeds [1, 0, 0, 0, 2], id 1's mask is 1 at
+    levels 1 and 2 and grows to 3 at level 3: an id is finished when its mask
+    holds its component's seeds, not when its mask stops growing."""
+    levels = path_graph(5).index.ball_levels([1, 0, 0, 0, 2])
+    assert [next(levels) for _ in range(6)] == [
+        [1, 0, 0, 0, 2],
+        [1, 1, 0, 2, 2],
+        [1, 1, 3, 2, 2],
+        [1, 3, 3, 3, 2],
+        [3, 3, 3, 3, 3],
+        [3, 3, 3, 3, 3],
+    ]
 
 
 def test_a_vertex_too_deep_to_key_is_a_typed_error():
