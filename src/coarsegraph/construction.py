@@ -248,9 +248,7 @@ def _prune(torso_graph: Graph, contracted: TreeDecomposition, outer: list, marke
     warnings: list = []
     for s in contracted.tree.sorted_vertices():
         original_part = contracted.parts[s]
-        # The torso of a lone part holding every vertex is the torso graph itself.
-        whole = len(contracted.parts) == 1 and original_part == torso_graph.vertices
-        g_cur = torso_graph if whole else torso(torso_graph, contracted, s)
+        g_cur = torso(torso_graph, contracted, s)
         for S in outer:
             if not S <= original_part:
                 continue
@@ -610,7 +608,7 @@ def output_to_dict(out: ConstructionOutput) -> dict:
     index = out.H.index
     pos, token = index.pos, [vertex_token(x) for x in index.order]
     return {
-        "h_edges": [[token[pos[u]], token[pos[v]]] for u, v in out.H.sorted_edges()],
+        "h_edges": [[token[i], token[j]] for i, js in enumerate(index.nbrs) for j in js if j > i],
         "h_isolated": [token[i] for i, js in enumerate(index.nbrs) if not js],
         "phi": {vertex_token(v): token[pos[x]] for v, x in out.phi.items()},
         "bounds": dict(vars(out.bounds)),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Mapping
 
 from .errors import GraphToolError, ParseError, UnknownVertexError
@@ -150,8 +150,9 @@ class Graph:
         return list(self.index.order)
 
     def sorted_edges(self) -> list[tuple[Vertex, Vertex]]:
-        pos = self.index.pos
-        return sorted(self.edges, key=lambda e: (pos[e[0]], pos[e[1]]))
+        """The edges in id order: ``_on_ids`` makes every edge (order[i], order[j]) with i < j."""
+        order = self.index.order
+        return [(order[i], order[j]) for i, js in enumerate(self.index.nbrs) for j in js if j > i]
 
     def require_vertex(self, v: Vertex) -> None:
         if v not in self.vertices:
@@ -163,13 +164,17 @@ class GraphIndex:
     derived graph keeps its parent's on the ids it takes), ``pos`` maps each vertex back to its
     id, ``nbrs[i]`` lists the neighbour ids in increasing order, and ``vertices`` is the
     graph's own vertex set.  So a BFS over ``nbrs`` expands neighbours in key order;
-    :meth:`parent_row` relies on that."""
+    :meth:`parent_row` relies on that.  Facts of the graph are kept on first use: the
+    neighbour masks, the DFS orientation, the component masks, and the min-degree
+    elimination (``treedecomp.min_degree_elimination``)."""
 
-    __slots__ = ("order", "pos", "nbrs", "vertices", "_masks", "_orientation", "_generators", "_subsets")
+    __slots__ = ("order", "pos", "nbrs", "vertices", "_masks", "_orientation", "_components", "_elimination",
+                 "_generators", "_subsets")
 
     def __init__(self, order: list, pos: dict, nbrs: list, vertices: frozenset):
         self.order, self.pos, self.nbrs, self.vertices = order, pos, nbrs, vertices
-        self._masks = self._orientation = self._generators = self._subsets = None
+        self._masks = self._orientation = self._components = self._elimination = None
+        self._generators = self._subsets = None
 
     def own_id(self, v) -> int | None:
         """v's id if v is this graph's own vertex, else None: True or 1.0 equals 1 but is no vertex."""
@@ -223,6 +228,13 @@ class GraphIndex:
             self._orientation = dfs_orientation(self.nbrs)
         return self._orientation
 
+    @property
+    def component_masks(self) -> tuple:
+        """The components as id masks, lowest id first, from one ``mask_components`` sweep on first use."""
+        if self._components is None:
+            self._components = tuple(comp for comp, _ in mask_components(self.masks))
+        return self._components
+
     def bits(self, vs: Iterable[Vertex]) -> int:
         """The bitmask of a set of vertices of the graph; UnknownVertexError names
         the first vertex of ``frozenset(vs)`` that is not one."""
@@ -258,7 +270,7 @@ class GraphIndex:
         mask can grow no more, so only the other ids are recomputed."""
         level, nbrs = seeds, self.nbrs
         total = [0] * len(nbrs)
-        for comp, _ in mask_components(self.masks):
+        for comp in self.component_masks:
             ids = bit_ids(comp)
             m = 0
             for x in ids:
@@ -279,8 +291,16 @@ class GraphIndex:
             level, live = nxt, keep
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bit_ids(mask: int) -> list[int]:
-    """The ids set in ``mask``, in increasing order."""
+    """The ids set in ``mask``, in increasing order.  A dense mask (more than
+    about one bit in eight set) is read in one pass over ``bin(mask)``; a
+    sparse one bit by bit, as each step costs the mask's width."""
+    if 8 * mask.bit_count() > mask.bit_length() + 64:
+        flags = bin(mask)[:1:-1].encode().translate(_BITS)  # flags[i] is bit i
+        return list(compress(range(len(flags)), flags))
     out = []
     while mask:
         low = mask & -mask
@@ -345,12 +365,15 @@ def distance(g: Graph, u: Vertex, v: Vertex) -> int | float:
 
 def components(g: Graph) -> list[frozenset]:
     """Connected components, sorted by canonical key of their smallest vertex."""
-    return [g.index.labels(comp) for comp, _ in mask_components(g.index.masks)]
+    return [g.index.labels(comp) for comp in g.index.component_masks]
 
 
 def dfs_orientation(nbrs: list) -> tuple:
     """One DFS over neighbour-id lists (``nbrs[v]`` in increasing order) that
-    orients every edge away from where it is first met, on edge ids.
+    orients every edge away from where it is first met and numbers it then.
+    At v a visited neighbour w was met first from its own side iff it is v's
+    parent or a descendant, that is iff height[w] ≥ height[v] − 1; any other
+    visited w is an ancestor, reached by a back edge.
 
     Returns ``(height, parent, dst, out, lowpt, lowpt2)``: each vertex's DFS
     height (0 at each root, one root per component, tried in id order); the
@@ -362,22 +385,9 @@ def dfs_orientation(nbrs: list) -> tuple:
     planarity test and ``cut_vertices`` both read these lowpoints.
     """
     n = len(nbrs)
-    # Edge ids: eids[v][i] is the id of the edge v–nbrs[v][i].  Each nbrs[w]
-    # lists w's lower neighbours first, in the order this loop meets them.
-    eids = [[0] * len(js) for js in nbrs]
-    lower = [0] * n
-    m = 0
-    for v, js in enumerate(nbrs):
-        for i, w in enumerate(js):
-            if w > v:
-                eids[v][i] = eids[w][lower[w]] = m
-                lower[w] += 1
-                m += 1
-
     height = [-1] * n
     parent = [-1] * n
-    dst = [-1] * m  # -1 while unoriented
-    lowpt, lowpt2 = [0] * m, [0] * m
+    dst, lowpt, lowpt2 = [], [], []
     out: list = [[] for _ in range(n)]
     nxt = [0] * n
     for r in range(n):
@@ -390,18 +400,21 @@ def dfs_orientation(nbrs: list) -> tuple:
             i = nxt[v]
             if i < len(nbrs[v]):
                 nxt[v] = i + 1
-                ei = eids[v][i]
-                if dst[ei] >= 0:
+                w = nbrs[v][i]
+                h, hv = height[w], height[v]
+                if h >= 0 and h >= hv - 1:  # w is v's parent or a descendant: oriented from w's side
                     continue
-                w = dst[ei] = nbrs[v][i]
+                ei = len(dst)  # edges are numbered as they are oriented
+                dst.append(w)
                 out[v].append(ei)
-                lowpt[ei] = lowpt2[ei] = height[v]
-                if height[w] < 0:  # a tree edge, finished when w is
+                lowpt2.append(hv)
+                if h < 0:  # a tree edge, finished when w is
+                    lowpt.append(hv)
                     parent[w] = ei
-                    height[w] = height[v] + 1
+                    height[w] = hv + 1
                     stack.append(w)
                     continue
-                lowpt[ei] = height[w]  # a back edge
+                lowpt.append(h)  # a back edge to an ancestor
             else:
                 stack.pop()
                 ei = parent[v]
@@ -434,7 +447,7 @@ def cut_vertices(g: Graph) -> frozenset:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(list(mask_components(g.index.masks))) <= 1
+    return len(g.index.component_masks) <= 1
 
 
 def induced_subgraph(g: Graph, keep: Iterable[Vertex]) -> Graph:
@@ -566,9 +579,18 @@ def vertex_token(v: Vertex) -> str:
     raise GraphToolError(f"unsupported vertex identifier type: {v!r}")
 
 
+class _Tokens(dict):
+    """Token -> parsed vertex, each token parsed at its first lookup."""
+
+    def __missing__(self, tok: str) -> Vertex:
+        v = self[tok] = parse_vertex_token(tok)
+        return v
+
+
 def parse_edge_list(text: str) -> Graph:
     vertices: list[Vertex] = []
     edges: list[tuple[Vertex, Vertex]] = []
+    parsed = _Tokens()  # a bad token raises at its first occurrence, so the error names its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -576,9 +598,9 @@ def parse_edge_list(text: str) -> Graph:
         toks = line.split()
         try:  # every error on a line, a token's own included, names the line
             if len(toks) == 1:
-                vertices.append(parse_vertex_token(toks[0]))
+                vertices.append(parsed[toks[0]])
             elif len(toks) == 2:
-                u, v = (parse_vertex_token(t) for t in toks)
+                u, v = parsed[toks[0]], parsed[toks[1]]
                 if u == v:
                     raise ParseError(f"loop edge {toks[0]!r}")
                 edges.append((u, v))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import CompositionError, GraphToolError, StructuralError, UnknownVertexError
-from .graph import Graph, bit_ids, mask_components
+from .graph import Graph, bit_ids
 
 
 class ConnectivityError(GraphToolError, ValueError):
@@ -91,10 +91,10 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     for i, y in enumerate(img):
         seeds[y] |= bit[i]
     comp, reach = [0] * n, [0] * n  # i's G-component; the sources with images in φ(i)'s H-component
-    for mask, _ in mask_components(src.masks):
+    for mask in src.component_masks:
         for i in bit_ids(mask):
             comp[i] = mask
-    for mask, _ in mask_components(tgt.masks):
+    for mask in tgt.component_masks:
         srcs = sum(seeds[y] for y in bit_ids(mask))
         for i in bit_ids(srcs):
             reach[i] = srcs

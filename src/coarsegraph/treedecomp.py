@@ -21,8 +21,8 @@ from .graph import (
     _induced,
     bit_ids,
     canonical_edge,
-    components,
     induced_subgraph,
+    is_connected,
     mask_components,
     sort_vertices,
     vertex_from_json,
@@ -36,7 +36,7 @@ DEFAULT_TREEWIDTH_CAP = 14
 def _check_is_tree(tree: Graph) -> None:
     if not tree.vertices:
         raise StructuralError("decomposition tree must have at least one node")
-    if len(tree.edges) != len(tree.vertices) - 1 or len(components(tree)) != 1:
+    if len(tree.edges) != len(tree.vertices) - 1 or not is_connected(tree):
         raise StructuralError("decomposition tree is not a tree")
 
 
@@ -116,9 +116,14 @@ def width(td: TreeDecomposition) -> int:
 
 def torso(host: Graph, td: TreeDecomposition, t) -> Graph:
     """The torso of part t: the induced subgraph on V_t plus clique edges on
-    each adhesion set at t, as a graph on exactly V_t, built on host ids."""
+    each adhesion set at t, as a graph on exactly V_t, built on host ids.  A
+    part holding every host vertex with no adhesion set of two or more
+    vertices at t adds no edge, so its torso is ``host`` itself."""
     part = td.part(t)
-    return _induced(host, part, [part & td.parts[t2] for t2 in td.tree.neighbors(t)])
+    cliques = [c for c in (part & td.parts[t2] for t2 in td.tree.neighbors(t)) if len(c) > 1]
+    if not cliques and part == host.vertices:
+        return host
+    return _induced(host, part, cliques)
 
 
 def edge_separations(host: Graph, td: TreeDecomposition) -> dict:
@@ -162,7 +167,7 @@ def edge_separation(host: Graph, td: TreeDecomposition, edge: tuple) -> Separati
 # ---------------------------------------------------------------------------
 
 
-def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool = True) -> list[tuple[int, int]] | None:
+def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool = True) -> tuple[tuple[int, int], ...] | None:
     """Eliminate the vertex of least degree (ties to the least id, which is the
     least vertex key) and make its neighbours a clique, until g is empty.
     Returns each eliminated id with its bag (the id and its neighbours then)
@@ -173,8 +178,17 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
     (Wald–Colbourn).  With ``fill`` False the neighbours are left as they are,
     and the widest bag minus one is the degeneracy, which bounds treewidth
     from below.
+
+    A completed run with ``fill`` is kept on ``g.index``; a later call reads
+    it, and stops at ``max_degree`` exactly when some bag holds more than
+    ``max_degree`` + 1 ids.  A run stopped early keeps nothing.
     """
-    adj = list(g.index.masks)
+    index = g.index
+    if fill and index._elimination is not None:
+        if max_degree is not None and any(bag.bit_count() > max_degree + 1 for _, bag in index._elimination):
+            return None
+        return index._elimination
+    adj = list(index.masks)
     deg = [a.bit_count() for a in adj]
     buckets = [0] * len(adj)  # degree -> mask of the live ids of that degree
     for v, d in enumerate(deg):
@@ -197,6 +211,9 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
             buckets[deg[a]] |= 1 << a
         # A neighbour loses only the eliminated vertex, so no degree falls below d - 1.
         d = max(d - 1, 0)
+    out = tuple(out)
+    if fill:
+        index._elimination = out
     return out
 
 

@@ -247,6 +247,82 @@ def min_degree_elimination(adj):
     return bags
 
 
+def orientation_problems(nbrs, orientation):
+    """What is wrong with a DFS orientation of the graph whose vertex v
+    (0..n-1) has the neighbours ``nbrs[v]``, as a list of messages; empty when
+    nothing is.
+
+    ``orientation`` is (height, parent, dst, out, lowpt, lowpt2): each
+    vertex's DFS height, the id of its tree edge (-1 at a root), each edge's
+    head, each vertex's out-edges, and each edge's lowest and second-lowest
+    return heights.  Checked from the definitions: every edge is oriented
+    exactly once; the parent edges form a forest with one root per component,
+    its least vertex, and heights that count the tree edges up to the root;
+    every other edge runs from a vertex to a proper ancestor; and an edge v→w
+    with return heights R (the height of w for a back edge, else the heights
+    of the heads of the back edges leaving w's subtree) has lowpt = min({h(v)}
+    ∪ R) and lowpt2 = min({h(v)} ∪ (R ∖ {lowpt})).
+    """
+    height, parent, dst, out, lowpt, lowpt2 = orientation
+    n, m = len(nbrs), len(dst)
+    tail = {}
+    for v, es in enumerate(out):
+        for e in es:
+            if e in tail or not 0 <= e < m:
+                return [f"edge {e} out of {v} is not a fresh edge id below {m}"]
+            tail[e] = v
+    oriented = [frozenset((tail[e], dst[e])) for e in range(m) if e in tail]
+    edges = {frozenset((v, w)) for v in range(n) for w in nbrs[v]}
+    if len(tail) != m or len(set(oriented)) != m or set(oriented) != edges:
+        return ["the oriented edges are not the graph's edges, each once"]
+
+    problems = []
+    up = [None] * n  # each vertex's parent vertex, None at a root
+    for v in range(n):
+        e = parent[v]
+        if e < 0:
+            if height[v] != 0:
+                problems.append(f"root {v} has height {height[v]}")
+        elif dst[e] != v:
+            problems.append(f"the parent edge {e} of {v} ends at {dst[e]}")
+        else:
+            up[v] = tail[e]
+            if height[v] != height[up[v]] + 1:
+                problems.append(f"{v} has height {height[v]} below a parent of height {height[up[v]]}")
+    if problems:
+        return problems
+
+    def ancestors(v):
+        chain = []
+        while up[v] is not None and len(chain) <= n:
+            v = up[v]
+            chain.append(v)
+        return chain
+
+    adj = {v: set(nbrs[v]) for v in range(n)}
+    for comp in components_without(adj, ()):
+        roots = sorted(v for v in comp if parent[v] < 0)
+        if roots != [min(comp)]:
+            problems.append(f"the component of {min(comp)} has roots {roots}")
+    tree = {parent[v] for v in range(n) if parent[v] >= 0}
+    subtree = {v: {v} for v in range(n)}
+    for v in range(n):
+        for a in ancestors(v):
+            subtree[a].add(v)
+    back = [e for e in range(m) if e not in tree]
+    for e in back:
+        if dst[e] not in ancestors(tail[e]):
+            problems.append(f"back edge {tail[e]}→{dst[e]} does not end at an ancestor")
+    for e in range(m):
+        v, w = tail[e], dst[e]
+        returns = {height[dst[b]] for b in back if tail[b] in subtree[w]} if e in tree else {height[w]}
+        low = min(returns | {height[v]})
+        low2 = min((returns - {low}) | {height[v]})
+        if (lowpt[e], lowpt2[e]) != (low, low2):
+            problems.append(f"edge {v}→{w} has lowpoints {(lowpt[e], lowpt2[e])}, not {(low, low2)}")
+    return problems
+
+
 def has_minor(p_vertices, p_edges, host_adj):
     """Ordinary-minor containment by exhaustive assignment of host vertices to
     branch sets (or to none), checking connectivity and edge coverage."""

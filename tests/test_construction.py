@@ -47,13 +47,21 @@ from coarsegraph.graph import (
     union,
     vertex_key,
 )
-from coarsegraph.treedecomp import TreeDecomposition, adhesion_sets, exact_treewidth, heuristic_td, td_to_dict
+from coarsegraph.treedecomp import (
+    DEFAULT_TREEWIDTH_CAP,
+    TreeDecomposition,
+    adhesion_sets,
+    exact_treewidth,
+    heuristic_td,
+    td_to_dict,
+    torso,
+)
 
 from dataclasses import replace
 from fractions import Fraction
 
 import oracles
-from coarsegraph import construction, graph, planarity
+from coarsegraph import construction, graph, planarity, treedecomp
 from helpers import random_bundle, supplied_bundle
 
 
@@ -200,6 +208,35 @@ def test_k_up_to_two_never_calls_the_exact_solver(monkeypatch):
     assert calls == []
     assert treewidth_at_most(grid_graph(3, 4), 3)
     assert len(calls) == 1
+
+
+_TREEWIDTHS = [  # a fresh graph from each maker, and its treewidth
+    (lambda: Graph.build((), range(3)), 0),
+    (lambda: path_graph(5), 1),
+    (lambda: cycle_graph(6), 2),
+    (lambda: complete_graph(3), 2),
+    (lambda: complete_graph(4), 3),
+    (lambda: grid_graph(3, 4), 3),
+    (lambda: grid_graph(4, 4), 4),
+]
+
+
+@pytest.mark.parametrize("make, tw", _TREEWIDTHS)
+def test_treewidth_at_most_answers_alike_whichever_call_fills_the_elimination(make, tw):
+    """The elimination kept on the index gives each k the answer a fresh graph
+    gets, whether heuristic_td filled it first or not: on K4, the 3×4 and the
+    4×4 grid the full elimination must still refuse k ≤ 2.  A run stopped at k
+    keeps nothing, so heuristic_td after it is the one on a fresh graph."""
+    for k in (0, 1, 2):
+        fresh, warm, stopped = make(), make(), make()
+        td = heuristic_td(warm)
+        assert treewidth_at_most(warm, k) == treewidth_at_most(fresh, k) == (tw <= k), k
+        treewidth_at_most(stopped, k)
+        assert td_to_dict(heuristic_td(stopped)) == td_to_dict(td), k
+    if len(make().vertices) <= DEFAULT_TREEWIDTH_CAP:
+        fresh, warm = make(), make()
+        heuristic_td(warm)
+        assert treewidth_at_most(warm, 3) == treewidth_at_most(fresh, 3) == (tw <= 3)
 
 
 def test_build_h_makes_each_outer_torso_once(monkeypatch):
@@ -452,18 +489,51 @@ def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
 
 def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypatch):
     """With no size-3 outer adhesion set no sub-decomposition edge is kept, so
-    the min-degree decomposition is not built and the torso is built once."""
-    calls = []
-    for name in ("heuristic_td", "torso"):
-        real = getattr(construction, name)
-        monkeypatch.setattr(construction, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    the min-degree decomposition is not built; the one part holds the whole
+    host with no adhesion set, so every torso taken is the host itself and no
+    torso graph is built."""
+    calls, torsos = [], []
+    real_heuristic, real_induced, real_torso = construction.heuristic_td, treedecomp._induced, construction.torso
+    monkeypatch.setattr(construction, "heuristic_td", lambda *a: calls.append("heuristic_td") or real_heuristic(*a))
+    monkeypatch.setattr(treedecomp, "_induced", lambda *a: calls.append("_induced") or real_induced(*a))
+    monkeypatch.setattr(construction, "torso", lambda *a: torsos.append(real_torso(*a)) or torsos[-1])
     grid = grid_graph(9, 9)
     b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
     out = build_H(b)
-    assert calls == ["torso"]
+    assert calls == []
+    assert torsos and all(t is grid for t in torsos)
     assert sorted({x[2] for x in out.H.vertices if x[0] == "pl"}) == [0]
     assert verify_output(b, out).passed
+
+
+def test_a_part_holding_the_whole_host_has_the_host_as_its_torso(monkeypatch):
+    """With every host vertex and no adhesion set of two or more vertices, a
+    part's torso is the host itself; with a larger adhesion set it is built.
+    A one-part bundle then gives the output and report that a torso built
+    through ``_induced`` gives."""
+    path = path_graph(4)
+    for other, shared in (({3}, True), ({2, 3}, False)):
+        td = TreeDecomposition(Graph.build([("a", "b")]), {"a": path.vertices, "b": other})
+        assert (torso(path, td, "a") is path) == shared
+        assert torso(path, td, "a") == path
+
+    def one_part():
+        grid = grid_graph(7, 7)
+        return InstanceBundle(grid, single_node_td(grid.vertices), k=2,
+                              infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
+
+    def planarize(b):
+        out = build_H(b)
+        return output_to_dict(out), report_to_dict(verify_output(b, out))
+
+    b = one_part()
+    assert torso(b.host, b.td, "t") is b.host
+    shared = planarize(b)
+    monkeypatch.setattr(construction, "torso", lambda host, td, t: graph._induced(
+        host, td.part(t), [td.part(t) & td.parts[s] for s in td.tree.neighbors(t)]))
+    assert planarize(one_part()) == shared
+    assert shared[1]["passed"]
 
 
 def test_three_fully_attached_components_refute_planarity():

@@ -14,9 +14,11 @@ from coarsegraph.graph import (
     MAX_KEY_DEPTH,
     MAX_VERTEX_DEPTH,
     Graph,
+    bit_ids,
     canonical_edge,
     components,
     cut_vertices,
+    dfs_orientation,
     distance,
     distances_from,
     format_edge_list,
@@ -441,6 +443,39 @@ def test_labels_reads_the_set_bits(n, bits, density):
     got = index.labels(mask)
     assert got == frozenset(index.order[i] for i in range(n) if mask >> i & 1)
     assert all(index.order[index.pos[v]] is v for v in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 1, 8, 64, 65, 289, 4225]) | st.integers(0, 300),
+       st.sampled_from(["empty", "full", "dense", "sparse high", "any"]), st.floats(0, 1), st.integers(0, 2 ** 32))
+def test_bit_ids_reads_every_set_bit(n, shape, p, seed):
+    """bit_ids equals its definition on masks of every width up to a 65×65
+    grid's 4,225 ids, read bit by bit or in one pass: empty, full, dense (nine
+    bits in ten), sparse with its bits in the top eighth, and of any density."""
+    rng = random.Random(seed)
+    top = range(n - n // 8, n)
+    mask = {
+        "empty": 0,
+        "full": (1 << n) - 1,
+        "dense": sum(1 << i for i in range(n) if rng.random() < 0.9),
+        "sparse high": sum(1 << i for i in rng.sample(top, min(len(top), rng.randint(1, 4)))),
+        "any": sum(1 << i for i in range(n) if rng.random() < p),
+    }[shape]
+    assert bit_ids(mask) == [i for i in range(n) if mask >> i & 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dfs_orientation_agrees_with_the_oracle(data):
+    """Every edge oriented once, a DFS forest with one root per component and
+    matching heights, every other edge climbing to an ancestor, and lowpoints
+    as defined: on random graphs of any density, with several components and
+    isolated vertices."""
+    n = data.draw(st.integers(0, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.permutations(pairs))[:data.draw(st.integers(0, len(pairs)))]
+    nbrs = Graph.build(edges, vertices=range(n)).index.nbrs
+    assert oracles.orientation_problems(nbrs, dfs_orientation(nbrs)) == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from coarsegraph.construction import InstanceBundle, build_H
 from coarsegraph.errors import CompositionError, StructuralError, UnknownVertexError
 from coarsegraph.generators import cycle_graph, grid_graph, path_graph
-from coarsegraph.graph import Graph
+from coarsegraph.graph import Graph, components, is_connected
 from coarsegraph.qi import (
     ConnectivityError,
     certificate_to_dict,
@@ -319,6 +319,24 @@ def test_qi_matches_the_all_pairs_oracle_past_one_word(kind, n, split, seed, gam
     assert cert.valid == (violation is None)
     assert cert.worst_witness == (expected["worst"] if violation is None else violation)
     assert qi_verify(cert, per_component=per_component) == (violation is None, violation)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([0.1, 0.25, 0.5]), st.integers(0, 10_000))
+def test_components_read_alike_before_and_after_a_qi_scan(n, p, seed):
+    """The scan fills the component masks kept on each graph's index; the
+    components and connectivity read from them equal the oracle's whether the
+    scan ran first or not, on graphs with several components and isolated
+    vertices."""
+    vs, es = oracles.random_graph(random.Random(seed), n, p)
+    comps = sorted(oracles.components_without(oracles.adjacency(es, vs), ()), key=min)
+    fresh, scanned = Graph.build(es, vertices=vs), Graph.build(es, vertices=vs)
+    tightest_constants(scanned, scanned, {v: v for v in vs}, fixed_gamma=1, per_component=True)
+    for g in (fresh, scanned):
+        assert components(g) == comps
+        assert is_connected(g) == (len(comps) == 1)
+    tightest_constants(fresh, fresh, {v: v for v in vs}, fixed_gamma=1, per_component=True)
+    assert components(fresh) == comps
 
 
 def test_tightest_constants_memory_stays_below_the_per_row_scan():
