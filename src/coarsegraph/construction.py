@@ -33,6 +33,7 @@ from .errors import (
 from .graph import (
     MAX_VERTEX_DEPTH,
     Graph,
+    bit_ids,
     cut_vertices,
     induced_subgraph,
     is_connected,
@@ -52,9 +53,12 @@ from .treedecomp import (
     adhesion_sets,
     clique_subtree,
     contract_td_edges,
+    _elimination_tree,
+    _subtree_unions,
+    _tree_parents,
     edge_separations,
     exact_treewidth,
-    heuristic_td,
+    heuristic_td,  # not called: bound for callers that patch it to check that build_H builds no label decomposition
     min_degree_elimination,
     torso,
     tree_center,
@@ -188,12 +192,14 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
     """The torso's sub-decomposition contracted to its tight edges whose
     adhesion set is in ``keep`` (any set if None).  A supplied one must be
     valid, of adhesion ≤ 3 when ``keep`` is given, and tight on every edge, so
-    its adhesion sets alone decide; else the min-degree one is contracted, and
-    with ``keep`` empty the one node it would contract to is built directly."""
+    its adhesion sets alone decide; else the min-degree elimination tree is
+    contracted, and with ``keep`` empty the one node it would contract to is
+    built directly."""
     if provided is None:
         if keep is not None and not keep:
             return TreeDecomposition(Graph.build((), [0]), {0: torso_graph.vertices})
-        return _contract_to_tight(torso_graph, heuristic_td(torso_graph), keep)
+        parent, part = _elimination_tree(torso_graph)
+        return _tight_contraction(torso_graph, list(range(len(part))), parent, part, keep)
     rep = validate(torso_graph, provided)
     if not rep.ok:
         raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
@@ -208,14 +214,46 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
 
 
 def _contract_to_tight(torso_graph: Graph, sub_td: TreeDecomposition, adhesions: set | None = None) -> TreeDecomposition:
-    """Contract every tree edge except the tight ones whose adhesion set is in
-    ``adhesions`` (any set if None).  Contracting other edges changes neither
-    the separation nor the adhesion set of an edge, so one pass decides all."""
-    keep = [e for e, a in adhesion_sets(sub_td).items() if adhesions is None or a in adhesions]
-    if keep:
-        seps = edge_separations(torso_graph, sub_td)
-        keep = [e for e in keep if _tight_on_masks(torso_graph, *seps[e])]
-    return contract_td_edges(sub_td, keep)[0]
+    """``_tight_contraction`` on a supplied sub-decomposition, its tree rooted at its key-least node."""
+    tree = sub_td.tree.index
+    part = [torso_graph.index.bits(sub_td.parts[t]) for t in tree.order]
+    return _tight_contraction(torso_graph, tree.order, _tree_parents(tree), part, adhesions)
+
+
+def _tight_contraction(g: Graph, nodes: list, parent: list[int], part: list[int], adhesions: set | None) -> TreeDecomposition:
+    """Contract every edge of a decomposition of g except the tight ones whose
+    adhesion set is in ``adhesions`` (any set if None).  Tree node i is
+    ``nodes[i]``, in key order, with its edge to ``parent[i]`` (-1 at the
+    root) and its part as the ``g.index`` mask ``part[i]``.  Edge i has the
+    adhesion part[i] & part[parent[i]] and the sides below[i], the parts of
+    i's subtree, and the rest with the adhesion.  Contracting other edges
+    changes neither, so one pass decides all.  Each class of contracted nodes
+    is named by its least node, and its part is made once."""
+    index = g.index
+    full = (1 << len(index.order)) - 1
+    keep = None if adhesions is None else {index.bits(s) for s in adhesions if s <= g.vertices}
+    preorder, below = _subtree_unions(parent, part)
+    top = list(range(len(parent)))  # the node of i's class nearest the root
+    kept = []
+    for i in preorder:
+        p = parent[i]
+        if p < 0:
+            continue
+        adhesion = part[i] & part[p]
+        if (keep is None or adhesion in keep) and _tight_on_masks(g, below[i], full & ~below[i] | adhesion):
+            kept.append(i)
+        else:
+            top[i] = top[p]
+    cls, names, masks, first = [0] * len(parent), [], [], {}
+    for i, t in enumerate(top):  # in id order, so each class meets its least node first
+        if t not in first:
+            first[t] = len(names)
+            names.append(nodes[i])
+            masks.append(0)
+        cls[i] = first[t]
+        masks[cls[i]] |= part[i]
+    tree = Graph._on_ids(names, [(cls[i], cls[parent[i]]) for i in kept])
+    return TreeDecomposition(tree, {s: index.labels(m) for s, m in zip(names, masks)})
 
 
 @dataclass(frozen=True)
@@ -439,25 +477,33 @@ def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
     b2 = max((width(sub_tds[t]) for t in sub_tds), default=0)
     b3 = 0
     b4 = 0
-    for t in sub_tds:
-        sub = sub_tds[t]
+    for t, sub in sub_tds.items():
         index = torsos[t].index
-        # One BFS per torso vertex, read over every part that holds it.
-        parts_of: dict = {}
+        masks = index.masks
+        # Per torso id, the ids sharing a part with it and the parts holding it.
+        near, count = [0] * len(index.order), [0] * len(index.order)
         for part in sub.parts.values():
-            ids = [index.pos[v] for v in part]
-            for v in part:
-                parts_of.setdefault(v, []).append(ids)
-        for v, parts in parts_of.items():
-            row = index.distance_row([index.pos[v]])
-            for ids in parts:
-                ds = [row[j] for j in ids]
-                if min(ds) < 0:
-                    raise StructuralError(
-                        f"part of the sub-decomposition at {t!r} is not connected within its torso"
-                    )
-                b3 = max(b3, max(ds))
-        b4 = max([b4] + [len(parts_of.get(v, ())) for v in td.parts[t]])
+            m = index.bits(part)
+            for x in bit_ids(m):
+                near[x] |= m
+                count[x] += 1
+        b4 = max([b4, *count])
+        # One BFS per id, stopped once it has reached every id sharing a part with it.
+        for x, want in enumerate(near):
+            seen = frontier = 1 << x
+            d = 0
+            while want & ~seen:
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grow |= masks[low.bit_length() - 1]
+                frontier = grow & ~seen
+                if not frontier:
+                    raise StructuralError(f"part of the sub-decomposition at {t!r} is not connected within its torso")
+                seen |= frontier
+                d += 1
+            b3 = max(b3, d)
     b5 = 1 + max((refinements[t].max_deleted for t in refinements), default=0) if refinements else 0
     b = max(b1, b3 * b4, b5)
     return Bounds(b1, b2, b3, b4, b5, b)

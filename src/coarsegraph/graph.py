@@ -9,7 +9,7 @@ standing in for "no path".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Iterable, Mapping
 
@@ -73,17 +73,17 @@ def canonical_edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
     return (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """An immutable finite simple graph with its integer view ``index``.
 
-    ``edges`` holds canonical-order pairs; use :meth:`build` rather than the
+    ``edges`` holds canonical-order pairs, built on first read; graphs compare
+    and hash on their vertex and edge sets.  Use :meth:`build` rather than the
     raw constructor so vertices are keyed, loops rejected and the index made.
     """
 
     vertices: frozenset
-    edges: frozenset
-    index: "GraphIndex" = field(repr=False, compare=False)
+    index: "GraphIndex"
 
     @classmethod
     def build(cls, edges: Iterable[tuple[Vertex, Vertex]] = (), vertices: Iterable[Vertex] = ()) -> "Graph":
@@ -119,8 +119,26 @@ class Graph:
             nbrs[i].append(j)
             nbrs[j].append(i)
         vertices = frozenset(order)
-        index = GraphIndex(order, {v: i for i, v in enumerate(order)}, [sorted(js) for js in nbrs], vertices)
-        return cls(vertices, frozenset((order[i], order[j]) for i, j in ids), index)
+        return cls(vertices, GraphIndex(order, {v: i for i, v in enumerate(order)}, [sorted(js) for js in nbrs], vertices))
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as canonical-order pairs, read off ``index.nbrs`` on first use and kept on the index."""
+        index = self.index
+        if index._edges is None:
+            index._edges = frozenset(self.sorted_edges())
+        return index._edges
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     # -- basic queries -------------------------------------------------
 
@@ -165,15 +183,15 @@ class GraphIndex:
     id, ``nbrs[i]`` lists the neighbour ids in increasing order, and ``vertices`` is the
     graph's own vertex set.  So a BFS over ``nbrs`` expands neighbours in key order;
     :meth:`parent_row` relies on that.  Facts of the graph are kept on first use: the
-    neighbour masks, the DFS orientation, the component masks, and the min-degree
-    elimination (``treedecomp.min_degree_elimination``)."""
+    edge set (``Graph.edges``), the neighbour masks, the DFS orientation, the component
+    masks, and the min-degree elimination (``treedecomp.min_degree_elimination``)."""
 
-    __slots__ = ("order", "pos", "nbrs", "vertices", "_masks", "_orientation", "_components", "_elimination",
-                 "_generators", "_subsets")
+    __slots__ = ("order", "pos", "nbrs", "vertices", "_edges", "_masks", "_orientation", "_components",
+                 "_elimination", "_generators", "_subsets")
 
     def __init__(self, order: list, pos: dict, nbrs: list, vertices: frozenset):
         self.order, self.pos, self.nbrs, self.vertices = order, pos, nbrs, vertices
-        self._masks = self._orientation = self._components = self._elimination = None
+        self._edges = self._masks = self._orientation = self._components = self._elimination = None
         self._generators = self._subsets = None
 
     def own_id(self, v) -> int | None:
@@ -579,36 +597,35 @@ def vertex_token(v: Vertex) -> str:
     raise GraphToolError(f"unsupported vertex identifier type: {v!r}")
 
 
-class _Tokens(dict):
-    """Token -> parsed vertex, each token parsed at its first lookup."""
-
-    def __missing__(self, tok: str) -> Vertex:
-        v = self[tok] = parse_vertex_token(tok)
-        return v
-
-
 def parse_edge_list(text: str) -> Graph:
+    # Each distinct token gets an id at its first occurrence and is parsed there, so a bad token's error
+    # names its first line.  parse_vertex_token is injective, so a line is a loop iff its tokens are equal.
+    ids: dict = {}
     vertices: list[Vertex] = []
-    edges: list[tuple[Vertex, Vertex]] = []
-    parsed = _Tokens()  # a bad token raises at its first occurrence, so the error names its line
+    pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
         try:  # every error on a line, a token's own included, names the line
-            if len(toks) == 1:
-                vertices.append(parsed[toks[0]])
-            elif len(toks) == 2:
-                u, v = parsed[toks[0]], parsed[toks[1]]
-                if u == v:
-                    raise ParseError(f"loop edge {toks[0]!r}")
-                edges.append((u, v))
-            else:
+            if len(toks) > 2:
                 raise ParseError(f"expected 1 or 2 tokens, got {len(toks)}")
+            for tok in toks:
+                if tok not in ids:
+                    vertices.append(parse_vertex_token(tok))
+                    ids[tok] = len(ids)
+            if len(toks) == 2:
+                if toks[0] == toks[1]:
+                    raise ParseError(f"loop edge {toks[0]!r}")
+                pairs.append((ids[toks[0]], ids[toks[1]]))
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    return Graph.build(edges, vertices=vertices)
+    rank = sorted(range(len(vertices)), key=[vertex_key(v) for v in vertices].__getitem__)
+    new = [0] * len(rank)
+    for r, i in enumerate(rank):
+        new[i] = r
+    return Graph._on_ids([vertices[i] for i in rank], [(new[i], new[j]) for i, j in pairs])
 
 
 def format_edge_list(g: Graph) -> str:

@@ -17,6 +17,7 @@ from typing import Iterable
 from .errors import CapacityError, EmptySetError, StructuralError
 from .graph import (
     Graph,
+    GraphIndex,
     Vertex,
     _induced,
     bit_ids,
@@ -36,7 +37,7 @@ DEFAULT_TREEWIDTH_CAP = 14
 def _check_is_tree(tree: Graph) -> None:
     if not tree.vertices:
         raise StructuralError("decomposition tree must have at least one node")
-    if len(tree.edges) != len(tree.vertices) - 1 or not is_connected(tree):
+    if sum(map(len, tree.index.nbrs)) != 2 * (len(tree.vertices) - 1) or not is_connected(tree):
         raise StructuralError("decomposition tree is not a tree")
 
 
@@ -126,22 +127,36 @@ def torso(host: Graph, td: TreeDecomposition, t) -> Graph:
     return _induced(host, part, cliques)
 
 
+def _tree_parents(tree: GraphIndex) -> list[int]:
+    """Each node's parent id in a tree's ``GraphIndex``, rooted at id 0 (its key-least node), -1 at the root."""
+    return [-1 if p == t else p for t, p in enumerate(tree.parent_row(0))]
+
+
+def _subtree_unions(parent: list[int], part: list[int]) -> tuple[list[int], list[int]]:
+    """For the rooted forest in which node i's parent is ``parent[i]`` (-1 at
+    a root): the nodes with each parent before its children, and for each
+    node the OR of ``part`` over its subtree."""
+    kids: list = [[] for _ in parent]
+    preorder = []
+    for i, p in enumerate(parent):
+        (kids[p] if p >= 0 else preorder).append(i)
+    for i in preorder:  # the list grows while it is read
+        preorder.extend(kids[i])
+    below = part[:]
+    for i in reversed(preorder):
+        if parent[i] >= 0:
+            below[parent[i]] |= below[i]
+    return preorder, below
+
+
 def edge_separations(host: Graph, td: TreeDecomposition) -> dict:
     """Both sides of every tree edge, from one pass over the tree rooted at its
     key-least node: canonical tree edge (t1, t2) -> the unions of the parts on
     t1's side and on t2's side, as ``host.index`` masks."""
     tree = td.tree.index
     part = [host.index.bits(td.parts[t]) for t in tree.order]
-    parent = [-1] * len(part)
-    preorder = [0]
-    for t in preorder:  # the list grows while it is read
-        for c in tree.nbrs[t]:
-            if c != parent[t]:
-                parent[c] = t
-                preorder.append(c)
-    below = part[:]  # the parts in t's subtree
-    for t in reversed(preorder[1:]):
-        below[parent[t]] |= below[t]
+    parent = _tree_parents(tree)
+    preorder, below = _subtree_unions(parent, part)
     above = [0] * len(part)  # the parts outside t's subtree
     for t in preorder[1:]:
         p = parent[t]
@@ -262,26 +277,33 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
     return layer.get(full, bound)
 
 
-def heuristic_td(g: Graph) -> TreeDecomposition:
-    """Min-degree elimination tree-decomposition (deterministic tie-breaks).
-
-    Tree nodes are the elimination indices 0..n-1; node i's part is the bag of
-    the i-th vertex that ``min_degree_elimination`` removes.
-    """
-    index = g.index
-    if not index.order:
-        return TreeDecomposition(Graph.build(vertices=[0]), {0: frozenset()})
+def _elimination_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """The min-degree elimination tree: node i's part is the bag of the i-th
+    vertex ``min_degree_elimination`` removes, as a ``g.index`` mask, and its
+    parent is the least later node whose vertex is in that bag, else i + 1,
+    which links the trees of different components; the last node has parent
+    -1.  Returns ``(parent, part)``; a graph with no vertex gives one node with
+    an empty part."""
     elimination = min_degree_elimination(g)
-    pos = {v: i for i, (v, _) in enumerate(elimination)}  # id -> elimination index
-    edges = []
-    for i, (_, bag) in enumerate(elimination):
-        later = [pos[w] for w in bit_ids(bag) if pos[w] > i]
-        if later or i + 1 < len(elimination):
-            # A bag with no later vertex ends a component: link it to the next bag.
-            edges.append((i, min(later, default=i + 1)))
+    if not elimination:
+        return [-1], [0]
+    pos = [0] * len(elimination)  # id -> elimination index
+    for i, (v, _) in enumerate(elimination):
+        pos[v] = i
+    last = len(elimination) - 1
+    # Every id of a bag but the eliminated one goes later, as eliminated ids leave the graph.
+    parent = [min((pos[w] for w in bit_ids(bag ^ 1 << v)), default=i + 1 if i < last else -1)
+              for i, (v, bag) in enumerate(elimination)]
+    return parent, [bag for _, bag in elimination]
+
+
+def heuristic_td(g: Graph) -> TreeDecomposition:
+    """Min-degree elimination tree-decomposition (deterministic tie-breaks):
+    tree nodes are the elimination indices 0..n-1, on ``_elimination_tree``."""
+    parent, part = _elimination_tree(g)
     return TreeDecomposition(
-        Graph._on_ids(list(range(len(elimination))), edges),
-        {i: index.labels(bag) for i, (_, bag) in enumerate(elimination)},
+        Graph._on_ids(list(range(len(part))), [(i, p) for i, p in enumerate(parent) if p >= 0]),
+        {i: g.index.labels(m) for i, m in enumerate(part)},
     )
 
 

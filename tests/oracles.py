@@ -169,6 +169,40 @@ def _is_tight_pair(adj, a, b):
     return full_a and full_b
 
 
+def contract_to_tight(adj, tree_edges, parts, keep):
+    """A decomposition contracted to its tight edges, from the definitions:
+    tree edge st is kept iff its adhesion set parts[s] & parts[t] is in
+    ``keep`` (any set if None) and the separation whose sides are the unions
+    of the parts on either side of st is tight; every other edge is
+    contracted.  Each class of contracted nodes is named by its least node
+    under ``label_key`` and its part is the union of theirs.  Returns
+    (name -> part, set of kept edges as frozensets of names)."""
+    nodes = list(parts)
+
+    def reach(start, edges):
+        tree = adjacency(edges, nodes)
+        seen, todo = {start}, [start]
+        while todo:
+            for w in tree[todo.pop()] - seen:
+                seen.add(w)
+                todo.append(w)
+        return seen
+
+    kept = []
+    for e in tree_edges:
+        s, t = e
+        rest = [f for f in tree_edges if f != e]
+        side_s, side_t = (frozenset().union(*(parts[x] for x in reach(y, rest))) for y in (s, t))
+        if (keep is None or parts[s] & parts[t] in keep) and _is_tight_pair(adj, side_s, side_t):
+            kept.append(e)
+    contracted = [e for e in tree_edges if e not in kept]
+    name = {x: min(reach(x, contracted), key=label_key) for x in nodes}
+    out = {}
+    for x in nodes:
+        out[name[x]] = out.get(name[x], frozenset()) | parts[x]
+    return out, {frozenset((name[s], name[t])) for s, t in kept}
+
+
 def tight_separations_exhaustive(adj, k):
     """All tight separations of order exactly k by scanning all 3^n ways to
     put each vertex in A only, B only, or both.  Only usable for tiny graphs."""

@@ -507,6 +507,25 @@ def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypat
     assert verify_output(b, out).passed
 
 
+def test_build_h_reads_the_elimination_tree_only_where_an_edge_may_be_kept(monkeypatch):
+    """build_H contracts the min-degree elimination tree on masks and builds
+    no label decomposition: on the one-part planar grid, with no size-3 outer
+    adhesion set, it reads no elimination tree; on a bounded-treewidth torso it
+    reads one, and ``heuristic_td`` still never runs."""
+    calls = []
+    real_tree, real_heuristic = construction._elimination_tree, treedecomp.heuristic_td
+    monkeypatch.setattr(construction, "_elimination_tree", lambda g: calls.append("tree") or real_tree(g))
+    monkeypatch.setattr(treedecomp, "heuristic_td", lambda g: calls.append("heuristic_td") or real_heuristic(g))
+    grid = grid_graph(9, 9)
+    b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
+                       infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
+    assert verify_output(b, build_H(b)).passed and calls == []
+    b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=2)
+    out = build_H(b)
+    assert out.classification == {"t": BOUNDED_TW} and calls == ["tree"]
+    assert verify_output(b, out).passed
+
+
 def test_a_part_holding_the_whole_host_has_the_host_as_its_torso(monkeypatch):
     """With every host vertex and no adhesion set of two or more vertices, a
     part's torso is the host itself; with a larger adhesion set it is built.
@@ -875,3 +894,45 @@ def test_bundle_with_classification_round_trips_through_json():
     b2 = bundle_from_dict(json.loads(json.dumps(data)), b.host)
     assert (b2.classification, b2.infinite_markers, b2.k, b2.finite_threshold) == ({"t": BOUNDED_TW}, {0, 5}, 3, 6)
     assert {t: td_to_dict(td) for t, td in b2.sub_tds.items()} == {"t": td_to_dict(sub)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 11), st.sampled_from([0.15, 0.3, 0.5, 0.8]), st.sampled_from(["none", "empty", "triples"]),
+       st.integers(0, 10_000))
+def test_tight_contraction_on_masks_matches_its_definition(n, p, keep_kind, seed):
+    """The min-degree sub-decomposition contracted on masks, and a supplied one
+    as ``_contract_to_tight`` and ``refine_planar_torso`` contract it, equal the
+    oracle's contraction from the definitions and ``contract_td_edges`` of the
+    label decomposition at its tight kept edges: names, parts and tree.  On
+    random graphs, disconnected ones among them, with a keep of None, an empty
+    keep, or random size-3 sets."""
+    from coarsegraph.separations import is_tight
+    from coarsegraph.treedecomp import contract_td_edges, edge_separation
+
+    rng = random.Random(seed)
+    vs, es = oracles.random_graph(rng, n, p)
+    g = Graph.build(es, vertices=vs)
+    adj = oracles.adjacency(es, vs)
+    keep = None if keep_kind == "none" else set()
+    if keep_kind == "triples" and n >= 3:
+        keep = {frozenset(rng.sample(vs, 3)) for _ in range(rng.randint(1, 6))}
+
+    def check(sub, got):
+        parts, edges = oracles.contract_to_tight(adj, sub.tree.sorted_edges(), sub.parts, keep)
+        assert got.parts == parts and {frozenset(e) for e in got.tree.edges} == edges
+        tight = [e for e, a in adhesion_sets(sub).items()
+                 if (keep is None or a in keep) and is_tight(g, edge_separation(g, sub, e))]
+        ref = contract_td_edges(sub, tight)[0]
+        assert (got.tree, got.parts) == (ref.tree, ref.parts)
+        assert got.tree.index.order == ref.tree.index.order
+
+    plain = heuristic_td(g)
+    check(plain, construction._sub_decomposition(g, None, keep))
+    supplied = contract_td_edges(plain, [e for e in plain.tree.sorted_edges() if rng.random() < 0.6])[0]
+    check(supplied, construction._contract_to_tight(g, supplied, keep))
+    if keep is not None:
+        try:
+            ref = refine_planar_torso(g, supplied, keep)
+        except PlanarityContradictionError:
+            return
+        check(supplied, ref.contracted)

@@ -551,3 +551,60 @@ def test_a_vertex_too_deep_to_key_is_a_typed_error():
         Graph.build([(_nested(1_000, 0), 0)])
     assert str(exc.value) == "a vertex identifier nests too deep to key"
     assert len(Graph.build([((_nested(MAX_VERTEX_DEPTH), 1), 0)])) == 2  # an H name nests one level deeper
+
+
+def test_a_loop_line_parses_its_token_first_and_equal_tokens_alone_make_a_loop():
+    """A line is a loop iff its two tokens are equal: a bad token's own error
+    comes first, and tokens that parse to different vertices ("1" and "01")
+    make an edge."""
+    deep = "(" * 400 + "a" + ")" * 400
+    with pytest.raises(ParseError, match="^line 1: vertex token nests deeper"):
+        parse_edge_list(f"{deep} {deep}\n")
+    with pytest.raises(ParseError, match=r"^line 2: loop edge '\(a\|1\)'$"):
+        parse_edge_list("(a|1) b\n(a|1) (a|1)\n")
+    assert parse_edge_list("1 01\n").edges == {(1, "01")}
+
+
+def _mixed_vertex(i: int):
+    return (i, "x") if i % 3 == 0 else f"v{i}" if i % 3 == 1 else i
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9), st.sampled_from([0.2, 0.5, 0.9]), st.integers(0, 10_000))
+def test_graphs_are_equal_exactly_when_their_vertex_and_edge_sets_agree(n, p, seed):
+    """``edges`` is the oracle's edge set, built once; graphs made by build,
+    _induced, parse_edge_list and relabel, and variants one vertex or one
+    edge away, are equal, with equal hashes, exactly when their vertex and
+    edge sets agree; the edge-list round trip gives back the same index."""
+    from coarsegraph.graph import _induced
+
+    rng = random.Random(seed)
+    ids, pairs = oracles.random_graph(rng, n, p)
+    vs = [_mixed_vertex(i) for i in ids]
+    es = [(_mixed_vertex(i), _mixed_vertex(j)) for i, j in pairs]
+    g = Graph.build(es, vertices=vs)
+    assert g.edges is g.edges
+    assert g.edges == {tuple(sorted(e, key=oracles.label_key)) for e in es}
+    assert repr(g) == f"Graph(vertices={g.vertices!r}, edges={g.edges!r})"
+    back = parse_edge_list(format_edge_list(g))
+    assert back == g and (back.index.order, back.index.nbrs) == (g.index.order, g.index.nbrs)
+    extra = "w"
+    host = Graph.build(es + [(extra, v) for v in vs[:2]], vertices=vs + [extra])
+    renamed = relabel(g, {v: ("r", v) for v in vs})
+    made = [(g, es, vs), (_induced(host, vs), es, vs), (back, es, vs),
+            (relabel(renamed, {("r", v): v for v in vs}), es, vs),
+            (Graph.build(es, vertices=vs + [extra]), es, vs + [extra])]
+    if es:
+        made.append((Graph.build(es[1:], vertices=vs), es[1:], vs))
+    missing = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:] if (u, v) not in es and (v, u) not in es]
+    if missing:
+        made.append((parse_edge_list(format_edge_list(g) + " ".join(map(vertex_token, missing[0])) + "\n"),
+                     es + missing[:1], vs))
+    sets = [(frozenset(ws), frozenset(tuple(sorted(e, key=oracles.label_key)) for e in fs)) for _, fs, ws in made]
+    for (a, _, _), sa in zip(made, sets):
+        assert (a.vertices, a.edges) == sa
+        for (b, _, _), sb in zip(made, sets):
+            assert (a == b) == (sa == sb)
+            if sa == sb:
+                assert hash(a) == hash(b)
+    assert g != (g.vertices, g.edges)
