@@ -52,13 +52,10 @@ from .treedecomp import (
     TreeDecomposition,
     adhesion_sets,
     clique_subtree,
-    contract_td_edges,
     _elimination_tree,
     _subtree_unions,
     _tree_parents,
-    edge_separations,
     exact_treewidth,
-    heuristic_td,  # not called: bound for callers that patch it to check that build_H builds no label decomposition
     min_degree_elimination,
     torso,
     tree_center,
@@ -190,49 +187,44 @@ def check_classification(host: Graph, td: TreeDecomposition, k: int, classificat
 
 def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, keep: set | None = None) -> TreeDecomposition:
     """The torso's sub-decomposition contracted to its tight edges whose
-    adhesion set is in ``keep`` (any set if None).  A supplied one must be
-    valid, of adhesion ≤ 3 when ``keep`` is given, and tight on every edge, so
-    its adhesion sets alone decide; else the min-degree elimination tree is
-    contracted, and with ``keep`` empty the one node it would contract to is
-    built directly."""
+    adhesion set is in ``keep`` (any set if None): the supplied one, or else
+    the min-degree elimination tree (with ``keep`` empty, the one node it would
+    contract to, built directly).  A supplied one must be valid, of adhesion
+    ≤ 3 when ``keep`` is given, and tight on every edge, each edge tested once;
+    its adhesion sets alone then decide.
+
+    Tree node i is ``nodes[i]``, in key order, with its edge to ``parent[i]``
+    (-1 at the root) and its part as the ``torso_graph.index`` mask
+    ``part[i]``.  Edge i has the adhesion part[i] & part[parent[i]] and the
+    sides below[i], the parts of i's subtree, and the rest with the adhesion.
+    Contracting other edges changes neither, so one pass decides all.  Each
+    class of contracted nodes is named by its least node, and its part is
+    made once."""
+    index = torso_graph.index
     if provided is None:
         if keep is not None and not keep:
             return TreeDecomposition(Graph.build((), [0]), {0: torso_graph.vertices})
         parent, part = _elimination_tree(torso_graph)
-        return _tight_contraction(torso_graph, list(range(len(part))), parent, part, keep)
-    rep = validate(torso_graph, provided)
-    if not rep.ok:
-        raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
-    seps = edge_separations(torso_graph, provided)
-    for e in provided.tree.sorted_edges():
-        a, b = seps[e]
-        if keep is not None and (a & b).bit_count() > 3:
-            raise ContractViolationError(f"sub-decomposition adhesion {(a & b).bit_count()} exceeds 3")
-        if not _tight_on_masks(torso_graph, a, b):
-            raise ContractViolationError(f"sub-decomposition edge {e!r} has a non-tight separation")
-    return contract_td_edges(provided, [e for e, s in adhesion_sets(provided).items() if keep is None or s in keep])[0]
-
-
-def _contract_to_tight(torso_graph: Graph, sub_td: TreeDecomposition, adhesions: set | None = None) -> TreeDecomposition:
-    """``_tight_contraction`` on a supplied sub-decomposition, its tree rooted at its key-least node."""
-    tree = sub_td.tree.index
-    part = [torso_graph.index.bits(sub_td.parts[t]) for t in tree.order]
-    return _tight_contraction(torso_graph, tree.order, _tree_parents(tree), part, adhesions)
-
-
-def _tight_contraction(g: Graph, nodes: list, parent: list[int], part: list[int], adhesions: set | None) -> TreeDecomposition:
-    """Contract every edge of a decomposition of g except the tight ones whose
-    adhesion set is in ``adhesions`` (any set if None).  Tree node i is
-    ``nodes[i]``, in key order, with its edge to ``parent[i]`` (-1 at the
-    root) and its part as the ``g.index`` mask ``part[i]``.  Edge i has the
-    adhesion part[i] & part[parent[i]] and the sides below[i], the parts of
-    i's subtree, and the rest with the adhesion.  Contracting other edges
-    changes neither, so one pass decides all.  Each class of contracted nodes
-    is named by its least node, and its part is made once."""
-    index = g.index
+        nodes = list(range(len(part)))
+    else:
+        rep = validate(torso_graph, provided)
+        if not rep.ok:
+            raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
+        tree = provided.tree.index
+        nodes, parent = tree.order, _tree_parents(tree)
+        part = [index.bits(provided.parts[t]) for t in nodes]
     full = (1 << len(index.order)) - 1
-    keep = None if adhesions is None else {index.bits(s) for s in adhesions if s <= g.vertices}
     preorder, below = _subtree_unions(parent, part)
+    if provided is not None:
+        for a, b in provided.tree.sorted_edges():
+            i, j = tree.pos[a], tree.pos[b]
+            i, j = (i, j) if parent[i] == j else (j, i)  # i is the child
+            adhesion = part[i] & part[j]
+            if keep is not None and adhesion.bit_count() > 3:
+                raise ContractViolationError(f"sub-decomposition adhesion {adhesion.bit_count()} exceeds 3")
+            if not _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion):
+                raise ContractViolationError(f"sub-decomposition edge {(a, b)!r} has a non-tight separation")
+    wanted = None if keep is None else {index.bits(s) for s in keep if s <= torso_graph.vertices}
     top = list(range(len(parent)))  # the node of i's class nearest the root
     kept = []
     for i in preorder:
@@ -240,7 +232,8 @@ def _tight_contraction(g: Graph, nodes: list, parent: list[int], part: list[int]
         if p < 0:
             continue
         adhesion = part[i] & part[p]
-        if (keep is None or adhesion in keep) and _tight_on_masks(g, below[i], full & ~below[i] | adhesion):
+        if (wanted is None or adhesion in wanted) and (
+                provided is not None or _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion)):
             kept.append(i)
         else:
             top[i] = top[p]
@@ -252,8 +245,8 @@ def _tight_contraction(g: Graph, nodes: list, parent: list[int], part: list[int]
             masks.append(0)
         cls[i] = first[t]
         masks[cls[i]] |= part[i]
-    tree = Graph._on_ids(names, [(cls[i], cls[parent[i]]) for i in kept])
-    return TreeDecomposition(tree, {s: index.labels(m) for s, m in zip(names, masks)})
+    return TreeDecomposition(Graph._on_ids(names, [(cls[i], cls[parent[i]]) for i in kept]),
+                             {s: index.labels(m) for s, m in zip(names, masks)})
 
 
 @dataclass(frozen=True)
@@ -266,13 +259,15 @@ class PlanarRefinement:
     warnings: tuple
 
 
-def refine_planar_torso(torso_graph: Graph, sub_td: TreeDecomposition, outer_sets: Iterable[frozenset],
+def refine_planar_torso(torso_graph: Graph, sub_td: TreeDecomposition | None, outer_sets: Iterable[frozenset],
                         markers: frozenset = frozenset()) -> PlanarRefinement:
-    """Contract the sub-decomposition down to its tight edges whose adhesion
-    set is a size-3 outer set, then prune its parts (``_prune``)."""
+    """Contract the sub-decomposition (the supplied ``sub_td``, checked as
+    ``_sub_decomposition`` checks it, or the min-degree one if None) down to
+    its tight edges whose adhesion set is a size-3 outer set, then prune its
+    parts (``_prune``)."""
     outer = sorted({frozenset(s) for s in outer_sets if s}, key=set_key)
-    contracted = _contract_to_tight(torso_graph, sub_td, {s for s in outer if len(s) == 3})
-    return _prune(torso_graph, contracted, outer, markers)
+    return _prune(torso_graph, _sub_decomposition(torso_graph, sub_td, {s for s in outer if len(s) == 3}),
+                  outer, markers)
 
 
 def _prune(torso_graph: Graph, contracted: TreeDecomposition, outer: list, markers: frozenset) -> PlanarRefinement:
@@ -432,8 +427,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
                 ends = [center.location] if center.kind == "vertex" else center.location
                 edges.extend((hub[S], name[s]) for s in ends)
         else:
-            sub = _sub_decomposition(torsos[t], provided, {S for S in outer if len(S) == 3})
-            ref = refinements[t] = _prune(torsos[t], sub, outer, bundle.infinite_markers)
+            ref = refinements[t] = refine_planar_torso(torsos[t], provided, outer, bundle.infinite_markers)
             warnings.extend(ref.warnings)
             for s in ref.contracted.tree.sorted_vertices():
                 g, base = ref.kept[s], len(pl)  # the planar copies come first, so their ids are final

@@ -1,4 +1,4 @@
-"""Tree-decompositions: validation, torsos, widths, contraction, tree centers.
+"""Tree-decompositions: validation, torsos, widths, tree centers.
 
 A tree-decomposition of G is a tree T plus a family of parts (V_t) with
 (T1) the parts cover V(G),
@@ -308,43 +308,8 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# contraction, clique subtrees, centers
+# clique subtrees, centers
 # ---------------------------------------------------------------------------
-
-
-def contract_td_edges(td: TreeDecomposition, keep: Iterable[tuple]) -> tuple[TreeDecomposition, dict]:
-    """Contract every tree edge not in ``keep``; merged parts are unions.
-
-    Returns the contracted decomposition and a map original node -> new node.
-    New node identifiers are the key-minimal members of their merged class.
-    """
-    # Each class is a component of T minus the kept edges, named by its lowest
-    # id (its key-least node); found in id order, the classes are in key order.
-    index = td.tree.index
-    masks, pairs, unknown = index.masks[:], [], set()
-    for a, b in keep:
-        i, j = index.pos.get(a), index.pos.get(b)
-        if i is None or j is None or not index.masks[i] >> j & 1:
-            unknown.add(canonical_edge(a, b))
-            continue
-        pairs.append((i, j))
-        masks[i] &= ~(1 << j)
-        masks[j] &= ~(1 << i)
-    if unknown:
-        raise StructuralError(f"keep contains non-tree edges: {sorted(unknown, key=str)!r}")
-    cls = [0] * len(masks)  # tree id -> class id
-    reps: list = []
-    for comp, _ in mask_components(masks):
-        for i in bit_ids(comp):
-            cls[i] = len(reps)
-        reps.append(index.order[(comp & -comp).bit_length() - 1])
-    rep = {t: reps[c] for t, c in zip(index.order, cls)}
-    new_parts: dict = {}
-    for t, p in td.parts.items():
-        new_parts.setdefault(rep[t], frozenset())
-        new_parts[rep[t]] |= p
-    new_tree = Graph._on_ids(reps, [(cls[i], cls[j]) for i, j in pairs])
-    return TreeDecomposition(new_tree, new_parts), rep
 
 
 def clique_subtree(td: TreeDecomposition, s: Iterable[Vertex]) -> Graph:

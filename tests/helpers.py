@@ -7,8 +7,8 @@ from dataclasses import replace
 import oracles
 from coarsegraph.construction import BOUNDED_TW, PLANAR, TORSO_KINDS, InstanceBundle, build_H
 from coarsegraph.corpus import relabel_bundle
-from coarsegraph.graph import Graph, relabel, sort_vertices
-from coarsegraph.treedecomp import TreeDecomposition, contract_td_edges, heuristic_td, torso
+from coarsegraph.graph import Graph, components, relabel, sort_vertices
+from coarsegraph.treedecomp import TreeDecomposition, heuristic_td, torso
 
 
 def rename_quotient_vertex(v: tuple, sigma: dict, tau: dict) -> tuple:
@@ -37,8 +37,17 @@ def assert_equivariant(inst) -> None:
 
 
 def _randomly_contracted(rng, td: TreeDecomposition, keep: float = 0.5) -> TreeDecomposition:
-    """``td`` with each tree edge kept with probability ``keep``, else contracted."""
-    return contract_td_edges(td, [e for e in td.tree.sorted_edges() if rng.random() < keep])[0]
+    """``td`` with each tree edge kept with probability ``keep``, else
+    contracted: each component of the tree on the contracted edges becomes one
+    node, named by its key-least node, whose part is the union of theirs."""
+    kept, merged = [], []
+    for e in td.tree.sorted_edges():
+        (kept if rng.random() < keep else merged).append(e)
+    name = {t: sort_vertices(c)[0] for c in components(Graph.build(merged, vertices=td.tree.vertices)) for t in c}
+    parts: dict = {}
+    for t, part in td.parts.items():
+        parts[name[t]] = parts.get(name[t], frozenset()) | part
+    return TreeDecomposition(Graph.build([(name[a], name[b]) for a, b in kept], vertices=parts), parts)
 
 
 def random_bundle(rng) -> InstanceBundle:

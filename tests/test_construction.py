@@ -62,7 +62,7 @@ from fractions import Fraction
 
 import oracles
 from coarsegraph import construction, graph, planarity, treedecomp
-from helpers import random_bundle, supplied_bundle
+from helpers import _randomly_contracted, random_bundle, supplied_bundle
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +378,12 @@ def test_refinement_keeps_only_tight_size_three_outer_edges():
     assert sorted(tight.contracted.tree.vertices) == [0, 1]
     # Not an outer set: contracted though tight.
     assert sorted(refine_planar_torso(_two_sided_torso(S), TWO_PART_SUB, []).contracted.tree.vertices) == [0]
-    # y misses s3, so the edge's separation is not tight: contracted though S is outer.
+    # y misses s3, so the edge's separation is not tight: a supplied tree is
+    # refused, and the min-degree tree, whose adhesion sets are not S, is contracted.
     g = _two_sided_torso(["s1", "s2"])
-    loose = refine_planar_torso(g, TWO_PART_SUB, [S])
+    with pytest.raises(ContractViolationError, match="non-tight"):
+        refine_planar_torso(g, TWO_PART_SUB, [S])
+    loose = refine_planar_torso(g, None, [S])
     assert loose.contracted.parts == {0: g.vertices}
     assert loose.kept == {0: g} and loose.deletions == ()
 
@@ -474,10 +477,10 @@ def test_bounded_treewidth_sub_decompositions_are_checked_before_planar_ones():
 
 def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
     """A one-part torso has no outer adhesion set, so no edge of its
-    sub-decomposition is a candidate to keep."""
+    sub-decomposition is a candidate to keep, and none is tested for tightness."""
     calls = []
-    real = construction.edge_separations
-    monkeypatch.setattr(construction, "edge_separations", lambda g, td: calls.append(td) or real(g, td))
+    real = construction._tight_on_masks
+    monkeypatch.setattr(construction, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
     grid = grid_graph(9, 9)
     b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
@@ -493,8 +496,8 @@ def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypat
     host with no adhesion set, so every torso taken is the host itself and no
     torso graph is built."""
     calls, torsos = [], []
-    real_heuristic, real_induced, real_torso = construction.heuristic_td, treedecomp._induced, construction.torso
-    monkeypatch.setattr(construction, "heuristic_td", lambda *a: calls.append("heuristic_td") or real_heuristic(*a))
+    real_tree, real_induced, real_torso = construction._elimination_tree, treedecomp._induced, construction.torso
+    monkeypatch.setattr(construction, "_elimination_tree", lambda *a: calls.append("tree") or real_tree(*a))
     monkeypatch.setattr(treedecomp, "_induced", lambda *a: calls.append("_induced") or real_induced(*a))
     monkeypatch.setattr(construction, "torso", lambda *a: torsos.append(real_torso(*a)) or torsos[-1])
     grid = grid_graph(9, 9)
@@ -900,15 +903,13 @@ def test_bundle_with_classification_round_trips_through_json():
 @given(st.integers(0, 11), st.sampled_from([0.15, 0.3, 0.5, 0.8]), st.sampled_from(["none", "empty", "triples"]),
        st.integers(0, 10_000))
 def test_tight_contraction_on_masks_matches_its_definition(n, p, keep_kind, seed):
-    """The min-degree sub-decomposition contracted on masks, and a supplied one
-    as ``_contract_to_tight`` and ``refine_planar_torso`` contract it, equal the
-    oracle's contraction from the definitions and ``contract_td_edges`` of the
-    label decomposition at its tight kept edges: names, parts and tree.  On
-    random graphs, disconnected ones among them, with a keep of None, an empty
-    keep, or random size-3 sets."""
-    from coarsegraph.separations import is_tight
-    from coarsegraph.treedecomp import contract_td_edges, edge_separation
-
+    """The min-degree sub-decomposition contracted on masks equals the oracle's
+    contraction from the definitions: names, parts and tree.  A supplied one,
+    as ``_sub_decomposition`` and ``refine_planar_torso`` take it, is refused
+    exactly when the oracle finds a non-tight edge (or, with a keep, an
+    adhesion set above 3), and else equals the oracle's contraction.  On random
+    graphs, disconnected ones among them, with a keep of None, an empty keep,
+    or random size-3 sets."""
     rng = random.Random(seed)
     vs, es = oracles.random_graph(rng, n, p)
     g = Graph.build(es, vertices=vs)
@@ -917,22 +918,27 @@ def test_tight_contraction_on_masks_matches_its_definition(n, p, keep_kind, seed
     if keep_kind == "triples" and n >= 3:
         keep = {frozenset(rng.sample(vs, 3)) for _ in range(rng.randint(1, 6))}
 
-    def check(sub, got):
-        parts, edges = oracles.contract_to_tight(adj, sub.tree.sorted_edges(), sub.parts, keep)
-        assert got.parts == parts and {frozenset(e) for e in got.tree.edges} == edges
-        tight = [e for e, a in adhesion_sets(sub).items()
-                 if (keep is None or a in keep) and is_tight(g, edge_separation(g, sub, e))]
-        ref = contract_td_edges(sub, tight)[0]
-        assert (got.tree, got.parts) == (ref.tree, ref.parts)
-        assert got.tree.index.order == ref.tree.index.order
+    def contract(sub, keep):
+        return oracles.contract_to_tight(adj, sub.tree.sorted_edges(), sub.parts, keep)
 
-    plain = heuristic_td(g)
-    check(plain, construction._sub_decomposition(g, None, keep))
-    supplied = contract_td_edges(plain, [e for e in plain.tree.sorted_edges() if rng.random() < 0.6])[0]
-    check(supplied, construction._contract_to_tight(g, supplied, keep))
+    def check(sub, got):
+        parts, edges = contract(sub, keep)
+        assert got.parts == parts and {frozenset(e) for e in got.tree.edges} == edges
+
+    check(heuristic_td(g), construction._sub_decomposition(g, None, keep))
+    supplied = _randomly_contracted(rng, heuristic_td(g), keep=0.6)
+    edges = supplied.tree.sorted_edges()
+    refused = len(contract(supplied, None)[1]) < len(edges) or (
+        keep is not None and any(len(supplied.parts[s] & supplied.parts[t]) > 3 for s, t in edges))
+    calls = [lambda: construction._sub_decomposition(g, supplied, keep)]
     if keep is not None:
+        calls.append(lambda: refine_planar_torso(g, supplied, keep).contracted)
+    for call in calls:
+        if refused:
+            with pytest.raises(ContractViolationError):
+                call()
+            continue
         try:
-            ref = refine_planar_torso(g, supplied, keep)
+            check(supplied, call())
         except PlanarityContradictionError:
-            return
-        check(supplied, ref.contracted)
+            pass

@@ -20,7 +20,6 @@ from coarsegraph.treedecomp import (
     adhesion,
     adhesion_sets,
     clique_subtree,
-    contract_td_edges,
     edge_separation,
     exact_treewidth,
     heuristic_td,
@@ -331,34 +330,6 @@ def test_heuristic_width_upper_bounds_exact():
         assert width(heuristic_td(g)) >= exact_treewidth(g)
 
 
-def test_contract_preserves_validity():
-    rng = random.Random(45)
-    for _ in range(20):
-        vs, es = oracles.random_connected_graph(rng, rng.randint(3, 14), 0.25)
-        g = Graph.build(es, vertices=vs)
-        td = heuristic_td(g)
-        edges = td.tree.sorted_edges()
-        keep = [e for e in edges if rng.random() < 0.5]
-        new_td, mapping = contract_td_edges(td, keep)
-        assert validate(g, new_td).ok
-        assert set(mapping) == set(td.tree.vertices)
-        for t, part in td.parts.items():
-            assert part <= new_td.parts[mapping[t]]
-        # Each node maps to the key-least node of its class: its component off the kept edges.
-        rest = oracles.adjacency([e for e in edges if e not in keep], td.tree.vertices)
-        for cls in oracles.components_without(rest, ()):
-            least = min(cls, key=oracles.label_key)
-            assert all(mapping[t] == least for t in cls)
-
-
-def test_contract_everything_gives_one_part():
-    g = cycle_graph(6)
-    td = heuristic_td(g)
-    new_td, _ = contract_td_edges(td, [])
-    assert len(new_td.parts) == 1
-    assert next(iter(new_td.parts.values())) == g.vertices
-
-
 def test_clique_subtree_of_three_consecutive_parts():
     """A path decomposition where exactly three consecutive parts contain S."""
     s = frozenset({"x", "y"})
@@ -457,13 +428,6 @@ def test_malformed_td_json_raises_typed_errors(data):
 
 def _path_td() -> TreeDecomposition:
     return TreeDecomposition(path_graph(3), {0: frozenset({0, 1}), 1: frozenset({1, 2}), 2: frozenset({2, 3})})
-
-
-def test_contract_td_edges_refuses_non_tree_keep_edges():
-    """Every keep edge that is no tree edge is named, sorted by its text."""
-    with pytest.raises(StructuralError) as exc:
-        contract_td_edges(_path_td(), [(0, 2), ("z", 0), (0, 1)])
-    assert str(exc.value) == "keep contains non-tree edges: [(0, 'z'), (0, 2)]"
 
 
 def test_heuristic_td_of_the_empty_graph_is_one_empty_part():
