@@ -31,13 +31,11 @@ from .errors import (
     StructuralError,
 )
 from .graph import (
-    MAX_VERTEX_DEPTH,
     Graph,
     bit_ids,
     cut_vertices,
     induced_subgraph,
     is_connected,
-    nests_deeper,
     parse_vertex_token,
     set_key,
     sort_vertices,
@@ -85,9 +83,6 @@ class InstanceBundle:
 
 
 def validate_bundle(bundle: InstanceBundle) -> None:
-    # A host vertex deeper than the read bound would pass, but its output could not be written and read back.
-    if any(isinstance(v, tuple) and nests_deeper(v) for v in bundle.host.vertices):
-        raise ContractViolationError(f"a host vertex nests deeper than {MAX_VERTEX_DEPTH} levels")
     report = validate(bundle.host, bundle.td)
     if not report.ok:
         raise StructuralError(f"tree-decomposition invalid: ({report.axiom}) {report.message}")
@@ -338,6 +333,12 @@ def tw_torso_attachment(sub_td: TreeDecomposition, S: frozenset) -> TreeCenter:
 # ---------------------------------------------------------------------------
 
 
+def _hubs(adhesion: Iterable[frozenset]) -> dict:
+    """The hub ``("xS", *S)`` of each distinct non-empty adhesion set S, in ``set_key`` order, in
+    which the names compare too."""
+    return {S: ("xS", *sort_vertices(S)) for S in sorted({S for S in adhesion if S}, key=set_key)}
+
+
 @dataclass(frozen=True)
 class Bounds:
     b1: int
@@ -353,7 +354,6 @@ class ConstructionOutput:
     H: Graph
     phi: dict
     bounds: Bounds
-    provenance: dict
     classification: dict
     finite_threshold: int
     warnings: tuple
@@ -370,18 +370,13 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
         check_classification(host, td, bundle.k, classification, bundle.finite_threshold, torsos=torsos)
 
     warnings: list = []
-    all_adh = adhesion_sets(td)
-    distinct_adh = sorted(
-        {s for s in all_adh.values() if s},
-        key=set_key,
-    )
-    if any(not s for s in all_adh.values()):
+    all_adh = adhesion_sets(td).values()
+    if not all(all_adh):
         warnings.append("empty adhesion set: the corresponding tree edge contributes no gluing vertex")
 
     # (i) one hub vertex per adhesion set; a vertex's hub is that of the key-least set holding it
-    hub = {S: ("xS", *sort_vertices(S)) for S in distinct_adh}
+    hub = _hubs(all_adh)
     edges: list = []
-    provenance: dict = {x: {"kind": "adhesion-set", "set": list(x[1:])} for x in hub.values()}
     hub_of: dict = {}
     for S, x in hub.items():
         for v in S:
@@ -404,12 +399,11 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     copy_of: dict = {}
     own: dict = {}
     for t in sorted(td.tree.sorted_vertices(), key=lambda t: TORSO_KINDS.index(classification[t])):
-        outer = [S for S in distinct_adh if S <= td.parts[t]]
+        outer = [S for S in hub if S <= td.parts[t]]
         provided = bundle.sub_tds.get(t)
         if classification[t] == FINITE:
             x = ("xt", t)
             xt.append(x)
-            provenance[x] = {"kind": "finite-torso", "node": t}
             edges.extend((hub[S], x) for S in outer)
             for v in td.parts[t]:
                 own.setdefault(v, x)
@@ -418,7 +412,6 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             name = {s: ("tw", t, s) for s in sub.tree.sorted_vertices()}
             for s, x in name.items():
                 tw.append(x)
-                provenance[x] = {"kind": "tree-copy", "node": t, "tree_node": s}
                 for v in sub.parts[s]:
                     own.setdefault(v, x)
             edges.extend((name[s1], name[s2]) for (s1, s2) in sub.tree.sorted_edges())
@@ -434,7 +427,6 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
                 name = {v: ("pl", t, s, v) for v in g.index.order}
                 for v, x in name.items():
                     pl.append(x)
-                    provenance[x] = {"kind": "planar-copy", "node": t, "part": s, "vertex": v}
                     copy_of.setdefault(v, x)
                 pairs.extend((base + i, base + j) for i, js in enumerate(g.index.nbrs) for j in js if j > i)
                 edges.extend((hub[S], name[v]) for S in outer if S <= g.vertices for v in S)
@@ -459,7 +451,6 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
         H=H,
         phi=phi,
         bounds=bounds,
-        provenance=provenance,
         classification=dict(classification),
         finite_threshold=bundle.finite_threshold,
         warnings=tuple(warnings),
@@ -473,7 +464,6 @@ def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
     b4 = 0
     for t, sub in sub_tds.items():
         index = torsos[t].index
-        masks = index.masks
         # Per torso id, the ids sharing a part with it and the parts holding it.
         near, count = [0] * len(index.order), [0] * len(index.order)
         for part in sub.parts.values():
@@ -482,22 +472,13 @@ def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
                 near[x] |= m
                 count[x] += 1
         b4 = max([b4, *count])
-        # One BFS per id, stopped once it has reached every id sharing a part with it.
-        for x, want in enumerate(near):
-            seen = frontier = 1 << x
-            d = 0
-            while want & ~seen:
-                grow = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    grow |= masks[low.bit_length() - 1]
-                frontier = grow & ~seen
-                if not frontier:
-                    raise StructuralError(f"part of the sub-decomposition at {t!r} is not connected within its torso")
-                seen |= frontier
-                d += 1
-            b3 = max(b3, d)
+        if any(near[x] & ~comp for comp in index.component_masks for x in bit_ids(comp)):
+            raise StructuralError(f"part of the sub-decomposition at {t!r} is not connected within its torso")
+        # b3 is at least the first BFS level at which every id's ball holds every id sharing a part with it.
+        for d, balls in enumerate(index.ball_levels([1 << x for x in range(len(near))])):
+            if all(want & ~ball == 0 for want, ball in zip(near, balls)):
+                b3 = max(b3, d)
+                break
     b5 = 1 + max((refinements[t].max_deleted for t in refinements), default=0) if refinements else 0
     b = max(b1, b3 * b4, b5)
     return Bounds(b1, b2, b3, b4, b5, b)
@@ -548,9 +529,9 @@ def verify_output(bundle: InstanceBundle, out: ConstructionOutput) -> Verificati
             if not within:
                 failures.append(f"tightest c = {c} exceeds B = {out.bounds.b} (+{tolerance} marker tolerance)")
 
-    # A hub of degree ≥ 2 separates its attachment sides exactly when it is a cut vertex of H.
-    hubs = sort_vertices(x for x, rec in out.provenance.items()
-                         if rec.get("kind") == "adhesion-set" and out.H.degree(x) >= 2)
+    # A hub of degree ≥ 2 separates its attachment sides exactly when it is a cut vertex of H.  The hubs
+    # come from the bundle, so a name missing from H is skipped; the names sort as their sets do.
+    hubs = [x for x in _hubs(adhesion_sets(bundle.td).values()).values() if x in out.H and out.H.degree(x) >= 2]
     cuts = cut_vertices(out.H) if hubs else frozenset()
     cut_failures = [x for x in hubs if x not in cuts]
     if cut_failures:
@@ -632,14 +613,22 @@ def _json_int(value, key: str) -> int:
     raise ParseError(f"bundle key {key!r} must be an integer, not {value!r}")
 
 
-def _provenance_record_to_dict(rec: dict) -> dict:
-    out: dict = {"kind": rec["kind"]}
-    for key in ("node", "tree_node", "part", "vertex"):
-        if key in rec:
-            out[key] = vertex_token(rec[key])
-    if "set" in rec:
-        out["set"] = [vertex_token(v) for v in rec["set"]]
-    return out
+# The kind of H vertex each name tag marks, and the record keys of the fields after the tag.
+_PROVENANCE = {"xt": ("finite-torso", ("node",)), "tw": ("tree-copy", ("node", "tree_node")),
+               "pl": ("planar-copy", ("node", "part", "vertex"))}
+
+
+def _provenance(x: tuple) -> dict:
+    """The provenance record of H vertex x as JSON values, read off its name: ``("xS", *S)`` is the hub
+    of adhesion set S, ``("xt", t)`` finite torso t's point, ``("tw", t, s)`` the copy of node s of t's
+    sub-decomposition, and ``("pl", t, s, v)`` the copy of v in part s of planar torso t."""
+    if x[0] == "xS":
+        return {"kind": "adhesion-set", "set": [vertex_token(v) for v in x[1:]]}
+    kind, keys = _PROVENANCE[x[0]]
+    rec = {"kind": kind}
+    for key, v in zip(keys, x[1:]):
+        rec[key] = vertex_token(v)
+    return rec
 
 
 def output_to_dict(out: ConstructionOutput) -> dict:
@@ -656,7 +645,7 @@ def output_to_dict(out: ConstructionOutput) -> dict:
             vertex_token(t): out.classification[t] for t in sort_vertices(out.classification)
         },
         "finite_threshold": out.finite_threshold,
-        "provenance": {token[i]: _provenance_record_to_dict(out.provenance[x]) for i, x in enumerate(index.order)},
+        "provenance": {token[i]: _provenance(x) for i, x in enumerate(index.order)},
         "warnings": list(out.warnings),
     }
 

@@ -46,7 +46,6 @@ from .graph import (
     GraphIndex,
     bit_ids,
     canonical_edge,
-    components,
     mask_components,
     parent_path,
     parse_vertex_token,
@@ -199,8 +198,8 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
         # sets, so a fat model collapses to an ordinary minor model.
         if len(pattern.edges) > len(host.edges):
             return "pattern has more edges than the host (no minor model possible)"
-        host_forest = len(host.edges) == len(host.vertices) - len(components(host))
-        pattern_has_cycle = len(pattern.edges) > len(pattern.vertices) - len(components(pattern))
+        host_forest = len(host.edges) == len(host.vertices) - len(host.index.component_masks)
+        pattern_has_cycle = len(pattern.edges) > len(pattern.vertices) - len(pattern.index.component_masks)
         if host_forest and pattern_has_cycle:
             return "host is a forest but the pattern contains a cycle"
         if not planarity.is_planar(pattern, witness_cap=0).planar and planarity.is_planar(host, witness_cap=0).planar:

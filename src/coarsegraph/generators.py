@@ -27,20 +27,20 @@ class GeneratedGraph:
 
 
 def path_graph(n: int) -> Graph:
-    _positive(n, "n")
+    _integer(n, "n")
     return Graph.build([(i, i + 1) for i in range(n - 1)], vertices=range(n))
 
 
 def cycle_graph(n: int) -> Graph:
-    _positive(n, "n")
+    _integer(n, "n")
     if n < 3:
         raise GeneratorError("cycle needs n ≥ 3")
     return Graph.build([(i, (i + 1) % n) for i in range(n)])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
-    _positive(rows, "rows")
-    _positive(cols, "cols")
+    _integer(rows, "rows")
+    _integer(cols, "cols")
     def name(r, c):
         return f"{r},{c}"
     edges = []
@@ -54,13 +54,13 @@ def grid_graph(rows: int, cols: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    _positive(n, "n")
+    _integer(n, "n")
     return Graph.build([(i, j) for i in range(n) for j in range(i + 1, n)], vertices=range(n))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
-    _positive(a, "a")
-    _positive(b, "b")
+    _integer(a, "a")
+    _integer(b, "b")
     left = [f"l{i}" for i in range(a)]
     right = [f"r{i}" for i in range(b)]
     return Graph.build([(l, r) for l in left for r in right])
@@ -69,9 +69,8 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 def tree_graph(branching: int, depth: int) -> Graph:
     """Complete rooted tree: every non-leaf has `branching` children.  Below the
     root "r" names start with "c" ("c0", "c0.1"), so none reads back as an int."""
-    _positive(branching, "branching")
-    if depth < 0:
-        raise GeneratorError("depth must be non-negative")
+    _integer(branching, "branching")
+    _integer(depth, "depth", 0)
     edges = []
     vertices = ["r"]
     frontier = ["r"]
@@ -138,8 +137,7 @@ def cayley_ball(preset: str, radius: int) -> GeneratedGraph:
     """
     if preset not in _PRESETS:
         raise GeneratorError(f"unknown cayley preset {preset!r}; choose from {', '.join(CAYLEY_PRESETS)}")
-    if radius < 0:
-        raise GeneratorError("radius must be non-negative")
+    _integer(radius, "radius", 0)
     identity, gens, mult = _PRESETS[preset]
 
     def render(word: str) -> str:
@@ -163,9 +161,10 @@ def cayley_ball(preset: str, radius: int) -> GeneratedGraph:
     return GeneratedGraph(graph, markers)
 
 
-def _positive(value: int, name: str) -> None:
-    if not isinstance(value, int) or value <= 0:
-        raise GeneratorError(f"{name} must be a positive integer")
+def _integer(value: int, name: str, least: int = 1) -> None:
+    """Refuse a size, radius or depth that is a bool, not an int, or below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise GeneratorError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
 
 
 # Each family's builder and its parameters, in the order the builder takes them.

@@ -16,8 +16,7 @@ from typing import Iterable, Mapping
 from .errors import GraphToolError, ParseError, UnknownVertexError
 
 Vertex = int | str | tuple
-MAX_VERTEX_DEPTH = 100  # deepest tuple nesting read from text or JSON
-MAX_KEY_DEPTH = MAX_VERTEX_DEPTH + 1  # deepest tuple nesting keyed: an H name nests a vertex read one deeper
+MAX_VERTEX_DEPTH = 100  # deepest tuple nesting read from text or JSON, and keyed
 
 
 def vertex_key(v: Vertex):
@@ -25,10 +24,10 @@ def vertex_key(v: Vertex):
 
     Sorts all ints before all strings before all tuples; tuples compare
     recursively.  Used everywhere a deterministic iteration order is needed.
-    A tuple nested deeper than ``MAX_KEY_DEPTH`` raises ``GraphToolError``, so
-    every vertex of a graph, and its H name one level deeper, renders.
+    A tuple nested deeper than ``MAX_VERTEX_DEPTH`` raises ``GraphToolError``,
+    so every vertex of a graph can be written and read back.
     """
-    return _key(v, MAX_KEY_DEPTH)
+    return _key(v, MAX_VERTEX_DEPTH)
 
 
 def _key(v: Vertex, depth: int):
@@ -44,11 +43,6 @@ def _key(v: Vertex, depth: int):
             raise GraphToolError("a vertex identifier nests too deep to key")
         return (2, tuple(_key(x, depth - 1) for x in v))
     raise GraphToolError(f"unsupported vertex identifier type: {v!r}")
-
-
-def nests_deeper(v: Vertex, depth: int = MAX_VERTEX_DEPTH) -> bool:
-    """Whether v nests tuples more than ``depth`` deep; by default, deeper than a vertex read from text or JSON."""
-    return isinstance(v, tuple) and (not depth or any(nests_deeper(x, depth - 1) for x in v))
 
 
 def sort_vertices(vs: Iterable[Vertex]) -> list[Vertex]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import CompositionError, GraphToolError, StructuralError, UnknownVertexError
-from .graph import Graph, bit_ids
+from .graph import Graph, bit_ids, vertex_token
 
 
 class ConnectivityError(GraphToolError, ValueError):
@@ -207,23 +207,17 @@ def tightest_constants(
     source: Graph,
     target: Graph,
     phi: Mapping,
-    fixed_gamma=None,
+    fixed_gamma=1,
     per_component: bool = False,
 ) -> tuple[Fraction, Fraction] | None:
-    """The minimal constants making φ a quasi-isometry.
+    """γ = ``fixed_gamma`` and the unique smallest c making φ a (γ, c)-quasi-isometry.
 
-    With ``fixed_gamma``: the unique smallest c valid at that γ.  Without it:
-    the smallest γ admitting a finite c, then the smallest such c.  On finite
-    inputs every total map with all relevant distances finite is a (1, c)-
-    quasi-isometry for c large enough, so the γ-minimisation always returns
-    γ = 1; the candidate-ratio scan a continuous setting would need collapses.
     Returns None only in per-component mode, when some finite source distance
     maps to an infinite target distance or a target vertex cannot reach the
     image (no c can fix either).
     """
     # tightest_certificate's checks and scan, without its witness: none is returned.
-    gamma = Fraction(1 if fixed_gamma is None else fixed_gamma)
-    cert = QuasiIsometryCertificate(source, target, dict(phi), gamma, 0, True, None)
+    cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(fixed_gamma), 0, True, None)
     c = _scan(source, target, cert.phi, cert.gamma, None, per_component).c
     return None if c is None else (cert.gamma, c)
 
@@ -249,10 +243,6 @@ def qi_compose(f: QuasiIsometryCertificate, g: QuasiIsometryCertificate) -> Quas
 # ---------------------------------------------------------------------------
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)  # "p/q" or "p"
-
-
 def parse_fraction(text) -> Fraction:
     try:
         return Fraction(text)
@@ -261,12 +251,10 @@ def parse_fraction(text) -> Fraction:
 
 
 def certificate_to_dict(cert: QuasiIsometryCertificate) -> dict:
-    from .graph import vertex_token
-
     return {
         "phi": {vertex_token(v): vertex_token(cert.phi[v]) for v in cert.source.sorted_vertices()},
-        "gamma": _fraction_str(cert.gamma),
-        "c": _fraction_str(cert.c),
+        "gamma": str(cert.gamma),  # "p/q" or "p"
+        "c": str(cert.c),
         "valid": cert.valid,
         "witness": list(cert.worst_witness) if cert.worst_witness else [],
     }

@@ -36,6 +36,14 @@ def assert_equivariant(inst) -> None:
         assert out2.phi[sigma[v]] == rename[out1.phi[v]], (inst.name, v)
 
 
+def lifts(bundle, out, sigma: dict, tau: dict) -> bool:
+    """Whether the host automorphism ``sigma``, mapping each part t onto part
+    ``tau[t]`` by the tree automorphism ``tau``, lifts to H: the renaming rho
+    of H's names is an automorphism of H with rho(phi(v)) = phi(sigma(v))."""
+    rho = {x: rename_quotient_vertex(x, sigma, tau) for x in out.H.vertices}
+    return relabel(out.H, rho) == out.H and all(out.phi[sigma[v]] == rho[out.phi[v]] for v in bundle.host.vertices)
+
+
 def _randomly_contracted(rng, td: TreeDecomposition, keep: float = 0.5) -> TreeDecomposition:
     """``td`` with each tree edge kept with probability ``keep``, else
     contracted: each component of the tree on the contracted edges becomes one

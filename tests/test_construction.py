@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +59,7 @@ from coarsegraph.treedecomp import (
 )
 
 from dataclasses import replace
+from types import SimpleNamespace
 from fractions import Fraction
 
 import oracles
@@ -313,9 +315,7 @@ def test_grid_with_apex_keeps_the_grid_copy_and_hangs_the_clique():
     out = build_H(b)
     xs = ("xS", "0,0", "0,1", "1,0")
     assert xs in out.H.vertices
-    kinds = {}
-    for v, rec in out.provenance.items():
-        kinds[rec["kind"]] = kinds.get(rec["kind"], 0) + 1
+    kinds = Counter(rec["kind"] for rec in output_to_dict(out)["provenance"].values())
     assert kinds == {"adhesion-set": 1, "finite-torso": 1, "planar-copy": 9}
     assert len(out.H.vertices) == 11
     # 12 grid edges + 1 completion edge inside the torso copy + 3 hub
@@ -335,7 +335,7 @@ def test_pocket_is_pruned_toward_the_markers():
     b = grid_pocket_bundle(markers={"0,3", "1,3", "2,3"})
     out = build_H(b)
     xs = ("xS", "0,0", "1,0", "2,0")
-    copies = [v for v, rec in out.provenance.items() if rec["kind"] == "planar-copy"]
+    copies = [x for x in out.H.vertices if x[0] == "pl"]
     assert len(copies) == 12
     assert not any(v[-1] == "p" for v in copies)
     assert out.phi["p"] == xs
@@ -348,7 +348,7 @@ def test_pocket_is_pruned_toward_the_markers():
 def test_pocket_without_markers_keeps_the_larger_side_with_a_warning():
     b = grid_pocket_bundle()
     out = build_H(b)
-    copies = [v for v, rec in out.provenance.items() if rec["kind"] == "planar-copy"]
+    copies = [x for x in out.H.vertices if x[0] == "pl"]
     assert len(copies) == 12
     assert not any(v[-1] == "p" for v in copies)
     assert out.warnings
@@ -571,12 +571,10 @@ def test_three_fully_attached_components_refute_planarity():
 def test_tw_attachment_is_a_tree_center():
     b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=2)
     out = build_H(b)
-    # Recover the sub-decomposition actually used from the copy provenance.
+    # Every H vertex is a tree copy, as its name says.
     from coarsegraph.treedecomp import heuristic_td, validate
 
-    sub = None
-    for v, rec in out.provenance.items():
-        assert rec["kind"] == "tree-copy"
+    assert all(x[0] == "tw" for x in out.H.vertices)
     # Attachment querying is exercised directly on a fresh decomposition.
     tg = cycle_graph(12)
     sub = heuristic_td(tg)
@@ -619,12 +617,28 @@ def test_disconnected_host_fails_when_phi_tears_a_component():
 
 
 def hub_cut_failures_by_oracle(out) -> list:
-    """Hubs of degree ≥ 2 whose removal does not add a component of H."""
+    """Hubs of degree ≥ 2, the H vertices named ("xS", ...), whose removal does not add a component of H."""
     adj = oracles.adjacency(out.H.edges, out.H.vertices)
     base = len(oracles.components_without(adj, ()))
-    hubs = [x for x in sort_vertices(out.provenance)
-            if out.provenance[x].get("kind") == "adhesion-set" and len(adj[x]) >= 2]
+    hubs = [x for x in sort_vertices(out.H.vertices) if x[0] == "xS" and len(adj[x]) >= 2]
     return [x for x in hubs if len(oracles.components_without(adj, {x})) <= base]
+
+
+def test_verifier_takes_its_hubs_from_the_bundle(monkeypatch):
+    """verify_output reads only H, phi and bounds of the output.  Its hubs, all
+    reported once no H vertex is a cut vertex, are ("xS", *S) for the distinct
+    non-empty adhesion sets S of the bundle, in set_key order, where H holds
+    them with degree ≥ 2: the hubs H's own names give, in key order."""
+    for inst in corpus(DEFAULT_SEED):
+        out = build_H(inst.bundle)
+        claimed = SimpleNamespace(H=out.H, phi=out.phi, bounds=out.bounds)
+        assert verify_output(inst.bundle, claimed) == verify_output(inst.bundle, out), inst.name
+        adhesion = sorted({S for S in adhesion_sets(inst.bundle.td).values() if S}, key=set_key)
+        hubs = [x for x in (("xS", *sort_vertices(S)) for S in adhesion) if x in out.H and out.H.degree(x) >= 2]
+        assert hubs == [x for x in sort_vertices(out.H.vertices) if x[0] == "xS" and out.H.degree(x) >= 2]
+        with monkeypatch.context() as m:
+            m.setattr(construction, "cut_vertices", lambda g: frozenset())
+            assert list(verify_output(inst.bundle, claimed).cut_vertex_failures) == hubs, inst.name
 
 
 def test_cut_vertex_failures_match_the_oracle_on_the_corpus():
@@ -764,9 +778,9 @@ def test_h_built_on_ids_equals_a_keyed_build():
 
 def test_host_vertices_up_to_the_read_bound_render_in_h():
     """A host vertex nested MAX_VERTEX_DEPTH deep, as deep as one read from
-    text, gets a planar copy at the key bound, and the output still verifies
-    and renders.  One level deeper the host could be built but not written
-    and read back, so validate_bundle refuses it with a typed error (exit 2)."""
+    text, gets a planar copy one level deeper, and the output still verifies
+    and renders: no H name is keyed.  One level deeper no host can be built,
+    as keying refuses the vertex with a typed error."""
     deep = "d"
     for _ in range(MAX_VERTEX_DEPTH):
         deep = (deep,)
@@ -778,10 +792,8 @@ def test_host_vertices_up_to_the_read_bound_render_in_h():
     token = "(" * MAX_VERTEX_DEPTH + "d" + ")" * MAX_VERTEX_DEPTH
     assert output_to_dict(out)["phi"][token] == f"(pl|t|0|{token})"
 
-    g = relabel(grid_graph(3, 3), {"1,1": (deep,)})
-    b = InstanceBundle(g, single_node_td(g.vertices), k=1)
-    with pytest.raises(ContractViolationError, match=f"^a host vertex nests deeper than {MAX_VERTEX_DEPTH} levels$"):
-        build_H(b)
+    with pytest.raises(GraphToolError, match="^a vertex identifier nests too deep to key$"):
+        relabel(grid_graph(3, 3), {"1,1": (deep,)})
 
 
 def build_outcome(bundle: InstanceBundle) -> str:
@@ -831,13 +843,12 @@ def test_phi_follows_the_three_level_rule(seed):
         out = build_H(b)
     except GraphToolError:
         return
-    prov = out.provenance
-    copies = sorted((x for x, rec in prov.items() if rec["kind"] == "planar-copy"),
-                    key=lambda x: (vertex_key(prov[x]["node"]), vertex_key(prov[x]["part"])))
+    # Each H name says what it is: ("pl", t, s, v), ("tw", t, s), ("xt", t) or ("xS", *S).
+    copies = sorted((x for x in out.H.vertices if x[0] == "pl"), key=lambda x: (vertex_key(x[1]), vertex_key(x[2])))
     first_copy: dict = {}
     for x in copies:
-        first_copy.setdefault(prov[x]["vertex"], x)
-    hub = {frozenset(rec["set"]): x for x, rec in prov.items() if rec["kind"] == "adhesion-set"}
+        first_copy.setdefault(x[3], x)
+    hub = {frozenset(x[1:]): x for x in out.H.vertices if x[0] == "xS"}
     assert set(hub) == {S for S in adhesion_sets(b.td).values() if S}
     assert set(out.phi) == b.host.vertices
     for v, x in out.phi.items():
@@ -854,11 +865,11 @@ def test_phi_follows_the_three_level_rule(seed):
         if kind == FINITE:
             assert x == ("xt", t)
         elif kind == BOUNDED_TW:
-            assert prov[x]["kind"] == "tree-copy" and prov[x]["node"] == t
+            assert x[:2] == ("tw", t)
             if t in b.sub_tds:
                 assert x[2] == min((s for s, p in b.sub_tds[t].parts.items() if v in p), key=vertex_key)
         else:
-            assert prov[x]["kind"] == "adhesion-set" and set(prov[x]["set"]) <= b.td.parts[t]
+            assert x[0] == "xS" and set(x[1:]) <= b.td.parts[t]
 
 
 @settings(max_examples=60, deadline=None)

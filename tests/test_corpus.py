@@ -15,7 +15,8 @@ from coarsegraph.corpus import (
     symmetric_instances,
 )
 from coarsegraph.construction import build_H, bundle_to_dict, validate_bundle
-from coarsegraph.graph import canonical_edge, format_edge_list
+from coarsegraph.graph import canonical_edge, format_edge_list, relabel
+from coarsegraph.symmetry import automorphism_generators
 
 import helpers
 
@@ -80,6 +81,48 @@ def test_equivariance_spot_checks():
     sym = {inst.name: inst for inst in symmetric_instances(DEFAULT_SEED)}
     helpers.assert_equivariant(sym["sym-mirror-0"])
     helpers.assert_equivariant(sym["sym-cycle-12"])
+
+
+# The instances with a generator that maps the decomposition onto itself and
+# does not lift: their bounded-treewidth torsos take the min-degree
+# sub-decomposition, which breaks ties by vertex name.
+LIFT_KNOWN_FAILURES = {f"cycle-{n}" for n in range(12, 31, 2)} | {
+    f"cayley-{preset}-r{r}" for preset in ("free-group-rank-2", "free-product-Z2-Z3") for r in (2, 3)}
+
+
+def _tree_automorphism(td, sigma: dict) -> dict | None:
+    """The tree automorphism tau with sigma(part t) = part tau(t) for every
+    node t, or None if sigma maps some part onto no part or no such tau is one."""
+    node_of = {part: t for t, part in td.parts.items()}
+    tau = {t: node_of.get(frozenset(sigma[v] for v in part)) for t, part in td.parts.items()}
+    if len(node_of) < len(tau) or None in tau.values() or relabel(td.tree, tau) != td.tree:
+        return None
+    return tau
+
+
+def test_decomposition_preserving_automorphisms_lift_to_h():
+    """The finite form of "H is quasi-transitive": every generator sigma of
+    Aut(host), on hosts of at most 60 vertices, that maps the parts onto the
+    parts by a tree automorphism tau lifts to an automorphism of H, except on
+    the known failures."""
+    checked, lifted, failing = 0, 0, set()
+    for inst in corpus(DEFAULT_SEED):
+        b = inst.bundle
+        if len(b.host) > 60:
+            continue
+        out, order = build_H(b), b.host.index.order
+        for images in automorphism_generators(b.host):
+            sigma = {v: order[j] for v, j in zip(order, images)}
+            tau = _tree_automorphism(b.td, sigma)
+            if tau is None:
+                continue
+            checked += 1
+            if helpers.lifts(b, out, sigma, tau):
+                lifted += 1
+            else:
+                failing.add(inst.name)
+    assert failing == LIFT_KNOWN_FAILURES
+    assert (checked, lifted) == (278, 209)
 
 
 def test_marked_instances_build():

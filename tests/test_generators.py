@@ -123,3 +123,21 @@ def test_generator_errors():
         cayley_ball("dihedral", 2)
     with pytest.raises(GeneratorError):
         cayley_ball("free-group-rank-2", -1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cayley_ball("free-group-rank-2", 1.5),  # a BFS that never meets the radius
+    lambda: cayley_ball("integer-lattice-Z2", "2"),
+    lambda: cayley_ball("free-product-Z2-Z3", True),
+    lambda: tree_graph(2, 1.5),
+    lambda: tree_graph(True, 2),
+    lambda: grid_graph(3, 2.0),
+    lambda: complete_bipartite_graph(False, 2),
+    lambda: generate(GeneratorSpec("path", {"n": True})),
+    lambda: generate(GeneratorSpec("cycle", {"n": "5"})),
+], ids=["radius-1.5", "radius-str", "radius-bool", "depth-1.5", "branching-bool", "cols-float", "a-bool",
+        "path-n-bool", "cycle-n-str"])
+def test_sizes_radii_and_depths_must_be_integers(make):
+    """Every size, radius and depth is an int, and a bool is none: anything else is a GeneratorError."""
+    with pytest.raises(GeneratorError, match="must be a (positive|non-negative) integer$"):
+        make()

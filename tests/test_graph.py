@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from coarsegraph.errors import GraphToolError, ParseError, UnknownVertexError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import (
-    MAX_KEY_DEPTH,
     MAX_VERTEX_DEPTH,
     Graph,
     bit_ids,
@@ -29,6 +28,7 @@ from coarsegraph.graph import (
     parse_vertex_token,
     relabel,
     shortest_path,
+    sort_vertices,
     to_dot,
     union,
     vertex_from_json,
@@ -350,15 +350,16 @@ def test_vertices_nest_up_to_the_depth_limit():
 
 
 def test_vertices_nest_up_to_the_key_bound():
-    """A vertex nested MAX_KEY_DEPTH deep is keyed, and renders, as does a
-    tuple one level deeper holding it, as its H name does; one level deeper is
-    refused with GraphToolError wherever it is keyed, not only by Graph.build."""
-    v = _nested(MAX_KEY_DEPTH)
+    """Keying stops where reading does: a vertex nested MAX_VERTEX_DEPTH deep
+    is keyed and renders; one level deeper is refused with GraphToolError
+    wherever it is keyed, not only by Graph.build."""
+    v = _nested(MAX_VERTEX_DEPTH)
     assert Graph.build([(v, 0)]).sorted_vertices() == [0, v]
-    assert vertex_token(("pl", v)) == "(pl|" + "(" * MAX_KEY_DEPTH + "a" + ")" * MAX_KEY_DEPTH + ")"
-    too_deep = _nested(MAX_KEY_DEPTH + 1)
+    assert vertex_token(v) == "(" * MAX_VERTEX_DEPTH + "a" + ")" * MAX_VERTEX_DEPTH
+    too_deep = _nested(MAX_VERTEX_DEPTH + 1)
     for key in (lambda: Graph.build([(too_deep, 0)]), lambda: Graph.build((), [too_deep]),
-                lambda: sorted([too_deep, 0], key=vertex_key)):
+                lambda: relabel(Graph.build([(v, 0)]), {v: too_deep}),
+                lambda: sort_vertices([too_deep, 0]), lambda: sorted([too_deep, 0], key=vertex_key)):
         with pytest.raises(GraphToolError) as exc:
             key()
         assert str(exc.value) == "a vertex identifier nests too deep to key"
@@ -550,7 +551,7 @@ def test_a_vertex_too_deep_to_key_is_a_typed_error():
     with pytest.raises(GraphToolError) as exc:
         Graph.build([(_nested(1_000, 0), 0)])
     assert str(exc.value) == "a vertex identifier nests too deep to key"
-    assert len(Graph.build([((_nested(MAX_VERTEX_DEPTH), 1), 0)])) == 2  # an H name nests one level deeper
+    assert len(Graph.build([(_nested(MAX_VERTEX_DEPTH), 0)])) == 2
 
 
 def test_a_loop_line_parses_its_token_first_and_equal_tokens_alone_make_a_loop():
