@@ -226,81 +226,69 @@ def _build_parser() -> argparse.ArgumentParser:
         "quasi-isometry certificates, and the planar-quotient construction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    graph = argparse.ArgumentParser(add_help=False, parents=[out])
+    graph.add_argument("--graph", required=True)
 
-    p = sub.add_parser("validate-td", help="check the tree-decomposition axioms")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("validate-td", parents=[graph], help="check the tree-decomposition axioms")
     p.add_argument("--td", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_validate_td)
 
-    p = sub.add_parser("torso", help="print the torso of one part")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("torso", parents=[graph], help="print the torso of one part")
     p.add_argument("--td", required=True)
     p.add_argument("--node", required=True)
-    p.add_argument("--out")
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_torso)
 
-    p = sub.add_parser("treewidth", help="exact treewidth (small graphs)")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("treewidth", parents=[graph], help="exact treewidth (small graphs)")
     p.add_argument("--cap", type=int, default=DEFAULT_TREEWIDTH_CAP)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_treewidth)
 
-    p = sub.add_parser("planarity", help="planarity verdict with a subdivision witness when small")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("planarity", parents=[graph], help="planarity verdict with a subdivision witness when small")
     p.add_argument("--witness-cap", type=int, default=planarity.WITNESS_CAP)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_planarity)
 
-    p = sub.add_parser("tight-seps", help="enumerate tight separations of one order")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("tight-seps", parents=[graph], help="enumerate tight separations of one order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_tight_seps)
 
-    p = sub.add_parser("orbits", help="automorphism orbits of vertices or edges")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("orbits", parents=[graph], help="automorphism orbits of vertices or edges")
     p.add_argument("--edges", action="store_true")
     p.add_argument("--cap", type=int, default=DEFAULT_AUTOMORPHISM_CAP)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("qi-check", help="verify a quasi-isometry certificate, or compute the tightest one")
+    p = sub.add_parser("qi-check", parents=[out],
+                       help="verify a quasi-isometry certificate, or compute the tightest one")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--gamma")
     p.add_argument("--c")
     p.add_argument("--per-component", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_qi_check)
 
-    p = sub.add_parser("fat-minor", help="search for a K-fat minor model")
+    p = sub.add_parser("fat-minor", parents=[out], help="search for a K-fat minor model")
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--fatness", type=int, required=True)
     p.add_argument("--budget", type=int, default=fatminor.DEFAULT_BUDGET)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_fat_minor)
 
-    p = sub.add_parser("planarize", help="build H from a decomposed host and verify it")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("planarize", parents=[graph], help="build H from a decomposed host and verify it")
     p.add_argument("--td")
     p.add_argument("--k", type=int)
     p.add_argument("--markers", help="comma-separated truncation-boundary vertices; a vertex whose token "
                    "holds a comma (a grid or Z2 ball vertex) must come through --bundle")
     p.add_argument("--bundle", help="full bundle JSON (decomposition, k, markers, pinned sub-decompositions)")
-    p.add_argument("--out")
     p.add_argument("--h-out", help="also write H as a graph file")
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_planarize)
 
-    p = sub.add_parser("gen", help=f"generate a test-family graph ({', '.join(FAMILIES)})")
+    p = sub.add_parser("gen", parents=[out], help=f"generate a test-family graph ({', '.join(FAMILIES)})")
     p.add_argument("--family", required=True, choices=FAMILIES)
     for key in _PARAMETERS:
         p.add_argument(f"--{key}", **({"choices": CAYLEY_PRESETS} if key == "preset" else {"type": int}))
-    p.add_argument("--out")
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_gen)
 

@@ -19,19 +19,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .errors import (
     ClassificationError,
     ContractViolationError,
     EmptySetError,
+    GraphToolError,
     MarkerError,
     ParseError,
     PlanarityContradictionError,
     StructuralError,
 )
 from .graph import (
+    MAX_VERTEX_DEPTH,
     Graph,
+    _key,
     bit_ids,
     cut_vertices,
     induced_subgraph,
@@ -95,6 +99,15 @@ def validate_bundle(bundle: InstanceBundle) -> None:
         bundle.host.require_vertex(v)
     for t in bundle.sub_tds:
         bundle.td.part(t)  # raises for a sub-decomposition of no tree node
+    # H's names nest one level deeper than the host vertices and tree nodes they hold.
+    sub_nodes = (sub.tree.vertices for sub in bundle.sub_tds.values())
+    for v in chain(bundle.host.vertices, bundle.td.tree.vertices, *sub_nodes):
+        if isinstance(v, tuple):
+            try:
+                _key(v, MAX_VERTEX_DEPTH - 1)
+            except GraphToolError:
+                raise ContractViolationError(f"a host vertex or tree node nests {MAX_VERTEX_DEPTH} deep; "
+                                             "its name in H would nest too deep to read back") from None
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +202,12 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
     its adhesion sets alone then decide.
 
     Tree node i is ``nodes[i]``, in key order, with its edge to ``parent[i]``
-    (-1 at the root) and its part as the ``torso_graph.index`` mask
+    (-1 at the root) and its part as the ``torso_graph`` id mask
     ``part[i]``.  Edge i has the adhesion part[i] & part[parent[i]] and the
     sides below[i], the parts of i's subtree, and the rest with the adhesion.
     Contracting other edges changes neither, so one pass decides all.  Each
     class of contracted nodes is named by its least node, and its part is
     made once."""
-    index = torso_graph.index
     if provided is None:
         if keep is not None and not keep:
             return TreeDecomposition(Graph.build((), [0]), {0: torso_graph.vertices})
@@ -205,10 +217,10 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
         rep = validate(torso_graph, provided)
         if not rep.ok:
             raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
-        tree = provided.tree.index
+        tree = provided.tree
         nodes, parent = tree.order, _tree_parents(tree)
-        part = [index.bits(provided.parts[t]) for t in nodes]
-    full = (1 << len(index.order)) - 1
+        part = [torso_graph.bits(provided.parts[t]) for t in nodes]
+    full = (1 << len(torso_graph.order)) - 1
     preorder, below = _subtree_unions(parent, part)
     if provided is not None:
         for a, b in provided.tree.sorted_edges():
@@ -219,7 +231,7 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
                 raise ContractViolationError(f"sub-decomposition adhesion {adhesion.bit_count()} exceeds 3")
             if not _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion):
                 raise ContractViolationError(f"sub-decomposition edge {(a, b)!r} has a non-tight separation")
-    wanted = None if keep is None else {index.bits(s) for s in keep if s <= torso_graph.vertices}
+    wanted = None if keep is None else {torso_graph.bits(s) for s in keep if s <= torso_graph.vertices}
     top = list(range(len(parent)))  # the node of i's class nearest the root
     kept = []
     for i in preorder:
@@ -241,7 +253,7 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
         cls[i] = first[t]
         masks[cls[i]] |= part[i]
     return TreeDecomposition(Graph._on_ids(names, [(cls[i], cls[parent[i]]) for i in kept]),
-                             {s: index.labels(m) for s, m in zip(names, masks)})
+                             {s: torso_graph.labels(m) for s, m in zip(names, masks)})
 
 
 @dataclass(frozen=True)
@@ -424,11 +436,11 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             warnings.extend(ref.warnings)
             for s in ref.contracted.tree.sorted_vertices():
                 g, base = ref.kept[s], len(pl)  # the planar copies come first, so their ids are final
-                name = {v: ("pl", t, s, v) for v in g.index.order}
+                name = {v: ("pl", t, s, v) for v in g.order}
                 for v, x in name.items():
                     pl.append(x)
                     copy_of.setdefault(v, x)
-                pairs.extend((base + i, base + j) for i, js in enumerate(g.index.nbrs) for j in js if j > i)
+                pairs.extend((base + i, base + j) for i, js in enumerate(g.nbrs) for j in js if j > i)
                 edges.extend((hub[S], name[v]) for S in outer if S <= g.vertices for v in S)
             for v, S in ref.deleted_site.items():  # a pruned vertex maps to the hub of its pruning site
                 own.setdefault(v, hub[S])
@@ -463,19 +475,19 @@ def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
     b3 = 0
     b4 = 0
     for t, sub in sub_tds.items():
-        index = torsos[t].index
+        g = torsos[t]
         # Per torso id, the ids sharing a part with it and the parts holding it.
-        near, count = [0] * len(index.order), [0] * len(index.order)
+        near, count = [0] * len(g.order), [0] * len(g.order)
         for part in sub.parts.values():
-            m = index.bits(part)
+            m = g.bits(part)
             for x in bit_ids(m):
                 near[x] |= m
                 count[x] += 1
         b4 = max([b4, *count])
-        if any(near[x] & ~comp for comp in index.component_masks for x in bit_ids(comp)):
+        if any(near[x] & ~comp for comp in g.component_masks for x in bit_ids(comp)):
             raise StructuralError(f"part of the sub-decomposition at {t!r} is not connected within its torso")
         # b3 is at least the first BFS level at which every id's ball holds every id sharing a part with it.
-        for d, balls in enumerate(index.ball_levels([1 << x for x in range(len(near))])):
+        for d, balls in enumerate(g.ball_levels([1 << x for x in range(len(near))])):
             if all(want & ~ball == 0 for want, ball in zip(near, balls)):
                 b3 = max(b3, d)
                 break
@@ -634,18 +646,18 @@ def _provenance(x: tuple) -> dict:
 def output_to_dict(out: ConstructionOutput) -> dict:
     """The output as JSON values; every H vertex is rendered once, H's edges, isolated
     vertices and provenance come in H id order, φ in the host key order of ``build_H``."""
-    index = out.H.index
-    pos, token = index.pos, [vertex_token(x) for x in index.order]
+    H = out.H
+    pos, token = H.pos, [vertex_token(x) for x in H.order]
     return {
-        "h_edges": [[token[i], token[j]] for i, js in enumerate(index.nbrs) for j in js if j > i],
-        "h_isolated": [token[i] for i, js in enumerate(index.nbrs) if not js],
+        "h_edges": [[token[i], token[j]] for i, js in enumerate(H.nbrs) for j in js if j > i],
+        "h_isolated": [token[i] for i, js in enumerate(H.nbrs) if not js],
         "phi": {vertex_token(v): token[pos[x]] for v, x in out.phi.items()},
         "bounds": dict(vars(out.bounds)),
         "classification": {
             vertex_token(t): out.classification[t] for t in sort_vertices(out.classification)
         },
         "finite_threshold": out.finite_threshold,
-        "provenance": {token[i]: _provenance(x) for i, x in enumerate(index.order)},
+        "provenance": {token[i]: _provenance(x) for i, x in enumerate(H.order)},
         "warnings": list(out.warnings),
     }
 

@@ -16,7 +16,7 @@ cannot carry two pattern edges.
 The searcher is exhaustive (hence sound for "not-found") on hosts up to
 ``EXHAUSTIVE_CAP`` vertices, and a verified-witness heuristic beyond that;
 negative answers from the heuristic regime are reported "inconclusive".
-Both work on ``GraphIndex`` ids (branch sets as masks, paths as id tuples),
+Both work on the host's ids (branch sets as masks, paths as id tuples),
 check each candidate against (1)-(4) with the id-level check that
 ``verify_fat_model`` runs after its structural one, and return the labelled
 witness only once ``verify_fat_model`` has passed it.  Ids follow vertex-key
@@ -43,7 +43,6 @@ from operator import or_
 from .errors import CapacityError, ParseError, StructuralError, UnknownVertexError
 from .graph import (
     Graph,
-    GraphIndex,
     bit_ids,
     canonical_edge,
     mask_components,
@@ -84,11 +83,11 @@ def check_model_structure(m: FatMinorModel) -> None:
 
 
 def _model_on_ids(m: FatMinorModel) -> tuple[dict, dict]:
-    """The model on ``m.host.index`` ids, checked for structure on the way: branch
+    """The model on ``m.host`` ids, checked for structure on the way: branch
     sets as id masks by pattern vertex, paths as id tuples by canonical edge."""
     if set(m.branch_sets) != set(m.pattern.vertices):
         raise StructuralError("branch sets must be keyed exactly by the pattern vertices")
-    own_id, masks = m.host.index.own_id, m.host.index.masks
+    own_id, masks = m.host.own_id, m.host.masks
     branch: dict = {}
     taken = 0
     for v in m.pattern.sorted_vertices():
@@ -120,11 +119,11 @@ def verify_fat_model(m: FatMinorModel, K: int) -> FatVerifyReport:
     """Check the structure, then conditions (1)-(4), on ids; report the first failure."""
     if K < 0:
         raise StructuralError("K must be non-negative")
-    return _fat_report(m.host.index, m.pattern, *_model_on_ids(m), K)
+    return _fat_report(m.host, m.pattern, *_model_on_ids(m), K)
 
 
-def _fat_report(index: GraphIndex, pattern: Graph, branch: dict, paths: dict, K: int) -> FatVerifyReport:
-    """Conditions (1)-(4) for a structurally sound model on ``index`` ids: branch
+def _fat_report(host: Graph, pattern: Graph, branch: dict, paths: dict, K: int) -> FatVerifyReport:
+    """Conditions (1)-(4) for a structurally sound model on ``host`` ids: branch
     sets as id masks, paths as id tuples keyed by the pattern's edges."""
     pverts, edges = pattern.sorted_vertices(), pattern.sorted_edges()
     union_b = reduce(or_, branch.values(), 0)
@@ -141,7 +140,7 @@ def _fat_report(index: GraphIndex, pattern: Graph, branch: dict, paths: dict, K:
         b_ids = {w: bit_ids(b) for w, b in branch.items()}
         p_rows: dict = {}  # one BFS row per path, read again by condition (4)
         for (u, v) in edges:
-            p_rows[(u, v)] = row = index.distance_row(paths[(u, v)])
+            p_rows[(u, v)] = row = host.distance_row(paths[(u, v)])
             for w in pverts:
                 if w in (u, v):
                     continue
@@ -149,7 +148,7 @@ def _fat_report(index: GraphIndex, pattern: Graph, branch: dict, paths: dict, K:
                 if d < K:
                     return FatVerifyReport(False, 2, f"path for {u!r}-{v!r} is at distance {d} < {K} from B_{w!r}")
         for i, u in enumerate(pverts[:-1]):
-            row = index.distance_row(b_ids[u])
+            row = host.distance_row(b_ids[u])
             for v in pverts[i + 1:]:
                 d = row_distance(row, b_ids[v])
                 if d < K:
@@ -198,8 +197,8 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
         # sets, so a fat model collapses to an ordinary minor model.
         if len(pattern.edges) > len(host.edges):
             return "pattern has more edges than the host (no minor model possible)"
-        host_forest = len(host.edges) == len(host.vertices) - len(host.index.component_masks)
-        pattern_has_cycle = len(pattern.edges) > len(pattern.vertices) - len(pattern.index.component_masks)
+        host_forest = len(host.edges) == len(host.vertices) - len(host.component_masks)
+        pattern_has_cycle = len(pattern.edges) > len(pattern.vertices) - len(pattern.component_masks)
         if host_forest and pattern_has_cycle:
             return "host is a forest but the pattern contains a cycle"
         if not planarity.is_planar(pattern, witness_cap=0).planar and planarity.is_planar(host, witness_cap=0).planar:
@@ -207,14 +206,14 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
     return None
 
 
-def _connected_subsets(index: GraphIndex) -> tuple[int, ...]:
+def _connected_subsets(g: Graph) -> tuple[int, ...]:
     """Every connected vertex set as an id mask, by size and then by ``set_key``
     (ids follow key order, so that is the order of the sorted id lists); built
-    once per graph and kept on its index.  A connected set of k + 1 vertices is
+    once per graph and kept on it.  A connected set of k + 1 vertices is
     one of k vertices plus a neighbour, so the sets are grown size by size: the
     work follows their number, not the 2^n masks of ids."""
-    if index._subsets is None:
-        masks = index.masks
+    if g._subsets is None:
+        masks = g.masks
         level = {1 << i: m for i, m in enumerate(masks)}  # each set of one size -> its vertices' neighbours
         out = list(level)
         while level:
@@ -224,8 +223,8 @@ def _connected_subsets(index: GraphIndex) -> tuple[int, ...]:
                     grown.setdefault(s | 1 << j, nb | masks[j])
             out += grown
             level = grown
-        index._subsets = tuple(sorted(out, key=lambda m: (m.bit_count(), bit_ids(m))))
-    return index._subsets
+        g._subsets = tuple(sorted(out, key=lambda m: (m.bit_count(), bit_ids(m))))
+    return g._subsets
 
 
 def _first_in_orbit(host: Graph):
@@ -248,12 +247,12 @@ def _first_in_orbit(host: Graph):
     return first
 
 
-def _vertex_balls(index: GraphIndex, radius: int) -> list[int]:
+def _vertex_balls(g: Graph, radius: int) -> list[int]:
     """Per vertex id, the mask of ids within ``radius`` of it: that level of the ball
     levels, read at most n deep, since no ball grows past level n − 1."""
     if radius < 0:
-        return [0] * len(index.order)
-    return next(islice(index.ball_levels([1 << i for i in range(len(index.order))]), min(radius, len(index.order)), None))
+        return [0] * len(g.order)
+    return next(islice(g.ball_levels([1 << i for i in range(len(g.order))]), min(radius, len(g.order)), None))
 
 
 def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> SearchOutcome:
@@ -261,12 +260,11 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
     then route the pattern edges between them; the first full model found is
     the witness.  Placement and routing share ``branch``, ``near`` (each branch
     set's radius-(K − 1) ball: what lies at distance < K from it) and ``paths``."""
-    index = host.index
-    nbrs, n = index.nbrs, len(index.order)
+    nbrs, n = host.nbrs, len(host.order)
     edges = pattern.sorted_edges()
-    balls = _vertex_balls(index, K - 1)
+    balls = _vertex_balls(host, K - 1)
     # (mask, size, ball of the set)
-    subsets = [(s, s.bit_count(), reduce(or_, map(balls.__getitem__, bit_ids(s)))) for s in _connected_subsets(index)]
+    subsets = [(s, s.bit_count(), reduce(or_, map(balls.__getitem__, bit_ids(s)))) for s in _connected_subsets(host)]
     pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), vertex_key(v)))
     need = [max(1, pattern.degree(v)) if K >= 1 else 1 for v in pverts]  # least size of each branch set
     later = [sum(need[i + 1:]) for i in range(len(pverts))]  # least vertices the sets after pverts[i] take
@@ -357,9 +355,8 @@ def _search_exhaustive(pattern: Graph, host: Graph, K: int, budget: _Budget) -> 
 def _verified(pattern: Graph, host: Graph, K: int, branch: dict, paths: dict, reason: str, used: int) -> SearchOutcome:
     """A witness found on ids (branch masks, id-tuple paths), labelled once and
     re-checked in full by ``verify_fat_model``; a failure is a search bug."""
-    index = host.index
-    labelled = {e: tuple(index.order[i] for i in p) for e, p in paths.items()}
-    model = FatMinorModel(pattern, host, {v: index.labels(s) for v, s in branch.items()}, labelled)
+    labelled = {e: tuple(host.order[i] for i in p) for e, p in paths.items()}
+    model = FatMinorModel(pattern, host, {v: host.labels(s) for v, s in branch.items()}, labelled)
     report = verify_fat_model(model, K)
     if not report.ok:
         raise StructuralError(f"search produced an invalid model: {report.detail}")
@@ -367,17 +364,16 @@ def _verified(pattern: Graph, host: Graph, K: int, branch: dict, paths: dict, re
 
 
 def _farthest_point_seeds(host: Graph, count: int) -> list:
-    index = host.index
     seeds = [0]
     # Distance from each vertex to its nearest seed; an unreached vertex counts as 0.
-    near = [max(d, 0) for d in index.distance_row(seeds)]
+    near = [max(d, 0) for d in host.distance_row(seeds)]
     while len(seeds) < count:
         best = max((i for i in range(len(near)) if i not in seeds), key=near.__getitem__, default=None)
         if best is None:
             break
         seeds.append(best)
-        near = [min(a, max(d, 0)) for a, d in zip(near, index.distance_row([best]))]
-    return [index.order[i] for i in seeds]
+        near = [min(a, max(d, 0)) for a, d in zip(near, host.distance_row([best]))]
+    return [host.order[i] for i in seeds]
 
 
 def _search_heuristic(pattern: Graph, host: Graph, K: int, budget: _Budget) -> SearchOutcome:
@@ -385,10 +381,9 @@ def _search_heuristic(pattern: Graph, host: Graph, K: int, budget: _Budget) -> S
     edges routed along the geodesics of one BFS parent row per seed, branch sets
     grown as geodesic prefixes.  Every candidate is checked; absence of a
     candidate proves nothing."""
-    index = host.index
     pverts, edges = pattern.sorted_vertices(), pattern.sorted_edges()
-    seeds = [index.pos[s] for s in _farthest_point_seeds(host, len(pverts))]
-    rows = {s: index.parent_row(s) for s in seeds}
+    seeds = [host.pos[s] for s in _farthest_point_seeds(host, len(pverts))]
+    rows = {s: host.parent_row(s) for s in seeds}
     geodesic = {(a, b): parent_path(rows[a], b) for a in seeds for b in seeds if a != b}
     # Per prefix length L, how far each branch set reaches along its geodesics.
     cuts = [{v: L if pattern.degree(v) > 1 else 0 for v in pverts} for L in sorted({(K + 1) // 2, max(K, 1), K + 1})]
@@ -407,7 +402,7 @@ def _search_heuristic(pattern: Graph, host: Graph, K: int, budget: _Budget) -> S
                 if sum(b.bit_count() for b in branch.values()) != reduce(or_, branch.values()).bit_count():
                     continue  # two branch sets overlap
                 paths = {(u, v): g[cut[u]: len(g) - cut[v]] for (u, v), g in geo.items()}
-                if _fat_report(index, pattern, branch, paths, K).ok:
+                if _fat_report(host, pattern, branch, paths, K).ok:
                     return _verified(pattern, host, K, branch, paths, "heuristic witness verified", budget.used)
     except _BudgetExhausted:
         return SearchOutcome("inconclusive", None, "budget exhausted during heuristic search", budget.used)

@@ -9,7 +9,6 @@ standing in for "no path".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Iterable, Mapping
 
@@ -67,17 +66,24 @@ def canonical_edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
     return (v, u)
 
 
-@dataclass(frozen=True, eq=False)
 class Graph:
-    """An immutable finite simple graph with its integer view ``index``.
+    """An immutable finite simple graph, held as integers: vertex ``i`` is ``order[i]`` in key
+    order (a derived graph keeps its parent's on the ids it takes), ``pos`` maps each vertex
+    back to its id, ``nbrs[i]`` lists the neighbour ids in increasing order, and ``vertices``
+    is the vertex set.  So a BFS over ``nbrs`` expands neighbours in key order;
+    :meth:`parent_row` relies on that.  Facts of the graph are kept on first use: the edge
+    set, the neighbour masks, the DFS orientation, the component masks, and the min-degree
+    elimination (``treedecomp.min_degree_elimination``).  The fields are read-only by
+    convention; graphs compare and hash on their vertex and edge sets.  Use :meth:`build`
+    rather than the raw constructor so vertices are keyed, ids given and loops rejected."""
 
-    ``edges`` holds canonical-order pairs, built on first read; graphs compare
-    and hash on their vertex and edge sets.  Use :meth:`build` rather than the
-    raw constructor so vertices are keyed, loops rejected and the index made.
-    """
+    __slots__ = ("order", "pos", "nbrs", "vertices", "_edges", "_masks", "_orientation", "_components",
+                 "_elimination", "_generators", "_subsets")
 
-    vertices: frozenset
-    index: "GraphIndex"
+    def __init__(self, order: list, pos: dict, nbrs: list, vertices: frozenset):
+        self.order, self.pos, self.nbrs, self.vertices = order, pos, nbrs, vertices
+        self._edges = self._masks = self._orientation = self._components = self._elimination = None
+        self._generators = self._subsets = None
 
     @classmethod
     def build(cls, edges: Iterable[tuple[Vertex, Vertex]] = (), vertices: Iterable[Vertex] = ()) -> "Graph":
@@ -112,16 +118,14 @@ class Graph:
         for i, j in ids:
             nbrs[i].append(j)
             nbrs[j].append(i)
-        vertices = frozenset(order)
-        return cls(vertices, GraphIndex(order, {v: i for i, v in enumerate(order)}, [sorted(js) for js in nbrs], vertices))
+        return cls(order, {v: i for i, v in enumerate(order)}, [sorted(js) for js in nbrs], frozenset(order))
 
     @property
     def edges(self) -> frozenset:
-        """The edges as canonical-order pairs, read off ``index.nbrs`` on first use and kept on the index."""
-        index = self.index
-        if index._edges is None:
-            index._edges = frozenset(self.sorted_edges())
-        return index._edges
+        """The edges as canonical-order pairs, read off ``nbrs`` on first use and kept."""
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -143,50 +147,31 @@ class Graph:
         return len(self.vertices)
 
     def _id(self, v: Vertex) -> int:
-        return _ids(self.index, [v])[0]
+        return _ids(self, [v])[0]
 
     def neighbors(self, v: Vertex) -> frozenset:
-        index = self.index
-        return frozenset(index.order[j] for j in index.nbrs[self._id(v)])
+        return frozenset(self.order[j] for j in self.nbrs[self._id(v)])
 
     def degree(self, v: Vertex) -> int:
-        return len(self.index.nbrs[self._id(v)])
+        return len(self.nbrs[self._id(v)])
 
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
         """True iff uv is an edge; u must be a vertex, v need not be."""
-        mask = self.index.masks[self._id(u)]
-        j = self.index.pos.get(v)
+        mask = self.masks[self._id(u)]
+        j = self.pos.get(v)
         return j is not None and mask >> j & 1 == 1
 
     def sorted_vertices(self) -> list[Vertex]:
-        return list(self.index.order)
+        return list(self.order)
 
     def sorted_edges(self) -> list[tuple[Vertex, Vertex]]:
         """The edges in id order: ``_on_ids`` makes every edge (order[i], order[j]) with i < j."""
-        order = self.index.order
-        return [(order[i], order[j]) for i, js in enumerate(self.index.nbrs) for j in js if j > i]
+        order = self.order
+        return [(order[i], order[j]) for i, js in enumerate(self.nbrs) for j in js if j > i]
 
     def require_vertex(self, v: Vertex) -> None:
         if v not in self.vertices:
             raise UnknownVertexError(repr(v))
-
-
-class GraphIndex:
-    """A graph as integers, made with the graph: vertex ``i`` is ``order[i]`` in key order (a
-    derived graph keeps its parent's on the ids it takes), ``pos`` maps each vertex back to its
-    id, ``nbrs[i]`` lists the neighbour ids in increasing order, and ``vertices`` is the
-    graph's own vertex set.  So a BFS over ``nbrs`` expands neighbours in key order;
-    :meth:`parent_row` relies on that.  Facts of the graph are kept on first use: the
-    edge set (``Graph.edges``), the neighbour masks, the DFS orientation, the component
-    masks, and the min-degree elimination (``treedecomp.min_degree_elimination``)."""
-
-    __slots__ = ("order", "pos", "nbrs", "vertices", "_edges", "_masks", "_orientation", "_components",
-                 "_elimination", "_generators", "_subsets")
-
-    def __init__(self, order: list, pos: dict, nbrs: list, vertices: frozenset):
-        self.order, self.pos, self.nbrs, self.vertices = order, pos, nbrs, vertices
-        self._edges = self._masks = self._orientation = self._components = self._elimination = None
-        self._generators = self._subsets = None
 
     def own_id(self, v) -> int | None:
         """v's id if v is this graph's own vertex, else None: True or 1.0 equals 1 but is no vertex."""
@@ -324,7 +309,7 @@ def bit_ids(mask: int) -> list[int]:
 def mask_components(masks: list[int], within: int = -1):
     """The components C of the subgraph induced on the ids in ``within``, each
     yielded with N(C) ∖ ``within`` as bitmasks of ids, lowest id first; ``masks``
-    holds each id's neighbours (``GraphIndex.masks``).  With ``within`` = ~S this
+    holds each id's neighbours (``Graph.masks``).  With ``within`` = ~S this
     gives G − S with N(C) ⊆ S, with ``within`` = S the components of G[S].  One
     bit-parallel BFS per component, taking its ids out of ``rest`` as it grows."""
     rest = within & (1 << len(masks)) - 1
@@ -350,10 +335,10 @@ def mask_components(masks: list[int], within: int = -1):
 # ---------------------------------------------------------------------------
 
 
-def _ids(index: GraphIndex, vs: Iterable[Vertex]) -> list[int]:
-    """The ids of some vertices in ``index``; UnknownVertexError names the first unknown one."""
+def _ids(g: Graph, vs: Iterable[Vertex]) -> list[int]:
+    """The ids of some vertices of ``g``; UnknownVertexError names the first unknown one."""
     try:
-        return [index.pos[v] for v in vs]
+        return [g.pos[v] for v in vs]
     except KeyError as e:
         raise UnknownVertexError(repr(e.args[0])) from None
 
@@ -365,19 +350,19 @@ def row_distance(row: list[int], ids: Iterable[int]) -> int | float:
 
 def distances_from(g: Graph, sources: Iterable[Vertex]) -> dict:
     """BFS distances from a set of sources (unreached vertices absent)."""
-    row = g.index.distance_row(_ids(g.index, sources))
-    return {v: d for v, d in zip(g.index.order, row) if d >= 0}
+    row = g.distance_row(_ids(g, sources))
+    return {v: d for v, d in zip(g.order, row) if d >= 0}
 
 
 def distance(g: Graph, u: Vertex, v: Vertex) -> int | float:
     """d_G(u, v); ``math.inf`` when u and v lie in different components."""
-    row = g.index.distance_row(_ids(g.index, [u]))
-    return row_distance(row, _ids(g.index, [v]))
+    row = g.distance_row(_ids(g, [u]))
+    return row_distance(row, _ids(g, [v]))
 
 
 def components(g: Graph) -> list[frozenset]:
     """Connected components, sorted by canonical key of their smallest vertex."""
-    return [g.index.labels(comp) for comp in g.index.component_masks]
+    return [g.labels(comp) for comp in g.component_masks]
 
 
 def dfs_orientation(nbrs: list) -> tuple:
@@ -451,15 +436,15 @@ def cut_vertices(g: Graph) -> frozenset:
     lowpoints of ``dfs_orientation`` (Hopcroft–Tarjan): a non-root v is one iff
     some tree edge v→w has ``lowpt`` ≥ height(v), a root iff it has two or
     more tree edges (all of which pass that test)."""
-    height, parent, dst, out, lowpt, _ = g.index.orientation
+    height, parent, dst, out, lowpt, _ = g.orientation
     return frozenset(
-        g.index.order[v] for v, es in enumerate(out)
+        g.order[v] for v, es in enumerate(out)
         if sum(parent[dst[e]] == e and lowpt[e] >= height[v] for e in es) > (height[v] == 0)
     )
 
 
 def is_connected(g: Graph) -> bool:
-    return len(g.index.component_masks) <= 1
+    return len(g.component_masks) <= 1
 
 
 def induced_subgraph(g: Graph, keep: Iterable[Vertex]) -> Graph:
@@ -468,14 +453,13 @@ def induced_subgraph(g: Graph, keep: Iterable[Vertex]) -> Graph:
 
 def _induced(g: Graph, keep: Iterable[Vertex], cliques: Iterable[Iterable[Vertex]] = ()) -> Graph:
     """G[keep] plus a clique on each of ``cliques`` (sets of kept vertices), on
-    ``g.index`` ids: the kept ids, in increasing order, stay in key order."""
-    index = g.index
-    ids = sorted(_ids(index, set(keep)))
+    ``g``'s ids: the kept ids, in increasing order, stay in key order."""
+    ids = sorted(_ids(g, set(keep)))
     new = dict(zip(ids, range(len(ids))))
-    pairs = [(new[i], new[j]) for i in ids for j in index.nbrs[i] if j > i and j in new]
+    pairs = [(new[i], new[j]) for i in ids for j in g.nbrs[i] if j > i and j in new]
     for c in cliques:
-        pairs.extend(combinations([new[i] for i in _ids(index, c)], 2))
-    return Graph._on_ids([index.order[i] for i in ids], pairs)
+        pairs.extend(combinations([new[i] for i in _ids(g, c)], 2))
+    return Graph._on_ids([g.order[i] for i in ids], pairs)
 
 
 def union(a: Graph, b: Graph) -> Graph:
@@ -504,13 +488,13 @@ def relabel(g: Graph, mapping: Mapping) -> Graph:
 
 def shortest_path(g: Graph, u: Vertex, v: Vertex) -> list[Vertex] | None:
     """One shortest u-v path (deterministic: BFS expands neighbours in key order)."""
-    s, t = _ids(g.index, [u, v])
-    path = parent_path(g.index.parent_row(s), t)
-    return None if path is None else [g.index.order[i] for i in path]
+    s, t = _ids(g, [u, v])
+    path = parent_path(g.parent_row(s), t)
+    return None if path is None else [g.order[i] for i in path]
 
 
 def parent_path(prev: list[int], t: int) -> tuple[int, ...] | None:
-    """The id path from the root of a ``GraphIndex.parent_row`` to id ``t``; None if ``t`` is unreached."""
+    """The id path from the root of a ``Graph.parent_row`` to id ``t``; None if ``t`` is unreached."""
     if prev[t] < 0:
         return None
     path = [t]
@@ -630,7 +614,7 @@ def format_edge_list(g: Graph) -> str:
         if parse_vertex_token(t) != v:
             raise GraphToolError(f"vertex {v!r} would read back from the edge-list format as {parse_vertex_token(t)!r}")
     lines = [f"{token[u]} {token[v]}" for (u, v) in g.sorted_edges()]
-    lines += [token[v] for v, js in zip(g.index.order, g.index.nbrs) if not js]
+    lines += [token[v] for v, js in zip(g.order, g.nbrs) if not js]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -641,6 +625,6 @@ def _dot_quote(token: str) -> str:
 def to_dot(g: Graph) -> str:
     lines = ["graph G {"]
     lines += [f"  {_dot_quote(vertex_token(u))} -- {_dot_quote(vertex_token(v))};" for (u, v) in g.sorted_edges()]
-    lines += [f"  {_dot_quote(vertex_token(v))};" for v, js in zip(g.index.order, g.index.nbrs) if not js]
+    lines += [f"  {_dot_quote(vertex_token(v))};" for v, js in zip(g.order, g.nbrs) if not js]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,8 +2,8 @@
 
 One algorithm gives both the verdict and the witness: the package's own
 left-right planarity test (de Fraysseix–Rosenstiehl, in Brandes' formulation)
-on ``GraphIndex`` ids.  Its orientation pass is ``graph.dfs_orientation``,
-kept on the index as ``GraphIndex.orientation``, whose lowpoints
+on a graph's ids.  Its orientation pass is ``graph.dfs_orientation``,
+kept on the graph as ``Graph.orientation``, whose lowpoints
 ``graph.cut_vertices`` also reads; this module holds only the testing pass.  On a non-planar graph, deleting every edge the test
 shows to be unneeded for non-planarity leaves a K₅ or K₃,₃ subdivision, which
 ``validate_subdivision`` re-checks independently of the test.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import StructuralError
-from .graph import Graph, GraphIndex
+from .graph import Graph
 
 WITNESS_CAP = 12
 
@@ -86,10 +86,9 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
     every edge tried, each one left would be needed, leaving S alone: the
     stop always comes.
     """
-    index = g.index
-    if _lr_planar(index):
+    if _lr_planar(g):
         return None
-    nbrs = [list(js) for js in index.nbrs]
+    nbrs = [list(js) for js in g.nbrs]
     _strip(nbrs, list(range(len(nbrs))))
     edges = sorted((-len(nbrs[u]) - len(nbrs[v]), u, v) for u, js in enumerate(nbrs) for v in js if u < v)
     for _, u, v in edges:
@@ -100,7 +99,7 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
             continue
         nbrs[u].remove(v)
         nbrs[v].remove(u)
-        if _lr_planar(GraphIndex(index.order, index.pos, nbrs, index.vertices)):
+        if _lr_planar(Graph(g.order, g.pos, nbrs, g.vertices)):
             insort(nbrs[u], v)
             insort(nbrs[v], u)
         else:
@@ -120,12 +119,12 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
     else:  # the least branch id and its two non-neighbours on the left
         right = sorted(w for (b, w) in ends if b == branch[0])
         kind, branch = "K33", [b for b in branch if b not in right] + right
-    label = index.order
+    label = g.order
     return SubdivisionWitness(kind, tuple(label[v] for v in branch),
                               tuple(tuple(label[v] for v in ends[branch[i], branch[j]]) for i, j in _SHAPES[kind][1]))
 
 
-def _lr_planar(index: GraphIndex) -> bool:
+def _lr_planar(g: Graph) -> bool:
     """The left-right planarity test (Brandes, "The Left-Right Planarity
     Test", 2009), verdict only.
 
@@ -138,12 +137,12 @@ def _lr_planar(index: GraphIndex) -> bool:
     conflict pair is the list ``[left low, left high, right low, right high]``
     with -1 for "none", and an interval is empty iff its low end is -1.
     ``ref`` links each back edge of an interval to the next one down.
-    The orientation is the index's own, shared with ``cut_vertices``.
+    The orientation is the graph's own, shared with ``cut_vertices``.
     """
-    n = len(index.nbrs)
-    if n > 2 and sum(map(len, index.nbrs)) > 2 * (3 * n - 6):
+    n = len(g.nbrs)
+    if n > 2 and sum(map(len, g.nbrs)) > 2 * (3 * n - 6):
         return False
-    height, parent, dst, out, lowpt, lowpt2 = index.orientation
+    height, parent, dst, out, lowpt, lowpt2 = g.orientation
     m = len(dst)
     # Each vertex's outgoing edges by nesting depth, in new lists: the orientation's stay as they are.
     depth = [0] * m
@@ -249,7 +248,7 @@ def is_planar(g: Graph, witness_cap: int = WITNESS_CAP) -> PlanarityVerdict:
     """The verdict, with a validated witness when g is non-planar and has at
     most ``witness_cap`` vertices; ``find_subdivision`` decides those graphs."""
     if len(g.vertices) > witness_cap:
-        return PlanarityVerdict(_lr_planar(g.index), None)
+        return PlanarityVerdict(_lr_planar(g), None)
     witness = find_subdivision(g)
     if witness is not None and not validate_subdivision(g, witness):
         raise StructuralError("extracted subdivision failed validation")

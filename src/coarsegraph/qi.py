@@ -49,7 +49,7 @@ def _check_map(source: Graph, target: Graph, phi: Mapping) -> None:
     for v in source.vertices:
         if v not in phi:
             raise StructuralError(f"phi is not total: missing {v!r}")
-        if target.index.own_id(phi[v]) is None:
+        if target.own_id(phi[v]) is None:
             raise UnknownVertexError(repr(phi[v]))
 
 
@@ -83,18 +83,17 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     pq, pp, qq = p * q, p * p, q * q
     # An integer requirement exceeds p·q·c exactly when it exceeds its floor.
     limit = math.inf if c is None else pq * c.numerator // c.denominator
-    src, tgt = source.index, target.index
-    n = len(src.order)
-    img = [tgt.pos[phi[v]] for v in src.order]
+    n = len(source.order)
+    img = [target.pos[phi[v]] for v in source.order]
     bit = [1 << i for i in range(n)]
-    seeds = [0] * len(tgt.order)
+    seeds = [0] * len(target.order)
     for i, y in enumerate(img):
         seeds[y] |= bit[i]
     comp, reach = [0] * n, [0] * n  # i's G-component; the sources with images in φ(i)'s H-component
-    for mask in src.component_masks:
+    for mask in source.component_masks:
         for i in bit_ids(mask):
             comp[i] = mask
-    for mask in tgt.component_masks:
+    for mask in target.component_masks:
         srcs = sum(seeds[y] for y in bit_ids(mask))
         for i in bit_ids(srcs):
             reach[i] = srcs
@@ -102,18 +101,18 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
         later = ((1 << n) - 1 ^ comp[i] & reach[i]) >> (i + 1)
         if later:
             j = i + (later & -later).bit_length()
-            u, v = src.order[i], src.order[j]
+            u, v = source.order[i], source.order[j]
             if not comp[i] >> j & 1:
                 raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
             raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
-    row = tgt.distance_row(set(img))
+    row = target.distance_row(set(img))
     if -1 in row and not per_component:
-        raise ConnectivityError(f"target vertex {tgt.order[row.index(-1)]!r} cannot reach the image")
+        raise ConnectivityError(f"target vertex {target.order[row.index(-1)]!r} cannot reach the image")
 
     # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
     top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
     walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
-    ball, levels = src.ball_levels(bit), tgt.ball_levels(seeds)
+    ball, levels = source.ball_levels(bit), target.ball_levels(seeds)
     near = [next(levels)]  # the H levels made so far; None below the lowest close pointer
     prev, t, dropped = next(ball), 0, 0
     far, close = [0] * n, [0] * n  # the two pointers of each source
@@ -148,12 +147,12 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     def first(hit) -> tuple | None:
         i = next((i for i in range(n) if hit(top[i])), None)
         if i is None:
-            return next(((tgt.order[y],) for y, r in enumerate(dens) if hit(r)), None)
-        gs, hs = src.distance_row([i]), tgt.distance_row([img[i]])
+            return next(((target.order[y],) for y, r in enumerate(dens) if hit(r)), None)
+        gs, hs = source.distance_row([i]), target.distance_row([img[i]])
         for j in range(i + 1, n):
             g, h = gs[j], hs[img[j]]
             if hit(-math.inf if g < 0 else math.inf if h < 0 else max(pq * h - pp * g, qq * g - pq * h)):
-                return src.order[i], src.order[j]
+                return source.order[i], source.order[j]
 
     best = max(top + dens, default=None)
     return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq),

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import StructuralError
-from .graph import Graph, GraphIndex, Vertex, bit_ids, mask_components, sort_vertices, vertex_from_json
+from .graph import Graph, Vertex, bit_ids, mask_components, sort_vertices, vertex_from_json
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class Separation:
         return cls(a, b) if _a_first(sum(1 << pos[v] for v in a), sum(1 << pos[v] for v in b)) else cls(b, a)
 
     @classmethod
-    def on_masks(cls, index: GraphIndex, a: int, b: int) -> "Separation":
-        """The separation whose sides are the id masks a and b of ``index``."""
-        return cls(index.labels(a), index.labels(b)) if _a_first(a, b) else cls(index.labels(b), index.labels(a))
+    def on_masks(cls, g: Graph, a: int, b: int) -> "Separation":
+        """The separation whose sides are the id masks a and b of ``g``."""
+        return cls(g.labels(a), g.labels(b)) if _a_first(a, b) else cls(g.labels(b), g.labels(a))
 
     @property
     def separator(self) -> frozenset:
@@ -56,15 +56,14 @@ def is_separation(g: Graph, sep: Separation) -> bool:
     """Checks the defining conditions: sides cover V(G), no edge crosses strictly."""
     if sep.side_a | sep.side_b != g.vertices:
         return False
-    a, b = g.index.bits(sep.side_a), g.index.bits(sep.side_b)
-    return not any(g.index.masks[i] & b & ~a for i in bit_ids(a & ~b))
+    a, b = g.bits(sep.side_a), g.bits(sep.side_b)
+    return not any(g.masks[i] & b & ~a for i in bit_ids(a & ~b))
 
 
 def fully_attached_components(g: Graph, s: Iterable[Vertex]) -> list[frozenset]:
     """Components C of G − S with N(C) exactly S, in canonical order."""
-    index = g.index
-    m = index.bits(s)
-    return [index.labels(comp) for comp, nbhd in mask_components(index.masks, ~m) if nbhd == m]
+    m = g.bits(s)
+    return [g.labels(comp) for comp, nbhd in mask_components(g.masks, ~m) if nbhd == m]
 
 
 def is_tight(g: Graph, sep: Separation) -> bool:
@@ -72,15 +71,15 @@ def is_tight(g: Graph, sep: Separation) -> bool:
     whole separator."""
     if not is_separation(g, sep):
         raise StructuralError("not a separation of the given graph")
-    return _tight_on_masks(g, g.index.bits(sep.side_a), g.index.bits(sep.side_b))
+    return _tight_on_masks(g, g.bits(sep.side_a), g.bits(sep.side_b))
 
 
 def _tight_on_masks(g: Graph, a: int, b: int) -> bool:
-    """:func:`is_tight` for the separation whose sides are the ``g.index`` id
+    """:func:`is_tight` for the separation whose sides are the ``g`` id
     masks a and b, taken to be a separation unchecked."""
     # A component of G − S lies wholly on one strict side; True marks side A.
     s = a & b
-    return {comp & a == comp for comp, nbhd in mask_components(g.index.masks, ~s) if nbhd == s} == {True, False}
+    return {comp & a == comp for comp, nbhd in mask_components(g.masks, ~s) if nbhd == s} == {True, False}
 
 
 def enumerate_tight(g: Graph, k: int) -> list[Separation]:
@@ -95,13 +94,12 @@ def enumerate_tight(g: Graph, k: int) -> list[Separation]:
     """
     if k < 0 or k > len(g.vertices):
         raise StructuralError("order must be between 0 and |V|")
-    index = g.index
-    full = (1 << len(index.order)) - 1
+    full = (1 << len(g.order)) - 1
     found = []
-    for combo in combinations(range(len(index.order)), k):
+    for combo in combinations(range(len(g.order)), k):
         s = sum(1 << i for i in combo)
         # Fully attached components first; each goes to side A (bit 1) or side B (bit 0).
-        split = sorted(mask_components(index.masks, ~s), key=lambda cn: cn[1] != s)
+        split = sorted(mask_components(g.masks, ~s), key=lambda cn: cn[1] != s)
         nf = sum(nbhd == s for _, nbhd in split)
         if nf < 2:
             continue
@@ -115,7 +113,7 @@ def enumerate_tight(g: Graph, k: int) -> list[Separation]:
                 a, b = b, a
             found.append(((bit_ids(s), bit_ids(a), bit_ids(b)), a, b))
     found.sort()
-    return [Separation.on_masks(index, a, b) for _, a, b in found]
+    return [Separation.on_masks(g, a, b) for _, a, b in found]
 
 
 def separation_to_dict(sep: Separation) -> dict:

@@ -1,12 +1,12 @@
 """Automorphism enumeration and orbit partitions for small graphs.
 
 Automorphisms are plain dicts (vertex -> vertex, in vertex-key order).
-Enumeration is exact backtracking over ``GraphIndex`` ids after colour
+Enumeration is exact backtracking over a graph's ids after colour
 refinement (McKay, "Practical Graph Isomorphism", 1981), intended for graphs
 up to a configurable size cap: a candidate image is checked with one mask
 compare against the images of the neighbours already placed; stopped at the
 first extension of each coset of a stabiliser chain, the same backtrack gives
-a generating set and the group order, kept in ``GraphIndex._generators``.  Vertex and edge orbits
+a generating set and the group order, kept in ``Graph._generators``.  Vertex and edge orbits
 close ids under it; :func:`orbits` groups any objects under the group a list of automorphisms generates.
 """
 
@@ -15,17 +15,17 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, StructuralError
-from .graph import Graph, GraphIndex, canonical_edge, set_key, vertex_key
+from .graph import Graph, canonical_edge, set_key, vertex_key
 from .separations import Separation
 
 DEFAULT_AUTOMORPHISM_CAP = 12
 
 
-def _refined_order(index: GraphIndex) -> tuple[list[int], list[int]]:
+def _refined_order(g: Graph) -> tuple[list[int], list[int]]:
     """Refined neighbour colours of the ids (used for pruning), and the ids by rarity of colour."""
-    color = [len(js) for js in index.nbrs]
+    color = [len(js) for js in g.nbrs]
     while True:
-        sig = [(c, tuple(sorted(color[j] for j in js))) for c, js in zip(color, index.nbrs)]
+        sig = [(c, tuple(sorted(color[j] for j in js))) for c, js in zip(color, g.nbrs)]
         palette = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [palette[s] for s in sig]
         if new == color:
@@ -33,10 +33,10 @@ def _refined_order(index: GraphIndex) -> tuple[list[int], list[int]]:
         color = new
 
 
-def _extensions(index: GraphIndex, color: list[int], order: list[int], prefix: tuple):
+def _extensions(g: Graph, color: list[int], order: list[int], prefix: tuple):
     """Yield, as id tuples of images, each automorphism sending ``order[i]`` to
     ``prefix[i]`` for every ``i < len(prefix)``, in backtracking order."""
-    n, masks = len(order), index.masks
+    n, masks = len(order), g.masks
     image = [0] * n
 
     def extend(i: int, used: int):
@@ -58,38 +58,37 @@ def _extensions(index: GraphIndex, color: list[int], order: list[int], prefix: t
         raise CapacityError(f"graph has {n} vertices, too many for the automorphism backtrack") from None
 
 
-def _capped(g: Graph, max_vertices: int) -> GraphIndex:
+def _capped(g: Graph, max_vertices: int) -> None:
     if len(g.vertices) > max_vertices:
         raise CapacityError(f"graph has {len(g.vertices)} vertices, automorphism cap is {max_vertices}")
-    return g.index
 
 
 def automorphisms(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> list[dict]:
     """All automorphisms of g, identity first, the rest by their images in vertex-key order."""
-    index = _capped(g, max_vertices)
+    _capped(g, max_vertices)
     # Ids follow vertex-key order, so the identity is the least tuple.
-    found = sorted(_extensions(index, *_refined_order(index), ()))
-    return [{index.order[v]: index.order[w] for v, w in enumerate(a)} for a in found]
+    found = sorted(_extensions(g, *_refined_order(g), ()))
+    return [{g.order[v]: g.order[w] for v, w in enumerate(a)} for a in found]
 
 
 def automorphism_generators(g: Graph) -> tuple[tuple, ...]:
     """At most n(n − 1)/2 automorphisms (id tuples of images) generating Aut(g): down
     the stabiliser chain of the refinement order, deepest first, level ``l`` takes
-    the first extension for each image of its id that the generators so far miss (kept on ``g.index``)."""
-    return _chain(g.index)[0]
+    the first extension for each image of its id that the generators so far miss (kept on ``g``)."""
+    return _chain(g)[0]
 
 
 def _group_order(g: Graph) -> int:
     """|Aut(g)|: the product of the orbit lengths down the stabiliser chain."""
-    return _chain(g.index)[1]
+    return _chain(g)[1]
 
 
-def _chain(index: GraphIndex) -> tuple[tuple, int]:
-    """The generators of :func:`automorphism_generators` and |Aut|, kept on the index.  Level
+def _chain(g: Graph) -> tuple[tuple, int]:
+    """The generators of :func:`automorphism_generators` and |Aut|, kept on the graph.  Level
     ``l``'s orbit is that of its id under the generators of that level and deeper, which fix
     every earlier id, so the product of the orbit lengths is the group order."""
-    if index._generators is None:
-        color, order = _refined_order(index)
+    if g._generators is None:
+        color, order = _refined_order(g)
         gens: list[tuple] = []
         size = 1
         for l in reversed(range(len(order))):
@@ -97,14 +96,14 @@ def _chain(index: GraphIndex) -> tuple[tuple, int]:
             for w in order[l + 1:]:
                 if w in orbit or color[w] != color[order[l]]:
                     continue
-                a = next(_extensions(index, color, order, (*order[:l], w)), None)
+                a = next(_extensions(g, color, order, (*order[:l], w)), None)
                 if a is not None:
                     gens.append(a)
                     for x in orbit:  # the orbit of order[l] under the generators so far
                         orbit += {b[x] for b in gens}.difference(orbit)
             size *= len(orbit)
-        index._generators = (tuple(gens), size)
-    return index._generators
+        g._generators = (tuple(gens), size)
+    return g._generators
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +174,14 @@ def _id_orbits(n: int, maps: list) -> list[list[int]]:
 
 def vertex_orbits(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> list[list]:
     """The vertex orbits of Aut(g), by least vertex, each in key order; CapacityError above the cap."""
-    order = _capped(g, max_vertices).order
-    return [[order[i] for i in orbit] for orbit in _id_orbits(len(order), automorphism_generators(g))]
+    _capped(g, max_vertices)
+    return [[g.order[i] for i in orbit] for orbit in _id_orbits(len(g.order), automorphism_generators(g))]
 
 
 def edge_orbits(g: Graph, max_vertices: int = DEFAULT_AUTOMORPHISM_CAP) -> list[list]:
     """The edge orbits of Aut(g) (edge ids: places in ``sorted_edges``), by least edge; CapacityError above the cap."""
-    pos, edges = _capped(g, max_vertices).pos, g.sorted_edges()
-    eid = {(pos[u], pos[v]): i for i, (u, v) in enumerate(edges)}  # in id order
+    _capped(g, max_vertices)
+    edges = g.sorted_edges()
+    eid = {(g.pos[u], g.pos[v]): i for i, (u, v) in enumerate(edges)}  # in id order
     maps = [[eid[min(a[x], a[y]), max(a[x], a[y])] for x, y in eid] for a in automorphism_generators(g)]
     return [[edges[i] for i in orbit] for orbit in _id_orbits(len(edges), maps)]

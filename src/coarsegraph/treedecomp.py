@@ -17,7 +17,6 @@ from typing import Iterable
 from .errors import CapacityError, EmptySetError, StructuralError
 from .graph import (
     Graph,
-    GraphIndex,
     Vertex,
     _induced,
     bit_ids,
@@ -37,7 +36,7 @@ DEFAULT_TREEWIDTH_CAP = 14
 def _check_is_tree(tree: Graph) -> None:
     if not tree.vertices:
         raise StructuralError("decomposition tree must have at least one node")
-    if sum(map(len, tree.index.nbrs)) != 2 * (len(tree.vertices) - 1) or not is_connected(tree):
+    if sum(map(len, tree.nbrs)) != 2 * (len(tree.vertices) - 1) or not is_connected(tree):
         raise StructuralError("decomposition tree is not a tree")
 
 
@@ -77,22 +76,21 @@ def validate(host: Graph, td: TreeDecomposition) -> TDReport:
         return TDReport(False, "T1", v, f"part vertex {vertex_token(v)} is not a graph vertex")
     for v in sort_vertices(host.vertices - covered):
         return TDReport(False, "T1", v, f"graph vertex {vertex_token(v)} lies in no part")
-    index, tree = host.index, td.tree.index
-    reach, nodes = [0] * len(index.order), [0] * len(index.order)
-    for t, node in enumerate(tree.order):
-        p = index.bits(td.parts[node])
+    reach, nodes = [0] * len(host.order), [0] * len(host.order)
+    for t, node in enumerate(td.tree.order):
+        p = host.bits(td.parts[node])
         for i in bit_ids(p):
             reach[i] |= p
             nodes[i] |= 1 << t
-    for i, m in enumerate(index.masks):
+    for i, m in enumerate(host.masks):
         missed = m & ~reach[i] & -(2 << i)  # key-later neighbours sharing no part with i
         if missed:
-            u, v = index.order[i], index.order[(missed & -missed).bit_length() - 1]
+            u, v = host.order[i], host.order[(missed & -missed).bit_length() - 1]
             return TDReport(False, "T2", (u, v), f"edge {vertex_token(u)}-{vertex_token(v)} lies in no part")
     tested = set()
     for i, ns in enumerate(nodes):  # a failing set fails first at its key-least vertex
-        if ns not in tested and next(mask_components(tree.masks, ns))[0] != ns:
-            v = index.order[i]
+        if ns not in tested and next(mask_components(td.tree.masks, ns))[0] != ns:
+            v = host.order[i]
             return TDReport(False, "T3", v, f"nodes containing {vertex_token(v)} are not connected in the tree")
         tested.add(ns)
     return TDReport(True, message="valid tree-decomposition")
@@ -127,8 +125,8 @@ def torso(host: Graph, td: TreeDecomposition, t) -> Graph:
     return _induced(host, part, cliques)
 
 
-def _tree_parents(tree: GraphIndex) -> list[int]:
-    """Each node's parent id in a tree's ``GraphIndex``, rooted at id 0 (its key-least node), -1 at the root."""
+def _tree_parents(tree: Graph) -> list[int]:
+    """Each node's parent id in a tree, rooted at id 0 (its key-least node), -1 at the root."""
     return [-1 if p == t else p for t, p in enumerate(tree.parent_row(0))]
 
 
@@ -149,32 +147,23 @@ def _subtree_unions(parent: list[int], part: list[int]) -> tuple[list[int], list
     return preorder, below
 
 
-def edge_separations(host: Graph, td: TreeDecomposition) -> dict:
-    """Both sides of every tree edge, from one pass over the tree rooted at its
-    key-least node: canonical tree edge (t1, t2) -> the unions of the parts on
-    t1's side and on t2's side, as ``host.index`` masks."""
-    tree = td.tree.index
-    part = [host.index.bits(td.parts[t]) for t in tree.order]
-    parent = _tree_parents(tree)
-    preorder, below = _subtree_unions(parent, part)
-    above = [0] * len(part)  # the parts outside t's subtree
-    for t in preorder[1:]:
-        p = parent[t]
-        above[t] = above[p] | part[p]
-        for s in tree.nbrs[p]:
-            if s != t and s != parent[p]:
-                above[t] |= below[s]
-    return {(tree.order[min(p, t)], tree.order[max(p, t)]): (above[t], below[t]) if p < t else (below[t], above[t])
-            for t, p in enumerate(parent) if p >= 0}
-
-
 def edge_separation(host: Graph, td: TreeDecomposition, edge: tuple) -> Separation:
-    """The separation of the host induced by removing a tree edge."""
+    """The separation of the host induced by removing a tree edge: the unions
+    of the parts on each side of it, read off the tree component of one end."""
     t1, t2 = edge
     e = canonical_edge(t1, t2)
     if e not in td.tree.edges:
         raise StructuralError(f"{edge!r} is not a tree edge")
-    return Separation.on_masks(host.index, *edge_separations(host, td)[e])
+    tree = td.tree
+    i, j = tree.pos[t1], tree.pos[t2]
+    masks = tree.masks[:]
+    masks[i] ^= 1 << j
+    masks[j] ^= 1 << i
+    near = next(comp for comp, _ in mask_components(masks) if comp >> i & 1)
+    sides = [0, 0]
+    for t, node in enumerate(tree.order):
+        sides[near >> t & 1] |= host.bits(td.parts[node])
+    return Separation.on_masks(host, *sides)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +175,7 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
     """Eliminate the vertex of least degree (ties to the least id, which is the
     least vertex key) and make its neighbours a clique, until g is empty.
     Returns each eliminated id with its bag (the id and its neighbours then)
-    as ``g.index`` masks in elimination order, or None once the least degree
+    as ``g``'s id masks in elimination order, or None once the least degree
     left exceeds ``max_degree``.  The widest bag minus one bounds treewidth
     from above (Bodlaender–Koster).  With ``max_degree`` = k ≤ 2 it returns
     None exactly when tw > k: its steps are the series–parallel reductions
@@ -194,16 +183,15 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
     and the widest bag minus one is the degeneracy, which bounds treewidth
     from below.
 
-    A completed run with ``fill`` is kept on ``g.index``; a later call reads
+    A completed run with ``fill`` is kept on ``g``; a later call reads
     it, and stops at ``max_degree`` exactly when some bag holds more than
     ``max_degree`` + 1 ids.  A run stopped early keeps nothing.
     """
-    index = g.index
-    if fill and index._elimination is not None:
-        if max_degree is not None and any(bag.bit_count() > max_degree + 1 for _, bag in index._elimination):
+    if fill and g._elimination is not None:
+        if max_degree is not None and any(bag.bit_count() > max_degree + 1 for _, bag in g._elimination):
             return None
-        return index._elimination
-    adj = list(index.masks)
+        return g._elimination
+    adj = list(g.masks)
     deg = [a.bit_count() for a in adj]
     buckets = [0] * len(adj)  # degree -> mask of the live ids of that degree
     for v, d in enumerate(deg):
@@ -228,7 +216,7 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
         d = max(d - 1, 0)
     out = tuple(out)
     if fill:
-        index._elimination = out
+        g._elimination = out
     return out
 
 
@@ -247,7 +235,7 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
         raise CapacityError(f"graph has {n} vertices, exact treewidth cap is {cap}")
     if n == 0:
         return -1
-    adj = g.index.masks
+    adj = g.masks
     bound, degeneracy = (max(bag.bit_count() for _, bag in min_degree_elimination(g, fill=fill)) - 1
                          for fill in (True, False))
     if degeneracy == bound:
@@ -279,7 +267,7 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
 
 def _elimination_tree(g: Graph) -> tuple[list[int], list[int]]:
     """The min-degree elimination tree: node i's part is the bag of the i-th
-    vertex ``min_degree_elimination`` removes, as a ``g.index`` mask, and its
+    vertex ``min_degree_elimination`` removes, as a ``g`` id mask, and its
     parent is the least later node whose vertex is in that bag, else i + 1,
     which links the trees of different components; the last node has parent
     -1.  Returns ``(parent, part)``; a graph with no vertex gives one node with
@@ -303,7 +291,7 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     parent, part = _elimination_tree(g)
     return TreeDecomposition(
         Graph._on_ids(list(range(len(part))), [(i, p) for i, p in enumerate(parent) if p >= 0]),
-        {i: g.index.labels(m) for i, m in enumerate(part)},
+        {i: g.labels(m) for i, m in enumerate(part)},
     )
 
 
@@ -338,16 +326,15 @@ def tree_center(tree: Graph) -> TreeCenter:
     setwise), which is what makes it usable as a canonical attachment point.
     """
     _check_is_tree(tree)
-    index = tree.index
-    remaining = set(range(len(index.order)))
-    deg = [len(js) for js in index.nbrs]
+    remaining = set(range(len(tree.order)))
+    deg = [len(js) for js in tree.nbrs]
     while len(remaining) > 2:
         leaves = [v for v in remaining if deg[v] <= 1]
         for v in leaves:
             remaining.discard(v)
-            for w in index.nbrs[v]:
+            for w in tree.nbrs[v]:
                 deg[w] -= 1
-    rest = [index.order[v] for v in sorted(remaining)]
+    rest = [tree.order[v] for v in sorted(remaining)]
     if len(rest) == 1:
         return TreeCenter("vertex", rest[0])
     return TreeCenter("edge", (rest[0], rest[1]))

@@ -11,6 +11,13 @@ from coarsegraph.graph import Graph, components, relabel, sort_vertices
 from coarsegraph.treedecomp import TreeDecomposition, heuristic_td, torso
 
 
+def nested(depth: int, leaf="a"):
+    """``leaf`` wrapped in ``depth`` one-element tuples."""
+    for _ in range(depth):
+        leaf = (leaf,)
+    return leaf
+
+
 def rename_quotient_vertex(v: tuple, sigma: dict, tau: dict) -> tuple:
     """How a quotient vertex must move when the bundle is relabeled."""
     kind = v[0]

@@ -64,7 +64,7 @@ from fractions import Fraction
 
 import oracles
 from coarsegraph import construction, graph, planarity, treedecomp
-from helpers import _randomly_contracted, random_bundle, supplied_bundle
+from helpers import _randomly_contracted, nested, random_bundle, supplied_bundle
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ _TREEWIDTHS = [  # a fresh graph from each maker, and its treewidth
 
 @pytest.mark.parametrize("make, tw", _TREEWIDTHS)
 def test_treewidth_at_most_answers_alike_whichever_call_fills_the_elimination(make, tw):
-    """The elimination kept on the index gives each k the answer a fresh graph
+    """The elimination kept on the graph gives each k the answer a fresh graph
     gets, whether heuristic_td filled it first or not: on K4, the 3×4 and the
     4×4 grid the full elimination must still refuse k ≤ 2.  A run stopped at k
     keeps nothing, so heuristic_td after it is the one on a fresh graph."""
@@ -451,7 +451,7 @@ def test_supplied_planar_sub_decomposition_is_checked_tight_once(monkeypatch):
 
 def test_verify_output_orients_each_h_once(monkeypatch):
     """The planarity test and the hub cut check read one orientation of H,
-    kept on its index: at most one dfs_orientation call per corpus H."""
+    kept on it: at most one dfs_orientation call per corpus H."""
     outs = [(inst.bundle, build_H(inst.bundle)) for inst in corpus(DEFAULT_SEED)]
     calls = []
     real = graph.dfs_orientation
@@ -762,7 +762,7 @@ def _id_order_bundles():
 
 def test_h_built_on_ids_equals_a_keyed_build():
     """build_H lists H's vertices in key order without keying them: its H
-    equals Graph.build of the same vertices and edges, index included."""
+    equals Graph.build of the same vertices and edges, ids included."""
     built = 0
     for b in _id_order_bundles():
         try:
@@ -771,29 +771,56 @@ def test_h_built_on_ids_equals_a_keyed_build():
             continue
         ref = Graph.build(H.edges, vertices=H.vertices)
         assert (H.vertices, H.edges) == (ref.vertices, ref.edges)
-        assert (H.index.order, H.index.nbrs) == (ref.index.order, ref.index.nbrs)
+        assert (H.order, H.nbrs) == (ref.order, ref.nbrs)
         built += 1
     assert built > 3 * 66
 
 
-def test_host_vertices_up_to_the_read_bound_render_in_h():
-    """A host vertex nested MAX_VERTEX_DEPTH deep, as deep as one read from
-    text, gets a planar copy one level deeper, and the output still verifies
-    and renders: no H name is keyed.  One level deeper no host can be built,
-    as keying refuses the vertex with a typed error."""
-    deep = "d"
-    for _ in range(MAX_VERTEX_DEPTH):
-        deep = (deep,)
-    g = relabel(grid_graph(3, 3), {"1,1": deep})
-    assert parse_edge_list(format_edge_list(g)) == g
-    b = InstanceBundle(g, single_node_td(g.vertices), k=1)
-    out = build_H(b)
-    assert verify_output(b, out).passed and out.phi[deep] == ("pl", "t", 0, deep)
-    token = "(" * MAX_VERTEX_DEPTH + "d" + ")" * MAX_VERTEX_DEPTH
-    assert output_to_dict(out)["phi"][token] == f"(pl|t|0|{token})"
+def _deep_bundle(host: Graph, k: int, depths) -> InstanceBundle:
+    """``host`` as one part with a supplied one-node sub-decomposition, its
+    key-least vertex, its tree node and its sub-decomposition node nested
+    ``depths`` deep."""
+    v_depth, t_depth, s_depth = depths
+    host = relabel(host, {host.sorted_vertices()[0]: nested(v_depth, "d")})
+    t, s = nested(t_depth, "t"), nested(s_depth, "s")
+    return InstanceBundle(host, single_node_td(host.vertices, t), k, sub_tds={t: single_node_td(host.vertices, s)})
 
-    with pytest.raises(GraphToolError, match="^a vertex identifier nests too deep to key$"):
-        relabel(grid_graph(3, 3), {"1,1": (deep,)})
+
+def test_host_vertices_up_to_the_read_bound_render_in_h(tmp_path, capsys):
+    """A host vertex, tree node and sub-decomposition node nested
+    MAX_VERTEX_DEPTH - 1 deep build and verify, in a planar part and in a
+    bounded-treewidth one, and every H token of the output reads back as its
+    H vertex, though H's names nest one level deeper.  Nested MAX_VERTEX_DEPTH
+    deep, each alone is refused: build_H raises ContractViolationError and
+    planarize exits 2."""
+    from coarsegraph.cli import main
+    from coarsegraph.graph import parse_vertex_token, vertex_token
+
+    top = MAX_VERTEX_DEPTH - 1
+    for host, k, kind in ((grid_graph(3, 3), 1, "pl"), (cycle_graph(10), 2, "tw")):
+        b = _deep_bundle(host, k, (top, top, top))
+        out = build_H(b)
+        assert verify_output(b, out).passed
+        deep, t, s = nested(top, "d"), nested(top, "t"), nested(top, "s")
+        assert out.phi[deep] == (("pl", t, s, deep) if kind == "pl" else ("tw", t, s))
+        data = output_to_dict(out)
+        h_of = {vertex_token(x): x for x in out.H.vertices}
+        assert set(data["provenance"]) == set(h_of)
+        tokens = [*data["phi"].values(), *(tok for e in data["h_edges"] for tok in e), *data["h_isolated"], *h_of]
+        assert all(parse_vertex_token(tok) == h_of[tok] for tok in tokens)
+
+        for i in range(3):
+            depths = [top] * 3
+            depths[i] = MAX_VERTEX_DEPTH
+            b = _deep_bundle(host, k, depths)
+            with pytest.raises(ContractViolationError, match="nests 100 deep"):
+                build_H(b)
+            (tmp_path / "g.txt").write_text(format_edge_list(b.host))
+            (tmp_path / "b.json").write_text(json.dumps(bundle_to_dict(b)))
+            argv = ["planarize", "--graph", str(tmp_path / "g.txt"), "--bundle", str(tmp_path / "b.json"),
+                    "--out", str(tmp_path / "out.json")]
+            assert main(argv) == 2
+            assert "nests 100 deep" in capsys.readouterr().err
 
 
 def build_outcome(bundle: InstanceBundle) -> str:

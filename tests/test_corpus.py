@@ -110,7 +110,7 @@ def test_decomposition_preserving_automorphisms_lift_to_h():
         b = inst.bundle
         if len(b.host) > 60:
             continue
-        out, order = build_H(b), b.host.index.order
+        out, order = build_H(b), b.host.order
         for images in automorphism_generators(b.host):
             sigma = {v: order[j] for v, j in zip(order, images)}
             tau = _tree_automorphism(b.td, sigma)

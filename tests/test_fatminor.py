@@ -36,7 +36,7 @@ from coarsegraph.generators import (
     path_graph,
     tree_graph,
 )
-from coarsegraph.graph import Graph, GraphIndex, canonical_edge, relabel, shortest_path, sort_vertices
+from coarsegraph.graph import Graph, canonical_edge, relabel, shortest_path, sort_vertices
 
 import oracles
 
@@ -251,24 +251,23 @@ def labelled_hosts(draw, max_size=8):
 def test_subset_and_ball_masks_match_brute_force(host, radius):
     """The search's id masks decode to the connected sets in (size, set_key)
     order and to the BFS balls, on hosts with int, string and tuple labels."""
-    index = host.index
     adj = oracles.adjacency(host.edges, host.vertices)
-    assert [index.labels(m) for m in _connected_subsets(index)] == oracles.connected_sets(adj)
-    balls = _vertex_balls(index, radius)
-    assert [index.labels(b) for b in balls] == [oracles.ball(adj, v, radius) for v in index.order]
+    assert [host.labels(m) for m in _connected_subsets(host)] == oracles.connected_sets(adj)
+    balls = _vertex_balls(host, radius)
+    assert [host.labels(b) for b in balls] == [oracles.ball(adj, v, radius) for v in host.order]
 
 
 def test_probe_builds_the_connected_sets_once(monkeypatch):
     """The connected sets depend on the host alone: the probe's searches at K = 2
     and K = 1 (K = 0 takes the carried witness) read one tuple, built by the
-    first and kept on the host's index."""
+    first and kept on the host."""
     host = cycle_graph(8)
-    assert host.index._subsets is None
+    assert host._subsets is None
     read = []
     real = fatminor._connected_subsets
-    monkeypatch.setattr(fatminor, "_connected_subsets", lambda index: read.append(real(index)) or read[-1])
+    monkeypatch.setattr(fatminor, "_connected_subsets", lambda g: read.append(real(g)) or read[-1])
     asymptotic_probe(cycle_graph(4), host, [0, 1, 2])
-    assert len(read) == 2 and read[0] is read[1] is host.index._subsets
+    assert len(read) == 2 and read[0] is read[1] is host._subsets
 
 
 @settings(max_examples=150, deadline=None)
@@ -276,9 +275,8 @@ def test_probe_builds_the_connected_sets_once(monkeypatch):
 def test_first_branch_sets_are_the_orbit_least_connected_sets(host):
     """Fed the connected sets in search order, the filter passes exactly those
     that no brute-force automorphism maps to an earlier set."""
-    index = host.index
     first = _first_in_orbit(host)
-    kept = [index.labels(s) for s in _connected_subsets(index) if first(s)]
+    kept = [host.labels(s) for s in _connected_subsets(host) if first(s)]
     autos = oracles.automorphisms(host.vertices, host.edges)
 
     def key(s):
@@ -336,7 +334,7 @@ def _edgeless(n):
 def test_symmetric_hosts_never_list_their_group(monkeypatch, host, cases):
     """On hosts with up to 10! automorphisms the searches on one host draw at
     most n(n - 1)/2 automorphisms from the backtrack in all (the generating set
-    is kept on the host's index) and never list the group, and they return
+    is kept on the host) and never list the group, and they return
     what the unfiltered search returns."""
     drawn = []
     real = symmetry._extensions
@@ -371,8 +369,8 @@ def test_exhaustive_search_reads_each_vertex_ball_once(monkeypatch, pattern, hos
     """Beyond the re-check of a found model, a search reads no distance row at
     K = 1 and at most one per host vertex at K = 2."""
     calls = []
-    real = GraphIndex.distance_row
-    monkeypatch.setattr(GraphIndex, "distance_row", lambda self, sources: calls.append(1) or real(self, sources))
+    real = Graph.distance_row
+    monkeypatch.setattr(Graph, "distance_row", lambda self, sources: calls.append(1) or real(self, sources))
     out = search_fat_minor(pattern, host, K)
     searched = len(calls)
     if out.model is not None:  # the re-check of a found model reads rows of its own
@@ -454,13 +452,12 @@ def test_heuristic_outcomes_match_the_committed_digest():
 
 def _walk(rng, host: Graph, steps: int) -> tuple:
     """A random walk of at most ``steps`` steps (vertices may repeat)."""
-    index = host.index
-    walk = [rng.randrange(len(index.order))]
+    walk = [rng.randrange(len(host.order))]
     for _ in range(steps):
-        if not index.nbrs[walk[-1]]:
+        if not host.nbrs[walk[-1]]:
             break
-        walk.append(rng.choice(index.nbrs[walk[-1]]))
-    return tuple(index.order[i] for i in walk)
+        walk.append(rng.choice(host.nbrs[walk[-1]]))
+    return tuple(host.order[i] for i in walk)
 
 
 def _model_case(rng):
@@ -484,7 +481,7 @@ def _model_case(rng):
         for v in pattern.sorted_vertices():
             b = branch[v] = {free.pop()} if free else set()
             for _ in range(rng.randint(0, 2)):
-                grow = sorted({w for x in b for w in host.neighbors(x) if w in free}, key=host.index.pos.get)
+                grow = sorted({w for x in b for w in host.neighbors(x) if w in free}, key=host.pos.get)
                 if grow:
                     b.add(w := rng.choice(grow))
                     free.remove(w)
@@ -743,14 +740,14 @@ def test_a_fatness_beyond_the_host_reads_no_ball_level_past_its_size(monkeypatch
     """Balls stop growing after n − 1 levels, so P2 in C8 at K = 10**12 reads at
     most n + 1 levels and gives the outcome at K = 8, node count included."""
     eight = search_fat_minor(path_graph(2), cycle_graph(8), 8)
-    real = GraphIndex.ball_levels
+    real = Graph.ball_levels
 
     def levels(self, seeds):
         for r, level in enumerate(real(self, seeds)):
             assert r <= len(self.order), "a ball level past the host's size was read"
             yield level
 
-    monkeypatch.setattr(GraphIndex, "ball_levels", levels)
+    monkeypatch.setattr(Graph, "ball_levels", levels)
     assert search_fat_minor(path_graph(2), cycle_graph(8), 10**12) == eight
     assert (eight.status, eight.nodes_used) == ("not-found", 407)
 

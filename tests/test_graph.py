@@ -39,6 +39,7 @@ from coarsegraph.graph import (
 from coarsegraph.treedecomp import TreeDecomposition, torso
 
 import oracles
+from helpers import nested
 
 
 def test_vertex_key_orders_mixed_types():
@@ -163,13 +164,13 @@ def test_unknown_vertex_raises():
 
 
 def test_bits_names_the_unknown_vertex_its_set_yields_first():
-    """GraphIndex.bits reads its input as a set, so of two unknown vertices in
+    """Graph.bits reads its input as a set, so of two unknown vertices in
     a list it names the one the set yields first, not the list's first."""
-    index = path_graph(3).index
-    assert index.bits([2, 0, 2]) == 0b101
+    g = path_graph(3)
+    assert g.bits([2, 0, 2]) == 0b101
     assert list(frozenset([3, 0, 9])) == [0, 9, 3]  # small ints hash to themselves
     with pytest.raises(UnknownVertexError) as exc:
-        index.bits([3, 0, 9])
+        g.bits([3, 0, 9])
     assert exc.value.args == ("9",)
 
 
@@ -325,12 +326,6 @@ def test_vertex_token_round_trip():
         assert parse_vertex_token(vertex_token(v)) == v
 
 
-def _nested(depth: int, leaf="a"):
-    for _ in range(depth):
-        leaf = (leaf,)
-    return leaf
-
-
 def _as_json(v):
     return [_as_json(x) for x in v] if isinstance(v, tuple) else v
 
@@ -338,11 +333,11 @@ def _as_json(v):
 def test_vertices_nest_up_to_the_depth_limit():
     """A vertex nested MAX_VERTEX_DEPTH deep reads back from its token and
     from its JSON array; one level deeper is a ParseError, not a RecursionError."""
-    v = _nested(MAX_VERTEX_DEPTH)
+    v = nested(MAX_VERTEX_DEPTH)
     assert parse_vertex_token(vertex_token(v)) == v
     assert vertex_from_json(_as_json(v)) == v and vertex_from_json(vertex_token(v)) == v
     assert parse_edge_list(format_edge_list(Graph.build([(v, 0)]))) == Graph.build([(v, 0)])
-    too_deep = _nested(MAX_VERTEX_DEPTH + 1)
+    too_deep = nested(MAX_VERTEX_DEPTH + 1)
     with pytest.raises(ParseError, match="nests deeper"):
         parse_vertex_token(vertex_token(too_deep))
     with pytest.raises(ParseError, match="nests deeper"):
@@ -353,10 +348,10 @@ def test_vertices_nest_up_to_the_key_bound():
     """Keying stops where reading does: a vertex nested MAX_VERTEX_DEPTH deep
     is keyed and renders; one level deeper is refused with GraphToolError
     wherever it is keyed, not only by Graph.build."""
-    v = _nested(MAX_VERTEX_DEPTH)
+    v = nested(MAX_VERTEX_DEPTH)
     assert Graph.build([(v, 0)]).sorted_vertices() == [0, v]
     assert vertex_token(v) == "(" * MAX_VERTEX_DEPTH + "a" + ")" * MAX_VERTEX_DEPTH
-    too_deep = _nested(MAX_VERTEX_DEPTH + 1)
+    too_deep = nested(MAX_VERTEX_DEPTH + 1)
     for key in (lambda: Graph.build([(too_deep, 0)]), lambda: Graph.build((), [too_deep]),
                 lambda: relabel(Graph.build([(v, 0)]), {v: too_deep}),
                 lambda: sort_vertices([too_deep, 0]), lambda: sorted([too_deep, 0], key=vertex_key)):
@@ -415,21 +410,22 @@ def test_to_dot_mentions_every_vertex():
 
 
 def test_index_is_built_once_and_adds_no_attribute():
-    g, fresh = grid_graph(3, 4), grid_graph(3, 4)
-    index = g.index
-    assert g.index is index and index.order == g.sorted_vertices()
+    g = grid_graph(3, 4)
+    assert g.order == g.sorted_vertices()
     adj = oracles.adjacency(g.edges, g.vertices)
-    assert [set(index.order[j] for j in js) for js in index.nbrs] == [adj[v] for v in index.order]
-    assert all(js == sorted(js) for js in index.nbrs)
-    assert index.masks is index.masks  # built once per graph
-    # A late attribute would make every attribute read on g slower.
-    assert list(vars(g)) == list(vars(fresh))
+    assert [set(g.order[j] for j in js) for js in g.nbrs] == [adj[v] for v in g.order]
+    assert all(js == sorted(js) for js in g.nbrs)
+    assert g.masks is g.masks  # built once per graph
+    # A late attribute would make every attribute read on g slower; the slots refuse one.
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(AttributeError):
+        g.extra = None
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 150), st.integers(0, 2 ** 150), st.sampled_from(["any", "sparse", "n/2", "n/2 + 1", "empty", "full"]))
 def test_labels_reads_the_set_bits(n, bits, density):
-    """GraphIndex.labels on masks of every density equals its definition, bit
+    """Graph.labels on masks of every density equals its definition, bit
     by bit, whether it reads the mask's set bits or its complement's; what it
     returns are the graph's own vertex objects (tuples among them), not equal
     copies."""
@@ -440,10 +436,9 @@ def test_labels_reads_the_set_bits(n, bits, density):
     elif density != "any":
         size = {"n/2": n // 2, "n/2 + 1": min(n // 2 + 1, n), "empty": 0, "full": n}[density]
         mask = sum(1 << i for i in random.Random(bits).sample(range(n), size))
-    index = g.index
-    got = index.labels(mask)
-    assert got == frozenset(index.order[i] for i in range(n) if mask >> i & 1)
-    assert all(index.order[index.pos[v]] is v for v in got)
+    got = g.labels(mask)
+    assert got == frozenset(g.order[i] for i in range(n) if mask >> i & 1)
+    assert all(g.order[g.pos[v]] is v for v in got)
 
 
 @settings(max_examples=300, deadline=None)
@@ -475,7 +470,7 @@ def test_dfs_orientation_agrees_with_the_oracle(data):
     n = data.draw(st.integers(0, 14))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.permutations(pairs))[:data.draw(st.integers(0, len(pairs)))]
-    nbrs = Graph.build(edges, vertices=range(n)).index.nbrs
+    nbrs = Graph.build(edges, vertices=range(n)).nbrs
     assert oracles.orientation_problems(nbrs, dfs_orientation(nbrs)) == []
 
 
@@ -492,16 +487,15 @@ def test_mask_components_agrees_with_the_oracle(data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = Graph.build(edges, vertices=labels)
     s = frozenset(data.draw(st.sets(st.sampled_from(labels)))) if n else frozenset()
-    index = g.index
-    m = index.bits(s)
+    m = g.bits(s)
     within = data.draw(st.sampled_from([~m, m]))
     removed = s if within < 0 else g.vertices - s
     adj = oracles.adjacency(edges, sorted(labels, key=oracles.label_key))  # components come in canonical order
     expected = [(c, frozenset(w for v in c for w in adj[v]) - c) for c in oracles.components_without(adj, removed)]
-    assert [(index.labels(c), index.labels(nb)) for c, nb in mask_components(index.masks, within)] == expected
+    assert [(g.labels(c), g.labels(nb)) for c, nb in mask_components(g.masks, within)] == expected
     kept = within & (1 << n) - 1
     if kept:
-        comp, _ = next(mask_components(index.masks, within))
+        comp, _ = next(mask_components(g.masks, within))
         assert comp & -comp == kept & -kept
 
 
@@ -517,10 +511,10 @@ def test_ball_levels_or_the_seeds_within_each_radius(n, p, seed, zeros, isolated
     es += [(n + u, n + v) for u, v in more_es]
     vs += [n + v for v in more] + list(range(n + len(more), n + len(more) + isolated))
     n = len(vs)
-    index = Graph.build(es, vertices=vs).index
+    g = Graph.build(es, vertices=vs)
     seeds = [0 if rng.random() < zeros else rng.getrandbits(8) for _ in range(n)]
-    rows = [index.distance_row([x]) for x in range(n)]
-    levels = index.ball_levels(seeds)
+    rows = [g.distance_row([x]) for x in range(n)]
+    levels = g.ball_levels(seeds)
     for r in range(n + 1):
         expected = [0] * n
         for x in range(n):
@@ -534,7 +528,7 @@ def test_ball_levels_keep_an_id_whose_mask_pauses_before_it_grows():
     """On the path 0-1-2-3-4 with seeds [1, 0, 0, 0, 2], id 1's mask is 1 at
     levels 1 and 2 and grows to 3 at level 3: an id is finished when its mask
     holds its component's seeds, not when its mask stops growing."""
-    levels = path_graph(5).index.ball_levels([1, 0, 0, 0, 2])
+    levels = path_graph(5).ball_levels([1, 0, 0, 0, 2])
     assert [next(levels) for _ in range(6)] == [
         [1, 0, 0, 0, 2],
         [1, 1, 0, 2, 2],
@@ -549,9 +543,9 @@ def test_a_vertex_too_deep_to_key_is_a_typed_error():
     """Built through the API, a vertex nested past what ``vertex_key`` can
     recurse into is a GraphToolError, not a RecursionError."""
     with pytest.raises(GraphToolError) as exc:
-        Graph.build([(_nested(1_000, 0), 0)])
+        Graph.build([(nested(1_000, 0), 0)])
     assert str(exc.value) == "a vertex identifier nests too deep to key"
-    assert len(Graph.build([(_nested(MAX_VERTEX_DEPTH), 0)])) == 2
+    assert len(Graph.build([(nested(MAX_VERTEX_DEPTH), 0)])) == 2
 
 
 def test_a_loop_line_parses_its_token_first_and_equal_tokens_alone_make_a_loop():
@@ -576,7 +570,7 @@ def test_graphs_are_equal_exactly_when_their_vertex_and_edge_sets_agree(n, p, se
     """``edges`` is the oracle's edge set, built once; graphs made by build,
     _induced, parse_edge_list and relabel, and variants one vertex or one
     edge away, are equal, with equal hashes, exactly when their vertex and
-    edge sets agree; the edge-list round trip gives back the same index."""
+    edge sets agree; the edge-list round trip gives back the same ids."""
     from coarsegraph.graph import _induced
 
     rng = random.Random(seed)
@@ -588,7 +582,7 @@ def test_graphs_are_equal_exactly_when_their_vertex_and_edge_sets_agree(n, p, se
     assert g.edges == {tuple(sorted(e, key=oracles.label_key)) for e in es}
     assert repr(g) == f"Graph(vertices={g.vertices!r}, edges={g.edges!r})"
     back = parse_edge_list(format_edge_list(g))
-    assert back == g and (back.index.order, back.index.nbrs) == (g.index.order, g.index.nbrs)
+    assert back == g and (back.order, back.nbrs) == (g.order, g.nbrs)
     extra = "w"
     host = Graph.build(es + [(extra, v) for v in vs[:2]], vertices=vs + [extra])
     renamed = relabel(g, {v: ("r", v) for v in vs})

@@ -324,7 +324,7 @@ def test_qi_matches_the_all_pairs_oracle_past_one_word(kind, n, split, seed, gam
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 12), st.sampled_from([0.1, 0.25, 0.5]), st.integers(0, 10_000))
 def test_components_read_alike_before_and_after_a_qi_scan(n, p, seed):
-    """The scan fills the component masks kept on each graph's index; the
+    """The scan fills the component masks kept on each graph; the
     components and connectivity read from them equal the oracle's whether the
     scan ran first or not, on graphs with several components and isolated
     vertices."""
@@ -371,11 +371,9 @@ def test_tightest_constants_finds_no_witness(monkeypatch):
     """tightest_constants reads one BFS row, from the image into the target;
     the two rows that locate the worst pair run only for a certificate, which
     returns that pair.  Both give the same constants."""
-    from coarsegraph.graph import GraphIndex
-
     host, target, phi = path_graph(9), path_graph(5), floor_map(9)
-    rows, real = [], GraphIndex.distance_row
-    monkeypatch.setattr(GraphIndex, "distance_row", lambda self, sources: rows.append(1) or real(self, sources))
+    rows, real = [], Graph.distance_row
+    monkeypatch.setattr(Graph, "distance_row", lambda self, sources: rows.append(1) or real(self, sources))
     constants = tightest_constants(host, target, phi, fixed_gamma=1)
     assert len(rows) == 1
     cert = tightest_certificate(host, target, phi, 1)

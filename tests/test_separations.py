@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from coarsegraph.errors import StructuralError
 from coarsegraph.generators import cycle_graph, path_graph
 from coarsegraph.graph import Graph, sort_vertices, vertex_key
-from coarsegraph.treedecomp import TreeDecomposition, edge_separation, edge_separations
+from coarsegraph.treedecomp import TreeDecomposition, edge_separation
 from coarsegraph.separations import (
     Separation,
     enumerate_tight,
@@ -141,13 +141,13 @@ def test_components_of_g_minus_s_agree_with_the_oracle(data):
     comps = oracles.components_without(adj, s)
     full = [c for c in comps if {w for v in c for w in adj[v]} - c == s]
     assert fully_attached_components(g, s) == full
-    masks = g.index.masks
+    masks = g.masks
 
     sides = data.draw(st.lists(st.booleans(), min_size=len(comps), max_size=len(comps)))
     a = set(s).union(*(c for c, side in zip(comps, sides) if side))
     b = set(s).union(*(c for c, side in zip(comps, sides) if not side))
     assert is_tight(g, Separation.of(a, b)) == oracles._is_tight_pair(adj, a, b)
-    assert g.index.masks is masks  # built once per graph
+    assert g.masks is masks  # built once per graph
 
     # A random tree on m nodes (node i hangs off an earlier node) with random parts.
     m = data.draw(st.integers(1, 6))
@@ -178,28 +178,23 @@ def test_fully_attached_components_agree_with_the_oracle_for_small_separators(n,
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_edge_separations_are_the_side_unions_on_mixed_labels(data):
-    """edge_separations on random trees and parts over mixed labels against the
-    unions of the parts on each side of T − e; Separation.on_masks against
-    Separation.of on the same sides, and on random masks."""
+    """edge_separation on random trees and parts over mixed labels, for each
+    tree edge in both orientations, against the unions of the parts on each
+    side of T − e; Separation.on_masks against Separation.of on random masks."""
     labels = data.draw(st.lists(_LABELS, unique=True, min_size=1, max_size=8))
     g = Graph.build([], vertices=labels)
-    index = g.index
     nodes = data.draw(st.lists(_LABELS, unique=True, min_size=1, max_size=6))
     tree_edges = [(nodes[i], nodes[data.draw(st.integers(0, i - 1))]) for i in range(1, len(nodes))]
     parts = {t: frozenset(data.draw(st.sets(st.sampled_from(labels)))) for t in nodes}
     td = TreeDecomposition(Graph.build(tree_edges, vertices=nodes), parts)
     tree_adj = oracles.adjacency(tree_edges, nodes)
-    seps = edge_separations(g, td)
-    assert set(seps) == set(td.tree.edges)
-    for (t1, t2), (a, b) in seps.items():
-        assert oracles.label_key(t1) < oracles.label_key(t2)
+    for (t1, t2) in tree_edges + [(y, x) for (x, y) in tree_edges]:
         side1 = set(oracles.bfs_distances({t: ns - {t2} for t, ns in tree_adj.items() if t != t2}, t1))
-        assert index.labels(a) == frozenset().union(*(parts[t] for t in side1))
-        assert index.labels(b) == frozenset().union(*(parts[t] for t in nodes if t not in side1))
-        sep = Separation.on_masks(index, a, b)
-        assert sep == Separation.of(index.labels(a), index.labels(b)) == edge_separation(g, td, (t2, t1))
+        a = frozenset().union(*(parts[t] for t in side1))
+        b = frozenset().union(*(parts[t] for t in nodes if t not in side1))
+        assert edge_separation(g, td, (t1, t2)) == Separation.of(a, b)
     a, b = (data.draw(st.integers(0, 2 ** len(labels) - 1)) for _ in "ab")
-    assert Separation.on_masks(index, a, b) == Separation.of(index.labels(a), index.labels(b))
+    assert Separation.on_masks(g, a, b) == Separation.of(g.labels(a), g.labels(b))
 
 
 @pytest.mark.parametrize("k", [-1, 4])

@@ -134,14 +134,13 @@ SYMMETRIC_SHAPES = [
 def test_generators_generate_the_whole_group(g):
     """Closed under composition, the generating set gives exactly the
     brute-force automorphisms, from at most n(n - 1)/2 generators."""
-    index = g.index
-    n = len(index.order)
+    n = len(g.order)
     gens = automorphism_generators(g)
     assert len(gens) <= n * (n - 1) // 2
     group = [tuple(range(n))]
     for a in group:
         group += [c for c in (tuple(b[i] for i in a) for b in gens) if c not in group]
-    expected = {tuple(index.pos[a[v]] for v in index.order) for a in oracles.automorphisms(g.vertices, g.edges)}
+    expected = {tuple(g.pos[a[v]] for v in g.order) for a in oracles.automorphisms(g.vertices, g.edges)}
     assert set(group) == expected
 
 
@@ -152,7 +151,7 @@ def test_capacity_guard(monkeypatch):
     assert vertex_orbits(cycle_graph(20), max_vertices=20) == [list(range(20))]
     assert len(edge_orbits(cycle_graph(20), max_vertices=20)) == 1
 
-    def refuse(index):
+    def refuse(g):
         raise AssertionError("searched for generators above the cap")
 
     monkeypatch.setattr(symmetry, "_refined_order", refuse)
@@ -171,11 +170,11 @@ def test_orbits_of_empty_single_vertex_and_edgeless_graphs():
 
 
 def test_one_generator_search_per_graph(monkeypatch):
-    """The generating set is kept on the graph's index: vertex and edge
+    """The generating set is kept on the graph: vertex and edge
     orbits of one graph, and every K of one fat-minor probe, share one search."""
     calls = []
     real = symmetry._refined_order  # called once per generator search
-    monkeypatch.setattr(symmetry, "_refined_order", lambda index: calls.append(index) or real(index))
+    monkeypatch.setattr(symmetry, "_refined_order", lambda g: calls.append(g) or real(g))
     g = petersen()
     vertex_orbits(g)
     edge_orbits(g)
@@ -221,7 +220,7 @@ def test_automorphisms_and_orbits_match_brute_force(g):
 def test_orbits_under_a_generating_set_match_brute_force(g):
     """Given only the generators, as dicts, orbits gives the brute-force vertex,
     edge and vertex-pair partitions under the whole group, in the same order."""
-    order = g.index.order
+    order = g.order
     gens = [dict(zip(order, (order[i] for i in a))) for a in automorphism_generators(g)] or [dict(zip(order, order))]
     expected = oracles.automorphisms(g.vertices, g.edges)
     vertices, edges = g.sorted_vertices(), g.sorted_edges()

@@ -134,7 +134,7 @@ _LABELS = st.integers(0, 9) | st.text(alphabet="ab", min_size=1, max_size=2) | s
 
 def _assert_same_graph(g: Graph, ref: Graph) -> None:
     assert (g.vertices, g.edges) == (ref.vertices, ref.edges)
-    assert (g.index.order, g.index.pos, g.index.nbrs) == (ref.index.order, ref.index.pos, ref.index.nbrs)
+    assert (g.order, g.pos, g.nbrs) == (ref.order, ref.pos, ref.nbrs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,7 +142,7 @@ def _assert_same_graph(g: Graph, ref: Graph) -> None:
 def test_derived_graphs_equal_a_keyed_build_on_mixed_labels(data):
     """induced_subgraph, torso and clique_subtree, built on their parent's
     ids, equal Graph.build of the same vertices and edges in vertices, edges
-    and index; the torso's reference is its definition on the host's edges."""
+    and ids; the torso's reference is its definition on the host's edges."""
     labels = data.draw(st.lists(_LABELS, min_size=1, max_size=9, unique=True))
     pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
     host = Graph.build(data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [], vertices=labels)
