@@ -96,7 +96,7 @@ def cmd_validate_td(args) -> int:
     g = _read_graph(args.graph)
     td = td_from_dict(_read_json(args.td))
     rep = validate(g, td)
-    _emit_json(dict(vars(rep)), args.out)
+    _emit_json(rep._asdict(), args.out)
     return 0 if rep.ok else 1
 
 

@@ -17,10 +17,10 @@ and a warning recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     ClassificationError,
@@ -75,14 +75,13 @@ TORSO_KINDS = (FINITE, BOUNDED_TW, PLANAR)
 DEFAULT_FINITE_THRESHOLD = 8
 
 
-@dataclass(frozen=True)
-class InstanceBundle:
+class InstanceBundle(NamedTuple):
     host: Graph
     td: TreeDecomposition
     k: int
     classification: dict | None = None
     infinite_markers: frozenset = frozenset()
-    sub_tds: dict = field(default_factory=dict)  # tree node -> TreeDecomposition of its torso
+    sub_tds: Mapping = MappingProxyType({})  # tree node -> TreeDecomposition of its torso
     finite_threshold: int = DEFAULT_FINITE_THRESHOLD
 
 
@@ -256,8 +255,7 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
                              {s: torso_graph.labels(m) for s, m in zip(names, masks)})
 
 
-@dataclass(frozen=True)
-class PlanarRefinement:
+class PlanarRefinement(NamedTuple):
     contracted: TreeDecomposition
     kept: dict           # contracted node s -> pruned part graph G_s'
     deletions: tuple     # (s, S, size of deleted component)
@@ -351,8 +349,7 @@ def _hubs(adhesion: Iterable[frozenset]) -> dict:
     return {S: ("xS", *sort_vertices(S)) for S in sorted({S for S in adhesion if S}, key=set_key)}
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     b1: int
     b2: int
     b3: int
@@ -361,8 +358,7 @@ class Bounds:
     b: int
 
 
-@dataclass(frozen=True)
-class ConstructionOutput:
+class ConstructionOutput(NamedTuple):
     H: Graph
     phi: dict
     bounds: Bounds
@@ -501,8 +497,7 @@ def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     planar: bool
     connectivity_ok: bool
     qi_checked: bool
@@ -616,12 +611,9 @@ def _json_field(data: dict, key: str, kind: type):
 
 
 def _json_int(value, key: str) -> int:
-    # true is not 1, and 2.5, Infinity and NaN are not integers.
-    if not isinstance(value, bool) and not (isinstance(value, float) and not value.is_integer()):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
+    # Only a JSON number that is an integer: true is not 1, "2" is a string, and 2.5, Infinity and NaN are not integers.
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
     raise ParseError(f"bundle key {key!r} must be an integer, not {value!r}")
 
 
@@ -652,7 +644,7 @@ def output_to_dict(out: ConstructionOutput) -> dict:
         "h_edges": [[token[i], token[j]] for i, js in enumerate(H.nbrs) for j in js if j > i],
         "h_isolated": [token[i] for i, js in enumerate(H.nbrs) if not js],
         "phi": {vertex_token(v): token[pos[x]] for v, x in out.phi.items()},
-        "bounds": dict(vars(out.bounds)),
+        "bounds": out.bounds._asdict(),
         "classification": {
             vertex_token(t): out.classification[t] for t in sort_vertices(out.classification)
         },
@@ -664,7 +656,7 @@ def output_to_dict(out: ConstructionOutput) -> dict:
 
 def report_to_dict(rep: VerificationReport) -> dict:
     return {
-        **vars(rep),
+        **rep._asdict(),
         "c": None if rep.c is None else str(rep.c),
         "cut_vertex_failures": [vertex_token(x) for x in rep.cut_vertex_failures],
         "failures": list(rep.failures),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .construction import InstanceBundle
 from .generators import cayley_ball, cycle_graph, grid_graph
@@ -39,8 +39,7 @@ def default_seed() -> int:
         raise ValueError(f"COARSE_GRAPH_SEED must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class CorpusInstance:
+class CorpusInstance(NamedTuple):
     name: str
     bundle: InstanceBundle
     symmetric: bool = False
@@ -222,7 +221,7 @@ def _sym_cycle(n: int) -> CorpusInstance:
     """``cycle-n`` with a pinned one-node sub-decomposition, rotated halfway
     around by the automorphism."""
     plain = _cycle_instance(n).bundle
-    bundle = replace(plain, sub_tds={"t": _td((), {0: plain.host.vertices})})
+    bundle = plain._replace(sub_tds={"t": _td((), {0: plain.host.vertices})})
     sigma = {v: (v + n // 2) % n for v in range(n)}
     return CorpusInstance(f"sym-cycle-{n}", bundle, symmetric=True, relabeling=(sigma, {"t": "t"}))
 
@@ -232,7 +231,7 @@ def _sym_grid_k4(n: int) -> CorpusInstance:
     sub-decomposition is pinned to one node so the construction's vertex
     names relabel exactly."""
     plain = _grid_k4_instance(n, n, 0, 0).bundle
-    bundle = replace(plain, sub_tds={"g": _td((), {0: plain.td.parts["g"]})})
+    bundle = plain._replace(sub_tds={"g": _td((), {0: plain.td.parts["g"]})})
     sigma = {f"{i},{j}": f"{j},{i}" for i in range(n) for j in range(n)}
     sigma["q"] = "q"
     return CorpusInstance(f"sym-grid-k4-{n}", bundle, symmetric=True, relabeling=(sigma, {"g": "g", "k": "k"}))
@@ -298,8 +297,7 @@ def relabel_bundle(bundle: InstanceBundle, sigma: dict, tau: dict) -> InstanceBu
     def moved(parts: dict) -> dict:
         return {t: frozenset(sigma[v] for v in p) for t, p in parts.items()}
 
-    return replace(
-        bundle,
+    return bundle._replace(
         host=relabel(bundle.host, sigma),
         td=TreeDecomposition(relabel(bundle.td.tree, tau), {tau[t]: p for t, p in moved(bundle.td.parts).items()}),
         classification=bundle.classification and {tau[t]: kind for t, kind in bundle.classification.items()},

@@ -35,10 +35,10 @@ off one BFS parent row per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice, permutations
 from operator import or_
+from typing import NamedTuple
 
 from .errors import CapacityError, ParseError, StructuralError, UnknownVertexError
 from .graph import (
@@ -62,16 +62,14 @@ HOST_CAP = 400
 EXHAUSTIVE_CAP = 10
 
 
-@dataclass(frozen=True)
-class FatMinorModel:
+class FatMinorModel(NamedTuple):
     pattern: Graph
     host: Graph
     branch_sets: dict  # pattern vertex -> frozenset of host vertices
     edge_paths: dict   # canonical pattern edge -> tuple of host vertices
 
 
-@dataclass(frozen=True)
-class FatVerifyReport:
+class FatVerifyReport(NamedTuple):
     ok: bool
     failed_condition: int | None = None  # 1..4
     detail: str = ""
@@ -165,8 +163,7 @@ def _fat_report(host: Graph, pattern: Graph, branch: dict, paths: dict, K: int) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # "found" | "not-found" | "inconclusive"
     model: FatMinorModel | None
     reason: str

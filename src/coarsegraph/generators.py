@@ -8,20 +8,19 @@ pipeline.  Non-Cayley families have empty markers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import GeneratorError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     family: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class GeneratedGraph:
+class GeneratedGraph(NamedTuple):
     graph: Graph
     markers: frozenset  # boundary sphere for cayley balls, else empty
 

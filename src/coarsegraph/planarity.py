@@ -12,8 +12,8 @@ shows to be unneeded for non-planarity leaves a K₅ or K₃,₃ subdivision, wh
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import StructuralError
 from .graph import Graph
@@ -28,15 +28,13 @@ _SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class SubdivisionWitness:
+class SubdivisionWitness(NamedTuple):
     kind: str  # "K5" or "K33"
     branch_vertices: tuple
     paths: tuple  # one internally-disjoint path per subdivided edge
 
 
-@dataclass(frozen=True)
-class PlanarityVerdict:
+class PlanarityVerdict(NamedTuple):
     planar: bool
     witness: SubdivisionWitness | None
 

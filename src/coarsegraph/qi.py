@@ -14,7 +14,6 @@ source vertex, instead of one BFS per source vertex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
@@ -26,8 +25,7 @@ class ConnectivityError(GraphToolError, ValueError):
     """Infinite distances would enter the verification and per-component mode is off."""
 
 
-@dataclass(frozen=True)
-class QuasiIsometryCertificate:
+class _Certificate(NamedTuple):
     source: Graph
     target: Graph
     phi: dict
@@ -36,13 +34,23 @@ class QuasiIsometryCertificate:
     valid: bool
     worst_witness: tuple | None  # pair of source vertices, or a lone target vertex
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.gamma < 1:
+
+class QuasiIsometryCertificate(_Certificate):
+    """Checked on every construction, ``_replace`` too: Fraction constants with gamma ≥ 1 and c ≥ 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: Graph, target: Graph, phi: dict, gamma, c, valid: bool, worst_witness: tuple | None):
+        gamma, c = Fraction(gamma), Fraction(c)
+        if gamma < 1:
             raise StructuralError("gamma must be ≥ 1")
-        if self.c < 0:
+        if c < 0:
             raise StructuralError("c must be ≥ 0")
+        return super().__new__(cls, source, target, phi, gamma, c, valid, worst_witness)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _check_map(source: Graph, target: Graph, phi: Mapping) -> None:
@@ -183,8 +191,8 @@ def make_certificate(
     scan = _scan(source, target, cert.phi, cert.gamma, cert.c, per_component)
     violation = scan.violation()
     if violation is not None:
-        return replace(cert, worst_witness=violation)
-    return replace(cert, valid=True, worst_witness=scan.worst())
+        return cert._replace(worst_witness=violation)
+    return cert._replace(valid=True, worst_witness=scan.worst())
 
 
 def tightest_certificate(
@@ -199,7 +207,7 @@ def tightest_certificate(
     None when no finite c works (per-component mode only)."""
     cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(gamma), 0, True, None)
     scan = _scan(source, target, cert.phi, cert.gamma, None, per_component)
-    return None if scan.c is None else replace(cert, c=scan.c, worst_witness=scan.worst())
+    return None if scan.c is None else cert._replace(c=scan.c, worst_witness=scan.worst())
 
 
 def tightest_constants(

@@ -8,16 +8,14 @@ whose neighbourhoods are both exactly A ∩ B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import StructuralError
 from .graph import Graph, Vertex, bit_ids, mask_components, sort_vertices, vertex_from_json
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(NamedTuple):
     """A separation with sides stored in canonical order (smaller side first)."""
 
     side_a: frozenset

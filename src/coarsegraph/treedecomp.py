@@ -11,8 +11,7 @@ part is its induced subgraph plus clique edges on each incident adhesion set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapacityError, EmptySetError, StructuralError
 from .graph import (
@@ -40,16 +39,25 @@ def _check_is_tree(tree: Graph) -> None:
         raise StructuralError("decomposition tree is not a tree")
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class _TreeDecomposition(NamedTuple):
     tree: Graph
     parts: dict  # tree node -> frozenset of graph vertices
 
-    def __post_init__(self):
-        _check_is_tree(self.tree)
-        if set(self.parts) != set(self.tree.vertices):
+
+class TreeDecomposition(_TreeDecomposition):
+    """Checked on every construction, ``_replace`` too: a tree, and frozenset parts keyed by its nodes."""
+
+    __slots__ = ()
+
+    def __new__(cls, tree: Graph, parts: dict):
+        _check_is_tree(tree)
+        if set(parts) != set(tree.vertices):
             raise StructuralError("parts must be keyed exactly by the tree nodes")
-        object.__setattr__(self, "parts", {t: frozenset(p) for t, p in self.parts.items()})
+        return super().__new__(cls, tree, {t: frozenset(p) for t, p in parts.items()})
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def part(self, t) -> frozenset:
         try:
@@ -58,8 +66,7 @@ class TreeDecomposition:
             raise StructuralError(f"no such tree node: {t!r}") from None
 
 
-@dataclass(frozen=True)
-class TDReport:
+class TDReport(NamedTuple):
     ok: bool
     axiom: str | None = None
     witness: object = None
@@ -313,8 +320,7 @@ def clique_subtree(td: TreeDecomposition, s: Iterable[Vertex]) -> Graph:
     return induced_subgraph(td.tree, nodes)
 
 
-@dataclass(frozen=True)
-class TreeCenter:
+class TreeCenter(NamedTuple):
     kind: str  # "vertex" or "edge"
     location: object  # a tree node, or a canonical node pair
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import oracles
 from coarsegraph.construction import BOUNDED_TW, PLANAR, TORSO_KINDS, InstanceBundle, build_H
@@ -108,4 +107,4 @@ def supplied_bundle(rng) -> InstanceBundle:
     if rng.random() < 0.5:
         classification = {t: rng.choice((PLANAR, BOUNDED_TW)) for t in nodes}
     sub_tds = {t: _randomly_contracted(rng, heuristic_td(torso(b.host, b.td, t)), keep=0.6) for t in nodes}
-    return replace(b, classification=classification, sub_tds=sub_tds)
+    return b._replace(classification=classification, sub_tds=sub_tds)

@@ -58,7 +58,6 @@ from coarsegraph.treedecomp import (
     torso,
 )
 
-from dataclasses import replace
 from types import SimpleNamespace
 from fractions import Fraction
 
@@ -609,7 +608,7 @@ def test_disconnected_host_fails_when_phi_tears_a_component():
     edges now join two components of H, and no c works."""
     b = grid_and_hexagon_bundle()
     out = build_H(b)
-    torn = replace(out, phi={**out.phi, 0: out.phi["0,0"]})
+    torn = out._replace(phi={**out.phi, 0: out.phi["0,0"]})
     rep = verify_output(b, torn)
     assert rep.qi_checked and rep.qi_valid is False and rep.c is None
     assert not rep.passed

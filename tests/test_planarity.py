@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import networkx as nx
@@ -116,13 +115,13 @@ def test_tampered_witnesses_are_rejected():
     g = complete_graph(5)
     w = is_planar(g).witness
     assert w is not None
-    truncated = replace(w, paths=(w.paths[0][:-1],) + w.paths[1:])
+    truncated = w._replace(paths=(w.paths[0][:-1],) + w.paths[1:])
     assert not validate_subdivision(g, truncated)
-    doubled = replace(w, branch_vertices=(w.branch_vertices[0],) + w.branch_vertices[:-1])
+    doubled = w._replace(branch_vertices=(w.branch_vertices[0],) + w.branch_vertices[:-1])
     assert not validate_subdivision(g, doubled)
-    mislabeled = replace(w, kind="K33")
+    mislabeled = w._replace(kind="K33")
     assert not validate_subdivision(g, mislabeled)
-    assert not validate_subdivision(g, replace(w, kind="K7"))
+    assert not validate_subdivision(g, w._replace(kind="K7"))
 
 
 def test_mutated_witnesses_are_rejected():
@@ -136,7 +135,7 @@ def test_mutated_witnesses_are_rejected():
     assert validate_subdivision(g, w)
 
     def mutated(e, path):
-        return replace(w, paths=tuple(path if f == e else p for f, p in zip(pairs, paths)))
+        return w._replace(paths=tuple(path if f == e else p for f, p in zip(pairs, paths)))
 
     assert not validate_subdivision(g, mutated((0, 1), (1, "m", 0)))            # wrong ends
     assert not validate_subdivision(g, mutated((0, 1), (0, "m", "x", "m", 1)))  # a repeated vertex

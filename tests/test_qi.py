@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +16,7 @@ from coarsegraph.generators import cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph, components, is_connected
 from coarsegraph.qi import (
     ConnectivityError,
+    QuasiIsometryCertificate,
     certificate_to_dict,
     make_certificate,
     parse_fraction,
@@ -238,7 +238,7 @@ def test_one_scan_certificates_match_the_two_scan_path(gamma):
         c = Graph.build(c_es, vertices=c_vs)
         g = tightest_certificate(b, c, {v: rng.choice(c_vs) for v in b.vertices}, rng.choice([1, 2]))
         # A larger valid c, and a c = 0 claimed valid without a check.
-        for f in (cert, make_certificate(a, b, f_phi, gamma, cert.c + 3), replace(cert, c=Fraction(0))):
+        for f in (cert, make_certificate(a, b, f_phi, gamma, cert.c + 3), cert._replace(c=Fraction(0))):
             gf = qi_compose(f, g)
             assert gf == _two_scan_compose(f, g)
             assert certificate_to_dict(gf) == certificate_to_dict(_two_scan_compose(f, g))
@@ -379,3 +379,22 @@ def test_tightest_constants_finds_no_witness(monkeypatch):
     cert = tightest_certificate(host, target, phi, 1)
     assert len(rows) == 1 + 3 and cert.worst_witness is not None
     assert constants == (cert.gamma, cert.c)
+
+
+def test_certificate_is_checked_on_every_construction():
+    """gamma and c become Fractions, and gamma < 1 or c < 0 is refused, whether the
+    certificate is built by its fields, ``_make`` or ``_replace``."""
+    g = path_graph(2)
+    cert = QuasiIsometryCertificate(g, g, {0: 0, 1: 1}, 1, 0, True, None)
+    assert type(cert.gamma) is type(cert.c) is type(cert._replace(c=2).c) is Fraction
+    refused = (
+        (lambda: QuasiIsometryCertificate(g, g, {}, gamma=2, c=-1, valid=True, worst_witness=None), "c must be ≥ 0"),
+        (lambda: QuasiIsometryCertificate._make((g, g, {}, 0, 0, True, None)), "gamma must be ≥ 1"),
+        (lambda: cert._replace(gamma=Fraction(1, 2)), "gamma must be ≥ 1"),
+        (lambda: cert._replace(c=-1), "c must be ≥ 0"),
+    )
+    for make, text in refused:
+        with pytest.raises(StructuralError, match=f"^{text}$"):
+            make()
+    with pytest.raises(AttributeError):
+        cert.c = Fraction(-1)

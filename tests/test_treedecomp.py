@@ -438,3 +438,24 @@ def test_edge_separation_refuses_a_non_tree_edge():
     with pytest.raises(StructuralError) as exc:
         edge_separation(path_graph(4), _path_td(), (2, 0))
     assert str(exc.value) == "(2, 0) is not a tree edge"
+
+
+def test_tree_decomposition_is_checked_on_every_construction():
+    """The tree must be a tree and the parts, made frozensets, keyed exactly by its
+    nodes, whether the decomposition is built by its fields, ``_make`` or ``_replace``."""
+    tree, cycle = Graph.build([("a", "b")]), cycle_graph(3)
+    td = TreeDecomposition(tree, {"a": [0, 1], "b": (1,)})
+    assert td.parts == {"a": frozenset({0, 1}), "b": frozenset({1})}
+    assert td._replace(parts={"a": [2], "b": [2, 3]}).parts["b"] == frozenset({2, 3})
+    refused = (
+        (lambda: TreeDecomposition(tree=tree, parts={"a": [0]}), "parts must be keyed exactly by the tree nodes"),
+        (lambda: TreeDecomposition._make((tree, {"a": [0], "c": [1]})), "parts must be keyed exactly by the tree nodes"),
+        (lambda: td._replace(parts={"b": [0]}), "parts must be keyed exactly by the tree nodes"),
+        (lambda: td._replace(tree=cycle, parts={0: [0], 1: [1], 2: [2]}), "decomposition tree is not a tree"),
+        (lambda: td._replace(tree=Graph.build(), parts={}), "decomposition tree must have at least one node"),
+    )
+    for make, text in refused:
+        with pytest.raises(StructuralError, match=f"^{text}$"):
+            make()
+    with pytest.raises(AttributeError):
+        td.parts = {}
