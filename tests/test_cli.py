@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -94,6 +95,30 @@ def test_gen_output_reads_back_as_the_generated_graph(spec, tmp_path):
     markers = {parse_vertex_token(line.split(":", 1)[1].strip()) for line in text.splitlines()
                if line.startswith("# marker:")}
     assert markers == made.markers
+
+
+# Every family at three or more sizes, and each Cayley preset at radii 0-6.
+GEN_DIGEST_SPECS = [
+    *(GeneratorSpec("path", {"n": n}) for n in (1, 4, 9)),
+    *(GeneratorSpec("cycle", {"n": n}) for n in (3, 5, 12)),
+    *(GeneratorSpec("grid", {"rows": r, "cols": c}) for r, c in ((1, 1), (2, 3), (5, 4), (11, 11))),
+    *(GeneratorSpec("complete", {"n": n}) for n in (1, 4, 7)),
+    *(GeneratorSpec("complete-bipartite", {"a": a, "b": b}) for a, b in ((1, 1), (2, 3), (4, 12))),
+    *(GeneratorSpec("tree", {"branching": b, "depth": d}) for b, d in ((2, 0), (3, 2), (2, 5), (11, 1))),
+    *(GeneratorSpec("cayley-ball", {"preset": p, "radius": r}) for p in CAYLEY_PRESETS for r in range(7)),
+]
+# sha256 of the texts `coarsegraph gen` writes for GEN_DIGEST_SPECS, each after a line naming its flags.
+# A change that moves it changes what `gen` writes and must say why.
+GEN_DIGEST = "bf4c4758d546ee5a868ad851a5f9e1d98761e96c973f42de9dc64c272352c2fc"
+
+
+def test_gen_output_matches_the_committed_digest(tmp_path):
+    out, texts = str(tmp_path / "g.txt"), []
+    for spec in GEN_DIGEST_SPECS:
+        flags = ["--family", spec.family, *(x for key, value in spec.params.items() for x in (f"--{key}", str(value)))]
+        assert main(["gen", *flags, "--out", out]) == 0
+        texts.append(" ".join(flags) + "\n" + Path(out).read_text())
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == GEN_DIGEST
 
 
 def test_gen_dot_output(tmp_path):

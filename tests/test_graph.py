@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from coarsegraph.errors import GraphToolError, ParseError, UnknownVertexError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
@@ -293,6 +293,41 @@ def test_induced_subgraph_and_relabel():
     assert distance(r, "v0", "v2") == 2
     with pytest.raises(GraphToolError):
         relabel(g, {i: "same" for i in range(5)})
+
+
+_NESTED_LABELS = st.recursive(st.integers(-3, 9) | st.text(alphabet="ab1", min_size=1, max_size=2),
+                       lambda inner: st.lists(inner, max_size=2).map(tuple), max_leaves=4)
+# Images no graph may hold: a bool, a float, a tuple holding a bool, a tuple one level too deep.
+_BAD_IMAGES = (True, False, 1.0, 2.5, (0, False), nested(MAX_VERTEX_DEPTH + 1))
+_IMAGES = st.one_of(*[_NESTED_LABELS] * 6, st.sampled_from(_BAD_IMAGES))
+
+
+def _valid_vertex(v, depth: int = MAX_VERTEX_DEPTH) -> bool:
+    if isinstance(v, tuple):
+        return depth > 0 and all(_valid_vertex(x, depth - 1) for x in v)
+    return type(v) in (int, str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_relabel_equals_building_the_renamed_graph(data):
+    """relabel(g, m) is Graph.build of the mapped edges and vertices, to the
+    ids; a map that merges vertices, or sends one to a bool, a float or a
+    tuple too deep to key, is refused with GraphToolError."""
+    vs = data.draw(st.lists(_NESTED_LABELS, unique=True, max_size=8))
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
+    es = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph.build(es, vertices=vs)
+    mapping = data.draw(st.dictionaries(st.sampled_from(vs), _IMAGES)) if vs else {}
+    img = [mapping.get(v, v) for v in vs]
+    if len(set(img)) < len(img) or not all(map(_valid_vertex, img)):
+        event("refused")
+        with pytest.raises(GraphToolError):
+            relabel(g, mapping)
+        return
+    r = relabel(g, mapping)
+    want = Graph.build([(mapping.get(u, u), mapping.get(v, v)) for u, v in es], vertices=img)
+    assert (r.order, r.pos, r.nbrs, r.vertices) == (want.order, want.pos, want.nbrs, want.vertices)
 
 
 def test_union_is_componentwise():
