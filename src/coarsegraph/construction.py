@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     PlanarityContradictionError,
     StructuralError,
+    UnknownVertexError,
 )
 from .graph import (
     MAX_VERTEX_DEPTH,
@@ -94,8 +95,9 @@ def validate_bundle(bundle: InstanceBundle) -> None:
         raise ContractViolationError(f"adhesion {adh} exceeds 3")
     if bundle.k < 0:
         raise ContractViolationError("k must be non-negative")
-    for v in bundle.infinite_markers:
-        bundle.host.require_vertex(v)
+    unknown = [v for v in bundle.infinite_markers if v not in bundle.host.vertices]
+    if unknown:  # name the key-least, whatever order the marker set iterates in
+        raise UnknownVertexError(repr(sort_vertices(unknown)[0]))
     for t in bundle.sub_tds:
         bundle.td.part(t)  # raises for a sub-decomposition of no tree node
     # H's names nest one level deeper than the host vertices and tree nodes they hold.
@@ -140,10 +142,16 @@ def _first_fit(host: Graph, td: TreeDecomposition, t, kinds, k: int, finite_thre
                torsos: dict | None):
     """The first of ``kinds`` whose test the part at t passes, or None: at most
     ``finite_threshold`` vertices, then a torso of treewidth ≤ k, then a planar
-    torso.  The torso is taken from ``torsos`` or built, at most once."""
+    torso.  The torso is built only if a test reads it, at most once: it is
+    taken from ``torsos``, or built and kept there."""
     if FINITE in kinds and len(td.parts[t]) <= finite_threshold:
         return FINITE
-    tg = None if kinds == (FINITE,) else (torsos[t] if torsos else torso(host, td, t))
+    if kinds == (FINITE,):
+        return None
+    torsos = {} if torsos is None else torsos
+    if t not in torsos:
+        torsos[t] = torso(host, td, t)
+    tg = torsos[t]
     if BOUNDED_TW in kinds and treewidth_at_most(tg, k):
         return BOUNDED_TW
     if PLANAR in kinds and planarity.is_planar(tg, witness_cap=0).planar:
@@ -159,7 +167,8 @@ def classify_torsos(
     torsos: dict | None = None,
 ) -> dict:
     """Label each part finite / bounded-treewidth / planar, in that precedence.
-    ``torsos`` (tree node -> torso graph) reuses torsos already built."""
+    ``torsos`` (tree node -> torso graph) reuses torsos already built and keeps
+    those built here: the torso of each part that is not finite."""
     out: dict = {}
     for t in td.tree.sorted_vertices():
         out[t] = _first_fit(host, td, t, TORSO_KINDS, k, finite_threshold, torsos)
@@ -370,7 +379,7 @@ class ConstructionOutput(NamedTuple):
 def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     validate_bundle(bundle)
     host, td = bundle.host, bundle.td
-    torsos = {t: torso(host, td, t) for t in td.tree.vertices}
+    torsos: dict = {}  # the classification builds the torso of each part that is not finite
     classification = bundle.classification
     if classification is None:
         classification = classify_torsos(host, td, bundle.k, bundle.finite_threshold, torsos=torsos)

@@ -7,7 +7,6 @@ pipeline.  Non-Cayley families have empty markers.
 
 from __future__ import annotations
 
-from collections import deque
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -40,16 +39,10 @@ def cycle_graph(n: int) -> Graph:
 def grid_graph(rows: int, cols: int) -> Graph:
     _integer(rows, "rows")
     _integer(cols, "cols")
-    def name(r, c):
-        return f"{r},{c}"
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if r + 1 < rows:
-                edges.append((name(r, c), name(r + 1, c)))
-            if c + 1 < cols:
-                edges.append((name(r, c), name(r, c + 1)))
-    return Graph.build(edges, vertices=[name(r, c) for r in range(rows) for c in range(cols)])
+    names = [[f"{r},{c}" for c in range(cols)] for r in range(rows)]  # each vertex named once
+    edges = [(row[c], row[c + 1]) for row in names for c in range(cols - 1)]
+    edges += [(a, b) for upper, lower in zip(names, names[1:]) for a, b in zip(upper, lower)]
+    return Graph.build(edges, vertices=[v for row in names for v in row])
 
 
 def complete_graph(n: int) -> Graph:
@@ -92,31 +85,33 @@ def tree_graph(branching: int, depth: int) -> Graph:
 # right-multiplication word -> word.  Balls are breadth-first over words.
 
 
+_FREE2_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
+_Z2_STEPS = {"e": (1, 0), "w": (-1, 0), "n": (0, 1), "s": (0, -1)}
+# Free product <a | a²> * <b | b³>: syllables over {a, b, B} with B = b².
+_ZZ_MERGE_B = {("b", "b"): "B", ("b", "B"): "", ("B", "b"): "", ("B", "B"): "b"}
+
+
 def _free2_multiply(word: str, g: str) -> str:
-    inverse = {"a": "A", "A": "a", "b": "B", "B": "b"}
-    if word and word[-1] == inverse[g]:
+    if word and word[-1] == _FREE2_INVERSE[g]:
         return word[:-1]
     return word + g
 
 
 def _z2_multiply(word: str, g: str) -> str:
-    x, y = (int(t) for t in word.split(","))
-    dx, dy = {"e": (1, 0), "w": (-1, 0), "n": (0, 1), "s": (0, -1)}[g]
-    return f"{x + dx},{y + dy}"
+    x, _, y = word.partition(",")
+    dx, dy = _Z2_STEPS[g]
+    return f"{int(x) + dx},{int(y) + dy}"
 
 
 def _zz_multiply(word: str, g: str) -> str:
-    # Free product <a | a²> * <b | b³>: syllables over {a, b, B} with B = b².
     # Normal form: no "aa", no adjacent b-syllables.
-    merge_b = {("b", "b"): "B", ("b", "B"): "", ("B", "b"): "", ("B", "B"): "b"}
     if not word:
         return g
     last = word[-1]
     if g == "a":
         return word[:-1] if last == "a" else word + g
     if last in ("b", "B"):
-        merged = merge_b[(last, g)]
-        return word[:-1] + merged
+        return word[:-1] + _ZZ_MERGE_B[(last, g)]
     return word + g
 
 
@@ -138,26 +133,23 @@ def cayley_ball(preset: str, radius: int) -> GeneratedGraph:
         raise GeneratorError(f"unknown cayley preset {preset!r}; choose from {', '.join(CAYLEY_PRESETS)}")
     _integer(radius, "radius", 0)
     identity, gens, mult = _PRESETS[preset]
-
-    def render(word: str) -> str:
-        return word if word else "e"
-
-    dist = {identity: 0}
-    queue = deque([identity])
-    edges = []
-    while queue:
-        w = queue.popleft()
+    place = {identity: 0}  # each word's place in breadth-first order
+    words, dist, pairs = [identity], [0], []
+    for i, w in enumerate(words):  # the list grows while it is read, as a FIFO queue
         for g in gens:
             w2 = mult(w, g)
-            if w2 not in dist:
-                if dist[w] == radius:
+            j = place.get(w2)
+            if j is None:
+                if dist[i] == radius:
                     continue  # edge would leave the ball
-                dist[w2] = dist[w] + 1
-                queue.append(w2)
-            edges.append((render(w), render(w2)))
-    graph = Graph.build(edges, vertices=[render(w) for w in dist])
-    markers = frozenset(render(w) for w, d in dist.items() if d == radius)
-    return GeneratedGraph(graph, markers)
+                j = place[w2] = len(words)
+                words.append(w2)
+                dist.append(dist[i] + 1)
+            if j > i:  # the generators are closed under inverses: each edge is listed from the end met first
+                pairs.append((i, j))
+    names = [w or "e" for w in words]
+    graph = Graph.build([(names[i], names[j]) for i, j in pairs], vertices=names)
+    return GeneratedGraph(graph, frozenset(v for v, d in zip(names, dist) if d == radius))
 
 
 def _integer(value: int, name: str, least: int = 1) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, compress
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import GraphToolError, ParseError, UnknownVertexError
@@ -90,21 +91,23 @@ class Graph:
         # Each distinct vertex is keyed once, in an entry [vertex, key] whose key becomes its id. An equal
         # vertex shares the entry only if its types match throughout: True and 1.0 equal 1 but are no vertices.
         keyed: dict = {}
-
-        def entry(v) -> list:
-            e = keyed.get(v)
-            if e is None or e[0] is not v and not _same_types(v, e[0]):
-                e = keyed[v] = [v, vertex_key(v)]
-            return e
-
+        get = keyed.get
         es = []
         for (u, v) in edges:
             if u == v:
                 raise GraphToolError(f"loops are not allowed: ({u!r}, {v!r})")
-            es.append((entry(u), entry(v)))
+            a = get(u)
+            if a is None or a[0] is not u and not _same_types(u, a[0]):
+                a = keyed[u] = [u, vertex_key(u)]
+            b = get(v)
+            if b is None or b[0] is not v and not _same_types(v, b[0]):
+                b = keyed[v] = [v, vertex_key(v)]
+            es.append((a, b))
         for v in vertices:
-            entry(v)
-        order = sorted(keyed.values(), key=lambda e: e[1])
+            e = get(v)
+            if e is None or e[0] is not v and not _same_types(v, e[0]):
+                keyed[v] = [v, vertex_key(v)]
+        order = sorted(keyed.values(), key=itemgetter(1))
         for i, e in enumerate(order):
             e[1] = i
         return cls._on_ids([v for v, _ in order], [(a[1], b[1]) for a, b in es])
@@ -118,7 +121,7 @@ class Graph:
         for i, j in ids:
             nbrs[i].append(j)
             nbrs[j].append(i)
-        return cls(order, {v: i for i, v in enumerate(order)}, [sorted(js) for js in nbrs], frozenset(order))
+        return cls(order, dict(zip(order, range(len(order)))), [sorted(js) for js in nbrs], frozenset(order))
 
     @property
     def edges(self) -> frozenset:
@@ -306,15 +309,16 @@ def bit_ids(mask: int) -> list[int]:
     return out
 
 
-def mask_components(masks: list[int], within: int = -1):
-    """The components C of the subgraph induced on the ids in ``within``, each
-    yielded with N(C) ∖ ``within`` as bitmasks of ids, lowest id first; ``masks``
-    holds each id's neighbours (``Graph.masks``).  With ``within`` = ~S this
-    gives G − S with N(C) ⊆ S, with ``within`` = S the components of G[S].  One
-    bit-parallel BFS per component, taking its ids out of ``rest`` as it grows."""
+def mask_components(masks: list[int], within: int = -1, touching: int = -1):
+    """The components C of the subgraph induced on the ids in ``within`` that
+    meet ``touching``, each yielded with N(C) ∖ ``within`` as bitmasks of ids,
+    lowest id first; ``masks`` holds each id's neighbours (``Graph.masks``).
+    With ``within`` = ~S this gives G − S with N(C) ⊆ S, with ``within`` = S the
+    components of G[S].  One bit-parallel BFS per component, taking its ids out
+    of ``rest`` as it grows; a component that misses ``touching`` is never grown."""
     rest = within & (1 << len(masks)) - 1
-    while rest:
-        comp = frontier = rest & -rest
+    while rest & touching:
+        comp = frontier = rest & touching & -(rest & touching)
         rest ^= comp
         reach = 0
         while frontier:
@@ -471,14 +475,26 @@ def add_edges(g: Graph, edges: Iterable[tuple[Vertex, Vertex]]) -> Graph:
 
 
 def relabel(g: Graph, mapping: Mapping) -> Graph:
-    """Apply an injective vertex renaming; raises if the map merges vertices."""
-    img = {v: mapping.get(v, v) for v in g.vertices}
-    if len(set(img.values())) != len(img):
+    """Apply an injective vertex renaming; raises if the map merges vertices.
+    Each image is keyed once, so the result is ``g`` with its ids permuted into
+    the images' key order; an invalid image named is the first in ``g``'s id order."""
+    img = [mapping.get(v, v) for v in g.order]
+    if len(set(img)) != len(img):
         raise GraphToolError("relabelling is not injective on the vertex set")
-    return Graph.build(
-        [(img[u], img[v]) for (u, v) in g.edges],
-        vertices=[img[v] for v in g.vertices],
-    )
+    rank, new = _ranks(img)
+    order = [img[i] for i in rank]
+    nbrs = [sorted(map(new.__getitem__, g.nbrs[i])) for i in rank]
+    return Graph(order, dict(zip(order, range(len(order)))), nbrs, frozenset(order))
+
+
+def _ranks(vertices: list) -> tuple[list[int], list[int]]:
+    """Key order on distinct vertices, each keyed once: the places of ``vertices``
+    in key order (``rank``), and each place's id in that order (``new``, its inverse)."""
+    rank = sorted(range(len(vertices)), key=list(map(vertex_key, vertices)).__getitem__)
+    new = [0] * len(rank)
+    for r, i in enumerate(rank):
+        new[i] = r
+    return rank, new
 
 
 # ---------------------------------------------------------------------------
@@ -599,22 +615,21 @@ def parse_edge_list(text: str) -> Graph:
                 pairs.append((ids[toks[0]], ids[toks[1]]))
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    rank = sorted(range(len(vertices)), key=[vertex_key(v) for v in vertices].__getitem__)
-    new = [0] * len(rank)
-    for r, i in enumerate(rank):
-        new[i] = r
+    rank, new = _ranks(vertices)
     return Graph._on_ids([vertices[i] for i in rank], [(new[i], new[j]) for i, j in pairs])
 
 
 def format_edge_list(g: Graph) -> str:
-    token = {v: vertex_token(v) for v in g.sorted_vertices()}
-    for v, t in token.items():
-        if any(ch.isspace() for ch in t) or "#" in t or not t:
+    """The edge-list text of ``g``: edges, then isolated vertices, in id order, each vertex
+    rendered once.  A token that would not read back as its vertex is refused, the key-least first."""
+    tokens = list(map(vertex_token, g.order))
+    for v, t in zip(g.order, tokens):
+        if "#" in t or t.split() != [t]:  # also an empty token, or one holding whitespace
             raise GraphToolError(f"vertex {t!r} cannot be serialised to the edge-list format")
-        if parse_vertex_token(t) != v:
+        if type(v) is not int and parse_vertex_token(t) != v:  # an int's token reads back as itself
             raise GraphToolError(f"vertex {v!r} would read back from the edge-list format as {parse_vertex_token(t)!r}")
-    lines = [f"{token[u]} {token[v]}" for (u, v) in g.sorted_edges()]
-    lines += [token[v] for v, js in zip(g.order, g.nbrs) if not js]
+    lines = [f"{tokens[i]} {tokens[j]}" for i, js in enumerate(g.nbrs) for j in js if j > i]
+    lines += [t for t, js in zip(tokens, g.nbrs) if not js]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

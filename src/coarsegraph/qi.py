@@ -54,7 +54,8 @@ class QuasiIsometryCertificate(_Certificate):
 
 
 def _check_map(source: Graph, target: Graph, phi: Mapping) -> None:
-    for v in source.vertices:
+    """Refuse a map that misses a source vertex or sends one off the target, naming the key-least such vertex."""
+    for v in source.order:
         if v not in phi:
             raise StructuralError(f"phi is not total: missing {v!r}")
         if target.own_id(phi[v]) is None:

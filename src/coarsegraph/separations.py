@@ -74,10 +74,15 @@ def is_tight(g: Graph, sep: Separation) -> bool:
 
 def _tight_on_masks(g: Graph, a: int, b: int) -> bool:
     """:func:`is_tight` for the separation whose sides are the ``g`` id
-    masks a and b, taken to be a separation unchecked."""
-    # A component of G − S lies wholly on one strict side; True marks side A.
+    masks a and b, taken to be a separation unchecked.  A component of G − S
+    lies wholly on one strict side, so each side's components are grown apart.
+    One with N(C) = S holds a neighbour of S's least id, so only those are
+    grown, up to the first that qualifies; with S empty, any component does."""
     s = a & b
-    return {comp & a == comp for comp, nbhd in mask_components(g.masks, ~s) if nbhd == s} == {True, False}
+    if not s:
+        return a != 0 and b != 0
+    near = g.masks[(s & -s).bit_length() - 1]
+    return all(any(nbhd == s for _, nbhd in mask_components(g.masks, side & ~s, near)) for side in (a, b))
 
 
 def enumerate_tight(g: Graph, k: int) -> list[Separation]:

@@ -166,7 +166,7 @@ def edge_separation(host: Graph, td: TreeDecomposition, edge: tuple) -> Separati
     masks = tree.masks[:]
     masks[i] ^= 1 << j
     masks[j] ^= 1 << i
-    near = next(comp for comp, _ in mask_components(masks) if comp >> i & 1)
+    near = next(mask_components(masks, touching=1 << i))[0]
     sides = [0, 0]
     for t, node in enumerate(tree.order):
         sides[near >> t & 1] |= host.bits(td.parts[node])

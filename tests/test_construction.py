@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -241,14 +244,20 @@ def test_treewidth_at_most_answers_alike_whichever_call_fills_the_elimination(ma
 
 
 def test_build_h_makes_each_outer_torso_once(monkeypatch):
+    """Each torso the classification reads, that of every part that is not
+    finite, is built exactly once; a finite part's torso is never built."""
     calls = []
     real = construction.torso
     monkeypatch.setattr(construction, "torso", lambda host, td, t: calls.append((td, t)) or real(host, td, t))
+    finite = 0
     for inst in corpus(DEFAULT_SEED):
         calls.clear()
-        build_H(inst.bundle)
+        out = build_H(inst.bundle)
         outer = [t for td, t in calls if td is inst.bundle.td]
-        assert sorted(outer, key=repr) == sorted(inst.bundle.td.parts, key=repr), inst.name
+        wanted = [t for t, kind in out.classification.items() if kind != FINITE]
+        assert sorted(outer, key=repr) == sorted(wanted, key=repr), inst.name
+        finite += len(inst.bundle.td.parts) - len(wanted)
+    assert finite > 0
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +280,31 @@ def test_bundle_validation_errors():
         validate_bundle(InstanceBundle(host, ok_td, k=-1))
     with pytest.raises(UnknownVertexError):
         validate_bundle(InstanceBundle(host, ok_td, k=2, infinite_markers=frozenset({"ghost"})))
+
+
+def test_error_texts_name_the_key_least_offender_under_every_hash_seed():
+    """Unknown markers, and a map that misses vertices, name the key-least
+    offender, not the first met in a set whose order moves with PYTHONHASHSEED."""
+    script = (
+        "from coarsegraph.construction import InstanceBundle, validate_bundle\n"
+        "from coarsegraph.graph import Graph\n"
+        "from coarsegraph.qi import tightest_constants\n"
+        "from coarsegraph.treedecomp import TreeDecomposition\n"
+        "host = Graph.build([('a', 'b'), ('b', 'c'), ('c', 'd')])\n"
+        "td = TreeDecomposition(Graph.build((), ['t']), {'t': host.vertices})\n"
+        "for check in (lambda: validate_bundle(InstanceBundle(host, td, 2, infinite_markers=frozenset('xyzw'))),\n"
+        "              lambda: tightest_constants(host, host, {'a': 'a', 'd': 'd'})):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, *exc.args)\n"
+    )
+    src = os.path.dirname(os.path.dirname(construction.__file__))
+    for seed in ("1", "2", "3"):
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "UnknownVertexError 'w'\nStructuralError phi is not total: missing 'b'\n", seed
 
 
 # ---------------------------------------------------------------------------

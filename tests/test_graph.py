@@ -106,7 +106,8 @@ def _count_vertex_keys(monkeypatch) -> list:
 def test_build_keys_each_vertex_once_and_derived_graphs_none(monkeypatch):
     """Graph.build calls vertex_key once per distinct vertex, also for equal
     tuples made apart and for isolated vertices that are endpoints too;
-    induced_subgraph and torso, built on their parent's ids, call it never."""
+    induced_subgraph and torso, built on their parent's ids, call it never;
+    relabel calls it once per image."""
     calls = _count_vertex_keys(monkeypatch)
     x = lambda: tuple([0, "x"])  # a new tuple object on every call
     edges = [(1, "a"), ("a", x()), (x(), 2), (2, 1), (x(), "b"), ("a", 1)]
@@ -118,6 +119,8 @@ def test_build_keys_each_vertex_once_and_derived_graphs_none(monkeypatch):
     # The adhesion set {2, a} becomes a clique.
     assert torso(g, td, "t").sorted_edges() == [(2, "a"), (2, (0, "x")), ("a", (0, "x")), ("b", (0, "x"))]
     assert calls == []
+    relabel(g, {1: "z", 3: x()[::-1]})
+    assert sorted(calls, key=repr) == sorted(["z", "a", (0, "x"), 2, "b", ("x", 0)], key=repr)
 
 
 def test_build_h_keys_no_h_name(monkeypatch):
@@ -326,6 +329,7 @@ def test_relabel_equals_building_the_renamed_graph(data):
             relabel(g, mapping)
         return
     r = relabel(g, mapping)
+    assert g._edges is None  # relabel permutes ids; it reads no edge set
     want = Graph.build([(mapping.get(u, u), mapping.get(v, v)) for u, v in es], vertices=img)
     assert (r.order, r.pos, r.nbrs, r.vertices) == (want.order, want.pos, want.nbrs, want.vertices)
 

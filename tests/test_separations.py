@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from coarsegraph.errors import StructuralError
 from coarsegraph.generators import cycle_graph, path_graph
@@ -75,6 +75,14 @@ def test_tightness_on_c5():
     assert not is_tight(g, adjacent)
 
 
+def test_is_tight_looks_past_a_partly_attached_component():
+    """S = {0, 1}.  Side A holds {2}, which meets S's least vertex first but
+    sees only 0, and {3}, which sees all of S; side B holds {4}, which does too."""
+    sep = Separation.of({0, 1, 2, 3}, {0, 1, 4})
+    assert is_tight(Graph.build([(0, 2), (0, 3), (1, 3), (0, 4), (1, 4)]), sep)
+    assert not is_tight(Graph.build([(0, 2), (0, 3), (0, 4), (1, 4)], vertices=[1]), sep)
+
+
 def test_is_tight_requires_a_separation():
     g = cycle_graph(4)
     with pytest.raises(StructuralError):
@@ -136,6 +144,12 @@ def test_components_of_g_minus_s_agree_with_the_oracle(data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     s = frozenset(data.draw(st.sets(st.sampled_from(range(n))))) if n else frozenset()
+    # Some upper vertices are joined to all of S and some lower ones to S's least vertex alone, so that
+    # fully attached components are common, and so are partly attached ones that is_tight must look past.
+    joined = data.draw(st.sets(st.sampled_from(range(n // 2, n)))) if n else set()
+    half = data.draw(st.sets(st.sampled_from(range(n // 2)))) if n > 1 else set()
+    extra = {(v, x) for v in joined - s for x in s} | {(v, min(s)) for v in half - s - joined if s}
+    edges = edges + sorted(e for e in extra if e not in edges and e[::-1] not in edges)
     g = Graph.build(edges, vertices=range(n))
     adj = oracles.adjacency(edges, range(n))  # keyed in vertex order, so components come in canonical order
     comps = oracles.components_without(adj, s)
@@ -146,7 +160,16 @@ def test_components_of_g_minus_s_agree_with_the_oracle(data):
     sides = data.draw(st.lists(st.booleans(), min_size=len(comps), max_size=len(comps)))
     a = set(s).union(*(c for c, side in zip(comps, sides) if side))
     b = set(s).union(*(c for c, side in zip(comps, sides) if not side))
-    assert is_tight(g, Separation.of(a, b)) == oracles._is_tight_pair(adj, a, b)
+    tight = oracles._is_tight_pair(adj, a, b)
+    assert is_tight(g, Separation.of(a, b)) == tight
+    # is_tight stops at the first fully attached component on each side: draw S = ∅, and sides
+    # holding several components with a fully attached one among them, tight or not.
+    event(f"S = ∅, tight: {tight}" if not s else f"several components on a side, tight: {tight}"
+          if max(sum(sides), len(sides) - sum(sides)) > 1 and full else "other")
+    if s and tight:
+        at_x = [(c, side) for c, side in zip(comps, sides) if any(min(s) in adj[v] for v in c)]
+        if any(c not in full and any(d in full and e == side for d, e in at_x[i + 1:]) for i, (c, side) in enumerate(at_x)):
+            event("tight, with a partly attached component at S's least vertex before a fully attached one")
     assert g.masks is masks  # built once per graph
 
     # A random tree on m nodes (node i hangs off an earlier node) with random parts.
