@@ -483,7 +483,9 @@ def relabel(g: Graph, mapping: Mapping) -> Graph:
         raise GraphToolError("relabelling is not injective on the vertex set")
     rank, new = _ranks(img)
     order = [img[i] for i in rank]
-    nbrs = [sorted(map(new.__getitem__, g.nbrs[i])) for i in rank]
+    nbrs = [[new[j] for j in g.nbrs[i]] for i in rank]
+    for js in nbrs:
+        js.sort()
     return Graph(order, dict(zip(order, range(len(order)))), nbrs, frozenset(order))
 
 
