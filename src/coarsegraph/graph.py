@@ -317,8 +317,9 @@ def mask_components(masks: list[int], within: int = -1, touching: int = -1):
     components of G[S].  One bit-parallel BFS per component, taking its ids out
     of ``rest`` as it grows; a component that misses ``touching`` is never grown."""
     rest = within & (1 << len(masks)) - 1
-    while rest & touching:
-        comp = frontier = rest & touching & -(rest & touching)
+    starts = rest & touching
+    while starts:
+        comp = frontier = starts & -starts
         rest ^= comp
         reach = 0
         while frontier:
@@ -331,6 +332,7 @@ def mask_components(masks: list[int], within: int = -1, touching: int = -1):
             frontier = grow & rest
             rest ^= frontier
             comp |= frontier
+        starts &= rest
         yield comp, reach & ~within
 
 
