@@ -299,7 +299,7 @@ def test_induced_subgraph_and_relabel():
 
 
 _NESTED_LABELS = st.recursive(st.integers(-3, 9) | st.text(alphabet="ab1", min_size=1, max_size=2),
-                       lambda inner: st.lists(inner, max_size=2).map(tuple), max_leaves=4)
+                              lambda inner: st.lists(inner, max_size=2).map(tuple), max_leaves=4)
 # Images no graph may hold: a bool, a float, a tuple holding a bool, a tuple one level too deep.
 _BAD_IMAGES = (True, False, 1.0, 2.5, (0, False), nested(MAX_VERTEX_DEPTH + 1))
 _IMAGES = st.one_of(*[_NESTED_LABELS] * 6, st.sampled_from(_BAD_IMAGES))

@@ -164,8 +164,10 @@ def test_components_of_g_minus_s_agree_with_the_oracle(data):
     assert is_tight(g, Separation.of(a, b)) == tight
     # is_tight stops at the first fully attached component on each side: draw S = ∅, and sides
     # holding several components with a fully attached one among them, tight or not.
-    event(f"S = ∅, tight: {tight}" if not s else f"several components on a side, tight: {tight}"
-          if max(sum(sides), len(sides) - sum(sides)) > 1 and full else "other")
+    if not s:
+        event(f"S = ∅, tight: {tight}")
+    elif full and max(sum(sides), len(sides) - sum(sides)) > 1:
+        event(f"several components on a side, tight: {tight}")
     if s and tight:
         at_x = [(c, side) for c, side in zip(comps, sides) if any(min(s) in adj[v] for v in c)]
         if any(c not in full and any(d in full and e == side for d, e in at_x[i + 1:]) for i, (c, side) in enumerate(at_x)):
