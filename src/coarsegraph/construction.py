@@ -41,6 +41,7 @@ from .graph import (
     cut_vertices,
     induced_subgraph,
     is_connected,
+    mask_components,
     parse_vertex_token,
     set_key,
     sort_vertices,
@@ -213,8 +214,10 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
     (-1 at the root) and its part as the ``torso_graph`` id mask
     ``part[i]``.  Edge i has the adhesion part[i] & part[parent[i]] and the
     sides below[i], the parts of i's subtree, and the rest with the adhesion.
-    Contracting other edges changes neither, so one pass decides all.  Each
-    class of contracted nodes is named by its least node, and its part is
+    Contracting other edges changes neither, so one pass decides all.  On a
+    connected torso, each edge of the min-degree tree is decided by
+    ``_elimination_edge_tight``; on any other torso, by ``_tight_on_masks``.
+    Each class of contracted nodes is named by its least node, and its part is
     made once."""
     if provided is None:
         if keep is not None and not keep:
@@ -240,6 +243,7 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
             if not _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion):
                 raise ContractViolationError(f"sub-decomposition edge {(a, b)!r} has a non-tight separation")
     wanted = None if keep is None else {torso_graph.bits(s) for s in keep if s <= torso_graph.vertices}
+    connected = provided is None and len(torso_graph.component_masks) <= 1
     top = list(range(len(parent)))  # the node of i's class nearest the root
     kept = []
     for i in preorder:
@@ -247,8 +251,9 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
         if p < 0:
             continue
         adhesion = part[i] & part[p]
-        if (wanted is None or adhesion in wanted) and (
-                provided is not None or _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion)):
+        if (wanted is None or adhesion in wanted) and (provided is not None or (
+                _elimination_edge_tight(torso_graph.masks, full & ~below[i], adhesion) if connected
+                else _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion))):
             kept.append(i)
         else:
             top[i] = top[p]
@@ -262,6 +267,27 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
         masks[cls[i]] |= part[i]
     return TreeDecomposition(Graph._on_ids(names, [(cls[i], cls[parent[i]]) for i in kept]),
                              {s: torso_graph.labels(m) for s, m in zip(names, masks)})
+
+
+def _elimination_edge_tight(masks: list[int], far: int, s: int) -> bool:
+    """Whether an edge of the min-degree elimination tree of a connected graph
+    is tight, given its adhesion ``s`` and the ids ``far`` strictly on its far
+    side, as masks of the graph whose neighbour masks are ``masks``.
+
+    Let the edge join node i, where x is eliminated, to its parent, and let
+    T[x] be the ids eliminated in i's subtree.  By the path lemma of
+    Rose–Tarjan–Lueker ("Algorithmic aspects of vertex elimination on graphs",
+    1976), S is x's later neighbourhood in the filled graph, which is N(T[x]);
+    on a connected graph T[x] is connected (Liu, "The role of elimination
+    trees in sparse factorization", 1990).  So the near side is one component
+    of G − S whose neighbourhood is all of S: it is always tight.  No
+    component of G − T[x] − S touches T[x], so on a connected graph each has a
+    non-empty neighbourhood inside S.  With |S| ≤ 1 the far side is therefore
+    tight exactly when it is non-empty; otherwise only the far components
+    touching S's least id are grown, up to the first whose neighbourhood is S."""
+    if s.bit_count() <= 1:
+        return far != 0
+    return any(nbhd == s for _, nbhd in mask_components(masks, far, masks[(s & -s).bit_length() - 1]))
 
 
 class PlanarRefinement(NamedTuple):

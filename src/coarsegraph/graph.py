@@ -96,15 +96,22 @@ class Graph:
         for (u, v) in edges:
             if u == v:
                 raise GraphToolError(f"loops are not allowed: ({u!r}, {v!r})")
-            a = get(u)
+            try:
+                a, b = get(u), get(v)
+            except TypeError:  # an unhashable end, which keying refuses as no vertex
+                vertex_key(u), vertex_key(v)
+                raise
             if a is None or a[0] is not u and not _same_types(u, a[0]):
                 a = keyed[u] = [u, vertex_key(u)]
-            b = get(v)
             if b is None or b[0] is not v and not _same_types(v, b[0]):
                 b = keyed[v] = [v, vertex_key(v)]
             es.append((a, b))
         for v in vertices:
-            e = get(v)
+            try:
+                e = get(v)
+            except TypeError:
+                vertex_key(v)
+                raise
             if e is None or e[0] is not v and not _same_types(v, e[0]):
                 keyed[v] = [v, vertex_key(v)]
         order = sorted(keyed.values(), key=itemgetter(1))
@@ -171,10 +178,6 @@ class Graph:
         """The edges in id order: ``_on_ids`` makes every edge (order[i], order[j]) with i < j."""
         order = self.order
         return [(order[i], order[j]) for i, js in enumerate(self.nbrs) for j in js if j > i]
-
-    def require_vertex(self, v: Vertex) -> None:
-        if v not in self.vertices:
-            raise UnknownVertexError(repr(v))
 
     def own_id(self, v) -> int | None:
         """v's id if v is this graph's own vertex, else None: True or 1.0 equals 1 but is no vertex."""
@@ -481,7 +484,12 @@ def relabel(g: Graph, mapping: Mapping) -> Graph:
     Each image is keyed once, so the result is ``g`` with its ids permuted into
     the images' key order; an invalid image named is the first in ``g``'s id order."""
     img = [mapping.get(v, v) for v in g.order]
-    if len(set(img)) != len(img):
+    try:
+        merged = len(set(img)) != len(img)
+    except TypeError:  # an unhashable image, which keying refuses as no vertex
+        list(map(vertex_key, img))
+        raise
+    if merged:
         raise GraphToolError("relabelling is not injective on the vertex set")
     rank, new = _ranks(img)
     order = [img[i] for i in rank]

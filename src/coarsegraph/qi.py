@@ -86,6 +86,13 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     γ; H levels below the lower pointer are dropped.  The first entry meeting a
     condition is the least id i whose row maximum meets it, with the least
     j > i read off one BFS row on each side.
+
+    An isomorphism φ onto the target (n target vertices, distinct images, each
+    neighbour list mapped through φ its image's) is found in O(n + m) after the
+    connectivity checks.  Then d_H(φu, φv) = d_G(u, v), so with γ = p/q ≥ 1 a
+    pair's scaled requirement is q·(q − p)·d_G ≤ 0, and every target vertex is
+    an image: c = 0 is the tightest, no c ≥ 0 is violated, and the level scan
+    runs only if the worst entry is asked for.
     """
     _check_map(source, target, phi)
     p, q = gamma.numerator, gamma.denominator
@@ -118,42 +125,44 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     if -1 in row and not per_component:
         raise ConnectivityError(f"target vertex {target.order[row.index(-1)]!r} cannot reach the image")
 
-    # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
-    top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
-    walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
-    ball, levels = source.ball_levels(bit), target.ball_levels(seeds)
-    near = [next(levels)]  # the H levels made so far; None below the lowest close pointer
-    prev, t, dropped = next(ball), 0, 0
-    far, close = [0] * n, [0] * n  # the two pointers of each source
-    while walk:
-        t += 1
-        level, keep = next(ball), []
-        for i in walk:
-            a, y, b = level[i], img[i], far[i]
-            while a & near[b][y] != a:  # i's own bit lies in C_v(b) for every b
-                b += 1
-                if b == len(near):
-                    near.append(next(levels))
-            far[i] = b
-            if pq * b - pp * t > top[i]:
-                top[i] = pq * b - pp * t
-            s, b = comp[i] ^ prev[i], close[i]  # close[i] ≤ far[i], so its level is made
-            while not s & near[b][y]:
-                b += 1
-            close[i] = b
-            if qq * t - pq * b > top[i]:
-                top[i] = qq * t - pq * b
-            if a != comp[i]:
-                keep.append(i)
-        walk, prev = keep, level
-        low = min(map(close.__getitem__, walk), default=dropped)
-        while dropped < low:
-            near[dropped] = None
-            dropped += 1
-
     dens = [pq * d if d >= 0 else math.inf for d in row]
 
-    def first(hit) -> tuple | None:
+    # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
+    def rows() -> list:
+        top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
+        walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
+        ball, levels = source.ball_levels(bit), target.ball_levels(seeds)
+        near = [next(levels)]  # the H levels made so far; None below the lowest close pointer
+        prev, t, dropped = next(ball), 0, 0
+        far, close = [0] * n, [0] * n  # the two pointers of each source
+        while walk:
+            t += 1
+            level, keep = next(ball), []
+            for i in walk:
+                a, y, b = level[i], img[i], far[i]
+                while a & near[b][y] != a:  # i's own bit lies in C_v(b) for every b
+                    b += 1
+                    if b == len(near):
+                        near.append(next(levels))
+                far[i] = b
+                if pq * b - pp * t > top[i]:
+                    top[i] = pq * b - pp * t
+                s, b = comp[i] ^ prev[i], close[i]  # close[i] ≤ far[i], so its level is made
+                while not s & near[b][y]:
+                    b += 1
+                close[i] = b
+                if qq * t - pq * b > top[i]:
+                    top[i] = qq * t - pq * b
+                if a != comp[i]:
+                    keep.append(i)
+            walk, prev = keep, level
+            low = min(map(close.__getitem__, walk), default=dropped)
+            while dropped < low:
+                near[dropped] = None
+                dropped += 1
+        return top
+
+    def first(top: list, hit) -> tuple | None:
         i = next((i for i in range(n) if hit(top[i])), None)
         if i is None:
             return next(((target.order[y],) for y, r in enumerate(dens) if hit(r)), None)
@@ -163,9 +172,17 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
             if hit(-math.inf if g < 0 else math.inf if h < 0 else max(pq * h - pp * g, qq * g - pq * h)):
                 return source.order[i], source.order[j]
 
+    def worst(top: list) -> tuple | None:
+        best = max(top + dens, default=None)
+        return None if best is None else first(top, lambda r: r >= best)
+
+    if len(target.order) == n and len(set(img)) == n and all(
+            sorted(map(img.__getitem__, js)) == target.nbrs[y] for js, y in zip(source.nbrs, img)):
+        return _Scan(Fraction(0), lambda: worst(rows()), lambda: None)
+    top = rows()
     best = max(top + dens, default=None)
     return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq),
-                 lambda: None if best is None else first(lambda r: r >= best), lambda: first(lambda r: r > limit))
+                 lambda: worst(top), lambda: first(top, lambda r: r > limit))
 
 
 def qi_verify(cert: QuasiIsometryCertificate, per_component: bool = False) -> tuple[bool, tuple | None]:

@@ -1013,3 +1013,22 @@ def test_tight_contraction_on_masks_matches_its_definition(n, p, keep_kind, seed
             check(supplied, call())
         except PlanarityContradictionError:
             pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 13), st.sampled_from([0.1, 0.25, 0.45, 0.7]), st.integers(0, 10_000))
+def test_elimination_edge_rule_matches_tightness_by_definition(n, p, seed):
+    """On a connected graph, ``_elimination_edge_tight`` decides each edge of the
+    min-degree elimination tree as the raw definition does: the sides are the
+    parts below the edge, and the rest with the adhesion set."""
+    vs, es = oracles.random_connected_graph(random.Random(seed), n, p)
+    g = Graph.build(es, vertices=vs)
+    adj = oracles.adjacency(es, vs)
+    parent, part = treedecomp._elimination_tree(g)
+    _, below = treedecomp._subtree_unions(parent, part)
+    full = (1 << n) - 1
+    for i, j in enumerate(parent):
+        if j >= 0:
+            s, far = part[i] & part[j], full & ~below[i]
+            expected = oracles._is_tight_pair(adj, set(g.labels(below[i])), set(g.labels(far | s)))
+            assert construction._elimination_edge_tight(g.masks, far, s) == expected

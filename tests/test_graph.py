@@ -84,6 +84,18 @@ def test_build_refuses_an_isolated_non_vertex(alias):
             Graph.build(edges, vertices=vertices)
 
 
+@pytest.mark.parametrize("make, culprit", [
+    (lambda: relabel(path_graph(3), {0: [1]}), [1]),
+    (lambda: Graph.build([([1], 2)]), [1]),
+    (lambda: Graph.build((), [{}]), {}),
+], ids=["relabel-image", "build-endpoint", "build-vertex"])
+def test_an_unhashable_vertex_or_image_is_refused_with_a_typed_error(make, culprit):
+    """A list or dict is no vertex: build and relabel refuse it as keying does, not with a bare TypeError."""
+    with pytest.raises(GraphToolError) as exc:
+        make()
+    assert str(exc.value) == f"unsupported vertex identifier type: {culprit!r}"
+
+
 def _count_vertex_keys(monkeypatch) -> list:
     """Record each vertex that graph.vertex_key is called on, not the members
     it keys in turn for a tuple."""

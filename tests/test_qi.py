@@ -339,23 +339,129 @@ def test_components_read_alike_before_and_after_a_qi_scan(n, p, seed):
     assert components(fresh) == comps
 
 
+def _one_part_grid(n: int):
+    host = grid_graph(n, n)
+    td = TreeDecomposition(Graph.build((), ["t"]), {"t": host.vertices})
+    bundle = InstanceBundle(host, td, k=2, infinite_markers=frozenset(v for v in host.vertices if host.degree(v) < 4))
+    return host, build_H(bundle)
+
+
 def test_tightest_constants_memory_stays_below_the_per_row_scan():
     """The tracemalloc peak of tightest_constants on the 25×25 one-part grid's
     output stays below 3.24 MB, what the per-source BFS scan with its cache of
     target rows peaked at (Python 3.11.7).  A table of every ball level at full
-    width would not: it holds about 48 levels of 625 masks on each side."""
-    host = grid_graph(25, 25)
-    td = TreeDecomposition(Graph.build((), ["t"]), {"t": host.vertices})
-    bundle = InstanceBundle(host, td, k=2, infinite_markers=frozenset(v for v in host.vertices if host.degree(v) < 4))
-    out = build_H(bundle)
-    assert tightest_constants(host, out.H, out.phi, fixed_gamma=1, per_component=True) is not None
-    tracemalloc.start()
-    try:
-        tightest_constants(host, out.H, out.phi, fixed_gamma=1, per_component=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.24e6
+    width would not: it holds about 48 levels of 625 masks on each side.  φ is
+    an isomorphism there, so the tightest certificate, whose witness runs the
+    level scan, is held to the same bound."""
+    host, out = _one_part_grid(25)
+    for call in (tightest_constants, tightest_certificate):
+        assert call(host, out.H, out.phi, 1, per_component=True) is not None
+        tracemalloc.start()
+        try:
+            call(host, out.H, out.phi, 1, per_component=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.24e6
+
+
+def test_an_isomorphism_is_certified_without_the_level_scan(monkeypatch):
+    """On the one-part grid, build_H maps the host onto a copy of itself:
+    tightest_constants and qi_verify then read no ball level, and c = 0.
+    The tightest certificate's witness still comes from the level scan, as
+    does every constant once one H edge is dropped."""
+    host, out = _one_part_grid(9)
+    calls, real = [], Graph.ball_levels
+    monkeypatch.setattr(Graph, "ball_levels", lambda self, seeds: calls.append(1) or real(self, seeds))
+    assert tightest_constants(host, out.H, out.phi, fixed_gamma=1) == (Fraction(1), Fraction(0))
+    claimed = QuasiIsometryCertificate(host, out.H, out.phi, 1, 0, True, None)
+    assert qi_verify(claimed) == (True, None) and calls == []
+    cert = make_certificate(host, out.H, out.phi, 1, 0)
+    assert cert.valid and cert.worst_witness == ("0,0", "0,1") and len(calls) == 2
+    cut = Graph.build(out.H.sorted_edges()[1:], out.H.vertices)
+    assert tightest_constants(host, cut, out.phi, fixed_gamma=1) == (Fraction(1), Fraction(2))
+    assert len(calls) == 4
+
+
+def test_a_disconnected_isomorphic_host_still_needs_per_component_mode():
+    """The isomorphism test runs after the connectivity checks, so their refusal and its text stand."""
+    g = Graph.build([(0, 1), (2, 3)])
+    h = Graph.build([("a", "b"), ("c", "d")])
+    phi = {0: "c", 1: "d", 2: "a", 3: "b"}
+    for call in (lambda: tightest_constants(g, h, phi), lambda: make_certificate(g, h, phi, 1, 0)):
+        with pytest.raises(ConnectivityError, match="^0 and 2 are in different components of the source$"):
+            call()
+    assert tightest_constants(g, h, phi, per_component=True) == (Fraction(1), Fraction(0))
+
+
+def _near_miss(rng, kind, h_vs, h_es, phi):
+    """Spoil the isomorphism phi onto (h_vs, h_es) in one way, where the graphs allow it."""
+    pairs = [(u, v) for i, u in enumerate(h_vs) for v in h_vs[i + 1:]]
+    if kind == "drop" and h_es:
+        h_es.remove(rng.choice(h_es))
+    elif kind == "add" and len(h_es) < len(pairs):
+        h_es.append(rng.choice([e for e in pairs if e not in h_es and e[::-1] not in h_es]))
+    elif kind == "merge" and len(phi) >= 2:
+        u, v = rng.sample(sorted(phi), 2)
+        phi[u] = phi[v]
+    elif kind == "isolated":
+        h_vs.append(-1)
+    elif kind == "swap":  # ab, cd become ac, bd: every degree stays
+        edges = {frozenset(e) for e in h_es}
+        swaps = [(e, f) for e in h_es for f in h_es
+                 if len({*e, *f}) == 4 and not {frozenset((e[0], f[0])), frozenset((e[1], f[1]))} & edges]
+        if swaps:
+            (a, b), (c, d) = rng.choice(swaps)
+            h_es[:] = [e for e in h_es if e not in ((a, b), (c, d))] + [(a, c), (b, d)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.sampled_from([0.15, 0.35, 0.6, 0.9]),
+    st.integers(0, 10_000),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
+    st.sampled_from(["iso", "drop", "add", "swap", "merge", "isolated"]),
+    st.booleans(),
+)
+def test_isomorphisms_and_near_misses_match_the_oracle(n, p, seed, gamma, kind, per_component):
+    """φ is a random renaming σ of a random graph G onto σG, as it stands or
+    spoilt in one way: one H edge dropped or added, two H edges swapped with
+    every degree kept, two images merged, or one extra isolated H vertex.  The tightest constants, the tightest certificate
+    and its witness, the certificates at c = 0 and 1 and qi_verify all agree
+    with all-pairs BFS, and so does the ConnectivityError text; so the linear-
+    time isomorphism test accepts no map that is not one."""
+    rng = random.Random(seed)
+    vs, es = oracles.random_graph(rng, n, p)
+    sigma = dict(zip(vs, rng.sample(range(n), n)))
+    h_vs, h_es, phi = sorted(sigma.values()), [(sigma[u], sigma[v]) for u, v in es], dict(sigma)
+    _near_miss(rng, kind, h_vs, h_es, phi)
+    src, tgt = Graph.build(es, vertices=vs), Graph.build(h_es, vertices=h_vs)
+    src_adj, tgt_adj = oracles.adjacency(es, vs), oracles.adjacency(h_es, h_vs)
+    expected = oracles.qi_oracle(src_adj, tgt_adj, phi, gamma, 0, per_component)
+    if "error" in expected:
+        for call in (lambda: tightest_constants(src, tgt, phi, fixed_gamma=gamma),
+                     lambda: tightest_certificate(src, tgt, phi, gamma),
+                     lambda: make_certificate(src, tgt, phi, gamma, 0)):
+            with pytest.raises(ConnectivityError) as exc:
+                call()
+            assert str(exc.value) == _connectivity_message(expected["error"])
+        return
+    c = expected["c"]
+    assert tightest_constants(src, tgt, phi, fixed_gamma=gamma, per_component=per_component) == (
+        None if c is None else (gamma, c))
+    tight = tightest_certificate(src, tgt, phi, gamma, per_component=per_component)
+    assert (tight is None) == (c is None)
+    if tight is not None:
+        assert (tight.c, tight.valid, tight.worst_witness) == (c, True, expected["worst"])
+        assert qi_verify(tight, per_component=per_component) == (True, None)
+    for c in (Fraction(0), Fraction(1)):
+        expected = oracles.qi_oracle(src_adj, tgt_adj, phi, gamma, c, per_component)
+        violation = expected["violation"]
+        cert = make_certificate(src, tgt, phi, gamma, c, per_component=per_component)
+        assert cert.valid == (violation is None)
+        assert cert.worst_witness == (expected["worst"] if violation is None else violation)
+        assert qi_verify(cert, per_component=per_component) == (violation is None, violation)
 
 
 @pytest.mark.parametrize("image", [True, 1.0])
