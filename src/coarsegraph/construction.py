@@ -270,21 +270,13 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
 
 
 def _elimination_edge_tight(masks: list[int], far: int, s: int) -> bool:
-    """Whether an edge of the min-degree elimination tree of a connected graph
-    is tight, given its adhesion ``s`` and the ids ``far`` strictly on its far
-    side, as masks of the graph whose neighbour masks are ``masks``.
-
-    Let the edge join node i, where x is eliminated, to its parent, and let
-    T[x] be the ids eliminated in i's subtree.  By the path lemma of
-    Rose–Tarjan–Lueker ("Algorithmic aspects of vertex elimination on graphs",
-    1976), S is x's later neighbourhood in the filled graph, which is N(T[x]);
-    on a connected graph T[x] is connected (Liu, "The role of elimination
-    trees in sparse factorization", 1990).  So the near side is one component
-    of G − S whose neighbourhood is all of S: it is always tight.  No
-    component of G − T[x] − S touches T[x], so on a connected graph each has a
-    non-empty neighbourhood inside S.  With |S| ≤ 1 the far side is therefore
-    tight exactly when it is non-empty; otherwise only the far components
-    touching S's least id are grown, up to the first whose neighbourhood is S."""
+    """Whether the edge above node i of a connected graph's min-degree elimination
+    tree is tight, from its adhesion S = ``s`` and the ids ``far`` strictly beyond it.
+    Let T[x] be the ids eliminated in i's subtree.  S is N(T[x]) by the path lemma
+    (Rose–Tarjan–Lueker, 1976), and T[x] is connected (Liu, 1990), so the near side
+    is always tight.  No component of G − T[x] − S touches T[x], so each has a
+    non-empty neighbourhood inside S: with |S| ≤ 1 the far side is tight iff it is
+    non-empty, else iff a far component next to S's least id has N(C) = S."""
     if s.bit_count() <= 1:
         return far != 0
     return any(nbhd == s for _, nbhd in mask_components(masks, far, masks[(s & -s).bit_length() - 1]))
