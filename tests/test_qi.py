@@ -417,11 +417,12 @@ def _near_miss(rng, kind, h_vs, h_es, phi):
 def test_isomorphisms_and_near_misses_match_the_oracle(n, p, seed, gamma, kind, per_component):
     """φ is a random renaming σ of a random graph G onto σG, as it stands or
     spoilt in one way: one H edge dropped or added, two H edges swapped with
-    every degree kept, two images merged, or one extra isolated H vertex.  The tightest constants, the tightest certificate
-    and its witness, the certificates at c = 0 and 1 and qi_verify all agree
-    with all-pairs BFS, and so does the ConnectivityError text; so the linear-
-    time isomorphism test accepts no map that is not one, and runs only after
-    the connectivity checks."""
+    every degree kept, two images merged, or one extra isolated H vertex.
+    The tightest constants, the tightest certificate and its witness, the
+    certificates at c = 0 and 1 and qi_verify all agree with all-pairs BFS,
+    and so does the ConnectivityError text; so the linear-time isomorphism
+    test accepts no map that is not one, and runs only after the
+    connectivity checks."""
     rng = random.Random(seed)
     vs, es = oracles.random_graph(rng, n, p)
     sigma = dict(zip(vs, rng.sample(range(n), n)))
