@@ -59,7 +59,6 @@ from .graph import (
     is_connected,
     parse_edge_list,
     relabel,
-    shortest_path,
     to_dot,
 )
 from .planarity import PlanarityVerdict, SubdivisionWitness, find_subdivision, is_planar

@@ -428,7 +428,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     # their trees and graphs: planar copies ("pl", t, s, v), tree copies
     # ("tw", t, s), finite points ("xt", t).  Joined with the hubs, in set_key
     # order, as "pl" < "tw" < "xS" < "xt", they are H's key order: no H name is keyed.
-    pl, tw, xt, pairs = [], [], [], []
+    pl, tw, xt, copies = [], [], [], []  # copies: (first id, kept graph) of each planar part
     sub_tds: dict = {}
     refinements: dict = {}
     copy_of: dict = {}
@@ -458,19 +458,23 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             ref = refinements[t] = refine_planar_torso(torsos[t], provided, outer, bundle.infinite_markers)
             warnings.extend(ref.warnings)
             for s in ref.contracted.tree.sorted_vertices():
-                g, base = ref.kept[s], len(pl)  # the planar copies come first, so their ids are final
+                g = ref.kept[s]
+                copies.append((len(pl), g))  # the planar copies come first, so their ids are final
                 name = {v: ("pl", t, s, v) for v in g.order}
                 for v, x in name.items():
                     pl.append(x)
                     copy_of.setdefault(v, x)
-                pairs.extend((base + i, base + j) for i, js in enumerate(g.nbrs) for j in js if j > i)
                 edges.extend((hub[S], name[v]) for S in outer if S <= g.vertices for v in S)
             for v, S in ref.deleted_site.items():  # a pruned vertex maps to the hub of its pruning site
                 own.setdefault(v, hub[S])
 
     order = pl + tw + list(hub.values()) + xt
-    pos = {x: i for i, x in enumerate(order)}
-    H = Graph._on_ids(order, pairs + [(pos[a], pos[b]) for a, b in edges])
+    if len(copies) == 1 and len(order) == len(pl):  # H is one planar copy, glued to nothing: that graph renamed
+        H = copies[0][1]._renamed(order)
+    else:
+        pos = {x: i for i, x in enumerate(order)}
+        pairs = [(base + i, base + j) for base, g in copies for i, js in enumerate(g.nbrs) for j in js if j > i]
+        H = Graph._on_ids(order, pairs + [(pos[a], pos[b]) for a, b in edges])
 
     # φ: surviving planar copy > adhesion hub > image in its own part
     phi: dict = {}

@@ -75,7 +75,8 @@ class Graph:
     :meth:`parent_row` relies on that.  Facts of the graph are kept on first use: the edge
     set, the neighbour masks, the DFS orientation, the component masks, and the min-degree
     elimination (``treedecomp.min_degree_elimination``).  The fields are read-only by
-    convention; graphs compare and hash on their vertex and edge sets.  Use :meth:`build`
+    convention, and a renamed graph (H of a one-part planar host) aliases its source's
+    ``nbrs`` and facts; graphs compare and hash on their vertex and edge sets.  Use :meth:`build`
     rather than the raw constructor so vertices are keyed, ids given and loops rejected."""
 
     __slots__ = ("order", "pos", "nbrs", "vertices", "_edges", "_masks", "_orientation", "_components",
@@ -129,6 +130,14 @@ class Graph:
             nbrs[i].append(j)
             nbrs[j].append(i)
         return cls(order, dict(zip(order, range(len(order)))), [sorted(js) for js in nbrs], frozenset(order))
+
+    def _renamed(self, order: list) -> "Graph":
+        """This graph with id i named ``order[i]``, names that sort as ``self.order`` does.  It shares
+        ``nbrs`` and every id-level fact kept so far, each a function of ``nbrs`` alone; not the labelled edges."""
+        g = Graph(order, dict(zip(order, range(len(order)))), self.nbrs, frozenset(order))
+        g._masks, g._orientation, g._components = self._masks, self._orientation, self._components
+        g._elimination, g._generators, g._subsets = self._elimination, self._generators, self._subsets
+        return g
 
     @property
     def edges(self) -> frozenset:
@@ -512,13 +521,6 @@ def _ranks(vertices: list) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 # walks and paths
 # ---------------------------------------------------------------------------
-
-
-def shortest_path(g: Graph, u: Vertex, v: Vertex) -> list[Vertex] | None:
-    """One shortest u-v path (deterministic: BFS expands neighbours in key order)."""
-    s, t = _ids(g, [u, v])
-    path = parent_path(g.parent_row(s), t)
-    return None if path is None else [g.order[i] for i in path]
 
 
 def parent_path(prev: list[int], t: int) -> tuple[int, ...] | None:

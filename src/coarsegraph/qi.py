@@ -91,8 +91,8 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     neighbour list mapped through φ its image's) is found in O(n + m) after the
     connectivity checks.  Then d_H(φu, φv) = d_G(u, v), so with γ = p/q ≥ 1 a
     pair's scaled requirement is q·(q − p)·d_G ≤ 0, and every target vertex is
-    an image: c = 0 is the tightest, no c ≥ 0 is violated, and the level scan
-    runs only if the worst entry is asked for.
+    an image: c = 0 is the tightest, no c ≥ 0 is violated, and the worst entry
+    is read off the components, with no BFS.
     """
     _check_map(source, target, phi)
     p, q = gamma.numerator, gamma.denominator
@@ -121,6 +121,16 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
             if not comp[i] >> j & 1:
                 raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
             raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
+    if len(target.order) == n and len(set(img)) == n and all(
+            sorted(map(img.__getitem__, js)) == target.nbrs[y] for js, y in zip(source.nbrs, img)):
+        # The worst entry is 0: at γ = 1 the first pair in one component, else (and with none) the first target vertex.
+        i = next((i for i in range(n) if comp[i] != bit[i]), None) if p == q else None
+        if i is None:
+            worst = tuple(target.order[:1]) or None
+        else:
+            later = comp[i] >> (i + 1)
+            worst = source.order[i], source.order[i + (later & -later).bit_length()]
+        return _Scan(Fraction(0), lambda: worst, lambda: None)
     row = target.distance_row(set(img))
     if -1 in row and not per_component:
         raise ConnectivityError(f"target vertex {target.order[row.index(-1)]!r} cannot reach the image")
@@ -176,9 +186,6 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
         best = max(top + dens, default=None)
         return None if best is None else first(top, lambda r: r >= best)
 
-    if len(target.order) == n and len(set(img)) == n and all(
-            sorted(map(img.__getitem__, js)) == target.nbrs[y] for js, y in zip(source.nbrs, img)):
-        return _Scan(Fraction(0), lambda: worst(rows()), lambda: None)
     top = rows()
     best = max(top + dens, default=None)
     return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq),

@@ -809,6 +809,24 @@ def test_h_built_on_ids_equals_a_keyed_build():
     assert built > 3 * 66
 
 
+def test_h_of_a_one_part_planar_host_shares_the_torsos_adjacency_and_facts():
+    """On every corpus instance and planar-scale bundle, after build_H and
+    verify_output, H's orientation, masks and component masks equal those of
+    a fresh copy of H.  H shares the torso's neighbour lists, the host's own,
+    exactly when the bundle is one part whose torso is planar."""
+    shared = 0
+    for b in [inst.bundle for inst in corpus(DEFAULT_SEED)] + [b for _, b in planar_scale_bundles()]:
+        out = build_H(b)
+        verify_output(b, out)
+        H = out.H
+        fresh = Graph._on_ids(H.order, [(i, j) for i, js in enumerate(H.nbrs) for j in js if j > i])
+        assert (H.orientation, H.masks, H.component_masks) == (fresh.orientation, fresh.masks, fresh.component_masks)
+        one_part_planar = len(b.td.parts) == 1 and list(out.classification.values()) == [PLANAR]
+        assert (H.nbrs is b.host.nbrs) == one_part_planar
+        shared += one_part_planar
+    assert shared == 8 + 5
+
+
 def _deep_bundle(host: Graph, k: int, depths) -> InstanceBundle:
     """``host`` as one part with a supplied one-node sub-decomposition, its
     key-least vertex, its tree node and its sub-decomposition node nested

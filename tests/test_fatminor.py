@@ -36,7 +36,7 @@ from coarsegraph.generators import (
     path_graph,
     tree_graph,
 )
-from coarsegraph.graph import Graph, canonical_edge, relabel, shortest_path, sort_vertices
+from coarsegraph.graph import Graph, canonical_edge, parent_path, relabel, sort_vertices
 
 import oracles
 
@@ -460,6 +460,12 @@ def _walk(rng, host: Graph, steps: int) -> tuple:
     return tuple(host.order[i] for i in walk)
 
 
+def _geodesic(host: Graph, u, v) -> tuple | None:
+    """The key-order shortest u-v path; None if v is unreached."""
+    path = parent_path(host.parent_row(host.pos[u]), host.pos[v])
+    return None if path is None else tuple(host.order[i] for i in path)
+
+
 def _model_case(rng):
     """A seeded exhaustive-regime search (pattern of 1-4 and host of 2-9
     vertices on mixed labels, K in 0..2, budget 50-2,000), and a model of the
@@ -488,8 +494,8 @@ def _model_case(rng):
         paths = {}
         for (u, v) in pattern.sorted_edges():
             ends = [rng.choice(sort_vertices(branch[w])) for w in (u, v) if branch[w]]
-            geodesic = len(ends) == 2 and rng.random() < 0.8 and shortest_path(host, *ends)
-            paths[(u, v)] = tuple(geodesic) if geodesic else _walk(rng, host, rng.randint(0, 4)) if ends else ()
+            geodesic = len(ends) == 2 and rng.random() < 0.8 and _geodesic(host, *ends)
+            paths[(u, v)] = geodesic if geodesic else _walk(rng, host, rng.randint(0, 4)) if ends else ()
     unknown = rng.choice((99, "zz", ("q", 1)))  # one per case: an unknown vertex is named whatever the set order
     for _ in range(rng.choice((0, 0, 1, 1, 2))):
         v, op = rng.choice(list(branch)), rng.randrange(12)

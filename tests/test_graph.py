@@ -25,9 +25,9 @@ from coarsegraph.graph import (
     is_connected,
     mask_components,
     parse_edge_list,
+    parent_path,
     parse_vertex_token,
     relabel,
-    shortest_path,
     sort_vertices,
     to_dot,
     union,
@@ -242,8 +242,7 @@ def test_traversals_agree_with_the_oracle(data):
     assert is_connected(g) == (len(comps) <= 1)
 
     for call in (lambda: distances_from(g, [*sources, _MISSING]), lambda: distance(g, _MISSING, v),
-                 lambda: distance(g, u, _MISSING),
-                 lambda: shortest_path(g, _MISSING, v), lambda: shortest_path(g, u, _MISSING)):
+                 lambda: distance(g, u, _MISSING)):
         with pytest.raises(UnknownVertexError):
             call()
 
@@ -257,8 +256,10 @@ def test_shortest_path_matches_a_sorted_order_bfs(graph_data):
     g = Graph.build(es, vertices=vs)
     adj = oracles.adjacency(es, vs)
     for u in vs:
+        prev = g.parent_row(g.pos[u])
         for v in vs:
-            assert shortest_path(g, u, v) == oracles.bfs_path(adj, u, v)
+            path = parent_path(prev, g.pos[v])
+            assert (None if path is None else [g.order[i] for i in path]) == oracles.bfs_path(adj, u, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,8 +294,9 @@ def test_shortest_path_is_geodesic():
         vs, es = oracles.random_connected_graph(rng, rng.randint(2, 10), 0.3)
         g = Graph.build(es, vertices=vs)
         u, v = rng.sample(vs, 2)
-        p = shortest_path(g, u, v)
-        assert p is not None
+        ids = parent_path(g.parent_row(g.pos[u]), g.pos[v])
+        assert ids is not None
+        p = [g.order[i] for i in ids]
         assert p[0] == u and p[-1] == v
         assert len(set(p)) == len(p) and all(b in oracles.adjacency(es, vs)[a] for a, b in zip(p, p[1:]))
         assert len(p) - 1 == distance(g, u, v)

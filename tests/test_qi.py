@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coarsegraph import qi
 from coarsegraph.construction import InstanceBundle, build_H
 from coarsegraph.errors import CompositionError, StructuralError, UnknownVertexError
 from coarsegraph.generators import cycle_graph, grid_graph, path_graph
@@ -350,9 +352,8 @@ def test_tightest_constants_memory_stays_below_the_per_row_scan():
     """The tracemalloc peak of tightest_constants on the 25×25 one-part grid's
     output stays below 3.24 MB, what the per-source BFS scan with its cache of
     target rows peaked at (Python 3.11.7).  A table of every ball level at full
-    width would not: it holds about 48 levels of 625 masks on each side.  φ is
-    an isomorphism there, so the tightest certificate, whose witness runs the
-    level scan, is held to the same bound."""
+    width would not: it holds about 48 levels of 625 masks on each side.  The
+    tightest certificate is held to the same bound."""
     host, out = _one_part_grid(25)
     for call in (tightest_constants, tightest_certificate):
         assert call(host, out.H, out.phi, 1, per_component=True) is not None
@@ -367,9 +368,9 @@ def test_tightest_constants_memory_stays_below_the_per_row_scan():
 
 def test_an_isomorphism_is_certified_without_the_level_scan(monkeypatch):
     """On the one-part grid, build_H maps the host onto a copy of itself:
-    tightest_constants and qi_verify then read no ball level, and c = 0.
-    The tightest certificate's witness still comes from the level scan, as
-    does every constant once one H edge is dropped."""
+    tightest_constants, qi_verify and make_certificate then read no ball
+    level, and c = 0: the witness is read off the components.  Every constant
+    still comes from the level scan once one H edge is dropped."""
     host, out = _one_part_grid(9)
     calls, real = [], Graph.ball_levels
     monkeypatch.setattr(Graph, "ball_levels", lambda self, seeds: calls.append(1) or real(self, seeds))
@@ -377,10 +378,41 @@ def test_an_isomorphism_is_certified_without_the_level_scan(monkeypatch):
     claimed = QuasiIsometryCertificate(host, out.H, out.phi, 1, 0, True, None)
     assert qi_verify(claimed) == (True, None) and calls == []
     cert = make_certificate(host, out.H, out.phi, 1, 0)
-    assert cert.valid and cert.worst_witness == ("0,0", "0,1") and len(calls) == 2
+    assert cert.valid and cert.worst_witness == ("0,0", "0,1") and calls == []
     cut = Graph.build(out.H.sorted_edges()[1:], out.H.vertices)
     assert tightest_constants(host, cut, out.phi, fixed_gamma=1) == (Fraction(1), Fraction(2))
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.sampled_from([0.15, 0.35, 0.6, 0.9]),
+    st.integers(0, 10_000),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
+    st.booleans(),
+)
+def test_an_isomorphisms_worst_entry_is_the_level_scans(n, p, seed, gamma, per_component):
+    """φ is a random renaming σ of a random graph G onto σG.  The tightest
+    certificate, whose witness the isomorphism branch reads off the
+    components, equals the one the level scan gives once that branch is
+    refused (``sorted`` in ``qi`` patched to match no neighbour list); on a
+    disconnected G without per-component mode both raise the same error."""
+    rng = random.Random(seed)
+    vs, es = oracles.random_graph(rng, n, p)
+    sigma = dict(zip(vs, rng.sample(range(n), n)))
+    src, tgt = Graph.build(es, vertices=vs), Graph.build([(sigma[u], sigma[v]) for u, v in es], vertices=vs)
+
+    def tightest():
+        try:
+            return tightest_certificate(src, tgt, sigma, gamma, per_component=per_component)
+        except ConnectivityError as exc:
+            return str(exc)
+
+    fast, refused = tightest(), []
+    with mock.patch.object(qi, "sorted", lambda xs: refused.append(xs), create=True):
+        scanned = tightest()
+    assert fast == scanned and (bool(refused) or n == 0 or isinstance(fast, str))
 
 
 def _near_miss(rng, kind, h_vs, h_es, phi):
