@@ -393,11 +393,13 @@ def dfs_orientation(nbrs: list) -> tuple:
     Returns ``(height, parent, dst, out, lowpt, lowpt2)``: each vertex's DFS
     height (0 at each root, one root per component, tried in id order); the
     id of the tree edge into it (-1 at a root); the head of each edge; the
-    edges out of each vertex, in the order they were oriented; and each
+    edges out of each vertex, in nesting order (Brandes: by 2·lowpt, plus 1 if
+    lowpt2 is below the tail, ties in the order they were oriented); and each
     edge's lowest and second-lowest return heights, the height of its tail
     where it has none.  A tree edge v→w has ``lowpt`` at least ``height[v]``
     iff no back edge from w's subtree climbs above v.  The left-right
-    planarity test and ``cut_vertices`` both read these lowpoints.
+    planarity test reads the lowpoints and the nesting order, ``cut_vertices``
+    the lowpoints alone.
     """
     n = len(nbrs)
     height = [-1] * n
@@ -446,6 +448,12 @@ def dfs_orientation(nbrs: list) -> tuple:
                     lowpt2[e] = min(lowpt2[e], lowpt[ei])
                 else:
                     lowpt2[e] = min(lowpt2[e], lowpt2[ei])
+    depth = [0] * len(dst)  # each edge's nesting depth
+    key = depth.__getitem__
+    for hv, es in zip(height, out):
+        for e in es:
+            depth[e] = 2 * lowpt[e] + (lowpt2[e] < hv)
+        es.sort(key=key)
     return height, parent, dst, out, lowpt, lowpt2
 
 

@@ -2,11 +2,12 @@
 
 One algorithm gives both the verdict and the witness: the package's own
 left-right planarity test (de Fraysseix–Rosenstiehl, in Brandes' formulation)
-on a graph's ids.  Its orientation pass is ``graph.dfs_orientation``,
-kept on the graph as ``Graph.orientation``, whose lowpoints
-``graph.cut_vertices`` also reads; this module holds only the testing pass.  On a non-planar graph, deleting every edge the test
-shows to be unneeded for non-planarity leaves a K₅ or K₃,₃ subdivision, which
-``validate_subdivision`` re-checks independently of the test.
+on a graph's ids.  Its orientation pass is ``graph.dfs_orientation``, kept
+on the graph as ``Graph.orientation`` with out-edges in nesting order, whose
+lowpoints ``graph.cut_vertices`` also reads; this module holds only the
+testing pass, which sorts nothing.  On a non-planar graph, deleting every edge
+the test shows to be unneeded for non-planarity leaves a K₅ or K₃,₃
+subdivision, which ``validate_subdivision`` re-checks independently of the test.
 """
 
 from __future__ import annotations
@@ -126,28 +127,22 @@ def _lr_planar(g: Graph) -> bool:
     """The left-right planarity test (Brandes, "The Left-Right Planarity
     Test", 2009), verdict only.
 
-    ``dfs_orientation`` orients every edge and gives it its lowpoints, and
-    from them its nesting depth.  A second DFS, the testing one, visits each
-    vertex's outgoing edges by nesting depth and keeps the return edges on a
-    stack of conflict pairs: two intervals of back edges that must lie on
-    opposite sides of the tree.  The graph is planar iff no pair ever needs an
-    edge on both sides.  Both passes run on edge ids with explicit stacks; a
-    conflict pair is the list ``[left low, left high, right low, right high]``
-    with -1 for "none", and an interval is empty iff its low end is -1.
-    ``ref`` links each back edge of an interval to the next one down.
-    The orientation is the graph's own, shared with ``cut_vertices``.
+    ``dfs_orientation`` orients every edge, gives it its lowpoints and lists
+    each vertex's outgoing edges by nesting depth.  A second DFS, the testing
+    one, visits them in that kept order and keeps the return edges on a stack
+    of conflict pairs: two intervals of back edges that must lie on opposite
+    sides of the tree.  The graph is planar iff no pair ever needs an edge on
+    both sides.  Both passes run on edge ids with explicit stacks; a conflict
+    pair is the list ``[left low, left high, right low, right high]`` with -1
+    for "none", and an interval is empty iff its low end is -1.  ``ref`` links
+    each back edge of an interval to the next one down.  The orientation is
+    the graph's own, shared with ``cut_vertices``.
     """
     n = len(g.nbrs)
     if n > 2 and sum(map(len, g.nbrs)) > 2 * (3 * n - 6):
         return False
-    height, parent, dst, out, lowpt, lowpt2 = g.orientation
+    height, parent, dst, out, lowpt, _ = g.orientation
     m = len(dst)
-    # Each vertex's outgoing edges by nesting depth, in new lists: the orientation's stay as they are.
-    depth = [0] * m
-    for v, es in enumerate(out):
-        for e in es:
-            depth[e] = 2 * lowpt[e] + (lowpt2[e] < height[v])
-    out = [sorted(es, key=depth.__getitem__) for es in out]
     pairs: list = []  # the stack of conflict pairs
     bottom = [0] * m  # the height of the pair stack when each edge is entered
     ref = [-1] * m

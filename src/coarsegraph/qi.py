@@ -62,6 +62,18 @@ def _check_map(source: Graph, target: Graph, phi: Mapping) -> None:
             raise UnknownVertexError(repr(phi[v]))
 
 
+def _is_isomorphism(source: Graph, target: Graph, img: list) -> bool:
+    """Whether source id i ↦ target id ``img[i]`` is an isomorphism: n target vertices, distinct images,
+    each neighbour list mapped its image's.  Lists are sorted, so the identity needs no sort."""
+    n = len(img)
+    if len(target.order) != n:
+        return False
+    if img == list(range(n)):
+        return source.nbrs == target.nbrs
+    return len(set(img)) == n and all(sorted(map(img.__getitem__, js)) == target.nbrs[y]
+                                      for js, y in zip(source.nbrs, img))
+
+
 class _Scan(NamedTuple):
     c: Fraction | None                      # tightest c at the scanned γ; None when no c works
     worst: Callable[[], tuple | None]       # first entry of largest requirement, found when called
@@ -87,12 +99,11 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     condition is the least id i whose row maximum meets it, with the least
     j > i read off one BFS row on each side.
 
-    An isomorphism φ onto the target (n target vertices, distinct images, each
-    neighbour list mapped through φ its image's) is found in O(n + m) after the
-    connectivity checks.  Then d_H(φu, φv) = d_G(u, v), so with γ = p/q ≥ 1 a
-    pair's scaled requirement is q·(q − p)·d_G ≤ 0, and every target vertex is
-    an image: c = 0 is the tightest, no c ≥ 0 is violated, and the worst entry
-    is read off the components, with no BFS.
+    An isomorphism φ onto the target (``_is_isomorphism``) is found in O(n + m)
+    after the connectivity checks.  Then d_H(φu, φv) = d_G(u, v), so with
+    γ = p/q ≥ 1 a pair's scaled requirement is q·(q − p)·d_G ≤ 0, and every
+    target vertex is an image: c = 0 is the tightest, no c ≥ 0 is violated, and
+    the worst entry is read off the components, with no BFS.
     """
     _check_map(source, target, phi)
     p, q = gamma.numerator, gamma.denominator
@@ -121,8 +132,7 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
             if not comp[i] >> j & 1:
                 raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
             raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
-    if len(target.order) == n and len(set(img)) == n and all(
-            sorted(map(img.__getitem__, js)) == target.nbrs[y] for js, y in zip(source.nbrs, img)):
+    if _is_isomorphism(source, target, img):
         # The worst entry is 0: at γ = 1 the first pair in one component, else (and with none) the first target vertex.
         i = next((i for i in range(n) if comp[i] != bit[i]), None) if p == q else None
         if i is None:

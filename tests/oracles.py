@@ -295,7 +295,9 @@ def orientation_problems(nbrs, orientation):
     every other edge runs from a vertex to a proper ancestor; and an edge v→w
     with return heights R (the height of w for a back edge, else the heights
     of the heads of the back edges leaving w's subtree) has lowpt = min({h(v)}
-    ∪ R) and lowpt2 = min({h(v)} ∪ (R ∖ {lowpt})).
+    ∪ R) and lowpt2 = min({h(v)} ∪ (R ∖ {lowpt})); and each vertex's
+    out-edges are in nesting order (Brandes), non-decreasing in 2·lowpt, plus
+    1 where lowpt2 < h(v).
     """
     height, parent, dst, out, lowpt, lowpt2 = orientation
     n, m = len(nbrs), len(dst)
@@ -344,6 +346,7 @@ def orientation_problems(nbrs, orientation):
         for a in ancestors(v):
             subtree[a].add(v)
     back = [e for e in range(m) if e not in tree]
+    nesting = {}
     for e in back:
         if dst[e] not in ancestors(tail[e]):
             problems.append(f"back edge {tail[e]}→{dst[e]} does not end at an ancestor")
@@ -354,6 +357,11 @@ def orientation_problems(nbrs, orientation):
         low2 = min((returns - {low}) | {height[v]})
         if (lowpt[e], lowpt2[e]) != (low, low2):
             problems.append(f"edge {v}→{w} has lowpoints {(lowpt[e], lowpt2[e])}, not {(low, low2)}")
+        nesting[e] = 2 * low + (low2 < height[v])
+    for v, es in enumerate(out):
+        depths = [nesting[e] for e in es]
+        if depths != sorted(depths):
+            problems.append(f"the edges out of {v} have nesting depths {depths}, out of order")
     return problems
 
 

@@ -646,3 +646,72 @@ def test_mutated_edge_list_never_raises(tmp_path, case):
         event(f"planarize exit 1: {failures}")
     else:
         assert code in (0, 2)
+
+
+# Values an edit may write into a decomposition's JSON besides its own: non-vertices
+# (null, a boolean, a float, an object), a huge and a negative int, a token and an array
+# that read as tuples, broken and empty tokens, a NUL, and an array nested past
+# MAX_VERTEX_DEPTH.
+_TD_EDIT_VALUES = (None, True, 1.5, {}, 2 ** 70, -1, "(1|2)", [1, 2], [], [[]], "(", "", "\x00",
+                   json.loads("[" * 150 + "]" * 150))
+
+
+def _slots(root: list) -> list:
+    """Every (container, key) pair in the JSON value ``root[0]``, ``(root, 0)`` first."""
+    slots, todo = [], [root]
+    while todo:
+        c = todo.pop()
+        for k in (list(c) if isinstance(c, dict) else range(len(c)) if isinstance(c, list) else ()):
+            slots.append((c, k))
+            todo.append(c[k])
+    return slots
+
+
+@st.composite
+def _mutated_td(draw):
+    """A corpus edge list with its decomposition's JSON text after 1-3 edits:
+    a value replaced or deleted, a value inserted into an array or object, or
+    a key renamed, one time in eight anywhere, else below the top object; then,
+    one time in eight, the text cut short."""
+    text, td = draw(st.sampled_from(_EDGE_LISTS))
+    root = [json.loads(json.dumps(td))]
+    own = tuple(td["parts"]) + tuple(v for vs in td["parts"].values() for v in vs)
+    values = st.sampled_from(_TD_EDIT_VALUES + own).map(copy.deepcopy)  # each edit writes a fresh value
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(root)
+        inner = [(c, k) for c, k in slots if c is not root and c is not root[0]]
+        c, k = draw(st.sampled_from(inner if inner and draw(st.integers(0, 7)) else slots))
+        edit = draw(st.sampled_from(("replace", "delete", "insert", "rename")))
+        if edit == "replace" or c is root:
+            c[k] = draw(values)
+        elif edit == "delete":
+            del c[k]
+        elif isinstance(c, list):
+            c.insert(k, draw(values))
+        elif edit == "insert":
+            c[str(draw(values))] = draw(values)
+        else:
+            c[str(draw(values))] = c.pop(k)
+    data = json.dumps(root[0])
+    if not draw(st.integers(0, 7)):
+        data = data[:draw(st.integers(0, len(data)))]
+    return text, data
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_mutated_td())
+def test_mutated_td_file_never_raises(tmp_path, case):
+    """No exception escapes ``validate-td`` or ``planarize --td --k 2`` on a
+    corpus host with an edited decomposition file, and each exits 0, 1 or 2.
+    A ``planarize`` that exits 1 is recorded, not failed, while every failure
+    in its report is one of those that ROADMAP items 1 and 11 leave open."""
+    text, td = case
+    gpath, tdpath, out = write(tmp_path, "host.txt", text), write(tmp_path, "td.json", td), tmp_path / "out.json"
+    assert main(["validate-td", "--graph", gpath, "--td", tdpath, "--out", str(out)]) in (0, 1, 2)
+    code = main(["planarize", "--graph", gpath, "--td", tdpath, "--k", "2", "--out", str(out)])
+    if code == 1:
+        failures = json.loads(out.read_text())["report"]["failures"]
+        assert failures and all(_OPEN_FAILURE.fullmatch(f) for f in failures), failures
+        event(f"planarize exit 1: {failures}")
+    else:
+        assert code in (0, 2)

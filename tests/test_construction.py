@@ -809,20 +809,25 @@ def test_h_built_on_ids_equals_a_keyed_build():
     assert built > 3 * 66
 
 
-def test_h_of_a_one_part_planar_host_shares_the_torsos_adjacency_and_facts():
+def test_h_of_a_one_part_planar_host_shares_the_torsos_adjacency_and_facts(monkeypatch):
     """On every corpus instance and planar-scale bundle, after build_H and
     verify_output, H's orientation, masks and component masks equal those of
-    a fresh copy of H.  H shares the torso's neighbour lists, the host's own,
-    exactly when the bundle is one part whose torso is planar."""
+    a fresh copy of H.  H shares the torso's neighbour lists and orientation,
+    the host's own, exactly when the bundle is one part whose torso is planar;
+    verify_output still runs the planarity testing pass on H itself."""
+    tested, real = [], planarity._lr_planar
+    monkeypatch.setattr(planarity, "_lr_planar", lambda g: tested.append(g) or real(g))
     shared = 0
     for b in [inst.bundle for inst in corpus(DEFAULT_SEED)] + [b for _, b in planar_scale_bundles()]:
         out = build_H(b)
+        tested.clear()
         verify_output(b, out)
         H = out.H
+        assert any(g is H for g in tested)
         fresh = Graph._on_ids(H.order, [(i, j) for i, js in enumerate(H.nbrs) for j in js if j > i])
         assert (H.orientation, H.masks, H.component_masks) == (fresh.orientation, fresh.masks, fresh.component_masks)
         one_part_planar = len(b.td.parts) == 1 and list(out.classification.values()) == [PLANAR]
-        assert (H.nbrs is b.host.nbrs) == one_part_planar
+        assert (H.nbrs is b.host.nbrs) == (H.orientation is b.host.orientation) == one_part_planar
         shared += one_part_planar
     assert shared == 8 + 5
 

@@ -517,9 +517,9 @@ def test_bit_ids_reads_every_set_bit(n, shape, p, seed):
 @given(st.data())
 def test_dfs_orientation_agrees_with_the_oracle(data):
     """Every edge oriented once, a DFS forest with one root per component and
-    matching heights, every other edge climbing to an ancestor, and lowpoints
-    as defined: on random graphs of any density, with several components and
-    isolated vertices."""
+    matching heights, every other edge climbing to an ancestor, lowpoints as
+    defined and each vertex's out-edges in nesting order: on random graphs of
+    any density, with several components and isolated vertices."""
     n = data.draw(st.integers(0, 14))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.permutations(pairs))[:data.draw(st.integers(0, len(pairs)))]

@@ -281,3 +281,16 @@ def test_large_and_deep_inputs_run_without_recursion():
         g = _hung_on_a_cycle(core, 2_000)
         assert len(g.vertices) > WITNESS_CAP
         assert is_planar(g) == PlanarityVerdict(False, None)
+
+
+def test_the_testing_pass_reads_the_kept_nesting_order(monkeypatch):
+    """The orientation keeps each vertex's out-edges in nesting order, so the
+    testing pass sorts nothing: with ``sorted`` in ``planarity`` made to
+    raise, it still decides a planar grid, K5, K3,3 and a subdivided K3,3."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the testing pass sorted")
+
+    monkeypatch.setattr(planarity, "sorted", refuse, raising=False)
+    cases = [(grid_graph(6, 6), True), (complete_graph(5), False), (complete_bipartite_graph(3, 3), False),
+             (subdivided_k33(), False)]
+    assert [planarity._lr_planar(g) for g, _ in cases] == [planar for _, planar in cases]

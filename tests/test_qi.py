@@ -391,16 +391,19 @@ def test_an_isomorphism_is_certified_without_the_level_scan(monkeypatch):
     st.integers(0, 10_000),
     st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
     st.booleans(),
+    st.booleans(),
 )
-def test_an_isomorphisms_worst_entry_is_the_level_scans(n, p, seed, gamma, per_component):
-    """φ is a random renaming σ of a random graph G onto σG.  The tightest
-    certificate, whose witness the isomorphism branch reads off the
-    components, equals the one the level scan gives once that branch is
-    refused (``sorted`` in ``qi`` patched to match no neighbour list); on a
-    disconnected G without per-component mode both raise the same error."""
+@example(n=6, p=0.6, seed=0, gamma=Fraction(1), per_component=False, identity=True)
+def test_an_isomorphisms_worst_entry_is_the_level_scans(n, p, seed, gamma, per_component, identity):
+    """φ is a renaming σ of a random graph G onto σG: a random one, or the
+    identity, which ``_is_isomorphism`` decides by comparing neighbour lists.
+    The tightest certificate, whose witness the isomorphism branch reads off
+    the components, equals the one the level scan gives once that branch is
+    refused (``_is_isomorphism`` patched to False); on a disconnected G
+    without per-component mode both raise the same error."""
     rng = random.Random(seed)
     vs, es = oracles.random_graph(rng, n, p)
-    sigma = dict(zip(vs, rng.sample(range(n), n)))
+    sigma = dict(zip(vs, vs if identity else rng.sample(range(n), n)))
     src, tgt = Graph.build(es, vertices=vs), Graph.build([(sigma[u], sigma[v]) for u, v in es], vertices=vs)
 
     def tightest():
@@ -409,10 +412,17 @@ def test_an_isomorphisms_worst_entry_is_the_level_scans(n, p, seed, gamma, per_c
         except ConnectivityError as exc:
             return str(exc)
 
-    fast, refused = tightest(), []
-    with mock.patch.object(qi, "sorted", lambda xs: refused.append(xs), create=True):
+    verdicts, real = [], qi._is_isomorphism
+
+    def recorded(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    with mock.patch.object(qi, "_is_isomorphism", recorded):
+        fast = tightest()
+    with mock.patch.object(qi, "_is_isomorphism", lambda *args: False):
         scanned = tightest()
-    assert fast == scanned and (bool(refused) or n == 0 or isinstance(fast, str))
+    assert fast == scanned and (verdicts == [True] or isinstance(fast, str))
 
 
 def _near_miss(rng, kind, h_vs, h_es, phi):

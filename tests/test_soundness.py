@@ -5,9 +5,14 @@
 ROADMAP item 1 that ``validate_bundle`` still accepts, each with the exact
 failures its report lists today, beside controls that pass.  A change that
 refuses one of them, or makes it pass, takes it off the known-failure list.
+A ledger pins the outcome counts of a random sweep, by failure class.
 """
 
 from __future__ import annotations
+
+import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -17,6 +22,8 @@ from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import complete_graph, cycle_graph
 from coarsegraph.graph import Graph
 from coarsegraph.treedecomp import TreeDecomposition, heuristic_td
+
+from helpers import random_bundle
 
 
 def _corpus(name: str, **changes):
@@ -74,3 +81,56 @@ def test_an_accepted_bundle_verifies_except_the_known_failures(case):
     else:
         failures = verify_output(bundle, out).failures
     assert failures == KNOWN_FAILURES.get(case, ())
+
+
+# Each report failure's class, by its text.
+_FAILURE_CLASSES = (
+    ("planar", re.compile(r"H is not planar")),
+    ("connectivity", re.compile(r"H connectivity does not match the host")),
+    ("no finite c", re.compile(r"no finite c makes phi a γ=1 quasi-isometry on each component")),
+    ("c > B", re.compile(r"tightest c = \S+ exceeds B = \S+ \(\+\S+ marker tolerance\)")),
+    ("hub", re.compile(r"\d+ adhesion hub\(s\) fail to separate their attachment sides")),
+)
+
+
+def _outcome(bundle: InstanceBundle) -> str:
+    """The bundle's outcome: pass, refused with the error's type, or fail with
+    the class of each report failure (its text when it has none)."""
+    try:
+        out = build_H(bundle)
+    except GraphToolError as exc:
+        return f"refused: {type(exc).__name__}"
+    failures = verify_output(bundle, out).failures
+    if not failures:
+        return "pass"
+    return "fail: " + " + ".join(next((name for name, rx in _FAILURE_CLASSES if rx.fullmatch(f)), f) for f in failures)
+
+
+# The soundness ledger: outcomes of 1,500 random_bundle draws on each of Random(5)
+# and Random(11).  1,112 pass, 910 are refused, 978 fail.  A change that moves a
+# count must say why: fixing a failure class moves its bundles to "pass" or to a
+# refusal.
+LEDGER = {
+    "pass": 1112,
+    "refused: ClassificationError": 330,
+    "refused: ContractViolationError": 561,
+    "refused: MarkerError": 4,
+    "refused: StructuralError": 15,
+    "fail: hub": 447,
+    "fail: connectivity": 286,
+    "fail: c > B": 90,
+    "fail: no finite c": 2,
+    "fail: c > B + hub": 63,
+    "fail: connectivity + hub": 42,
+    "fail: planar + hub": 32,
+    "fail: planar + c > B + hub": 14,
+    "fail: planar + connectivity + hub": 2,
+}
+
+
+def test_the_random_bundle_sweep_matches_the_soundness_ledger():
+    outcomes = Counter()
+    for seed in (5, 11):
+        rng = random.Random(seed)
+        outcomes.update(_outcome(random_bundle(rng)) for _ in range(1500))
+    assert dict(outcomes) == LEDGER
