@@ -132,10 +132,10 @@ class Graph:
         return cls(order, dict(zip(order, range(len(order)))), [sorted(js) for js in nbrs], frozenset(order))
 
     def _renamed(self, order: list) -> "Graph":
-        """This graph with id i named ``order[i]``, names that sort as ``self.order`` does.  It shares
-        ``nbrs`` and every id-level fact kept so far, each a function of ``nbrs`` alone; not the labelled edges."""
+        """This graph with id i named ``order[i]``, names that sort as ``self.order`` does.  It shares ``nbrs``, the
+        component masks (made now) and each id-level fact kept so far, all functions of ``nbrs``; not the edges."""
         g = Graph(order, dict(zip(order, range(len(order)))), self.nbrs, frozenset(order))
-        g._masks, g._orientation, g._components = self._masks, self._orientation, self._components
+        g._components, g._masks, g._orientation = self.component_masks, self._masks, self._orientation
         g._elimination, g._generators, g._subsets = self._elimination, self._generators, self._subsets
         return g
 

@@ -53,13 +53,16 @@ class QuasiIsometryCertificate(_Certificate):
         return cls(*iterable)
 
 
-def _check_map(source: Graph, target: Graph, phi: Mapping) -> None:
-    """Refuse a map that misses a source vertex or sends one off the target, naming the key-least such vertex."""
+def _check_map(source: Graph, target: Graph, phi: Mapping) -> list:
+    """The source ids' image ids, refusing at the key-least vertex a map that misses it or sends it off the target."""
+    img = []
     for v in source.order:
         if v not in phi:
             raise StructuralError(f"phi is not total: missing {v!r}")
-        if target.own_id(phi[v]) is None:
+        img.append(target.own_id(phi[v]))
+        if img[-1] is None:
             raise UnknownVertexError(repr(phi[v]))
+    return img
 
 
 def _is_isomorphism(source: Graph, target: Graph, img: list) -> bool:
@@ -75,13 +78,12 @@ def _is_isomorphism(source: Graph, target: Graph, img: list) -> bool:
 
 
 class _Scan(NamedTuple):
-    c: Fraction | None                      # tightest c at the scanned γ; None when no c works
-    worst: Callable[[], tuple | None]       # first entry of largest requirement, found when called
-    violation: Callable[[], tuple | None]   # first entry whose requirement exceeds the given c, if any
+    c: Fraction | None                             # tightest c at the scanned γ; None when no c works
+    worst: Callable[[], tuple | None]              # first entry of largest requirement, found when called
+    violation: Callable[[Fraction], tuple | None]  # first entry whose requirement exceeds the given c, if any
 
 
-def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fraction | None,
-          per_component: bool) -> _Scan:
+def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, per_component: bool) -> _Scan:
     """The requirements of the pairs u < v of source vertices, then of the
     target vertices, both in sorted order.  A pair requires c ≥ max(d_H −
     γ·d_G, d_G/γ − d_H), a target vertex c ≥ its distance to the image; with
@@ -97,21 +99,18 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
     hence max_u(p·q·d_H − p²·d_G) and max_u(q²·d_G − p·q·d_H) exactly for every
     γ; H levels below the lower pointer are dropped.  The first entry meeting a
     condition is the least id i whose row maximum meets it, with the least
-    j > i read off one BFS row on each side.
+    j > i read off one BFS row on each side, else the least target vertex.
 
     An isomorphism φ onto the target (``_is_isomorphism``) is found in O(n + m)
-    after the connectivity checks.  Then d_H(φu, φv) = d_G(u, v), so with
-    γ = p/q ≥ 1 a pair's scaled requirement is q·(q − p)·d_G ≤ 0, and every
-    target vertex is an image: c = 0 is the tightest, no c ≥ 0 is violated, and
-    the worst entry is read off the components, with no BFS.
+    after the connectivity checks, and reads no ball level: d_H(φu, φv) =
+    d_G(u, v), so with γ = p/q ≥ 1 a pair's scaled requirement is q·(q − p)·d_G.
+    A row maximum is then 0 at γ = 1 where i has a partner in its component,
+    else −inf, and every target vertex is an image, requiring 0.
     """
-    _check_map(source, target, phi)
+    img = _check_map(source, target, phi)
     p, q = gamma.numerator, gamma.denominator
     pq, pp, qq = p * q, p * p, q * q
-    # An integer requirement exceeds p·q·c exactly when it exceeds its floor.
-    limit = math.inf if c is None else pq * c.numerator // c.denominator
     n = len(source.order)
-    img = [target.pos[phi[v]] for v in source.order]
     bit = [1 << i for i in range(n)]
     seeds = [0] * len(target.order)
     for i, y in enumerate(img):
@@ -133,22 +132,14 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
                 raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
             raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
     if _is_isomorphism(source, target, img):
-        # The worst entry is 0: at γ = 1 the first pair in one component, else (and with none) the first target vertex.
-        i = next((i for i in range(n) if comp[i] != bit[i]), None) if p == q else None
-        if i is None:
-            worst = tuple(target.order[:1]) or None
-        else:
-            later = comp[i] >> (i + 1)
-            worst = source.order[i], source.order[i + (later & -later).bit_length()]
-        return _Scan(Fraction(0), lambda: worst, lambda: None)
-    row = target.distance_row(set(img))
-    if -1 in row and not per_component:
-        raise ConnectivityError(f"target vertex {target.order[row.index(-1)]!r} cannot reach the image")
-
-    dens = [pq * d if d >= 0 else math.inf for d in row]
-
-    # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
-    def rows() -> list:
+        top = [0 if c != b else -math.inf for c, b in zip(comp, bit)] if p == q else [-math.inf] * n
+        dens = [0] * len(target.order)
+    else:
+        row = target.distance_row(set(img))
+        if -1 in row and not per_component:
+            raise ConnectivityError(f"target vertex {target.order[row.index(-1)]!r} cannot reach the image")
+        dens = [pq * d if d >= 0 else math.inf for d in row]
+        # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
         top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
         walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
         ball, levels = source.ball_levels(bit), target.ball_levels(seeds)
@@ -180,9 +171,8 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
             while dropped < low:
                 near[dropped] = None
                 dropped += 1
-        return top
 
-    def first(top: list, hit) -> tuple | None:
+    def first(hit) -> tuple | None:
         i = next((i for i in range(n) if hit(top[i])), None)
         if i is None:
             return next(((target.order[y],) for y, r in enumerate(dens) if hit(r)), None)
@@ -192,14 +182,12 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, c: Fracti
             if hit(-math.inf if g < 0 else math.inf if h < 0 else max(pq * h - pp * g, qq * g - pq * h)):
                 return source.order[i], source.order[j]
 
-    def worst(top: list) -> tuple | None:
-        best = max(top + dens, default=None)
-        return None if best is None else first(top, lambda r: r >= best)
+    def violation(c: Fraction) -> tuple | None:
+        limit = pq * c.numerator // c.denominator  # an integer exceeds p·q·c exactly when it exceeds this floor
+        return first(lambda r: r > limit)
 
-    top = rows()
-    best = max(top + dens, default=None)
-    return _Scan(None if best == math.inf else Fraction(max(best or 0, 0), pq),
-                 lambda: worst(top), lambda: first(top, lambda r: r > limit))
+    best = max(top + dens, default=0)  # every image requires 0, so best ≥ 0
+    return _Scan(None if best == math.inf else Fraction(best, pq), lambda: first(lambda r: r >= best), violation)
 
 
 def qi_verify(cert: QuasiIsometryCertificate, per_component: bool = False) -> tuple[bool, tuple | None]:
@@ -208,7 +196,7 @@ def qi_verify(cert: QuasiIsometryCertificate, per_component: bool = False) -> tu
     Returns (ok, witness): the witness is the first violating vertex pair or a
     lone target vertex violating density, None when valid.
     """
-    violation = _scan(cert.source, cert.target, cert.phi, cert.gamma, cert.c, per_component).violation()
+    violation = _scan(cert.source, cert.target, cert.phi, cert.gamma, per_component).violation(cert.c)
     return violation is None, violation
 
 
@@ -223,8 +211,8 @@ def make_certificate(
     """Check (gamma, c) for φ.  The witness is the first violation when invalid,
     else the pair (or density vertex) with the least margin before violation."""
     cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(gamma), Fraction(c), False, None)
-    scan = _scan(source, target, cert.phi, cert.gamma, cert.c, per_component)
-    violation = scan.violation()
+    scan = _scan(source, target, cert.phi, cert.gamma, per_component)
+    violation = scan.violation(cert.c)
     if violation is not None:
         return cert._replace(worst_witness=violation)
     return cert._replace(valid=True, worst_witness=scan.worst())
@@ -241,7 +229,7 @@ def tightest_certificate(
     ``make_certificate`` returns at that c, from one scan instead of two.
     None when no finite c works (per-component mode only)."""
     cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(gamma), 0, True, None)
-    scan = _scan(source, target, cert.phi, cert.gamma, None, per_component)
+    scan = _scan(source, target, cert.phi, cert.gamma, per_component)
     return None if scan.c is None else cert._replace(c=scan.c, worst_witness=scan.worst())
 
 
@@ -260,7 +248,7 @@ def tightest_constants(
     """
     # tightest_certificate's checks and scan, without its witness: none is returned.
     cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(fixed_gamma), 0, True, None)
-    c = _scan(source, target, cert.phi, cert.gamma, None, per_component).c
+    c = _scan(source, target, cert.phi, cert.gamma, per_component).c
     return None if c is None else (cert.gamma, c)
 
 

@@ -20,7 +20,7 @@ from coarsegraph.cli import main
 from coarsegraph.construction import build_H, bundle_to_dict
 from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import GraphToolError
-from coarsegraph.generators import CAYLEY_PRESETS, GeneratorSpec, cycle_graph, generate, path_graph
+from coarsegraph.generators import CAYLEY_PRESETS, GeneratorSpec, cycle_graph, generate, grid_graph, path_graph
 from coarsegraph.graph import MAX_VERTEX_DEPTH, format_edge_list, parse_edge_list, parse_vertex_token, vertex_token
 from coarsegraph.treedecomp import td_to_dict, TreeDecomposition
 from coarsegraph.graph import Graph
@@ -715,3 +715,57 @@ def test_mutated_td_file_never_raises(tmp_path, case):
         event(f"planarize exit 1: {failures}")
     else:
         assert code in (0, 2)
+
+
+# (source, target, map) triples for qi-check: a map onto a shorter path, a rotation of a cycle and the transpose of
+# a grid, the last two isomorphisms that are not the identity.
+_QI_CASES = (
+    (path_graph(9), path_graph(5), {str(i): str(i // 2) for i in range(9)}),
+    (cycle_graph(6), cycle_graph(6), {str(i): str((i + 1) % 6) for i in range(6)}),
+    (grid_graph(3, 3), grid_graph(3, 3), {f"{r},{c}": f"{c},{r}" for r in range(3) for c in range(3)}),
+)
+_QI_CONSTANT = st.sampled_from(("0", "-1", "x", "1/0", "nan", "inf", "1", "1/2", "3/2", "2"))
+
+
+@st.composite
+def _mutated_map(draw):
+    """A qi-check case with its map's JSON text after 0-3 edits: a value
+    replaced or deleted, or a value inserted into an array or object; the map
+    sometimes under a ``"phi"`` key, and one time in eight the text cut short."""
+    source, target, phi = draw(st.sampled_from(_QI_CASES))
+    root = [{"phi": dict(phi)} if draw(st.booleans()) else dict(phi)]
+    values = st.sampled_from(_TD_EDIT_VALUES + tuple(phi.values())).map(copy.deepcopy)
+    for _ in range(draw(st.integers(0, 3))):
+        c, k = draw(st.sampled_from(_slots(root)))
+        edit = draw(st.sampled_from(("replace", "delete", "insert")))
+        if edit == "replace" or c is root:
+            c[k] = draw(values)
+        elif edit == "delete":
+            del c[k]
+        elif isinstance(c, list):
+            c.insert(k, draw(values))
+        else:
+            c[str(draw(values))] = draw(values)
+    data = json.dumps(root[0])
+    if not draw(st.integers(0, 7)):
+        data = data[:draw(st.integers(0, len(data)))]
+    return source, target, data
+
+
+# One failure is shrunk and reported: each raise site is a distinct bug to Hypothesis, and shrinking them all takes minutes.
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          report_multiple_bugs=False)
+@given(case=_mutated_map(), constants=st.none() | st.tuples(_QI_CONSTANT, _QI_CONSTANT), per_component=st.booleans())
+def test_mutated_qi_map_never_raises(tmp_path, case, constants, per_component):
+    """No exception escapes ``qi-check`` on an edited map file, with or
+    without ``--gamma`` and ``--c`` (strings that may be no constant), and it
+    exits 0, 1 or 2; the exit code is recorded as a Hypothesis event."""
+    source, target, data = case
+    args = ["qi-check", "--source", write(tmp_path, "s.txt", format_edge_list(source)),
+            "--target", write(tmp_path, "t.txt", format_edge_list(target)),
+            "--map", write(tmp_path, "phi.json", data), "--out", str(tmp_path / "out.json")]
+    if constants is not None:
+        args += [f"--gamma={constants[0]}", f"--c={constants[1]}"]
+    code = main(args + ["--per-component"] * per_component)
+    event(f"qi-check exit {code}")
+    assert code in (0, 1, 2)

@@ -827,7 +827,8 @@ def test_h_of_a_one_part_planar_host_shares_the_torsos_adjacency_and_facts(monke
         fresh = Graph._on_ids(H.order, [(i, j) for i, js in enumerate(H.nbrs) for j in js if j > i])
         assert (H.orientation, H.masks, H.component_masks) == (fresh.orientation, fresh.masks, fresh.component_masks)
         one_part_planar = len(b.td.parts) == 1 and list(out.classification.values()) == [PLANAR]
-        assert (H.nbrs is b.host.nbrs) == (H.orientation is b.host.orientation) == one_part_planar
+        assert ((H.nbrs is b.host.nbrs) == (H.orientation is b.host.orientation)
+                == (H.component_masks is b.host.component_masks) == one_part_planar)
         shared += one_part_planar
     assert shared == 8 + 5
 

@@ -369,8 +369,9 @@ def test_tightest_constants_memory_stays_below_the_per_row_scan():
 def test_an_isomorphism_is_certified_without_the_level_scan(monkeypatch):
     """On the one-part grid, build_H maps the host onto a copy of itself:
     tightest_constants, qi_verify and make_certificate then read no ball
-    level, and c = 0: the witness is read off the components.  Every constant
-    still comes from the level scan once one H edge is dropped."""
+    level, and c = 0: the witness is found by the common rule, from two BFS
+    rows.  Every constant still comes from the level scan once one H edge is
+    dropped."""
     host, out = _one_part_grid(9)
     calls, real = [], Graph.ball_levels
     monkeypatch.setattr(Graph, "ball_levels", lambda self, seeds: calls.append(1) or real(self, seeds))
@@ -397,9 +398,9 @@ def test_an_isomorphism_is_certified_without_the_level_scan(monkeypatch):
 def test_an_isomorphisms_worst_entry_is_the_level_scans(n, p, seed, gamma, per_component, identity):
     """φ is a renaming σ of a random graph G onto σG: a random one, or the
     identity, which ``_is_isomorphism`` decides by comparing neighbour lists.
-    The tightest certificate, whose witness the isomorphism branch reads off
-    the components, equals the one the level scan gives once that branch is
-    refused (``_is_isomorphism`` patched to False); on a disconnected G
+    The tightest certificate, whose row maxima the isomorphism branch sets
+    with no level scan, equals the one the level scan gives once that branch
+    is refused (``_is_isomorphism`` patched to False); on a disconnected G
     without per-component mode both raise the same error."""
     rng = random.Random(seed)
     vs, es = oracles.random_graph(rng, n, p)
@@ -461,7 +462,7 @@ def test_isomorphisms_and_near_misses_match_the_oracle(n, p, seed, gamma, kind, 
     spoilt in one way: one H edge dropped or added, two H edges swapped with
     every degree kept, two images merged, or one extra isolated H vertex.
     The tightest constants, the tightest certificate and its witness, the
-    certificates at c = 0 and 1 and qi_verify all agree with all-pairs BFS,
+    certificates at c = 0, 1/2 and 1 and qi_verify all agree with all-pairs BFS,
     and so does the ConnectivityError text; so the linear-time isomorphism
     test accepts no map that is not one, and runs only after the
     connectivity checks."""
@@ -489,7 +490,7 @@ def test_isomorphisms_and_near_misses_match_the_oracle(n, p, seed, gamma, kind, 
     if tight is not None:
         assert (tight.c, tight.valid, tight.worst_witness) == (c, True, expected["worst"])
         assert qi_verify(tight, per_component=per_component) == (True, None)
-    for c in (Fraction(0), Fraction(1)):
+    for c in (Fraction(0), Fraction(1, 2), Fraction(1)):
         expected = oracles.qi_oracle(src_adj, tgt_adj, phi, gamma, c, per_component)
         violation = expected["violation"]
         cert = make_certificate(src, tgt, phi, gamma, c, per_component=per_component)
