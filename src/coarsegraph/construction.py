@@ -285,9 +285,7 @@ def _elimination_edge_tight(masks: list[int], far: int, s: int) -> bool:
 class PlanarRefinement(NamedTuple):
     contracted: TreeDecomposition
     kept: dict           # contracted node s -> pruned part graph G_s'
-    deletions: tuple     # (s, S, size of deleted component)
-    deleted_site: dict   # deleted host vertex -> S of its (first) pruning site
-    max_deleted: int
+    deletions: tuple     # (s, S, deleted component), in pruning order
     warnings: tuple
 
 
@@ -309,7 +307,6 @@ def _prune(torso_graph: Graph, contracted: TreeDecomposition, outer: list, marke
     contracted_adh = set(adhesion_sets(contracted).values())
     kept: dict = {}
     deletions: list = []
-    deleted_site: dict = {}
     warnings: list = []
     for s in contracted.tree.sorted_vertices():
         original_part = contracted.parts[s]
@@ -344,13 +341,10 @@ def _prune(torso_graph: Graph, contracted: TreeDecomposition, outer: list, marke
             for c in cands:
                 if c is keep_comp:
                     continue
-                deletions.append((s, S, len(c)))
-                for v in sort_vertices(c):
-                    deleted_site.setdefault(v, S)
+                deletions.append((s, S, c))
                 g_cur = induced_subgraph(g_cur, g_cur.vertices - c)
         kept[s] = g_cur
-    max_deleted = max((size for (_, _, size) in deletions), default=0)
-    return PlanarRefinement(contracted, kept, tuple(deletions), deleted_site, max_deleted, tuple(warnings))
+    return PlanarRefinement(contracted, kept, tuple(deletions), tuple(warnings))
 
 
 def tw_torso_attachment(sub_td: TreeDecomposition, S: frozenset) -> TreeCenter:
@@ -385,11 +379,19 @@ class Bounds(NamedTuple):
     b: int
 
 
+class Evidence(NamedTuple):
+    """What ``build_H`` made on the way to H, each fact once."""
+    classification: dict  # tree node -> torso class
+    torsos: dict          # tree node -> torso graph, for each part that is not finite
+    sub_tds: dict         # bounded-treewidth node -> its contracted sub-decomposition
+    refinements: dict     # planar node -> its PlanarRefinement
+
+
 class ConstructionOutput(NamedTuple):
     H: Graph
     phi: dict
     bounds: Bounds
-    classification: dict
+    evidence: Evidence
     finite_threshold: int
     warnings: tuple
 
@@ -429,8 +431,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     # ("tw", t, s), finite points ("xt", t).  Joined with the hubs, in set_key
     # order, as "pl" < "tw" < "xS" < "xt", they are H's key order: no H name is keyed.
     pl, tw, xt, copies = [], [], [], []  # copies: (first id, kept graph) of each planar part
-    sub_tds: dict = {}
-    refinements: dict = {}
+    evidence = Evidence(dict(classification), torsos, {}, {})
     copy_of: dict = {}
     own: dict = {}
     for t in sorted(td.tree.sorted_vertices(), key=lambda t: TORSO_KINDS.index(classification[t])):
@@ -443,7 +444,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             for v in td.parts[t]:
                 own.setdefault(v, x)
         elif classification[t] == BOUNDED_TW:
-            sub = sub_tds[t] = _sub_decomposition(torsos[t], provided)
+            sub = evidence.sub_tds[t] = _sub_decomposition(torsos[t], provided)
             name = {s: ("tw", t, s) for s in sub.tree.sorted_vertices()}
             for s, x in name.items():
                 tw.append(x)
@@ -455,7 +456,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
                 ends = [center.location] if center.kind == "vertex" else center.location
                 edges.extend((hub[S], name[s]) for s in ends)
         else:
-            ref = refinements[t] = refine_planar_torso(torsos[t], provided, outer, bundle.infinite_markers)
+            ref = evidence.refinements[t] = refine_planar_torso(torsos[t], provided, outer, bundle.infinite_markers)
             warnings.extend(ref.warnings)
             for s in ref.contracted.tree.sorted_vertices():
                 g = ref.kept[s]
@@ -465,8 +466,9 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
                     pl.append(x)
                     copy_of.setdefault(v, x)
                 edges.extend((hub[S], name[v]) for S in outer if S <= g.vertices for v in S)
-            for v, S in ref.deleted_site.items():  # a pruned vertex maps to the hub of its pruning site
-                own.setdefault(v, hub[S])
+            for _, S, c in ref.deletions:  # a pruned vertex maps to the hub of its first pruning site
+                for v in c:
+                    own.setdefault(v, hub[S])
 
     order = pl + tw + list(hub.values()) + xt
     if len(copies) == 1 and len(order) == len(pl):  # H is one planar copy, glued to nothing: that graph renamed
@@ -485,24 +487,23 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
         if phi[v] not in H.vertices:
             raise StructuralError(f"phi({v!r}) is not a vertex of H")  # construction bug guard
 
-    bounds = _compute_bounds(td, classification, torsos, sub_tds, refinements)
     return ConstructionOutput(
         H=H,
         phi=phi,
-        bounds=bounds,
-        classification=dict(classification),
+        bounds=_compute_bounds(td, evidence),
+        evidence=evidence,
         finite_threshold=bundle.finite_threshold,
         warnings=tuple(warnings),
     )
 
 
-def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
-    b1 = max((len(td.parts[t]) for t, k in classification.items() if k == FINITE), default=0)
-    b2 = max((width(sub_tds[t]) for t in sub_tds), default=0)
+def _compute_bounds(td: TreeDecomposition, evidence: Evidence) -> Bounds:
+    b1 = max((len(td.parts[t]) for t, k in evidence.classification.items() if k == FINITE), default=0)
+    b2 = max((width(sub) for sub in evidence.sub_tds.values()), default=0)
     b3 = 0
     b4 = 0
-    for t, sub in sub_tds.items():
-        g = torsos[t]
+    for t, sub in evidence.sub_tds.items():
+        g = evidence.torsos[t]
         # Per torso id, the ids sharing a part with it and the parts holding it.
         near, count = [0] * len(g.order), [0] * len(g.order)
         for part in sub.parts.values():
@@ -518,7 +519,8 @@ def _compute_bounds(td, classification, torsos, sub_tds, refinements) -> Bounds:
             if all(want & ~ball == 0 for want, ball in zip(near, balls)):
                 b3 = max(b3, d)
                 break
-    b5 = 1 + max((refinements[t].max_deleted for t in refinements), default=0) if refinements else 0
+    refinements = evidence.refinements.values()
+    b5 = 1 + max((len(c) for ref in refinements for _, _, c in ref.deletions), default=0) if refinements else 0
     b = max(b1, b3 * b4, b5)
     return Bounds(b1, b2, b3, b4, b5, b)
 
@@ -677,7 +679,7 @@ def output_to_dict(out: ConstructionOutput) -> dict:
         "phi": {vertex_token(v): token[pos[x]] for v, x in out.phi.items()},
         "bounds": out.bounds._asdict(),
         "classification": {
-            vertex_token(t): out.classification[t] for t in sort_vertices(out.classification)
+            vertex_token(t): out.evidence.classification[t] for t in sort_vertices(out.evidence.classification)
         },
         "finite_threshold": out.finite_threshold,
         "provenance": {token[i]: _provenance(x) for i, x in enumerate(H.order)},

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+
+from hypothesis import strategies as st
 
 import oracles
 from coarsegraph.construction import BOUNDED_TW, PLANAR, TORSO_KINDS, InstanceBundle, build_H
@@ -108,3 +111,39 @@ def supplied_bundle(rng) -> InstanceBundle:
         classification = {t: rng.choice((PLANAR, BOUNDED_TW)) for t in nodes}
     sub_tds = {t: _randomly_contracted(rng, heuristic_td(torso(b.host, b.td, t)), keep=0.6) for t in nodes}
     return b._replace(classification=classification, sub_tds=sub_tds)
+
+
+# Values an edit may write into JSON input besides its own: non-vertices (null, a
+# boolean, a float, an object), a huge and a negative int, a token and an array that
+# read as tuples, broken and empty tokens, a NUL, and an array nested past
+# MAX_VERTEX_DEPTH.
+JSON_EDIT_VALUES = (None, True, 1.5, {}, 2 ** 70, -1, "(1|2)", [1, 2], [], [[]], "(", "", "\x00",
+                    json.loads("[" * 150 + "]" * 150))
+
+
+def json_slots(root: list) -> list:
+    """Every (container, key) pair in the JSON value ``root[0]``, ``(root, 0)`` first."""
+    slots, todo = [], [root]
+    while todo:
+        c = todo.pop()
+        for k in (list(c) if isinstance(c, dict) else range(len(c)) if isinstance(c, list) else ()):
+            slots.append((c, k))
+            todo.append(c[k])
+    return slots
+
+
+def edit_json(draw, root: list, values, edits: int) -> None:
+    """Make ``edits`` edits to the JSON value ``root[0]`` in place, each at a
+    drawn slot: a value replaced or deleted, or a value drawn from ``values``
+    inserted into an array or object; the root itself is only replaced."""
+    for _ in range(edits):
+        c, k = draw(st.sampled_from(json_slots(root)))
+        edit = draw(st.sampled_from(("replace", "delete", "insert")))
+        if edit == "replace" or c is root:
+            c[k] = draw(values)
+        elif edit == "delete":
+            del c[k]
+        elif isinstance(c, list):
+            c.insert(k, draw(values))
+        else:
+            c[str(draw(values))] = draw(values)

@@ -27,6 +27,7 @@ from coarsegraph.graph import Graph
 from coarsegraph.qi import certificate_to_dict, make_certificate, tightest_constants
 
 import oracles
+from helpers import JSON_EDIT_VALUES, edit_json, json_slots
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -515,7 +516,7 @@ def test_library_runs_with_networkx_unimportable():
               "passed = {}\n"
               "for inst in corpus(DEFAULT_SEED):\n"
               "    out = build_H(inst.bundle)\n"
-              "    kinds = set(out.classification.values()) - set(passed)\n"
+              "    kinds = set(out.evidence.classification.values()) - set(passed)\n"
               "    if kinds:\n"
               "        ok = verify_output(inst.bundle, out).passed\n"
               "        passed.update(dict.fromkeys(kinds, ok))\n"
@@ -563,7 +564,7 @@ _OTHER_JSON_VALUES = (None, True, 0, 2.5, float("inf"), "x", [], {}, [0, [1]], {
 def _fuzz_bundle():
     inst = next(i for i in corpus(DEFAULT_SEED) if i.name == "pocket-3x4-marked")
     data = bundle_to_dict(inst.bundle)
-    data["classification"] = {str(t): kind for t, kind in build_H(inst.bundle).classification.items()}
+    data["classification"] = {str(t): kind for t, kind in build_H(inst.bundle).evidence.classification.items()}
     return format_edge_list(inst.bundle.host), data
 
 
@@ -571,7 +572,9 @@ FUZZ_HOST, FUZZ_BUNDLE = _fuzz_bundle()
 FUZZ_PATHS = list(_json_paths(FUZZ_BUNDLE))
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# One failure is shrunk and reported, as in test_mutated_qi_map_never_raises below.
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          report_multiple_bugs=False)
 @given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from((_DROP,) + _OTHER_JSON_VALUES))
 def test_mutated_bundle_never_exits_one(tmp_path, path, value):
     """Drop one key or element of a valid bundle, or swap one value for a value
@@ -629,7 +632,9 @@ def _mutated_edge_list(draw):
     return "\n".join(lines) + "\n", td
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# One failure is shrunk and reported, as in test_mutated_qi_map_never_raises below.
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          report_multiple_bugs=False)
 @given(case=_mutated_edge_list())
 def test_mutated_edge_list_never_raises(tmp_path, case):
     """No exception escapes ``treewidth`` or ``planarize --td --k 2`` on an
@@ -648,25 +653,6 @@ def test_mutated_edge_list_never_raises(tmp_path, case):
         assert code in (0, 2)
 
 
-# Values an edit may write into a decomposition's JSON besides its own: non-vertices
-# (null, a boolean, a float, an object), a huge and a negative int, a token and an array
-# that read as tuples, broken and empty tokens, a NUL, and an array nested past
-# MAX_VERTEX_DEPTH.
-_TD_EDIT_VALUES = (None, True, 1.5, {}, 2 ** 70, -1, "(1|2)", [1, 2], [], [[]], "(", "", "\x00",
-                   json.loads("[" * 150 + "]" * 150))
-
-
-def _slots(root: list) -> list:
-    """Every (container, key) pair in the JSON value ``root[0]``, ``(root, 0)`` first."""
-    slots, todo = [], [root]
-    while todo:
-        c = todo.pop()
-        for k in (list(c) if isinstance(c, dict) else range(len(c)) if isinstance(c, list) else ()):
-            slots.append((c, k))
-            todo.append(c[k])
-    return slots
-
-
 @st.composite
 def _mutated_td(draw):
     """A corpus edge list with its decomposition's JSON text after 1-3 edits:
@@ -676,9 +662,9 @@ def _mutated_td(draw):
     text, td = draw(st.sampled_from(_EDGE_LISTS))
     root = [json.loads(json.dumps(td))]
     own = tuple(td["parts"]) + tuple(v for vs in td["parts"].values() for v in vs)
-    values = st.sampled_from(_TD_EDIT_VALUES + own).map(copy.deepcopy)  # each edit writes a fresh value
+    values = st.sampled_from(JSON_EDIT_VALUES + own).map(copy.deepcopy)  # each edit writes a fresh value
     for _ in range(draw(st.integers(1, 3))):
-        slots = _slots(root)
+        slots = json_slots(root)
         inner = [(c, k) for c, k in slots if c is not root and c is not root[0]]
         c, k = draw(st.sampled_from(inner if inner and draw(st.integers(0, 7)) else slots))
         edit = draw(st.sampled_from(("replace", "delete", "insert", "rename")))
@@ -698,7 +684,9 @@ def _mutated_td(draw):
     return text, data
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# One failure is shrunk and reported, as in test_mutated_qi_map_never_raises below.
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          report_multiple_bugs=False)
 @given(case=_mutated_td())
 def test_mutated_td_file_never_raises(tmp_path, case):
     """No exception escapes ``validate-td`` or ``planarize --td --k 2`` on a
@@ -734,18 +722,8 @@ def _mutated_map(draw):
     sometimes under a ``"phi"`` key, and one time in eight the text cut short."""
     source, target, phi = draw(st.sampled_from(_QI_CASES))
     root = [{"phi": dict(phi)} if draw(st.booleans()) else dict(phi)]
-    values = st.sampled_from(_TD_EDIT_VALUES + tuple(phi.values())).map(copy.deepcopy)
-    for _ in range(draw(st.integers(0, 3))):
-        c, k = draw(st.sampled_from(_slots(root)))
-        edit = draw(st.sampled_from(("replace", "delete", "insert")))
-        if edit == "replace" or c is root:
-            c[k] = draw(values)
-        elif edit == "delete":
-            del c[k]
-        elif isinstance(c, list):
-            c.insert(k, draw(values))
-        else:
-            c[str(draw(values))] = draw(values)
+    values = st.sampled_from(JSON_EDIT_VALUES + tuple(phi.values())).map(copy.deepcopy)
+    edit_json(draw, root, values, draw(st.integers(0, 3)))
     data = json.dumps(root[0])
     if not draw(st.integers(0, 7)):
         data = data[:draw(st.integers(0, len(data)))]

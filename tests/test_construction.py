@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -254,7 +255,7 @@ def test_build_h_makes_each_outer_torso_once(monkeypatch):
         calls.clear()
         out = build_H(inst.bundle)
         outer = [t for td, t in calls if td is inst.bundle.td]
-        wanted = [t for t, kind in out.classification.items() if kind != FINITE]
+        wanted = [t for t, kind in out.evidence.classification.items() if kind != FINITE]
         assert sorted(outer, key=repr) == sorted(wanted, key=repr), inst.name
         finite += len(inst.bundle.td.parts) - len(wanted)
     assert finite > 0
@@ -477,7 +478,7 @@ def test_supplied_planar_sub_decomposition_is_checked_tight_once(monkeypatch):
     b = InstanceBundle(host, td, k=2, finite_threshold=4, sub_tds={"t": TWO_PART_SUB})
     out = build_H(b)
     assert len(calls) == 1
-    assert out.classification == {"t": PLANAR, "u": FINITE}
+    assert out.evidence.classification == {"t": PLANAR, "u": FINITE}
     assert sorted(x[2] for x in out.H.vertices if x[0] == "pl") == [0] * 4 + [1] * 4
     assert verify_output(b, out).passed
 
@@ -519,7 +520,7 @@ def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
     out = build_H(b)
     assert calls == []
-    assert out.classification == {"t": PLANAR}
+    assert out.evidence.classification == {"t": PLANAR}
     assert verify_output(b, out).passed
 
 
@@ -558,7 +559,7 @@ def test_build_h_reads_the_elimination_tree_only_where_an_edge_may_be_kept(monke
     assert verify_output(b, build_H(b)).passed and calls == []
     b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=2)
     out = build_H(b)
-    assert out.classification == {"t": BOUNDED_TW} and calls == ["tree"]
+    assert out.evidence.classification == {"t": BOUNDED_TW} and calls == ["tree"]
     assert verify_output(b, out).passed
 
 
@@ -826,7 +827,7 @@ def test_h_of_a_one_part_planar_host_shares_the_torsos_adjacency_and_facts(monke
         assert any(g is H for g in tested)
         fresh = Graph._on_ids(H.order, [(i, j) for i, js in enumerate(H.nbrs) for j in js if j > i])
         assert (H.orientation, H.masks, H.component_masks) == (fresh.orientation, fresh.masks, fresh.component_masks)
-        one_part_planar = len(b.td.parts) == 1 and list(out.classification.values()) == [PLANAR]
+        one_part_planar = len(b.td.parts) == 1 and list(out.evidence.classification.values()) == [PLANAR]
         assert ((H.nbrs is b.host.nbrs) == (H.orientation is b.host.orientation)
                 == (H.component_masks is b.host.component_masks) == one_part_planar)
         shared += one_part_planar
@@ -945,7 +946,7 @@ def test_phi_follows_the_three_level_rule(seed):
             assert x == hub[min(holding, key=set_key)]
             continue
         (t,) = [t for t, part in b.td.parts.items() if v in part]  # (T3): v is in no adhesion set
-        kind = out.classification[t]
+        kind = out.evidence.classification[t]
         if kind == FINITE:
             assert x == ("xt", t)
         elif kind == BOUNDED_TW:
@@ -970,7 +971,7 @@ def test_bounds_read_the_sub_decomposition_parts_by_definition(n, p, k, seed):
     parts = {s: frozenset(v for v in vs if rng.random() < 0.4) | {rng.choice(vs)} for s in range(k)}
     sub = TreeDecomposition(Graph.build([(s, s + 1) for s in range(k - 1)], vertices=range(k)), parts)
     td = TreeDecomposition(Graph.build((), ["t"]), {"t": torso.vertices})
-    args = (td, {"t": BOUNDED_TW}, {"t": torso}, {"t": sub}, {})
+    args = (td, construction.Evidence({"t": BOUNDED_TW}, {"t": torso}, {"t": sub}, {}))
     dist = {v: oracles.bfs_distances(oracles.adjacency(es, vs), v) for v in vs}
     if any(w not in dist[v] for part in parts.values() for v in part for w in part):
         with pytest.raises(StructuralError) as exc:
@@ -980,6 +981,77 @@ def test_bounds_read_the_sub_decomposition_parts_by_definition(n, p, k, seed):
     bounds = construction._compute_bounds(*args)
     assert bounds.b3 == max(dist[v][w] for part in parts.values() for v in part for w in part)
     assert bounds.b4 == max(sum(v in part for part in parts.values()) for v in vs)
+
+
+def _evidence_outputs():
+    """Each bundle with its output: the corpus at both digest seeds and the
+    planar-scale hosts, which must build, and those of the first 400 random
+    bundles that build."""
+    for seed in sorted(CORPUS_DIGESTS):
+        yield from ((inst.bundle, build_H(inst.bundle)) for inst in corpus(seed))
+    yield from ((b, build_H(b)) for _, b in planar_scale_bundles())
+    for i in range(400):
+        b = random_bundle(random.Random(i))
+        try:
+            out = build_H(b)
+        except GraphToolError:
+            continue
+        yield b, out
+
+
+def test_bounds_and_prunings_match_their_definitions_on_the_evidence():
+    """Read only the bundle's tree-decomposition and the output's evidence: b1
+    is the largest finite part, b2 the widest sub-decomposition, b3 the largest
+    torso distance inside one sub-part (oracle BFS), b4 the most sub-parts
+    holding one vertex, and b5 one more than the largest deleted component, or
+    0 with no planar part.  Replayed in pruning order, each deletion (s, S, c)
+    is a component of the torso of contracted part s, less the earlier
+    deletions there, minus S, with neighbourhood exactly S; what is left is
+    the kept part.  A deleted vertex in no adhesion set with no surviving copy
+    maps to the hub of its first deletion."""
+    pruned = 0
+    for b, out in _evidence_outputs():
+        td, ev = b.td, out.evidence
+        b1 = max((len(td.parts[t]) for t, kind in ev.classification.items() if kind == FINITE), default=0)
+        b2 = max((len(p) - 1 for sub in ev.sub_tds.values() for p in sub.parts.values()), default=0)
+        b3 = b4 = 0
+        for t, sub in ev.sub_tds.items():
+            adj = oracles.adjacency(ev.torsos[t].edges, ev.torsos[t].vertices)
+            dist = {v: oracles.bfs_distances(adj, v) for v in adj}
+            b3 = max([b3] + [dist[v][w] for p in sub.parts.values() for v in p for w in p])
+            b4 = max([b4] + [sum(v in p for p in sub.parts.values()) for v in adj])
+        sizes = [len(c) for ref in ev.refinements.values() for _, _, c in ref.deletions]
+        b5 = 1 + max(sizes, default=0) if ev.refinements else 0
+        assert out.bounds == (b1, b2, b3, b4, b5, max(b1, b3 * b4, b5))
+
+        adhesions = {td.parts[x] & td.parts[y] for x, y in td.tree.edges}
+        first_site: dict = {}
+        for t, ref in ev.refinements.items():
+            g, parts = ev.torsos[t], ref.contracted.parts
+            for s, part in parts.items():
+                edges = [(u, v) for u, v in g.edges if u in part and v in part]
+                for x, y in ref.contracted.tree.edges:
+                    if s in (x, y):
+                        edges += combinations(parts[x] & parts[y], 2)
+                base, removed = oracles.adjacency(edges, part), set()
+                for s2, S, c in ref.deletions:
+                    if s2 != s:
+                        continue
+                    adj = {v: ws - removed for v, ws in base.items() if v not in removed}
+                    assert S in adhesions and S <= td.parts[t]
+                    assert c in oracles.components_without(adj, S)
+                    assert set().union(*(adj[v] for v in c)) - c == S
+                    removed |= c
+                    pruned += 1
+                assert ref.kept[s].vertices == part - removed
+            for _, S, c in ref.deletions:
+                for v in c:
+                    first_site.setdefault(v, S)
+        survivors = {v for ref in ev.refinements.values() for g in ref.kept.values() for v in g.vertices}
+        for v, S in first_site.items():
+            if v not in survivors and not any(v in A for A in adhesions):
+                assert out.phi[v][0] == "xS" and set(out.phi[v][1:]) == S
+    assert pruned > 0
 
 
 def test_bundle_with_classification_round_trips_through_json():

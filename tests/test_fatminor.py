@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -39,6 +40,7 @@ from coarsegraph.generators import (
 from coarsegraph.graph import Graph, canonical_edge, parent_path, relabel, sort_vertices
 
 import oracles
+from helpers import JSON_EDIT_VALUES, edit_json
 
 
 def edge_in_path_model() -> FatMinorModel:
@@ -106,6 +108,38 @@ def test_model_members_must_be_the_host_s_own_vertices(stand_in):
         verify_fat_model(FatMinorModel(pattern, host, {0: {0}, 1: {2}}, {(0, 1): (0, stand_in, 2)}), 0)
     with pytest.raises(UnknownVertexError, match=repr(stand_in)):
         verify_fat_model(FatMinorModel(pattern, host, {0: {0, stand_in}, 1: {2}}, {(0, 1): (stand_in, 2)}), 0)
+
+
+# (pattern, host, K, model JSON) for three found models: C3 in C6 and P3 in P7 at K = 1, K3 in C8 at K = 0.
+_FOUND_MODELS = tuple(
+    (p, h, K, model_to_dict(search_fat_minor(p, h, K).model))
+    for p, h, K in ((cycle_graph(3), cycle_graph(6), 1), (path_graph(3), path_graph(7), 1),
+                    (complete_graph(3), cycle_graph(8), 0))
+)
+
+
+@st.composite
+def _mutated_model(draw):
+    """A found model's JSON after 1-3 edits: a value replaced or deleted, or a
+    value inserted into an array or object, the root included."""
+    pattern, host, K, data = draw(st.sampled_from(_FOUND_MODELS))
+    root = [json.loads(json.dumps(data))]
+    own = tuple(x for vs in data["branch_sets"].values() for x in vs) + tuple(data["edge_paths"])
+    edit_json(draw, root, st.sampled_from(JSON_EDIT_VALUES + own).map(copy.deepcopy), draw(st.integers(1, 3)))
+    return pattern, host, K, root[0]
+
+
+# One failure is shrunk and reported: each raise site is a distinct bug to Hypothesis, and shrinking them all takes minutes.
+@settings(max_examples=150, deadline=None, report_multiple_bugs=False)
+@given(_mutated_model())
+def test_mutated_model_json_never_raises(case):
+    """No exception but a GraphToolError escapes reading an edited model's
+    JSON and verifying it."""
+    pattern, host, K, data = case
+    try:
+        verify_fat_model(model_from_dict(pattern, host, data), K)
+    except GraphToolError:
+        pass
 
 
 FAR = {
