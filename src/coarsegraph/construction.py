@@ -294,10 +294,14 @@ def refine_planar_torso(torso_graph: Graph, sub_td: TreeDecomposition | None, ou
     """Contract the sub-decomposition (the supplied ``sub_td``, checked as
     ``_sub_decomposition`` checks it, or the min-degree one if None) down to
     its tight edges whose adhesion set is a size-3 outer set, then prune its
-    parts (``_prune``)."""
+    parts (``_prune``).  A tight edge at S has a fully attached component of
+    the torso − S on each side, so a computed sub-decomposition keeps only
+    the S with two or more; with none left, the min-degree one is not built."""
     outer = sorted({frozenset(s) for s in outer_sets if s}, key=set_key)
-    return _prune(torso_graph, _sub_decomposition(torso_graph, sub_td, {s for s in outer if len(s) == 3}),
-                  outer, markers)
+    keep = {s for s in outer if len(s) == 3}
+    if sub_td is None:
+        keep = {s for s in keep if s <= torso_graph.vertices and len(fully_attached_components(torso_graph, s)) >= 2}
+    return _prune(torso_graph, _sub_decomposition(torso_graph, sub_td, keep), outer, markers)
 
 
 def _prune(torso_graph: Graph, contracted: TreeDecomposition, outer: list, markers: frozenset) -> PlanarRefinement:

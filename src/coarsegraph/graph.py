@@ -73,19 +73,21 @@ class Graph:
     back to its id, ``nbrs[i]`` lists the neighbour ids in increasing order, and ``vertices``
     is the vertex set.  So a BFS over ``nbrs`` expands neighbours in key order;
     :meth:`parent_row` relies on that.  Facts of the graph are kept on first use: the edge
-    set, the neighbour masks, the DFS orientation, the component masks, and the min-degree
-    elimination (``treedecomp.min_degree_elimination``).  The fields are read-only by
-    convention, and a renamed graph (H of a one-part planar host) aliases its source's
-    ``nbrs`` and facts; graphs compare and hash on their vertex and edge sets.  Use :meth:`build`
-    rather than the raw constructor so vertices are keyed, ids given and loops rejected."""
+    set, the neighbour masks, the DFS orientation, the planarity verdict
+    (``planarity._lr_planar``), the component masks, and the min-degree elimination
+    (``treedecomp.min_degree_elimination``).  The fields are read-only by convention, and a
+    renamed graph (H of a one-part planar host) aliases its source's ``nbrs`` and facts, its
+    planarity verdict included; graphs compare and hash on their vertex and edge sets.  Use
+    :meth:`build` rather than the raw constructor so vertices are keyed, ids given and loops
+    rejected."""
 
-    __slots__ = ("order", "pos", "nbrs", "vertices", "_edges", "_masks", "_orientation", "_components",
-                 "_elimination", "_generators", "_subsets")
+    __slots__ = ("order", "pos", "nbrs", "vertices", "_edges", "_masks", "_orientation", "_planar",
+                 "_components", "_elimination", "_generators", "_subsets")
 
     def __init__(self, order: list, pos: dict, nbrs: list, vertices: frozenset):
         self.order, self.pos, self.nbrs, self.vertices = order, pos, nbrs, vertices
         self._edges = self._masks = self._orientation = self._components = self._elimination = None
-        self._generators = self._subsets = None
+        self._planar = self._generators = self._subsets = None
 
     @classmethod
     def build(cls, edges: Iterable[tuple[Vertex, Vertex]] = (), vertices: Iterable[Vertex] = ()) -> "Graph":
@@ -135,8 +137,9 @@ class Graph:
         """This graph with id i named ``order[i]``, names that sort as ``self.order`` does.  It shares ``nbrs``, the
         component masks (made now) and each id-level fact kept so far, all functions of ``nbrs``; not the edges."""
         g = Graph(order, dict(zip(order, range(len(order)))), self.nbrs, frozenset(order))
-        g._components, g._masks, g._orientation = self.component_masks, self._masks, self._orientation
-        g._elimination, g._generators, g._subsets = self._elimination, self._generators, self._subsets
+        g._components, g._masks = self.component_masks, self._masks
+        g._orientation, g._planar, g._elimination = self._orientation, self._planar, self._elimination
+        g._generators, g._subsets = self._generators, self._subsets
         return g
 
     @property

@@ -5,9 +5,12 @@ left-right planarity test (de Fraysseix–Rosenstiehl, in Brandes' formulation)
 on a graph's ids.  Its orientation pass is ``graph.dfs_orientation``, kept
 on the graph as ``Graph.orientation`` with out-edges in nesting order, whose
 lowpoints ``graph.cut_vertices`` also reads; this module holds only the
-testing pass, which sorts nothing.  On a non-planar graph, deleting every edge
-the test shows to be unneeded for non-planarity leaves a K₅ or K₃,₃
-subdivision, which ``validate_subdivision`` re-checks independently of the test.
+testing pass, which sorts nothing.  Its verdict is kept on the graph too
+(``Graph._planar``, a function of ``nbrs`` alone), so the pass runs once per
+neighbour lists: H of a one-part planar host, the torso renamed, shares the
+torso's verdict.  On a non-planar graph, deleting every edge the test shows
+to be unneeded for non-planarity leaves a K₅ or K₃,₃ subdivision, which
+``validate_subdivision`` re-checks independently of the test.
 """
 
 from __future__ import annotations
@@ -124,6 +127,13 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
 
 
 def _lr_planar(g: Graph) -> bool:
+    """Whether g is planar: ``_testing_pass`` on first use, kept on the graph after that."""
+    if g._planar is None:
+        g._planar = _testing_pass(g)
+    return g._planar
+
+
+def _testing_pass(g: Graph) -> bool:
     """The left-right planarity test (Brandes, "The Left-Right Planarity
     Test", 2009), verdict only.
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, assume, event, given, settings, strategies as st
 
 import coarsegraph
 from coarsegraph.cli import main
@@ -571,10 +571,14 @@ def _fuzz_bundle():
 FUZZ_HOST, FUZZ_BUNDLE = _fuzz_bundle()
 FUZZ_PATHS = list(_json_paths(FUZZ_BUNDLE))
 
+# The fuzzes run every phase but explain, which reruns examples after shrinking and
+# so delays a failure's report by seconds; what is generated and checked is the same.
+FUZZ_PHASES = tuple(p for p in Phase if p is not Phase.explain)
+
 
 # One failure is shrunk and reported, as in test_mutated_qi_map_never_raises below.
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
-          report_multiple_bugs=False)
+          report_multiple_bugs=False, phases=FUZZ_PHASES)
 @given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from((_DROP,) + _OTHER_JSON_VALUES))
 def test_mutated_bundle_never_exits_one(tmp_path, path, value):
     """Drop one key or element of a valid bundle, or swap one value for a value
@@ -634,7 +638,7 @@ def _mutated_edge_list(draw):
 
 # One failure is shrunk and reported, as in test_mutated_qi_map_never_raises below.
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
-          report_multiple_bugs=False)
+          report_multiple_bugs=False, phases=FUZZ_PHASES)
 @given(case=_mutated_edge_list())
 def test_mutated_edge_list_never_raises(tmp_path, case):
     """No exception escapes ``treewidth`` or ``planarize --td --k 2`` on an
@@ -686,7 +690,7 @@ def _mutated_td(draw):
 
 # One failure is shrunk and reported, as in test_mutated_qi_map_never_raises below.
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
-          report_multiple_bugs=False)
+          report_multiple_bugs=False, phases=FUZZ_PHASES)
 @given(case=_mutated_td())
 def test_mutated_td_file_never_raises(tmp_path, case):
     """No exception escapes ``validate-td`` or ``planarize --td --k 2`` on a
@@ -732,7 +736,7 @@ def _mutated_map(draw):
 
 # One failure is shrunk and reported: each raise site is a distinct bug to Hypothesis, and shrinking them all takes minutes.
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
-          report_multiple_bugs=False)
+          report_multiple_bugs=False, phases=FUZZ_PHASES)
 @given(case=_mutated_map(), constants=st.none() | st.tuples(_QI_CONSTANT, _QI_CONSTANT), per_component=st.booleans())
 def test_mutated_qi_map_never_raises(tmp_path, case, constants, per_component):
     """No exception escapes ``qi-check`` on an edited map file, with or

@@ -68,6 +68,7 @@ from fractions import Fraction
 import oracles
 from coarsegraph import construction, graph, planarity, treedecomp
 from helpers import _randomly_contracted, nested, random_bundle, supplied_bundle
+from test_uniformity import _grid_path
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +95,18 @@ def two_k4_bundle() -> InstanceBundle:
     return InstanceBundle(host, td, k=2)
 
 
-def grid_pocket_bundle(markers=frozenset()) -> InstanceBundle:
-    """3x4 grid plus a pocket vertex p and a clique vertex q, both attached to
-    the full first column; p sits behind the separator and is prunable."""
+def grid_pocket_bundle(markers=frozenset(), pocket=("p",)) -> InstanceBundle:
+    """3x4 grid plus a pocket and a clique vertex q, both attached to the full
+    first column; the pocket sits behind the separator and is prunable.  It is
+    a path, each of whose vertices sees 1,0, its first also 0,0 and its last
+    2,0: one component, with the column as its neighbourhood."""
     grid = grid_graph(3, 4)
     col = ["0,0", "1,0", "2,0"]
     host = Graph.build(
-        list(grid.edges) + [("p", v) for v in col] + [("q", v) for v in col]
+        list(grid.edges) + [(p, "1,0") for p in pocket] + [(pocket[0], "0,0"), (pocket[-1], "2,0")]
+        + list(zip(pocket, pocket[1:])) + [("q", v) for v in col]
     )
-    part_g = frozenset(grid.vertices) | {"p"}
+    part_g = frozenset(grid.vertices) | set(pocket)
     part_k = frozenset(col) | {"q"}
     td = TreeDecomposition(
         Graph.build([("g", "k")]), {"g": part_g, "k": part_k}
@@ -366,17 +370,24 @@ def test_grid_with_apex_keeps_the_grid_copy_and_hangs_the_clique():
 
 
 def test_pocket_is_pruned_toward_the_markers():
-    b = grid_pocket_bundle(markers={"0,3", "1,3", "2,3"})
-    out = build_H(b)
+    """A pocket of one vertex and one of two are each pruned whole, in one
+    deletion; b5 is 1 + the pocket's size and every pocket vertex maps to the
+    column's hub.  No vertex has a second pruning site that φ could read: a
+    vertex held by two contracted parts lies in a kept adhesion set, an outer
+    set, so it maps to a surviving copy or to that set's hub."""
     xs = ("xS", "0,0", "1,0", "2,0")
-    copies = [x for x in out.H.vertices if x[0] == "pl"]
-    assert len(copies) == 12
-    assert not any(v[-1] == "p" for v in copies)
-    assert out.phi["p"] == xs
-    assert out.bounds.b5 == 2
-    assert out.warnings == ()
-    rep = verify_output(b, out)
-    assert rep.passed and rep.qi_valid
+    for pocket in (("p",), ("p1", "p2")):
+        b = grid_pocket_bundle(markers={"0,3", "1,3", "2,3"}, pocket=pocket)
+        out = build_H(b)
+        copies = [x for x in out.H.vertices if x[0] == "pl"]
+        assert len(copies) == 12
+        assert not any(v[-1] in pocket for v in copies)
+        assert out.evidence.refinements["g"].deletions == (("s0", frozenset(xs[1:]), frozenset(pocket)),)
+        assert all(out.phi[v] == xs for v in pocket)
+        assert out.bounds.b5 == 1 + len(pocket)
+        assert out.warnings == ()
+        rep = verify_output(b, out)
+        assert rep.passed and rep.qi_valid and rep.c_within_bound
 
 
 def test_pocket_without_markers_keeps_the_larger_side_with_a_warning():
@@ -542,6 +553,28 @@ def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypat
     assert torsos and all(t is grid for t in torsos)
     assert sorted({x[2] for x in out.H.vertices if x[0] == "pl"}) == [0]
     assert verify_output(b, out).passed
+
+
+def test_grid_path_build_skips_the_min_degree_decomposition(monkeypatch):
+    """Each grid of a grid path has a size-3 outer set S, the face triple at a
+    corner, but only one component of its torso − S is fully attached to S: the
+    corner vertex sees two of S.  So no sub-decomposition edge at S can be tight,
+    the min-degree decomposition is not built, and each planar part contracts to
+    the one node 0 that the elimination tree, built and contracted, gives."""
+    calls = []
+    real_tree = construction._elimination_tree
+    monkeypatch.setattr(construction, "_elimination_tree", lambda *a: calls.append("tree") or real_tree(*a))
+    b = _grid_path(2, 5)
+    out = build_H(b)
+    assert calls == []
+    refinements = out.evidence.refinements
+    assert sorted(refinements) == ["g0", "g1"]
+    assert verify_output(b, out).passed
+    for t, ref in refinements.items():
+        outer = {S for S in adhesion_sets(b.td).values() if S <= b.td.parts[t] and len(S) == 3}
+        assert outer and ref.contracted.parts == {0: out.evidence.torsos[t].vertices}
+        assert ref.contracted == construction._sub_decomposition(out.evidence.torsos[t], None, outer)
+    assert calls == ["tree", "tree"]
 
 
 def test_build_h_reads_the_elimination_tree_only_where_an_edge_may_be_kept(monkeypatch):
@@ -812,26 +845,61 @@ def test_h_built_on_ids_equals_a_keyed_build():
 
 def test_h_of_a_one_part_planar_host_shares_the_torsos_adjacency_and_facts(monkeypatch):
     """On every corpus instance and planar-scale bundle, after build_H and
-    verify_output, H's orientation, masks and component masks equal those of
-    a fresh copy of H.  H shares the torso's neighbour lists and orientation,
-    the host's own, exactly when the bundle is one part whose torso is planar;
-    verify_output still runs the planarity testing pass on H itself."""
-    tested, real = [], planarity._lr_planar
-    monkeypatch.setattr(planarity, "_lr_planar", lambda g: tested.append(g) or real(g))
+    verify_output, H's orientation, masks, component masks and planarity
+    verdict equal those of a fresh copy of H.  H shares the torso's neighbour
+    lists, orientation and verdict, the host's own, exactly when the bundle is
+    one part whose torso is planar.  verify_output still asks for H's verdict,
+    and the left-right testing pass runs once per neighbour lists: once in all
+    on a fresh one-part planar host, else once per torso that reaches the
+    planarity test and once for H."""
+    asked, passes = [], []
+    real_lr, real_pass = planarity._lr_planar, planarity._testing_pass
+    monkeypatch.setattr(planarity, "_lr_planar", lambda g: asked.append(g) or real_lr(g))
+    monkeypatch.setattr(planarity, "_testing_pass", lambda g: passes.append(g) or real_pass(g))
     shared = 0
     for b in [inst.bundle for inst in corpus(DEFAULT_SEED)] + [b for _, b in planar_scale_bundles()]:
+        asked.clear()
+        passes.clear()
         out = build_H(b)
-        tested.clear()
+        torsos = list(out.evidence.torsos.values())
+        assert all(any(g is t for t in torsos) for g in asked)
+        tested_torsos = len({id(g) for g in asked})
+        asked.clear()
         verify_output(b, out)
         H = out.H
-        assert any(g is H for g in tested)
+        assert any(g is H for g in asked)
+        one_part_planar = len(b.td.parts) == 1 and list(out.evidence.classification.values()) == [PLANAR]
+        assert len(passes) == (1 if one_part_planar else tested_torsos + 1)
         fresh = Graph._on_ids(H.order, [(i, j) for i, js in enumerate(H.nbrs) for j in js if j > i])
         assert (H.orientation, H.masks, H.component_masks) == (fresh.orientation, fresh.masks, fresh.component_masks)
-        one_part_planar = len(b.td.parts) == 1 and list(out.evidence.classification.values()) == [PLANAR]
+        assert H._planar is planarity._lr_planar(fresh) is True
         assert ((H.nbrs is b.host.nbrs) == (H.orientation is b.host.orientation)
                 == (H.component_masks is b.host.component_masks) == one_part_planar)
         shared += one_part_planar
     assert shared == 8 + 5
+
+
+def test_a_fresh_non_planar_h_is_tested_after_a_planar_verdict_was_kept(monkeypatch):
+    """Once build_H and verify_output have kept the grid's verdict, an output
+    whose H is built afresh on the same names is tested on its own: with a K5
+    added, verify_output runs the testing pass once and fails it with "H is
+    not planar"; on the same pairs, once, and passes."""
+    grid = grid_graph(6, 6)
+    b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
+                       infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
+    out = build_H(b)
+    assert verify_output(b, out).passed and out.H._planar is True
+    passes, real = [], planarity._testing_pass
+    monkeypatch.setattr(planarity, "_testing_pass", lambda g: passes.append(g) or real(g))
+    pairs = [(i, j) for i, js in enumerate(out.H.nbrs) for j in js if j > i]
+    same = out._replace(H=Graph._on_ids(out.H.order, pairs))
+    assert verify_output(b, same).passed and len(passes) == 1 and passes[0] is same.H
+    passes.clear()
+    k5 = list(combinations(out.H.sorted_vertices()[:5], 2))
+    forged = out._replace(H=Graph.build(list(out.H.edges) + k5))
+    rep = verify_output(b, forged)
+    assert len(passes) == 1 and passes[0] is forged.H
+    assert not rep.planar and "H is not planar" in rep.failures
 
 
 def _deep_bundle(host: Graph, k: int, depths) -> InstanceBundle:

@@ -266,6 +266,43 @@ def test_verdict_matches_the_subdivision_oracle(n, p, seed):
     assert is_planar(g, witness_cap=0).planar == (not oracles.has_subdivision(oracles.adjacency(es, vs)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 16), st.floats(1.0, 7.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_kept_verdict_is_a_fresh_testing_pass(n, mean_degree, renamed_first, seed):
+    """The verdict read through ``is_planar(witness_cap=0)``, once kept on the
+    graph, equals a fresh testing pass on ``Graph._on_ids`` of the same pairs
+    and the networkx verdict, when read again, on a ``_renamed`` copy (made
+    before or after the verdict is kept), and after ``find_subdivision`` has
+    run on the graph, whose witness still validates."""
+    rng = random.Random(seed)
+    if n >= 4 and rng.random() < 0.5:  # a near triangulation: dense, on either side of planarity
+        es = stacked_triangulation(rng, n)[rng.randrange(4):] + [tuple(rng.sample(range(n), 2))]
+    else:
+        p = mean_degree / max(n - 1, 1)
+        es = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    vs = [_label(rng, i) for i in range(n)]
+    g = Graph.build([(vs[u], vs[v]) for u, v in es], vertices=vs)
+    expected = _networkx_verdict(g)
+    pairs = [(i, j) for i, js in enumerate(g.nbrs) for j in js if j > i]
+    assert planarity._testing_pass(Graph._on_ids(g.order, pairs)) is expected
+    names = [("r", i) for i in range(len(g.order))]  # names that sort as g's ids do
+    early = g._renamed(names) if renamed_first else None
+    assert g._planar is None
+    assert is_planar(g, witness_cap=0).planar is g._planar is expected
+    assert is_planar(g, witness_cap=0).planar is expected
+    late = g._renamed(names)
+    assert late._planar is expected
+    for copy in (early, late):
+        if copy is not None:
+            assert is_planar(copy, witness_cap=0).planar is expected
+    w = find_subdivision(g)
+    assert (w is None) is expected
+    assert w is None or validate_subdivision(g, w)
+    assert [(i, j) for i, js in enumerate(g.nbrs) for j in js if j > i] == pairs
+    assert is_planar(g, witness_cap=0).planar is expected
+    assert planarity._testing_pass(Graph._on_ids(g.order, pairs)) is expected
+
+
 def _hung_on_a_cycle(g: Graph, n: int) -> Graph:
     """g joined by one edge to a cycle on n vertices labelled ("c", i)."""
     ring = [(("c", i), ("c", (i + 1) % n)) for i in range(n)]
