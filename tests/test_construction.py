@@ -37,7 +37,7 @@ from coarsegraph.construction import (
     validate_bundle,
     verify_output,
 )
-from coarsegraph.corpus import DEFAULT_SEED, corpus
+from coarsegraph.corpus import DEFAULT_SEED, corpus, relabel_bundle
 from coarsegraph.errors import GraphToolError
 from coarsegraph.generators import cayley_ball, complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import (
@@ -764,6 +764,34 @@ def test_corpus_output_matches_the_committed_digest(seed):
                      "report": report_to_dict(verify_output(inst.bundle, out))})
     text = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGESTS[seed]
+
+
+def tuple_named_corpus():
+    """Each default-seed corpus bundle with host vertex v renamed ("v", v) and tree node t
+    renamed (t, 0), so every H name, φ key and provenance field of its output holds a tuple."""
+    for inst in corpus(DEFAULT_SEED):
+        b = inst.bundle
+        yield inst.name, relabel_bundle(b, {v: ("v", v) for v in b.host.vertices},
+                                        {t: (t, 0) for t in b.td.tree.vertices})
+
+
+# sha256 of the sorted-key JSON list of {name, output, report} over tuple_named_corpus(), each
+# bundle read back from its edge-list text and bundle JSON as planarize reads it.  Corpus names are
+# only ints and strings, so this pins how tuple names are read and written.
+TUPLE_NAMED_CORPUS_DIGEST = "fc9662256f2950e70efca615baaec8d7954e1cf85bfa99edd0bc3f91bb08c915"
+
+
+def test_tuple_named_corpus_output_matches_the_committed_digest():
+    docs = []
+    for name, b in tuple_named_corpus():
+        host = parse_edge_list(format_edge_list(b.host))
+        bundle = bundle_from_dict(json.loads(json.dumps(bundle_to_dict(b))), host)
+        out = build_H(bundle)
+        rep = verify_output(bundle, out)
+        assert rep.passed, (name, rep.failures)
+        docs.append({"name": name, "output": output_to_dict(out), "report": report_to_dict(rep)})
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TUPLE_NAMED_CORPUS_DIGEST
 
 
 def test_bundle_round_trip_rebuilds_the_same_quotient():
