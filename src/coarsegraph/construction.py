@@ -659,34 +659,52 @@ _PROVENANCE = {"xt": ("finite-torso", ("node",)), "tw": ("tree-copy", ("node", "
                "pl": ("planar-copy", ("node", "part", "vertex"))}
 
 
-def _provenance(x: tuple) -> dict:
-    """The provenance record of H vertex x as JSON values, read off its name: ``("xS", *S)`` is the hub
-    of adhesion set S, ``("xt", t)`` finite torso t's point, ``("tw", t, s)`` the copy of node s of t's
-    sub-decomposition, and ``("pl", t, s, v)`` the copy of v in part s of planar torso t."""
-    if x[0] == "xS":
-        return {"kind": "adhesion-set", "set": [vertex_token(v) for v in x[1:]]}
-    kind, keys = _PROVENANCE[x[0]]
+class _Tokens(dict):
+    """Each vertex's token, rendered on its first lookup: the memo of one ``output_to_dict`` call."""
+
+    __slots__ = ()
+
+    def __missing__(self, v) -> str:
+        token = self[v] = vertex_token(v)
+        return token
+
+
+def _provenance(tag: str, fields: list) -> dict:
+    """The provenance record, as JSON values, of the H vertex named ``(tag, *f)`` whose fields f have
+    the tokens ``fields``: ``("xS", *S)`` is the hub of adhesion set S, ``("xt", t)`` finite torso t's
+    point, ``("tw", t, s)`` the copy of node s of t's sub-decomposition, and ``("pl", t, s, v)`` the
+    copy of v in part s of planar torso t."""
+    if tag == "xS":
+        return {"kind": "adhesion-set", "set": fields}
+    kind, keys = _PROVENANCE[tag]
     rec = {"kind": kind}
-    for key, v in zip(keys, x[1:]):
-        rec[key] = vertex_token(v)
+    rec.update(zip(keys, fields))
     return rec
 
 
 def output_to_dict(out: ConstructionOutput) -> dict:
-    """The output as JSON values; every H vertex is rendered once, H's edges, isolated
-    vertices and provenance come in H id order, φ in the host key order of ``build_H``."""
-    H = out.H
-    pos, token = H.pos, [vertex_token(x) for x in H.order]
+    """The output as JSON values.  Each host vertex, tree node and sub-decomposition node is rendered
+    once, and each H vertex's token and provenance record are built from the tokens of its name's
+    fields; H's edges, isolated vertices and provenance come in H id order, φ in the host key order
+    of ``build_H``."""
+    H, tokens = out.H, _Tokens()
+    token, provenance = [], {}
+    for x in H.order:
+        fields = [tokens[f] for f in x[1:]]
+        t = "(" + "|".join([x[0], *fields]) + ")"
+        token.append(t)
+        provenance[t] = _provenance(x[0], fields)
+    pos = H.pos
     return {
         "h_edges": [[token[i], token[j]] for i, js in enumerate(H.nbrs) for j in js if j > i],
         "h_isolated": [token[i] for i, js in enumerate(H.nbrs) if not js],
-        "phi": {vertex_token(v): token[pos[x]] for v, x in out.phi.items()},
+        "phi": {tokens[v]: token[pos[x]] for v, x in out.phi.items()},
         "bounds": out.bounds._asdict(),
         "classification": {
-            vertex_token(t): out.evidence.classification[t] for t in sort_vertices(out.evidence.classification)
+            tokens[t]: out.evidence.classification[t] for t in sort_vertices(out.evidence.classification)
         },
         "finite_threshold": out.finite_threshold,
-        "provenance": {token[i]: _provenance(x) for i, x in enumerate(H.order)},
+        "provenance": provenance,
         "warnings": list(out.warnings),
     }
 

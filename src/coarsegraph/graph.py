@@ -511,18 +511,25 @@ def relabel(g: Graph, mapping: Mapping) -> Graph:
         raise
     if merged:
         raise GraphToolError("relabelling is not injective on the vertex set")
-    rank, new = _ranks(img)
-    order = [img[i] for i in rank]
-    nbrs = [[new[j] for j in g.nbrs[i]] for i in rank]
-    for js in nbrs:
-        js.sort()
+    return _keyed(img, g.nbrs)
+
+
+def _keyed(vertices: list, adj: list) -> Graph:
+    """The graph on distinct ``vertices`` with ``adj[i]`` listing the places next to place ``i``
+    (repeats count once), its ids given in key order."""
+    rank, new = _ranks(vertices)
+    order = [vertices[i] for i in rank]
+    nbrs = [sorted({new[j] for j in adj[i]}) for i in rank]
     return Graph(order, dict(zip(order, range(len(order)))), nbrs, frozenset(order))
 
 
 def _ranks(vertices: list) -> tuple[list[int], list[int]]:
     """Key order on distinct vertices, each keyed once: the places of ``vertices``
-    in key order (``rank``), and each place's id in that order (``new``, its inverse)."""
-    rank = sorted(range(len(vertices)), key=list(map(vertex_key, vertices)).__getitem__)
+    in key order (``rank``), and each place's id in that order (``new``, its inverse).
+    All ints or all strings sort by value, which is their key order."""
+    types = set(map(type, vertices))
+    key = vertices if types == {int} or types == {str} else list(map(vertex_key, vertices))
+    rank = sorted(range(len(vertices)), key=key.__getitem__)
     new = [0] * len(rank)
     for r, i in enumerate(rank):
         new[i] = r
@@ -548,15 +555,22 @@ def parent_path(prev: list[int], t: int) -> tuple[int, ...] | None:
 # edge-list text format
 # ---------------------------------------------------------------------------
 # One edge per line ("u v"), a bare token for an isolated vertex, '#' starts a
-# comment.  Tokens parse back to ints when they round-trip as ints, else stay
-# strings.
+# comment.  A token reads as an int when it is an int's canonical decimal form,
+# as a tuple when it re-renders as itself, else as a string.
 
 
 def parse_vertex_token(tok: str) -> Vertex:
-    """Inverse of vertex_token on its image: ints and tuple tokens are
-    recognised when re-rendering them reproduces the input exactly; anything
-    else stays a plain string.  Parentheses nested deeper than
-    ``MAX_VERTEX_DEPTH`` raise ``ParseError``."""
+    """Inverse of vertex_token on its image.  An int is read from its canonical ASCII decimal
+    form only: ``0``, or an optional ``-`` then a digit 1-9 and any digits 0-9, so ``+1``,
+    ``01``, ``-0``, ``1_0`` and ``٣`` stay strings.  A tuple token is recognised when
+    re-rendering it reproduces the input exactly; anything else stays a plain string.
+    Parentheses nested deeper than ``MAX_VERTEX_DEPTH`` raise ``ParseError``."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if digits.isdigit() and digits.isascii() and (digits[0] != "0" or tok == "0"):
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() reads
+            return tok
     if tok.startswith("(") and tok.endswith(")"):
         parts: list[str] = []
         depth = 0
@@ -578,18 +592,18 @@ def parse_vertex_token(tok: str) -> Vertex:
             candidate = tuple(parse_vertex_token(p) for p in parts)
             if vertex_token(candidate) == tok:
                 return candidate
-        return tok
-    try:
-        n = int(tok)
-    except ValueError:
-        return tok
-    return n if str(n) == tok else tok
+    return tok
 
 
 def vertex_from_json(v, token: bool = True) -> Vertex:
     """A vertex as JSON holds it: a string, read as a vertex token when
     ``token``; a list, read as a tuple of plain vertices nested at most
     ``MAX_VERTEX_DEPTH`` deep; or an int."""
+    t = type(v)
+    if t is int:
+        return v
+    if t is str:
+        return parse_vertex_token(v) if token else v
     if isinstance(v, list):
         return _tuple_from_json(v, MAX_VERTEX_DEPTH)
     if isinstance(v, str) and token:
@@ -619,14 +633,15 @@ def vertex_token(v: Vertex) -> str:
 def parse_edge_list(text: str) -> Graph:
     # Each distinct token gets an id at its first occurrence and is parsed there, so a bad token's error
     # names its first line.  parse_vertex_token is injective, so a line is a loop iff its tokens are equal.
+    # adj[i] lists the ids next to id i, repeats included, until _keyed renumbers them into key order.
     ids: dict = {}
     vertices: list[Vertex] = []
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    adj: list[list[int]] = []
+    comments = "#" in text
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = (line.split("#", 1)[0] if comments else line).split()
+        if not toks:
             continue
-        toks = line.split()
         try:  # every error on a line, a token's own included, names the line
             if len(toks) > 2:
                 raise ParseError(f"expected 1 or 2 tokens, got {len(toks)}")
@@ -634,14 +649,17 @@ def parse_edge_list(text: str) -> Graph:
                 if tok not in ids:
                     vertices.append(parse_vertex_token(tok))
                     ids[tok] = len(ids)
+                    adj.append([])
             if len(toks) == 2:
-                if toks[0] == toks[1]:
-                    raise ParseError(f"loop edge {toks[0]!r}")
-                pairs.append((ids[toks[0]], ids[toks[1]]))
+                u, v = toks
+                if u == v:
+                    raise ParseError(f"loop edge {u!r}")
+                i, j = ids[u], ids[v]
+                adj[i].append(j)
+                adj[j].append(i)
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    rank, new = _ranks(vertices)
-    return Graph._on_ids([vertices[i] for i in rank], [(new[i], new[j]) for i, j in pairs])
+    return _keyed(vertices, adj)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -366,7 +366,7 @@ def td_from_dict(data: dict) -> TreeDecomposition:
     for key, vs in data["parts"].items():
         if not isinstance(vs, list):
             raise StructuralError(f"part {key!r} must be a list of vertices")
-        parts[vertex_from_json(key)] = frozenset(vertex_from_json(v, token=False) for v in vs)
+        parts[vertex_from_json(key)] = frozenset([vertex_from_json(v, token=False) for v in vs])
     edges = []
     for e in data["tree_edges"]:
         if not isinstance(e, (list, tuple)) or len(e) != 2:

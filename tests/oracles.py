@@ -8,6 +8,7 @@ sides of a comparison.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -528,3 +529,9 @@ def qi_oracle(src_adj, tgt_adj, phi, gamma, c, per_component):
     top = max((r for _, r in entries), default=None)
     worst = next((wit for wit, r in entries if r == top), None)
     return {"c": max(Fraction(0), top if top is not None else 0), "worst": worst, "violation": violation}
+
+
+def is_canonical_decimal(tok):
+    """Whether the text ``tok`` is an int written as Python's ``str`` writes it: "0", or
+    an optional minus sign, then an ASCII digit 1-9, then any ASCII digits."""
+    return re.fullmatch(r"0|-?[1-9][0-9]*", tok) is not None

@@ -709,6 +709,35 @@ def test_mutated_td_file_never_raises(tmp_path, case):
         assert code in (0, 2)
 
 
+@st.composite
+def _edited_bundle(draw):
+    """The pocket bundle's JSON after 1-3 ``edit_json`` edits, each writing a value of
+    ``JSON_EDIT_VALUES`` or one of the bundle's own tree node and vertex tokens."""
+    own = tuple(FUZZ_BUNDLE["td"]["parts"]) + tuple(v for vs in FUZZ_BUNDLE["td"]["parts"].values() for v in vs)
+    root = [copy.deepcopy(FUZZ_BUNDLE)]
+    edit_json(draw, root, st.sampled_from(JSON_EDIT_VALUES + own).map(copy.deepcopy), draw(st.integers(1, 3)))
+    return root[0]
+
+
+# One failure is shrunk and reported, as in test_mutated_qi_map_never_raises below.
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+          report_multiple_bugs=False, phases=FUZZ_PHASES)
+@given(data=_edited_bundle())
+def test_edited_bundle_never_exits_one(tmp_path, data):
+    """With lists, booleans, floats and deep arrays written where the bundle
+    reader expects vertices, numbers and objects, ``planarize`` exits 0 or 2.
+    An exit 1 is recorded, not failed, while every failure in its report is
+    one of those that ROADMAP items 1 and 11 leave open."""
+    gpath, bpath, out = write(tmp_path, "host.txt", FUZZ_HOST), write_json(tmp_path, "bundle.json", data), tmp_path / "out.json"
+    code = main(["planarize", "--graph", gpath, "--bundle", bpath, "--out", str(out)])
+    if code == 1:
+        failures = json.loads(out.read_text())["report"]["failures"]
+        assert failures and all(_OPEN_FAILURE.fullmatch(f) for f in failures), failures
+        event(f"planarize exit 1: {failures}")
+    else:
+        assert code in (0, 2)
+
+
 # (source, target, map) triples for qi-check: a map onto a shorter path, a rotation of a cycle and the transpose of
 # a grid, the last two isomorphisms that are not the identity.
 _QI_CASES = (

@@ -794,6 +794,29 @@ def test_tuple_named_corpus_output_matches_the_committed_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == TUPLE_NAMED_CORPUS_DIGEST
 
 
+def test_output_to_dict_renders_each_name_field_once(monkeypatch):
+    """On a three-part output (finite, bounded-treewidth and planar torsos), ``output_to_dict``
+    renders each host vertex, tree node and sub-decomposition node at most once: every H token,
+    φ key and provenance field is built from those tokens.  The output itself does not move."""
+    inst = next(i for i in corpus(DEFAULT_SEED) if i.name == "mixed-c18-g4x6")
+    out = build_H(inst.bundle)
+    expected = json.dumps(output_to_dict(out), sort_keys=True)
+    rendered: Counter = Counter()
+
+    def counting(v):
+        rendered[v] += 1
+        return graph.vertex_token(v)
+
+    monkeypatch.setattr(construction, "vertex_token", counting)
+    assert json.dumps(output_to_dict(out), sort_keys=True) == expected
+    ev = out.evidence
+    nodes = (set(inst.bundle.td.tree.vertices) | {s for sub in ev.sub_tds.values() for s in sub.tree.vertices}
+             | {s for ref in ev.refinements.values() for s in ref.contracted.tree.vertices})
+    assert set(ev.classification.values()) == {FINITE, BOUNDED_TW, PLANAR}
+    assert set(rendered) <= inst.bundle.host.vertices | nodes
+    assert max(rendered.values()) == 1
+
+
 def test_bundle_round_trip_rebuilds_the_same_quotient():
     b = grid_pocket_bundle(markers={"0,3", "1,3", "2,3"})
     data = bundle_to_dict(b)

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from coarsegraph.errors import GraphToolError, ParseError, UnknownVertexError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
@@ -377,6 +377,28 @@ def test_comments_and_isolated_vertices_parse():
 def test_vertex_token_round_trip():
     for v in (0, 17, -3, "abc", "0x", "007", ("xS", "a", "b"), ("tw", 1, (2, 3))):
         assert parse_vertex_token(vertex_token(v)) == v
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789-+_(|)a٣²", max_size=6))
+@example("")
+@example("-0")
+@example("01")
+@example("+1")
+@example("1_0")
+@example("٣")
+@example("²")
+@example("(1|-0)")
+def test_a_token_reads_as_an_int_exactly_when_it_is_canonical_decimal(tok):
+    """A token is an int, equal to int(tok), exactly when it is an int's canonical decimal
+    form; otherwise it is a tuple that re-renders to the token, or the token itself."""
+    v = parse_vertex_token(tok)
+    if oracles.is_canonical_decimal(tok):
+        assert type(v) is int and v == int(tok)
+    elif type(v) is tuple:
+        assert vertex_token(v) == tok
+    else:
+        assert type(v) is str and v == tok
 
 
 def _as_json(v):
