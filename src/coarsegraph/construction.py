@@ -654,11 +654,6 @@ def _json_int(value, key: str) -> int:
     raise ParseError(f"bundle key {key!r} must be an integer, not {value!r}")
 
 
-# The kind of H vertex each name tag marks, and the record keys of the fields after the tag.
-_PROVENANCE = {"xt": ("finite-torso", ("node",)), "tw": ("tree-copy", ("node", "tree_node")),
-               "pl": ("planar-copy", ("node", "part", "vertex"))}
-
-
 class _Tokens(dict):
     """Each vertex's token, rendered on its first lookup: the memo of one ``output_to_dict`` call."""
 
@@ -669,17 +664,23 @@ class _Tokens(dict):
         return token
 
 
-def _provenance(tag: str, fields: list) -> dict:
-    """The provenance record, as JSON values, of the H vertex named ``(tag, *f)`` whose fields f have
-    the tokens ``fields``: ``("xS", *S)`` is the hub of adhesion set S, ``("xt", t)`` finite torso t's
-    point, ``("tw", t, s)`` the copy of node s of t's sub-decomposition, and ``("pl", t, s, v)`` the
-    copy of v in part s of planar torso t."""
-    if tag == "xS":
-        return {"kind": "adhesion-set", "set": fields}
-    kind, keys = _PROVENANCE[tag]
-    rec = {"kind": kind}
-    rec.update(zip(keys, fields))
-    return rec
+def _provenance(x: tuple, tokens: _Tokens) -> tuple[str, dict]:
+    """The token of H vertex x and its provenance record as JSON values, both built from the tokens
+    of its name's fields: ``("pl", t, s, v)`` is the copy of v in part s of planar torso t,
+    ``("tw", t, s)`` the copy of node s of t's sub-decomposition, ``("xt", t)`` finite torso t's
+    point, and ``("xS", *S)`` the hub of adhesion set S."""
+    tag = x[0]
+    if tag == "pl":
+        t, s, v = tokens[x[1]], tokens[x[2]], tokens[x[3]]
+        return f"(pl|{t}|{s}|{v})", {"kind": "planar-copy", "node": t, "part": s, "vertex": v}
+    if tag == "tw":
+        t, s = tokens[x[1]], tokens[x[2]]
+        return f"(tw|{t}|{s})", {"kind": "tree-copy", "node": t, "tree_node": s}
+    if tag == "xt":
+        t = tokens[x[1]]
+        return f"(xt|{t})", {"kind": "finite-torso", "node": t}
+    S = [tokens[v] for v in x[1:]]
+    return "(" + "|".join(["xS", *S]) + ")", {"kind": "adhesion-set", "set": S}
 
 
 def output_to_dict(out: ConstructionOutput) -> dict:
@@ -690,10 +691,9 @@ def output_to_dict(out: ConstructionOutput) -> dict:
     H, tokens = out.H, _Tokens()
     token, provenance = [], {}
     for x in H.order:
-        fields = [tokens[f] for f in x[1:]]
-        t = "(" + "|".join([x[0], *fields]) + ")"
+        t, rec = _provenance(x, tokens)
         token.append(t)
-        provenance[t] = _provenance(x[0], fields)
+        provenance[t] = rec
     pos = H.pos
     return {
         "h_edges": [[token[i], token[j]] for i, js in enumerate(H.nbrs) for j in js if j > i],
