@@ -9,9 +9,9 @@ standing in for "no path".
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 from .errors import GraphToolError, ParseError, UnknownVertexError
 
@@ -511,15 +511,11 @@ def relabel(g: Graph, mapping: Mapping) -> Graph:
         raise
     if merged:
         raise GraphToolError("relabelling is not injective on the vertex set")
-    return _keyed(img, g.nbrs)
-
-
-def _keyed(vertices: list, adj: list) -> Graph:
-    """The graph on distinct ``vertices`` with ``adj[i]`` listing the places next to place ``i``
-    (repeats count once), its ids given in key order."""
-    rank, new = _ranks(vertices)
-    order = [vertices[i] for i in rank]
-    nbrs = [sorted({new[j] for j in adj[i]}) for i in rank]
+    rank, new = _ranks(img)
+    order = [img[i] for i in rank]
+    nbrs = [[new[j] for j in g.nbrs[i]] for i in rank]
+    for js in nbrs:
+        js.sort()
     return Graph(order, dict(zip(order, range(len(order)))), nbrs, frozenset(order))
 
 
@@ -631,35 +627,47 @@ def vertex_token(v: Vertex) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    # Each distinct token gets an id at its first occurrence and is parsed there, so a bad token's error
-    # names its first line.  parse_vertex_token is injective, so a line is a loop iff its tokens are equal.
-    # adj[i] lists the ids next to id i, repeats included, until _keyed renumbers them into key order.
-    ids: dict = {}
-    vertices: list[Vertex] = []
-    adj: list[list[int]] = []
-    comments = "#" in text
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = (line.split("#", 1)[0] if comments else line).split()
-        if not toks:
-            continue
+    # Each distinct token is parsed once and numbered straight into key order.  Any error sends the
+    # rows to _edge_list_error, which checks them line by line and raises the first.
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(map(str.split, lines))
+    tokens = dict.fromkeys(chain.from_iterable(rows))  # in first-occurrence order
+    try:
+        vertices = list(map(parse_vertex_token, tokens))
+    except ParseError:
+        _edge_list_error(rows)
+    rank, new = _ranks(vertices)
+    ids = dict(zip(tokens, new))
+    nbrs: list[set] = [set() for _ in rank]
+    for toks in rows:
+        if len(toks) == 2:
+            i, j = ids[toks[0]], ids[toks[1]]
+            if i == j:
+                _edge_list_error(rows)
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        elif len(toks) > 2:
+            _edge_list_error(rows)
+    order = [vertices[i] for i in rank]
+    return Graph(order, dict(zip(order, range(len(order)))), list(map(sorted, nbrs)), frozenset(order))
+
+
+def _edge_list_error(rows: list[list[str]]) -> NoReturn:
+    """Raise the first error of the edge list's token rows, with its line: a line of more than two
+    tokens, a token that does not parse (on the line of its first occurrence) or a loop.
+    parse_vertex_token is injective, so a line is a loop iff its tokens are equal."""
+    for lineno, toks in enumerate(rows, start=1):
         try:  # every error on a line, a token's own included, names the line
             if len(toks) > 2:
                 raise ParseError(f"expected 1 or 2 tokens, got {len(toks)}")
             for tok in toks:
-                if tok not in ids:
-                    vertices.append(parse_vertex_token(tok))
-                    ids[tok] = len(ids)
-                    adj.append([])
-            if len(toks) == 2:
-                u, v = toks
-                if u == v:
-                    raise ParseError(f"loop edge {u!r}")
-                i, j = ids[u], ids[v]
-                adj[i].append(j)
-                adj[j].append(i)
+                parse_vertex_token(tok)
+            if len(toks) == 2 and toks[0] == toks[1]:
+                raise ParseError(f"loop edge {toks[0]!r}")
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    return _keyed(vertices, adj)
 
 
 def format_edge_list(g: Graph) -> str:
