@@ -435,27 +435,32 @@ def test_vertices_nest_up_to_the_key_bound():
         assert str(exc.value) == "a vertex identifier nests too deep to key"
 
 
-@pytest.mark.parametrize("text, message", [
-    ("0 1\n# note\n1 {deep}\n", "line 3: vertex token nests deeper"),
-    ("0 1\n1 2 {deep}\n", "line 2: expected 1 or 2 tokens, got 3"),
-    ("0 0\n", "line 1: loop edge '0'"),
-    ("0 1\n1 2 3\n{deep} 0\n", "line 2: expected 1 or 2 tokens, got 3"),
-    ("0 1\n{deep} 0\n1 2 3\n", "line 2: vertex token nests deeper"),
-    ("0 0\n{deep}\n", "line 1: loop edge '0'"),
-    ("1 {deep}\n2 2\n", "line 1: vertex token nests deeper"),
-    ("{deep} {deep}\n", "line 1: vertex token nests deeper"),
-    ("0 1 # {deep} 2\n1 2 2 3\n", "line 2: expected 1 or 2 tokens, got 4"),
-], ids=["deep", "three-tokens", "loop", "count-before-deep", "deep-before-count", "loop-before-deep",
-        "deep-before-loop", "deep-loop", "comment"])
-def test_edge_list_errors_name_their_line(text, message):
-    """The first error in line order is raised and names its line: a line's token count is
-    checked before its tokens, a token's own error comes on the line of its first occurrence,
-    and a loop is found after its token is read; a comment is never read."""
+def test_edge_list_errors_name_their_line():
+    """A token's own error names its line, as the edge list's errors do."""
+    deep = "(" * 400 + "a" + ")" * 400
+    with pytest.raises(ParseError, match="^line 3: vertex token nests deeper") as err:
+        parse_edge_list(f"0 1\n# note\n1 {deep}\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError, match="^line 2: expected 1 or 2 tokens, got 3$"):
+        parse_edge_list(f"0 1\n1 2 {deep}\n")
+    with pytest.raises(ParseError, match="^line 1: loop edge '0'$"):
+        parse_edge_list("0 0\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0 1\n1 2 3\n{deep} 0\n", 2, "expected 1 or 2 tokens, got 3"),
+    ("0 1\n{deep} 0\n1 2 3\n", 2, "vertex token nests deeper"),
+    ("0 0\n{deep}\n", 1, "loop edge '0'"),
+    ("1 {deep}\n2 2\n", 1, "vertex token nests deeper"),
+    ("0 1 # {deep} 2\n1 2 2 3\n", 2, "expected 1 or 2 tokens, got 4"),
+], ids=["count-before-deep", "deep-before-count", "loop-before-deep", "deep-before-loop", "comment"])
+def test_edge_list_raises_the_first_error_in_line_order(text, line, message):
+    """Of two errors on different lines the earlier is raised, whatever their kinds,
+    and a token in a comment is never read."""
     deep = "(" * 400 + "a" + ")" * 400
     with pytest.raises(ParseError) as err:
         parse_edge_list(text.format(deep=deep))
-    assert str(err.value).startswith(message)
-    assert err.value.line == int(message.split(":")[0].split()[1])
+    assert err.value.line == line and str(err.value).startswith(f"line {line}: {message}")
 
 
 def test_tuple_token_format():
