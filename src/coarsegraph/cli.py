@@ -57,9 +57,12 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_json(path: str):
+    text = _read_text(path)  # outside the try: its ParseError is a ValueError too
     try:
-        return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses on nested arrays
+        return json.loads(text)
+    # The decoder recurses on nested arrays, and int() refuses an integer past the digit limit with a
+    # plain ValueError, which JSONDecodeError subclasses.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -424,11 +424,11 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             hub_of.setdefault(v, x)
 
     # (ii)-(iv) each torso adds its vertices, inner edges, glue to the hubs of
-    # the adhesion sets in its part, and the φ candidates of its vertices:
-    # copy_of[v] is v's first surviving planar copy, own[v] its image in its own
-    # part (read only for a vertex outside every adhesion set, which by (T3)
-    # lies in exactly one part).  Finite torsos come first, then bounded-
-    # treewidth, then planar, so every sub-decomposition error of a
+    # the adhesion sets in its part, and the φ candidates of its vertices: its
+    # planar copies, and own[v], its image in its own part (read only for a
+    # vertex outside every adhesion set, which by (T3) lies in exactly one
+    # part).  Finite torsos come first, then bounded-treewidth, then planar,
+    # so every sub-decomposition error of a
     # bounded-treewidth torso precedes any planar one.  Each kind of H vertex
     # is listed in key order as it comes, by the positions of its parts in
     # their trees and graphs: planar copies ("pl", t, s, v), tree copies
@@ -436,7 +436,6 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     # order, as "pl" < "tw" < "xS" < "xt", they are H's key order: no H name is keyed.
     pl, tw, xt, copies = [], [], [], []  # copies: (first id, kept graph) of each planar part
     evidence = Evidence(dict(classification), torsos, {}, {})
-    copy_of: dict = {}
     own: dict = {}
     for t in sorted(td.tree.sorted_vertices(), key=lambda t: TORSO_KINDS.index(classification[t])):
         outer = [S for S in hub if S <= td.parts[t]]
@@ -465,11 +464,9 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             for s in ref.contracted.tree.sorted_vertices():
                 g = ref.kept[s]
                 copies.append((len(pl), g))  # the planar copies come first, so their ids are final
-                name = {v: ("pl", t, s, v) for v in g.order}
-                for v, x in name.items():
-                    pl.append(x)
-                    copy_of.setdefault(v, x)
-                edges.extend((hub[S], name[v]) for S in outer if S <= g.vertices for v in S)
+                names = [("pl", t, s, v) for v in g.order]
+                pl.extend(names)
+                edges.extend((hub[S], names[g.pos[v]]) for S in outer if S <= g.vertices for v in S)
             for _, S, c in ref.deletions:  # a pruned vertex maps to the hub of its first pruning site
                 for v in c:
                     own.setdefault(v, hub[S])
@@ -482,14 +479,15 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
         pairs = [(base + i, base + j) for base, g in copies for i, js in enumerate(g.nbrs) for j in js if j > i]
         H = Graph._on_ids(order, pairs + [(pos[a], pos[b]) for a, b in edges])
 
-    # φ: surviving planar copy > adhesion hub > image in its own part
-    phi: dict = {}
-    for v in host.sorted_vertices():
-        phi[v] = copy_of.get(v) or hub_of.get(v) or own.get(v)
-        if phi[v] is None:
-            raise StructuralError(f"no image for planar-torso vertex {v!r}")  # construction bug guard
-        if phi[v] not in H.vertices:
-            raise StructuralError(f"phi({v!r}) is not a vertex of H")  # construction bug guard
+    # φ: first surviving planar copy > adhesion hub > image in its own part
+    copy_of = {x[3]: x for x in reversed(pl)}
+    phi = {v: copy_of.get(v) or hub_of.get(v) or own.get(v) for v in host.order}
+    if not all(phi.values()) or not H.vertices.issuperset(phi.values()):
+        for v, x in phi.items():  # construction bug guards, raised at the key-least vertex
+            if x is None:
+                raise StructuralError(f"no image for planar-torso vertex {v!r}")
+            if x not in H.vertices:
+                raise StructuralError(f"phi({v!r}) is not a vertex of H")
 
     return ConstructionOutput(
         H=H,

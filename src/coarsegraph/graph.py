@@ -9,6 +9,7 @@ standing in for "no path".
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain, combinations, compress
 from operator import itemgetter
 from typing import Iterable, Mapping, NoReturn
@@ -131,12 +132,20 @@ class Graph:
         for i, j in ids:
             nbrs[i].append(j)
             nbrs[j].append(i)
-        return cls(order, dict(zip(order, range(len(order)))), [sorted(js) for js in nbrs], frozenset(order))
+        return cls._from_nbrs(order, [sorted(js) for js in nbrs])
+
+    @classmethod
+    def _from_nbrs(cls, order: list, nbrs: list) -> "Graph":
+        """The graph on ``order``, distinct vertices in key order whose places are their ids, with
+        ``nbrs`` as its sorted neighbour id lists.  The vertex set is made from ``pos`` and reuses the
+        hashes the dict stored, so each vertex is hashed once: a tuple keeps no hash of its own."""
+        pos = dict(zip(order, range(len(order))))
+        return cls(order, pos, nbrs, frozenset(pos))
 
     def _renamed(self, order: list) -> "Graph":
         """This graph with id i named ``order[i]``, names that sort as ``self.order`` does.  It shares ``nbrs``, the
         component masks (made now) and each id-level fact kept so far, all functions of ``nbrs``; not the edges."""
-        g = Graph(order, dict(zip(order, range(len(order)))), self.nbrs, frozenset(order))
+        g = Graph._from_nbrs(order, self.nbrs)
         g._components, g._masks = self.component_masks, self._masks
         g._orientation, g._planar, g._elimination = self._orientation, self._planar, self._elimination
         g._generators, g._subsets = self._generators, self._subsets
@@ -516,7 +525,7 @@ def relabel(g: Graph, mapping: Mapping) -> Graph:
     nbrs = [[new[j] for j in g.nbrs[i]] for i in rank]
     for js in nbrs:
         js.sort()
-    return Graph(order, dict(zip(order, range(len(order)))), nbrs, frozenset(order))
+    return Graph._from_nbrs(order, nbrs)
 
 
 def _ranks(vertices: list) -> tuple[list[int], list[int]]:
@@ -616,9 +625,14 @@ def _tuple_from_json(v: list, depth: int) -> tuple:
 
 
 def vertex_token(v: Vertex) -> str:
-    """Serialised form of a vertex for the edge-list format and DOT output."""
+    """Serialised form of a vertex for the edge-list format and DOT output.  An int past
+    Python's int-to-string digit limit has no token: ``GraphToolError`` names the limit."""
     if isinstance(v, int):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:
+            raise GraphToolError(f"an int vertex has more digits than Python's int-to-string limit "
+                                 f"({sys.get_int_max_str_digits()}) and cannot be written") from None
     if isinstance(v, str):
         return v
     if isinstance(v, tuple):
@@ -651,7 +665,7 @@ def parse_edge_list(text: str) -> Graph:
         elif len(toks) > 2:
             _edge_list_error(rows)
     order = [vertices[i] for i in rank]
-    return Graph(order, dict(zip(order, range(len(order)))), list(map(sorted, nbrs)), frozenset(order))
+    return Graph._from_nbrs(order, list(map(sorted, nbrs)))
 
 
 def _edge_list_error(rows: list[list[str]]) -> NoReturn:

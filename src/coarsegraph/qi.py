@@ -115,16 +115,20 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, per_compo
     seeds = [0] * len(target.order)
     for i, y in enumerate(img):
         seeds[y] |= bit[i]
-    comp, reach = [0] * n, [0] * n  # i's G-component; the sources with images in φ(i)'s H-component
-    for mask in source.component_masks:
-        for i in bit_ids(mask):
-            comp[i] = mask
-    for mask in target.component_masks:
-        srcs = sum(seeds[y] for y in bit_ids(mask))
-        for i in bit_ids(srcs):
-            reach[i] = srcs
+    full = (1 << n) - 1
+    # i's G-component; the sources with images in φ(i)'s H-component.  A side of one component gives every id all.
+    comp, reach = [full] * n, [full] * n
+    if len(source.component_masks) > 1:
+        for mask in source.component_masks:
+            for i in bit_ids(mask):
+                comp[i] = mask
+    if len(target.component_masks) > 1:
+        for mask in target.component_masks:
+            srcs = sum(seeds[y] for y in bit_ids(mask))
+            for i in bit_ids(srcs):
+                reach[i] = srcs
     for i in range(0 if per_component else n):  # the first pair at an infinite distance
-        later = ((1 << n) - 1 ^ comp[i] & reach[i]) >> (i + 1)
+        later = (full ^ comp[i] & reach[i]) >> (i + 1)
         if later:
             j = i + (later & -later).bit_length()
             u, v = source.order[i], source.order[j]

@@ -11,6 +11,9 @@ part is its induced subgraph plus clique edges on each incident adhesion set.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, NamedTuple
 
 from .errors import CapacityError, EmptySetError, StructuralError
@@ -74,28 +77,41 @@ class TDReport(NamedTuple):
 
 
 def validate(host: Graph, td: TreeDecomposition) -> TDReport:
-    """Report the first violated axiom (T1, T2, T3) with a witness.  T2 and T3
-    read masks built from the parts: for each host id, the union of the parts
-    holding it and the set of tree nodes whose parts hold it, tested for T3
-    once per distinct set."""
+    """Report the first violated axiom (T1, T2, T3) with a witness.  An id in
+    one part shares a part with exactly that part's ids, so T2 is checked per
+    part: a part passes when its single-part ids have no neighbour outside it.
+    Only the ids of a failing part and the ids in two or more parts are
+    checked one by one, the least first, against the union of the parts
+    holding them.  A node set of one node is connected, so T3 tests the set of
+    tree nodes holding each shared id, once per distinct set."""
     covered = frozenset().union(*td.parts.values()) if td.parts else frozenset()
     for v in sort_vertices(covered - host.vertices):
         return TDReport(False, "T1", v, f"part vertex {vertex_token(v)} is not a graph vertex")
     for v in sort_vertices(host.vertices - covered):
         return TDReport(False, "T1", v, f"graph vertex {vertex_token(v)} lies in no part")
-    reach, nodes = [0] * len(host.order), [0] * len(host.order)
-    for t, node in enumerate(td.tree.order):
-        p = host.bits(td.parts[node])
-        for i in bit_ids(p):
+    masks, parts = host.masks, [host.bits(td.parts[node]) for node in td.tree.order]
+    seen = shared = 0  # the ids in some part, in two or more
+    for p in parts:
+        shared |= seen & p
+        seen |= p
+    check, reach, nodes = shared, [0] * len(masks), [0] * len(masks)
+    for t, p in enumerate(parts):
+        single = bit_ids(p & ~shared)
+        if reduce(or_, map(masks.__getitem__, single), 0) & ~p:
+            check |= p & ~shared
+            for i in single:
+                reach[i] = p
+        for i in bit_ids(p & shared):
             reach[i] |= p
             nodes[i] |= 1 << t
-    for i, m in enumerate(host.masks):
-        missed = m & ~reach[i] & -(2 << i)  # key-later neighbours sharing no part with i
+    for i in bit_ids(check):
+        missed = masks[i] & ~reach[i] & -(2 << i)  # key-later neighbours sharing no part with i
         if missed:
             u, v = host.order[i], host.order[(missed & -missed).bit_length() - 1]
             return TDReport(False, "T2", (u, v), f"edge {vertex_token(u)}-{vertex_token(v)} lies in no part")
     tested = set()
-    for i, ns in enumerate(nodes):  # a failing set fails first at its key-least vertex
+    for i in bit_ids(shared):  # a failing set fails first at its key-least vertex
+        ns = nodes[i]
         if ns not in tested and next(mask_components(td.tree.masks, ns))[0] != ns:
             v = host.order[i]
             return TDReport(False, "T3", v, f"nodes containing {vertex_token(v)} are not connected in the tree")
@@ -199,16 +215,18 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
             return None
         return g._elimination
     adj = list(g.masks)
-    deg = [a.bit_count() for a in adj]
-    buckets = [0] * len(adj)  # degree -> mask of the live ids of that degree
-    for v, d in enumerate(deg):
-        buckets[d] |= 1 << v
+    deg = list(map(int.bit_count, adj))
+    # Only degrees up to ``top`` are bucketed; the bucket past them is never empty, so a search stops there.
+    top = len(adj) - 1 if max_degree is None else min(max_degree, len(adj) - 1)
+    buckets = [0] * (top + 1) + [-1]  # degree -> mask of the live ids of that degree
+    for v in compress(range(len(deg)), map(top.__ge__, deg)):
+        buckets[deg[v]] |= 1 << v
     out = []
     d = 0
     for _ in adj:
         while not buckets[d]:
             d += 1
-        if max_degree is not None and d > max_degree:
+        if d > top:
             return None
         low = buckets[d] & -buckets[d]
         buckets[d] ^= low
@@ -216,9 +234,11 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
         out.append((low.bit_length() - 1, nbrs | low))
         for a in bit_ids(nbrs):
             adj[a] = (adj[a] | nbrs) & ~(1 << a | low) if fill else adj[a] ^ low
-            buckets[deg[a]] ^= 1 << a
+            if deg[a] <= top:
+                buckets[deg[a]] ^= 1 << a
             deg[a] = adj[a].bit_count()
-            buckets[deg[a]] |= 1 << a
+            if deg[a] <= top:
+                buckets[deg[a]] |= 1 << a
         # A neighbour loses only the eliminated vertex, so no degree falls below d - 1.
         d = max(d - 1, 0)
     out = tuple(out)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
@@ -11,6 +13,21 @@ from coarsegraph.construction import BOUNDED_TW, PLANAR, TORSO_KINDS, InstanceBu
 from coarsegraph.corpus import relabel_bundle
 from coarsegraph.graph import Graph, components, relabel, sort_vertices
 from coarsegraph.treedecomp import TreeDecomposition, heuristic_td, torso
+
+
+@contextmanager
+def int_digit_limit():
+    """Python's int-to-string digit limit within the block: the interpreter's, or the default
+    4,300 where it is switched off (0), so that an int with more digits is refused."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        yield limit
+        return
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(0)
 
 
 def nested(depth: int, leaf="a"):

@@ -27,7 +27,7 @@ from coarsegraph.graph import Graph
 from coarsegraph.qi import certificate_to_dict, make_certificate, tightest_constants
 
 import oracles
-from helpers import JSON_EDIT_VALUES, edit_json, json_slots
+from helpers import JSON_EDIT_VALUES, edit_json, int_digit_limit, json_slots
 
 
 def write(tmp_path, name: str, text: str) -> str:
@@ -424,6 +424,25 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys):
         assert main(args) == 2, args
         err = capsys.readouterr().err
         assert err.startswith(f"error: {deep}: not valid JSON") and err.count("\n") == 1, args
+
+
+def test_json_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
+    """json.loads refuses an integer with more digits than Python's
+    int-to-string limit with a plain ValueError: in a bundle's part, a
+    decomposition's part or a map's image, it ends in a one-line ParseError."""
+    gpath, _ = two_k4_files(tmp_path)
+    with int_digit_limit() as limit:
+        big = "1" * (limit + 1)
+        td = '{"tree_edges": [["a", "b"]], "parts": {"a": [0, 1, 2, 3, %s], "b": [2, 3, 4, 5]}}' % big
+        bundle = write(tmp_path, "bundle.json", '{"k": 2, "td": %s}' % td)
+        tdpath = write(tmp_path, "td.json", td)
+        phi = write(tmp_path, "phi.json", '{"0": %s, "1": 1, "2": 2, "3": 3, "4": 4, "5": 5}' % big)
+        for path, args in ((bundle, ["planarize", "--graph", gpath, "--bundle", bundle]),
+                           (tdpath, ["planarize", "--graph", gpath, "--k", "2", "--td", tdpath]),
+                           (phi, ["qi-check", "--source", gpath, "--target", gpath, "--map", phi])):
+            assert main(args) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: not valid JSON") and err.count("\n") == 1, args
 
 
 def test_deeply_nested_vertices_exit_two(tmp_path, capsys):

@@ -39,7 +39,7 @@ from coarsegraph.graph import (
 from coarsegraph.treedecomp import TreeDecomposition, torso
 
 import oracles
-from helpers import nested
+from helpers import int_digit_limit, nested
 
 
 def test_vertex_key_orders_mixed_types():
@@ -490,6 +490,17 @@ def test_edge_list_round_trip_property(edges, isolated):
 def test_edge_list_refuses_vertices_that_read_back_as_others(vertex):
     with pytest.raises(GraphToolError, match="would read back"):
         format_edge_list(Graph.build([(vertex, "a")]))
+
+
+def test_an_int_past_the_digit_limit_is_refused_when_written():
+    """str() refuses an int with more digits than Python's int-to-string limit,
+    so such a vertex has no token: writing it raises GraphToolError naming the
+    limit, not a bare ValueError."""
+    with int_digit_limit() as limit:
+        g = Graph.build([(10 ** limit, 1)])
+        for write in (format_edge_list, to_dot):
+            with pytest.raises(GraphToolError, match=rf"int-to-string limit \({limit}\)"):
+                write(g)
 
 
 def test_to_dot_mentions_every_vertex():

@@ -86,16 +86,24 @@ def test_validate_reports_each_axiom():
 @given(st.data())
 def test_validate_reports_the_first_violation_like_the_axioms(data):
     """validate on random, mostly invalid, decompositions of mixed-label hosts
-    against the axioms read directly: the first failing axiom, and its witness
-    first in the oracle's key order."""
-    n = data.draw(st.integers(1, 7))
-    labels = [i if i % 2 else f"v{i}" for i in range(n)]
+    (ints, strings and tuples) against the axioms read directly: the first
+    failing axiom, and its witness first in the oracle's key order.  Half the
+    decompositions are the valid min-degree one with one vertex dropped from
+    one part, so most parts pass T2 in bulk and at most one fails."""
+    n = data.draw(st.integers(1, 8))
+    labels = [(i, f"v{i}", (i % 2, f"t{i}"))[data.draw(st.integers(0, 2))] for i in range(n)]
     pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     host = Graph.build(edges, vertices=labels)
-    m = data.draw(st.integers(1, 5))
-    tree_edges = [(i, data.draw(st.integers(0, i - 1))) for i in range(1, m)]
-    parts = {t: frozenset(data.draw(st.sets(st.sampled_from(labels), min_size=1))) for t in range(m)}
+    if data.draw(st.booleans()):
+        td = heuristic_td(host)
+        m, tree_edges, parts = len(td.parts), sorted(td.tree.edges), dict(td.parts)
+        t = data.draw(st.integers(0, m - 1))
+        parts[t] -= {data.draw(st.sampled_from(sorted(parts[t], key=oracles.label_key)))}
+    else:
+        m = data.draw(st.integers(1, 5))
+        tree_edges = [(i, data.draw(st.integers(0, i - 1))) for i in range(1, m)]
+        parts = {t: frozenset(data.draw(st.sets(st.sampled_from(labels), min_size=1))) for t in range(m)}
     rep = validate(host, TreeDecomposition(Graph.build(tree_edges, vertices=range(m)), parts))
 
     key = oracles.label_key
@@ -114,19 +122,18 @@ def test_validate_reports_the_first_violation_like_the_axioms(data):
 
 
 def test_validate_tests_each_distinct_node_set_once(monkeypatch):
-    """T3 grows one tree mask per distinct set of nodes holding a vertex: one
-    for a one-part 17×17 grid, not one per vertex; a path's two-node
-    decomposition has three such sets ({0}, {0, 1}, {1})."""
+    """T3 grows one tree mask per distinct set of two or more nodes holding a
+    vertex, since a one-node set is connected: none for a one-part 17×17 grid;
+    of a path's two-node decomposition's sets {0}, {0, 1} and {1}, only {0, 1}."""
     from coarsegraph import treedecomp
 
     grown, real = [], treedecomp.mask_components
     monkeypatch.setattr(treedecomp, "mask_components", lambda *a: grown.append(a[1]) or real(*a))
     host = grid_graph(17, 17)
     assert validate(host, TreeDecomposition(Graph.build((), ["t"]), {"t": host.vertices})).ok
-    assert len(grown) == 1
-    grown.clear()
+    assert grown == []
     assert validate(path_graph(4), TreeDecomposition(path_graph(2), {0: frozenset({0, 1, 2}), 1: frozenset({2, 3})})).ok
-    assert len(grown) == 3
+    assert grown == [0b11]
 
 
 _LABELS = st.integers(0, 9) | st.text(alphabet="ab", min_size=1, max_size=2) | st.tuples(st.integers(0, 3), st.sampled_from("xy"))
@@ -307,7 +314,9 @@ def test_heuristic_td_is_pinned_on_mixed_labels(edges, isolated, expected):
 
 def test_heuristic_td_parts_are_the_oracle_elimination_bags():
     """Node i of heuristic_td holds the i-th bag of the plain-set min-degree
-    elimination, on random graphs with mixed labels and on every corpus torso."""
+    elimination, on random graphs with mixed labels and on every corpus torso;
+    the run stopped at degree k ≤ 2 gives the same bags, or None exactly when
+    one of them has more than k + 1 vertices."""
     rng = random.Random(61)
     graphs = []
     for _ in range(300):
@@ -317,9 +326,16 @@ def test_heuristic_td_parts_are_the_oracle_elimination_bags():
     for inst in corpus(DEFAULT_SEED):
         graphs.extend(torso(inst.bundle.host, inst.bundle.td, t) for t in inst.bundle.td.tree.sorted_vertices())
     for g in graphs:
+        bags = oracles.min_degree_elimination(oracles.adjacency(g.edges, g.vertices))
+        for k in (0, 1, 2):  # the run stopped at degree k, on a copy that keeps no elimination
+            run = min_degree_elimination(Graph.build(g.edges, vertices=g.vertices), k)
+            if any(len(bag) > k + 1 for bag in bags):
+                assert run is None, (k, g.sorted_edges())
+            else:
+                assert [g.labels(bag) for _, bag in run] == bags, (k, g.sorted_edges())
         td = heuristic_td(g)
         parts = [td.parts[i] for i in range(len(td.parts))]
-        assert parts == oracles.min_degree_elimination(oracles.adjacency(g.edges, g.vertices)), g.sorted_edges()
+        assert parts == bags, g.sorted_edges()
 
 
 def test_heuristic_width_upper_bounds_exact():
