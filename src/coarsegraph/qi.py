@@ -116,7 +116,7 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, per_compo
     for i, y in enumerate(img):
         seeds[y] |= bit[i]
     full = (1 << n) - 1
-    # i's G-component; the sources with images in φ(i)'s H-component.  A side of one component gives every id all.
+    # i's G-component; the sources with images in φ(i)'s H-component.  On a side of one component, every source.
     comp, reach = [full] * n, [full] * n
     if len(source.component_masks) > 1:
         for mask in source.component_masks:
