@@ -165,8 +165,7 @@ def cmd_qi_check(args) -> int:
     elif args.gamma is None or args.c is None:
         raise GraphToolError("provide both --gamma and --c, or neither for the tightest constants")
     else:
-        cert = qi.make_certificate(source, target, phi, qi.parse_fraction(args.gamma), qi.parse_fraction(args.c),
-                                   per_component=args.per_component)
+        cert = qi.make_certificate(source, target, phi, args.gamma, args.c, per_component=args.per_component)
     _emit_json(qi.certificate_to_dict(cert), args.out)
     return 0 if cert.valid else 1
 

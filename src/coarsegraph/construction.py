@@ -472,22 +472,26 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
                     own.setdefault(v, hub[S])
 
     order = pl + tw + list(hub.values()) + xt
-    if len(copies) == 1 and len(order) == len(pl):  # H is one planar copy, glued to nothing: that graph renamed
-        H = copies[0][1]._renamed(order)
+    one = copies[0][1] if len(copies) == 1 and len(order) == len(pl) else None
+    if one is not None:  # H is one planar copy, glued to nothing: that graph renamed
+        H = one._renamed(order)
     else:
         pos = {x: i for i, x in enumerate(order)}
         pairs = [(base + i, base + j) for base, g in copies for i, js in enumerate(g.nbrs) for j in js if j > i]
         H = Graph._on_ids(order, pairs + [(pos[a], pos[b]) for a, b in edges])
 
     # φ: first surviving planar copy > adhesion hub > image in its own part
-    copy_of = {x[3]: x for x in reversed(pl)}
-    phi = {v: copy_of.get(v) or hub_of.get(v) or own.get(v) for v in host.order}
-    if not all(phi.values()) or not H.vertices.issuperset(phi.values()):
-        for v, x in phi.items():  # construction bug guards, raised at the key-least vertex
-            if x is None:
-                raise StructuralError(f"no image for planar-torso vertex {v!r}")
-            if x not in H.vertices:
-                raise StructuralError(f"phi({v!r}) is not a vertex of H")
+    if one is host:  # the copy is the host: each vertex's image is its name in H, at the same id
+        phi = dict(zip(host.order, order))
+    else:
+        copy_of = {x[3]: x for x in reversed(pl)}
+        phi = {v: copy_of.get(v) or hub_of.get(v) or own.get(v) for v in host.order}
+        if not all(phi.values()) or not H.vertices.issuperset(phi.values()):
+            for v, x in phi.items():  # construction bug guards, raised at the key-least vertex
+                if x is None:
+                    raise StructuralError(f"no image for planar-torso vertex {v!r}")
+                if x not in H.vertices:
+                    raise StructuralError(f"phi({v!r}) is not a vertex of H")
 
     return ConstructionOutput(
         H=H,

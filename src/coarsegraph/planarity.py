@@ -147,12 +147,19 @@ def _testing_pass(g: Graph) -> bool:
     for "none", and an interval is empty iff its low end is -1.  ``ref`` links
     each back edge of an interval to the next one down.  The orientation is
     the graph's own, shared with ``cut_vertices``.
+
+    Two counts decide some graphs first.  Past Euler's bound m ≤ 3n − 6 a
+    graph is not planar.  A graph of circuit rank m − n + (components) ≤ 3 is
+    planar, as a K₅ or K₃,₃ subdivision has rank 6 or 4 and no subgraph's rank
+    exceeds its graph's; the components are counted only when m ≤ n + 2.
     """
     n = len(g.nbrs)
-    if n > 2 and sum(map(len, g.nbrs)) > 2 * (3 * n - 6):
+    m = sum(map(len, g.nbrs)) // 2
+    if n > 2 and m > 3 * n - 6:
         return False
+    if m <= n + 2 and m - n + len(g.component_masks) <= 3:
+        return True
     height, parent, dst, out, lowpt, _ = g.orientation
-    m = len(dst)
     pairs: list = []  # the stack of conflict pairs
     bottom = [0] * m  # the height of the pair stack when each edge is entered
     ref = [-1] * m

@@ -5,16 +5,26 @@ A map φ: V(G) → V(H) is a (γ, c)-quasi-isometry when
 (ii) every vertex of H lies within distance c of the image of φ.
 
 Constants are exact ``fractions.Fraction`` values at the API boundary, so
-the boundary cases are decided without rounding.  Inside, one exact scan
-compares integers: with γ = p/q, every requirement on c is scaled by p·q.  It
-reads the pairs off bit-parallel ball levels of both graphs, one bit per
-source vertex, instead of one BFS per source vertex.
+the boundary cases are decided without rounding; every γ and c enters through
+``parse_fraction``, which refuses what is not a finite rational with
+StructuralError.  Inside, one exact scan compares integers: with γ = p/q,
+every requirement on c is scaled by p·q.  It reads the pairs off bit-parallel
+ball levels of both graphs, one bit per source vertex, instead of one BFS per
+source vertex.
+
+An isomorphism onto the target, such as φ of a one-part planar host (H is the
+host renamed), needs no ball level: it is decided in O(n + m) from the
+neighbour lists.  When each image is the target's own vertex object at the
+source vertex's id, as ``construction.build_H`` makes it there, the image ids
+are read by one identity test over the lists, with no lookup per vertex, so
+such a certificate costs C-level passes and that linear test.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import is_
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import CompositionError, GraphToolError, StructuralError, UnknownVertexError
@@ -41,11 +51,7 @@ class QuasiIsometryCertificate(_Certificate):
     __slots__ = ()
 
     def __new__(cls, source: Graph, target: Graph, phi: dict, gamma, c, valid: bool, worst_witness: tuple | None):
-        gamma, c = Fraction(gamma), Fraction(c)
-        if gamma < 1:
-            raise StructuralError("gamma must be ≥ 1")
-        if c < 0:
-            raise StructuralError("c must be ≥ 0")
+        gamma, c = _constants(gamma, c)
         return super().__new__(cls, source, target, phi, gamma, c, valid, worst_witness)
 
     @classmethod
@@ -53,8 +59,23 @@ class QuasiIsometryCertificate(_Certificate):
         return cls(*iterable)
 
 
+def _constants(gamma, c) -> tuple[Fraction, Fraction]:
+    """gamma and c as Fractions, each through ``parse_fraction``; gamma < 1 or c < 0 is refused."""
+    gamma, c = parse_fraction(gamma), parse_fraction(c)
+    if gamma < 1:
+        raise StructuralError("gamma must be ≥ 1")
+    if c < 0:
+        raise StructuralError("c must be ≥ 0")
+    return gamma, c
+
+
 def _check_map(source: Graph, target: Graph, phi: Mapping) -> list:
-    """The source ids' image ids, refusing at the key-least vertex a map that misses it or sends it off the target."""
+    """The source ids' image ids, refusing at the key-least vertex a map that misses it or sends it off the target.
+    When each image is the target's own object at the source vertex's id (``is``, so True for 1 is no match),
+    the ids are the identity, read in one pass with no lookup in the target; else each image is looked up."""
+    n = len(source.order)
+    if len(target.order) >= n and all(map(is_, map(phi.get, source.order), target.order)):
+        return list(range(n))
     img = []
     for v in source.order:
         if v not in phi:
@@ -101,80 +122,88 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, per_compo
     condition is the least id i whose row maximum meets it, with the least
     j > i read off one BFS row on each side, else the least target vertex.
 
-    An isomorphism φ onto the target (``_is_isomorphism``) is found in O(n + m)
-    after the connectivity checks, and reads no ball level: d_H(φu, φv) =
-    d_G(u, v), so with γ = p/q ≥ 1 a pair's scaled requirement is q·(q − p)·d_G.
-    A row maximum is then 0 at γ = 1 where i has a partner in its component,
-    else −inf, and every target vertex is an image, requiring 0.
+    An isomorphism φ onto the target (``_is_isomorphism``) is decided first,
+    in O(n + m), and reads no ball level: d_H(φu, φv) = d_G(u, v), so with
+    γ = p/q ≥ 1 a pair's scaled requirement is q·(q − p)·d_G.  A row maximum
+    is then 0 at γ = 1 where i has a partner in its component, else −inf, and
+    every target vertex is an image, requiring 0.  On a connected source no
+    distance is infinite, so no per-source list is built and no connectivity
+    check runs; on a source of two or more components the checks come first,
+    as for any other map.
     """
     img = _check_map(source, target, phi)
     p, q = gamma.numerator, gamma.denominator
     pq, pp, qq = p * q, p * p, q * q
     n = len(source.order)
-    bit = [1 << i for i in range(n)]
-    seeds = [0] * len(target.order)
-    for i, y in enumerate(img):
-        seeds[y] |= bit[i]
-    full = (1 << n) - 1
-    # i's G-component; the sources with images in φ(i)'s H-component.  On a side of one component, every source.
-    comp, reach = [full] * n, [full] * n
-    if len(source.component_masks) > 1:
-        for mask in source.component_masks:
-            for i in bit_ids(mask):
-                comp[i] = mask
-    if len(target.component_masks) > 1:
-        for mask in target.component_masks:
-            srcs = sum(seeds[y] for y in bit_ids(mask))
-            for i in bit_ids(srcs):
-                reach[i] = srcs
-    for i in range(0 if per_component else n):  # the first pair at an infinite distance
-        later = (full ^ comp[i] & reach[i]) >> (i + 1)
-        if later:
-            j = i + (later & -later).bit_length()
-            u, v = source.order[i], source.order[j]
-            if not comp[i] >> j & 1:
-                raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
-            raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
-    if _is_isomorphism(source, target, img):
-        top = [0 if c != b else -math.inf for c, b in zip(comp, bit)] if p == q else [-math.inf] * n
-        dens = [0] * len(target.order)
+    iso = _is_isomorphism(source, target, img)
+    if iso and len(source.component_masks) == 1:  # no distance is infinite: the target is connected, all images
+        top = [0 if p == q and n > 1 else -math.inf] * n
+        dens = [0] * n
     else:
-        row = target.distance_row(set(img))
-        if -1 in row and not per_component:
-            raise ConnectivityError(f"target vertex {target.order[row.index(-1)]!r} cannot reach the image")
-        dens = [pq * d if d >= 0 else math.inf for d in row]
-        # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
-        top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
-        walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
-        ball, levels = source.ball_levels(bit), target.ball_levels(seeds)
-        near = [next(levels)]  # the H levels made so far; None below the lowest close pointer
-        prev, t, dropped = next(ball), 0, 0
-        far, close = [0] * n, [0] * n  # the two pointers of each source
-        while walk:
-            t += 1
-            level, keep = next(ball), []
-            for i in walk:
-                a, y, b = level[i], img[i], far[i]
-                while a & near[b][y] != a:  # i's own bit lies in C_v(b) for every b
-                    b += 1
-                    if b == len(near):
-                        near.append(next(levels))
-                far[i] = b
-                if pq * b - pp * t > top[i]:
-                    top[i] = pq * b - pp * t
-                s, b = comp[i] ^ prev[i], close[i]  # close[i] ≤ far[i], so its level is made
-                while not s & near[b][y]:
-                    b += 1
-                close[i] = b
-                if qq * t - pq * b > top[i]:
-                    top[i] = qq * t - pq * b
-                if a != comp[i]:
-                    keep.append(i)
-            walk, prev = keep, level
-            low = min(map(close.__getitem__, walk), default=dropped)
-            while dropped < low:
-                near[dropped] = None
-                dropped += 1
+        bit = [1 << i for i in range(n)]
+        seeds = [0] * len(target.order)
+        for i, y in enumerate(img):
+            seeds[y] |= bit[i]
+        full = (1 << n) - 1
+        # i's G-component; the sources with images in φ(i)'s H-component.  On a side of one component, every source.
+        comp, reach = [full] * n, [full] * n
+        if len(source.component_masks) > 1:
+            for mask in source.component_masks:
+                for i in bit_ids(mask):
+                    comp[i] = mask
+        if len(target.component_masks) > 1:
+            for mask in target.component_masks:
+                srcs = sum(seeds[y] for y in bit_ids(mask))
+                for i in bit_ids(srcs):
+                    reach[i] = srcs
+        for i in range(0 if per_component else n):  # the first pair at an infinite distance
+            later = (full ^ comp[i] & reach[i]) >> (i + 1)
+            if later:
+                j = i + (later & -later).bit_length()
+                u, v = source.order[i], source.order[j]
+                if not comp[i] >> j & 1:
+                    raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
+                raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
+        if iso:
+            top = [0 if c != b else -math.inf for c, b in zip(comp, bit)] if p == q else [-math.inf] * n
+            dens = [0] * len(target.order)
+        else:
+            row = target.distance_row(set(img))
+            if -1 in row and not per_component:
+                raise ConnectivityError(f"target vertex {target.order[row.index(-1)]!r} cannot reach the image")
+            dens = [pq * d if d >= 0 else math.inf for d in row]
+            # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
+            top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
+            walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
+            ball, levels = source.ball_levels(bit), target.ball_levels(seeds)
+            near = [next(levels)]  # the H levels made so far; None below the lowest close pointer
+            prev, t, dropped = next(ball), 0, 0
+            far, close = [0] * n, [0] * n  # the two pointers of each source
+            while walk:
+                t += 1
+                level, keep = next(ball), []
+                for i in walk:
+                    a, y, b = level[i], img[i], far[i]
+                    while a & near[b][y] != a:  # i's own bit lies in C_v(b) for every b
+                        b += 1
+                        if b == len(near):
+                            near.append(next(levels))
+                    far[i] = b
+                    if pq * b - pp * t > top[i]:
+                        top[i] = pq * b - pp * t
+                    s, b = comp[i] ^ prev[i], close[i]  # close[i] ≤ far[i], so its level is made
+                    while not s & near[b][y]:
+                        b += 1
+                    close[i] = b
+                    if qq * t - pq * b > top[i]:
+                        top[i] = qq * t - pq * b
+                    if a != comp[i]:
+                        keep.append(i)
+                walk, prev = keep, level
+                low = min(map(close.__getitem__, walk), default=dropped)
+                while dropped < low:
+                    near[dropped] = None
+                    dropped += 1
 
     def first(hit) -> tuple | None:
         i = next((i for i in range(n) if hit(top[i])), None)
@@ -214,7 +243,7 @@ def make_certificate(
 ) -> QuasiIsometryCertificate:
     """Check (gamma, c) for φ.  The witness is the first violation when invalid,
     else the pair (or density vertex) with the least margin before violation."""
-    cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(gamma), Fraction(c), False, None)
+    cert = QuasiIsometryCertificate(source, target, dict(phi), gamma, c, False, None)
     scan = _scan(source, target, cert.phi, cert.gamma, per_component)
     violation = scan.violation(cert.c)
     if violation is not None:
@@ -232,7 +261,7 @@ def tightest_certificate(
     """The valid certificate at the tightest c for ``gamma``: what
     ``make_certificate`` returns at that c, from one scan instead of two.
     None when no finite c works (per-component mode only)."""
-    cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(gamma), 0, True, None)
+    cert = QuasiIsometryCertificate(source, target, dict(phi), gamma, 0, True, None)
     scan = _scan(source, target, cert.phi, cert.gamma, per_component)
     return None if scan.c is None else cert._replace(c=scan.c, worst_witness=scan.worst())
 
@@ -250,10 +279,9 @@ def tightest_constants(
     maps to an infinite target distance or a target vertex cannot reach the
     image (no c can fix either).
     """
-    # tightest_certificate's checks and scan, without its witness: none is returned.
-    cert = QuasiIsometryCertificate(source, target, dict(phi), Fraction(fixed_gamma), 0, True, None)
-    c = _scan(source, target, cert.phi, cert.gamma, per_component).c
-    return None if c is None else (cert.gamma, c)
+    gamma, _ = _constants(fixed_gamma, 0)
+    c = _scan(source, target, phi, gamma, per_component).c  # no witness: none is returned
+    return None if c is None else (gamma, c)
 
 
 def qi_compose(f: QuasiIsometryCertificate, g: QuasiIsometryCertificate) -> QuasiIsometryCertificate:
@@ -277,11 +305,13 @@ def qi_compose(f: QuasiIsometryCertificate, g: QuasiIsometryCertificate) -> Quas
 # ---------------------------------------------------------------------------
 
 
-def parse_fraction(text) -> Fraction:
+def parse_fraction(value) -> Fraction:
+    """``value`` as an exact Fraction: a number, or text such as "3/2".  Anything that is
+    not a finite rational (None, "x", "1/0", inf, nan) raises StructuralError."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructuralError(f"not a rational number: {text!r}") from exc
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise StructuralError(f"not a rational number: {value!r}") from exc
 
 
 def certificate_to_dict(cert: QuasiIsometryCertificate) -> dict:

@@ -930,6 +930,54 @@ def test_h_of_a_one_part_planar_host_shares_the_torsos_adjacency_and_facts(monke
     assert shared == 8 + 5
 
 
+def test_a_one_part_planar_host_is_built_and_certified_with_no_per_vertex_lookup(monkeypatch):
+    """A fresh build_H + verify_output of each planar-scale benchmark host, as
+    it stands and under a seeded renaming, and of each one-part planar corpus
+    instance (the six grid-RxC grids and two Z² balls), calls Graph.own_id and
+    Graph.ball_levels zero times: φ is the host renamed, each image H's own
+    name object at the host vertex's id, and an isomorphism is certified
+    without the level scan.  The other paths keep running: on bridge-4 both
+    level scans, and on grid-k4-4x4-at-1-1 (two parts) one image lookup per
+    host vertex."""
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(Graph, name)
+        return lambda self, arg: counts.update([name]) or real(self, arg)
+
+    for name in ("own_id", "ball_levels"):
+        monkeypatch.setattr(Graph, name, counted(name))
+
+    def fresh_run(b):
+        counts.clear()
+        out = build_H(b)
+        assert verify_output(b, out).passed
+        return out
+
+    rng = random.Random(44)
+    grids = [grid_graph(n, n) for n in (7, 10, 13, 17)]
+    hosts = [(g, frozenset(v for v in g.vertices if g.degree(v) < 4)) for g in grids]
+    hosts += [(b.graph, b.markers) for b in (cayley_ball("integer-lattice-Z2", r) for r in (4, 7, 11))]
+    bundles = []
+    for g, markers in hosts:
+        names = g.sorted_vertices()
+        sigma = dict(zip(names, rng.sample(names, len(names))))
+        for host, marked in ((g, markers), (relabel(g, sigma), frozenset(map(sigma.get, markers)))):
+            bundles.append(InstanceBundle(host, single_node_td(host.vertices), k=2, infinite_markers=marked))
+    instances = {inst.name: inst.bundle for inst in corpus(DEFAULT_SEED)}
+    one_part = [b for name, b in instances.items()
+                if name.startswith(("grid-", "cayley-integer")) and len(b.td.parts) == 1]
+    assert len(one_part) == 8
+    for b in bundles + one_part:
+        out = fresh_run(b)
+        assert not counts
+        assert all(out.phi[v] is x for v, x in zip(b.host.order, out.H.order))
+    fresh_run(instances["bridge-4"])
+    assert counts["ball_levels"] == 2
+    fresh_run(instances["grid-k4-4x4-at-1-1"])
+    assert counts["own_id"] == len(instances["grid-k4-4x4-at-1-1"].host.order)
+
+
 def test_a_fresh_non_planar_h_is_tested_after_a_planar_verdict_was_kept(monkeypatch):
     """Once build_H and verify_output have kept the grid's verdict, an output
     whose H is built afresh on the same names is tested on its own: with a K5

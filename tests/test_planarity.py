@@ -331,3 +331,37 @@ def test_the_testing_pass_reads_the_kept_nesting_order(monkeypatch):
     cases = [(grid_graph(6, 6), True), (complete_graph(5), False), (complete_bipartite_graph(3, 3), False),
              (subdivided_k33(), False)]
     assert [planarity._lr_planar(g) for g, _ in cases] == [planar for _, planar in cases]
+
+
+def _low_rank_graph(rng: random.Random, kind: str, size: int) -> list:
+    """The edges of a graph on ids: a forest, one cycle with pendant trees, disjoint short cycles (one to
+    five, pendant trees on the first), or K₃,₃ with pendant trees; ``size`` ids at most go into the trees."""
+    if kind == "forest":
+        return [(i, rng.randrange(i)) for i in range(1, size) if rng.random() < 0.8]
+    es, n = [], 0
+    if kind == "k33":
+        es, n = [(i, j) for i in range(3) for j in range(3, 6)], 6
+    for _ in range({"unicyclic": 1, "cycles": rng.randint(1, 5)}.get(kind, 0)):
+        length = rng.randint(3, 5)
+        es += [(n + i, n + (i + 1) % length) for i in range(length)]
+        n += length
+    return es + [(n + i, rng.randrange(n + i)) for i in range(size)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["forest", "unicyclic", "cycles", "k33"]), st.integers(0, 30), st.integers(0, 2**32 - 1))
+def test_a_graph_of_circuit_rank_at_most_three_is_planar_without_the_orientation(kind, size, seed):
+    """A forest, one cycle with pendant trees, disjoint short cycles and K₃,₃
+    with pendant trees get networkx's verdict.  With m ≤ n + 2 and circuit rank
+    m − n + (components) ≤ 3 the testing pass answers planar from the counts,
+    building no orientation; three or more disjoint cycles and K₃,₃ (rank 4,
+    m = n + 3) go through the left-right test."""
+    rng = random.Random(seed)
+    es = _low_rank_graph(rng, kind, size)
+    vs = [_label(rng, i) for i in range(1 + max((max(e) for e in es), default=size))]
+    g = Graph.build([(vs[u], vs[v]) for u, v in es], vertices=vs)
+    n, m = len(g.vertices), len(g.edges)
+    counted = m <= n + 2 and m - n + len(g.component_masks) <= 3
+    assert is_planar(g, witness_cap=0).planar == _networkx_verdict(g)
+    assert (g._orientation is None) == counted
+    assert counted or kind in ("cycles", "k33")

@@ -121,11 +121,47 @@ def test_composition_rejects_mismatched_or_invalid_inputs():
 
 
 def test_constant_bounds_enforced():
+    """gamma < 1 and c < 0 are refused with the same texts at every entry point."""
     g = path_graph(2)
-    with pytest.raises(StructuralError):
-        make_certificate(g, g, {0: 0, 1: 1}, Fraction(1, 2), 0)
-    with pytest.raises(StructuralError):
-        make_certificate(g, g, {0: 0, 1: 1}, 1, -1)
+    phi = {0: 0, 1: 1}
+    refused = (
+        (lambda: tightest_constants(g, g, phi, Fraction(1, 2)), "gamma must be ≥ 1"),
+        (lambda: tightest_constants(g, g, phi, "0"), "gamma must be ≥ 1"),
+        (lambda: tightest_certificate(g, g, phi, 0.5), "gamma must be ≥ 1"),
+        (lambda: make_certificate(g, g, phi, "1/2", 0), "gamma must be ≥ 1"),
+        (lambda: make_certificate(g, g, phi, 1, "-1/3"), "c must be ≥ 0"),
+        (lambda: make_certificate(g, g, phi, 1, -1), "c must be ≥ 0"),
+    )
+    for call, text in refused:
+        with pytest.raises(StructuralError, match=f"^{text}$"):
+            call()
+    assert tightest_constants(g, g, phi, "3/2") == (Fraction(3, 2), Fraction(0))
+    assert make_certificate(g, g, phi, 1.5, "1/2").valid
+
+
+@pytest.mark.parametrize("value", ["x", None, "1/0", float("inf"), float("nan"), "1.5.2", [1]])
+def test_a_constant_that_is_not_a_rational_is_refused(value):
+    """Every γ and c goes through parse_fraction: what is not a finite
+    rational raises StructuralError, at each entry point, not the TypeError,
+    ValueError, ZeroDivisionError or OverflowError of Fraction."""
+    g = path_graph(2)
+    phi = {0: 0, 1: 1}
+    cert = QuasiIsometryCertificate(g, g, phi, 1, 0, True, None)
+    calls = (
+        lambda: tightest_constants(g, g, phi, value),
+        lambda: tightest_certificate(g, g, phi, value),
+        lambda: make_certificate(g, g, phi, value, 0),
+        lambda: make_certificate(g, g, phi, 1, value),
+        lambda: QuasiIsometryCertificate(g, g, phi, value, 0, True, None),
+        lambda: QuasiIsometryCertificate(g, g, phi, 1, value, True, None),
+        lambda: cert._replace(gamma=value),
+        lambda: cert._replace(c=value),
+        lambda: parse_fraction(value),
+    )
+    for call in calls:
+        with pytest.raises(StructuralError) as exc:
+            call()
+        assert str(exc.value) == f"not a rational number: {value!r}"
 
 
 def test_certificate_round_trip():
@@ -539,3 +575,100 @@ def test_certificate_is_checked_on_every_construction():
             make()
     with pytest.raises(AttributeError):
         cert.c = Fraction(-1)
+
+
+def _per_vertex_ids(source, target, phi) -> list:
+    """The image ids the way ``_check_map`` reads them when its identity test fails: one lookup per vertex."""
+    img = []
+    for v in source.order:
+        if v not in phi:
+            raise StructuralError(f"phi is not total: missing {v!r}")
+        img.append(target.own_id(phi[v]))
+        if img[-1] is None:
+            raise UnknownVertexError(repr(phi[v]))
+    return img
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (StructuralError, UnknownVertexError, ConnectivityError) as exc:
+        return type(exc), str(exc)
+
+
+def _spoilt_map(rng, kind, src, tgt) -> dict:
+    """A map of ``src`` into ``tgt``: id i to id i where the target is large enough, else at random, then
+    spoilt by ``kind``: an image rebuilt as an equal tuple, True or 1.0 in place of a 1, a missing vertex,
+    a foreign one, or images drawn at random."""
+    n, order = len(src.order), tgt.order
+    phi = {v: order[i] if len(order) >= n else rng.choice(order) for i, v in enumerate(src.order)}
+    if not phi:
+        return phi
+    v = rng.choice(src.order)
+    if kind == "random":
+        phi = {u: rng.choice(order) for u in src.order}
+    elif kind == "rebuilt" and isinstance(phi[v], tuple):
+        phi[v] = tuple(list(phi[v]))  # equal, not the same object
+    elif kind in ("true", "float"):
+        one = True if kind == "true" else 1.0
+        phi[v] = ("t", one) if isinstance(order[0], tuple) else one
+    elif kind == "missing":
+        del phi[v]
+    elif kind == "foreign":
+        phi[v] = ("f", 0) if isinstance(order[0], int) else -1
+    return phi
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 9),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.booleans(),
+    st.sampled_from(["own", "rebuilt", "true", "float", "missing", "foreign", "random"]),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@example(n_src=3, n_tgt=3, p=0.8, tuples=False, kind="true", per_component=False, seed=0)
+def test_the_identity_test_agrees_with_the_per_vertex_path(n_src, n_tgt, p, tuples, kind, per_component, seed):
+    """``_check_map`` returns the per-vertex loop's ids, or raises its error
+    class and message, on maps whose images are the target's own objects,
+    equal but rebuilt tuples, True or 1.0 for a 1, or miss or leave the
+    target; so True for 1 is refused, not taken for the identity.  The
+    tightest constants, the tightest certificate and the certificates at
+    c = 0 and 1 then agree with all-pairs BFS, witnesses included."""
+    rng = random.Random(seed)
+    src_vs, src_es = oracles.random_graph(rng, n_src, p)
+    tgt_vs, tgt_es = oracles.random_graph(rng, n_tgt, p)
+    if tuples:
+        name = {x: ("t", x) for x in tgt_vs}
+        tgt_vs, tgt_es = [name[x] for x in tgt_vs], [(name[x], name[y]) for x, y in tgt_es]
+    src, tgt = Graph.build(src_es, vertices=src_vs), Graph.build(tgt_es, vertices=tgt_vs)
+    phi = _spoilt_map(rng, kind, src, tgt)
+    ids = _outcome(lambda: qi._check_map(src, tgt, phi))
+    assert ids == _outcome(lambda: _per_vertex_ids(src, tgt, phi))
+    for gamma in (Fraction(1), Fraction(3, 2), Fraction(2)):
+        if not isinstance(ids, list):
+            for call in (lambda: tightest_constants(src, tgt, phi, gamma, per_component),
+                         lambda: tightest_certificate(src, tgt, phi, gamma, per_component),
+                         lambda: make_certificate(src, tgt, phi, gamma, 0, per_component)):
+                assert _outcome(call) == ids
+            continue
+        src_adj, tgt_adj = oracles.adjacency(src_es, src_vs), oracles.adjacency(tgt_es, tgt_vs)
+        expected = oracles.qi_oracle(src_adj, tgt_adj, phi, gamma, 0, per_component)
+        if "error" in expected:
+            error = (ConnectivityError, _connectivity_message(expected["error"]))
+            assert _outcome(lambda: tightest_constants(src, tgt, phi, gamma, per_component)) == error
+            assert _outcome(lambda: tightest_certificate(src, tgt, phi, gamma, per_component)) == error
+            continue
+        c = expected["c"]
+        assert tightest_constants(src, tgt, phi, gamma, per_component) == (None if c is None else (gamma, c))
+        tight = tightest_certificate(src, tgt, phi, gamma, per_component)
+        assert (None if tight is None else (tight.c, tight.worst_witness)) == (
+            None if c is None else (c, expected["worst"]))
+        for c in (Fraction(0), Fraction(1)):
+            expected = oracles.qi_oracle(src_adj, tgt_adj, phi, gamma, c, per_component)
+            cert = make_certificate(src, tgt, phi, gamma, c, per_component)
+            violation = expected["violation"]
+            assert (cert.valid, cert.worst_witness) == (violation is None,
+                                                        expected["worst"] if violation is None else violation)
