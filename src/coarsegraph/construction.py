@@ -41,7 +41,6 @@ from .graph import (
     cut_vertices,
     induced_subgraph,
     is_connected,
-    mask_components,
     parse_vertex_token,
     set_key,
     sort_vertices,
@@ -49,7 +48,7 @@ from .graph import (
     vertex_token,
 )
 from . import planarity, qi, treedecomp
-from .separations import _tight_on_masks, fully_attached_components
+from .separations import _has_full_component, _tight_on_masks, fully_attached_components
 from .treedecomp import (
     DEFAULT_TREEWIDTH_CAP,
     TreeCenter,
@@ -204,21 +203,18 @@ def check_classification(host: Graph, td: TreeDecomposition, k: int, classificat
 
 def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, keep: set | None = None) -> TreeDecomposition:
     """The torso's sub-decomposition contracted to its tight edges whose
-    adhesion set is in ``keep`` (any set if None): the supplied one, or else
-    the min-degree elimination tree (with ``keep`` empty, the one node it would
-    contract to, built directly).  A supplied one must be valid, of adhesion
-    ≤ 3 when ``keep`` is given, and tight on every edge, each edge tested once;
-    its adhesion sets alone then decide.
+    adhesion set is in ``keep`` (any set if None).  A supplied one must be
+    valid, of adhesion ≤ 3 when ``keep`` is given, and tight on every edge,
+    each edge tested once.  Else it is the min-degree elimination tree, each
+    edge decided by ``_elimination_edge_tight``; with ``keep`` empty, the one
+    node it would contract to is built directly.
 
     Tree node i is ``nodes[i]``, in key order, with its edge to ``parent[i]``
-    (-1 at the root) and its part as the ``torso_graph`` id mask
-    ``part[i]``.  Edge i has the adhesion part[i] & part[parent[i]] and the
-    sides below[i], the parts of i's subtree, and the rest with the adhesion.
-    Contracting other edges changes neither, so one pass decides all.  On a
-    connected torso, each edge of the min-degree tree is decided by
-    ``_elimination_edge_tight``; on any other torso, by ``_tight_on_masks``.
-    Each class of contracted nodes is named by its least node, and its part is
-    made once."""
+    (-1 at the root) and its part as the ``torso_graph`` id mask ``part[i]``.
+    Edge i has the adhesion part[i] & part[parent[i]] and the sides below[i],
+    the parts of i's subtree, and the rest with the adhesion.  Contracting
+    other edges changes neither, so one pass decides all.  Each class of
+    contracted nodes is named by its least node, and its part is made once."""
     if provided is None:
         if keep is not None and not keep:
             return TreeDecomposition(Graph.build((), [0]), {0: torso_graph.vertices})
@@ -243,7 +239,6 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
             if not _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion):
                 raise ContractViolationError(f"sub-decomposition edge {(a, b)!r} has a non-tight separation")
     wanted = None if keep is None else {torso_graph.bits(s) for s in keep if s <= torso_graph.vertices}
-    connected = provided is None and len(torso_graph.component_masks) <= 1
     top = list(range(len(parent)))  # the node of i's class nearest the root
     kept = []
     for i in preorder:
@@ -251,9 +246,8 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
         if p < 0:
             continue
         adhesion = part[i] & part[p]
-        if (wanted is None or adhesion in wanted) and (provided is not None or (
-                _elimination_edge_tight(torso_graph.masks, full & ~below[i], adhesion) if connected
-                else _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion))):
+        if (wanted is None or adhesion in wanted) and (
+                provided is not None or _elimination_edge_tight(torso_graph.masks, full & ~below[i], adhesion)):
             kept.append(i)
         else:
             top[i] = top[p]
@@ -270,16 +264,16 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
 
 
 def _elimination_edge_tight(masks: list[int], far: int, s: int) -> bool:
-    """Whether the edge above node i of a connected graph's min-degree elimination
-    tree is tight, from its adhesion S = ``s`` and the ids ``far`` strictly beyond it.
-    Let T[x] be the ids eliminated in i's subtree.  S is N(T[x]) by the path lemma
-    (Rose–Tarjan–Lueker, 1976), and T[x] is connected (Liu, 1990), so the near side
-    is always tight.  No component of G − T[x] − S touches T[x], so each has a
-    non-empty neighbourhood inside S: with |S| ≤ 1 the far side is tight iff it is
-    non-empty, else iff a far component next to S's least id has N(C) = S."""
-    if s.bit_count() <= 1:
-        return far != 0
-    return any(nbhd == s for _, nbhd in mask_components(masks, far, masks[(s & -s).bit_length() - 1]))
+    """Whether the edge above node i of a graph's min-degree elimination tree
+    is tight, from its adhesion S = ``s`` and the ids ``far`` strictly beyond
+    it.  An edge that links the trees of two components has S empty and both
+    sides non-empty, so it is tight.  On any other edge, let T[x] be the ids of
+    i's component eliminated in i's subtree: S is N(T[x]) by the path lemma
+    (Rose–Tarjan–Lueker, 1976) and T[x] is connected (Liu, 1990), so the near
+    side is tight, whatever other components' trees hang below i.  The far side
+    is tight iff it has a component with N(C) = S; with |S| = 1, iff ``far``
+    meets N(s)."""
+    return _has_full_component(masks, far, s)
 
 
 class PlanarRefinement(NamedTuple):
@@ -472,26 +466,18 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
                     own.setdefault(v, hub[S])
 
     order = pl + tw + list(hub.values()) + xt
-    one = copies[0][1] if len(copies) == 1 and len(order) == len(pl) else None
-    if one is not None:  # H is one planar copy, glued to nothing: that graph renamed
-        H = one._renamed(order)
+    # H is the host renamed, φ(v) the name at v's id, if H is the host as its one planar copy and nothing else
+    if copies and copies[0][1] is host and len(order) == len(host.order):
+        H = host._renamed(order)
+        phi = dict(zip(host.order, order))
     else:
         pos = {x: i for i, x in enumerate(order)}
         pairs = [(base + i, base + j) for base, g in copies for i, js in enumerate(g.nbrs) for j in js if j > i]
         H = Graph._on_ids(order, pairs + [(pos[a], pos[b]) for a, b in edges])
-
-    # φ: first surviving planar copy > adhesion hub > image in its own part
-    if one is host:  # the copy is the host: each vertex's image is its name in H, at the same id
-        phi = dict(zip(host.order, order))
-    else:
+        # φ: first surviving planar copy > adhesion hub > image in its own part.  By (T1) and the torso
+        # classes every host vertex has one; verify_output refuses an image that is not a vertex of H.
         copy_of = {x[3]: x for x in reversed(pl)}
         phi = {v: copy_of.get(v) or hub_of.get(v) or own.get(v) for v in host.order}
-        if not all(phi.values()) or not H.vertices.issuperset(phi.values()):
-            for v, x in phi.items():  # construction bug guards, raised at the key-least vertex
-                if x is None:
-                    raise StructuralError(f"no image for planar-torso vertex {v!r}")
-                if x not in H.vertices:
-                    raise StructuralError(f"phi({v!r}) is not a vertex of H")
 
     return ConstructionOutput(
         H=H,

@@ -61,6 +61,15 @@ def _same_types(u, w) -> bool:
     return t is type(w) and (t is str or t is int or not isinstance(u, tuple) or all(map(_same_types, u, w)))
 
 
+def _entry(v, equal: list | None) -> list:
+    """Graph.build's entry [v, key] for a new vertex v.  Beside ``equal``, the entry of a vertex equal to v but of
+    other types (an int and an IntEnum member), v is refused, but only once keyed: True and 1.0 are no vertices."""
+    key = vertex_key(v)
+    if equal is not None:
+        raise GraphToolError(f"vertices {equal[0]!r} and {v!r} are equal but of different types")
+    return [v, key]
+
+
 def canonical_edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
     """The pair (u, v) with endpoints in canonical order."""
     if vertex_key(u) <= vertex_key(v):
@@ -93,7 +102,7 @@ class Graph:
     @classmethod
     def build(cls, edges: Iterable[tuple[Vertex, Vertex]] = (), vertices: Iterable[Vertex] = ()) -> "Graph":
         # Each distinct vertex is keyed once, in an entry [vertex, key] whose key becomes its id. An equal
-        # vertex shares the entry only if its types match throughout: True and 1.0 equal 1 but are no vertices.
+        # vertex shares the entry only if its types match throughout; else it is refused (``_entry``).
         keyed: dict = {}
         get = keyed.get
         es = []
@@ -106,9 +115,9 @@ class Graph:
                 vertex_key(u), vertex_key(v)
                 raise
             if a is None or a[0] is not u and not _same_types(u, a[0]):
-                a = keyed[u] = [u, vertex_key(u)]
+                a = keyed[u] = _entry(u, a)
             if b is None or b[0] is not v and not _same_types(v, b[0]):
-                b = keyed[v] = [v, vertex_key(v)]
+                b = keyed[v] = _entry(v, b)
             es.append((a, b))
         for v in vertices:
             try:
@@ -117,7 +126,7 @@ class Graph:
                 vertex_key(v)
                 raise
             if e is None or e[0] is not v and not _same_types(v, e[0]):
-                keyed[v] = [v, vertex_key(v)]
+                keyed[v] = _entry(v, e)
         order = sorted(keyed.values(), key=itemgetter(1))
         for i, e in enumerate(order):
             e[1] = i

@@ -73,16 +73,18 @@ def is_tight(g: Graph, sep: Separation) -> bool:
 
 
 def _tight_on_masks(g: Graph, a: int, b: int) -> bool:
-    """:func:`is_tight` for the separation whose sides are the ``g`` id
-    masks a and b, taken to be a separation unchecked.  A component of G − S
-    lies wholly on one strict side, so each side's components are grown apart.
-    One with N(C) = S holds a neighbour of S's least id, so only those are
-    grown, up to the first that qualifies; with S empty, any component does."""
+    """:func:`is_tight` for the ``g`` id masks a and b of a separation, unchecked."""
     s = a & b
-    if not s:
-        return a != 0 and b != 0
-    near = g.masks[(s & -s).bit_length() - 1]
-    return all(any(nbhd == s for _, nbhd in mask_components(g.masks, side & ~s, near)) for side in (a, b))
+    return all(_has_full_component(g.masks, side & ~s, s) for side in (a, b))
+
+
+def _has_full_component(masks: list[int], side: int, s: int) -> bool:
+    """Whether G − S has a component C ⊆ ``side`` (a union of components of G − S) with N(C) = S = ``s``.
+    Such a C holds a neighbour of S's least id: with |S| = 1 there is one iff ``side`` meets N(S), with S
+    empty iff ``side`` is not empty, else the components next to that id are grown up to the first that is."""
+    if not s & (s - 1):
+        return side & masks[s.bit_length() - 1] != 0 if s else side != 0
+    return any(nbhd == s for _, nbhd in mask_components(masks, side, masks[(s & -s).bit_length() - 1]))
 
 
 def enumerate_tight(g: Graph, k: int) -> list[Separation]:

@@ -555,6 +555,36 @@ def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypat
     assert verify_output(b, out).passed
 
 
+def test_a_planar_part_holding_the_whole_host_beside_another_part_is_glued_not_renamed():
+    """The torso of a part holding every host vertex, with a one-vertex
+    adhesion set, is the host itself, kept whole by the refinement; H is still
+    that copy glued to the hub of the adhesion set and to the finite point."""
+    grid = grid_graph(4, 4)
+    td = TreeDecomposition(Graph.build([("a", "b")]), {"a": grid.vertices, "b": frozenset({"0,0"})})
+    out = build_H(InstanceBundle(grid, td, k=2))
+    assert out.evidence.classification == {"a": PLANAR, "b": FINITE}
+    assert out.evidence.refinements["a"].kept[0] is grid
+    assert len(out.H.vertices) == 18
+    assert sorted(e for e in out.H.edges if any(x[0] != "pl" for x in e)) == [
+        (("pl", "a", 0, "0,0"), ("xS", "0,0")), (("xS", "0,0"), ("xt", "b"))]
+    assert out.phi["0,0"] == ("pl", "a", 0, "0,0")
+
+
+@pytest.mark.parametrize("name", ["bridge-4", "clique-tree-00", "grid-4x4"])
+def test_a_forged_phi_image_never_passes_verify_output(name):
+    """build_H checks no image of φ; verify_output refuses one that is None or
+    not a vertex of H, on multi-part hosts and on a one-part planar host."""
+    from coarsegraph.errors import UnknownVertexError
+
+    inst = next(i for i in corpus(DEFAULT_SEED) if i.name == name)
+    out = build_H(inst.bundle)
+    v = inst.bundle.host.order[0]
+    for image in (None, ("pl", "no-part", 0, v)):
+        with pytest.raises(UnknownVertexError) as exc:
+            verify_output(inst.bundle, out._replace(phi={**out.phi, v: image}))
+        assert exc.value.args == (repr(image),)
+
+
 def test_grid_path_build_skips_the_min_degree_decomposition(monkeypatch):
     """Each grid of a grid path has a size-3 outer set S, the face triple at a
     corner, but only one component of its torso − S is fully attached to S: the
@@ -1279,12 +1309,14 @@ def test_tight_contraction_on_masks_matches_its_definition(n, p, keep_kind, seed
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 13), st.sampled_from([0.1, 0.25, 0.45, 0.7]), st.integers(0, 10_000))
+@given(st.integers(1, 13), st.sampled_from([0.05, 0.1, 0.25, 0.45, 0.7]), st.integers(0, 10_000))
+@example(4, 0.25, 2)  # edges 0-3 and 1-2: the far side of the edge at S = {3} is the other edge alone
 def test_elimination_edge_rule_matches_tightness_by_definition(n, p, seed):
-    """On a connected graph, ``_elimination_edge_tight`` decides each edge of the
-    min-degree elimination tree as the raw definition does: the sides are the
-    parts below the edge, and the rest with the adhesion set."""
-    vs, es = oracles.random_connected_graph(random.Random(seed), n, p)
+    """On any graph, connected or with several components and isolated
+    vertices, ``_elimination_edge_tight`` decides each edge of the min-degree
+    elimination tree as the raw definition does: the sides are the parts below
+    the edge, and the rest with the adhesion set."""
+    vs, es = oracles.random_graph(random.Random(seed), n, p)
     g = Graph.build(es, vertices=vs)
     adj = oracles.adjacency(es, vs)
     parent, part = treedecomp._elimination_tree(g)

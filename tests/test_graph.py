@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -82,6 +83,28 @@ def test_build_refuses_an_isolated_non_vertex(alias):
     for edges, vertices in cases:
         with pytest.raises(GraphToolError):
             Graph.build(edges, vertices=vertices)
+
+
+class _One(IntEnum):
+    A = 1
+
+
+@pytest.mark.parametrize("edges, vertices, first, second", [
+    ([(1, 2), (_One.A, 3)], [], 1, _One.A),
+    ([(_One.A, 3), (1, 2)], [], _One.A, 1),
+    ([(1, 2)], [_One.A], 1, _One.A),
+    ([(_One.A, 2)], [1], _One.A, 1),
+    ([], [1, _One.A], 1, _One.A),
+    ([((1, "a"), 2), ((_One.A, "a"), 3)], [], (1, "a"), (_One.A, "a")),
+    ([], [(_One.A, "a"), (1, "a")], (_One.A, "a"), (1, "a")),
+], ids=["edge", "edge-reversed", "isolated", "isolated-endpoint", "isolated-only", "tuple", "tuple-isolated"])
+def test_build_refuses_equal_vertices_of_different_types(edges, vertices, first, second):
+    """An int-subclass vertex is a vertex, but one equal to an int vertex is
+    refused beside it, naming both, in either order and inside a tuple."""
+    with pytest.raises(GraphToolError) as exc:
+        Graph.build(edges, vertices=vertices)
+    assert str(exc.value) == f"vertices {first!r} and {second!r} are equal but of different types"
+    assert Graph.build([(_One.A, 2)]).order == [_One.A, 2]
 
 
 @pytest.mark.parametrize("make, culprit", [
