@@ -100,15 +100,17 @@ def validate_bundle(bundle: InstanceBundle) -> None:
         raise UnknownVertexError(repr(sort_vertices(unknown)[0]))
     for t in bundle.sub_tds:
         bundle.td.part(t)  # raises for a sub-decomposition of no tree node
-    # H's names nest one level deeper than the host vertices and tree nodes they hold.
-    sub_nodes = (sub.tree.vertices for sub in bundle.sub_tds.values())
-    for v in chain(bundle.host.vertices, bundle.td.tree.vertices, *sub_nodes):
-        if isinstance(v, tuple):
-            try:
-                _key(v, MAX_VERTEX_DEPTH - 1)
-            except GraphToolError:
-                raise ContractViolationError(f"a host vertex or tree node nests {MAX_VERTEX_DEPTH} deep; "
-                                             "its name in H would nest too deep to read back") from None
+    # H's names nest one level deeper than the host vertices and tree nodes they hold.  Only a
+    # tuple nests, so the names are keyed only if one of their types is a tuple type.
+    names = (bundle.host.vertices, bundle.td.tree.vertices, *(sub.tree.vertices for sub in bundle.sub_tds.values()))
+    if any(issubclass(t, tuple) for t in set(map(type, chain(*names)))):
+        for v in chain(*names):
+            if isinstance(v, tuple):
+                try:
+                    _key(v, MAX_VERTEX_DEPTH - 1)
+                except GraphToolError:
+                    raise ContractViolationError(f"a host vertex or tree node nests {MAX_VERTEX_DEPTH} deep; "
+                                                 "its name in H would nest too deep to read back") from None
 
 
 # ---------------------------------------------------------------------------

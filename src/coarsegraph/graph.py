@@ -427,48 +427,52 @@ def dfs_orientation(nbrs: list) -> tuple:
     parent = [-1] * n
     dst, lowpt, lowpt2 = [], [], []
     out: list = [[] for _ in range(n)]
-    nxt = [0] * n
     for r in range(n):
         if height[r] >= 0:
             continue
-        height[r] = 0
-        stack = [r]
-        while stack:
-            v = stack[-1]
-            i = nxt[v]
-            if i < len(nbrs[v]):
-                nxt[v] = i + 1
-                w = nbrs[v][i]
-                h, hv = height[w], height[v]
-                if h >= 0 and h >= hv - 1:  # w is v's parent or a descendant: oriented from w's side
-                    continue
-                ei = len(dst)  # edges are numbered as they are oriented
-                dst.append(w)
-                out[v].append(ei)
-                lowpt2.append(hv)
+        height[r] = hv = 0  # hv: the height of v, the vertex on top of the stack
+        v, it, stack = r, iter(nbrs[r]), []
+        while True:
+            for w in it:
+                h = height[w]
                 if h < 0:  # a tree edge, finished when w is
+                    parent[w] = len(dst)
+                    out[v].append(len(dst))  # edges are numbered as they are oriented
+                    dst.append(w)
                     lowpt.append(hv)
-                    parent[w] = ei
-                    height[w] = hv + 1
-                    stack.append(w)
-                    continue
-                lowpt.append(h)  # a back edge to an ancestor
-            else:
-                stack.pop()
+                    lowpt2.append(hv)
+                    stack.append((v, it))
+                    hv = height[w] = hv + 1
+                    v, it = w, iter(nbrs[w])
+                    break
+                if h < hv - 1:  # a back edge to an ancestor: lowpoints (h, hv), folded into v's parent edge now
+                    out[v].append(len(dst))
+                    dst.append(w)
+                    lowpt.append(h)
+                    lowpt2.append(hv)
+                    e = parent[v]
+                    low = lowpt[e]  # at most hv - 1, as is lowpt2[e]
+                    if h < low:
+                        lowpt2[e] = low
+                        lowpt[e] = h
+                    elif low < h < lowpt2[e]:
+                        lowpt2[e] = h
+                # else w is v's parent or a descendant: oriented from w's side
+            else:  # v is finished: fold its parent edge's lowpoints into its parent's
+                if not stack:
+                    break
                 ei = parent[v]
-                if ei < 0:
-                    continue
-                v = stack[-1]
-            # ei leaves v and is finished: fold its lowpoints into v's parent edge.
-            e = parent[v]
-            if e >= 0:
-                if lowpt[ei] < lowpt[e]:
-                    lowpt2[e] = min(lowpt[e], lowpt2[ei])
-                    lowpt[e] = lowpt[ei]
-                elif lowpt[ei] > lowpt[e]:
-                    lowpt2[e] = min(lowpt2[e], lowpt[ei])
-                else:
-                    lowpt2[e] = min(lowpt2[e], lowpt2[ei])
+                v, it = stack.pop()
+                hv -= 1
+                e = parent[v]
+                if e >= 0:
+                    if lowpt[ei] < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[ei])
+                        lowpt[e] = lowpt[ei]
+                    elif lowpt[ei] > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], lowpt[ei])
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[ei])
     depth = [0] * len(dst)  # each edge's nesting depth
     key = depth.__getitem__
     for hv, es in zip(height, out):

@@ -307,8 +307,10 @@ def qi_compose(f: QuasiIsometryCertificate, g: QuasiIsometryCertificate) -> Quas
 
 def parse_fraction(value) -> Fraction:
     """``value`` as an exact Fraction: a number, or text such as "3/2".  Anything that is
-    not a finite rational (None, "x", "1/0", inf, nan) raises StructuralError."""
+    not a finite rational (None, True, "x", "1/0", inf, nan) raises StructuralError."""
     try:
+        if isinstance(value, bool):  # Fraction reads it as 0 or 1, but here it is a flag passed for a constant
+            raise TypeError
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise StructuralError(f"not a rational number: {value!r}") from exc

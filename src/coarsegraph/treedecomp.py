@@ -89,7 +89,9 @@ def validate(host: Graph, td: TreeDecomposition) -> TDReport:
         return TDReport(False, "T1", v, f"part vertex {vertex_token(v)} is not a graph vertex")
     for v in sort_vertices(host.vertices - covered):
         return TDReport(False, "T1", v, f"graph vertex {vertex_token(v)} lies in no part")
-    masks, parts = host.masks, [host.bits(td.parts[node]) for node in td.tree.order]
+    # By T1 every part lies in V, so a part of |V| vertices is V: its mask needs no lookup.
+    masks, n = host.masks, len(host.order)
+    parts = [(1 << n) - 1 if len(p) == n else host.bits(p) for p in map(td.parts.__getitem__, td.tree.order)]
     seen = shared = 0  # the ids in some part, in two or more
     for p in parts:
         shared |= seen & p
@@ -232,15 +234,22 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
         buckets[d] ^= low
         nbrs = adj[low.bit_length() - 1]
         out.append((low.bit_length() - 1, nbrs | low))
-        for a in bit_ids(nbrs):
-            adj[a] = (adj[a] | nbrs) & ~(1 << a | low) if fill else adj[a] ^ low
-            if deg[a] <= top:
-                buckets[deg[a]] ^= 1 << a
-            deg[a] = adj[a].bit_count()
-            if deg[a] <= top:
-                buckets[deg[a]] |= 1 << a
+        rest = nbrs
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            a = bit.bit_length() - 1
+            adj[a] = (adj[a] | nbrs) & ~(bit | low) if fill else adj[a] ^ low
+            old, new = deg[a], adj[a].bit_count()
+            if old != new:
+                deg[a] = new
+                if old <= top:
+                    buckets[old] ^= bit
+                if new <= top:
+                    buckets[new] |= bit
         # A neighbour loses only the eliminated vertex, so no degree falls below d - 1.
-        d = max(d - 1, 0)
+        if d:
+            d -= 1
     out = tuple(out)
     if fill:
         g._elimination = out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 from contextlib import contextmanager
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from coarsegraph.construction import BOUNDED_TW, PLANAR, TORSO_KINDS, InstanceBundle, build_H
 from coarsegraph.corpus import relabel_bundle
+from coarsegraph.generators import cayley_ball, grid_graph
 from coarsegraph.graph import Graph, components, relabel, sort_vertices
 from coarsegraph.treedecomp import TreeDecomposition, heuristic_td, torso
 
@@ -35,6 +37,20 @@ def nested(depth: int, leaf="a"):
     for _ in range(depth):
         leaf = (leaf,)
     return leaf
+
+
+def kernel_graphs(seed: int, count: int) -> list:
+    """Graphs for comparing a kernel with its reference: ``count`` seeded random
+    graphs of 0-25 vertices at densities from near-empty (several components,
+    isolated vertices) to near-complete, then the planar-scale benchmark's
+    one-part hosts, the 7x7 to 17x17 grids and the Z2 balls of radius 4, 7 and 11."""
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(count):
+        vs, es = oracles.random_graph(rng, i % 26, rng.choice([0.02, 0.08, 0.15, 0.3, 0.5, 0.8]))
+        graphs.append(Graph.build(es, vertices=vs))
+    graphs += [grid_graph(n, n) for n in (7, 10, 13, 17)]
+    return graphs + [cayley_ball("integer-lattice-Z2", r).graph for r in (4, 7, 11)]
 
 
 def rename_quotient_vertex(v: tuple, sigma: dict, tau: dict) -> tuple:

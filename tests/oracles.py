@@ -282,6 +282,108 @@ def min_degree_elimination(adj):
     return bags
 
 
+def reference_dfs_orientation(nbrs):
+    """``graph.dfs_orientation`` as it stood before its neighbours were driven
+    by iterators: the same DFS with a cursor per vertex, reading each step's
+    heights from the lists and folding every edge's lowpoints into its tail's
+    parent edge by the general rule once the edge is finished.  Kept verbatim
+    as the reference the faster kernel must equal, 6-tuple for 6-tuple."""
+    n = len(nbrs)
+    height = [-1] * n
+    parent = [-1] * n
+    dst, lowpt, lowpt2 = [], [], []
+    out = [[] for _ in range(n)]
+    nxt = [0] * n
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i < len(nbrs[v]):
+                nxt[v] = i + 1
+                w = nbrs[v][i]
+                h, hv = height[w], height[v]
+                if h >= 0 and h >= hv - 1:  # w is v's parent or a descendant: oriented from w's side
+                    continue
+                ei = len(dst)  # edges are numbered as they are oriented
+                dst.append(w)
+                out[v].append(ei)
+                lowpt2.append(hv)
+                if h < 0:  # a tree edge, finished when w is
+                    lowpt.append(hv)
+                    parent[w] = ei
+                    height[w] = hv + 1
+                    stack.append(w)
+                    continue
+                lowpt.append(h)  # a back edge to an ancestor
+            else:
+                stack.pop()
+                ei = parent[v]
+                if ei < 0:
+                    continue
+                v = stack[-1]
+            # ei leaves v and is finished: fold its lowpoints into v's parent edge.
+            e = parent[v]
+            if e >= 0:
+                if lowpt[ei] < lowpt[e]:
+                    lowpt2[e] = min(lowpt[e], lowpt2[ei])
+                    lowpt[e] = lowpt[ei]
+                elif lowpt[ei] > lowpt[e]:
+                    lowpt2[e] = min(lowpt2[e], lowpt[ei])
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[ei])
+    depth = [0] * len(dst)  # each edge's nesting depth
+    key = depth.__getitem__
+    for hv, es in zip(height, out):
+        for e in es:
+            depth[e] = 2 * lowpt[e] + (lowpt2[e] < hv)
+        es.sort(key=key)
+    return height, parent, dst, out, lowpt, lowpt2
+
+
+def _set_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def reference_min_degree_elimination(masks, max_degree=None, fill=True):
+    """``treedecomp.min_degree_elimination`` on the neighbour masks of a graph
+    with nothing kept, as it stood before its neighbour walk was inlined: each
+    step lists the eliminated vertex's neighbours, re-buckets every one of them
+    whether or not its degree moved, and steps the least degree down by
+    ``max``.  Kept as the reference the faster kernel must equal, bag for bag,
+    for every ``max_degree`` and ``fill``."""
+    adj = list(masks)
+    deg = [m.bit_count() for m in adj]
+    top = len(adj) - 1 if max_degree is None else min(max_degree, len(adj) - 1)
+    buckets = [0] * (top + 1) + [-1]  # degree -> mask of the live ids of that degree
+    for v in range(len(deg)):
+        if deg[v] <= top:
+            buckets[deg[v]] |= 1 << v
+    out = []
+    d = 0
+    for _ in adj:
+        while not buckets[d]:
+            d += 1
+        if d > top:
+            return None
+        low = buckets[d] & -buckets[d]
+        buckets[d] ^= low
+        nbrs = adj[low.bit_length() - 1]
+        out.append((low.bit_length() - 1, nbrs | low))
+        for a in _set_bits(nbrs):
+            adj[a] = (adj[a] | nbrs) & ~(1 << a | low) if fill else adj[a] ^ low
+            if deg[a] <= top:
+                buckets[deg[a]] ^= 1 << a
+            deg[a] = adj[a].bit_count()
+            if deg[a] <= top:
+                buckets[deg[a]] |= 1 << a
+        d = max(d - 1, 0)
+    return tuple(out)
+
+
 def orientation_problems(nbrs, orientation):
     """What is wrong with a DFS orientation of the graph whose vertex v
     (0..n-1) has the neighbours ``nbrs[v]``, as a list of messages; empty when

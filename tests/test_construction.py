@@ -63,6 +63,7 @@ from coarsegraph.treedecomp import (
 )
 
 from types import SimpleNamespace
+from typing import NamedTuple
 from fractions import Fraction
 
 import oracles
@@ -1076,6 +1077,37 @@ def test_host_vertices_up_to_the_read_bound_render_in_h(tmp_path, capsys):
                     "--out", str(tmp_path / "out.json")]
             assert main(argv) == 2
             assert "nests 100 deep" in capsys.readouterr().err
+
+
+class _Deep(NamedTuple):
+    inner: object
+
+
+def test_validate_bundle_refuses_a_deep_name_whatever_the_other_names_are():
+    """The depth check keys only the tuple names, found from the set of all
+    names' types: each name below, nested MAX_VERTEX_DEPTH deep, is refused
+    on a host whose other vertices and nodes are all strings.  A check that
+    keyed only when ``tuple`` itself is among the types misses the NamedTuple
+    host vertex; one that read only the host vertices misses the tree node and
+    the sub-decomposition node."""
+    host = grid_graph(3, 3)
+    deep = nested(MAX_VERTEX_DEPTH, "d")
+
+    def renamed(v):  # host with its key-least vertex renamed v, as one part
+        g = relabel(host, {host.sorted_vertices()[0]: v})
+        return g, single_node_td(g.vertices)
+
+    bundles = {
+        "a tuple host vertex": InstanceBundle(*renamed(deep), 1),
+        "a tuple tree node": InstanceBundle(host, single_node_td(host.vertices, deep), 1),
+        "a sub-decomposition node": InstanceBundle(host, single_node_td(host.vertices), 1,
+                                                   sub_tds={"t": single_node_td(host.vertices, deep)}),
+        "a NamedTuple host vertex": InstanceBundle(*renamed(_Deep(nested(MAX_VERTEX_DEPTH - 1, "d"))), 1),
+    }
+    for name, bundle in bundles.items():
+        with pytest.raises(ContractViolationError, match="nests 100 deep"):
+            validate_bundle(bundle)
+            pytest.fail(f"{name} was accepted")
 
 
 def build_outcome(bundle: InstanceBundle) -> str:

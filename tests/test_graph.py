@@ -40,7 +40,7 @@ from coarsegraph.graph import (
 from coarsegraph.treedecomp import TreeDecomposition, torso
 
 import oracles
-from helpers import int_digit_limit, nested
+from helpers import int_digit_limit, kernel_graphs, nested
 
 
 def test_vertex_key_orders_mixed_types():
@@ -597,6 +597,16 @@ def test_dfs_orientation_agrees_with_the_oracle(data):
     edges = data.draw(st.permutations(pairs))[:data.draw(st.integers(0, len(pairs)))]
     nbrs = Graph.build(edges, vertices=range(n)).nbrs
     assert oracles.orientation_problems(nbrs, dfs_orientation(nbrs)) == []
+
+
+def test_dfs_orientation_equals_the_reference_kernel():
+    """The iterator-driven DFS, which folds a back edge's lowpoints (its head's
+    height, then its tail's) into its tail's parent edge as soon as it is
+    oriented, returns the reference's 6-tuple exactly: on 2,600 seeded graphs
+    of 0-25 vertices, disconnected ones and isolated vertices among them, and
+    on the planar-scale grids and Z2 balls."""
+    for g in kernel_graphs(46, 2600):
+        assert dfs_orientation(g.nbrs) == oracles.reference_dfs_orientation(g.nbrs), g.sorted_edges()
 
 
 @settings(max_examples=200, deadline=None)

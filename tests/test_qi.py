@@ -139,7 +139,7 @@ def test_constant_bounds_enforced():
     assert make_certificate(g, g, phi, 1.5, "1/2").valid
 
 
-@pytest.mark.parametrize("value", ["x", None, "1/0", float("inf"), float("nan"), "1.5.2", [1]])
+@pytest.mark.parametrize("value", ["x", None, "1/0", float("inf"), float("nan"), "1.5.2", [1], True, False])
 def test_a_constant_that_is_not_a_rational_is_refused(value):
     """Every γ and c goes through parse_fraction: what is not a finite
     rational raises StructuralError, at each entry point, not the TypeError,

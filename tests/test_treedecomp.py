@@ -33,6 +33,7 @@ from coarsegraph.treedecomp import (
 )
 
 import oracles
+from helpers import kernel_graphs
 
 
 def petersen() -> Graph:
@@ -80,6 +81,33 @@ def test_validate_reports_each_axiom():
     )
     rep = validate(host, split)
     assert not rep.ok and rep.axiom == "T3"
+
+
+def test_validate_reads_a_whole_host_part_as_the_full_mask():
+    """A part of |V| vertices lies in V once T1 holds, so validate gives it the
+    full mask without looking its vertices up; the reports are those read
+    before that shortcut.  A part equal to V holds every edge, so the T2 fault
+    drops a vertex from it, and the tree is connected, so the T3 fault adds a
+    third node."""
+    host = cycle_graph(6)
+    V = host.vertices
+
+    def td(parts, edges=(("a", "b"),)):
+        return TreeDecomposition(Graph.build(edges, vertices=parts), {t: frozenset(p) for t, p in parts.items()})
+
+    valid = (True, None, None, "valid tree-decomposition")
+    stranger = (False, "T1", "x", "part vertex x is not a graph vertex")
+    cases = [
+        (td({"a": V}, ()), valid),
+        (td({"a": V - {3} | {"x"}}, ()), stranger),  # |V| vertices, one of them no host vertex
+        (td({"a": V, "b": {0, 1}}), valid),
+        (td({"a": V, "b": {0, "x"}}), stranger),
+        (td({"a": V - {3}, "b": {0, 3}}), (False, "T2", (2, 3), "edge 2-3 lies in no part")),
+        (td({"a": V, "b": {1, 2}, "c": {0, 1}}, (("a", "b"), ("b", "c"))),
+         (False, "T3", 0, "nodes containing 0 are not connected in the tree")),
+    ]
+    for decomposition, report in cases:
+        assert tuple(validate(host, decomposition)) == report, decomposition.parts
 
 
 @settings(max_examples=300, deadline=None)
@@ -336,6 +364,20 @@ def test_heuristic_td_parts_are_the_oracle_elimination_bags():
         td = heuristic_td(g)
         parts = [td.parts[i] for i in range(len(td.parts))]
         assert parts == bags, g.sorted_edges()
+
+
+def test_min_degree_elimination_equals_the_reference_kernel():
+    """The elimination that walks each neighbour's bit inline and re-buckets a
+    neighbour only when its degree moved returns the reference's bags, or its
+    None, for every ``max_degree`` in {None, 0, 1, 2, 3} with ``fill`` on and
+    off: on 1,300 seeded graphs of 0-25 vertices and on the planar-scale grids
+    and Z2 balls, each run on a fresh copy that keeps no elimination."""
+    for g in kernel_graphs(47, 1300):
+        for max_degree in (None, 0, 1, 2, 3):
+            for fill in (True, False):
+                run = min_degree_elimination(Graph.build(g.edges, vertices=g.vertices), max_degree, fill)
+                expected = oracles.reference_min_degree_elimination(g.masks, max_degree, fill)
+                assert run == expected, (max_degree, fill, g.sorted_edges())
 
 
 def test_heuristic_width_upper_bounds_exact():
