@@ -36,7 +36,6 @@ from .errors import (
 from .graph import (
     MAX_VERTEX_DEPTH,
     Graph,
-    _key,
     bit_ids,
     cut_vertices,
     induced_subgraph,
@@ -45,19 +44,17 @@ from .graph import (
     set_key,
     sort_vertices,
     vertex_from_json,
+    vertex_key,
     vertex_token,
 )
 from . import planarity, qi, treedecomp
-from .separations import _has_full_component, _tight_on_masks, fully_attached_components
+from .separations import fully_attached_components
 from .treedecomp import (
     DEFAULT_TREEWIDTH_CAP,
     TreeCenter,
     TreeDecomposition,
     adhesion_sets,
     clique_subtree,
-    _elimination_tree,
-    _subtree_unions,
-    _tree_parents,
     exact_treewidth,
     min_degree_elimination,
     torso,
@@ -93,6 +90,9 @@ def validate_bundle(bundle: InstanceBundle) -> None:
     adh = treedecomp.adhesion(bundle.td)
     if adh > 3:
         raise ContractViolationError(f"adhesion {adh} exceeds 3")
+    for name in ("k", "finite_threshold"):
+        if isinstance(getattr(bundle, name), bool):  # a bool is an int, but no count
+            raise ContractViolationError(f"{name} must be an integer, not a boolean")
     if bundle.k < 0:
         raise ContractViolationError("k must be non-negative")
     unknown = [v for v in bundle.infinite_markers if v not in bundle.host.vertices]
@@ -107,7 +107,7 @@ def validate_bundle(bundle: InstanceBundle) -> None:
         for v in chain(*names):
             if isinstance(v, tuple):
                 try:
-                    _key(v, MAX_VERTEX_DEPTH - 1)
+                    vertex_key(v, MAX_VERTEX_DEPTH - 1)
                 except GraphToolError:
                     raise ContractViolationError(f"a host vertex or tree node nests {MAX_VERTEX_DEPTH} deep; "
                                                  "its name in H would nest too deep to read back") from None
@@ -199,83 +199,8 @@ def check_classification(host: Graph, td: TreeDecomposition, k: int, classificat
 
 
 # ---------------------------------------------------------------------------
-# sub-decompositions and planar refinement
+# planar refinement
 # ---------------------------------------------------------------------------
-
-
-def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, keep: set | None = None) -> TreeDecomposition:
-    """The torso's sub-decomposition contracted to its tight edges whose
-    adhesion set is in ``keep`` (any set if None).  A supplied one must be
-    valid, of adhesion ≤ 3 when ``keep`` is given, and tight on every edge,
-    each edge tested once.  Else it is the min-degree elimination tree, each
-    edge decided by ``_elimination_edge_tight``; with ``keep`` empty, the one
-    node it would contract to is built directly.
-
-    Tree node i is ``nodes[i]``, in key order, with its edge to ``parent[i]``
-    (-1 at the root) and its part as the ``torso_graph`` id mask ``part[i]``.
-    Edge i has the adhesion part[i] & part[parent[i]] and the sides below[i],
-    the parts of i's subtree, and the rest with the adhesion.  Contracting
-    other edges changes neither, so one pass decides all.  Each class of
-    contracted nodes is named by its least node, and its part is made once."""
-    if provided is None:
-        if keep is not None and not keep:
-            return TreeDecomposition(Graph.build((), [0]), {0: torso_graph.vertices})
-        parent, part = _elimination_tree(torso_graph)
-        nodes = list(range(len(part)))
-    else:
-        rep = validate(torso_graph, provided)
-        if not rep.ok:
-            raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
-        tree = provided.tree
-        nodes, parent = tree.order, _tree_parents(tree)
-        part = [torso_graph.bits(provided.parts[t]) for t in nodes]
-    full = (1 << len(torso_graph.order)) - 1
-    preorder, below = _subtree_unions(parent, part)
-    if provided is not None:
-        for a, b in provided.tree.sorted_edges():
-            i, j = tree.pos[a], tree.pos[b]
-            i, j = (i, j) if parent[i] == j else (j, i)  # i is the child
-            adhesion = part[i] & part[j]
-            if keep is not None and adhesion.bit_count() > 3:
-                raise ContractViolationError(f"sub-decomposition adhesion {adhesion.bit_count()} exceeds 3")
-            if not _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion):
-                raise ContractViolationError(f"sub-decomposition edge {(a, b)!r} has a non-tight separation")
-    wanted = None if keep is None else {torso_graph.bits(s) for s in keep if s <= torso_graph.vertices}
-    top = list(range(len(parent)))  # the node of i's class nearest the root
-    kept = []
-    for i in preorder:
-        p = parent[i]
-        if p < 0:
-            continue
-        adhesion = part[i] & part[p]
-        if (wanted is None or adhesion in wanted) and (
-                provided is not None or _elimination_edge_tight(torso_graph.masks, full & ~below[i], adhesion)):
-            kept.append(i)
-        else:
-            top[i] = top[p]
-    cls, names, masks, first = [0] * len(parent), [], [], {}
-    for i, t in enumerate(top):  # in id order, so each class meets its least node first
-        if t not in first:
-            first[t] = len(names)
-            names.append(nodes[i])
-            masks.append(0)
-        cls[i] = first[t]
-        masks[cls[i]] |= part[i]
-    return TreeDecomposition(Graph._on_ids(names, [(cls[i], cls[parent[i]]) for i in kept]),
-                             {s: torso_graph.labels(m) for s, m in zip(names, masks)})
-
-
-def _elimination_edge_tight(masks: list[int], far: int, s: int) -> bool:
-    """Whether the edge above node i of a graph's min-degree elimination tree
-    is tight, from its adhesion S = ``s`` and the ids ``far`` strictly beyond
-    it.  An edge that links the trees of two components has S empty and both
-    sides non-empty, so it is tight.  On any other edge, let T[x] be the ids of
-    i's component eliminated in i's subtree: S is N(T[x]) by the path lemma
-    (Rose–Tarjan–Lueker, 1976) and T[x] is connected (Liu, 1990), so the near
-    side is tight, whatever other components' trees hang below i.  The far side
-    is tight iff it has a component with N(C) = S; with |S| = 1, iff ``far``
-    meets N(s)."""
-    return _has_full_component(masks, far, s)
 
 
 class PlanarRefinement(NamedTuple):
@@ -288,16 +213,17 @@ class PlanarRefinement(NamedTuple):
 def refine_planar_torso(torso_graph: Graph, sub_td: TreeDecomposition | None, outer_sets: Iterable[frozenset],
                         markers: frozenset = frozenset()) -> PlanarRefinement:
     """Contract the sub-decomposition (the supplied ``sub_td``, checked as
-    ``_sub_decomposition`` checks it, or the min-degree one if None) down to
-    its tight edges whose adhesion set is a size-3 outer set, then prune its
-    parts (``_prune``).  A tight edge at S has a fully attached component of
-    the torso − S on each side, so a computed sub-decomposition keeps only
-    the S with two or more; with none left, the min-degree one is not built."""
+    ``treedecomp._sub_decomposition`` checks it, or the min-degree one if
+    None) down to its tight edges whose adhesion set is a size-3 outer set,
+    then prune its parts (``_prune``).  A tight edge at S has a fully
+    attached component of the torso − S on each side, so a computed
+    sub-decomposition keeps only the S with two or more; with none left, the
+    min-degree one is not built."""
     outer = sorted({frozenset(s) for s in outer_sets if s}, key=set_key)
     keep = {s for s in outer if len(s) == 3}
     if sub_td is None:
         keep = {s for s in keep if s <= torso_graph.vertices and len(fully_attached_components(torso_graph, s)) >= 2}
-    return _prune(torso_graph, _sub_decomposition(torso_graph, sub_td, keep), outer, markers)
+    return _prune(torso_graph, treedecomp._sub_decomposition(torso_graph, sub_td, keep), outer, markers)
 
 
 def _prune(torso_graph: Graph, contracted: TreeDecomposition, outer: list, markers: frozenset) -> PlanarRefinement:
@@ -443,7 +369,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
             for v in td.parts[t]:
                 own.setdefault(v, x)
         elif classification[t] == BOUNDED_TW:
-            sub = evidence.sub_tds[t] = _sub_decomposition(torsos[t], provided)
+            sub = evidence.sub_tds[t] = treedecomp._sub_decomposition(torsos[t], provided)
             name = {s: ("tw", t, s) for s in sub.tree.sorted_vertices()}
             for s, x in name.items():
                 tw.append(x)

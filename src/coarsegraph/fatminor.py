@@ -417,9 +417,9 @@ def search_fat_minor(
     K: int,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchOutcome:
-    if K < 0:
+    if K < 0 or isinstance(K, bool):  # a bool is an int, but no count
         raise StructuralError("K must be non-negative")
-    if budget < 0:
+    if budget < 0 or isinstance(budget, bool):
         raise StructuralError("budget must be non-negative")
     if len(pattern.vertices) > PATTERN_CAP:
         raise CapacityError(f"pattern has {len(pattern.vertices)} vertices, cap is {PATTERN_CAP}")
@@ -443,7 +443,7 @@ def asymptotic_probe(pattern: Graph, host: Graph, k_list, budget: int = DEFAULT_
     get weaker), which keeps the verdict map monotone by construction.
     """
     ks = sorted({int(k) for k in k_list}, reverse=True)
-    if budget < 0:  # also with no K to search
+    if budget < 0 or isinstance(budget, bool):  # also with no K to search
         raise StructuralError("budget must be non-negative")
     results: dict = {}
     carried: FatMinorModel | None = None

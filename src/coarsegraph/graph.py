@@ -20,19 +20,15 @@ Vertex = int | str | tuple
 MAX_VERTEX_DEPTH = 100  # deepest tuple nesting read from text or JSON, and keyed
 
 
-def vertex_key(v: Vertex):
+def vertex_key(v: Vertex, depth: int = MAX_VERTEX_DEPTH):
     """Total order key for mixed int/str/tuple vertex identifiers.
 
     Sorts all ints before all strings before all tuples; tuples compare
     recursively.  Used everywhere a deterministic iteration order is needed.
-    A tuple nested deeper than ``MAX_VERTEX_DEPTH`` raises ``GraphToolError``,
-    so every vertex of a graph can be written and read back.
+    A tuple nested deeper than ``depth`` raises ``GraphToolError``, so at the
+    default ``MAX_VERTEX_DEPTH`` every vertex of a graph can be written and
+    read back.
     """
-    return _key(v, MAX_VERTEX_DEPTH)
-
-
-def _key(v: Vertex, depth: int):
-    """vertex_key of a v that may nest tuples ``depth`` deep."""
     if isinstance(v, bool):
         raise GraphToolError(f"booleans are not valid vertex identifiers: {v!r}")
     if isinstance(v, int):
@@ -42,7 +38,7 @@ def _key(v: Vertex, depth: int):
     if isinstance(v, tuple):
         if not depth:
             raise GraphToolError("a vertex identifier nests too deep to key")
-        return (2, tuple(_key(x, depth - 1) for x in v))
+        return (2, tuple(vertex_key(x, depth - 1) for x in v))
     raise GraphToolError(f"unsupported vertex identifier type: {v!r}")
 
 

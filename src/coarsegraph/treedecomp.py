@@ -1,4 +1,5 @@
-"""Tree-decompositions: validation, torsos, widths, tree centers.
+"""Tree-decompositions: validation, torsos, widths, tree centers, and
+sub-decompositions contracted to their tight edges.
 
 A tree-decomposition of G is a tree T plus a family of parts (V_t) with
 (T1) the parts cover V(G),
@@ -16,7 +17,7 @@ from itertools import compress
 from operator import or_
 from typing import Iterable, NamedTuple
 
-from .errors import CapacityError, EmptySetError, StructuralError
+from .errors import CapacityError, ContractViolationError, EmptySetError, StructuralError
 from .graph import (
     Graph,
     Vertex,
@@ -30,7 +31,7 @@ from .graph import (
     vertex_from_json,
     vertex_token,
 )
-from .separations import Separation
+from .separations import Separation, _has_full_component, _tight_on_masks
 
 DEFAULT_TREEWIDTH_CAP = 14
 
@@ -329,6 +330,75 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
         Graph._on_ids(list(range(len(part))), [(i, p) for i, p in enumerate(parent) if p >= 0]),
         {i: g.labels(m) for i, m in enumerate(part)},
     )
+
+
+def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, keep: set | None = None) -> TreeDecomposition:
+    """The torso's sub-decomposition contracted to its tight edges whose
+    adhesion set is in ``keep`` (any set if None).  A supplied one must be
+    valid, of adhesion ≤ 3 when ``keep`` is given, and tight on every edge,
+    each edge tested once.  Else it is the min-degree elimination tree; with
+    ``keep`` empty, the one node it would contract to is built directly.
+
+    Tree node i is ``nodes[i]``, in key order, with its edge to ``parent[i]``
+    (-1 at the root) and its part as the ``torso_graph`` id mask ``part[i]``.
+    Edge i has the adhesion S = part[i] & part[parent[i]] and the sides
+    below[i], the parts of i's subtree, and the rest with S.  Contracting
+    other edges changes neither, so one pass decides all.  Each class of
+    contracted nodes is named by its least node, and its part is made once.
+
+    An elimination-tree edge is tight iff its far side, the ids strictly
+    beyond it, has a component with N(C) = S.  An edge that links the trees
+    of two components has S empty and both sides non-empty.  On any other
+    edge, let T[x] be the ids of i's component eliminated in i's subtree: S
+    is N(T[x]) by the path lemma (Rose–Tarjan–Lueker, 1976) and T[x] is
+    connected (Liu, 1990), so the near side is tight, whatever other
+    components' trees hang below i."""
+    if provided is None:
+        if keep is not None and not keep:
+            return TreeDecomposition(Graph.build((), [0]), {0: torso_graph.vertices})
+        parent, part = _elimination_tree(torso_graph)
+        nodes = list(range(len(part)))
+    else:
+        rep = validate(torso_graph, provided)
+        if not rep.ok:
+            raise ContractViolationError(f"sub-decomposition invalid: ({rep.axiom}) {rep.message}")
+        tree = provided.tree
+        nodes, parent = tree.order, _tree_parents(tree)
+        part = [torso_graph.bits(provided.parts[t]) for t in nodes]
+    full = (1 << len(torso_graph.order)) - 1
+    preorder, below = _subtree_unions(parent, part)
+    if provided is not None:
+        for a, b in provided.tree.sorted_edges():
+            i, j = tree.pos[a], tree.pos[b]
+            i, j = (i, j) if parent[i] == j else (j, i)  # i is the child
+            adhesion = part[i] & part[j]
+            if keep is not None and adhesion.bit_count() > 3:
+                raise ContractViolationError(f"sub-decomposition adhesion {adhesion.bit_count()} exceeds 3")
+            if not _tight_on_masks(torso_graph, below[i], full & ~below[i] | adhesion):
+                raise ContractViolationError(f"sub-decomposition edge {(a, b)!r} has a non-tight separation")
+    wanted = None if keep is None else {torso_graph.bits(s) for s in keep if s <= torso_graph.vertices}
+    top = list(range(len(parent)))  # the node of i's class nearest the root
+    kept = []
+    for i in preorder:
+        p = parent[i]
+        if p < 0:
+            continue
+        adhesion = part[i] & part[p]
+        if (wanted is None or adhesion in wanted) and (
+                provided is not None or _has_full_component(torso_graph.masks, full & ~below[i], adhesion)):
+            kept.append(i)
+        else:
+            top[i] = top[p]
+    cls, names, masks, first = [0] * len(parent), [], [], {}
+    for i, t in enumerate(top):  # in id order, so each class meets its least node first
+        if t not in first:
+            first[t] = len(names)
+            names.append(nodes[i])
+            masks.append(0)
+        cls[i] = first[t]
+        masks[cls[i]] |= part[i]
+    return TreeDecomposition(Graph._on_ids(names, [(cls[i], cls[parent[i]]) for i in kept]),
+                             {s: torso_graph.labels(m) for s, m in zip(names, masks)})
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ from typing import NamedTuple
 from fractions import Fraction
 
 import oracles
-from coarsegraph import construction, graph, planarity, treedecomp
+from coarsegraph import construction, graph, planarity, separations, treedecomp
 from helpers import _randomly_contracted, nested, random_bundle, supplied_bundle
 from test_uniformity import _grid_path
 
@@ -288,6 +288,17 @@ def test_bundle_validation_errors():
         validate_bundle(InstanceBundle(host, ok_td, k=2, infinite_markers=frozenset({"ghost"})))
 
 
+@pytest.mark.parametrize("k, finite_threshold, name", [(True, 8, "k"), (False, 8, "k"), (2, True, "finite_threshold")])
+def test_a_boolean_count_is_refused(k, finite_threshold, name):
+    """k and the finite threshold are counts: a bool, though an int, is
+    refused as the JSON reader refuses true, not built as 1 or 0."""
+    grid = grid_graph(3, 3)
+    b = InstanceBundle(grid, single_node_td(grid.vertices), k, finite_threshold=finite_threshold)
+    with pytest.raises(ContractViolationError) as exc:
+        build_H(b)
+    assert str(exc.value) == f"{name} must be an integer, not a boolean"
+
+
 def test_error_texts_name_the_key_least_offender_under_every_hash_seed():
     """Unknown markers, and a map that misses vertices, name the key-least
     offender, not the first met in a set whose order moves with PYTHONHASHSEED."""
@@ -466,8 +477,8 @@ def test_supplied_bounded_treewidth_sub_decomposition_is_checked_tight_once(monk
     """A supplied sub-decomposition, once checked tight on every edge, is its
     own contraction: build_H keeps it as it is without checking again."""
     calls = []
-    real = construction._tight_on_masks
-    monkeypatch.setattr(construction, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
+    real = treedecomp._tight_on_masks
+    monkeypatch.setattr(treedecomp, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
     sub = TreeDecomposition(Graph.build([("a", "b")]), {"a": frozenset(range(7)), "b": frozenset({0, 6, 7, 8, 9, 10, 11})})
     b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=2,
                        classification={"t": BOUNDED_TW}, sub_tds={"t": sub})
@@ -482,8 +493,8 @@ def test_supplied_planar_sub_decomposition_is_checked_tight_once(monkeypatch):
     before the refinement, whose keep rule then reads only adhesion sets: one
     tightness test for the one edge of TWO_PART_SUB, not two."""
     calls = []
-    real = construction._tight_on_masks
-    monkeypatch.setattr(construction, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
+    real = treedecomp._tight_on_masks
+    monkeypatch.setattr(treedecomp, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
     S = ("s1", "s2", "s3")
     host = Graph.build([(w, s) for w in "xyz" for s in S])
     td = TreeDecomposition(Graph.build([("t", "u")]), {"t": frozenset({"x", "y", *S}), "u": frozenset({"z", *S})})
@@ -525,8 +536,8 @@ def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
     """A one-part torso has no outer adhesion set, so no edge of its
     sub-decomposition is a candidate to keep, and none is tested for tightness."""
     calls = []
-    real = construction._tight_on_masks
-    monkeypatch.setattr(construction, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
+    real = treedecomp._tight_on_masks
+    monkeypatch.setattr(treedecomp, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
     grid = grid_graph(9, 9)
     b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
@@ -534,6 +545,9 @@ def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
     assert calls == []
     assert out.evidence.classification == {"t": PLANAR}
     assert verify_output(b, out).passed
+    S = frozenset({"s1", "s2", "s3"})
+    refine_planar_torso(_two_sided_torso(S), TWO_PART_SUB, [S])
+    assert len(calls) == 1  # the counter sees a supplied edge's test
 
 
 def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypatch):
@@ -542,8 +556,8 @@ def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypat
     host with no adhesion set, so every torso taken is the host itself and no
     torso graph is built."""
     calls, torsos = [], []
-    real_tree, real_induced, real_torso = construction._elimination_tree, treedecomp._induced, construction.torso
-    monkeypatch.setattr(construction, "_elimination_tree", lambda *a: calls.append("tree") or real_tree(*a))
+    real_tree, real_induced, real_torso = treedecomp._elimination_tree, treedecomp._induced, construction.torso
+    monkeypatch.setattr(treedecomp, "_elimination_tree", lambda *a: calls.append("tree") or real_tree(*a))
     monkeypatch.setattr(treedecomp, "_induced", lambda *a: calls.append("_induced") or real_induced(*a))
     monkeypatch.setattr(construction, "torso", lambda *a: torsos.append(real_torso(*a)) or torsos[-1])
     grid = grid_graph(9, 9)
@@ -554,6 +568,8 @@ def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypat
     assert torsos and all(t is grid for t in torsos)
     assert sorted({x[2] for x in out.H.vertices if x[0] == "pl"}) == [0]
     assert verify_output(b, out).passed
+    treedecomp._sub_decomposition(grid, None)
+    assert calls == ["tree"]  # the counter sees the tree where it is read
 
 
 def test_a_planar_part_holding_the_whole_host_beside_another_part_is_glued_not_renamed():
@@ -593,8 +609,8 @@ def test_grid_path_build_skips_the_min_degree_decomposition(monkeypatch):
     the min-degree decomposition is not built, and each planar part contracts to
     the one node 0 that the elimination tree, built and contracted, gives."""
     calls = []
-    real_tree = construction._elimination_tree
-    monkeypatch.setattr(construction, "_elimination_tree", lambda *a: calls.append("tree") or real_tree(*a))
+    real_tree = treedecomp._elimination_tree
+    monkeypatch.setattr(treedecomp, "_elimination_tree", lambda *a: calls.append("tree") or real_tree(*a))
     b = _grid_path(2, 5)
     out = build_H(b)
     assert calls == []
@@ -604,7 +620,7 @@ def test_grid_path_build_skips_the_min_degree_decomposition(monkeypatch):
     for t, ref in refinements.items():
         outer = {S for S in adhesion_sets(b.td).values() if S <= b.td.parts[t] and len(S) == 3}
         assert outer and ref.contracted.parts == {0: out.evidence.torsos[t].vertices}
-        assert ref.contracted == construction._sub_decomposition(out.evidence.torsos[t], None, outer)
+        assert ref.contracted == treedecomp._sub_decomposition(out.evidence.torsos[t], None, outer)
     assert calls == ["tree", "tree"]
 
 
@@ -614,8 +630,8 @@ def test_build_h_reads_the_elimination_tree_only_where_an_edge_may_be_kept(monke
     adhesion set, it reads no elimination tree; on a bounded-treewidth torso it
     reads one, and ``heuristic_td`` still never runs."""
     calls = []
-    real_tree, real_heuristic = construction._elimination_tree, treedecomp.heuristic_td
-    monkeypatch.setattr(construction, "_elimination_tree", lambda g: calls.append("tree") or real_tree(g))
+    real_tree, real_heuristic = treedecomp._elimination_tree, treedecomp.heuristic_td
+    monkeypatch.setattr(treedecomp, "_elimination_tree", lambda g: calls.append("tree") or real_tree(g))
     monkeypatch.setattr(treedecomp, "heuristic_td", lambda g: calls.append("heuristic_td") or real_heuristic(g))
     grid = grid_graph(9, 9)
     b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
@@ -1321,12 +1337,12 @@ def test_tight_contraction_on_masks_matches_its_definition(n, p, keep_kind, seed
         parts, edges = contract(sub, keep)
         assert got.parts == parts and {frozenset(e) for e in got.tree.edges} == edges
 
-    check(heuristic_td(g), construction._sub_decomposition(g, None, keep))
+    check(heuristic_td(g), treedecomp._sub_decomposition(g, None, keep))
     supplied = _randomly_contracted(rng, heuristic_td(g), keep=0.6)
     edges = supplied.tree.sorted_edges()
     refused = len(contract(supplied, None)[1]) < len(edges) or (
         keep is not None and any(len(supplied.parts[s] & supplied.parts[t]) > 3 for s, t in edges))
-    calls = [lambda: construction._sub_decomposition(g, supplied, keep)]
+    calls = [lambda: treedecomp._sub_decomposition(g, supplied, keep)]
     if keep is not None:
         calls.append(lambda: refine_planar_torso(g, supplied, keep).contracted)
     for call in calls:
@@ -1345,9 +1361,9 @@ def test_tight_contraction_on_masks_matches_its_definition(n, p, keep_kind, seed
 @example(4, 0.25, 2)  # edges 0-3 and 1-2: the far side of the edge at S = {3} is the other edge alone
 def test_elimination_edge_rule_matches_tightness_by_definition(n, p, seed):
     """On any graph, connected or with several components and isolated
-    vertices, ``_elimination_edge_tight`` decides each edge of the min-degree
-    elimination tree as the raw definition does: the sides are the parts below
-    the edge, and the rest with the adhesion set."""
+    vertices, ``_has_full_component`` on an edge's far side decides each edge
+    of the min-degree elimination tree as the raw definition does: the sides
+    are the parts below the edge, and the rest with the adhesion set."""
     vs, es = oracles.random_graph(random.Random(seed), n, p)
     g = Graph.build(es, vertices=vs)
     adj = oracles.adjacency(es, vs)
@@ -1358,4 +1374,4 @@ def test_elimination_edge_rule_matches_tightness_by_definition(n, p, seed):
         if j >= 0:
             s, far = part[i] & part[j], full & ~below[i]
             expected = oracles._is_tight_pair(adj, set(g.labels(below[i])), set(g.labels(far | s)))
-            assert construction._elimination_edge_tight(g.masks, far, s) == expected
+            assert separations._has_full_component(g.masks, far, s) == expected

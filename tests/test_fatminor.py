@@ -689,14 +689,15 @@ def test_models_verified_at_positive_fatness_hold_their_pattern_degree(pattern, 
 
 
 def test_negative_budget_is_bad_input():
-    """A negative budget is refused, also through the probe, whatever its K
-    list; budget 0 is valid."""
-    for call in (lambda: search_fat_minor(cycle_graph(3), cycle_graph(4), 1, budget=-1),
-                 lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [1], budget=-1),
-                 lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [], budget=-1)):
-        with pytest.raises(StructuralError) as exc:
-            call()
-        assert str(exc.value) == "budget must be non-negative"
+    """A negative budget, or a bool (an int, but no count), is refused, also
+    through the probe, whatever its K list; budget 0 is valid."""
+    for budget in (-1, True):
+        for call in (lambda: search_fat_minor(cycle_graph(3), cycle_graph(4), 1, budget=budget),
+                     lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [1], budget=budget),
+                     lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [], budget=budget)):
+            with pytest.raises(StructuralError) as exc:
+                call()
+            assert str(exc.value) == "budget must be non-negative"
     out = search_fat_minor(cycle_graph(3), cycle_graph(4), 1, budget=0)
     assert (out.status, out.reason) == ("inconclusive", "budget exhausted during exhaustive search")
 
@@ -771,9 +772,11 @@ def test_zero_fat_search_contains_ordinary_minors():
 
 
 def test_negative_fatness_is_refused():
-    with pytest.raises(StructuralError) as exc:
-        search_fat_minor(path_graph(2), path_graph(4), -1)
-    assert str(exc.value) == "K must be non-negative"
+    """A negative K is refused, and so is a bool: C4 in C8 would be found at K = True."""
+    for K in (-1, True):
+        with pytest.raises(StructuralError) as exc:
+            search_fat_minor(cycle_graph(4), cycle_graph(8), K)
+        assert str(exc.value) == "K must be non-negative"
 
 
 def test_a_fatness_beyond_the_host_reads_no_ball_level_past_its_size(monkeypatch):

@@ -125,12 +125,12 @@ def _count_vertex_keys(monkeypatch) -> list:
     from coarsegraph import graph
     calls, real, depth = [], graph.vertex_key, [0]
 
-    def counted(v):
+    def counted(v, *depth_bound):
         if not depth[0]:
             calls.append(v)
         depth[0] += 1
         try:
-            return real(v)
+            return real(v, *depth_bound)
         finally:
             depth[0] -= 1
 
@@ -455,6 +455,17 @@ def test_vertices_nest_up_to_the_key_bound():
                 lambda: sort_vertices([too_deep, 0]), lambda: sorted([too_deep, 0], key=vertex_key)):
         with pytest.raises(GraphToolError) as exc:
             key()
+        assert str(exc.value) == "a vertex identifier nests too deep to key"
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, MAX_VERTEX_DEPTH])
+def test_vertex_key_depth_bounds_the_nesting(d):
+    """A tuple nested d deep keys under depth d, as under the default
+    MAX_VERTEX_DEPTH, and is refused one level shallower."""
+    for v in (nested(d), (0, nested(d - 1), "b")):
+        assert vertex_key(v, d) == vertex_key(v) == vertex_key(v, MAX_VERTEX_DEPTH)
+        with pytest.raises(GraphToolError) as exc:
+            vertex_key(v, d - 1)
         assert str(exc.value) == "a vertex identifier nests too deep to key"
 
 
