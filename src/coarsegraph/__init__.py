@@ -23,7 +23,7 @@ from .construction import (
     tw_torso_attachment,
     verify_output,
 )
-from .corpus import CorpusInstance, corpus, default_seed, symmetric_instances
+from .corpus import CorpusInstance, corpus, symmetric_instances
 from .errors import (
     CapacityError,
     ClassificationError,

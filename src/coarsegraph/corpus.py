@@ -10,14 +10,13 @@ chains, and truncated Cayley balls.
 
 Ten instances are marked symmetric and carry an explicit automorphism of the
 bundle (a vertex relabeling plus a tree-node relabeling) for equivariance
-checks.  The corpus is deterministic given a seed; the default seed comes from
-the COARSE_GRAPH_SEED environment variable.
+checks.  The corpus is deterministic given a seed, passed as ``corpus(seed)``;
+with none, it is ``DEFAULT_SEED``.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from typing import NamedTuple
 
@@ -27,16 +26,6 @@ from .graph import Graph, add_edges, relabel, sort_vertices, union
 from .treedecomp import TreeDecomposition
 
 DEFAULT_SEED = 20240817
-
-
-def default_seed() -> int:
-    raw = os.environ.get("COARSE_GRAPH_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"COARSE_GRAPH_SEED must be an integer, got {raw!r}") from None
 
 
 class CorpusInstance(NamedTuple):
@@ -243,9 +232,7 @@ def _sym_grid_k4(n: int) -> CorpusInstance:
 
 
 def corpus(seed: int | None = None) -> list[CorpusInstance]:
-    if seed is None:
-        seed = default_seed()
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
     out: list[CorpusInstance] = []
     for idx in range(15):
         out.append(_clique_tree_instance(rng, idx))

@@ -113,10 +113,16 @@ def _model_on_ids(m: FatMinorModel) -> tuple[dict, dict]:
     return branch, paths
 
 
+def _count(value, name: str) -> int:
+    """``value`` if it is a count: an int, not a bool (an int, but a flag), and not negative."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise StructuralError(f"{name} must be non-negative")
+    return value
+
+
 def verify_fat_model(m: FatMinorModel, K: int) -> FatVerifyReport:
     """Check the structure, then conditions (1)-(4), on ids; report the first failure."""
-    if K < 0:
-        raise StructuralError("K must be non-negative")
+    K = _count(K, "K")
     return _fat_report(m.host, m.pattern, *_model_on_ids(m), K)
 
 
@@ -417,10 +423,8 @@ def search_fat_minor(
     K: int,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchOutcome:
-    if K < 0 or isinstance(K, bool):  # a bool is an int, but no count
-        raise StructuralError("K must be non-negative")
-    if budget < 0 or isinstance(budget, bool):
-        raise StructuralError("budget must be non-negative")
+    _count(K, "K")
+    _count(budget, "budget")
     if len(pattern.vertices) > PATTERN_CAP:
         raise CapacityError(f"pattern has {len(pattern.vertices)} vertices, cap is {PATTERN_CAP}")
     if len(host.vertices) > HOST_CAP:
@@ -442,9 +446,8 @@ def asymptotic_probe(pattern: Graph, host: Graph, k_list, budget: int = DEFAULT_
     A witness at K is a witness at every K' ≤ K (all distance conditions only
     get weaker), which keeps the verdict map monotone by construction.
     """
-    ks = sorted({int(k) for k in k_list}, reverse=True)
-    if budget < 0 or isinstance(budget, bool):  # also with no K to search
-        raise StructuralError("budget must be non-negative")
+    ks = sorted({_count(k, "K") for k in k_list}, reverse=True)
+    _count(budget, "budget")  # also with no K to search
     results: dict = {}
     carried: FatMinorModel | None = None
     for K in ks:

@@ -101,28 +101,24 @@ class Graph:
         # vertex shares the entry only if its types match throughout; else it is refused (``_entry``).
         keyed: dict = {}
         get = keyed.get
+
+        def entry(v) -> list:
+            try:
+                e = get(v)
+            except TypeError:  # an unhashable vertex, which keying refuses as no vertex
+                vertex_key(v)
+                raise
+            if e is None or e[0] is not v and not _same_types(v, e[0]):
+                e = keyed[v] = _entry(v, e)
+            return e
+
         es = []
         for (u, v) in edges:
             if u == v:
                 raise GraphToolError(f"loops are not allowed: ({u!r}, {v!r})")
-            try:
-                a, b = get(u), get(v)
-            except TypeError:  # an unhashable end, which keying refuses as no vertex
-                vertex_key(u), vertex_key(v)
-                raise
-            if a is None or a[0] is not u and not _same_types(u, a[0]):
-                a = keyed[u] = _entry(u, a)
-            if b is None or b[0] is not v and not _same_types(v, b[0]):
-                b = keyed[v] = _entry(v, b)
-            es.append((a, b))
+            es.append((entry(u), entry(v)))
         for v in vertices:
-            try:
-                e = get(v)
-            except TypeError:
-                vertex_key(v)
-                raise
-            if e is None or e[0] is not v and not _same_types(v, e[0]):
-                keyed[v] = _entry(v, e)
+            entry(v)
         order = sorted(keyed.values(), key=itemgetter(1))
         for i, e in enumerate(order):
             e[1] = i

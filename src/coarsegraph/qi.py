@@ -12,12 +12,13 @@ every requirement on c is scaled by p·q.  It reads the pairs off bit-parallel
 ball levels of both graphs, one bit per source vertex, instead of one BFS per
 source vertex.
 
-An isomorphism onto the target, such as φ of a one-part planar host (H is the
-host renamed), needs no ball level: it is decided in O(n + m) from the
-neighbour lists.  When each image is the target's own vertex object at the
-source vertex's id, as ``construction.build_H`` makes it there, the image ids
-are read by one identity test over the lists, with no lookup per vertex, so
-such a certificate costs C-level passes and that linear test.
+An isomorphism of a connected source onto the target, such as φ of a
+connected one-part planar host (H is the host renamed), needs no ball level:
+it is decided in O(n + m) from the neighbour lists.  When each image is the
+target's own vertex object at the source vertex's id, as
+``construction.build_H`` makes it there, the image ids are read by one
+identity test over the lists, with no lookup per vertex, so such a
+certificate costs C-level passes and that linear test.
 """
 
 from __future__ import annotations
@@ -122,21 +123,25 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, per_compo
     condition is the least id i whose row maximum meets it, with the least
     j > i read off one BFS row on each side, else the least target vertex.
 
-    An isomorphism φ onto the target (``_is_isomorphism``) is decided first,
-    in O(n + m), and reads no ball level: d_H(φu, φv) = d_G(u, v), so with
-    γ = p/q ≥ 1 a pair's scaled requirement is q·(q − p)·d_G.  A row maximum
-    is then 0 at γ = 1 where i has a partner in its component, else −inf, and
-    every target vertex is an image, requiring 0.  On a connected source no
+    Connectivity is decided at id 0: a pair at an infinite distance exists
+    iff one holds 0.  If the source is split, some j lies outside 0's
+    component; if it is connected but the images are split, some j has its
+    image outside φ(0)'s component.  So the first such pair is (0, j), j least.
+
+    An isomorphism φ of a connected source onto the target
+    (``_is_isomorphism``) is decided first, in O(n + m), and reads no ball
+    level: d_H(φu, φv) = d_G(u, v), so with γ = p/q ≥ 1 a pair's scaled
+    requirement is q·(q − p)·d_G.  A row maximum is then 0 at γ = 1 when
+    n > 1, else −inf, and every target vertex is an image, requiring 0.  No
     distance is infinite, so no per-source list is built and no connectivity
-    check runs; on a source of two or more components the checks come first,
-    as for any other map.
+    check runs.  An isomorphism of a disconnected source is scanned like any
+    other map.
     """
     img = _check_map(source, target, phi)
     p, q = gamma.numerator, gamma.denominator
     pq, pp, qq = p * q, p * p, q * q
     n = len(source.order)
-    iso = _is_isomorphism(source, target, img)
-    if iso and len(source.component_masks) == 1:  # no distance is infinite: the target is connected, all images
+    if len(source.component_masks) == 1 and _is_isomorphism(source, target, img):  # no distance is infinite
         top = [0 if p == q and n > 1 else -math.inf] * n
         dens = [0] * n
     else:
@@ -156,54 +161,49 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, per_compo
                 srcs = sum(seeds[y] for y in bit_ids(mask))
                 for i in bit_ids(srcs):
                     reach[i] = srcs
-        for i in range(0 if per_component else n):  # the first pair at an infinite distance
-            later = (full ^ comp[i] & reach[i]) >> (i + 1)
-            if later:
-                j = i + (later & -later).bit_length()
-                u, v = source.order[i], source.order[j]
-                if not comp[i] >> j & 1:
-                    raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
-                raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
-        if iso:
-            top = [0 if c != b else -math.inf for c, b in zip(comp, bit)] if p == q else [-math.inf] * n
-            dens = [0] * len(target.order)
-        else:
-            row = target.distance_row(set(img))
-            if -1 in row and not per_component:
-                raise ConnectivityError(f"target vertex {target.order[row.index(-1)]!r} cannot reach the image")
-            dens = [pq * d if d >= 0 else math.inf for d in row]
-            # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
-            top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
-            walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
-            ball, levels = source.ball_levels(bit), target.ball_levels(seeds)
-            near = [next(levels)]  # the H levels made so far; None below the lowest close pointer
-            prev, t, dropped = next(ball), 0, 0
-            far, close = [0] * n, [0] * n  # the two pointers of each source
-            while walk:
-                t += 1
-                level, keep = next(ball), []
-                for i in walk:
-                    a, y, b = level[i], img[i], far[i]
-                    while a & near[b][y] != a:  # i's own bit lies in C_v(b) for every b
-                        b += 1
-                        if b == len(near):
-                            near.append(next(levels))
-                    far[i] = b
-                    if pq * b - pp * t > top[i]:
-                        top[i] = pq * b - pp * t
-                    s, b = comp[i] ^ prev[i], close[i]  # close[i] ≤ far[i], so its level is made
-                    while not s & near[b][y]:
-                        b += 1
-                    close[i] = b
-                    if qq * t - pq * b > top[i]:
-                        top[i] = qq * t - pq * b
-                    if a != comp[i]:
-                        keep.append(i)
-                walk, prev = keep, level
-                low = min(map(close.__getitem__, walk), default=dropped)
-                while dropped < low:
-                    near[dropped] = None
-                    dropped += 1
+        later = full ^ comp[0] & reach[0] if n and not per_component else 0  # the first pair at an infinite distance
+        if later:
+            j = (later & -later).bit_length() - 1
+            u, v = source.order[0], source.order[j]
+            if not comp[0] >> j & 1:
+                raise ConnectivityError(f"{u!r} and {v!r} are in different components of the source")
+            raise ConnectivityError(f"images of {u!r} and {v!r} are in different components of the target")
+        row = target.distance_row(set(img))
+        if -1 in row and not per_component:
+            raise ConnectivityError(f"target vertex {target.order[row.index(-1)]!r} cannot reach the image")
+        dens = [pq * d if d >= 0 else math.inf for d in row]
+        # Row maxima: +inf when i's component meets another H-component, −inf with no partner.
+        top = [math.inf if comp[i] & ~reach[i] else -math.inf for i in range(n)]
+        walk = [i for i in range(n) if top[i] == -math.inf and comp[i] != bit[i]]
+        ball, levels = source.ball_levels(bit), target.ball_levels(seeds)
+        near = [next(levels)]  # the H levels made so far; None below the lowest close pointer
+        prev, t, dropped = next(ball), 0, 0
+        far, close = [0] * n, [0] * n  # the two pointers of each source
+        while walk:
+            t += 1
+            level, keep = next(ball), []
+            for i in walk:
+                a, y, b = level[i], img[i], far[i]
+                while a & near[b][y] != a:  # i's own bit lies in C_v(b) for every b
+                    b += 1
+                    if b == len(near):
+                        near.append(next(levels))
+                far[i] = b
+                if pq * b - pp * t > top[i]:
+                    top[i] = pq * b - pp * t
+                s, b = comp[i] ^ prev[i], close[i]  # close[i] ≤ far[i], so its level is made
+                while not s & near[b][y]:
+                    b += 1
+                close[i] = b
+                if qq * t - pq * b > top[i]:
+                    top[i] = qq * t - pq * b
+                if a != comp[i]:
+                    keep.append(i)
+            walk, prev = keep, level
+            low = min(map(close.__getitem__, walk), default=dropped)
+            while dropped < low:
+                near[dropped] = None
+                dropped += 1
 
     def first(hit) -> tuple | None:
         i = next((i for i in range(n) if hit(top[i])), None)

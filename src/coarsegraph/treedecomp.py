@@ -355,7 +355,7 @@ def _sub_decomposition(torso_graph: Graph, provided: TreeDecomposition | None, k
     components' trees hang below i."""
     if provided is None:
         if keep is not None and not keep:
-            return TreeDecomposition(Graph.build((), [0]), {0: torso_graph.vertices})
+            return TreeDecomposition(Graph._on_ids([0], []), {0: torso_graph.vertices})
         parent, part = _elimination_tree(torso_graph)
         nodes = list(range(len(part)))
     else:

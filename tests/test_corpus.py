@@ -10,7 +10,6 @@ import pytest
 from coarsegraph.corpus import (
     DEFAULT_SEED,
     corpus,
-    default_seed,
     relabel_bundle,
     symmetric_instances,
 )
@@ -49,14 +48,13 @@ def test_deterministic_per_seed():
     assert any(x.bundle.host != y.bundle.host for x, y in zip(a, c))
 
 
-def test_env_seed(monkeypatch):
-    monkeypatch.delenv("COARSE_GRAPH_SEED", raising=False)
-    assert default_seed() == DEFAULT_SEED
+def test_an_unset_seed_is_the_default_whatever_the_environment(monkeypatch):
+    """The seed is passed, never read from the environment: with COARSE_GRAPH_SEED set,
+    corpus() is still corpus(DEFAULT_SEED)."""
     monkeypatch.setenv("COARSE_GRAPH_SEED", "777")
-    assert default_seed() == 777
-    monkeypatch.setenv("COARSE_GRAPH_SEED", "7.5")
-    with pytest.raises(ValueError):
-        default_seed()
+    a, b = corpus(), corpus(DEFAULT_SEED)
+    assert [i.name for i in a] == [i.name for i in b]
+    assert all(x.bundle.host == y.bundle.host and x.bundle.td.parts == y.bundle.td.parts for x, y in zip(a, b))
 
 
 def test_ten_symmetric_instances_with_genuine_automorphisms():

@@ -689,9 +689,9 @@ def test_models_verified_at_positive_fatness_hold_their_pattern_degree(pattern, 
 
 
 def test_negative_budget_is_bad_input():
-    """A negative budget, or a bool (an int, but no count), is refused, also
-    through the probe, whatever its K list; budget 0 is valid."""
-    for budget in (-1, True):
+    """A negative budget, or one that is no int (a bool is an int, but no count), is
+    refused, also through the probe, whatever its K list; budget 0 is valid."""
+    for budget in (-1, True, 2.5, 1.0, "1"):
         for call in (lambda: search_fat_minor(cycle_graph(3), cycle_graph(4), 1, budget=budget),
                      lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [1], budget=budget),
                      lambda: asymptotic_probe(cycle_graph(3), cycle_graph(4), [], budget=budget)):
@@ -772,11 +772,17 @@ def test_zero_fat_search_contains_ordinary_minors():
 
 
 def test_negative_fatness_is_refused():
-    """A negative K is refused, and so is a bool: C4 in C8 would be found at K = True."""
-    for K in (-1, True):
-        with pytest.raises(StructuralError) as exc:
-            search_fat_minor(cycle_graph(4), cycle_graph(8), K)
-        assert str(exc.value) == "K must be non-negative"
+    """A negative K is refused, and so is one that is no int, by the search, the verifier
+    and every K of the probe: C4 in C8 would be found at K = True, and the probe would
+    sweep [True, 2.5] as K = 1 and 2."""
+    c4, c8 = cycle_graph(4), cycle_graph(8)
+    model = search_fat_minor(c4, c8, 1).model
+    for K in (-1, True, 2.5, 1.0, "1"):
+        for call in (lambda: search_fat_minor(c4, c8, K), lambda: verify_fat_model(model, K),
+                     lambda: asymptotic_probe(c4, c8, [1, K]), lambda: asymptotic_probe(c4, c8, [K, 2.5])):
+            with pytest.raises(StructuralError) as exc:
+                call()
+            assert str(exc.value) == "K must be non-negative"
 
 
 def test_a_fatness_beyond_the_host_reads_no_ball_level_past_its_size(monkeypatch):
