@@ -95,11 +95,13 @@ def validate_bundle(bundle: InstanceBundle) -> None:
             raise ContractViolationError(f"{name} must be an integer, not a boolean")
     if bundle.k < 0:
         raise ContractViolationError("k must be non-negative")
-    unknown = [v for v in bundle.infinite_markers if v not in bundle.host.vertices]
+    order, pos, own_id = bundle.host.order, bundle.host.pos, bundle.host.own_id  # own_id if need be: 3.0 is not 3
+    unknown = [v for v in bundle.infinite_markers if v not in pos or order[pos[v]] is not v and own_id(v) is None]
     if unknown:  # name the key-least, whatever order the marker set iterates in
         raise UnknownVertexError(repr(sort_vertices(unknown)[0]))
-    for t in bundle.sub_tds:
-        bundle.td.part(t)  # raises for a sub-decomposition of no tree node
+    for t in bundle.sub_tds:  # a sub-decomposition of no tree node, or of one of other types (1.0 for 1), is refused
+        if bundle.td.tree.own_id(t) is None:
+            raise StructuralError(f"no such tree node: {t!r}")
     # H's names nest one level deeper than the host vertices and tree nodes they hold.  Only a
     # tuple nests, so the names are keyed only if one of their types is a tuple type.
     names = (bundle.host.vertices, bundle.td.tree.vertices, *(sub.tree.vertices for sub in bundle.sub_tds.values()))

@@ -45,6 +45,7 @@ from .graph import (
     Graph,
     bit_ids,
     canonical_edge,
+    kept,
     mask_components,
     parent_path,
     parse_vertex_token,
@@ -209,25 +210,23 @@ def _quick_reject(pattern: Graph, host: Graph, K: int) -> str | None:
     return None
 
 
+@kept
 def _connected_subsets(g: Graph) -> tuple[int, ...]:
     """Every connected vertex set as an id mask, by size and then by ``set_key``
-    (ids follow key order, so that is the order of the sorted id lists); built
-    once per graph and kept on it.  A connected set of k + 1 vertices is
-    one of k vertices plus a neighbour, so the sets are grown size by size: the
-    work follows their number, not the 2^n masks of ids."""
-    if g._subsets is None:
-        masks = g.masks
-        level = {1 << i: m for i, m in enumerate(masks)}  # each set of one size -> its vertices' neighbours
-        out = list(level)
-        while level:
-            grown: dict = {}
-            for s, nb in level.items():
-                for j in bit_ids(nb & ~s):
-                    grown.setdefault(s | 1 << j, nb | masks[j])
-            out += grown
-            level = grown
-        g._subsets = tuple(sorted(out, key=lambda m: (m.bit_count(), bit_ids(m))))
-    return g._subsets
+    (ids follow key order, so that is the order of the sorted id lists).  A
+    connected set of k + 1 vertices is one of k vertices plus a neighbour, so the
+    sets are grown size by size: the work follows their number, not 2^n masks."""
+    masks = g.masks
+    level = {1 << i: m for i, m in enumerate(masks)}  # each set of one size -> its vertices' neighbours
+    out = list(level)
+    while level:
+        grown: dict = {}
+        for s, nb in level.items():
+            for j in bit_ids(nb & ~s):
+                grown.setdefault(s | 1 << j, nb | masks[j])
+        out += grown
+        level = grown
+    return tuple(sorted(out, key=lambda m: (m.bit_count(), bit_ids(m))))
 
 
 def _first_in_orbit(host: Graph):

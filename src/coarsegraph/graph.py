@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import wraps
 from itertools import chain, combinations, compress
 from operator import itemgetter
 from typing import Iterable, Mapping, NoReturn
@@ -73,27 +74,32 @@ def canonical_edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
     return (v, u)
 
 
+def kept(make):
+    """``make``, a function of a graph's ids alone, as a reader of the fact it makes: made on the first
+    read and kept in the graph's table of facts under the reader, so a later read is one ``dict.get``."""
+    def read(g):
+        fact = g._facts.get(read)
+        if fact is None:
+            fact = g._facts[read] = make(g)
+        return fact
+    return wraps(make)(read)
+
+
 class Graph:
     """An immutable finite simple graph, held as integers: vertex ``i`` is ``order[i]`` in key
     order (a derived graph keeps its parent's on the ids it takes), ``pos`` maps each vertex
     back to its id, ``nbrs[i]`` lists the neighbour ids in increasing order, and ``vertices``
-    is the vertex set.  So a BFS over ``nbrs`` expands neighbours in key order;
-    :meth:`parent_row` relies on that.  Facts of the graph are kept on first use: the edge
-    set, the neighbour masks, the DFS orientation, the planarity verdict
-    (``planarity._lr_planar``), the component masks, and the min-degree elimination
-    (``treedecomp.min_degree_elimination``).  The fields are read-only by convention, and a
-    renamed graph (H of a one-part planar host) aliases its source's ``nbrs`` and facts, its
-    planarity verdict included; graphs compare and hash on their vertex and edge sets.  Use
-    :meth:`build` rather than the raw constructor so vertices are keyed, ids given and loops
-    rejected."""
+    is the vertex set; a BFS over ``nbrs`` expands neighbours in key order (:meth:`parent_row`).
+    The edge set is kept on first use, and each fact of the ids alone (``kept``) in one table,
+    ``_facts``, which a renamed graph (H of a one-part planar host) shares.  Fields are read-only
+    by convention; graphs compare and hash on their vertex and edge sets.  Use :meth:`build`
+    rather than the raw constructor so vertices are keyed, ids given and loops rejected."""
 
-    __slots__ = ("order", "pos", "nbrs", "vertices", "_edges", "_masks", "_orientation", "_planar",
-                 "_components", "_elimination", "_generators", "_subsets")
+    __slots__ = ("order", "pos", "nbrs", "vertices", "_edges", "_facts")
 
     def __init__(self, order: list, pos: dict, nbrs: list, vertices: frozenset):
         self.order, self.pos, self.nbrs, self.vertices = order, pos, nbrs, vertices
-        self._edges = self._masks = self._orientation = self._components = self._elimination = None
-        self._planar = self._generators = self._subsets = None
+        self._edges, self._facts = None, {}
 
     @classmethod
     def build(cls, edges: Iterable[tuple[Vertex, Vertex]] = (), vertices: Iterable[Vertex] = ()) -> "Graph":
@@ -144,12 +150,9 @@ class Graph:
         return cls(order, pos, nbrs, frozenset(pos))
 
     def _renamed(self, order: list) -> "Graph":
-        """This graph with id i named ``order[i]``, names that sort as ``self.order`` does.  It shares ``nbrs``, the
-        component masks (made now) and each id-level fact kept so far, all functions of ``nbrs``; not the edges."""
+        """This graph with id i named ``order[i]``, sorting as ``self.order`` does; it shares ``nbrs`` and ``_facts``."""
         g = Graph._from_nbrs(order, self.nbrs)
-        g._components, g._masks = self.component_masks, self._masks
-        g._orientation, g._planar, g._elimination = self._orientation, self._planar, self._elimination
-        g._generators, g._subsets = self._generators, self._subsets
+        g._facts = self._facts
         return g
 
     @property
@@ -234,31 +237,28 @@ class Graph:
         return row
 
     @property
+    @kept
     def masks(self) -> list[int]:
-        """The neighbour ids of each vertex as a bitmask (bit j for id j), built on first use."""
-        if self._masks is None:
-            masks = []
-            for js in self.nbrs:
-                m = 0
-                for j in js:
-                    m |= 1 << j
-                masks.append(m)
-            self._masks = masks
-        return self._masks
+        """The neighbour ids of each vertex as a bitmask (bit j for id j)."""
+        masks = []
+        for js in self.nbrs:
+            m = 0
+            for j in js:
+                m |= 1 << j
+            masks.append(m)
+        return masks
 
     @property
+    @kept
     def orientation(self) -> tuple:
-        """``dfs_orientation(nbrs)``, built on first use; its readers change none of its lists."""
-        if self._orientation is None:
-            self._orientation = dfs_orientation(self.nbrs)
-        return self._orientation
+        """``dfs_orientation(nbrs)``; its readers change none of its lists."""
+        return dfs_orientation(self.nbrs)
 
     @property
+    @kept
     def component_masks(self) -> tuple:
-        """The components as id masks, lowest id first, from one ``mask_components`` sweep on first use."""
-        if self._components is None:
-            self._components = tuple(comp for comp, _ in mask_components(self.masks))
-        return self._components
+        """The components as id masks, lowest id first, from one ``mask_components`` sweep."""
+        return tuple(comp for comp, _ in mask_components(self.masks))
 
     def bits(self, vs: Iterable[Vertex]) -> int:
         """The bitmask of a set of vertices of the graph; UnknownVertexError names

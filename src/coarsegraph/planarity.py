@@ -2,14 +2,13 @@
 
 One algorithm gives both the verdict and the witness: the package's own
 left-right planarity test (de Fraysseix–Rosenstiehl, in Brandes' formulation)
-on a graph's ids.  Its orientation pass is ``graph.dfs_orientation``, kept
-on the graph as ``Graph.orientation`` with out-edges in nesting order, whose
-lowpoints ``graph.cut_vertices`` also reads; this module holds only the
-testing pass, which sorts nothing.  Its verdict is kept on the graph too
-(``Graph._planar``, a function of ``nbrs`` alone), so the pass runs once per
-neighbour lists: H of a one-part planar host, the torso renamed, shares the
-torso's verdict.  On a non-planar graph, deleting every edge the test shows
-to be unneeded for non-planarity leaves a K₅ or K₃,₃ subdivision, which
+on a graph's ids.  Its orientation pass is ``Graph.orientation``, out-edges in
+nesting order, whose lowpoints ``graph.cut_vertices`` also reads; this module
+holds only the testing pass, which sorts nothing.  Its verdict is kept on the
+graph too (``_lr_planar`` is ``kept``), so the pass runs once per neighbour
+lists: H of a one-part planar host, the torso renamed, shares the torso's
+verdict.  On a non-planar graph, deleting every edge the test shows to be
+unneeded for non-planarity leaves a K₅ or K₃,₃ subdivision, which
 ``validate_subdivision`` re-checks independently of the test.
 """
 
@@ -20,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import StructuralError
-from .graph import Graph
+from .graph import Graph, kept
 
 WITNESS_CAP = 12
 
@@ -44,19 +43,20 @@ class PlanarityVerdict(NamedTuple):
 
 
 def validate_subdivision(g: Graph, w: SubdivisionWitness) -> bool:
-    """Check a claimed subdivision: right path ends, internal disjointness."""
-    branch = list(w.branch_vertices)
+    """Check a claimed subdivision on the ids of g's own vertices (True is not 1): path ends, internal disjointness."""
+    own, masks = g.own_id, g.masks
+    branch = list(map(own, w.branch_vertices))
     size, needed = _SHAPES.get(w.kind, (0, []))
-    if len(set(branch)) != len(branch) or len(branch) != size or len(w.paths) != len(needed):
+    if None in branch or len(set(branch)) != len(branch) or len(branch) != size or len(w.paths) != len(needed):
         return False
     used_internal: set = set()
     for (i, j), path in zip(needed, w.paths):
-        vs = list(path)
-        if len(vs) < 2 or vs[0] != branch[i] or vs[-1] != branch[j]:
+        vs = list(map(own, path))
+        if len(vs) < 2 or None in vs or vs[0] != branch[i] or vs[-1] != branch[j]:
             return False
         if len(set(vs)) != len(vs):
             return False
-        if not all(g.adjacent(a, b) for a, b in zip(vs, vs[1:])):
+        if not all(masks[a] >> b & 1 for a, b in zip(vs, vs[1:])):
             return False
         interior = set(vs[1:-1])
         if interior & set(branch) or interior & used_internal:
@@ -126,11 +126,10 @@ def find_subdivision(g: Graph) -> SubdivisionWitness | None:
                               tuple(tuple(label[v] for v in ends[branch[i], branch[j]]) for i, j in _SHAPES[kind][1]))
 
 
+@kept
 def _lr_planar(g: Graph) -> bool:
     """Whether g is planar: ``_testing_pass`` on first use, kept on the graph after that."""
-    if g._planar is None:
-        g._planar = _testing_pass(g)
-    return g._planar
+    return _testing_pass(g)
 
 
 def _testing_pass(g: Graph) -> bool:

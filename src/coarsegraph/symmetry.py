@@ -6,7 +6,7 @@ refinement (McKay, "Practical Graph Isomorphism", 1981), intended for graphs
 up to a configurable size cap: a candidate image is checked with one mask
 compare against the images of the neighbours already placed; stopped at the
 first extension of each coset of a stabiliser chain, the same backtrack gives
-a generating set and the group order, kept in ``Graph._generators``.  Vertex and edge orbits
+a generating set and the group order, kept on the graph (``_chain``).  Vertex and edge orbits
 close ids under it; :func:`orbits` groups any objects under the group a list of automorphisms generates.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, StructuralError
-from .graph import Graph, canonical_edge, set_key, vertex_key
+from .graph import Graph, canonical_edge, kept, set_key, vertex_key
 from .separations import Separation
 
 DEFAULT_AUTOMORPHISM_CAP = 12
@@ -83,27 +83,26 @@ def _group_order(g: Graph) -> int:
     return _chain(g)[1]
 
 
+@kept
 def _chain(g: Graph) -> tuple[tuple, int]:
     """The generators of :func:`automorphism_generators` and |Aut|, kept on the graph.  Level
     ``l``'s orbit is that of its id under the generators of that level and deeper, which fix
     every earlier id, so the product of the orbit lengths is the group order."""
-    if g._generators is None:
-        color, order = _refined_order(g)
-        gens: list[tuple] = []
-        size = 1
-        for l in reversed(range(len(order))):
-            orbit = [order[l]]
-            for w in order[l + 1:]:
-                if w in orbit or color[w] != color[order[l]]:
-                    continue
-                a = next(_extensions(g, color, order, (*order[:l], w)), None)
-                if a is not None:
-                    gens.append(a)
-                    for x in orbit:  # the orbit of order[l] under the generators so far
-                        orbit += {b[x] for b in gens}.difference(orbit)
-            size *= len(orbit)
-        g._generators = (tuple(gens), size)
-    return g._generators
+    color, order = _refined_order(g)
+    gens: list[tuple] = []
+    size = 1
+    for l in reversed(range(len(order))):
+        orbit = [order[l]]
+        for w in order[l + 1:]:
+            if w in orbit or color[w] != color[order[l]]:
+                continue
+            a = next(_extensions(g, color, order, (*order[:l], w)), None)
+            if a is not None:
+                gens.append(a)
+                for x in orbit:  # the orbit of order[l] under the generators so far
+                    orbit += {b[x] for b in gens}.difference(orbit)
+        size *= len(orbit)
+    return tuple(gens), size
 
 
 # ---------------------------------------------------------------------------

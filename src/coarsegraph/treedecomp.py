@@ -209,14 +209,14 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
     and the widest bag minus one is the degeneracy, which bounds treewidth
     from below.
 
-    A completed run with ``fill`` is kept on ``g``; a later call reads
-    it, and stops at ``max_degree`` exactly when some bag holds more than
-    ``max_degree`` + 1 ids.  A run stopped early keeps nothing.
+    A completed run with ``fill`` is kept in ``g``'s table of facts; a later
+    call reads it, and stops at ``max_degree`` exactly when some bag holds
+    more than ``max_degree`` + 1 ids.  A run stopped early keeps nothing.
     """
-    if fill and g._elimination is not None:
-        if max_degree is not None and any(bag.bit_count() > max_degree + 1 for _, bag in g._elimination):
+    if fill and (run := g._facts.get(min_degree_elimination)) is not None:
+        if max_degree is not None and any(bag.bit_count() > max_degree + 1 for _, bag in run):
             return None
-        return g._elimination
+        return run
     adj = list(g.masks)
     deg = list(map(int.bit_count, adj))
     # Only degrees up to ``top`` are bucketed; the bucket past them is never empty, so a search stops there.
@@ -253,7 +253,7 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
             d -= 1
     out = tuple(out)
     if fill:
-        g._elimination = out
+        g._facts[min_degree_elimination] = out
     return out
 
 

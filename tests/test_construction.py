@@ -6,9 +6,11 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
@@ -286,6 +288,35 @@ def test_bundle_validation_errors():
         validate_bundle(InstanceBundle(host, ok_td, k=-1))
     with pytest.raises(UnknownVertexError):
         validate_bundle(InstanceBundle(host, ok_td, k=2, infinite_markers=frozenset({"ghost"})))
+
+
+def test_a_marker_or_sub_decomposition_node_equal_to_one_of_other_types_is_refused():
+    """A marker must be the host's own vertex and a sub_tds key the tree's own
+    node (``Graph.own_id``), not an equal value of other types.  pocket-3x4-marked
+    renamed to ints, with its markers 3, 7 and 11 written as floats, as an IntEnum
+    member or as True, is refused as an unknown marker of that type is; a one-part
+    cycle-12 bundle whose sub-decomposition is keyed 1.0 for the tree node 1 is
+    refused as one of an unknown node is, where the int key builds and passes."""
+    from coarsegraph.errors import StructuralError, UnknownVertexError
+
+    class Marker(IntEnum):
+        SEVEN = 7
+
+    inst = next(i for i in corpus(DEFAULT_SEED) if i.name == "pocket-3x4-marked")
+    b = relabel_bundle(inst.bundle, {v: i for i, v in enumerate(inst.bundle.host.order)},
+                       {t: t for t in inst.bundle.td.tree.order})
+    assert sorted(b.infinite_markers) == [3, 7, 11] and verify_output(b, build_H(b)).passed
+    for markers, error, text in (({3.0, 7.0, 11.0}, GraphToolError, "unsupported vertex identifier type: "),
+                                 ({3, Marker.SEVEN, 11}, UnknownVertexError, "<Marker.SEVEN: 7>"),
+                                 ({True, 7, 11}, GraphToolError, "booleans are not valid vertex identifiers: True")):
+        with pytest.raises(error, match=re.escape(text)):
+            build_H(b._replace(infinite_markers=frozenset(markers)))
+    cycle = cycle_graph(12)
+    sub = single_node_td(cycle.vertices, node="s")
+    ok = InstanceBundle(cycle, single_node_td(cycle.vertices, node=1), k=2, sub_tds={1: sub})
+    assert verify_output(ok, build_H(ok)).passed
+    with pytest.raises(StructuralError, match=r"^no such tree node: 1\.0$"):
+        build_H(ok._replace(sub_tds={1.0: sub}))
 
 
 @pytest.mark.parametrize("k, finite_threshold, name", [(True, 8, "k"), (False, 8, "k"), (2, True, "finite_threshold")])
@@ -970,7 +1001,7 @@ def test_h_of_a_one_part_planar_host_shares_the_torsos_adjacency_and_facts(monke
         assert len(passes) == (1 if one_part_planar else tested_torsos + 1)
         fresh = Graph._on_ids(H.order, [(i, j) for i, js in enumerate(H.nbrs) for j in js if j > i])
         assert (H.orientation, H.masks, H.component_masks) == (fresh.orientation, fresh.masks, fresh.component_masks)
-        assert H._planar is planarity._lr_planar(fresh) is True
+        assert H._facts.get(real_lr) is planarity._lr_planar(fresh) is True
         assert ((H.nbrs is b.host.nbrs) == (H.orientation is b.host.orientation)
                 == (H.component_masks is b.host.component_masks) == one_part_planar)
         shared += one_part_planar
@@ -1025,6 +1056,25 @@ def test_a_one_part_planar_host_is_built_and_certified_with_no_per_vertex_lookup
     assert counts["own_id"] == len(instances["grid-k4-4x4-at-1-1"].host.order)
 
 
+def test_a_planar_scale_host_keeps_the_same_facts_after_one_build_and_verify():
+    """One build_H + verify_output of each planar-scale host, renamed as the
+    benchmark renames it, leaves in the host's table exactly the facts its
+    slots held before the table (neighbour masks, DFS orientation, component
+    masks, planarity verdict), with H sharing that table; so a warm host's
+    share of kept work does not move."""
+    expected = {Graph.masks.fget, Graph.orientation.fget, Graph.component_masks.fget, planarity._lr_planar}
+    rng = random.Random(7201)
+    for name, b in planar_scale_bundles():
+        names = b.host.sorted_vertices()
+        sigma = dict(zip(names, rng.sample(names, len(names))))
+        host = relabel(b.host, sigma)
+        renamed = InstanceBundle(host, single_node_td(host.vertices), k=2,
+                                 infinite_markers=frozenset(map(sigma.get, b.infinite_markers)))
+        out = build_H(renamed)
+        assert verify_output(renamed, out).passed
+        assert set(host._facts) == expected and out.H._facts is host._facts, name
+
+
 def test_a_fresh_non_planar_h_is_tested_after_a_planar_verdict_was_kept(monkeypatch):
     """Once build_H and verify_output have kept the grid's verdict, an output
     whose H is built afresh on the same names is tested on its own: with a K5
@@ -1034,7 +1084,7 @@ def test_a_fresh_non_planar_h_is_tested_after_a_planar_verdict_was_kept(monkeypa
     b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
     out = build_H(b)
-    assert verify_output(b, out).passed and out.H._planar is True
+    assert verify_output(b, out).passed and out.H._facts.get(planarity._lr_planar) is True
     passes, real = [], planarity._testing_pass
     monkeypatch.setattr(planarity, "_testing_pass", lambda g: passes.append(g) or real(g))
     pairs = [(i, j) for i, js in enumerate(out.H.nbrs) for j in js if j > i]

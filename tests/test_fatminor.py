@@ -296,12 +296,12 @@ def test_probe_builds_the_connected_sets_once(monkeypatch):
     and K = 1 (K = 0 takes the carried witness) read one tuple, built by the
     first and kept on the host."""
     host = cycle_graph(8)
-    assert host._subsets is None
-    read = []
     real = fatminor._connected_subsets
+    assert host._facts.get(real) is None
+    read = []
     monkeypatch.setattr(fatminor, "_connected_subsets", lambda g: read.append(real(g)) or read[-1])
     asymptotic_probe(cycle_graph(4), host, [0, 1, 2])
-    assert len(read) == 2 and read[0] is read[1] is host._subsets
+    assert len(read) == 2 and read[0] is read[1] is host._facts.get(real)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,6 +9,7 @@ from enum import IntEnum
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from coarsegraph import planarity
 from coarsegraph.errors import GraphToolError, ParseError, UnknownVertexError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import (
@@ -24,6 +25,7 @@ from coarsegraph.graph import (
     format_edge_list,
     induced_subgraph,
     is_connected,
+    kept,
     mask_components,
     parse_edge_list,
     parent_path,
@@ -369,6 +371,31 @@ def test_relabel_equals_building_the_renamed_graph(data):
     assert g._edges is None  # relabel permutes ids; it reads no edge set
     want = Graph.build([(mapping.get(u, u), mapping.get(v, v)) for u, v in es], vertices=img)
     assert (r.order, r.pos, r.nbrs, r.vertices) == (want.order, want.pos, want.nbrs, want.vertices)
+
+
+def test_a_fact_made_on_a_renamed_graph_is_its_sources_and_made_once(monkeypatch):
+    """``_renamed`` shares the table of facts by one assignment and makes no fact:
+    a fact first read on the renamed graph, after the renaming, is the source's
+    own object and is made once.  So for a ``kept`` function of the test, for
+    Graph's masks, orientation and component masks, and for the planarity
+    verdict (counted by its testing passes).  The edges, which hold labels, are
+    the renamed graph's own."""
+    g = grid_graph(4, 4)
+    h = g._renamed([("r", i) for i in range(len(g.order))])
+    assert h._facts is g._facts and not g._facts
+    made = []
+
+    @kept
+    def degrees(x: Graph) -> tuple:
+        made.append(x)
+        return tuple(map(len, x.nbrs))
+
+    assert degrees(h) is degrees(g) and made == [h]
+    assert h.masks is g.masks and h.orientation is g.orientation and h.component_masks is g.component_masks
+    passes, real = [], planarity._testing_pass
+    monkeypatch.setattr(planarity, "_testing_pass", lambda x: passes.append(x) or real(x))
+    assert planarity._lr_planar(h) is planarity._lr_planar(g) is True and passes == [h]
+    assert len(h.edges) == len(g.edges) and not h.edges & g.edges
 
 
 def test_union_is_componentwise():

@@ -18,7 +18,7 @@ from coarsegraph.generators import (
     grid_graph,
     path_graph,
 )
-from coarsegraph.graph import Graph
+from coarsegraph.graph import Graph, relabel
 from coarsegraph.planarity import (
     WITNESS_CAP,
     PlanarityVerdict,
@@ -142,6 +142,35 @@ def test_mutated_witnesses_are_rejected():
     assert not validate_subdivision(g, mutated((0, 1), (0, 1)))                 # a step along no edge
     assert not validate_subdivision(g, mutated((2, 3), (2, "m", 3)))            # shares m with 0-m-1
     assert not validate_subdivision(g, mutated((2, 3), (2, 4, 3)))              # runs through a branch vertex
+
+
+def test_a_witness_vertex_the_graph_does_not_own_is_refused():
+    """The re-check reads g's own vertices (``Graph.own_id``): K5's witness
+    with vertex 1 written True or 1.0, which equal 1 but are no vertex of g,
+    is refused, whether every 1 is rewritten or only one path's."""
+    g = complete_graph(5)
+    w = find_subdivision(g)
+    assert validate_subdivision(g, w)
+    for fake in (True, 1.0):
+        def swap(vs):
+            return tuple(fake if v == 1 else v for v in vs)
+        assert not validate_subdivision(g, w._replace(branch_vertices=swap(w.branch_vertices), paths=tuple(map(swap, w.paths))))
+        one = next(i for i, p in enumerate(w.paths) if 1 in p)
+        assert not validate_subdivision(g, w._replace(paths=tuple(swap(p) if i == one else p for i, p in enumerate(w.paths))))
+
+
+def test_relabel_and_the_extraction_probes_start_with_an_empty_table(monkeypatch):
+    """A fact is kept only for the neighbour lists it was made on: relabel's
+    graph, which permutes the ids, and each graph find_subdivision tests with
+    edges deleted start with an empty table, though the source holds facts."""
+    g = petersen()
+    assert not planarity._lr_planar(g) and g.masks and g.orientation
+    assert g._facts and relabel(g, {v: ("p", v) for v in g.vertices})._facts == {}
+    tables, real = [], planarity._lr_planar
+    monkeypatch.setattr(planarity, "_lr_planar", lambda x: tables.append((x, dict(x._facts))) or real(x))
+    assert validate_subdivision(g, find_subdivision(g))
+    assert tables[0][0] is g and len(tables) > 1
+    assert all(x is not g and not facts for x, facts in tables[1:])
 
 
 def test_witness_paths_are_internally_disjoint():
@@ -287,11 +316,11 @@ def test_the_kept_verdict_is_a_fresh_testing_pass(n, mean_degree, renamed_first,
     assert planarity._testing_pass(Graph._on_ids(g.order, pairs)) is expected
     names = [("r", i) for i in range(len(g.order))]  # names that sort as g's ids do
     early = g._renamed(names) if renamed_first else None
-    assert g._planar is None
-    assert is_planar(g, witness_cap=0).planar is g._planar is expected
+    assert g._facts.get(planarity._lr_planar) is None
+    assert is_planar(g, witness_cap=0).planar is g._facts.get(planarity._lr_planar) is expected
     assert is_planar(g, witness_cap=0).planar is expected
     late = g._renamed(names)
-    assert late._planar is expected
+    assert late._facts.get(planarity._lr_planar) is expected
     for copy in (early, late):
         if copy is not None:
             assert is_planar(copy, witness_cap=0).planar is expected
@@ -363,5 +392,5 @@ def test_a_graph_of_circuit_rank_at_most_three_is_planar_without_the_orientation
     n, m = len(g.vertices), len(g.edges)
     counted = m <= n + 2 and m - n + len(g.component_masks) <= 3
     assert is_planar(g, witness_cap=0).planar == _networkx_verdict(g)
-    assert (g._orientation is None) == counted
+    assert (g._facts.get(Graph.orientation.fget) is None) == counted
     assert counted or kind in ("cycles", "k33")
