@@ -17,6 +17,7 @@ and a warning recorded.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
@@ -95,10 +96,13 @@ def validate_bundle(bundle: InstanceBundle) -> None:
             raise ContractViolationError(f"{name} must be an integer, not a boolean")
     if bundle.k < 0:
         raise ContractViolationError("k must be non-negative")
-    order, pos, own_id = bundle.host.order, bundle.host.pos, bundle.host.own_id  # own_id if need be: 3.0 is not 3
-    unknown = [v for v in bundle.infinite_markers if v not in pos or order[pos[v]] is not v and own_id(v) is None]
-    if unknown:  # name the key-least, whatever order the marker set iterates in
-        raise UnknownVertexError(repr(sort_vertices(unknown)[0]))
+    unknown = [v for v in bundle.infinite_markers if bundle.host.own_id(v) is None]  # 3.0 is not the vertex 3
+    if unknown:  # named whatever order the set iterates in: the key-least that keys, else the least repr
+        keyed = {}
+        for v in unknown:
+            with suppress(GraphToolError):
+                keyed[vertex_key(v)] = v
+        raise UnknownVertexError(repr(keyed[min(keyed)]) if keyed else min(map(repr, unknown)))
     for t in bundle.sub_tds:  # a sub-decomposition of no tree node, or of one of other types (1.0 for 1), is refused
         if bundle.td.tree.own_id(t) is None:
             raise StructuralError(f"no such tree node: {t!r}")

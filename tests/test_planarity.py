@@ -379,18 +379,40 @@ def _low_rank_graph(rng: random.Random, kind: str, size: int) -> list:
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["forest", "unicyclic", "cycles", "k33"]), st.integers(0, 30), st.integers(0, 2**32 - 1))
-def test_a_graph_of_circuit_rank_at_most_three_is_planar_without_the_orientation(kind, size, seed):
+def test_a_graph_of_circuit_rank_at_most_three_gets_the_networkx_verdict(kind, size, seed):
     """A forest, one cycle with pendant trees, disjoint short cycles and K₃,₃
-    with pendant trees get networkx's verdict.  With m ≤ n + 2 and circuit rank
-    m − n + (components) ≤ 3 the testing pass answers planar from the counts,
-    building no orientation; three or more disjoint cycles and K₃,₃ (rank 4,
-    m = n + 3) go through the left-right test."""
+    with pendant trees get networkx's verdict from the left-right test.  Only
+    three or more disjoint cycles and K₃,₃ reach circuit rank
+    m − n + (components) above 3."""
     rng = random.Random(seed)
     es = _low_rank_graph(rng, kind, size)
     vs = [_label(rng, i) for i in range(1 + max((max(e) for e in es), default=size))]
     g = Graph.build([(vs[u], vs[v]) for u, v in es], vertices=vs)
-    n, m = len(g.vertices), len(g.edges)
-    counted = m <= n + 2 and m - n + len(g.component_masks) <= 3
     assert is_planar(g, witness_cap=0).planar == _networkx_verdict(g)
-    assert (g._facts.get(Graph.orientation.fget) is None) == counted
-    assert counted or kind in ("cycles", "k33")
+    assert len(g.edges) - len(g.vertices) + len(g.component_masks) <= 3 or kind in ("cycles", "k33")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["k5", "k33-chords", "dense"]), st.integers(5, 30), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_a_graph_past_eulers_bound_gets_the_networkx_verdict(kind, n, tail, seed):
+    """K₅, K₃,₃ with four to six chords inside its sides, and random graphs
+    with m > 3n − 6, each with a pendant path of ``tail`` vertices, are
+    non-planar, as networkx says: the left-right test finds the conflict,
+    with no count deciding first.  Up to ``WITNESS_CAP`` vertices the
+    witness validates."""
+    rng = random.Random(seed)
+    if kind == "k5":
+        n, es = 5, list(combinations(range(5), 2))
+    elif kind == "k33-chords":
+        chords = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+        n, es = 6, [(i, j) for i in range(3) for j in range(3, 6)] + rng.sample(chords, rng.randint(4, 6))
+    else:
+        pairs = list(combinations(range(n), 2))
+        es = rng.sample(pairs, rng.randint(3 * n - 5, len(pairs)))
+    assert len(es) > 3 * n - 6
+    es += [(n - 1 + i, n + i) for i in range(tail)]
+    vs = [_label(rng, i) for i in range(n + tail)]
+    g = Graph.build([(vs[u], vs[v]) for u, v in es], vertices=vs)
+    assert is_planar(g, witness_cap=0).planar is _networkx_verdict(g) is False
+    verdict = is_planar(g)
+    assert not verdict.planar and (verdict.witness is None) == (len(vs) > WITNESS_CAP)

@@ -486,6 +486,27 @@ def _near_miss(rng, kind, h_vs, h_es, phi):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9), st.sampled_from([0.15, 0.35, 0.6, 0.9]), st.integers(0, 10_000),
+       st.sampled_from(["iso", "drop", "add", "swap", "isolated"]))
+def test_the_identitys_isomorphism_test_is_the_general_rule(n, p, seed, kind):
+    """On the identity of ids, ``_is_isomorphism`` compares the neighbour
+    lists whole.  Its verdict is the general rule's (as many target vertices,
+    distinct images, each neighbour list mapped and sorted its image's) on a
+    random graph onto itself, or spoilt in one way: an edge dropped or added,
+    two edges swapped with every degree kept, or one more isolated vertex.
+    Both say yes exactly when the two graphs are equal."""
+    rng = random.Random(seed)
+    vs, es = oracles.random_graph(rng, n, p)
+    h_vs, h_es = list(vs), list(es)
+    _near_miss(rng, kind, h_vs, h_es, dict(zip(vs, vs)))
+    src, tgt = Graph.build(es, vertices=vs), Graph.build(h_es, vertices=h_vs)
+    img = list(range(n))
+    general = len(tgt.order) == n and len(set(img)) == n and all(
+        sorted(map(img.__getitem__, js)) == tgt.nbrs[y] for js, y in zip(src.nbrs, img))
+    assert qi._is_isomorphism(src, tgt, img) is general is (src == tgt)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 9),
     st.sampled_from([0.15, 0.35, 0.6, 0.9]),
