@@ -97,7 +97,7 @@ def enumerate_tight(g: Graph, k: int) -> list[Separation]:
     go to either side.  Sets compare like their sorted id tuples, which is
     how their sorted key tuples compare.
     """
-    if k < 0 or k > len(g.vertices):
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= len(g.vertices):  # a bool is an int, but a flag
         raise StructuralError("order must be between 0 and |V|")
     full = (1 << len(g.order)) - 1
     found = []

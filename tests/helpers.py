@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
 import sys
 from contextlib import contextmanager
+from types import FunctionType
 
 from hypothesis import strategies as st
 
@@ -30,6 +32,34 @@ def int_digit_limit():
         yield 4300
     finally:
         sys.set_int_max_str_digits(0)
+
+
+def calls(monkeypatch, qualname: str) -> list:
+    """The positional argument tuple of each call of the function ``qualname`` under ``coarsegraph``
+    (``"separations.is_tight"``, ``"graph.Graph.distance_row"``) while ``monkeypatch`` lasts.  One
+    recording wrapper replaces the function wherever a module of the package, or a class of one, binds
+    it, so a call is recorded whichever module its caller reads the name from."""
+    module, _, path = qualname.partition(".")
+    try:
+        fn = importlib.import_module(f"coarsegraph.{module}")
+        for name in path.split("."):
+            fn = vars(fn)[name]
+    except (ImportError, KeyError, TypeError, ValueError):
+        fn = None
+    if not isinstance(fn, FunctionType):
+        raise LookupError(f"no such function: {qualname}")
+    record = []
+
+    def recorded(*args, **kwargs):
+        record.append(args)
+        return fn(*args, **kwargs)
+
+    modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "coarsegraph"]
+    classes = [c for m in modules for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__]
+    for space in modules + classes:
+        for name in [name for name, value in vars(space).items() if value is fn]:
+            monkeypatch.setattr(space, name, recorded)
+    return record
 
 
 def nested(depth: int, leaf="a"):

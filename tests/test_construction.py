@@ -67,6 +67,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 from fractions import Fraction
 
+import helpers
 import oracles
 from coarsegraph import construction, graph, planarity, separations, treedecomp
 from helpers import _randomly_contracted, nested, random_bundle, supplied_bundle
@@ -210,9 +211,7 @@ def test_linear_route_agrees_with_exact_treewidth_on_larger_graphs():
 
 
 def test_k_up_to_two_never_calls_the_exact_solver(monkeypatch):
-    calls = []
-    real = construction.exact_treewidth
-    monkeypatch.setattr(construction, "exact_treewidth", lambda g, cap: calls.append(g) or real(g, cap))
+    calls = helpers.calls(monkeypatch, "treedecomp.exact_treewidth")
     for g in (complete_graph(4), cycle_graph(9), grid_graph(3, 4), path_graph(12), Graph.build((), range(5))):
         for k in range(3):
             treewidth_at_most(g, k)
@@ -253,14 +252,12 @@ def test_treewidth_at_most_answers_alike_whichever_call_fills_the_elimination(ma
 def test_build_h_makes_each_outer_torso_once(monkeypatch):
     """Each torso the classification reads, that of every part that is not
     finite, is built exactly once; a finite part's torso is never built."""
-    calls = []
-    real = construction.torso
-    monkeypatch.setattr(construction, "torso", lambda host, td, t: calls.append((td, t)) or real(host, td, t))
+    calls = helpers.calls(monkeypatch, "treedecomp.torso")
     finite = 0
     for inst in corpus(DEFAULT_SEED):
         calls.clear()
         out = build_H(inst.bundle)
-        outer = [t for td, t in calls if td is inst.bundle.td]
+        outer = [t for _, td, t in calls if td is inst.bundle.td]
         wanted = [t for t, kind in out.evidence.classification.items() if kind != FINITE]
         assert sorted(outer, key=repr) == sorted(wanted, key=repr), inst.name
         finite += len(inst.bundle.td.parts) - len(wanted)
@@ -514,9 +511,7 @@ def test_supplied_sub_decomposition_must_be_tight_on_every_edge():
 def test_supplied_bounded_treewidth_sub_decomposition_is_checked_tight_once(monkeypatch):
     """A supplied sub-decomposition, once checked tight on every edge, is its
     own contraction: build_H keeps it as it is without checking again."""
-    calls = []
-    real = treedecomp._tight_on_masks
-    monkeypatch.setattr(treedecomp, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
+    calls = helpers.calls(monkeypatch, "separations._tight_on_masks")
     sub = TreeDecomposition(Graph.build([("a", "b")]), {"a": frozenset(range(7)), "b": frozenset({0, 6, 7, 8, 9, 10, 11})})
     b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=2,
                        classification={"t": BOUNDED_TW}, sub_tds={"t": sub})
@@ -530,9 +525,7 @@ def test_supplied_planar_sub_decomposition_is_checked_tight_once(monkeypatch):
     """A supplied planar sub-decomposition is checked tight on every edge
     before the refinement, whose keep rule then reads only adhesion sets: one
     tightness test for the one edge of TWO_PART_SUB, not two."""
-    calls = []
-    real = treedecomp._tight_on_masks
-    monkeypatch.setattr(treedecomp, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
+    calls = helpers.calls(monkeypatch, "separations._tight_on_masks")
     S = ("s1", "s2", "s3")
     host = Graph.build([(w, s) for w in "xyz" for s in S])
     td = TreeDecomposition(Graph.build([("t", "u")]), {"t": frozenset({"x", "y", *S}), "u": frozenset({"z", *S})})
@@ -548,11 +541,7 @@ def test_verify_output_orients_each_h_once(monkeypatch):
     """The planarity test and the hub cut check read one orientation of H,
     kept on it: at most one dfs_orientation call per corpus H."""
     outs = [(inst.bundle, build_H(inst.bundle)) for inst in corpus(DEFAULT_SEED)]
-    calls = []
-    real = graph.dfs_orientation
-    for module in (graph, planarity):  # wherever the name is bound
-        if hasattr(module, "dfs_orientation"):
-            monkeypatch.setattr(module, "dfs_orientation", lambda nbrs: calls.append(nbrs) or real(nbrs))
+    calls = helpers.calls(monkeypatch, "graph.dfs_orientation")
     for b, out in outs:
         verify_output(b, out)
     assert len(outs) == 66 and len(calls) <= 66
@@ -573,9 +562,7 @@ def test_bounded_treewidth_sub_decompositions_are_checked_before_planar_ones():
 def test_one_part_planar_grid_build_makes_no_edge_separation_call(monkeypatch):
     """A one-part torso has no outer adhesion set, so no edge of its
     sub-decomposition is a candidate to keep, and none is tested for tightness."""
-    calls = []
-    real = treedecomp._tight_on_masks
-    monkeypatch.setattr(treedecomp, "_tight_on_masks", lambda g, a, b: calls.append((a, b)) or real(g, a, b))
+    calls = helpers.calls(monkeypatch, "separations._tight_on_masks")
     grid = grid_graph(9, 9)
     b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
@@ -593,21 +580,21 @@ def test_one_part_planar_grid_build_skips_the_min_degree_decomposition(monkeypat
     the min-degree decomposition is not built; the one part holds the whole
     host with no adhesion set, so every torso taken is the host itself and no
     torso graph is built."""
-    calls, torsos = [], []
-    real_tree, real_induced, real_torso = treedecomp._elimination_tree, treedecomp._induced, construction.torso
-    monkeypatch.setattr(treedecomp, "_elimination_tree", lambda *a: calls.append("tree") or real_tree(*a))
-    monkeypatch.setattr(treedecomp, "_induced", lambda *a: calls.append("_induced") or real_induced(*a))
+    torsos = []
+    real_torso = construction.torso
+    trees = helpers.calls(monkeypatch, "treedecomp._elimination_tree")
+    induced = helpers.calls(monkeypatch, "graph._induced")
     monkeypatch.setattr(construction, "torso", lambda *a: torsos.append(real_torso(*a)) or torsos[-1])
     grid = grid_graph(9, 9)
     b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
     out = build_H(b)
-    assert calls == []
+    assert trees == induced == []
     assert torsos and all(t is grid for t in torsos)
     assert sorted({x[2] for x in out.H.vertices if x[0] == "pl"}) == [0]
     assert verify_output(b, out).passed
     treedecomp._sub_decomposition(grid, None)
-    assert calls == ["tree"]  # the counter sees the tree where it is read
+    assert (len(trees), induced) == (1, [])  # the counter sees the tree where it is read
 
 
 def test_a_planar_part_holding_the_whole_host_beside_another_part_is_glued_not_renamed():
@@ -646,9 +633,7 @@ def test_grid_path_build_skips_the_min_degree_decomposition(monkeypatch):
     corner vertex sees two of S.  So no sub-decomposition edge at S can be tight,
     the min-degree decomposition is not built, and each planar part contracts to
     the one node 0 that the elimination tree, built and contracted, gives."""
-    calls = []
-    real_tree = treedecomp._elimination_tree
-    monkeypatch.setattr(treedecomp, "_elimination_tree", lambda *a: calls.append("tree") or real_tree(*a))
+    calls = helpers.calls(monkeypatch, "treedecomp._elimination_tree")
     b = _grid_path(2, 5)
     out = build_H(b)
     assert calls == []
@@ -659,7 +644,7 @@ def test_grid_path_build_skips_the_min_degree_decomposition(monkeypatch):
         outer = {S for S in adhesion_sets(b.td).values() if S <= b.td.parts[t] and len(S) == 3}
         assert outer and ref.contracted.parts == {0: out.evidence.torsos[t].vertices}
         assert ref.contracted == treedecomp._sub_decomposition(out.evidence.torsos[t], None, outer)
-    assert calls == ["tree", "tree"]
+    assert len(calls) == 2
 
 
 def test_build_h_reads_the_elimination_tree_only_where_an_edge_may_be_kept(monkeypatch):
@@ -667,17 +652,15 @@ def test_build_h_reads_the_elimination_tree_only_where_an_edge_may_be_kept(monke
     no label decomposition: on the one-part planar grid, with no size-3 outer
     adhesion set, it reads no elimination tree; on a bounded-treewidth torso it
     reads one, and ``heuristic_td`` still never runs."""
-    calls = []
-    real_tree, real_heuristic = treedecomp._elimination_tree, treedecomp.heuristic_td
-    monkeypatch.setattr(treedecomp, "_elimination_tree", lambda g: calls.append("tree") or real_tree(g))
-    monkeypatch.setattr(treedecomp, "heuristic_td", lambda g: calls.append("heuristic_td") or real_heuristic(g))
+    trees = helpers.calls(monkeypatch, "treedecomp._elimination_tree")
+    heuristic = helpers.calls(monkeypatch, "treedecomp.heuristic_td")
     grid = grid_graph(9, 9)
     b = InstanceBundle(grid, single_node_td(grid.vertices), k=2,
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
-    assert verify_output(b, build_H(b)).passed and calls == []
+    assert verify_output(b, build_H(b)).passed and trees == heuristic == []
     b = InstanceBundle(cycle_graph(12), single_node_td(range(12)), k=2)
     out = build_H(b)
-    assert out.evidence.classification == {"t": BOUNDED_TW} and calls == ["tree"]
+    assert out.evidence.classification == {"t": BOUNDED_TW} and (len(trees), heuristic) == (1, [])
     assert verify_output(b, out).passed
 
 
@@ -988,22 +971,21 @@ def test_h_of_a_one_part_planar_host_shares_the_torsos_adjacency_and_facts(monke
     and the left-right testing pass runs once per neighbour lists: once in all
     on a fresh one-part planar host, else once per torso that reaches the
     planarity test and once for H."""
-    asked, passes = [], []
-    real_lr, real_pass = planarity._lr_planar, planarity._testing_pass
-    monkeypatch.setattr(planarity, "_lr_planar", lambda g: asked.append(g) or real_lr(g))
-    monkeypatch.setattr(planarity, "_testing_pass", lambda g: passes.append(g) or real_pass(g))
+    real_lr = planarity._lr_planar
+    asked = helpers.calls(monkeypatch, "planarity._lr_planar")
+    passes = helpers.calls(monkeypatch, "planarity._testing_pass")
     shared = 0
     for b in [inst.bundle for inst in corpus(DEFAULT_SEED)] + [b for _, b in planar_scale_bundles()]:
         asked.clear()
         passes.clear()
         out = build_H(b)
         torsos = list(out.evidence.torsos.values())
-        assert all(any(g is t for t in torsos) for g in asked)
-        tested_torsos = len({id(g) for g in asked})
+        assert all(any(g is t for t in torsos) for g, in asked)
+        tested_torsos = len({id(g) for g, in asked})
         asked.clear()
         verify_output(b, out)
         H = out.H
-        assert any(g is H for g in asked)
+        assert any(g is H for g, in asked)
         one_part_planar = len(b.td.parts) == 1 and list(out.evidence.classification.values()) == [PLANAR]
         assert len(passes) == (1 if one_part_planar else tested_torsos + 1)
         fresh = Graph._on_ids(H.order, [(i, j) for i, js in enumerate(H.nbrs) for j in js if j > i])
@@ -1025,17 +1007,12 @@ def test_a_one_part_planar_host_is_built_and_certified_with_no_per_vertex_lookup
     certified without the level scan.  The other paths keep running: on
     bridge-4 both level scans, and on grid-k4-4x4-at-1-1 (two parts, no
     markers) one image lookup per host vertex."""
-    counts = Counter()
-
-    def counted(name):
-        real = getattr(Graph, name)
-        return lambda self, arg: counts.update([name]) or real(self, arg)
-
-    for name in ("own_id", "ball_levels"):
-        monkeypatch.setattr(Graph, name, counted(name))
+    own_id = helpers.calls(monkeypatch, "graph.Graph.own_id")
+    ball_levels = helpers.calls(monkeypatch, "graph.Graph.ball_levels")
 
     def fresh_run(b):
-        counts.clear()
+        own_id.clear()
+        ball_levels.clear()
         out = build_H(b)
         assert verify_output(b, out).passed
         return out
@@ -1056,12 +1033,12 @@ def test_a_one_part_planar_host_is_built_and_certified_with_no_per_vertex_lookup
     assert len(one_part) == 8
     for b in bundles + one_part:
         out = fresh_run(b)
-        assert counts == Counter({"own_id": len(b.infinite_markers)})
+        assert (len(own_id), ball_levels) == (len(b.infinite_markers), [])
         assert all(out.phi[v] is x for v, x in zip(b.host.order, out.H.order))
     fresh_run(instances["bridge-4"])
-    assert counts["ball_levels"] == 2
+    assert len(ball_levels) == 2
     fresh_run(instances["grid-k4-4x4-at-1-1"])
-    assert counts["own_id"] == len(instances["grid-k4-4x4-at-1-1"].host.order)
+    assert len(own_id) == len(instances["grid-k4-4x4-at-1-1"].host.order)
 
 
 def test_a_planar_scale_host_keeps_the_same_facts_after_one_build_and_verify():
@@ -1093,16 +1070,15 @@ def test_a_fresh_non_planar_h_is_tested_after_a_planar_verdict_was_kept(monkeypa
                        infinite_markers=frozenset(v for v in grid.vertices if grid.degree(v) < 4))
     out = build_H(b)
     assert verify_output(b, out).passed and out.H._facts.get(planarity._lr_planar) is True
-    passes, real = [], planarity._testing_pass
-    monkeypatch.setattr(planarity, "_testing_pass", lambda g: passes.append(g) or real(g))
+    passes = helpers.calls(monkeypatch, "planarity._testing_pass")
     pairs = [(i, j) for i, js in enumerate(out.H.nbrs) for j in js if j > i]
     same = out._replace(H=Graph._on_ids(out.H.order, pairs))
-    assert verify_output(b, same).passed and len(passes) == 1 and passes[0] is same.H
+    assert verify_output(b, same).passed and len(passes) == 1 and passes[0][0] is same.H
     passes.clear()
     k5 = list(combinations(out.H.sorted_vertices()[:5], 2))
     forged = out._replace(H=Graph.build(list(out.H.edges) + k5))
     rep = verify_output(b, forged)
-    assert len(passes) == 1 and passes[0] is forged.H
+    assert len(passes) == 1 and passes[0][0] is forged.H
     assert not rep.planar and "H is not planar" in rep.failures
 
 

@@ -39,6 +39,7 @@ from coarsegraph.generators import (
 )
 from coarsegraph.graph import Graph, canonical_edge, parent_path, relabel, sort_vertices
 
+import helpers
 import oracles
 from helpers import JSON_EDIT_VALUES, edit_json
 
@@ -402,9 +403,7 @@ def test_symmetric_hosts_never_list_their_group(monkeypatch, host, cases):
 def test_exhaustive_search_reads_each_vertex_ball_once(monkeypatch, pattern, host, K):
     """Beyond the re-check of a found model, a search reads no distance row at
     K = 1 and at most one per host vertex at K = 2."""
-    calls = []
-    real = Graph.distance_row
-    monkeypatch.setattr(Graph, "distance_row", lambda self, sources: calls.append(1) or real(self, sources))
+    calls = helpers.calls(monkeypatch, "graph.Graph.distance_row")
     out = search_fat_minor(pattern, host, K)
     searched = len(calls)
     if out.model is not None:  # the re-check of a found model reads rows of its own
@@ -424,12 +423,10 @@ def test_heuristic_finds_fat_cycle_in_large_cycle():
 def test_heuristic_verifies_only_its_witness(monkeypatch, K, status, verified):
     """Heuristic candidates are checked on ids; only the witness returned goes
     through the full verify_fat_model, once."""
-    calls = []
-    real = fatminor.verify_fat_model
-    monkeypatch.setattr(fatminor, "verify_fat_model", lambda m, K: calls.append(m) or real(m, K))
+    calls = helpers.calls(monkeypatch, "fatminor.verify_fat_model")
     out = search_fat_minor(cycle_graph(4), cycle_graph(24), K)
     assert (out.status, len(calls)) == (status, verified)
-    assert calls == ([out.model] if out.model else [])
+    assert [m for m, _ in calls] == ([out.model] if out.model else [])
 
 
 def test_budget_exhaustion_is_reported_not_guessed():

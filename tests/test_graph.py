@@ -41,6 +41,7 @@ from coarsegraph.graph import (
 
 from coarsegraph.treedecomp import TreeDecomposition, torso
 
+import helpers
 import oracles
 from helpers import int_digit_limit, kernel_graphs, nested
 
@@ -392,9 +393,8 @@ def test_a_fact_made_on_a_renamed_graph_is_its_sources_and_made_once(monkeypatch
 
     assert degrees(h) is degrees(g) and made == [h]
     assert h.masks is g.masks and h.orientation is g.orientation and h.component_masks is g.component_masks
-    passes, real = [], planarity._testing_pass
-    monkeypatch.setattr(planarity, "_testing_pass", lambda x: passes.append(x) or real(x))
-    assert planarity._lr_planar(h) is planarity._lr_planar(g) is True and passes == [h]
+    passes = helpers.calls(monkeypatch, "planarity._testing_pass")
+    assert planarity._lr_planar(h) is planarity._lr_planar(g) is True and passes == [(h,)]
     assert len(h.edges) == len(g.edges) and not h.edges & g.edges
 
 

@@ -28,6 +28,7 @@ from coarsegraph.planarity import (
     validate_subdivision,
 )
 
+import helpers
 import oracles
 
 
@@ -219,9 +220,7 @@ def test_verdict_matches_subdivision_search(n, seed, cubic):
 def test_extraction_makes_at_most_one_verdict_per_edge(monkeypatch):
     """One find_subdivision call runs the left-right test at most |E| + 1
     times: once for the verdict, then at most once per edge."""
-    calls = []
-    real = planarity._lr_planar
-    monkeypatch.setattr(planarity, "_lr_planar", lambda nbrs: calls.append(1) or real(nbrs))
+    calls = helpers.calls(monkeypatch, "planarity._lr_planar")
     rng = random.Random(7)
     cubic = [Graph.build(random_cubic(rng, 12)) for _ in range(20)]
     for g in (petersen(), subdivided_k33(), complete_graph(8), complete_bipartite_graph(4, 5), *cubic):

@@ -29,6 +29,7 @@ from coarsegraph.qi import (
 )
 from coarsegraph.treedecomp import TreeDecomposition
 
+import helpers
 import oracles
 
 
@@ -409,8 +410,7 @@ def test_an_isomorphism_is_certified_without_the_level_scan(monkeypatch):
     rows.  Every constant still comes from the level scan once one H edge is
     dropped."""
     host, out = _one_part_grid(9)
-    calls, real = [], Graph.ball_levels
-    monkeypatch.setattr(Graph, "ball_levels", lambda self, seeds: calls.append(1) or real(self, seeds))
+    calls = helpers.calls(monkeypatch, "graph.Graph.ball_levels")
     assert tightest_constants(host, out.H, out.phi, fixed_gamma=1) == (Fraction(1), Fraction(0))
     claimed = QuasiIsometryCertificate(host, out.H, out.phi, 1, 0, True, None)
     assert qi_verify(claimed) == (True, None) and calls == []
@@ -572,8 +572,7 @@ def test_tightest_constants_finds_no_witness(monkeypatch):
     the two rows that locate the worst pair run only for a certificate, which
     returns that pair.  Both give the same constants."""
     host, target, phi = path_graph(9), path_graph(5), floor_map(9)
-    rows, real = [], Graph.distance_row
-    monkeypatch.setattr(Graph, "distance_row", lambda self, sources: rows.append(1) or real(self, sources))
+    rows = helpers.calls(monkeypatch, "graph.Graph.distance_row")
     constants = tightest_constants(host, target, phi, fixed_gamma=1)
     assert len(rows) == 1
     cert = tightest_certificate(host, target, phi, 1)

@@ -222,8 +222,9 @@ def test_edge_separations_are_the_side_unions_on_mixed_labels(data):
     assert Separation.on_masks(g, a, b) == Separation.of(g.labels(a), g.labels(b))
 
 
-@pytest.mark.parametrize("k", [-1, 4])
+@pytest.mark.parametrize("k", [-1, 4, True, 1.0])
 def test_enumerate_tight_refuses_an_order_outside_the_vertex_count(k):
+    """An order is an int from 0 to |V|: not a bool, though True is 1, nor the float 1.0."""
     with pytest.raises(StructuralError) as exc:
         enumerate_tight(path_graph(3), k)
     assert str(exc.value) == "order must be between 0 and |V|"

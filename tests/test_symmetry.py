@@ -23,6 +23,7 @@ from coarsegraph.symmetry import (
     vertex_orbits,
 )
 
+import helpers
 import oracles
 from oracles import compose, invert, is_identity
 
@@ -172,9 +173,7 @@ def test_orbits_of_empty_single_vertex_and_edgeless_graphs():
 def test_one_generator_search_per_graph(monkeypatch):
     """The generating set is kept on the graph: vertex and edge
     orbits of one graph, and every K of one fat-minor probe, share one search."""
-    calls = []
-    real = symmetry._refined_order  # called once per generator search
-    monkeypatch.setattr(symmetry, "_refined_order", lambda g: calls.append(g) or real(g))
+    calls = helpers.calls(monkeypatch, "symmetry._refined_order")  # called once per generator search
     g = petersen()
     vertex_orbits(g)
     edge_orbits(g)

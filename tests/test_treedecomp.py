@@ -32,6 +32,7 @@ from coarsegraph.treedecomp import (
     width,
 )
 
+import helpers
 import oracles
 from helpers import kernel_graphs
 
@@ -149,19 +150,26 @@ def test_validate_reports_the_first_violation_like_the_axioms(data):
     assert (rep.ok, rep.axiom, rep.witness) == (expected[0] is None, expected[0], expected[1][0])
 
 
+def _grown(calls: list) -> list:
+    """The ``within`` mask of each recorded ``mask_components`` call that passes one; the
+    one-argument calls of ``Graph.component_masks`` grow every component and pass none."""
+    return [a[1] for a in calls if len(a) > 1]
+
+
 def test_validate_tests_each_distinct_node_set_once(monkeypatch):
     """T3 grows one tree mask per distinct set of two or more nodes holding a
     vertex, since a one-node set is connected: none for a one-part 17×17 grid;
-    of a path's two-node decomposition's sets {0}, {0, 1} and {1}, only {0, 1}."""
-    from coarsegraph import treedecomp
-
-    grown, real = [], treedecomp.mask_components
-    monkeypatch.setattr(treedecomp, "mask_components", lambda *a: grown.append(a[1]) or real(*a))
+    of a path's two-node decomposition's sets {0}, {0, 1} and {1}, only {0, 1},
+    and that once when two vertices lie in both parts."""
+    calls = helpers.calls(monkeypatch, "graph.mask_components")
     host = grid_graph(17, 17)
     assert validate(host, TreeDecomposition(Graph.build((), ["t"]), {"t": host.vertices})).ok
-    assert grown == []
+    assert _grown(calls) == []
     assert validate(path_graph(4), TreeDecomposition(path_graph(2), {0: frozenset({0, 1, 2}), 1: frozenset({2, 3})})).ok
-    assert grown == [0b11]
+    assert _grown(calls) == [0b11]
+    calls.clear()
+    assert validate(path_graph(5), TreeDecomposition(path_graph(2), {0: frozenset({0, 1, 2, 3}), 1: frozenset({2, 3, 4})})).ok
+    assert _grown(calls) == [0b11]
 
 
 _LABELS = st.integers(0, 9) | st.text(alphabet="ab", min_size=1, max_size=2) | st.tuples(st.integers(0, 3), st.sampled_from("xy"))
@@ -289,15 +297,13 @@ def test_exact_treewidth_skips_the_dp_when_the_degeneracy_meets_the_min_degree_w
     """A partial k-tree's degeneracy usually reaches its min-degree width, and
     then no component of the subset DP is grown; on the 3×3 grid (degeneracy
     2, min-degree width 3) the DP runs and finds treewidth 3."""
-    from coarsegraph import treedecomp
-
-    grown, real = [], treedecomp.mask_components
-    monkeypatch.setattr(treedecomp, "mask_components", lambda *a: grown.append(a[1]) or real(*a))
+    calls = helpers.calls(monkeypatch, "graph.mask_components")
     degeneracy = max(bag.bit_count() for _, bag in min_degree_elimination(grid_graph(3, 3), fill=False)) - 1
     assert (degeneracy, width(heuristic_td(grid_graph(3, 3)))) == (2, 3)
-    assert exact_treewidth(grid_graph(3, 3)) == 3 and grown
-    grown.clear()
-    assert exact_treewidth(partial_k_tree(random.Random(7), 12, 4)) == 4 and not grown
+    calls.clear()
+    assert exact_treewidth(grid_graph(3, 3)) == 3 and _grown(calls)
+    calls.clear()
+    assert exact_treewidth(partial_k_tree(random.Random(7), 12, 4)) == 4 and not _grown(calls)
 
 
 def test_exact_treewidth_cap():

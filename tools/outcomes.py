@@ -16,13 +16,25 @@ The input sets:
   committed corpus digests use;
 - ``planar-scale``: the planar-scale benchmark's hosts (n×n grids, n = 7, 10,
   13, 17, and Z² balls of radius 4, 7, 11), each one part with its boundary
-  markers.
+  markers;
+- ``random-bundle`` and ``supplied-bundle``: ``random_bundle(Random(i))`` for
+  i < 400 and ``supplied_bundle(Random(i))`` for i < 1,000, the draws the
+  committed random-bundle digests pin;
+- ``soundness-ledger``: the soundness ledger's 1,500 ``random_bundle`` draws on
+  each of ``Random(5)`` and ``Random(11)``.
+
+The last three import their makers from the revision's own ``tests/helpers.py``,
+so the runner needs the ``test`` extra (``pip install ".[test]"``); a revision
+whose helpers lack a maker runs the sets of the other, and each input of a set
+run on one side only is listed as moved from or to "no such input".
 
 An input's outcome is ``{name, output, report}`` (``output_to_dict``,
 ``report_to_dict``), or ``{name, error}`` with the error's type and text.  A
 set's digest is the sha256 of the sorted-key JSON list of its outcomes, as the
 committed digests are made, so a corpus set with no error reads as its digest
-in ``tests/test_construction.py``.  Standard library only.
+in ``tests/test_construction.py`` (the random sets' outcomes are not the
+strings those tests hash, so their digests differ).  The tool itself uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ import tempfile
 
 # Runs in the revision's worktree, on its package; uses only names both sides have had since the corpus digests.
 RUNNER = r'''
-import hashlib, json
+import hashlib, json, random, sys
 from coarsegraph.construction import InstanceBundle, build_H, output_to_dict, report_to_dict, verify_output
 from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.generators import cayley_ball, grid_graph
@@ -77,6 +89,23 @@ def summary(doc):
 
 sets = {f"corpus-{seed}": [(inst.name, inst.bundle) for inst in corpus(seed)] for seed in (DEFAULT_SEED, 101)}
 sets["planar-scale"] = list(planar_scale())
+sys.path.insert(0, "tests")
+try:
+    import helpers
+except ModuleNotFoundError as exc:
+    if exc.name != "helpers":  # a missing test dependency, not a revision without tests/helpers.py
+        raise
+random_bundle, supplied_bundle = (getattr(sys.modules.get("helpers"), f, None) for f in ("random_bundle", "supplied_bundle"))
+if random_bundle:
+    sets["random-bundle"] = [(f"random_bundle(Random({i}))", random_bundle(random.Random(i))) for i in range(400)]
+if supplied_bundle:
+    sets["supplied-bundle"] = [(f"supplied_bundle(Random({i}))", supplied_bundle(random.Random(i))) for i in range(1000)]
+if random_bundle:
+    ledger = []
+    for seed in (5, 11):
+        rng = random.Random(seed)
+        ledger += [(f"Random({seed}) draw {j}", random_bundle(rng)) for j in range(1500)]
+    sets["soundness-ledger"] = ledger
 result = {}
 for name, inputs in sets.items():
     docs = [outcome(*inp) for inp in inputs]
