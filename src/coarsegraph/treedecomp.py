@@ -64,10 +64,9 @@ class TreeDecomposition(_TreeDecomposition):
         return cls(*iterable)
 
     def part(self, t) -> frozenset:
-        try:
-            return self.parts[t]
-        except KeyError:
-            raise StructuralError(f"no such tree node: {t!r}") from None
+        if self.tree.own_id(t) is None:  # 1.0 or True equals the node 1 but is no node of the tree
+            raise StructuralError(f"no such tree node: {t!r}")
+        return self.parts[t]
 
 
 class TDReport(NamedTuple):

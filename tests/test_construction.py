@@ -1001,21 +1001,29 @@ def test_a_one_part_planar_host_is_built_and_certified_with_no_per_vertex_lookup
     """A fresh build_H + verify_output of each planar-scale benchmark host, as
     it stands and under a seeded renaming, and of each one-part planar corpus
     instance (the six grid-RxC grids and two Z² balls), calls Graph.ball_levels
-    zero times and Graph.own_id once per marker, where validate_bundle checks
-    that the marker is a host vertex, and no more: φ is the host renamed, each
-    image H's own name object at the host vertex's id, and an isomorphism is
+    zero times and Graph.own_id on the host once per marker, where
+    validate_bundle checks that the marker is a host vertex, on the trees of
+    the torsos built at most once per torso, where TreeDecomposition.part
+    checks the node, and on no other graph: φ is the host renamed, each image
+    H's own name object at the host vertex's id, and an isomorphism is
     certified without the level scan.  The other paths keep running: on
     bridge-4 both level scans, and on grid-k4-4x4-at-1-1 (two parts, no
-    markers) one image lookup per host vertex."""
+    markers) one image lookup on H per host vertex."""
     own_id = helpers.calls(monkeypatch, "graph.Graph.own_id")
     ball_levels = helpers.calls(monkeypatch, "graph.Graph.ball_levels")
+    torsos = helpers.calls(monkeypatch, "treedecomp.torso")
 
     def fresh_run(b):
-        own_id.clear()
-        ball_levels.clear()
+        for record in (own_id, ball_levels, torsos):
+            record.clear()
         out = build_H(b)
         assert verify_output(b, out).passed
         return out
+
+    def lookups(g):  # the own_id calls on g, on the trees of the torsos built, and on any other graph
+        per_graph = Counter(id(args[0]) for args in own_id)
+        trees = {id(td.tree) for _, td, _ in torsos}
+        return per_graph.pop(id(g), 0), sum(per_graph.pop(t, 0) for t in trees), sum(per_graph.values())
 
     rng = random.Random(44)
     grids = [grid_graph(n, n) for n in (7, 10, 13, 17)]
@@ -1033,12 +1041,15 @@ def test_a_one_part_planar_host_is_built_and_certified_with_no_per_vertex_lookup
     assert len(one_part) == 8
     for b in bundles + one_part:
         out = fresh_run(b)
-        assert (len(own_id), ball_levels) == (len(b.infinite_markers), [])
+        host, trees, other = lookups(b.host)
+        assert (host, other, ball_levels) == (len(b.infinite_markers), 0, [])
+        assert trees <= len(torsos)
         assert all(out.phi[v] is x for v, x in zip(b.host.order, out.H.order))
     fresh_run(instances["bridge-4"])
     assert len(ball_levels) == 2
-    fresh_run(instances["grid-k4-4x4-at-1-1"])
-    assert len(own_id) == len(instances["grid-k4-4x4-at-1-1"].host.order)
+    b = instances["grid-k4-4x4-at-1-1"]
+    out = fresh_run(b)
+    assert lookups(out.H)[0] == len(b.host.order)
 
 
 def test_a_planar_scale_host_keeps_the_same_facts_after_one_build_and_verify():

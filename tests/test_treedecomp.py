@@ -227,6 +227,19 @@ def test_torso_completes_adhesion_cliques():
     assert len(t.vertices) == 4
 
 
+def test_a_value_equal_to_a_tree_node_is_no_tree_node():
+    """1.0 and True equal the tree node 1 but are not it: part and torso refuse
+    them as they refuse a node the tree lacks."""
+    host = cycle_graph(6)
+    td = TreeDecomposition(Graph.build([(1, 2)]), {1: {0, 1, 2, 3}, 2: {3, 4, 5, 0}})
+    assert td.part(1) == torso(host, td, 1).vertices == {0, 1, 2, 3}
+    for t in (1.0, True, 3):
+        with pytest.raises(StructuralError, match=rf"^no such tree node: {t!r}$"):
+            td.part(t)
+        with pytest.raises(StructuralError, match=rf"^no such tree node: {t!r}$"):
+            torso(host, td, t)
+
+
 def test_edge_separation_is_a_separation():
     rng = random.Random(41)
     for _ in range(20):

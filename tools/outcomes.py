@@ -13,7 +13,11 @@ iff no outcome moved, so ``--against HEAD`` checks that a run reproduces.
 
 The input sets:
 - ``corpus-<seed>``: every instance of ``corpus(seed)`` at the two seeds the
-  committed corpus digests use;
+  committed corpus digests use and at seed 7, the seed README's fast-path
+  ledger counts fires at;
+- ``corpus-20240817-tuples``: each default-seed corpus bundle renamed by
+  ``relabel_bundle``, host vertex v to ``("v", v)`` and tree node t to
+  ``(t, 0)``, as ``tests/test_construction.py``'s ``tuple_named_corpus`` does;
 - ``planar-scale``: the planar-scale benchmark's hosts (n×n grids, n = 7, 10,
   13, 17, and Z² balls of radius 4, 7, 11), each one part with its boundary
   markers;
@@ -31,10 +35,11 @@ run on one side only is listed as moved from or to "no such input".
 An input's outcome is ``{name, output, report}`` (``output_to_dict``,
 ``report_to_dict``), or ``{name, error}`` with the error's type and text.  A
 set's digest is the sha256 of the sorted-key JSON list of its outcomes, as the
-committed digests are made, so a corpus set with no error reads as its digest
-in ``tests/test_construction.py`` (the random sets' outcomes are not the
-strings those tests hash, so their digests differ).  The tool itself uses the
-standard library only.
+committed digests are made, so a corpus set at a digest seed, and the tuple
+set, read as their digests in ``tests/test_construction.py`` when no input
+errs (seed 7 has no committed digest, and the random sets' outcomes are not
+the strings those tests hash, so their digests differ).  The tool itself
+uses the standard library only.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import tempfile
 RUNNER = r'''
 import hashlib, json, random, sys
 from coarsegraph.construction import InstanceBundle, build_H, output_to_dict, report_to_dict, verify_output
-from coarsegraph.corpus import DEFAULT_SEED, corpus
+from coarsegraph.corpus import DEFAULT_SEED, corpus, relabel_bundle
 from coarsegraph.generators import cayley_ball, grid_graph
 from coarsegraph.graph import Graph
 from coarsegraph.treedecomp import TreeDecomposition
@@ -87,7 +92,10 @@ def summary(doc):
             "bytes": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()}
 
 
-sets = {f"corpus-{seed}": [(inst.name, inst.bundle) for inst in corpus(seed)] for seed in (DEFAULT_SEED, 101)}
+sets = {f"corpus-{seed}": [(inst.name, inst.bundle) for inst in corpus(seed)] for seed in (DEFAULT_SEED, 101, 7)}
+sets[f"corpus-{DEFAULT_SEED}-tuples"] = [
+    (name, relabel_bundle(b, {v: ("v", v) for v in b.host.vertices}, {t: (t, 0) for t in b.td.tree.vertices}))
+    for name, b in sets[f"corpus-{DEFAULT_SEED}"]]
 sets["planar-scale"] = list(planar_scale())
 sys.path.insert(0, "tests")
 try:
