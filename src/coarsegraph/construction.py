@@ -92,8 +92,11 @@ def validate_bundle(bundle: InstanceBundle) -> None:
     if adh > 3:
         raise ContractViolationError(f"adhesion {adh} exceeds 3")
     for name in ("k", "finite_threshold"):
-        if isinstance(getattr(bundle, name), bool):  # a bool is an int, but no count
+        count = getattr(bundle, name)
+        if isinstance(count, bool):  # a bool is an int, but no count
             raise ContractViolationError(f"{name} must be an integer, not a boolean")
+        if not isinstance(count, int):
+            raise ContractViolationError(f"{name} must be an integer, not {count!r}")
     if bundle.k < 0:
         raise ContractViolationError("k must be non-negative")
     unknown = [v for v in bundle.infinite_markers if bundle.host.own_id(v) is None]  # 3.0 is not the vertex 3
@@ -107,16 +110,15 @@ def validate_bundle(bundle: InstanceBundle) -> None:
         if bundle.td.tree.own_id(t) is None:
             raise StructuralError(f"no such tree node: {t!r}")
     # H's names nest one level deeper than the host vertices and tree nodes they hold.  Only a
-    # tuple nests, so the names are keyed only if one of their types is a tuple type.
+    # tuple nests, so only tuples are keyed.
     names = (bundle.host.vertices, bundle.td.tree.vertices, *(sub.tree.vertices for sub in bundle.sub_tds.values()))
-    if any(issubclass(t, tuple) for t in set(map(type, chain(*names)))):
-        for v in chain(*names):
-            if isinstance(v, tuple):
-                try:
-                    vertex_key(v, MAX_VERTEX_DEPTH - 1)
-                except GraphToolError:
-                    raise ContractViolationError(f"a host vertex or tree node nests {MAX_VERTEX_DEPTH} deep; "
-                                                 "its name in H would nest too deep to read back") from None
+    for v in chain(*names):
+        if isinstance(v, tuple):
+            try:
+                vertex_key(v, MAX_VERTEX_DEPTH - 1)
+            except GraphToolError:
+                raise ContractViolationError(f"a host vertex or tree node nests {MAX_VERTEX_DEPTH} deep; "
+                                             "its name in H would nest too deep to read back") from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +152,10 @@ def _first_fit(host: Graph, td: TreeDecomposition, t, kinds, k: int, finite_thre
                torsos: dict | None):
     """The first of ``kinds`` whose test the part at t passes, or None: at most
     ``finite_threshold`` vertices, then a torso of treewidth ≤ k, then a planar
-    torso.  The torso is built only if a test reads it, at most once: it is
-    taken from ``torsos``, or built and kept there."""
+    torso.  The torso of a part above the threshold is built at most once: it
+    is taken from ``torsos``, or built and kept there."""
     if FINITE in kinds and len(td.parts[t]) <= finite_threshold:
         return FINITE
-    if kinds == (FINITE,):
-        return None
     torsos = {} if torsos is None else torsos
     if t not in torsos:
         torsos[t] = torso(host, td, t)
@@ -191,8 +191,8 @@ def check_classification(host: Graph, td: TreeDecomposition, k: int, classificat
                          finite_threshold: int = DEFAULT_FINITE_THRESHOLD,
                          torsos: dict | None = None) -> None:
     """A supplied classification must still be *consistent* with the torsos."""
-    if set(classification) != set(td.tree.vertices):
-        raise StructuralError("classification must label exactly the tree nodes")
+    if set(classification) != set(td.tree.vertices) or any(td.tree.own_id(t) is None for t in classification):
+        raise StructuralError("classification must label exactly the tree nodes")  # 1.0 is no label of the node 1
     for t, kind in classification.items():
         if kind not in TORSO_KINDS:
             raise StructuralError(f"unknown torso class {kind!r} at {t!r}")

@@ -55,7 +55,7 @@ def set_key(vs: Iterable[Vertex]) -> tuple:
 def _same_types(u, w) -> bool:
     """Whether u and w, known to be equal, have the same types throughout."""
     t = type(u)
-    return t is type(w) and (t is str or t is int or not isinstance(u, tuple) or all(map(_same_types, u, w)))
+    return t is type(w) and (not isinstance(u, tuple) or all(map(_same_types, u, w)))
 
 
 def _entry(v, equal: list | None) -> list:
@@ -609,11 +609,6 @@ def vertex_from_json(v, token: bool = True) -> Vertex:
     """A vertex as JSON holds it: a string, read as a vertex token when
     ``token``; a list, read as a tuple of plain vertices nested at most
     ``MAX_VERTEX_DEPTH`` deep; or an int."""
-    t = type(v)
-    if t is int:
-        return v
-    if t is str:
-        return parse_vertex_token(v) if token else v
     if isinstance(v, list):
         return _tuple_from_json(v, MAX_VERTEX_DEPTH)
     if isinstance(v, str) and token:
@@ -649,8 +644,7 @@ def parse_edge_list(text: str) -> Graph:
     # Each distinct token is parsed once and numbered straight into key order.  Any error sends the
     # rows to _edge_list_error, which checks them line by line and raises the first.
     lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
+    lines = [line.split("#", 1)[0] for line in lines]
     rows = list(map(str.split, lines))
     tokens = dict.fromkeys(chain.from_iterable(rows))  # in first-occurrence order
     try:

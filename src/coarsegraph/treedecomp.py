@@ -22,6 +22,7 @@ from .graph import (
     Graph,
     Vertex,
     _induced,
+    _same_types,
     bit_ids,
     canonical_edge,
     induced_subgraph,
@@ -55,7 +56,8 @@ class TreeDecomposition(_TreeDecomposition):
 
     def __new__(cls, tree: Graph, parts: dict):
         _check_is_tree(tree)
-        if set(parts) != set(tree.vertices):
+        # A key equal to a node must be that node (``Graph.own_id``'s rule): 1.0 or True is no key of the node 1.
+        if set(parts) != set(tree.vertices) or not all(_same_types(t, tree.order[tree.pos[t]]) for t in parts):
             raise StructuralError("parts must be keyed exactly by the tree nodes")
         return super().__new__(cls, tree, {t: frozenset(p) for t, p in parts.items()})
 
@@ -208,13 +210,11 @@ def min_degree_elimination(g: Graph, max_degree: int | None = None, fill: bool =
     and the widest bag minus one is the degeneracy, which bounds treewidth
     from below.
 
-    A completed run with ``fill`` is kept in ``g``'s table of facts; a later
-    call reads it, and stops at ``max_degree`` exactly when some bag holds
-    more than ``max_degree`` + 1 ids.  A run stopped early keeps nothing.
+    A completed run with ``fill`` is kept in ``g``'s table of facts, and a
+    later call with no ``max_degree`` reads it.  A run stopped early keeps
+    nothing.
     """
-    if fill and (run := g._facts.get(min_degree_elimination)) is not None:
-        if max_degree is not None and any(bag.bit_count() > max_degree + 1 for _, bag in run):
-            return None
+    if fill and max_degree is None and (run := g._facts.get(min_degree_elimination)) is not None:
         return run
     adj = list(g.masks)
     deg = list(map(int.bit_count, adj))

@@ -233,10 +233,11 @@ _TREEWIDTHS = [  # a fresh graph from each maker, and its treewidth
 
 @pytest.mark.parametrize("make, tw", _TREEWIDTHS)
 def test_treewidth_at_most_answers_alike_whichever_call_fills_the_elimination(make, tw):
-    """The elimination kept on the graph gives each k the answer a fresh graph
-    gets, whether heuristic_td filled it first or not: on K4, the 3×4 and the
-    4×4 grid the full elimination must still refuse k ≤ 2.  A run stopped at k
-    keeps nothing, so heuristic_td after it is the one on a fresh graph."""
+    """treewidth_at_most gives each k the answer a fresh graph gets, whether
+    heuristic_td filled the kept elimination first or not: on K4, the 3×4 and
+    the 4×4 grid the full elimination must still refuse k ≤ 2.  A run stopped
+    at k keeps nothing and a completed one is kept, so heuristic_td after it,
+    reading the kept run or not, is the one on a fresh graph."""
     for k in (0, 1, 2):
         fresh, warm, stopped = make(), make(), make()
         td = heuristic_td(warm)
@@ -293,7 +294,9 @@ def test_a_marker_or_sub_decomposition_node_equal_to_one_of_other_types_is_refus
     member or as True, is refused as an unknown marker (``UnknownVertexError``);
     one the key order cannot rank is named by the least repr.  A one-part
     cycle-12 bundle whose sub-decomposition is keyed 1.0 for the tree node 1 is
-    refused as one of an unknown node is, where the int key builds and passes."""
+    refused as one of an unknown node is, where the int key builds and passes.
+    A classification of clique-tree-00 keyed 0.0, 1.0 and 2.0, or True for the
+    node 1, labels no tree node and is refused, where its int keys build."""
     from coarsegraph.errors import StructuralError, UnknownVertexError
 
     class Marker(IntEnum):
@@ -313,17 +316,28 @@ def test_a_marker_or_sub_decomposition_node_equal_to_one_of_other_types_is_refus
     assert verify_output(ok, build_H(ok)).passed
     with pytest.raises(StructuralError, match=r"^no such tree node: 1\.0$"):
         build_H(ok._replace(sub_tds={1.0: sub}))
+    inst = next(i for i in corpus(DEFAULT_SEED) if i.name == "clique-tree-00")
+    labels = build_H(inst.bundle).evidence.classification
+    assert sorted(labels) == [0, 1, 2] and verify_output(inst.bundle, build_H(inst.bundle._replace(classification=labels))).passed
+    for rename in ({0: 0.0, 1: 1.0, 2: 2.0}, {0: 0, 1: True, 2: 2}):
+        with pytest.raises(StructuralError, match=r"^classification must label exactly the tree nodes$"):
+            build_H(inst.bundle._replace(classification={rename[t]: kind for t, kind in labels.items()}))
 
 
-@pytest.mark.parametrize("k, finite_threshold, name", [(True, 8, "k"), (False, 8, "k"), (2, True, "finite_threshold")])
+@pytest.mark.parametrize("k, finite_threshold, name", [
+    (True, 8, "k"), (False, 8, "k"), (2, True, "finite_threshold"), (2.5, 8, "k"), (2.0, 8, "k"), ("2", 8, "k"),
+    (None, 8, "k"), (2, "8", "finite_threshold"), (2, None, "finite_threshold"), (2, 8.5, "finite_threshold")])
 def test_a_boolean_count_is_refused(k, finite_threshold, name):
     """k and the finite threshold are counts: a bool, though an int, is
-    refused as the JSON reader refuses true, not built as 1 or 0."""
+    refused as the JSON reader refuses true, not built as 1 or 0; a value
+    that is no int (a float, even 2.0, a string or None) is refused by its
+    repr, not left to fail later with an untyped error or to build."""
     grid = grid_graph(3, 3)
     b = InstanceBundle(grid, single_node_td(grid.vertices), k, finite_threshold=finite_threshold)
+    count = k if name == "k" else finite_threshold
     with pytest.raises(ContractViolationError) as exc:
         build_H(b)
-    assert str(exc.value) == f"{name} must be an integer, not a boolean"
+    assert str(exc.value) == f"{name} must be an integer, not {'a boolean' if isinstance(count, bool) else repr(count)}"
 
 
 def test_error_texts_name_the_key_least_offender_under_every_hash_seed():
@@ -647,6 +661,32 @@ def test_grid_path_build_skips_the_min_degree_decomposition(monkeypatch):
     assert len(calls) == 2
 
 
+def test_the_outer_triple_filter_agrees_with_the_unfiltered_contraction():
+    """Before it contracts a computed sub-decomposition, refine_planar_torso
+    drops each size-3 outer set with fewer than two fully attached components
+    of the torso − S, since no tight edge has it as its adhesion set.  On every
+    planar part with no supplied sub-decomposition, of the evidence outputs,
+    of the same bundles with their sub-decompositions left out and of the
+    2 × 5×5 grid path, its refinement is the one contracted against every
+    size-3 outer set, and pruned alike.  Both kinds of set occur: dropped,
+    and kept with two fully attached components."""
+    bundles = [b for b, _ in _evidence_outputs()]
+    bundles += [b._replace(sub_tds={}) for b in bundles if b.sub_tds] + [_grid_path(2, 5)]
+    full = Counter()
+    for b in bundles:
+        out = build_H(b)
+        for t, ref in out.evidence.refinements.items():
+            if t in b.sub_tds:
+                continue
+            tg = out.evidence.torsos[t]
+            outer = sorted({S for S in adhesion_sets(b.td).values() if S and S <= b.td.parts[t]}, key=set_key)
+            triples = {S for S in outer if len(S) == 3}
+            full.update(len(separations.fully_attached_components(tg, S)) >= 2 for S in triples if S <= tg.vertices)
+            contracted = treedecomp._sub_decomposition(tg, None, triples)
+            assert construction._prune(tg, contracted, outer, b.infinite_markers) == ref
+    assert full[False] and full[True]
+
+
 def test_build_h_reads_the_elimination_tree_only_where_an_edge_may_be_kept(monkeypatch):
     """build_H contracts the min-degree elimination tree on masks and builds
     no label decomposition: on the one-part planar grid, with no size-3 outer
@@ -904,7 +944,10 @@ def test_report_serialization():
 
 
 def planar_scale_bundles():
-    """One-part planar hosts with boundary markers, as the planar-scale benchmark builds them."""
+    """Five one-part planar hosts with their boundary markers, under their own names: the n×n grids
+    for n = 7, 10 and 13, and the Z² Cayley balls of radius 4 and 7.  The planar-scale benchmark builds
+    these hosts and two more (the 17×17 grid and the Z² ball of radius 11), each renamed by a seeded
+    shuffle of its vertices."""
     for n in (7, 10, 13):
         g = grid_graph(n, n)
         yield f"grid-{n}", InstanceBundle(g, single_node_td(g.vertices), k=2,

@@ -532,6 +532,32 @@ _TOKEN_ATOMS = st.integers(-3, 12) | st.text(alphabet="ab7-(|)", min_size=1, max
 _VERTICES = _TOKEN_ATOMS | st.lists(_TOKEN_ATOMS | st.lists(_TOKEN_ATOMS, max_size=2).map(tuple), max_size=3).map(tuple)
 
 
+def _equal_copy(v):
+    """An object equal to v, of the same types throughout, that is not v (but for a cached small int or one-char string)."""
+    if isinstance(v, tuple):
+        return tuple(map(_equal_copy, v))
+    return int(str(v)) if isinstance(v, int) else "".join(list(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_VERTICES, _VERTICES).filter(lambda e: e[0] != e[1]), max_size=25),
+       st.lists(_VERTICES, max_size=4))
+def test_build_reads_an_equal_copy_of_a_vertex_as_the_vertex(edges, isolated):
+    """Graph.build takes a repeated endpoint that is the object it has already
+    entered as that vertex at once, and any other equal value by the type
+    rule: with every endpoint and isolated vertex an equal copy of its own,
+    the graph is the same, and it keeps the first object met."""
+    g = Graph.build(edges, vertices=isolated)
+    copies = [(_equal_copy(u), _equal_copy(v)) for u, v in edges]
+    alone = list(map(_equal_copy, isolated))
+    h = Graph.build(copies, vertices=alone)
+    assert (h.order, h.nbrs, list(map(type, h.order))) == (g.order, g.nbrs, list(map(type, g.order)))
+    first = {}
+    for v in [x for e in copies for x in e] + alone:
+        first.setdefault(v, v)
+    assert all(first[v] is v for v in h.order)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_VERTICES, _VERTICES).filter(lambda e: e[0] != e[1]), max_size=25),
        st.lists(_VERTICES, max_size=4))
@@ -583,6 +609,33 @@ def test_index_is_built_once_and_adds_no_attribute():
     assert not hasattr(g, "__dict__")
     with pytest.raises(AttributeError):
         g.extra = None
+
+
+class _Seven(IntEnum):
+    SEVEN = 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-300, 300) | st.text("ab", min_size=2, max_size=3)
+                | st.tuples(st.integers(-300, 300), st.text("xy", min_size=2, max_size=2)), min_size=1, max_size=12))
+def test_own_id_answers_its_own_vertex_as_the_type_rule_does(labels):
+    """Graph.own_id answers a vertex that is the graph's own object at once;
+    its rule for any other value equal to a vertex is that the two have the
+    same types throughout.  For each vertex, the vertex itself, an equal copy
+    that is another object, and equal values of other types (a float, True,
+    an IntEnum member, a tuple holding one) get the answer of that rule."""
+    from coarsegraph.graph import _same_types
+
+    g = Graph.build([], vertices=labels)
+    for i, v in enumerate(g.order):
+        copy = int(str(v)) if isinstance(v, int) else "".join(list(v)) if isinstance(v, str) else (int(str(v[0])), v[1])
+        assert copy == v
+        others = [float(v), _Seven.SEVEN] if isinstance(v, int) else [(float(v[0]), v[1])] if isinstance(v, tuple) else []
+        others += [True] if v == 1 else []
+        for x in (v, copy, *others):
+            expected = i if x == v and _same_types(x, v) else None
+            assert g.own_id(x) == expected, (v, x)
+        assert g.own_id(v) == i
 
 
 @settings(max_examples=200, deadline=None)
