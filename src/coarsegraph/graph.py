@@ -114,7 +114,7 @@ class Graph:
             except TypeError:  # an unhashable vertex, which keying refuses as no vertex
                 vertex_key(v)
                 raise
-            if e is None or e[0] is not v and not _same_types(v, e[0]):
+            if e is None or not _same_types(v, e[0]):
                 e = keyed[v] = _entry(v, e)
             return e
 
@@ -690,7 +690,7 @@ def format_edge_list(g: Graph) -> str:
     for v, t in zip(g.order, tokens):
         if "#" in t or t.split() != [t]:  # also an empty token, or one holding whitespace
             raise GraphToolError(f"vertex {t!r} cannot be serialised to the edge-list format")
-        if type(v) is not int and parse_vertex_token(t) != v:  # an int's token reads back as itself
+        if parse_vertex_token(t) != v:
             raise GraphToolError(f"vertex {v!r} would read back from the edge-list format as {parse_vertex_token(t)!r}")
     lines = [f"{tokens[i]} {tokens[j]}" for i, js in enumerate(g.nbrs) for j in js if j > i]
     lines += [t for t, js in zip(tokens, g.nbrs) if not js]

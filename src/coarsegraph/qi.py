@@ -150,17 +150,15 @@ def _scan(source: Graph, target: Graph, phi: Mapping, gamma: Fraction, per_compo
         for i, y in enumerate(img):
             seeds[y] |= bit[i]
         full = (1 << n) - 1
-        # i's G-component; the sources with images in φ(i)'s H-component.  On a side of one component, every source.
-        comp, reach = [full] * n, [full] * n
-        if len(source.component_masks) > 1:
-            for mask in source.component_masks:
-                for i in bit_ids(mask):
-                    comp[i] = mask
-        if len(target.component_masks) > 1:
-            for mask in target.component_masks:
-                srcs = sum(seeds[y] for y in bit_ids(mask))
-                for i in bit_ids(srcs):
-                    reach[i] = srcs
+        # i's G-component; the sources with images in φ(i)'s H-component.
+        comp, reach = [0] * n, [0] * n
+        for mask in source.component_masks:
+            for i in bit_ids(mask):
+                comp[i] = mask
+        for mask in target.component_masks:
+            srcs = sum(seeds[y] for y in bit_ids(mask))
+            for i in bit_ids(srcs):
+                reach[i] = srcs
         later = full ^ comp[0] & reach[0] if n and not per_component else 0  # the first pair at an infinite distance
         if later:
             j = (later & -later).bit_length() - 1

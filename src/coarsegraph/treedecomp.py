@@ -22,7 +22,6 @@ from .graph import (
     Graph,
     Vertex,
     _induced,
-    _same_types,
     bit_ids,
     canonical_edge,
     induced_subgraph,
@@ -56,8 +55,7 @@ class TreeDecomposition(_TreeDecomposition):
 
     def __new__(cls, tree: Graph, parts: dict):
         _check_is_tree(tree)
-        # A key equal to a node must be that node (``Graph.own_id``'s rule): 1.0 or True is no key of the node 1.
-        if set(parts) != set(tree.vertices) or not all(_same_types(t, tree.order[tree.pos[t]]) for t in parts):
+        if set(parts) != set(tree.vertices) or any(tree.own_id(t) is None for t in parts):  # 1.0 is no key of the node 1
             raise StructuralError("parts must be keyed exactly by the tree nodes")
         return super().__new__(cls, tree, {t: frozenset(p) for t, p in parts.items()})
 

@@ -169,9 +169,14 @@ def test_supplied_classification_is_checked_for_feasibility():
         check_classification(g.host, g.td, g.k, {"t": FINITE})
     with pytest.raises(ClassificationError):
         check_classification(g.host, g.td, g.k, {"t": BOUNDED_TW})
-    from coarsegraph.errors import StructuralError
+    from coarsegraph.errors import StructuralError, UnknownVertexError
     with pytest.raises(StructuralError):
         check_classification(b.host, b.td, b.k, {"a": FINITE})
+    # A part that is no host subset, labelled finite above the threshold, is refused by the torso
+    # build that checks its vertices, before the label (build_H refuses such a part before either).
+    outside = TreeDecomposition(g.td.tree, {"t": g.td.parts["t"] | {"z"}})
+    with pytest.raises(UnknownVertexError, match=r"'z'"):
+        check_classification(g.host, outside, g.k, {"t": FINITE})
     with pytest.raises(StructuralError):
         check_classification(b.host, b.td, b.k, {"a": "huge", "b": FINITE})
 
@@ -1047,7 +1052,8 @@ def test_a_one_part_planar_host_is_built_and_certified_with_no_per_vertex_lookup
     zero times and Graph.own_id on the host once per marker, where
     validate_bundle checks that the marker is a host vertex, on the trees of
     the torsos built at most once per torso, where TreeDecomposition.part
-    checks the node, and on no other graph: φ is the host renamed, each image
+    checks the node, and on no other graph, beside each decomposition's check
+    of its own part keys, left out of the count: φ is the host renamed, each image
     H's own name object at the host vertex's id, and an isomorphism is
     certified without the level scan.  The other paths keep running: on
     bridge-4 both level scans, and on grid-k4-4x4-at-1-1 (two parts, no
@@ -1055,6 +1061,14 @@ def test_a_one_part_planar_host_is_built_and_certified_with_no_per_vertex_lookup
     own_id = helpers.calls(monkeypatch, "graph.Graph.own_id")
     ball_levels = helpers.calls(monkeypatch, "graph.Graph.ball_levels")
     torsos = helpers.calls(monkeypatch, "treedecomp.torso")
+    made = TreeDecomposition.__new__
+
+    def unrecorded(cls, tree, parts):  # a decomposition's check of its own keys is left out of the count
+        n = len(own_id)
+        td = made(cls, tree, parts)
+        del own_id[n:]
+        return td
+    monkeypatch.setattr(TreeDecomposition, "__new__", staticmethod(unrecorded))
 
     def fresh_run(b):
         for record in (own_id, ball_levels, torsos):

@@ -532,32 +532,6 @@ _TOKEN_ATOMS = st.integers(-3, 12) | st.text(alphabet="ab7-(|)", min_size=1, max
 _VERTICES = _TOKEN_ATOMS | st.lists(_TOKEN_ATOMS | st.lists(_TOKEN_ATOMS, max_size=2).map(tuple), max_size=3).map(tuple)
 
 
-def _equal_copy(v):
-    """An object equal to v, of the same types throughout, that is not v (but for a cached small int or one-char string)."""
-    if isinstance(v, tuple):
-        return tuple(map(_equal_copy, v))
-    return int(str(v)) if isinstance(v, int) else "".join(list(v))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_VERTICES, _VERTICES).filter(lambda e: e[0] != e[1]), max_size=25),
-       st.lists(_VERTICES, max_size=4))
-def test_build_reads_an_equal_copy_of_a_vertex_as_the_vertex(edges, isolated):
-    """Graph.build takes a repeated endpoint that is the object it has already
-    entered as that vertex at once, and any other equal value by the type
-    rule: with every endpoint and isolated vertex an equal copy of its own,
-    the graph is the same, and it keeps the first object met."""
-    g = Graph.build(edges, vertices=isolated)
-    copies = [(_equal_copy(u), _equal_copy(v)) for u, v in edges]
-    alone = list(map(_equal_copy, isolated))
-    h = Graph.build(copies, vertices=alone)
-    assert (h.order, h.nbrs, list(map(type, h.order))) == (g.order, g.nbrs, list(map(type, g.order)))
-    first = {}
-    for v in [x for e in copies for x in e] + alone:
-        first.setdefault(v, v)
-    assert all(first[v] is v for v in h.order)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_VERTICES, _VERTICES).filter(lambda e: e[0] != e[1]), max_size=25),
        st.lists(_VERTICES, max_size=4))
