@@ -17,11 +17,11 @@ and a warning recorded.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import (
     ClassificationError,
@@ -32,11 +32,11 @@ from .errors import (
     ParseError,
     PlanarityContradictionError,
     StructuralError,
-    UnknownVertexError,
 )
 from .graph import (
     MAX_VERTEX_DEPTH,
     Graph,
+    _unknown,
     bit_ids,
     cut_vertices,
     induced_subgraph,
@@ -100,15 +100,10 @@ def validate_bundle(bundle: InstanceBundle) -> None:
     if bundle.k < 0:
         raise ContractViolationError("k must be non-negative")
     unknown = [v for v in bundle.infinite_markers if bundle.host.own_id(v) is None]  # 3.0 is not the vertex 3
-    if unknown:  # named whatever order the set iterates in: the key-least that keys, else the least repr
-        keyed = {}
-        for v in unknown:
-            with suppress(GraphToolError):
-                keyed[vertex_key(v)] = v
-        raise UnknownVertexError(repr(keyed[min(keyed)]) if keyed else min(map(repr, unknown)))
+    if unknown:
+        _unknown(unknown)
     for t in bundle.sub_tds:  # a sub-decomposition of no tree node, or of one of other types (1.0 for 1), is refused
-        if bundle.td.tree.own_id(t) is None:
-            raise StructuralError(f"no such tree node: {t!r}")
+        bundle.td.part(t)
     # H's names nest one level deeper than the host vertices and tree nodes they hold.  Only a
     # tuple nests, so only tuples are keyed.
     names = (bundle.host.vertices, bundle.td.tree.vertices, *(sub.tree.vertices for sub in bundle.sub_tds.values()))
@@ -343,17 +338,17 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     if not all(all_adh):
         warnings.append("empty adhesion set: the corresponding tree edge contributes no gluing vertex")
 
-    # (i) one hub vertex per adhesion set; a vertex's hub is that of the key-least set holding it
+    # (i) one hub vertex per adhesion set; own[v] is first the hub of the key-least set holding v
     hub = _hubs(all_adh)
     edges: list = []
-    hub_of: dict = {}
+    own: dict = {}
     for S, x in hub.items():
         for v in S:
-            hub_of.setdefault(v, x)
+            own.setdefault(v, x)
 
     # (ii)-(iv) each torso adds its vertices, inner edges, glue to the hubs of
     # the adhesion sets in its part, and the φ candidates of its vertices: its
-    # planar copies, and own[v], its image in its own part (read only for a
+    # planar copies, and own[v], its image in its own part (set only for a
     # vertex outside every adhesion set, which by (T3) lies in exactly one
     # part).  Finite torsos come first, then bounded-treewidth, then planar,
     # so every sub-decomposition error of a
@@ -364,7 +359,6 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
     # order, as "pl" < "tw" < "xS" < "xt", they are H's key order: no H name is keyed.
     pl, tw, xt, copies = [], [], [], []  # copies: (first id, kept graph) of each planar part
     evidence = Evidence(dict(classification), torsos, {}, {})
-    own: dict = {}
     for t in sorted(td.tree.sorted_vertices(), key=lambda t: TORSO_KINDS.index(classification[t])):
         outer = [S for S in hub if S <= td.parts[t]]
         provided = bundle.sub_tds.get(t)
@@ -411,7 +405,7 @@ def build_H(bundle: InstanceBundle) -> ConstructionOutput:
         # φ: first surviving planar copy > adhesion hub > image in its own part.  By (T1) and the torso
         # classes every host vertex has one; verify_output refuses an image that is not a vertex of H.
         copy_of = {x[3]: x for x in reversed(pl)}
-        phi = {v: copy_of.get(v) or hub_of.get(v) or own.get(v) for v in host.order}
+        phi = {v: copy_of.get(v) or own.get(v) for v in host.order}
 
     return ConstructionOutput(
         H=H,
@@ -576,32 +570,22 @@ def _json_int(value, key: str) -> int:
     raise ParseError(f"bundle key {key!r} must be an integer, not {value!r}")
 
 
-class _Tokens(dict):
-    """Each vertex's token, rendered on its first lookup: the memo of one ``output_to_dict`` call."""
-
-    __slots__ = ()
-
-    def __missing__(self, v) -> str:
-        token = self[v] = vertex_token(v)
-        return token
-
-
-def _provenance(x: tuple, tokens: _Tokens) -> tuple[str, dict]:
+def _provenance(x: tuple, token: Callable) -> tuple[str, dict]:
     """The token of H vertex x and its provenance record as JSON values, both built from the tokens
     of its name's fields: ``("pl", t, s, v)`` is the copy of v in part s of planar torso t,
     ``("tw", t, s)`` the copy of node s of t's sub-decomposition, ``("xt", t)`` finite torso t's
     point, and ``("xS", *S)`` the hub of adhesion set S."""
     tag = x[0]
     if tag == "pl":
-        t, s, v = tokens[x[1]], tokens[x[2]], tokens[x[3]]
+        t, s, v = token(x[1]), token(x[2]), token(x[3])
         return f"(pl|{t}|{s}|{v})", {"kind": "planar-copy", "node": t, "part": s, "vertex": v}
     if tag == "tw":
-        t, s = tokens[x[1]], tokens[x[2]]
+        t, s = token(x[1]), token(x[2])
         return f"(tw|{t}|{s})", {"kind": "tree-copy", "node": t, "tree_node": s}
     if tag == "xt":
-        t = tokens[x[1]]
+        t = token(x[1])
         return f"(xt|{t})", {"kind": "finite-torso", "node": t}
-    S = [tokens[v] for v in x[1:]]
+    S = list(map(token, x[1:]))
     return "(" + "|".join(["xS", *S]) + ")", {"kind": "adhesion-set", "set": S}
 
 
@@ -610,20 +594,20 @@ def output_to_dict(out: ConstructionOutput) -> dict:
     once, and each H vertex's token and provenance record are built from the tokens of its name's
     fields; H's edges, isolated vertices and provenance come in H id order, φ in the host key order
     of ``build_H``."""
-    H, tokens = out.H, _Tokens()
-    token, provenance = [], {}
+    H, token = out.H, cache(vertex_token)  # each vertex rendered on its first lookup
+    h_tokens, provenance = [], {}
     for x in H.order:
-        t, rec = _provenance(x, tokens)
-        token.append(t)
+        t, rec = _provenance(x, token)
+        h_tokens.append(t)
         provenance[t] = rec
     pos = H.pos
     return {
-        "h_edges": [[token[i], token[j]] for i, js in enumerate(H.nbrs) for j in js if j > i],
-        "h_isolated": [token[i] for i, js in enumerate(H.nbrs) if not js],
-        "phi": {tokens[v]: token[pos[x]] for v, x in out.phi.items()},
+        "h_edges": [[h_tokens[i], h_tokens[j]] for i, js in enumerate(H.nbrs) for j in js if j > i],
+        "h_isolated": [h_tokens[i] for i, js in enumerate(H.nbrs) if not js],
+        "phi": {token(v): h_tokens[pos[x]] for v, x in out.phi.items()},
         "bounds": out.bounds._asdict(),
         "classification": {
-            tokens[t]: out.evidence.classification[t] for t in sort_vertices(out.evidence.classification)
+            token(t): out.evidence.classification[t] for t in sort_vertices(out.evidence.classification)
         },
         "finite_threshold": out.finite_threshold,
         "provenance": provenance,

@@ -40,9 +40,10 @@ from itertools import combinations, islice, permutations
 from operator import or_
 from typing import NamedTuple
 
-from .errors import CapacityError, ParseError, StructuralError, UnknownVertexError
+from .errors import CapacityError, ParseError, StructuralError
 from .graph import (
     Graph,
+    _unknown,
     bit_ids,
     canonical_edge,
     kept,
@@ -95,7 +96,7 @@ def _model_on_ids(m: FatMinorModel) -> tuple[dict, dict]:
             raise StructuralError(f"branch set of {v!r} is empty")
         ids = [own_id(w) for w in b]
         if None in ids:
-            raise UnknownVertexError(repr(next(w for w, i in zip(b, ids) if i is None)))
+            _unknown([w for w, i in zip(b, ids) if i is None])
         branch[v] = x = sum(1 << i for i in ids)
         if x & taken:
             raise StructuralError(f"branch set of {v!r} overlaps another branch set")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from functools import wraps
 from itertools import chain, combinations, compress
-from operator import itemgetter
 from typing import Iterable, Mapping, NoReturn
 
 from .errors import GraphToolError, ParseError, UnknownVertexError
@@ -58,13 +58,24 @@ def _same_types(u, w) -> bool:
     return t is type(w) and (not isinstance(u, tuple) or all(map(_same_types, u, w)))
 
 
-def _entry(v, equal: list | None) -> list:
-    """Graph.build's entry [v, key] for a new vertex v.  Beside ``equal``, the entry of a vertex equal to v but of
-    other types (an int and an IntEnum member), v is refused, but only once keyed: True and 1.0 are no vertices."""
-    key = vertex_key(v)
+def _refuse(seen: list, v, equal=None) -> None:
+    """Graph.build's refusal of v, met after the distinct vertices ``seen``: each of them, then v, is keyed
+    first, so a vertex that does not key is refused in the order met (True and 1.0 are no vertices);
+    else v is refused beside ``equal``, a vertex equal to it but of other types (an int and an IntEnum member)."""
+    for x in chain(seen, [v]):
+        vertex_key(x)
     if equal is not None:
-        raise GraphToolError(f"vertices {equal[0]!r} and {v!r} are equal but of different types")
-    return [v, key]
+        raise GraphToolError(f"vertices {equal!r} and {v!r} are equal but of different types")
+
+
+def _unknown(vs: list) -> NoReturn:
+    """Raise UnknownVertexError for some vertices that are not the graph's, naming one whatever order they
+    come in: the key-least of those that key, else the one with the least repr."""
+    keyed = {}
+    for v in vs:
+        with suppress(GraphToolError):
+            keyed[vertex_key(v)] = v
+    raise UnknownVertexError(repr(keyed[min(keyed)]) if keyed else min(map(repr, vs)))
 
 
 def canonical_edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
@@ -103,32 +114,29 @@ class Graph:
 
     @classmethod
     def build(cls, edges: Iterable[tuple[Vertex, Vertex]] = (), vertices: Iterable[Vertex] = ()) -> "Graph":
-        # Each distinct vertex is keyed once, in an entry [vertex, key] whose key becomes its id. An equal
-        # vertex shares the entry only if its types match throughout; else it is refused (``_entry``).
-        keyed: dict = {}
-        get = keyed.get
-
-        def entry(v) -> list:
-            try:
-                e = get(v)
-            except TypeError:  # an unhashable vertex, which keying refuses as no vertex
-                vertex_key(v)
-                raise
-            if e is None or not _same_types(v, e[0]):
-                e = keyed[v] = _entry(v, e)
-            return e
-
-        es = []
-        for (u, v) in edges:
+        # The distinct vertices are numbered as met, then put in key order by _ranks.  An equal vertex
+        # shares a number only if its types match throughout; else it is refused (``_refuse``).
+        es = list(edges)
+        for u, v in es:
             if u == v:
                 raise GraphToolError(f"loops are not allowed: ({u!r}, {v!r})")
-            es.append((entry(u), entry(v)))
-        for v in vertices:
-            entry(v)
-        order = sorted(keyed.values(), key=itemgetter(1))
-        for i, e in enumerate(order):
-            e[1] = i
-        return cls._on_ids([v for v, _ in order], [(a[1], b[1]) for a, b in es])
+        distinct: list = []
+        num: dict = {}
+        ids = []
+        for v in chain(chain.from_iterable(es), vertices):
+            try:
+                i = num.setdefault(v, len(distinct))
+            except TypeError:  # an unhashable vertex, which keying refuses as no vertex
+                _refuse(distinct, v)
+                raise
+            if i == len(distinct):
+                distinct.append(v)
+            elif not _same_types(v, distinct[i]):
+                _refuse(distinct, v, distinct[i])
+            ids.append(i)
+        rank, new = _ranks(distinct)
+        ends = map(new.__getitem__, ids[:2 * len(es)])
+        return cls._on_ids([distinct[i] for i in rank], zip(ends, ends))  # consecutive ends pair up
 
     @classmethod
     def _on_ids(cls, order: list, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -261,14 +269,10 @@ class Graph:
         return tuple(comp for comp, _ in mask_components(self.masks))
 
     def bits(self, vs: Iterable[Vertex]) -> int:
-        """The bitmask of a set of vertices of the graph; UnknownVertexError names
-        the first vertex of ``frozenset(vs)`` that is not one."""
-        pos, m = self.pos, 0
-        try:
-            for v in frozenset(vs):
-                m |= 1 << pos[v]
-        except KeyError as e:
-            raise UnknownVertexError(repr(e.args[0])) from None
+        """The bitmask of some vertices of the graph; ``_ids`` names an unknown one."""
+        m = 0
+        for i in _ids(self, vs):
+            m |= 1 << i
         return m
 
     def labels(self, mask: int) -> frozenset:
@@ -367,11 +371,15 @@ def mask_components(masks: list[int], within: int = -1, touching: int = -1):
 
 
 def _ids(g: Graph, vs: Iterable[Vertex]) -> list[int]:
-    """The ids of some vertices of ``g``; UnknownVertexError names the first unknown one."""
+    """The ids of some vertices of ``g``; ``_unknown`` names an unknown one.  A one-shot iterator is read into a
+    list first, as the vertices are read again on an error."""
+    pos = g.pos
+    if iter(vs) is vs:
+        vs = list(vs)
     try:
-        return [g.pos[v] for v in vs]
-    except KeyError as e:
-        raise UnknownVertexError(repr(e.args[0])) from None
+        return [pos[v] for v in vs]
+    except KeyError:
+        _unknown([v for v in vs if v not in pos])
 
 
 def row_distance(row: list[int], ids: Iterable[int]) -> int | float:
@@ -535,10 +543,8 @@ def relabel(g: Graph, mapping: Mapping) -> Graph:
 
 def _ranks(vertices: list) -> tuple[list[int], list[int]]:
     """Key order on distinct vertices, each keyed once: the places of ``vertices``
-    in key order (``rank``), and each place's id in that order (``new``, its inverse).
-    All ints or all strings sort by value, which is their key order."""
-    types = set(map(type, vertices))
-    key = vertices if types == {int} or types == {str} else list(map(vertex_key, vertices))
+    in key order (``rank``), and each place's id in that order (``new``, its inverse)."""
+    key = list(map(vertex_key, vertices))
     rank = sorted(range(len(vertices)), key=key.__getitem__)
     new = [0] * len(rank)
     for r, i in enumerate(rank):

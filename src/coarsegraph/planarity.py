@@ -246,6 +246,8 @@ def _testing_pass(g: Graph) -> bool:
 def is_planar(g: Graph, witness_cap: int = WITNESS_CAP) -> PlanarityVerdict:
     """The verdict, with a validated witness when g is non-planar and has at
     most ``witness_cap`` vertices; ``find_subdivision`` decides those graphs."""
+    if not isinstance(witness_cap, int) or isinstance(witness_cap, bool):
+        raise StructuralError(f"witness cap must be an integer, not {witness_cap!r}")
     if len(g.vertices) > witness_cap:
         return PlanarityVerdict(_lr_planar(g), None)
     witness = find_subdivision(g)

@@ -59,6 +59,8 @@ def _extensions(g: Graph, color: list[int], order: list[int], prefix: tuple):
 
 
 def _capped(g: Graph, max_vertices: int) -> None:
+    if not isinstance(max_vertices, int) or isinstance(max_vertices, bool):
+        raise StructuralError(f"automorphism cap must be an integer, not {max_vertices!r}")
     if len(g.vertices) > max_vertices:
         raise CapacityError(f"graph has {len(g.vertices)} vertices, automorphism cap is {max_vertices}")
 

@@ -264,6 +264,8 @@ def exact_treewidth(g: Graph, cap: int = DEFAULT_TREEWIDTH_CAP) -> int:
     when the degeneracy, a lower bound, meets that width.  Exponential in |V|,
     hence the cap; ``construction.treewidth_at_most`` calls this only for k ≥ 3.
     """
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise StructuralError(f"exact treewidth cap must be an integer, not {cap!r}")
     n = len(g.vertices)
     if n > cap:
         raise CapacityError(f"graph has {n} vertices, exact treewidth cap is {cap}")

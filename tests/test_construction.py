@@ -346,24 +346,36 @@ def test_a_boolean_count_is_refused(k, finite_threshold, name):
 
 
 def test_error_texts_name_the_key_least_offender_under_every_hash_seed():
-    """Unknown markers, and a map that misses vertices, name the key-least
-    offender, not the first met in a set whose order moves with PYTHONHASHSEED.
+    """Unknown markers, a map that misses vertices, and unknown vertices of a
+    torso's part, of a set S, of the parts on one side of a tree edge or of a
+    fat-minor branch set name the key-least offender, not the first met in a
+    set whose order moves with PYTHONHASHSEED.
     Markers that are no vertex type (3.0, 7.0 and 11.0 beside the vertices 3,
     7 and 11; 3.0 and 11.0 share a slot of the set, so its order follows the
     order they are added in) are unknown too, and the least by repr is named."""
     script = (
         "from coarsegraph.construction import InstanceBundle, validate_bundle\n"
+        "from coarsegraph.fatminor import FatMinorModel, verify_fat_model\n"
+        "from coarsegraph.generators import grid_graph\n"
         "from coarsegraph.graph import Graph\n"
         "from coarsegraph.qi import tightest_constants\n"
-        "from coarsegraph.treedecomp import TreeDecomposition\n"
+        "from coarsegraph.separations import fully_attached_components\n"
+        "from coarsegraph.treedecomp import TreeDecomposition, edge_separation, torso\n"
         "host = Graph.build([('a', 'b'), ('b', 'c'), ('c', 'd')])\n"
         "td = TreeDecomposition(Graph.build((), ['t']), {'t': host.vertices})\n"
         "ints = Graph.build([(i, i + 1) for i in range(11)])\n"
         "floats = frozenset(float(x) for x in {'3', '7', '11'})\n"
         "ints_td = TreeDecomposition(Graph.build((), ['t']), {'t': ints.vertices})\n"
+        "pair = TreeDecomposition(Graph.build([('t', 'u')]), {'t': {'a', 'b'}, 'u': {'b', 'c', 'd', 'q', 'r'}})\n"
+        "grid = grid_graph(3, 3)\n"
+        "model = FatMinorModel(Graph.build((), ['p']), grid, {'p': frozenset({'0,0', 'x', 'y', 'z'})}, {})\n"
         "for check in (lambda: validate_bundle(InstanceBundle(host, td, 2, infinite_markers=frozenset('xyzw'))),\n"
         "              lambda: validate_bundle(InstanceBundle(ints, ints_td, 2, infinite_markers=floats)),\n"
-        "              lambda: tightest_constants(host, host, {'a': 'a', 'd': 'd'})):\n"
+        "              lambda: tightest_constants(host, host, {'a': 'a', 'd': 'd'}),\n"
+        "              lambda: torso(host, td._replace(parts={'t': host.vertices | {'s', 'q', 'r'}}), 't'),\n"
+        "              lambda: fully_attached_components(grid, {'z3', 'y2', 'x1'}),\n"
+        "              lambda: edge_separation(host, pair, ('t', 'u')),\n"
+        "              lambda: verify_fat_model(model, 1)):\n"
         "    try:\n"
         "        check()\n"
         "    except Exception as exc:\n"
@@ -375,7 +387,9 @@ def test_error_texts_name_the_key_least_offender_under_every_hash_seed():
                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
         assert out.returncode == 0, out.stderr
         assert out.stdout == ("UnknownVertexError 'w'\nUnknownVertexError 11.0\n"
-                              "StructuralError phi is not total: missing 'b'\n"), seed
+                              "StructuralError phi is not total: missing 'b'\n"
+                              "UnknownVertexError 'q'\nUnknownVertexError 'x1'\n"
+                              "UnknownVertexError 'q'\nUnknownVertexError 'x'\n"), seed
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,9 @@ def test_build_dedupes_and_rejects_loops():
     assert g.neighbors(7) == frozenset()
     with pytest.raises(GraphToolError):
         Graph.build([(1, 1)])
+    with pytest.raises(GraphToolError) as exc:  # every edge is checked for a loop before any vertex is keyed
+        Graph.build([(1.5, 2), (3, 3)])
+    assert str(exc.value) == "loops are not allowed: (3, 3)"
 
 
 @pytest.mark.parametrize("alias", [True, 1.0])
@@ -204,15 +207,17 @@ def test_unknown_vertex_raises():
     assert g.adjacent(1, 2) and g.adjacent(2, 1)
 
 
-def test_bits_names_the_unknown_vertex_its_set_yields_first():
-    """Graph.bits reads its input as a set, so of two unknown vertices in
-    a list it names the one the set yields first, not the list's first."""
+def test_bits_names_the_key_least_unknown_vertex():
+    """Graph.bits names the key-least of its unknown vertices, whatever order
+    they come in: not the one a set of them yields first (9 of {3, 0, 9}),
+    nor the list's last; a one-shot iterator is named by the same rule."""
     g = path_graph(3)
     assert g.bits([2, 0, 2]) == 0b101
     assert list(frozenset([3, 0, 9])) == [0, 9, 3]  # small ints hash to themselves
-    with pytest.raises(UnknownVertexError) as exc:
-        g.bits([3, 0, 9])
-    assert exc.value.args == ("9",)
+    for vs in ([3, 0, 9], [9, 0, 3], frozenset([3, 0, 9]), iter([9, 0, 3])):
+        with pytest.raises(UnknownVertexError) as exc:
+            g.bits(vs)
+        assert exc.value.args == ("3",)
 
 
 def test_distance_frozen_values():
@@ -372,6 +377,18 @@ def test_relabel_equals_building_the_renamed_graph(data):
     assert g._edges is None  # relabel permutes ids; it reads no edge set
     want = Graph.build([(mapping.get(u, u), mapping.get(v, v)) for u, v in es], vertices=img)
     assert (r.order, r.pos, r.nbrs, r.vertices) == (want.order, want.pos, want.nbrs, want.vertices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([st.integers(), st.text(), _NESTED_LABELS]).flatmap(lambda labels: st.lists(labels, unique=True)))
+def test_ranks_is_the_sort_by_vertex_key(vs):
+    """_ranks equals the sort by vertex_key on lists of all ints, of all
+    strings and of mixed vertices, with ``new`` its inverse."""
+    from coarsegraph.graph import _ranks
+
+    rank, new = _ranks(vs)
+    assert [vs[i] for i in rank] == sorted(vs, key=vertex_key)
+    assert [new[i] for i in rank] == list(range(len(vs)))
 
 
 def test_a_fact_made_on_a_renamed_graph_is_its_sources_and_made_once(monkeypatch):

@@ -14,7 +14,9 @@ from coarsegraph.corpus import DEFAULT_SEED, corpus
 from coarsegraph.errors import CapacityError, EmptySetError, GraphToolError, StructuralError
 from coarsegraph.generators import complete_graph, cycle_graph, grid_graph, path_graph
 from coarsegraph.graph import Graph, induced_subgraph, is_connected, parse_vertex_token, relabel, vertex_token
+from coarsegraph.planarity import is_planar
 from coarsegraph.separations import is_separation
+from coarsegraph.symmetry import automorphisms, edge_orbits, vertex_orbits
 from coarsegraph.treedecomp import (
     TreeDecomposition,
     adhesion,
@@ -328,6 +330,19 @@ def test_exact_treewidth_cap():
         exact_treewidth(path_graph(20))
     with pytest.raises(CapacityError):
         exact_treewidth(path_graph(8), cap=6)
+
+
+@pytest.mark.parametrize("cap", [None, "9", 2.5, 9.0, True])
+@pytest.mark.parametrize("query", [exact_treewidth, is_planar, automorphisms, vertex_orbits, edge_orbits])
+def test_a_cap_that_is_no_int_is_refused(query, cap):
+    """A cap passed from the Python API that is a bool or no int is refused with
+    a typed error naming it, not compared with the vertex count or left to a
+    TypeError; a negative int cap is still a cap."""
+    with pytest.raises(StructuralError) as exc:
+        query(path_graph(3), cap)
+    assert str(exc.value).endswith(f"cap must be an integer, not {cap!r}")
+    with pytest.raises(CapacityError):
+        exact_treewidth(path_graph(3), -1)
 
 
 def test_heuristic_td_is_always_valid():
